@@ -147,11 +147,16 @@ class AllocationResult:
         }
 
 
+def _is_ue_variance(objective) -> bool:
+    """The variance objective, named by string or by AllocationObjective."""
+    metric = objective.metric if isinstance(objective, AllocationObjective) else objective
+    return metric == "ue_variance"
+
+
 def _objective_callable(objective, n: int) -> Callable[[EnergyVector], float]:
     if callable(objective):
         return objective
-    if objective == "ue_variance" or (
-            isinstance(objective, AllocationObjective) and objective.metric == "ue_variance"):
+    if _is_ue_variance(objective):
         return ue_variance
     if isinstance(objective, AllocationObjective):
         from .mobs import aggregate_error  # deferred: mobs imports this module
@@ -270,8 +275,7 @@ def grid_search(objective, budget: float, n: int | None = None,
         raise ResourceLimitError(f"simplex lattice has {size} points (cap {GRID_POINT_CAP})")
     lattice = _simplex_lattice(ticks, n) * resolution
 
-    if objective == "ue_variance" or (
-            isinstance(objective, AllocationObjective) and objective.metric == "ue_variance"):
+    if _is_ue_variance(objective):
         q = np.exp2(-lattice)
         values = ((1.0 - q) * q).sum(axis=1)
         best_idx = int(np.argmin(values))

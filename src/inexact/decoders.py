@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
-from .noise import EnergyVector, flip_probability
+from .noise import EnergyVector
 from .adversary import (
     IdentityGroup,
     PermutationGroup,
@@ -150,17 +150,19 @@ def build_decoder(strategy: str, problem, energies: EnergyVector | None = None,
     raise ValueError(f"unknown decoder strategy {strategy!r}; expected identity or map")
 
 
-def _loss_block(decoded: np.ndarray, truth: np.ndarray, loss: str) -> np.ndarray:
+def _loss_kernel(loss: str):
+    """The named loss as an elementwise (decoded, truth) -> float64 kernel."""
     if loss == "exact":
-        return (decoded != truth[:, None]).astype(np.float64)
+        return lambda decoded, truth: (decoded != truth).astype(np.float64)
     if loss == "absolute":
-        return np.abs(decoded - truth[:, None]).astype(np.float64)
+        return lambda decoded, truth: np.abs(decoded - truth).astype(np.float64)
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
 
 
 def error_profile(problem, energies: EnergyVector, group: PermutationGroup,
                   decoder: Decoder, loss: str = "exact") -> np.ndarray:
     """Exact per-input error, every input row at once."""
+    loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     n = table.n
     _check_scale(n, "exact error analysis")
@@ -174,20 +176,20 @@ def error_profile(problem, energies: EnergyVector, group: PermutationGroup,
     for lo in range(0, size, chunk):
         rows = idx[lo:lo + chunk]
         decoded = decoder.decode_map[rows[:, None] ^ idx[None, :]]
-        out[rows] = _loss_block(decoded, table.outputs[rows], loss) @ avg
+        out[rows] = loss_fn(decoded, table.outputs[rows][:, None]) @ avg
     return out
 
 
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
     """Exact error of one input row (noise and adversary draw averaged)."""
+    loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     _check_scale(table.n, "exact error analysis")
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]
-    truth = table.outputs[i:i + 1]
-    return float(_loss_block(decoded[None, :], truth, loss)[0] @ avg)
+    return float(loss_fn(decoded, table.outputs[i]) @ avg)
 
 
 def worst_input_error(problem, energies, group, decoder, loss="exact") -> float:
@@ -215,6 +217,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     Each trial draws a permutation from the group, rewires the energies,
     flips bits independently, and decodes the observed row.
     """
+    loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     n = table.n
     if n > MC_BITS_LIMIT:
@@ -236,13 +239,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         assigned = sample_energy_assignments(group, energies, m, rng)
         flips = rng.random((m, n)) < np.exp2(-assigned)
         observed = (bits[None, :] ^ flips) @ weights
-        decoded = decoder.decode_map[observed]
-        if loss == "exact":
-            vals = (decoded != truth).astype(np.float64)
-        elif loss == "absolute":
-            vals = np.abs(decoded - truth).astype(np.float64)
-        else:
-            raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+        vals = loss_fn(decoder.decode_map[observed], truth)
         total += vals.sum()
         total_sq += (vals * vals).sum()
         done += m

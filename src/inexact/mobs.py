@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import ResourceLimitError, as_rng
-from .noise import EnergyVector, energy_vector
+from .bits import as_rng
+from .noise import EnergyVector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
-from .problems import BooleanProblem
+from .problems import BooleanProblem, truth_table
 from .decoders import (
-    Decoder,
     build_decoder,
     error_profile,
     monte_carlo_error,
@@ -50,6 +49,10 @@ from .allocators import (
 
 METRIC_KINDS = ("worst_correctness", "expected_magnitude",
                 "comparison_weighted", "sorting_weighted")
+
+# per-input metrics score each input row under a decoder loss; the other
+# metrics are pair-weighted aggregates
+_PER_INPUT_LOSS = {"worst_correctness": "exact", "expected_magnitude": "absolute"}
 
 RATIO_TOLERANCE = 1e-9
 
@@ -189,11 +192,11 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
     """
     if metric is None:
         metric = default_metric(problem)
-    if metric == "worst_correctness" or metric == "expected_magnitude":
+    if metric in _PER_INPUT_LOSS:
         g = group if group is not None else IdentityGroup(problem.n)
-        decoder = build_decoder(decoder_strategy, problem, energies, g)
-        loss = "exact" if metric == "worst_correctness" else "absolute"
-        return worst_input_error(problem, energies, g, decoder, loss)
+        table = truth_table(problem)
+        decoder = build_decoder(decoder_strategy, table, energies, g)
+        return worst_input_error(table, energies, g, decoder, _PER_INPUT_LOSS[metric])
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
             raise ValueError("comparison_weighted needs a comparison problem")
@@ -350,16 +353,17 @@ class MobsResult:
 
 def _per_input_outcome(problem, budget, metric, decoder_strategy, group,
                        mode, samples, rng) -> BudgetOutcome:
-    loss = "exact" if metric == "worst_correctness" else "absolute"
+    loss = _PER_INPUT_LOSS[metric]
     bf_vec = blindfolded_champion(problem, budget)
     identity = IdentityGroup(problem.n)
+    table = truth_table(problem)
 
     if mode == "exact":
         cv = clairvoyant_champion(problem, budget, metric, decoder_strategy)
-        cv_decoder = build_decoder(decoder_strategy, problem, cv.energies, identity)
-        bf_decoder = build_decoder(decoder_strategy, problem, bf_vec, group)
-        cv_profile = error_profile(problem, cv.energies, identity, cv_decoder, loss)
-        bf_profile = error_profile(problem, bf_vec, group, bf_decoder, loss)
+        cv_decoder = build_decoder(decoder_strategy, table, cv.energies, identity)
+        bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
+        cv_profile = error_profile(table, cv.energies, identity, cv_decoder, loss)
+        bf_profile = error_profile(table, bf_vec, group, bf_decoder, loss)
         ratios = np.array([_ratio(b, c) for b, c in zip(bf_profile, cv_profile)])
         worst = int(np.argmax(ratios))
         return BudgetOutcome(budget, cv.energies, bf_vec,
@@ -371,14 +375,14 @@ def _per_input_outcome(problem, budget, metric, decoder_strategy, group,
     # sampled mode skips the descent (each objective evaluation would be an
     # exact enumeration); the clairvoyant side plays its closed-form seed
     cv_energies = analytic_allocation(problem, budget)
-    cv_decoder = build_decoder(decoder_strategy, problem, cv_energies, identity)
-    bf_decoder = build_decoder(decoder_strategy, problem, bf_vec, group)
+    cv_decoder = build_decoder(decoder_strategy, table, cv_energies, identity)
+    bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
     probes = _probe_inputs(problem, rng)
     cv_est, bf_est, cv_se, bf_se = {}, {}, {}, {}
     for i in probes:
-        cv_est[i], cv_se[i] = monte_carlo_error(problem, cv_energies, identity,
+        cv_est[i], cv_se[i] = monte_carlo_error(table, cv_energies, identity,
                                                 cv_decoder, i, loss, samples, rng)
-        bf_est[i], bf_se[i] = monte_carlo_error(problem, bf_vec, group,
+        bf_est[i], bf_se[i] = monte_carlo_error(table, bf_vec, group,
                                                 bf_decoder, i, loss, samples, rng)
     ratios = {i: _ratio(bf_est[i], cv_est[i]) for i in probes}
     worst = max(probes, key=lambda i: ratios[i])
@@ -436,16 +440,17 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"unknown mode {mode!r}; expected exact or monte_carlo")
     rng = as_rng(rng)
 
+    per_input = metric in _PER_INPUT_LOSS
     outcomes = []
     for budget in budget_grid:
-        if metric in ("comparison_weighted", "sorting_weighted"):
-            outcomes.append(_aggregate_outcome(problem, budget, metric,
-                                               decoder_strategy, group, instance))
-        else:
+        if per_input:
             outcomes.append(_per_input_outcome(problem, budget, metric,
                                                decoder_strategy, group, mode,
                                                samples, rng))
-    used_mode = mode if metric in ("worst_correctness", "expected_magnitude") else "exact"
+        else:
+            outcomes.append(_aggregate_outcome(problem, budget, metric,
+                                               decoder_strategy, group, instance))
+    used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric,
                       decoder_strategy, group.kind, used_mode, outcomes,
                       samples if used_mode == "monte_carlo" else None)

@@ -23,9 +23,9 @@ CSV form writes columns b_{n-1},...,b_0,output and round-trips bit exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from .bits import (
     ResourceLimitError,
     as_bit_array,
     bits_to_index,
-    format_bits,
     index_to_bits,
-    popcount_table,
 )
 
 TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
@@ -52,7 +50,6 @@ class BooleanProblem:
     kind: str
     n: int
     params: dict
-    evaluator: Callable[[np.ndarray], int]
     output_bound: int
 
     def __repr__(self) -> str:  # params carry arrays for custom tables
@@ -87,17 +84,17 @@ def _check_n(n, minimum=1) -> int:
 
 def or_problem(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("or", "or", n, {}, lambda b: int(b.any()), 1)
+    return BooleanProblem("or", "or", n, {}, 1)
 
 
 def unary_evaluation(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("ue", "ue", n, {}, lambda b: int(b.sum()), n)
+    return BooleanProblem("ue", "ue", n, {}, n)
 
 
 def binary_evaluation(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("be", "be", n, {}, lambda b: bits_to_index(b), (1 << n) - 1)
+    return BooleanProblem("be", "be", n, {}, (1 << n) - 1)
 
 
 def tribes_problem(n: int, tribe_count: int = 2) -> BooleanProblem:
@@ -106,26 +103,14 @@ def tribes_problem(n: int, tribe_count: int = 2) -> BooleanProblem:
         raise ValueError(f"tribe_count must be a positive integer, got {tribe_count!r}")
     if n % tribe_count != 0:
         raise ValueError(f"n={n} is not divisible by tribe_count={tribe_count}")
-    size = n // tribe_count
-
-    def evaluate_tribes(b: np.ndarray) -> int:
-        return int(b.reshape(tribe_count, size).all(axis=1).any())
-
     return BooleanProblem(
-        f"tribes{tribe_count}", "tribes", n, {"tribe_count": int(tribe_count)},
-        evaluate_tribes, 1,
+        f"tribes{tribe_count}", "tribes", n, {"tribe_count": int(tribe_count)}, 1,
     )
 
 
 def comparison_problem(k: int) -> BooleanProblem:
     k = _check_n(k)
-    def evaluate_cmp(b: np.ndarray) -> int:
-        x = bits_to_index(b[:k])
-        y = bits_to_index(b[k:])
-        return (x > y) - (x < y)
-
-    return BooleanProblem(f"comparison{k}", "comparison", 2 * k, {"k": int(k)},
-                          evaluate_cmp, 1)
+    return BooleanProblem(f"comparison{k}", "comparison", 2 * k, {"k": int(k)}, 1)
 
 
 def sorting_problem(count: int, width: int) -> BooleanProblem:
@@ -134,18 +119,9 @@ def sorting_problem(count: int, width: int) -> BooleanProblem:
     n = count * width
     if n > 62:
         raise ResourceLimitError(f"sorting over {n} bits cannot pack its output into int64")
-
-    def evaluate_sort(b: np.ndarray) -> int:
-        values = sorted(bits_to_index(b[m * width:(m + 1) * width]) for m in range(count))
-        packed = 0
-        for m, v in enumerate(values):
-            packed |= v << (width * m)
-        return packed
-
     return BooleanProblem(
         f"sorting{count}x{width}", "sorting", n,
-        {"count": int(count), "width": int(width)},
-        evaluate_sort, (1 << n) - 1,
+        {"count": int(count), "width": int(width)}, (1 << n) - 1,
     )
 
 
@@ -158,11 +134,7 @@ def custom_problem(outputs: Sequence[int], name: str = "custom") -> BooleanProbl
         raise ResourceLimitError(f"custom tables support n <= {CUSTOM_BITS_LIMIT}, got n={n}")
     column = outputs.copy()
     column.setflags(write=False)
-    return BooleanProblem(
-        name, "custom", n, {"outputs": column},
-        lambda b: int(column[bits_to_index(b)]),
-        int(np.abs(column).max()),
-    )
+    return BooleanProblem(name, "custom", n, {"outputs": column}, int(np.abs(column).max()))
 
 
 def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
@@ -195,9 +167,44 @@ def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
     raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
 
 
+def _outputs(problem: BooleanProblem, idx: np.ndarray) -> np.ndarray:
+    """The problem's outputs on an int64 array of packed input rows."""
+    n, kind = problem.n, problem.kind
+    if kind == "or":
+        return (idx != 0).astype(np.int64)
+    if kind == "ue":
+        counts = np.zeros(idx.shape, dtype=np.int64)
+        for j in range(n):
+            counts += (idx >> j) & 1
+        return counts
+    if kind == "be":
+        return idx.copy()
+    if kind == "tribes":
+        t = problem.params["tribe_count"]
+        size = n // t
+        mask = (1 << size) - 1
+        hit = np.zeros(idx.shape, dtype=bool)
+        for c in range(t):
+            hit |= ((idx >> (c * size)) & mask) == mask
+        return hit.astype(np.int64)
+    if kind == "comparison":
+        k = problem.params["k"]
+        return np.sign((idx & ((1 << k) - 1)) - (idx >> k)).astype(np.int64)
+    if kind == "sorting":
+        count, width = problem.params["count"], problem.params["width"]
+        mask = (1 << width) - 1
+        fields = np.stack([(idx >> (width * m)) & mask for m in range(count)], axis=-1)
+        fields.sort(axis=-1)
+        return fields @ np.left_shift(np.int64(1), width * np.arange(count, dtype=np.int64))
+    if kind == "custom":
+        return np.asarray(problem.params["outputs"], dtype=np.int64)[idx]
+    raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
+
+
 def evaluate(problem: BooleanProblem, bits: Sequence[int]) -> int:
     """Apply the problem to one input vector."""
-    return int(problem.evaluator(as_bit_array(bits, problem.n)))
+    index = bits_to_index(as_bit_array(bits, problem.n))
+    return int(_outputs(problem, np.array([index], dtype=np.int64))[0])
 
 
 def comparison_values(problem: BooleanProblem, bits: Sequence[int]) -> tuple[int, int]:
@@ -232,40 +239,7 @@ def truth_table(problem: BooleanProblem) -> TruthTable:
     n = problem.n
     if n > TABLE_BITS_LIMIT:
         raise ResourceLimitError(f"truth tables support n <= {TABLE_BITS_LIMIT}, got n={n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    kind = problem.kind
-    if kind == "or":
-        outputs = (idx != 0).astype(np.int64)
-    elif kind == "ue":
-        outputs = popcount_table(n)
-    elif kind == "be":
-        outputs = idx.copy()
-    elif kind == "tribes":
-        t = problem.params["tribe_count"]
-        size = n // t
-        mask = (1 << size) - 1
-        hit = np.zeros(1 << n, dtype=bool)
-        for c in range(t):
-            hit |= ((idx >> (c * size)) & mask) == mask
-        outputs = hit.astype(np.int64)
-    elif kind == "comparison":
-        k = problem.params["k"]
-        x = idx & ((1 << k) - 1)
-        y = idx >> k
-        outputs = np.sign(x - y).astype(np.int64)
-    elif kind == "sorting":
-        count, width = problem.params["count"], problem.params["width"]
-        mask = (1 << width) - 1
-        fields = np.stack([(idx >> (width * m)) & mask for m in range(count)], axis=1)
-        fields.sort(axis=1)
-        shifts = np.left_shift(np.int64(1), width * np.arange(count, dtype=np.int64))
-        outputs = fields @ shifts
-    elif kind == "custom":
-        outputs = np.asarray(problem.params["outputs"], dtype=np.int64).copy()
-    else:
-        outputs = np.array([problem.evaluator(index_to_bits(i, n)) for i in idx],
-                           dtype=np.int64)
-    return TruthTable(n, outputs)
+    return TruthTable(n, _outputs(problem, np.arange(1 << n, dtype=np.int64)))
 
 
 def table_to_csv(table: TruthTable, path) -> None:
@@ -302,7 +276,3 @@ def table_from_csv(path) -> TruthTable:
             raise ValueError(f"row {i} bit pattern {row[:-1]} out of order")
         outputs[i] = int(row[-1])
     return TruthTable(n, outputs)
-
-
-def format_input(problem: BooleanProblem, i: int) -> str:
-    return format_bits(index_to_bits(i, problem.n))

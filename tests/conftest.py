@@ -8,6 +8,38 @@ are checked against these, never against themselves.
 import numpy as np
 
 
+def brute_output(problem, bits) -> int:
+    """A problem's output on one bit vector, straight from its kind's
+    definition, with plain Python integers."""
+    b = [int(x) for x in bits]
+
+    def value(field):
+        return sum(bit << j for j, bit in enumerate(field))
+
+    kind, params = problem.kind, problem.params
+    if kind == "or":
+        return int(any(b))
+    if kind == "ue":
+        return sum(b)
+    if kind == "be":
+        return value(b)
+    if kind == "tribes":
+        size = problem.n // params["tribe_count"]
+        return int(any(all(b[c * size:(c + 1) * size])
+                       for c in range(params["tribe_count"])))
+    if kind == "comparison":
+        x, y = value(b[:params["k"]]), value(b[params["k"]:])
+        return (x > y) - (x < y)
+    if kind == "sorting":
+        width = params["width"]
+        values = sorted(value(b[m * width:(m + 1) * width])
+                        for m in range(params["count"]))
+        return sum(v << (width * m) for m, v in enumerate(values))
+    if kind == "custom":
+        return int(params["outputs"][value(b)])
+    raise ValueError(f"no oracle for kind {kind!r}")
+
+
 def brute_pattern_probability(energies: np.ndarray, pattern: int) -> float:
     """P{flip pattern} as a plain per-bit product."""
     p = 1.0

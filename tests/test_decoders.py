@@ -289,6 +289,28 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_error(p, ev, g, dec, 1, loss="squared", samples=10)
 
 
+def test_unknown_loss_is_rejected_before_any_work(monkeypatch):
+    p = or_problem(3)
+    ev = energy_vector([1.0, 2.0, 0.5])
+    g = FullSymmetricGroup(3)
+    dec = identity_decoder(p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the loss name was checked")
+
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
+    monkeypatch.setattr(decoders, "sample_energy_assignments", no_work)
+    with pytest.raises(ValueError, match="unknown loss"):
+        error_profile(p, ev, g, dec, "squared")
+    with pytest.raises(ValueError, match="unknown loss"):
+        per_input_error(p, ev, g, dec, 0, "squared")
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown loss"):
+        monte_carlo_error(p, ev, g, dec, 0, "squared", samples=10, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_error_report_shapes():
     p = or_problem(2)
     ev = energy_vector([1.0, 1.0])

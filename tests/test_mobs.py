@@ -26,6 +26,7 @@ from inexact.mobs import (
 from inexact.noise import energy_vector
 from inexact.problems import (
     binary_evaluation,
+    build_problem,
     comparison_problem,
     custom_problem,
     or_problem,
@@ -195,6 +196,23 @@ def test_champions():
     cv = clairvoyant_champion(or_problem(3), 6.0)
     assert cv.converged
     assert np.allclose(cv.energies.entries, 2.0, atol=1e-9)
+
+
+def test_uniform_split_is_the_blindfolded_champion():
+    # mobs plays the uniform split on the blindfolded side without searching;
+    # no random split of the same budget may do better under the full group
+    rng = np.random.default_rng(2017)
+    cases = [(kind, n) for kind in ("be", "or", "ue") for n in (2, 3, 4)]
+    cases += [("tribes", 2), ("tribes", 4)]
+    for kind, n in cases:
+        problem = build_problem(kind, n)
+        group = FullSymmetricGroup(n)
+        for budget in default_budget_grid(n):
+            floor = aggregate_error(problem, blindfolded_champion(problem, budget), group)
+            for _ in range(100):
+                draw = energy_vector(budget * rng.dirichlet(np.ones(n)))
+                assert aggregate_error(problem, draw, group) >= floor - 1e-12, \
+                    (kind, n, budget, draw.entries)
 
 
 def test_mobs_is_one_for_fully_symmetric_kinds():

@@ -21,6 +21,8 @@ from inexact.problems import (
     unpack_sorting_output,
 )
 
+from conftest import brute_output
+
 TABLE1 = {
     "or": [0, 1, 1, 1, 1, 1, 1, 1],
     "ue": [0, 1, 1, 2, 1, 2, 2, 3],
@@ -114,11 +116,27 @@ def test_binary_evaluation_is_the_weighted_bit_sum(n, data):
     tribes_problem(6, 3),
     comparison_problem(2),
     sorting_problem(3, 2),
+    custom_problem([3, -1, 0, 7, 2, 2, -5, 1]),
 ])
 def test_table_rows_match_the_evaluator(problem):
     table = truth_table(problem)
     for i in range(1 << problem.n):
-        assert table.output(i) == evaluate(problem, index_to_bits(i, problem.n))
+        bits = index_to_bits(i, problem.n)
+        expected = brute_output(problem, bits)
+        assert table.output(i) == expected
+        assert evaluate(problem, bits) == expected
+
+
+@pytest.mark.parametrize("problem", [
+    or_problem(40), unary_evaluation(40), binary_evaluation(62),
+    tribes_problem(40, 4), comparison_problem(20), sorting_problem(4, 10),
+])
+def test_evaluate_works_above_the_table_limit(problem):
+    rng = np.random.default_rng(problem.n)
+    rows = [np.zeros(problem.n, dtype=np.uint8), np.ones(problem.n, dtype=np.uint8)]
+    rows += [rng.integers(0, 2, size=problem.n).astype(np.uint8) for _ in range(20)]
+    for bits in rows:
+        assert evaluate(problem, bits) == brute_output(problem, bits)
 
 
 @pytest.mark.parametrize("problem", [
