@@ -159,17 +159,13 @@ def _objective_callable(objective, n: int) -> Callable[[EnergyVector], float]:
     if _is_ue_variance(objective):
         return ue_variance
     if isinstance(objective, AllocationObjective):
-        from .mobs import aggregate_error  # deferred: mobs imports this module
+        from .mobs import error_objective  # deferred: mobs imports this module
 
-        problem, metric = objective.problem, objective.metric
-        strategy, group = objective.decoder_strategy, objective.group
+        problem = objective.problem
         if problem.n != n:
             raise ValueError(f"objective problem has n={problem.n}, search uses n={n}")
-
-        def fn(evec: EnergyVector) -> float:
-            return aggregate_error(problem, evec, group, metric, strategy)
-
-        return fn
+        return error_objective(problem, objective.metric, objective.group,
+                               objective.decoder_strategy)
     raise TypeError(f"cannot interpret objective {objective!r}")
 
 

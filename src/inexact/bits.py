@@ -65,13 +65,17 @@ def format_bits(bits: Sequence[int]) -> str:
     return "".join(str(int(b)) for b in arr[::-1])
 
 
-def popcount_table(n: int) -> np.ndarray:
-    """Array of popcounts for row indices 0 .. 2**n - 1."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
+def popcount(idx: np.ndarray, n: int) -> np.ndarray:
+    """Ones among the low n bits of each packed int64 row index."""
+    counts = np.zeros(idx.shape, dtype=np.int64)
     for j in range(n):
         counts += (idx >> j) & 1
     return counts
+
+
+def popcount_table(n: int) -> np.ndarray:
+    """Array of popcounts for row indices 0 .. 2**n - 1."""
+    return popcount(np.arange(1 << n, dtype=np.int64), n)
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -17,8 +17,14 @@ input i under any group is
 
     err(i) = sum_d avg_pattern_prob[d] * loss(decode(i XOR d), f(i))
 
-which this module evaluates in vectorized chunks.  Losses: "exact" counts
-any wrong output, "absolute" weighs it by |decoded - truth|.
+The weight of pattern d for input i, L[i, d] = loss(decode(i XOR d), f(i)),
+depends on neither the energies nor the group, so the per-input errors are
+one matrix-vector product, L @ avg_pattern_prob.  An ErrorAnalysis binds
+(truth table, decoder, loss) and keeps L whole when it fits one vectorized
+block (n <= 11), so a search that scores many energy vectors builds it
+once; larger tables rebuild L one row block at a time on every call.
+error_profile is a one-shot ErrorAnalysis.  Losses: "exact" counts any
+wrong output, "absolute" weighs it by |decoded - truth|.
 """
 
 from __future__ import annotations
@@ -159,25 +165,56 @@ def _loss_kernel(loss: str):
     raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
 
 
+class ErrorAnalysis:
+    """Exact per-input errors of one (truth table, decoder, loss) under any
+    energies and group: L @ average_pattern_probabilities(group, energies).
+
+    L is built on the first profile and kept when it fits one vectorized
+    block (4**n <= _CHUNK_ENTRIES); larger tables rebuild it one row block
+    at a time on every call.
+    """
+
+    def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
+        self._loss_fn = _loss_kernel(loss)
+        self.table = _as_table(problem)
+        n = self.table.n
+        _check_scale(n, "exact error analysis")
+        if decoder.n != n:
+            raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
+        self.decoder = decoder
+        self._matrix = None
+
+    def _loss_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows L[rows, :] of the loss matrix."""
+        idx = np.arange(1 << self.table.n, dtype=np.int64)
+        decoded = self.decoder.decode_map[rows[:, None] ^ idx[None, :]]
+        return self._loss_fn(decoded, self.table.outputs[rows][:, None])
+
+    def profile(self, energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
+        avg = average_pattern_probabilities(group, energies)
+        size = 1 << self.table.n
+        chunk = max(1, _CHUNK_ENTRIES // size)
+        if chunk >= size:
+            if self._matrix is None:
+                self._matrix = self._loss_rows(np.arange(size, dtype=np.int64))
+            return self._matrix @ avg
+        idx = np.arange(size, dtype=np.int64)
+        out = np.empty(size)
+        for lo in range(0, size, chunk):
+            rows = idx[lo:lo + chunk]
+            out[rows] = self._loss_rows(rows) @ avg
+        return out
+
+
 def error_profile(problem, energies: EnergyVector, group: PermutationGroup,
                   decoder: Decoder, loss: str = "exact") -> np.ndarray:
     """Exact per-input error, every input row at once."""
-    loss_fn = _loss_kernel(loss)
-    table = _as_table(problem)
-    n = table.n
-    _check_scale(n, "exact error analysis")
-    if decoder.n != n:
-        raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
-    avg = average_pattern_probabilities(group, energies)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    out = np.empty(size)
-    chunk = max(1, _CHUNK_ENTRIES // size)
-    for lo in range(0, size, chunk):
-        rows = idx[lo:lo + chunk]
-        decoded = decoder.decode_map[rows[:, None] ^ idx[None, :]]
-        out[rows] = loss_fn(decoded, table.outputs[rows][:, None]) @ avg
-    return out
+    return ErrorAnalysis(problem, decoder, loss).profile(energies, group)
+
+
+def _check_row(i, n: int) -> None:
+    if not 0 <= i < (1 << n):
+        raise ValueError(f"input row {i} out of range for {n} bits")
 
 
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
@@ -185,6 +222,7 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     """Exact error of one input row (noise and adversary draw averaged)."""
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
+    _check_row(i, table.n)
     _check_scale(table.n, "exact error analysis")
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
@@ -220,6 +258,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     n = table.n
+    _check_row(i, n)
     if n > MC_BITS_LIMIT:
         raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:

@@ -9,6 +9,15 @@ uniform vector and a kind-appropriate closed-form allocation.  Because the
 clairvoyant search starts at the blindfolded champion's own vector, the
 ratio can never sit below 1 (up to descent tolerance).
 
+Every search (the descent here, the allocate subcommand, grid search) scores
+energies through error_objective.  For per-input metrics it scores through
+one profile function per problem and loss (one truth table); under the
+identity decoder that function is one decoders.ErrorAnalysis, whose loss
+matrix depends on neither the energies nor the group, so an evaluation is
+one matrix-vector product.  mobs builds the profile function once and also
+takes both champions' per-input profiles from it.  The pair-weighted
+metrics call aggregate_error per evaluation.
+
 Metrics:
 
 * worst_correctness   -- worst-input wrong-output probability.
@@ -35,10 +44,11 @@ from .noise import EnergyVector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import BooleanProblem, truth_table
 from .decoders import (
+    ErrorAnalysis,
     build_decoder,
     error_profile,
+    identity_decoder,
     monte_carlo_error,
-    worst_input_error,
 )
 from .allocators import (
     AllocationResult,
@@ -194,9 +204,8 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
         metric = default_metric(problem)
     if metric in _PER_INPUT_LOSS:
         g = group if group is not None else IdentityGroup(problem.n)
-        table = truth_table(problem)
-        decoder = build_decoder(decoder_strategy, table, energies, g)
-        return worst_input_error(table, energies, g, decoder, _PER_INPUT_LOSS[metric])
+        profile = _profile_function(problem, metric, decoder_strategy)
+        return float(profile(energies, g).max())
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
             raise ValueError("comparison_weighted needs a comparison problem")
@@ -212,6 +221,48 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
             lambda ev: _sorting_weighted_error_direct(problem, ev, instance),
             group, energies)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+
+
+def _profile_function(problem: BooleanProblem, metric: str, decoder_strategy: str):
+    """(energies, group) -> per-input error profile of a per-input metric.
+
+    One truth table serves every call.  Under the identity decoder every
+    call also shares one ErrorAnalysis; MAP decoding rebuilds its decoder
+    for each energy vector and group.
+    """
+    loss = _PER_INPUT_LOSS[metric]
+    table = truth_table(problem)
+    if decoder_strategy == "identity":
+        return ErrorAnalysis(table, identity_decoder(table), loss).profile
+
+    def profile(energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
+        decoder = build_decoder(decoder_strategy, table, energies, group)
+        return error_profile(table, energies, group, decoder, loss)
+
+    return profile
+
+
+def error_objective(problem: BooleanProblem, metric: str | None = None,
+                    group: PermutationGroup | None = None,
+                    decoder_strategy: str = "identity", instance=None, profile=None):
+    """energies -> aggregate_error(problem, energies, group, metric, ...).
+
+    The objective of the clairvoyant descent and of AllocationObjective
+    searches.  Per-input metrics score through one profile function (the
+    given one, or one built here), so the truth table, and under the
+    identity decoder the loss matrix, is built once per search; the value
+    is bit for bit aggregate_error's.  Pair-weighted metrics call
+    aggregate_error per evaluation.
+    """
+    if metric is None:
+        metric = default_metric(problem)
+    if metric in _PER_INPUT_LOSS:
+        g = group if group is not None else IdentityGroup(problem.n)
+        if profile is None:
+            profile = _profile_function(problem, metric, decoder_strategy)
+        return lambda evec: float(profile(evec, g).max())
+    return lambda evec: aggregate_error(problem, evec, group, metric,
+                                        decoder_strategy, instance)
 
 
 def quality(problem: BooleanProblem, energies: EnergyVector,
@@ -254,13 +305,12 @@ def clairvoyant_champion(problem: BooleanProblem, budget: float,
                          decoder_strategy: str = "identity",
                          instance=None) -> AllocationResult:
     """Coordinate descent from the uniform and closed-form seeds."""
-    if metric is None:
-        metric = default_metric(problem)
-    group = IdentityGroup(problem.n)
+    objective = error_objective(problem, metric, IdentityGroup(problem.n),
+                                decoder_strategy, instance)
+    return _descend(problem, budget, objective)
 
-    def objective(evec: EnergyVector) -> float:
-        return aggregate_error(problem, evec, group, metric, decoder_strategy, instance)
 
+def _descend(problem: BooleanProblem, budget: float, objective) -> AllocationResult:
     seeds = [uniform_allocation(budget, problem.n), analytic_allocation(problem, budget)]
     return coordinate_descent(objective, budget, problem.n, seeds)
 
@@ -351,29 +401,32 @@ class MobsResult:
         return f"{self.problem_name},{self.n},{text},{self.mode}"
 
 
-def _per_input_outcome(problem, budget, metric, decoder_strategy, group,
-                       mode, samples, rng) -> BudgetOutcome:
+def _exact_outcome(problem, budget, metric, decoder_strategy, group,
+                   profile) -> BudgetOutcome:
+    identity = IdentityGroup(problem.n)
+    bf_vec = blindfolded_champion(problem, budget)
+    cv = _descend(problem, budget,
+                  error_objective(problem, metric, identity, decoder_strategy,
+                                  profile=profile))
+    cv_profile = profile(cv.energies, identity)
+    bf_profile = profile(bf_vec, group)
+    ratios = np.array([_ratio(b, c) for b, c in zip(bf_profile, cv_profile)])
+    worst = int(np.argmax(ratios))
+    return BudgetOutcome(budget, cv.energies, bf_vec,
+                         float(cv_profile.max()), float(bf_profile.max()),
+                         float(ratios[worst]),
+                         _ratio(float(bf_profile.max()), float(cv_profile.max())),
+                         worst, cv.converged)
+
+
+def _sampled_outcome(problem, budget, metric, decoder_strategy, group,
+                     samples, rng) -> BudgetOutcome:
+    # sampled mode skips the descent (each objective evaluation would be an
+    # exact enumeration); the clairvoyant side plays its closed-form seed
     loss = _PER_INPUT_LOSS[metric]
     bf_vec = blindfolded_champion(problem, budget)
     identity = IdentityGroup(problem.n)
     table = truth_table(problem)
-
-    if mode == "exact":
-        cv = clairvoyant_champion(problem, budget, metric, decoder_strategy)
-        cv_decoder = build_decoder(decoder_strategy, table, cv.energies, identity)
-        bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
-        cv_profile = error_profile(table, cv.energies, identity, cv_decoder, loss)
-        bf_profile = error_profile(table, bf_vec, group, bf_decoder, loss)
-        ratios = np.array([_ratio(b, c) for b, c in zip(bf_profile, cv_profile)])
-        worst = int(np.argmax(ratios))
-        return BudgetOutcome(budget, cv.energies, bf_vec,
-                             float(cv_profile.max()), float(bf_profile.max()),
-                             float(ratios[worst]),
-                             _ratio(float(bf_profile.max()), float(cv_profile.max())),
-                             worst, cv.converged)
-
-    # sampled mode skips the descent (each objective evaluation would be an
-    # exact enumeration); the clairvoyant side plays its closed-form seed
     cv_energies = analytic_allocation(problem, budget)
     cv_decoder = build_decoder(decoder_strategy, table, cv_energies, identity)
     bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
@@ -441,15 +494,19 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     rng = as_rng(rng)
 
     per_input = metric in _PER_INPUT_LOSS
+    profile = (_profile_function(problem, metric, decoder_strategy)
+               if per_input and mode == "exact" else None)
     outcomes = []
     for budget in budget_grid:
-        if per_input:
-            outcomes.append(_per_input_outcome(problem, budget, metric,
-                                               decoder_strategy, group, mode,
-                                               samples, rng))
-        else:
+        if not per_input:
             outcomes.append(_aggregate_outcome(problem, budget, metric,
                                                decoder_strategy, group, instance))
+        elif mode == "exact":
+            outcomes.append(_exact_outcome(problem, budget, metric,
+                                           decoder_strategy, group, profile))
+        else:
+            outcomes.append(_sampled_outcome(problem, budget, metric,
+                                             decoder_strategy, group, samples, rng))
     used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric,
                       decoder_strategy, group.kind, used_mode, outcomes,

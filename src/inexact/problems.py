@@ -34,6 +34,7 @@ from .bits import (
     as_bit_array,
     bits_to_index,
     index_to_bits,
+    popcount,
 )
 
 TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
@@ -173,10 +174,7 @@ def _outputs(problem: BooleanProblem, idx: np.ndarray) -> np.ndarray:
     if kind == "or":
         return (idx != 0).astype(np.int64)
     if kind == "ue":
-        counts = np.zeros(idx.shape, dtype=np.int64)
-        for j in range(n):
-            counts += (idx >> j) & 1
-        return counts
+        return popcount(idx, n)
     if kind == "be":
         return idx.copy()
     if kind == "tribes":

@@ -9,6 +9,7 @@ from inexact.allocators import staircase_allocation
 from inexact.bits import ResourceLimitError, parse_bits
 from inexact.decoders import (
     Decoder,
+    ErrorAnalysis,
     build_decoder,
     error_profile,
     error_report,
@@ -25,8 +26,10 @@ from inexact.decoders import (
 from inexact.noise import energy_vector
 from inexact.problems import (
     binary_evaluation,
+    comparison_problem,
     custom_problem,
     or_problem,
+    tribes_problem,
     truth_table,
     unary_evaluation,
 )
@@ -132,21 +135,80 @@ def test_or2_error_profile_by_hand():
         pytest.approx(0.25, abs=1e-15)
 
 
-def test_error_profile_matches_brute_definition():
-    rng = np.random.default_rng(19)
+def _every_kind():
+    outputs = np.random.default_rng(31).integers(0, 5, size=1 << 5)
+    return [or_problem(6), unary_evaluation(5), binary_evaluation(6),
+            tribes_problem(6, 2), comparison_problem(2), custom_problem(outputs)]
+
+
+def _groups(n):
+    return (IdentityGroup(n), FullSymmetricGroup(n),
+            GeneratedGroup(n, [tuple(range(1, n)) + (0,)]))
+
+
+def _brute_cases():
+    """(problem, group) pairs: or and be at n <= 4, then every kind at
+    n = 5, 6 under the identity, full symmetric and a cyclic group."""
+    cases = []
     for n, group in ((2, IdentityGroup(2)),
                      (3, FullSymmetricGroup(3)),
                      (3, GeneratedGroup(3, [(1, 2, 0)])),
                      (4, FullSymmetricGroup(4))):
-        for problem in (or_problem(n), binary_evaluation(n)):
-            table = truth_table(problem)
-            ev = energy_vector(rng.random(n) * 4.0)
-            for dec in (identity_decoder(table), map_decoder(table, ev, group)):
-                for loss in ("exact", "absolute"):
-                    profile = error_profile(table, ev, group, dec, loss)
-                    for i in range(1 << n):
-                        want = brute_error(table, ev, group, dec, i, loss)
-                        assert profile[i] == pytest.approx(want, abs=1e-12)
+        cases += [(or_problem(n), group), (binary_evaluation(n), group)]
+    for problem in _every_kind():
+        cases += [(problem, group) for group in _groups(problem.n)]
+    return cases
+
+
+def test_error_profile_matches_brute_definition():
+    rng = np.random.default_rng(19)
+    for problem, group in _brute_cases():
+        n = problem.n
+        table = truth_table(problem)
+        ev = energy_vector(rng.random(n) * 4.0)
+        # the brute sum over the full group costs n! * 4**n; probe the
+        # extreme rows there, every row elsewhere
+        rows = [0, (1 << n) - 1] if len(group.elements()) > 120 else range(1 << n)
+        # at n = 5, 6 each sum adds up to 720 * 64 terms as large as 63, and
+        # the brute and vectorized sums round apart by up to 2e-12
+        tol = 1e-12 if n <= 4 else 1e-11
+        for dec in (identity_decoder(table), map_decoder(table, ev, group)):
+            for loss in ("exact", "absolute"):
+                profile = error_profile(table, ev, group, dec, loss)
+                for i in rows:
+                    want = brute_error(table, ev, group, dec, i, loss)
+                    assert profile[i] == pytest.approx(want, abs=tol), \
+                        (problem.name, group.kind, dec.name, loss, i)
+
+
+def test_error_analysis_reuse_matches_a_fresh_error_profile():
+    # one analysis scores many energy vectors and groups; each profile must
+    # equal a fresh error_profile bit for bit
+    rng = np.random.default_rng(41)
+    for problem in _every_kind():
+        table = truth_table(problem)
+        dec = identity_decoder(table)
+        for loss in ("exact", "absolute"):
+            analysis = ErrorAnalysis(table, dec, loss)
+            for group in _groups(problem.n):
+                ev = energy_vector(rng.random(problem.n) * 4.0)
+                assert np.array_equal(analysis.profile(ev, group),
+                                      error_profile(table, ev, group, dec, loss))
+
+
+def test_error_analysis_row_blocks_match_the_whole_matrix(monkeypatch):
+    problem = binary_evaluation(4)
+    dec = identity_decoder(problem)
+    ev = energy_vector([0.5, 1.0, 2.0, 3.0])
+    group = FullSymmetricGroup(4)
+    whole = ErrorAnalysis(problem, dec, "absolute")
+    want = whole.profile(ev, group)
+    assert whole._matrix is not None
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 48)  # three rows per block
+    blocked = ErrorAnalysis(problem, dec, "absolute")
+    got = blocked.profile(ev, group)
+    assert blocked._matrix is None
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_expected_magnitude_examples():
@@ -308,6 +370,27 @@ def test_unknown_loss_is_rejected_before_any_work(monkeypatch):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="unknown loss"):
         monte_carlo_error(p, ev, g, dec, 0, "squared", samples=10, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_row_index_is_checked_before_any_work(monkeypatch):
+    p = binary_evaluation(3)
+    ev = energy_vector([1.0, 2.0, 3.0])
+    g = IdentityGroup(3)
+    dec = identity_decoder(p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the row index was checked")
+
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
+    monkeypatch.setattr(decoders, "sample_energy_assignments", no_work)
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    for i in (-1, -8, 8, 1 << 40):
+        with pytest.raises(ValueError, match="out of range"):
+            per_input_error(p, ev, g, dec, i)
+        with pytest.raises(ValueError, match="out of range"):
+            monte_carlo_error(p, ev, g, dec, i, samples=10, rng=rng)
     assert rng.bit_generator.state == state
 
 

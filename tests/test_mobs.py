@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.allocators import comparison_allocation, staircase_allocation, \
+from inexact.allocators import AllocationObjective, analytic_allocation, \
+    comparison_allocation, coordinate_descent, grid_search, staircase_allocation, \
     uniform_allocation
 from inexact.bits import popcount_table
 from inexact.mobs import (
@@ -196,6 +197,39 @@ def test_champions():
     cv = clairvoyant_champion(or_problem(3), 6.0)
     assert cv.converged
     assert np.allclose(cv.energies.entries, 2.0, atol=1e-9)
+
+
+def test_descent_through_the_shared_analysis_matches_aggregate_error():
+    # the clairvoyant search scores through one shared truth table (and,
+    # under the identity decoder, one loss matrix); it must take exactly the
+    # path of a search that calls aggregate_error each time
+    cases = [(kind, n, "identity") for kind in ("be", "or", "ue") for n in (4, 5, 6)]
+    cases += [(kind, 4, "map") for kind in ("be", "or", "ue")]
+    for kind, n, strategy in cases:
+        problem = build_problem(kind, n)
+        group = IdentityGroup(n)
+
+        def objective(evec):
+            return aggregate_error(problem, evec, group, None, strategy)
+
+        for budget in default_budget_grid(n):
+            got = clairvoyant_champion(problem, budget, decoder_strategy=strategy)
+            seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget)]
+            want = coordinate_descent(objective, budget, n, seeds)
+            assert np.array_equal(got.energies.entries, want.energies.entries), \
+                (kind, n, strategy, budget)
+            assert got.objective_value == want.objective_value
+            assert got.evaluations == want.evaluations
+            assert got.converged == want.converged
+
+    be = binary_evaluation(3)
+    for metric, strategy in (("expected_magnitude", "identity"),
+                             ("worst_correctness", "identity"),
+                             ("worst_correctness", "map")):
+        got = grid_search(AllocationObjective(be, metric, strategy), 3.0, resolution=0.5)
+        want = grid_search(lambda ev: aggregate_error(be, ev, None, metric, strategy),
+                           3.0, 3, resolution=0.5)
+        assert got.to_json() == want.to_json()
 
 
 def test_uniform_split_is_the_blindfolded_champion():

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inexact.bits import ResourceLimitError, bits_to_index, index_to_bits, parse_bits
+from inexact.bits import (
+    ResourceLimitError,
+    bits_to_index,
+    index_to_bits,
+    parse_bits,
+    popcount,
+    popcount_table,
+)
 from inexact.problems import (
     binary_evaluation,
     build_problem,
@@ -217,3 +224,14 @@ def test_bits_text_round_trip():
     assert parse_bits("110").tolist() == [0, 1, 1]
     with pytest.raises(ValueError):
         parse_bits("102")
+
+
+def test_popcount_counts_the_low_bits():
+    idx = np.array([0, 1, 6, 7, 255, (1 << 62) - 1], dtype=np.int64)
+    assert popcount(idx, 62).tolist() == [bin(int(i)).count("1") for i in idx]
+    assert popcount(idx, 2).tolist() == [0, 1, 1, 2, 2, 2]
+    for n in (1, 4, 9):
+        table = popcount_table(n)
+        assert table.dtype == np.int64
+        assert table.tolist() == [bin(i).count("1") for i in range(1 << n)]
+        assert np.array_equal(truth_table(unary_evaluation(n)).outputs, table)
