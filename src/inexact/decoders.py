@@ -19,12 +19,32 @@ input i under any group is
 
 The weight of pattern d for input i, L[i, d] = loss(decode(i XOR d), f(i)),
 depends on neither the energies nor the group, so the per-input errors are
-one matrix-vector product, L @ avg_pattern_prob.  An ErrorAnalysis binds
-(truth table, decoder, loss) and keeps L whole when it fits one vectorized
-block (n <= 11), so a search that scores many energy vectors builds it
-once; larger tables rebuild L one row block at a time on every call.
-error_profile is a one-shot ErrorAnalysis.  Losses: "exact" counts any
-wrong output, "absolute" weighs it by |decoded - truth|.
+one matrix-vector product, L @ avg_pattern_prob.  Grouping the patterns by
+the decoded value v turns the same sum into XOR convolutions,
+
+    err(i) = sum_v loss(v, f(i)) * (avg_pattern_prob (*) 1[decode = v])(i),
+
+one per output class, and the fast Walsh-Hadamard transform computes each
+in O(n 2**n).  An ErrorAnalysis binds (truth table, decoder, loss) and
+picks one of three kernels once, shown by its ``kernel`` attribute:
+
+* matrix -- L whole, built on the first call and kept, when 4**n fits one
+            vectorized block (n <= 11); a search that scores many energy
+            vectors builds it once.
+* xor    -- the convolutions, when the decoder's C output classes make them
+            cheaper than a dense pass (C n 2**n < 4**n, and n >= 8, below
+            which the transforms' fixed per-call cost outweighs a dense pass)
+            and their C x 2**n arrays fit one block: or, tribes, comparison,
+            ue, few-valued custom problems and sorting with narrow words at
+            n >= 12.
+* blocks -- L rebuilt one row block at a time on every call, for
+            many-valued decoders (be, wide-word sorting) at n >= 12.
+
+The MAP decoder's scores are XOR convolutions too, and it picks between
+them and dense row blocks by the same rule; having no matrix to keep, it
+takes the transform from n = 8 up.  error_profile is a one-shot
+ErrorAnalysis.  Losses: "exact" counts any wrong output, "absolute" weighs
+it by |decoded - truth|.
 """
 
 from __future__ import annotations
@@ -49,6 +69,8 @@ MC_REPORT_WORK_LIMIT = 1 << 28  # rows x samples cap for full sampled reports
 LOSS_KINDS = ("exact", "absolute")
 
 _CHUNK_ENTRIES = 1 << 22  # floats per vectorized block
+_XOR_MIN_BITS = 8         # below this a dense gather beats the transforms' fixed cost
+_TIE_REL_TOL = 1e-12      # MAP scores this close to a row's top score tie
 
 
 @dataclass(frozen=True)
@@ -87,6 +109,52 @@ def _check_scale(n: int, what: str) -> None:
         raise ResourceLimitError(f"{what} supports n <= {DECODE_BITS_LIMIT}, got n={n}")
 
 
+def _xor_is_cheaper(classes: int, n: int) -> bool:
+    """Kernel rule: C XOR convolutions cost about C n 2**n against 4**n for a
+    dense pass, and their C x 2**n arrays must fit one vectorized block.
+    Each transform also makes about 4n numpy calls whatever the size, which
+    outweighs a dense gather of at most 4**7 entries, hence the floor on n."""
+    size = 1 << n
+    return (n >= _XOR_MIN_BITS and classes * n < size
+            and classes * size <= _CHUNK_ENTRIES)
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row of a (C-contiguous
+    float64), in place."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        pairs = a.reshape(rows, size // (2 * h), 2, h)
+        low, high = pairs[:, :, 0, :], pairs[:, :, 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        h *= 2
+    return a
+
+
+def _xor_convolve(avg: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """out[c, i] = sum_d avg[d] * columns[c, i ^ d], through the transform:
+    H(H avg * H column) / 2**n, since H diagonalizes XOR convolution."""
+    spectrum = _fwht(np.array(avg, dtype=np.float64).reshape(1, -1))
+    out = _fwht(np.array(columns, dtype=np.float64))
+    out *= spectrum
+    _fwht(out)
+    out /= avg.size
+    return out
+
+
+def _first_near_top(scores: np.ndarray) -> np.ndarray:
+    """Per row of scores, the first column within _TIE_REL_TOL of the row's
+    top score: columns ascend by value, so ties pick the smaller value.
+    Scores are posterior masses, so the top is positive and the threshold
+    sits just below it."""
+    top = scores.max(axis=1, keepdims=True)
+    top *= 1.0 - _TIE_REL_TOL
+    return (scores >= top).argmax(axis=1)
+
+
 def identity_decoder(problem) -> Decoder:
     """Read the bits as-is and apply the function."""
     table = _as_table(problem)
@@ -117,7 +185,11 @@ def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None 
 
     Scores value v at observation o by sum over rows i with f(i) = v of
     prior(i) * P(o | i), the channel marginalized over the group's draw.
-    Ties break toward the smaller output value.
+    That is the XOR convolution of the pattern probabilities with the
+    prior on v's rows, computed by transform for few output values at
+    n >= 8 and by dense row blocks otherwise.  Values scoring within a
+    relative 1e-12 of the top tie, and ties break toward the smaller
+    output value.
     """
     table = _as_table(problem)
     n = table.n
@@ -128,11 +200,15 @@ def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None 
     avg = average_pattern_probabilities(group, energies)
 
     classes, class_index = np.unique(table.outputs, return_inverse=True)
-    order = np.argsort(class_index, kind="stable")
-    starts = np.searchsorted(class_index[order], np.arange(classes.size))
-
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
+    if _xor_is_cheaper(classes.size, n):
+        columns = np.zeros((classes.size, size))
+        columns[class_index, idx] = prior
+        return Decoder("map", classes[_first_near_top(_xor_convolve(avg, columns).T)])
+
+    order = np.argsort(class_index, kind="stable")
+    starts = np.searchsorted(class_index[order], np.arange(classes.size))
     weighted_cols = prior[order]
     chunk = max(1, _CHUNK_ENTRIES // size)
     decode = np.empty(size, dtype=np.int64)
@@ -140,8 +216,7 @@ def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None 
         rows = idx[lo:lo + chunk]
         like = avg[rows[:, None] ^ idx[order][None, :]] * weighted_cols[None, :]
         scores = np.add.reduceat(like, starts, axis=1)
-        # argmax keeps the first hit; classes ascend, so ties pick the smaller value
-        decode[rows] = classes[np.argmax(scores, axis=1)]
+        decode[rows] = classes[_first_near_top(scores)]
     return Decoder("map", decode)
 
 
@@ -169,9 +244,11 @@ class ErrorAnalysis:
     """Exact per-input errors of one (truth table, decoder, loss) under any
     energies and group: L @ average_pattern_probabilities(group, energies).
 
-    L is built on the first profile and kept when it fits one vectorized
-    block (4**n <= _CHUNK_ENTRIES); larger tables rebuild it one row block
-    at a time on every call.
+    The kernel ("matrix", "xor" or "blocks", see the module docstring) is
+    picked once, here, with the energy-independent arrays it keeps: the
+    decoder's class indicators and their loss weights for "xor", L whole
+    (built on the first profile) for "matrix".  "blocks" rebuilds L one row
+    block at a time on every call.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
@@ -182,7 +259,21 @@ class ErrorAnalysis:
         if decoder.n != n:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
-        self._matrix = None
+        self._matrix = self._indicators = self._weights = None
+        if 1 << (2 * n) <= _CHUNK_ENTRIES:
+            self._kernel = "matrix"
+            return
+        classes = np.unique(decoder.decode_map)[:, None]
+        if _xor_is_cheaper(classes.size, n):
+            self._kernel = "xor"
+            self._indicators = decoder.decode_map[None, :] == classes
+            self._weights = self._loss_fn(classes, self.table.outputs[None, :])
+        else:
+            self._kernel = "blocks"
+
+    @property
+    def kernel(self) -> str:
+        return self._kernel
 
     def _loss_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rows L[rows, :] of the loss matrix."""
@@ -193,11 +284,15 @@ class ErrorAnalysis:
     def profile(self, energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
         avg = average_pattern_probabilities(group, energies)
         size = 1 << self.table.n
-        chunk = max(1, _CHUNK_ENTRIES // size)
-        if chunk >= size:
+        if self._kernel == "matrix":
             if self._matrix is None:
                 self._matrix = self._loss_rows(np.arange(size, dtype=np.int64))
             return self._matrix @ avg
+        if self._kernel == "xor":
+            err = (self._weights * _xor_convolve(avg, self._indicators)).sum(axis=0)
+            # a sum of nonnegative terms; clip the transform's rounding below 0
+            return np.maximum(err, 0.0, out=err)
+        chunk = max(1, _CHUNK_ENTRIES // size)
         idx = np.arange(size, dtype=np.int64)
         out = np.empty(size)
         for lo in range(0, size, chunk):

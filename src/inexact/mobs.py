@@ -14,9 +14,10 @@ energies through error_objective.  For per-input metrics it scores through
 one profile function per problem and loss (one truth table); under the
 identity decoder that function is one decoders.ErrorAnalysis, whose loss
 matrix depends on neither the energies nor the group, so an evaluation is
-one matrix-vector product.  mobs builds the profile function once and also
-takes both champions' per-input profiles from it.  The pair-weighted
-metrics call aggregate_error per evaluation.
+one matrix-vector product.  mobs builds one truth table per call, and in
+exact mode the profile function once, from which it also takes both
+champions' per-input profiles.  The pair-weighted metrics call
+aggregate_error per evaluation.
 
 Metrics:
 
@@ -42,7 +43,7 @@ import numpy as np
 from .bits import as_rng
 from .noise import EnergyVector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
-from .problems import BooleanProblem, truth_table
+from .problems import BooleanProblem, TruthTable, truth_table
 from .decoders import (
     ErrorAnalysis,
     build_decoder,
@@ -204,7 +205,7 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
         metric = default_metric(problem)
     if metric in _PER_INPUT_LOSS:
         g = group if group is not None else IdentityGroup(problem.n)
-        profile = _profile_function(problem, metric, decoder_strategy)
+        profile = _profile_function(truth_table(problem), metric, decoder_strategy)
         return float(profile(energies, g).max())
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
@@ -223,15 +224,14 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
 
 
-def _profile_function(problem: BooleanProblem, metric: str, decoder_strategy: str):
+def _profile_function(table: TruthTable, metric: str, decoder_strategy: str):
     """(energies, group) -> per-input error profile of a per-input metric.
 
-    One truth table serves every call.  Under the identity decoder every
-    call also shares one ErrorAnalysis; MAP decoding rebuilds its decoder
-    for each energy vector and group.
+    The given truth table serves every call.  Under the identity decoder
+    every call also shares one ErrorAnalysis; MAP decoding rebuilds its
+    decoder for each energy vector and group.
     """
     loss = _PER_INPUT_LOSS[metric]
-    table = truth_table(problem)
     if decoder_strategy == "identity":
         return ErrorAnalysis(table, identity_decoder(table), loss).profile
 
@@ -259,7 +259,7 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
     if metric in _PER_INPUT_LOSS:
         g = group if group is not None else IdentityGroup(problem.n)
         if profile is None:
-            profile = _profile_function(problem, metric, decoder_strategy)
+            profile = _profile_function(truth_table(problem), metric, decoder_strategy)
         return lambda evec: float(profile(evec, g).max())
     return lambda evec: aggregate_error(problem, evec, group, metric,
                                         decoder_strategy, instance)
@@ -419,14 +419,13 @@ def _exact_outcome(problem, budget, metric, decoder_strategy, group,
                          worst, cv.converged)
 
 
-def _sampled_outcome(problem, budget, metric, decoder_strategy, group,
+def _sampled_outcome(problem, table, budget, metric, decoder_strategy, group,
                      samples, rng) -> BudgetOutcome:
     # sampled mode skips the descent (each objective evaluation would be an
     # exact enumeration); the clairvoyant side plays its closed-form seed
     loss = _PER_INPUT_LOSS[metric]
     bf_vec = blindfolded_champion(problem, budget)
     identity = IdentityGroup(problem.n)
-    table = truth_table(problem)
     cv_energies = analytic_allocation(problem, budget)
     cv_decoder = build_decoder(decoder_strategy, table, cv_energies, identity)
     bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
@@ -494,7 +493,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     rng = as_rng(rng)
 
     per_input = metric in _PER_INPUT_LOSS
-    profile = (_profile_function(problem, metric, decoder_strategy)
+    table = truth_table(problem) if per_input else None
+    profile = (_profile_function(table, metric, decoder_strategy)
                if per_input and mode == "exact" else None)
     outcomes = []
     for budget in budget_grid:
@@ -505,7 +505,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
             outcomes.append(_exact_outcome(problem, budget, metric,
                                            decoder_strategy, group, profile))
         else:
-            outcomes.append(_sampled_outcome(problem, budget, metric,
+            outcomes.append(_sampled_outcome(problem, table, budget, metric,
                                              decoder_strategy, group, samples, rng))
     used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric,

@@ -87,16 +87,6 @@ def brute_map_scores(table, energies, group, observed: int, prior=None) -> dict:
     return scores
 
 
-def brute_map_decode(table, energies, group, observed: int, prior=None):
-    """(winning value, margin over the runner-up); ties break to smaller."""
-    scores = brute_map_scores(table, energies, group, observed, prior)
-    top = max(scores.values())
-    best = min(v for v in scores if scores[v] == top)
-    others = [s for v, s in scores.items() if v != best]
-    margin = top - max(others) if others else float("inf")
-    return best, margin
-
-
 def brute_pair_wrong(x: int, y: int, x_energies, y_energies) -> float:
     """Wrong-verdict probability of the pooled most-significant-first scan,
     by recursion over read outcomes."""

@@ -34,7 +34,7 @@ from inexact.problems import (
     unary_evaluation,
 )
 
-from conftest import brute_error, brute_map_decode
+from conftest import brute_error, brute_map_scores
 
 
 def test_identity_decoder_reads_bits_literally():
@@ -99,10 +99,54 @@ def test_map_decoder_matches_brute_posterior():
                 for tab in (table, or_table):
                     dec = map_decoder(tab, ev, group)
                     for o in range(1 << n):
-                        best, margin = brute_map_decode(tab, ev, group, o)
-                        if margin < 1e-12:
-                            continue  # float near-tie, either pick defensible
-                        assert dec.decode_map[o] == best
+                        # values within a relative 1e-12 of the top tie,
+                        # and the smallest tied value wins
+                        scores = brute_map_scores(tab, ev, group, o)
+                        top = max(scores.values())
+                        tied = [v for v, s in scores.items() if s >= top - 1e-12 * top]
+                        assert dec.decode_map[o] == min(tied), (n, o, scores)
+
+
+def test_map_ties_break_toward_the_smaller_value(monkeypatch):
+    # swapping the operands maps input i to one at the same distance from
+    # an equal-operand observation and negates the verdict, so under the
+    # symmetric group such rows tie exactly between -1 and +1; n = 6 runs
+    # the dense kernel, and the transform is forced for a second pass
+    table = truth_table(comparison_problem(3))
+    group = FullSymmetricGroup(6)
+    ev = energy_vector(np.random.default_rng(1).dirichlet(np.ones(6)) * 10.5)
+    dense = map_decoder(table, ev, group).decode_map
+    monkeypatch.setattr(decoders, "_xor_is_cheaper", lambda classes, n: True)
+    xor = map_decoder(table, ev, group).decode_map
+    tied_rows = 0
+    for o in (9, 27, 54, 5):
+        scores = brute_map_scores(table, ev, group, o)
+        top = max(scores.values())
+        tied = [v for v, s in scores.items() if s >= top - 1e-12 * top]
+        tied_rows += len(tied) > 1
+        assert dense[o] == xor[o] == min(tied), (o, scores)
+    assert tied_rows == 3
+
+
+def test_map_kernels_give_the_same_decode_map(monkeypatch):
+    # the transform and the dense row blocks round apart; the tie rule must
+    # absorb that, including at comparison's exact ties
+    cases = [(problem, seed) for problem in (or_problem(8), tribes_problem(8, 2),
+                                             comparison_problem(4), unary_evaluation(8))
+             for seed in range(3)]
+    cases += [(comparison_problem(6), seed) for seed in range(2)]
+    maps = []
+    for problem, seed in cases:
+        n = problem.n
+        table = truth_table(problem)
+        ev = energy_vector(np.random.default_rng(seed).dirichlet(np.ones(n)) * n * (n + 1) / 4)
+        groups = _groups(n)[1:] if n == 12 else _groups(n)
+        maps += [(table, ev, group, map_decoder(table, ev, group).decode_map)
+                 for group in groups]
+    monkeypatch.setattr(decoders, "_xor_is_cheaper", lambda classes, n: False)
+    for table, ev, group, xor_map in maps:
+        assert np.array_equal(map_decoder(table, ev, group).decode_map, xor_map), \
+            (table.n, group.kind)
 
 
 def test_map_decoder_guard():
@@ -209,6 +253,86 @@ def test_error_analysis_row_blocks_match_the_whole_matrix(monkeypatch):
     got = blocked.profile(ev, group)
     assert blocked._matrix is None
     assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_xor_convolution_matches_a_double_loop():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        size = 1 << n
+        avg = rng.random(size)
+        columns = rng.random((3, size)) - 0.5
+        kept = avg.copy(), columns.copy()
+        want = [[sum(avg[d] * columns[c, i ^ d] for d in range(size)) for i in range(size)]
+                for c in range(3)]
+        assert np.allclose(decoders._xor_convolve(avg, columns), want, rtol=0, atol=1e-14)
+        assert np.array_equal(avg, kept[0]) and np.array_equal(columns, kept[1])
+
+
+def test_error_analysis_picks_its_kernel():
+    def kernel(problem, loss="exact"):
+        return ErrorAnalysis(problem, identity_decoder(problem), loss).kernel
+
+    assert kernel(or_problem(8)) == "matrix"
+    # the MAP decoder, with no matrix to keep, takes the transform from n = 8
+    assert not decoders._xor_is_cheaper(2, 7) and decoders._xor_is_cheaper(2, 8)
+    for problem in (or_problem(12), tribes_problem(12, 2), comparison_problem(6),
+                    unary_evaluation(12)):
+        assert kernel(problem) == "xor", problem.name
+    assert kernel(unary_evaluation(12), "absolute") == "xor"
+    assert kernel(binary_evaluation(12), "absolute") == "blocks"
+    # 400 classes fit one block at n = 12 but cost 400 * 12 > 2**12 transforms
+    assert kernel(custom_problem(np.arange(1 << 12) % 400)) == "blocks"
+    with pytest.raises(AttributeError):
+        ErrorAnalysis(or_problem(2), identity_decoder(or_problem(2))).kernel = "xor"
+
+
+def _dense_profiles(table, decoder, settings, losses):
+    """loss -> the row-block kernel's profile under each (group, energies)."""
+    avgs = np.stack([decoders.average_pattern_probabilities(g, ev) for g, ev in settings],
+                    axis=1)
+    size = 1 << table.n
+    chunk = decoders._CHUNK_ENTRIES // size
+    idx = np.arange(size, dtype=np.int64)
+    out = {loss: np.empty((size, len(settings))) for loss in losses}
+    for lo in range(0, size, chunk):
+        rows = idx[lo:lo + chunk]
+        decoded = decoder.decode_map[rows[:, None] ^ idx[None, :]]
+        for loss in losses:
+            weights = decoders._loss_kernel(loss)(decoded, table.outputs[rows][:, None])
+            out[loss][rows] = weights @ avgs
+    return {loss: profiles.T for loss, profiles in out.items()}
+
+
+def test_few_output_profiles_match_the_dense_blocks():
+    # n = 12 is the smallest size where the xor kernel replaces row blocks;
+    # or covers the MAP decoder under every group, ue both losses
+    rng = np.random.default_rng(12)
+    settings = [(g, energy_vector(rng.dirichlet(np.ones(12)) * 39.0)) for g in _groups(12)]
+    or_table, ue_table = truth_table(or_problem(12)), truth_table(unary_evaluation(12))
+    both = ("exact", "absolute")
+    cases = [(or_table, identity_decoder(or_table), settings, ("exact",))]
+    cases += [(or_table, map_decoder(or_table, ev, g), [(g, ev)], ("exact",))
+              for g, ev in settings]
+    cases += [(ue_table, identity_decoder(ue_table), settings, both),
+              (ue_table, map_decoder(ue_table, settings[1][1], settings[1][0]),
+               settings[1:2], both)]
+    for table, dec, where, losses in cases:
+        dense = _dense_profiles(table, dec, where, losses)
+        for loss in losses:
+            analysis = ErrorAnalysis(table, dec, loss)
+            assert analysis.kernel == "xor"
+            for (g, ev), want in zip(where, dense[loss]):
+                got = analysis.profile(ev, g)
+                assert np.allclose(got, want, rtol=0, atol=1e-13), (g.kind, dec.name, loss)
+                if g.kind == "identity" and table is or_table:
+                    for i in (0, 1, 4095):
+                        assert got[i] == pytest.approx(
+                            brute_error(table, ev, g, dec, i, loss), abs=1e-12)
+    # errors far below the transform's rounding (about 1e-17 here) read 0,
+    # never negative
+    quiet = energy_vector(10.0 + 0.5 * np.arange(12))
+    profile = ErrorAnalysis(or_table, identity_decoder(or_table)).profile(quiet, IdentityGroup(12))
+    assert profile.min() == 0.0
 
 
 def test_expected_magnitude_examples():

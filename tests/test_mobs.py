@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -335,6 +336,24 @@ def test_mobs_monte_carlo_smoke():
     assert len(outcome.std_errors["probes"]) >= 2
     again = mobs(binary_evaluation(12), mode="monte_carlo", samples=20_000, rng=0)
     assert again.mobs == result.mobs
+
+
+def test_mobs_builds_one_truth_table_per_call(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    built = []
+    real = mobs_module.truth_table
+
+    def counting(problem):
+        built.append(problem.name)
+        return real(problem)
+
+    monkeypatch.setattr(mobs_module, "truth_table", counting)
+    sampled = mobs(unary_evaluation(18), mode="monte_carlo", samples=500, rng=3)
+    assert len(sampled.outcomes) == 4
+    assert built == ["ue"]
+    built.clear()
+    mobs(or_problem(4))
+    assert built == ["or"]
 
 
 def test_mobs_validation():
