@@ -24,11 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng, popcount_table
-from .noise import EnergyVector, flip_probability, pattern_probabilities
+from .noise import EnergyVector, _flip_patterns, flip_probability, pattern_probabilities
 
 SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
+_ROW_BLOCK = 1 << 18               # pattern entries per batch of group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
@@ -186,7 +187,9 @@ def average_pattern_probabilities(group: PermutationGroup,
     over the adversary's draw.  Identity reduces to the plain channel;
     the full symmetric group averages to a[popcount(d)] / C(n, popcount(d))
     where a is the flip-count distribution, exactly and without enumerating
-    n! permutations; generated groups average their explicit elements.
+    n! permutations; generated groups average their explicit elements, one
+    batch of rewired flip vectors q[sigma] at a time, summed in element
+    order.
     """
     if energies.n != group.n:
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
@@ -203,9 +206,12 @@ def average_pattern_probabilities(group: PermutationGroup,
     if order * (1 << n) > EXACT_OPS_LIMIT:
         raise ResourceLimitError(
             f"averaging {order} elements over 2**{n} patterns exceeds the exact guard")
+    rewired = flip_probability(energies)[group.elements()]
+    chunk = max(1, _ROW_BLOCK >> n)
     total = np.zeros(1 << n)
-    for sigma in group.elements():
-        total += pattern_probabilities(energies.permuted(sigma))
+    for lo in range(0, order, chunk):
+        for row in _flip_patterns(rewired[lo:lo + chunk]):
+            total += row
     return total / order
 
 

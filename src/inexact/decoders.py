@@ -54,13 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
-from .noise import EnergyVector
-from .adversary import (
-    IdentityGroup,
-    PermutationGroup,
-    average_pattern_probabilities,
-    sample_energy_assignments,
-)
+from .noise import EnergyVector, flip_probability
+from .adversary import IdentityGroup, PermutationGroup, average_pattern_probabilities
 from .problems import BooleanProblem, TruthTable, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
@@ -348,7 +343,8 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     """Sampled error of one input row: (estimate, standard error).
 
     Each trial draws a permutation from the group, rewires the energies,
-    flips bits independently, and decodes the observed row.
+    flips bits independently, and decodes the observed row.  The flip
+    vector is computed once; each batch gathers its rewired rows from it.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
@@ -358,10 +354,14 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
+    if energies.n != group.n:
+        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     rng = as_rng(rng)
-    bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
+    q = flip_probability(energies)
     truth = int(table.outputs[i])
     weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
 
@@ -370,9 +370,8 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        assigned = sample_energy_assignments(group, energies, m, rng)
-        flips = rng.random((m, n)) < np.exp2(-assigned)
-        observed = (bits[None, :] ^ flips) @ weights
+        rewired = q[group.sample(m, rng)]
+        observed = np.int64(i) ^ ((rng.random((m, n)) < rewired) @ weights)
         vals = loss_fn(decoder.decode_map[observed], truth)
         total += vals.sum()
         total_sq += (vals * vals).sum()

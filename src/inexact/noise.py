@@ -8,6 +8,18 @@ is deterministic, just deterministically wrong.  Allocators and optimizers
 must therefore treat "spend nothing on a bit" as "guarantee a flip there",
 not as "ignore the bit".
 
+Pattern probabilities.  Flip pattern d (bit j set when bit j flips) has
+probability prod_j f_j(d) with f_j(d) = q_j if bit j of d is set and
+1 - q_j if not, where q = 2**-e is the flip vector.  The kernel builds all
+2**n of them from q in a few vectorized numpy calls: the low (at most
+_TABLE_BITS) bits through one product over a cached boolean bit table,
+np.multiply.reduce(np.where(bits, q, 1 - q)), and each further bit j by
+doubling in place (the upper half is the lower half times q_j, then the
+lower half is scaled by 1 - q_j), so memory stays O(2**n).  Every entry is
+multiplied in the fixed order f_0 * f_1 * ... * f_{n-1}, left to right, so
+results are bit for bit reproducible and the same for one flip vector or a
+batch of them.
+
 Also provided: a supply-voltage correctness curve for CMOS-style reads,
 p(vdd) = 1 - 0.5 * erfc(vdd / (2 * sqrt(2) * sigma)), which maps a hardware
 knob onto the same per-bit correctness scale.
@@ -15,6 +27,7 @@ knob onto the same per-bit correctness scale.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +38,8 @@ from scipy.special import erfc
 
 from .bits import as_bit_array, as_rng
 
+_TABLE_BITS = 8  # bits covered by the cached table; higher bits double in place
+
 
 @dataclass(frozen=True)
 class EnergyVector:
@@ -33,12 +48,12 @@ class EnergyVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
+        entries = np.array(self.entries, dtype=np.float64)
         if entries.ndim != 1 or entries.size == 0:
             raise ValueError("energies must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+        # min and max propagate NaN, and both comparisons are false on it
+        if not (entries.min() >= 0.0 and entries.max() < np.inf):
             raise ValueError("energies must be finite and >= 0")
-        entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -68,8 +83,8 @@ def flip_probability(energy) -> np.ndarray | float:
     if isinstance(energy, EnergyVector):
         return np.exp2(-energy.entries)
     arr = np.asarray(energy, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("energies must be >= 0")
+    if not np.all(arr >= 0):  # false on NaN too
+        raise ValueError("energies must be >= 0 and not NaN")
     out = np.exp2(-arr)
     return float(out) if arr.ndim == 0 else out
 
@@ -96,12 +111,38 @@ def pattern_probabilities(energies: EnergyVector) -> np.ndarray:
     Entry d is prod_j q_j**d_j * (1-q_j)**(1-d_j); the observation of input
     i lands on i XOR d with exactly this probability.  Exact but 2**n long.
     """
-    q = flip_probability(energies)
-    probs = np.array([1.0])
-    for j in range(energies.n):
-        # little endian: bit j toggles with stride 2**j
-        probs = np.concatenate([probs * (1.0 - q[j]), probs * q[j]])
-    return probs
+    return _flip_patterns(flip_probability(energies))
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_table(k: int) -> np.ndarray:
+    """Read-only bool table, entry [j, d] = bit j of d, for d < 2**k."""
+    idx = np.arange(1 << k, dtype=np.int64)
+    table = ((idx[None, :] >> np.arange(k, dtype=np.int64)[:, None]) & 1).astype(bool)
+    table.setflags(write=False)
+    return table
+
+
+def _flip_patterns(q: np.ndarray) -> np.ndarray:
+    """Pattern probabilities of each flip vector along q's last axis.
+
+    q has shape (..., n); the result has shape (..., 2**n), little endian
+    (bit j of d toggles with stride 2**j), with the multiplication order
+    given in the module docstring.
+    """
+    n = q.shape[-1]
+    low = min(n, _TABLE_BITS)
+    h = 1 << low
+    out = np.empty(q.shape[:-1] + (1 << n,))
+    q_low = q[..., :low, None]
+    np.multiply.reduce(np.where(_bit_table(low), q_low, 1.0 - q_low), axis=-2,
+                       out=out[..., :h])
+    for j in range(low, n):
+        q_j = q[..., j, None]
+        np.multiply(out[..., :h], q_j, out=out[..., h:2 * h])
+        out[..., :h] *= 1.0 - q_j
+        h *= 2
+    return out
 
 
 def observation_distribution(bits, energies: EnergyVector) -> np.ndarray:

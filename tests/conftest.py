@@ -49,6 +49,48 @@ def brute_pattern_probability(energies: np.ndarray, pattern: int) -> float:
     return p
 
 
+def brute_pattern_probabilities(energies) -> np.ndarray:
+    """All 2**n pattern probabilities by the doubling recursion: each bit j
+    doubles the vector, the low half times 1 - q_j, the high half times q_j,
+    so every entry multiplies its factors in order j = 0..n-1."""
+    q = np.exp2(-np.asarray(energies.entries, dtype=np.float64))
+    probs = np.array([1.0])
+    for j in range(q.size):
+        probs = np.concatenate([probs * (1.0 - q[j]), probs * q[j]])
+    return probs
+
+
+def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
+                            samples: int, rng, batch: int) -> tuple:
+    """Sampled error of row i, drawn batch by batch in the same generator
+    order as the library (permutations, then flip coins): rewire the
+    energies, flip each bit against 2**-e, decode the observed bits."""
+    from inexact.adversary import sample_energy_assignments
+
+    n = table.n
+    bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
+    truth = int(table.outputs[i])
+    weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+    total = total_sq = 0.0
+    done = 0
+    while done < samples:
+        m = min(batch, samples - done)
+        assigned = sample_energy_assignments(group, energies, m, rng)
+        flips = rng.random((m, n)) < np.exp2(-assigned)
+        observed = (bits[None, :] ^ flips) @ weights
+        decoded = decoder.decode_map[observed]
+        if loss == "exact":
+            vals = (decoded != truth).astype(np.float64)
+        else:
+            vals = np.abs(decoded - truth).astype(np.float64)
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+        done += m
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return float(mean), float(np.sqrt(var / samples))
+
+
 def brute_error(table, energies, group, decoder, i: int, loss: str) -> float:
     """Per-input error from the definition: average over the group's
     elements and all flip patterns."""

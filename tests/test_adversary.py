@@ -16,7 +16,7 @@ from inexact.adversary import (
 from inexact.bits import ResourceLimitError
 from inexact.noise import energy_vector, flip_probability, pattern_probabilities
 
-from conftest import brute_pattern_probability
+from conftest import brute_pattern_probabilities, brute_pattern_probability
 
 
 def test_identity_group_basics():
@@ -180,6 +180,37 @@ def test_generated_average_patterns_match_enumeration():
             brute[d] += brute_pattern_probability(ev.entries[np.asarray(sigma)], d)
     brute /= 3
     assert np.allclose(avg, brute, atol=1e-15)
+
+
+def _cycle(n: int) -> tuple:
+    return tuple((j + 1) % n for j in range(n))
+
+
+def _swap(n: int, a: int, b: int) -> tuple:
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("n, generators", [
+    (3, [_cycle(3)]),
+    (5, [_swap(5, 0, 4)]),
+    (4, [_swap(4, 0, 1), _cycle(4)]),       # all of S_4, 24 elements
+    (9, [_cycle(9)]),                       # past the 8-bit table
+    (12, [_swap(12, 2, 11), _swap(12, 0, 5)]),
+    (16, [_cycle(16)]),                     # 16 elements, several batches
+])
+def test_generated_average_is_the_per_element_loop(n, generators):
+    # batched rows of q[elements], summed in element order, bit for bit
+    g = GeneratedGroup(n, generators)
+    rng = np.random.default_rng(n)
+    entries = rng.random(n) * 4.0
+    entries[rng.integers(n)] = 0.0
+    ev = energy_vector(entries)
+    total = np.zeros(1 << n)
+    for sigma in g.elements():
+        total += brute_pattern_probabilities(ev.permuted(sigma))
+    assert np.array_equal(average_pattern_probabilities(g, ev), total / g.order())
 
 
 def test_uniform_vector_is_group_invariant():

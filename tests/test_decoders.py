@@ -34,7 +34,7 @@ from inexact.problems import (
     unary_evaluation,
 )
 
-from conftest import brute_error, brute_map_scores
+from conftest import brute_error, brute_map_scores, brute_monte_carlo_error
 
 
 def test_identity_decoder_reads_bits_literally():
@@ -475,6 +475,44 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_error(p, ev, g, dec, 1, loss="squared", samples=10)
 
 
+@pytest.mark.parametrize("group", [
+    IdentityGroup(5),
+    FullSymmetricGroup(5),
+    GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+])
+@pytest.mark.parametrize("loss", ["exact", "absolute"])
+def test_monte_carlo_is_the_per_batch_sampler(group, loss):
+    # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
+    p = binary_evaluation(5)
+    table = truth_table(p)
+    dec = identity_decoder(p)
+    ev = energy_vector([0.0, 0.4, 1.3, 2.0, 3.7])
+    for i in (0, 13, 31):
+        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17,
+                                batch=333)
+        want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
+                                       np.random.default_rng(17), 333)
+        assert got == want
+
+
+def test_monte_carlo_rejects_empty_batches_before_any_draw(monkeypatch):
+    p = or_problem(3)
+    ev = energy_vector([1.0, 2.0, 0.5])
+    dec = identity_decoder(p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the batch size was checked")
+
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    for batch in (0, -3):
+        with pytest.raises(ValueError, match="batch"):
+            monte_carlo_error(p, ev, FullSymmetricGroup(3), dec, 0, samples=10,
+                              rng=rng, batch=batch)
+    assert rng.bit_generator.state == state
+
+
 def test_unknown_loss_is_rejected_before_any_work(monkeypatch):
     p = or_problem(3)
     ev = energy_vector([1.0, 2.0, 0.5])
@@ -485,7 +523,7 @@ def test_unknown_loss_is_rejected_before_any_work(monkeypatch):
         raise AssertionError("work started before the loss name was checked")
 
     monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
-    monkeypatch.setattr(decoders, "sample_energy_assignments", no_work)
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
     with pytest.raises(ValueError, match="unknown loss"):
         error_profile(p, ev, g, dec, "squared")
     with pytest.raises(ValueError, match="unknown loss"):
@@ -507,7 +545,7 @@ def test_row_index_is_checked_before_any_work(monkeypatch):
         raise AssertionError("work started before the row index was checked")
 
     monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
-    monkeypatch.setattr(decoders, "sample_energy_assignments", no_work)
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
     rng = np.random.default_rng(8)
     state = rng.bit_generator.state
     for i in (-1, -8, 8, 1 << 40):

@@ -20,6 +20,8 @@ from inexact.noise import (
     save_energies,
 )
 
+from conftest import brute_pattern_probabilities
+
 energies_strategy = st.lists(
     st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6)
 
@@ -34,6 +36,11 @@ def test_flip_probability_rejects_bad_energy():
     with pytest.raises(ValueError):
         flip_probability(-0.5)
     with pytest.raises(ValueError):
+        flip_probability(float("nan"))
+    with pytest.raises(ValueError):
+        flip_probability([1.0, float("nan")])
+    assert flip_probability(float("inf")) == 0.0
+    with pytest.raises(ValueError):
         energy_vector([1.0, float("nan")])
     with pytest.raises(ValueError):
         energy_vector([1.0, float("inf")])
@@ -45,6 +52,59 @@ def test_flip_probability_is_strictly_decreasing():
     grid = np.linspace(0.0, 20.0, 200)
     p = flip_probability(grid)
     assert np.all(np.diff(p) < 0)
+
+
+_BIG = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("entries, accepted", [
+    ([], False),
+    ([[1.0, 2.0]], False),
+    (1.0, False),
+    ([1.0, float("nan")], False),
+    ([float("nan")], False),
+    ([1.0, float("inf")], False),
+    ([float("-inf"), 1.0], False),
+    ([-0.0, 1.0], True),
+    ([0.0], True),
+    ([1.0, -2.0], False),
+    ([-5e-324], False),
+    ([_BIG, _BIG], True),   # finite, though their sum overflows
+    ([1e300, 0.0, 3.5], True),
+])
+def test_energy_vector_validation_table(entries, accepted):
+    if accepted:
+        ev = EnergyVector(entries)
+        assert np.array_equal(ev.entries, np.asarray(entries, dtype=np.float64))
+        assert not ev.entries.flags.writeable
+    else:
+        with pytest.raises(ValueError):
+            EnergyVector(entries)
+
+
+def test_energy_vector_copies_its_input():
+    raw = np.array([1.0, 2.0])
+    ev = EnergyVector(raw)
+    raw[0] = 9.0
+    assert ev.entries.tolist() == [1.0, 2.0]
+
+
+def _kernel_energies(n: int, rng) -> list:
+    """Zero, tiny, very large (flip probability underflows to 0 or to a
+    subnormal) and ordinary energies, alone and mixed."""
+    cases = [np.zeros(n), np.full(n, 1e-300), np.full(n, 1e-9), np.full(n, 2000.0),
+             np.full(n, 1074.5), rng.random(n) * 6.0]
+    mixed = rng.choice([0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 60.0, 1074.5, 2000.0], size=n)
+    cases.append(mixed)
+    return [energy_vector(e) for e in cases]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_pattern_kernel_matches_doubling_recursion(n):
+    # n = 1..16 covers both sides of the low-bit table boundary
+    rng = np.random.default_rng(1000 + n)
+    for ev in _kernel_energies(n, rng):
+        assert np.array_equal(pattern_probabilities(ev), brute_pattern_probabilities(ev))
 
 
 def test_energy_vector_budget_and_permutation():
