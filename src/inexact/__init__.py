@@ -46,13 +46,10 @@ from .decoders import (
     ErrorReport,
     error_profile,
     error_report,
-    expected_error,
     identity_decoder,
     map_decoder,
     monte_carlo_error,
     per_input_error,
-    worst_case_quality,
-    worst_input_error,
 )
 from .allocators import (
     AllocationObjective,
@@ -74,7 +71,6 @@ from .mobs import (
     comparison_wrong_probability,
     expensive_pairs_instance,
     mobs,
-    quality,
     sorting_mobs_bound,
     table2_rows,
 )

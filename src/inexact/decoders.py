@@ -314,26 +314,12 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     table = _as_table(problem)
     _check_row(i, table.n)
     _check_scale(table.n, "exact error analysis")
+    if decoder.n != table.n:
+        raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]
     return float(loss_fn(decoded, table.outputs[i]) @ avg)
-
-
-def worst_input_error(problem, energies, group, decoder, loss="exact") -> float:
-    return float(error_profile(problem, energies, group, decoder, loss).max())
-
-
-def expected_error(problem, energies, group, decoder, loss="exact", prior=None) -> float:
-    table = _as_table(problem)
-    prior = _check_prior(prior, table.n)
-    return float(prior @ error_profile(table, energies, group, decoder, loss))
-
-
-def worst_case_quality(problem, energies, group, decoder) -> float:
-    """min over inputs of 1 / wrong-output probability (inf when error-free)."""
-    worst = worst_input_error(problem, energies, group, decoder, "exact")
-    return float("inf") if worst == 0.0 else 1.0 / worst
 
 
 def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
@@ -392,9 +378,6 @@ class ErrorReport:
     per_input: np.ndarray
     std_err: np.ndarray | None = None
     samples: int | None = None
-
-    def worst(self) -> float:
-        return float(self.per_input.max())
 
     def to_json(self) -> dict:
         rows = []

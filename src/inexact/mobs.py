@@ -16,8 +16,8 @@ identity decoder that function is one decoders.ErrorAnalysis, whose loss
 matrix depends on neither the energies nor the group, so an evaluation is
 one matrix-vector product.  mobs builds one truth table per call, and in
 exact mode the profile function once, from which it also takes both
-champions' per-input profiles.  The pair-weighted metrics call
-aggregate_error per evaluation.
+champions' per-input profiles.  The pair-weighted metrics evaluate their
+closed form, averaged over the group's rewirings of the energies.
 
 Metrics:
 
@@ -184,44 +184,16 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, energies: EnergyVect
 
 
 def _group_average(fn, group: PermutationGroup | None, energies: EnergyVector) -> float:
-    """Average fn(permuted energies) over the group (exact)."""
-    if group is None or isinstance(group, IdentityGroup):
+    """Average fn over the group's rewirings of the energies (exact), in
+    element order: the row for sigma gives bit j the entry sigma[j]."""
+    if group is None:
         return fn(energies)
-    if np.ptp(energies.entries) == 0.0:
-        return fn(energies)  # uniform vectors are permutation-invariant
-    elements = group.elements()  # may raise the enumeration guard
-    return float(np.mean([fn(energies.permuted(sigma)) for sigma in elements]))
-
-
-def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
-                    group: PermutationGroup | None = None, metric: str | None = None,
-                    decoder_strategy: str = "identity", instance=None) -> float:
-    """One scalar error for (problem, allocation, adversary) under a metric.
-
-    This is the quantity the allocation search minimizes and the ratio in
-    the symmetry-price computation is built from.
-    """
-    if metric is None:
-        metric = default_metric(problem)
-    if metric in _PER_INPUT_LOSS:
-        g = group if group is not None else IdentityGroup(problem.n)
-        profile = _profile_function(truth_table(problem), metric, decoder_strategy)
-        return float(profile(energies, g).max())
-    if metric == "comparison_weighted":
-        if problem.kind != "comparison":
-            raise ValueError("comparison_weighted needs a comparison problem")
-        return _group_average(lambda ev: _comparison_weighted_error_direct(problem, ev),
-                              group, energies)
-    if metric == "sorting_weighted":
-        if problem.kind != "sorting":
-            raise ValueError("sorting_weighted needs a sorting problem")
-        if instance is None:
-            instance = expensive_pairs_instance(problem.params["count"],
-                                                problem.params["width"])
-        return _group_average(
-            lambda ev: _sorting_weighted_error_direct(problem, ev, instance),
-            group, energies)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+    if energies.n != group.n:
+        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
+    if isinstance(group, IdentityGroup) or np.ptp(energies.entries) == 0.0:
+        return fn(energies)  # nothing moves, or every rewiring is the same vector
+    rows = energies.entries[group.elements()]  # may raise the enumeration guard
+    return float(np.mean([fn(EnergyVector(row)) for row in rows]))
 
 
 def _profile_function(table: TruthTable, metric: str, decoder_strategy: str):
@@ -245,14 +217,15 @@ def _profile_function(table: TruthTable, metric: str, decoder_strategy: str):
 def error_objective(problem: BooleanProblem, metric: str | None = None,
                     group: PermutationGroup | None = None,
                     decoder_strategy: str = "identity", instance=None, profile=None):
-    """energies -> aggregate_error(problem, energies, group, metric, ...).
+    """energies -> one scalar error of (problem, allocation, adversary)
+    under the metric.
 
-    The objective of the clairvoyant descent and of AllocationObjective
-    searches.  Per-input metrics score through one profile function (the
-    given one, or one built here), so the truth table, and under the
-    identity decoder the loss matrix, is built once per search; the value
-    is bit for bit aggregate_error's.  Pair-weighted metrics call
-    aggregate_error per evaluation.
+    This is the quantity the allocation searches minimize and the ratio in
+    the symmetry-price computation is built from.  Per-input metrics take
+    the worst row of one profile function (the given one, or one built
+    here), so the truth table, and under the identity decoder the loss
+    matrix, is built once per search.  Pair-weighted metrics average their
+    closed form over the group's rewirings.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -261,16 +234,28 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
         if profile is None:
             profile = _profile_function(truth_table(problem), metric, decoder_strategy)
         return lambda evec: float(profile(evec, g).max())
-    return lambda evec: aggregate_error(problem, evec, group, metric,
-                                        decoder_strategy, instance)
+    if metric == "comparison_weighted":
+        if problem.kind != "comparison":
+            raise ValueError("comparison_weighted needs a comparison problem")
+        return lambda evec: _group_average(
+            lambda ev: _comparison_weighted_error_direct(problem, ev), group, evec)
+    if metric == "sorting_weighted":
+        if problem.kind != "sorting":
+            raise ValueError("sorting_weighted needs a sorting problem")
+        if instance is None:
+            instance = expensive_pairs_instance(problem.params["count"],
+                                                problem.params["width"])
+        return lambda evec: _group_average(
+            lambda ev: _sorting_weighted_error_direct(problem, ev, instance), group, evec)
+    raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
 
 
-def quality(problem: BooleanProblem, energies: EnergyVector,
-            group: PermutationGroup | None = None, metric: str | None = None,
-            decoder_strategy: str = "identity", instance=None) -> float:
-    """Reciprocal aggregate error; +inf when the error is exactly 0."""
-    err = aggregate_error(problem, energies, group, metric, decoder_strategy, instance)
-    return float("inf") if err == 0.0 else 1.0 / err
+def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
+                    group: PermutationGroup | None = None, metric: str | None = None,
+                    decoder_strategy: str = "identity", instance=None) -> float:
+    """error_objective(problem, metric, group, decoder_strategy, instance)
+    at one energy vector."""
+    return error_objective(problem, metric, group, decoder_strategy, instance)(energies)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,6 @@ class TruthTable:
             raise ValueError(f"expected {1 << self.n} outputs, got {outputs.shape}")
         object.__setattr__(self, "outputs", outputs)
 
-    def input_bits(self, i: int) -> np.ndarray:
-        return index_to_bits(i, self.n)
-
     def output(self, i: int) -> int:
         return int(self.outputs[i])
 

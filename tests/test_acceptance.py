@@ -27,6 +27,7 @@ from inexact import (
     comparison_wrong_probability,
     custom_problem,
     energy_vector,
+    error_profile,
     identity_decoder,
     marginal_flip_probability,
     monte_carlo_error,
@@ -36,7 +37,6 @@ from inexact import (
     table2_rows,
     truth_table,
     uniform_allocation,
-    worst_input_error,
 )
 from inexact.allocators import grid_search
 from inexact.bits import format_bits, index_to_bits
@@ -134,8 +134,8 @@ def test_criterion_4_be_analytic_values(capsys):
         problem = binary_evaluation(n)
         decoder = identity_decoder(problem)
         group = IdentityGroup(n)
-        ramp = worst_input_error(problem, staircase_allocation(n), group,
-                                 decoder, "absolute")
+        ramp = error_profile(problem, staircase_allocation(n), group,
+                             decoder, "absolute").max()
         assert abs(ramp - n / 2.0) <= 1e-9
         flat = uniform_allocation(n * (n + 1) / 2.0, n)
         # row 0 has a clear top bit

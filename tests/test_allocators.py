@@ -217,14 +217,14 @@ def test_descent_stalls_at_uniform_for_symmetric_problems():
 def be_asymmetry_factor(n: int) -> float:
     """Uniform vs ramp worst-input expected magnitude at budget n(n+1)/2."""
     from inexact.adversary import IdentityGroup
-    from inexact.decoders import identity_decoder, worst_input_error
+    from inexact.decoders import error_profile, identity_decoder
 
     be = binary_evaluation(n)
     budget = n * (n + 1) / 2
     dec = identity_decoder(be)
     g = IdentityGroup(n)
-    flat = worst_input_error(be, uniform_allocation(budget, n), g, dec, "absolute")
-    ramp = worst_input_error(be, water_filled_ramp(n, budget), g, dec, "absolute")
+    flat = error_profile(be, uniform_allocation(budget, n), g, dec, "absolute").max()
+    ramp = error_profile(be, water_filled_ramp(n, budget), g, dec, "absolute").max()
     return flat / ramp
 
 

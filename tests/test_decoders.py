@@ -13,15 +13,12 @@ from inexact.decoders import (
     build_decoder,
     error_profile,
     error_report,
-    expected_error,
     identity_decoder,
     map_decoder,
     monte_carlo_error,
     per_input_error,
     setting_name,
     uniform_prior,
-    worst_case_quality,
-    worst_input_error,
 )
 from inexact.noise import energy_vector
 from inexact.problems import (
@@ -173,10 +170,9 @@ def test_or2_error_profile_by_hand():
     assert np.allclose(profile, [0.75, 0.25, 0.25, 0.25], atol=1e-15)
     assert per_input_error(p, ev, g, dec, 0) == pytest.approx(0.75, abs=1e-15)
     assert per_input_error(p, ev, g, dec, 1) == pytest.approx(0.25, abs=1e-15)
-    assert worst_input_error(p, ev, g, dec) == pytest.approx(0.75, abs=1e-15)
-    assert expected_error(p, ev, g, dec) == pytest.approx(0.375, abs=1e-15)
-    assert expected_error(p, ev, g, dec, prior=np.array([0.0, 0.0, 0.0, 1.0])) == \
-        pytest.approx(0.25, abs=1e-15)
+    assert profile.max() == pytest.approx(0.75, abs=1e-15)
+    assert uniform_prior(2) @ profile == pytest.approx(0.375, abs=1e-15)
+    assert np.array([0.0, 0.0, 0.0, 1.0]) @ profile == pytest.approx(0.25, abs=1e-15)
 
 
 def _every_kind():
@@ -342,12 +338,12 @@ def test_expected_magnitude_examples():
         be = binary_evaluation(n)
         ev = staircase_allocation(n)
         dec = identity_decoder(be)
-        worst = worst_input_error(be, ev, IdentityGroup(n), dec, "absolute")
+        worst = error_profile(be, ev, IdentityGroup(n), dec, "absolute").max()
         assert worst == pytest.approx(n / 2, abs=1e-9)
 
     be2 = binary_evaluation(2)
-    quiet = worst_input_error(be2, energy_vector([60.0, 60.0]), IdentityGroup(2),
-                              identity_decoder(be2), "absolute")
+    quiet = error_profile(be2, energy_vector([60.0, 60.0]), IdentityGroup(2),
+                          identity_decoder(be2), "absolute").max()
     assert quiet < 1e-12
 
     be3 = binary_evaluation(3)
@@ -357,19 +353,20 @@ def test_expected_magnitude_examples():
 
 
 def test_worst_case_quality():
+    # worst-case quality is the reciprocal of the worst wrong-output probability
     p = or_problem(2)
     ev = energy_vector([1.0, 1.0])
-    assert worst_case_quality(p, ev, IdentityGroup(2), identity_decoder(p)) == \
-        pytest.approx(1 / 0.75, abs=1e-12)
+    worst = error_profile(p, ev, IdentityGroup(2), identity_decoder(p)).max()
+    assert 1.0 / worst == pytest.approx(1 / 0.75, abs=1e-12)
 
     constant = custom_problem(np.full(4, 7), name="always7")
-    assert worst_case_quality(constant, ev, IdentityGroup(2),
-                              identity_decoder(constant)) == float("inf")
+    assert error_profile(constant, ev, IdentityGroup(2),
+                         identity_decoder(constant)).max() == 0.0
 
     dead = energy_vector([0.0, 0.0])
     profile = error_profile(p, dead, IdentityGroup(2), identity_decoder(p))
     assert profile[3] == 1.0  # input 11 always reads 00 and answers 0
-    assert worst_case_quality(p, dead, IdentityGroup(2), identity_decoder(p)) == 1.0
+    assert 1.0 / profile.max() == 1.0
 
 
 def test_map_decoding_is_bayes_optimal():
@@ -382,12 +379,12 @@ def test_map_decoding_is_bayes_optimal():
         prior = rng.random(1 << n)
         prior /= prior.sum()
         group = FullSymmetricGroup(n) if rng.random() < 0.5 else IdentityGroup(n)
-        best = expected_error(table, ev, group, map_decoder(table, ev, group, prior),
-                              prior=prior)
+        best = prior @ error_profile(table, ev, group,
+                                     map_decoder(table, ev, group, prior))
         rivals = [identity_decoder(table)]
         rivals += [Decoder("rand", rng.integers(0, 4, size=1 << n)) for _ in range(5)]
         for rival in rivals:
-            other = expected_error(table, ev, group, rival, prior=prior)
+            other = prior @ error_profile(table, ev, group, rival)
             assert best <= other + 1e-12
 
 
@@ -414,8 +411,8 @@ def test_or_worst_error_is_monotone_in_energy():
         e = rng.random(3) * 4.0
         bump = np.zeros(3)
         bump[rng.integers(0, 3)] = rng.random() * 2.0
-        low = worst_input_error(p, energy_vector(e), g, dec)
-        high = worst_input_error(p, energy_vector(e + bump), g, dec)
+        low = error_profile(p, energy_vector(e), g, dec).max()
+        high = error_profile(p, energy_vector(e + bump), g, dec).max()
         assert high <= low + 1e-12
         q = np.exp2(-e)
         assert low == pytest.approx(1.0 - np.prod(1.0 - q), abs=1e-12)
@@ -556,6 +553,27 @@ def test_row_index_is_checked_before_any_work(monkeypatch):
     assert rng.bit_generator.state == state
 
 
+def test_decoder_width_is_checked_before_any_work(monkeypatch):
+    p = binary_evaluation(2)
+    ev = energy_vector([1.0, 2.0])
+    g = IdentityGroup(2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the decoder width was checked")
+
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
+    for width in (1, 3):
+        dec = identity_decoder(unary_evaluation(width))
+        message = f"decoder covers {width} bits, table has 2"
+        with pytest.raises(ValueError, match=message):
+            error_profile(p, ev, g, dec, "absolute")
+        with pytest.raises(ValueError, match=message):
+            per_input_error(p, ev, g, dec, 3, "absolute")
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_error(p, ev, g, dec, 3, "absolute", samples=10, rng=0)
+
+
 def test_error_report_shapes():
     p = or_problem(2)
     ev = energy_vector([1.0, 1.0])
@@ -565,7 +583,7 @@ def test_error_report_shapes():
     assert exact.setting == "clairvoyant"
     assert exact.mode == "exact"
     assert exact.std_err is None
-    assert exact.worst() == pytest.approx(0.75, abs=1e-15)
+    assert exact.per_input.max() == pytest.approx(0.75, abs=1e-15)
     body = exact.to_json()
     assert body["per_input"][0] == {"row": 0, "p_err": 0.75}
     assert "samples" not in body

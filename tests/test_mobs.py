@@ -21,7 +21,6 @@ from inexact.mobs import (
     expensive_pairs_instance,
     mobs,
     pair_wrong_probability,
-    quality,
     sorting_mobs_bound,
     table2_rows,
 )
@@ -108,8 +107,7 @@ def test_sorting_weighted_error_examples():
     ev = energy_vector([1.0, 1.0])
     err = aggregate_error(tiny, ev, metric="sorting_weighted", instance=(1, 0))
     assert err == pytest.approx(0.25, abs=1e-15)
-    assert quality(tiny, ev, metric="sorting_weighted", instance=(1, 0)) == \
-        pytest.approx(4.0, abs=1e-12)
+    assert 1.0 / err == pytest.approx(4.0, abs=1e-12)
 
     rng = np.random.default_rng(8)
     problem = sorting_problem(4, 2)
@@ -144,15 +142,22 @@ def test_aggregate_error_validation():
                         metric="sorting_weighted", instance=(1, 0, 0))
     with pytest.raises(ValueError):
         aggregate_error(comparison_problem(2), energy_vector([1.0, 1.0]))
+    # a group of another width is refused whether or not the vector is uniform
+    for ev in (uniform_allocation(4.0, 4), energy_vector([0.5, 1.5, 1.0, 2.0])):
+        with pytest.raises(ValueError, match="group acts on 5 bits, energies have 4"):
+            aggregate_error(comparison_problem(2), ev, FullSymmetricGroup(5),
+                            "comparison_weighted")
 
 
 def test_quality_examples():
+    # quality is the reciprocal of the aggregate error
     n = 4
     be = binary_evaluation(n)
-    assert quality(be, staircase_allocation(n)) == pytest.approx(2.0 / n, rel=1e-9)
+    assert 1.0 / aggregate_error(be, staircase_allocation(n)) == \
+        pytest.approx(2.0 / n, rel=1e-9)
     # noiseless play: energies high enough that 2**-e underflows to exactly 0
     comp = comparison_problem(1)
-    assert quality(comp, energy_vector([1500.0, 1500.0])) == float("inf")
+    assert aggregate_error(comp, energy_vector([1500.0, 1500.0])) == 0.0
 
 
 def test_blindfolded_aggregate_averages_over_the_group():
