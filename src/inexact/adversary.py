@@ -13,6 +13,19 @@ depends only on d, so the group average is a single 2**n vector shared by
 every input.  For the full symmetric group it collapses to a function of
 popcount(d) (a Poisson binomial), which keeps exact blindfolded analysis
 polynomial in n instead of factorial.
+
+:func:`sample_flip_patterns` draws from the same law, side by side with the
+exact average:
+
+* identity   -- exact: the channel's product over bits.
+                sampled: bit j flips when a uniform draw falls below q[j].
+* generated  -- exact: the mean of the channel over the rewired flip
+                vectors q[sigma].  sampled: one element per trial, then
+                the identity's coins against q[sigma].
+* symmetric  -- exact: a[popcount(d)] / C(n, popcount(d)), a the flip-count
+                law.  sampled: a count K from a, then a uniform K-subset,
+                so a trial costs two draws and n unranking steps instead
+                of a permutation.
 """
 
 from __future__ import annotations
@@ -213,6 +226,54 @@ def average_pattern_probabilities(group: PermutationGroup,
         for row in _flip_patterns(rewired[lo:lo + chunk]):
             total += row
     return total / order
+
+
+def sample_flip_patterns(group: PermutationGroup, q: np.ndarray, count: int,
+                         rng=None) -> np.ndarray:
+    """count packed flip patterns d (bit j set when bit j flips), drawn from
+    the law that average_pattern_probabilities gives exactly, for the flip
+    vector q = 2**-e (see the module docstring).
+
+    Under the full symmetric group each trial draws the flip count K, then
+    a rank r < C(n, K) that it unranks into the r-th K-subset in numeric
+    order; other groups flip each possibly rewired bit against its own
+    uniform draw.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    n = group.n
+    if q.shape != (n,):
+        raise ValueError(f"group acts on {n} bits, flip vector has shape {q.shape}")
+    rng = as_rng(rng)
+    if isinstance(group, FullSymmetricGroup):
+        return _sample_symmetric_patterns(q, count, rng)
+    if isinstance(group, IdentityGroup):
+        rows = q
+    else:
+        rows = q[group.elements()][rng.integers(group.order(), size=count)]
+    flips = rng.random((count, n)) < rows
+    return flips @ np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+
+
+def _sample_symmetric_patterns(q: np.ndarray, count: int, rng) -> np.ndarray:
+    n = q.size
+    cdf = np.cumsum(_mismatch_count_weights(q))
+    cdf /= cdf[-1]
+    # side="right" never lands on a count of zero weight (a flat cdf step)
+    k = np.searchsorted(cdf, rng.random(count), side="right")
+    # binom[j, c] = C(j, c), 0 when c > j
+    binom = np.array([[math.comb(j, c) for c in range(n + 1)] for j in range(n + 1)],
+                     dtype=np.int64)
+    rank = rng.integers(binom[n, k])
+    # colex unranking: C(j, k) k-subsets of the bits below j precede the
+    # first one that sets bit j
+    d = np.zeros(count, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        below = binom[j, k]
+        take = rank >= below
+        rank -= below * take
+        k -= take
+        d |= take.astype(np.int64) << j
+    return d
 
 
 def marginal_flip_probability(group: PermutationGroup,

@@ -55,7 +55,8 @@ import numpy as np
 
 from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
 from .noise import EnergyVector, flip_probability
-from .adversary import IdentityGroup, PermutationGroup, average_pattern_probabilities
+from .adversary import (IdentityGroup, PermutationGroup, average_pattern_probabilities,
+                        sample_flip_patterns)
 from .problems import BooleanProblem, TruthTable, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
@@ -277,6 +278,7 @@ class ErrorAnalysis:
         return self._loss_fn(decoded, self.table.outputs[rows][:, None])
 
     def profile(self, energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
+        _check_width(energies, self.table.n)
         avg = average_pattern_probabilities(group, energies)
         size = 1 << self.table.n
         if self._kernel == "matrix":
@@ -307,6 +309,11 @@ def _check_row(i, n: int) -> None:
         raise ValueError(f"input row {i} out of range for {n} bits")
 
 
+def _check_width(energies: EnergyVector, n: int) -> None:
+    if energies.n != n:
+        raise ValueError(f"energies have {energies.n} bits, table has {n}")
+
+
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
     """Exact error of one input row (noise and adversary draw averaged)."""
@@ -316,6 +323,7 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     _check_scale(table.n, "exact error analysis")
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
+    _check_width(energies, table.n)
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]
@@ -328,9 +336,12 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
                       batch: int = 1 << 16) -> tuple[float, float]:
     """Sampled error of one input row: (estimate, standard error).
 
-    Each trial draws a permutation from the group, rewires the energies,
-    flips bits independently, and decodes the observed row.  The flip
-    vector is computed once; each batch gathers its rewired rows from it.
+    Each trial draws a flip pattern d from the group-averaged law that
+    average_pattern_probabilities gives exactly (see sample_flip_patterns:
+    under the full symmetric group a flip count and a uniform subset of
+    that size, otherwise independent flips of the possibly rewired bits)
+    and decodes the observed row i XOR d.  The flip vector is computed
+    once and sampled batch by batch.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
@@ -340,6 +351,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
+    _check_width(energies, n)
     if energies.n != group.n:
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if samples < 1:
@@ -349,15 +361,13 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     rng = as_rng(rng)
     q = flip_probability(energies)
     truth = int(table.outputs[i])
-    weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
 
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        rewired = q[group.sample(m, rng)]
-        observed = np.int64(i) ^ ((rng.random((m, n)) < rewired) @ weights)
+        observed = np.int64(i) ^ sample_flip_patterns(group, q, m, rng)
         vals = loss_fn(decoder.decode_map[observed], truth)
         total += vals.sum()
         total_sq += (vals * vals).sum()

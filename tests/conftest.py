@@ -63,20 +63,37 @@ def brute_pattern_probabilities(energies) -> np.ndarray:
 def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
                             samples: int, rng, batch: int) -> tuple:
     """Sampled error of row i, drawn batch by batch in the same generator
-    order as the library (permutations, then flip coins): rewire the
-    energies, flip each bit against 2**-e, decode the observed bits."""
-    from inexact.adversary import sample_energy_assignments
+    order as the library, then decoded from the observed bits.  Under the
+    full symmetric group each trial draws a flip count from the
+    Poisson-binomial law, then a rank into the numerically ordered list of
+    patterns with that many flips, enumerated here in full.  Otherwise it
+    rewires the energies by a drawn permutation and flips each bit against
+    2**-e."""
+    from inexact.adversary import (FullSymmetricGroup, _mismatch_count_weights,
+                                   sample_energy_assignments)
 
     n = table.n
     bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
     truth = int(table.outputs[i])
     weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+    by_count = [[d for d in range(1 << n) if bin(d).count("1") == k]
+                for k in range(n + 1)]
+    cdf = np.cumsum(_mismatch_count_weights(np.exp2(-energies.entries)))
+    cdf /= cdf[-1]
     total = total_sq = 0.0
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        assigned = sample_energy_assignments(group, energies, m, rng)
-        flips = rng.random((m, n)) < np.exp2(-assigned)
+        if isinstance(group, FullSymmetricGroup):
+            counts = np.searchsorted(cdf, rng.random(m), side="right")
+            ranks = rng.integers(np.array([len(by_count[k]) for k in counts],
+                                          dtype=np.int64))
+            patterns = np.array([by_count[k][r] for k, r in zip(counts, ranks)],
+                                dtype=np.int64)
+            flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
+        else:
+            assigned = sample_energy_assignments(group, energies, m, rng)
+            flips = rng.random((m, n)) < np.exp2(-assigned)
         observed = (bits[None, :] ^ flips) @ weights
         decoded = decoder.decode_map[observed]
         if loss == "exact":

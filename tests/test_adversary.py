@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 from hypothesis import given, settings, strategies as st
 
 import inexact.adversary as adversary
@@ -12,6 +13,7 @@ from inexact.adversary import (
     build_group,
     marginal_flip_probability,
     sample_energy_assignments,
+    sample_flip_patterns,
 )
 from inexact.bits import ResourceLimitError
 from inexact.noise import energy_vector, flip_probability, pattern_probabilities
@@ -229,6 +231,40 @@ def test_sample_energy_assignments():
     assert np.array_equal(rows, again)
     with pytest.raises(ValueError):
         sample_energy_assignments(FullSymmetricGroup(4), ev, 5, rng=0)
+
+
+def test_symmetric_flip_patterns_follow_the_exact_law():
+    # e = 0 flips its bit always, so pattern 0 has probability 0 and 31
+    # cells remain; seeded, so the statistic is fixed
+    ev = energy_vector([0.0, 0.4, 1.3, 2.0, 3.7])
+    g = FullSymmetricGroup(5)
+    draws = 400_000
+    expected = average_pattern_probabilities(g, ev) * draws
+    patterns = sample_flip_patterns(g, flip_probability(ev), draws, rng=21)
+    observed = np.bincount(patterns, minlength=32)
+    assert observed.size == 32 and observed.sum() == draws
+    live = expected > 0
+    assert live.sum() == 31 and observed[~live].sum() == 0
+    stat = (((observed - expected) ** 2)[live] / expected[live]).sum()
+    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+
+
+@pytest.mark.parametrize("entries", [
+    [0.0, 1.0, 0.0, 2.0, 0.5],        # q = 1: counts 0 and 1 have weight 0
+    [1100.0, 1.0, 0.0, 1100.0, 0.5],  # q = 0 twice: counts 4 and 5 too
+])
+def test_symmetric_sampler_never_draws_impossible_patterns(entries):
+    ev = energy_vector(entries)
+    g = FullSymmetricGroup(5)
+    possible = average_pattern_probabilities(g, ev) > 0
+    assert not possible.all()
+    patterns = sample_flip_patterns(g, flip_probability(ev), 200_000, rng=4)
+    assert possible[patterns].all()
+
+
+def test_flip_patterns_reject_a_mismatched_flip_vector():
+    with pytest.raises(ValueError, match="flip vector"):
+        sample_flip_patterns(FullSymmetricGroup(4), np.full(3, 0.5), 10, rng=0)
 
 
 def test_dimension_mismatch_is_rejected():

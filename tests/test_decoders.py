@@ -574,6 +574,35 @@ def test_decoder_width_is_checked_before_any_work(monkeypatch):
             monte_carlo_error(p, ev, g, dec, 3, "absolute", samples=10, rng=0)
 
 
+@pytest.mark.parametrize("width, group", [
+    (5, IdentityGroup(5)),
+    (3, FullSymmetricGroup(3)),
+    (5, GeneratedGroup(5, [(1, 2, 3, 4, 0)])),
+])
+def test_energy_width_is_checked_before_any_work(monkeypatch, width, group):
+    p = or_problem(4)
+    ev = energy_vector(np.linspace(0.5, 2.5, width))
+    dec = identity_decoder(p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the energy width was checked")
+
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", no_work)
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
+    message = f"energies have {width} bits, table has 4"
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_error(p, ev, group, dec, 0, samples=10, rng=rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=message):
+        error_profile(p, ev, group, dec)
+    with pytest.raises(ValueError, match=message):
+        ErrorAnalysis(p, dec).profile(ev, group)
+    with pytest.raises(ValueError, match=message):
+        per_input_error(p, ev, group, dec, 0)
+
+
 def test_error_report_shapes():
     p = or_problem(2)
     ev = energy_vector([1.0, 1.0])
