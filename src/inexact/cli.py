@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or invalid config, 3 resource limit,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,7 +34,13 @@ from .problems import (
 )
 from .noise import EnergyVector, cmos_correctness_probability, energy_vector, load_energies
 from .adversary import GROUP_KINDS, build_group
-from .decoders import build_decoder, error_report, monte_carlo_error, per_input_error
+from .decoders import (
+    ErrorReport,
+    build_decoder,
+    error_report,
+    monte_carlo_error,
+    per_input_error,
+)
 from .allocators import (
     AllocationObjective,
     analytic_allocation,
@@ -71,16 +78,22 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _policy_value(x: float):
+    """The JSON value of one float: "inf" for infinities, else 12
+    significant digits, or full precision where those would round a value
+    into 0 or 1 (see fmt)."""
+    if math.isinf(x):
+        return "inf"
+    rounded = float(f"{x:.12g}")
+    if rounded in (0.0, 1.0) and x != rounded:
+        return x
+    return rounded
+
+
 def jsonable(obj):
     """Recursively apply the numeric formatting policy to a JSON tree."""
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x):
-            return "inf"
-        rounded = float(f"{x:.12g}")
-        if rounded in (0.0, 1.0) and x != rounded:
-            return x
-        return rounded
+        return _policy_value(float(obj))
     if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
         return int(obj) if isinstance(obj, np.integer) else obj
     if isinstance(obj, dict):
@@ -102,14 +115,54 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_number(x: float) -> str:
+    """json.dumps(jsonable(x)) for one float, without the encoder."""
+    value = _policy_value(x)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+# one per_input entry of an ErrorReport as json.dumps(..., indent=2,
+# sort_keys=True) lays it out inside the envelope's "result"
+_ROW = '      {\n        "p_err": %s,\n        "row": %d\n      }'
+_SAMPLED_ROW = '      {\n        "p_err": %s,\n        "row": %d,\n        "std_err": %s\n      }'
+
+
+def _report_rows(report: ErrorReport) -> str:
+    """The per_input entries of report.to_json(), encoded, one format string
+    a row."""
+    p_err = map(_json_number, np.asarray(report.per_input, dtype=np.float64).tolist())
+    if report.std_err is None:
+        return ",\n".join(_ROW % (p, i) for i, p in enumerate(p_err))
+    std_err = map(_json_number, np.asarray(report.std_err, dtype=np.float64).tolist())
+    return ",\n".join(_SAMPLED_ROW % (p, i, s)
+                      for i, (p, s) in enumerate(zip(p_err, std_err)))
+
+
 def emit_json(result, config: dict, output: str | None) -> None:
+    """The JSON envelope of a result: version, config, its sha256 and the
+    result, keys sorted, indented by 2.  An ErrorReport's per_input rows,
+    the bulk of a report, are encoded by _report_rows and spliced in: the
+    bytes json.dumps gives, without walking 2**n row dicts through jsonable
+    and the pure-Python indenting encoder."""
+    rows = None
+    if isinstance(result, ErrorReport):
+        rows = _report_rows(result)
+        result = dataclasses.replace(result, per_input=result.per_input[:0]).to_json()
     envelope = {
         "version": __version__,
         "config": jsonable(config),
         "config_sha256": config_hash(config),
         "result": jsonable(result),
     }
-    _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", output)
+    text = json.dumps(envelope, indent=2, sort_keys=True)
+    if rows:
+        # keys sort "result" after "config", and nothing after per_input in
+        # the result holds a list, so the last such text is the report's
+        head, _, tail = text.rpartition('"per_input": []')
+        text = head + '"per_input": [\n' + rows + '\n    ]' + tail
+    _write(text + "\n", output)
 
 
 def emit_csv(header: str, lines: list[str], config: dict, output: str | None) -> None:
@@ -287,7 +340,7 @@ def _cmd_simulate(args) -> int:
                      for i, (p, s) in enumerate(zip(report.per_input, report.std_err))]
         emit_csv(header, lines, cfg, cfg.get("output"))
     else:
-        emit_json(report.to_json(), cfg, cfg.get("output"))
+        emit_json(report, cfg, cfg.get("output"))
     return EXIT_OK
 
 

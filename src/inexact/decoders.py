@@ -28,23 +28,28 @@ one per output class, and the fast Walsh-Hadamard transform computes each
 in O(n 2**n).  An ErrorAnalysis binds (truth table, decoder, loss) and
 picks one of three kernels once, shown by its ``kernel`` attribute:
 
-* matrix -- L whole, built on the first call and kept, when 4**n fits one
-            vectorized block (n <= 11); a search that scores many energy
-            vectors builds it once.
+* matrix -- L whole, built tile by tile on the first call and kept, when
+            4**n fits one vectorized block (n <= 11); a search that scores
+            many energy vectors builds it once.
 * xor    -- the convolutions, when the decoder's C output classes make them
             cheaper than a dense pass (C n 2**n < 4**n, and n >= 8, below
             which the transforms' fixed per-call cost outweighs a dense pass)
             and their C x 2**n arrays fit one block: or, tribes, comparison,
             ue, few-valued custom problems and sorting with narrow words at
             n >= 12.
-* blocks -- L rebuilt one row block at a time on every call, for
+* blocks -- L rebuilt on every call, one cache-sized tile of rows at a
+            time, each tile's errors one matrix-vector product, for
             many-valued decoders (be, wide-word sorting) at n >= 12.
 
 The MAP decoder's scores are XOR convolutions too, and it picks between
-them and dense row blocks by the same rule; having no matrix to keep, it
-takes the transform from n = 8 up.  error_profile is a one-shot
-ErrorAnalysis.  Losses: "exact" counts any wrong output, "absolute" weighs
-it by |decoded - truth|.
+them and dense row tiles by the same rule; having no matrix to keep, it
+takes the transform from n = 8 up.  Every dense pass gathers
+decode(r XOR d), or the pattern vector at r XOR d, through _dense_tiles:
+index and gathered buffers of about 2**16 entries, allocated once per call
+and refilled in place, so a pass costs its arithmetic and not page faults
+on fresh temporaries.  error_profile is a one-shot ErrorAnalysis.
+Losses: "exact" counts any wrong output, "absolute" weighs it by
+|decoded - truth|.
 """
 
 from __future__ import annotations
@@ -65,6 +70,12 @@ MC_REPORT_WORK_LIMIT = 1 << 28  # rows x samples cap for full sampled reports
 LOSS_KINDS = ("exact", "absolute")
 
 _CHUNK_ENTRIES = 1 << 22  # floats per vectorized block
+# a dense 2**n x 2**n pass runs a tile of rows at a time through buffers it
+# reuses: about _TILE_ENTRIES entries (each buffer a few hundred KB, so the
+# tile stays in cache), and never fewer than _TILE_MIN_ROWS rows, since
+# OpenBLAS's gemv rounds a row by another path when a call has very few rows
+_TILE_ENTRIES = 1 << 16
+_TILE_MIN_ROWS = 16
 _XOR_MIN_BITS = 8         # below this a dense gather beats the transforms' fixed cost
 _TIE_REL_TOL = 1e-12      # MAP scores this close to a row's top score tie
 
@@ -141,6 +152,30 @@ def _xor_convolve(avg: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tile_rows(size: int) -> int:
+    """Rows per tile of a dense pass over size x size entries."""
+    return min(size, max(_TILE_MIN_ROWS, _TILE_ENTRIES // size))
+
+
+def _dense_tiles(source: np.ndarray, columns: np.ndarray):
+    """The dense gather source[r ^ columns[c]] over every row r of a
+    2**n x 2**n pass, one tile of _tile_rows rows at a time: yields
+    (lo, hi, tile) with tile[r - lo, c] = source[r ^ columns[c]].  The index
+    and tile buffers are allocated once and refilled in place, so a tile is
+    valid until the next step and the caller may overwrite it."""
+    size = columns.size
+    height = _tile_rows(size)
+    index = np.empty((height, size), dtype=np.int64)
+    tile = np.empty((height, size), dtype=source.dtype)
+    for lo in range(0, size, height):
+        hi = min(lo + height, size)
+        rows = np.arange(lo, hi, dtype=np.int64)[:, None]
+        np.bitwise_xor(rows, columns, out=index[:hi - lo])
+        # indices are in range; "clip" skips the buffered bounds check
+        np.take(source, index[:hi - lo], out=tile[:hi - lo], mode="clip")
+        yield lo, hi, tile[:hi - lo]
+
+
 def _first_near_top(scores: np.ndarray) -> np.ndarray:
     """Per row of scores, the first column within _TIE_REL_TOL of the row's
     top score: columns ascend by value, so ties pick the smaller value.
@@ -183,7 +218,7 @@ def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None 
     prior(i) * P(o | i), the channel marginalized over the group's draw.
     That is the XOR convolution of the pattern probabilities with the
     prior on v's rows, computed by transform for few output values at
-    n >= 8 and by dense row blocks otherwise.  Values scoring within a
+    n >= 8 and by dense row tiles otherwise.  Values scoring within a
     relative 1e-12 of the top tie, and ties break toward the smaller
     output value.
     """
@@ -206,13 +241,12 @@ def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None 
     order = np.argsort(class_index, kind="stable")
     starts = np.searchsorted(class_index[order], np.arange(classes.size))
     weighted_cols = prior[order]
-    chunk = max(1, _CHUNK_ENTRIES // size)
+    scores = np.empty((_tile_rows(size), classes.size))
     decode = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, chunk):
-        rows = idx[lo:lo + chunk]
-        like = avg[rows[:, None] ^ idx[order][None, :]] * weighted_cols[None, :]
-        scores = np.add.reduceat(like, starts, axis=1)
-        decode[rows] = classes[_first_near_top(scores)]
+    for lo, hi, like in _dense_tiles(avg, order):
+        like *= weighted_cols
+        tile_scores = np.add.reduceat(like, starts, axis=1, out=scores[:hi - lo])
+        decode[lo:hi] = classes[_first_near_top(tile_scores)]
     return Decoder("map", decode)
 
 
@@ -228,12 +262,21 @@ def build_decoder(strategy: str, problem, energies: EnergyVector | None = None,
 
 
 def _loss_kernel(loss: str):
-    """The named loss as an elementwise (decoded, truth) -> float64 kernel."""
-    if loss == "exact":
-        return lambda decoded, truth: (decoded != truth).astype(np.float64)
-    if loss == "absolute":
-        return lambda decoded, truth: np.abs(decoded - truth).astype(np.float64)
-    raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+    """The named loss as an elementwise (decoded, truth) -> float64 kernel,
+    written into the float64 array out when one is given."""
+    if loss not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {LOSS_KINDS}")
+
+    def weigh(decoded, truth, out=None):
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(decoded), np.shape(truth)))
+        if loss == "exact":
+            return np.not_equal(decoded, truth, out=out)
+        # the int64 difference, cast on store; |x| commutes with the cast
+        np.subtract(decoded, truth, out=out)
+        return np.abs(out, out=out)
+
+    return weigh
 
 
 class ErrorAnalysis:
@@ -243,8 +286,10 @@ class ErrorAnalysis:
     The kernel ("matrix", "xor" or "blocks", see the module docstring) is
     picked once, here, with the energy-independent arrays it keeps: the
     decoder's class indicators and their loss weights for "xor", L whole
-    (built on the first profile) for "matrix".  "blocks" rebuilds L one row
-    block at a time on every call.
+    (built on the first profile) for "matrix".  "blocks" rebuilds L on every
+    call in cache-sized tiles of rows through buffers it reuses from tile to
+    tile; each tile's errors come from one gemv, bit for bit the sums whole
+    row blocks gave.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
@@ -271,11 +316,12 @@ class ErrorAnalysis:
     def kernel(self) -> str:
         return self._kernel
 
-    def _loss_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows L[rows, :] of the loss matrix."""
-        idx = np.arange(1 << self.table.n, dtype=np.int64)
-        decoded = self.decoder.decode_map[rows[:, None] ^ idx[None, :]]
-        return self._loss_fn(decoded, self.table.outputs[rows][:, None])
+    def _decoded_tiles(self):
+        """_dense_tiles of the decode map, each tile with its truth column."""
+        truth = self.table.outputs[:, None]
+        columns = np.arange(truth.size, dtype=np.int64)
+        for lo, hi, decoded in _dense_tiles(self.decoder.decode_map, columns):
+            yield lo, hi, decoded, truth[lo:hi]
 
     def profile(self, energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
         _check_width(energies, self.table.n)
@@ -283,18 +329,20 @@ class ErrorAnalysis:
         size = 1 << self.table.n
         if self._kernel == "matrix":
             if self._matrix is None:
-                self._matrix = self._loss_rows(np.arange(size, dtype=np.int64))
+                matrix = np.empty((size, size))
+                for lo, hi, decoded, truth in self._decoded_tiles():
+                    self._loss_fn(decoded, truth, out=matrix[lo:hi])
+                self._matrix = matrix
             return self._matrix @ avg
         if self._kernel == "xor":
             err = (self._weights * _xor_convolve(avg, self._indicators)).sum(axis=0)
             # a sum of nonnegative terms; clip the transform's rounding below 0
             return np.maximum(err, 0.0, out=err)
-        chunk = max(1, _CHUNK_ENTRIES // size)
-        idx = np.arange(size, dtype=np.int64)
+        weights = np.empty((_tile_rows(size), size))
         out = np.empty(size)
-        for lo in range(0, size, chunk):
-            rows = idx[lo:lo + chunk]
-            out[rows] = self._loss_rows(rows) @ avg
+        for lo, hi, decoded, truth in self._decoded_tiles():
+            tile = self._loss_fn(decoded, truth, out=weights[:hi - lo])
+            np.matmul(tile, avg, out=out[lo:hi])
         return out
 
 

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from inexact.adversary import IdentityGroup
-from inexact.cli import config_hash, fmt, jsonable, main
-from inexact.decoders import error_profile, identity_decoder
+from inexact import __version__
+from inexact.adversary import FullSymmetricGroup, IdentityGroup
+from inexact.cli import config_hash, emit_json, fmt, jsonable, main
+from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
 from inexact.noise import energy_vector
-from inexact.problems import or_problem
+from inexact.problems import binary_evaluation, or_problem
 
 
 def run(capsys, *argv):
@@ -169,6 +170,64 @@ def test_seeded_monte_carlo_streams_are_pinned(capsys, group):
                        "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of exact n = 12 reports whose per_input rows emit_json encodes
+# without the json module: be under the absolute loss (the row-tile kernel)
+# and or's MAP decoder under the symmetric group (the XOR-convolution kernels)
+PINNED_REPORTS = {
+    "be-absolute":
+        (("--problem", "be", "--loss", "absolute"),
+         "4aadc13c90a80c0cce2a369c5c9e45e762538a2132f65e88c10d34af5f6003df"),
+    "or-map-symmetric":
+        (("--problem", "or", "--group", "symmetric", "--decoder", "map"),
+         "d73fda4c9d0715fc693dc0d77c59496d3a581219fdfd97288e12167c69a266f4"),
+}
+
+
+@pytest.mark.parametrize("report", sorted(PINNED_REPORTS))
+def test_exact_reports_are_pinned(capsys, report):
+    extra, digest = PINNED_REPORTS[report]
+    code, out, _ = run(capsys, "simulate", *extra, "--n", "12",
+                       "--energies", "0.4,2.9,1.3,0.0,5.2,3.3,0.9,4.1,2.2,1.7,6.0,0.6",
+                       "--mode", "exact", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# values whose text takes each branch of the policy: 12 significant digits,
+# full precision near 0 and 1, "inf", json's own NaN, signed zero, exponents
+EDGE_VALUES = [0.0, 1.0, 1 - 1e-14, 1e-300, 5e-324, float("inf"), -float("inf"),
+               float("nan"), -0.0, 0.75, 1e-5, 2.0 ** -60, 1 - 2.0 ** -50, 3.0,
+               123456789012.5, 1e20, 0.1 + 0.2]
+
+
+def _encoded(result, config) -> str:
+    """The envelope emit_json writes, laid out whole by json.dumps."""
+    envelope = {"version": __version__, "config": jsonable(config),
+                "config_sha256": config_hash(config), "result": jsonable(result.to_json())}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+def test_emitted_report_rows_are_the_json_encoders_bytes(capsys):
+    config = {"command": "simulate", "problem": "be", "n": 5, "energies": "1,2",
+              "budget": 2.5, "output": None, "per_input": [], "note": '"per_input": []'}
+    ev = energy_vector([0.0, 0.5, 1.0, 2.0, 8.0])
+    reports = []
+    for problem, loss in ((binary_evaluation(5), "absolute"), (or_problem(5), "exact")):
+        for group in (IdentityGroup(5), FullSymmetricGroup(5)):
+            reports.append(error_report(problem, ev, group, identity_decoder(problem), loss))
+    sampled = error_report(or_problem(3), energy_vector([0.0, 1.0, 3.0]), IdentityGroup(3),
+                           identity_decoder(or_problem(3)), mode="monte_carlo",
+                           samples=300, rng=5)
+    assert sampled.std_err is not None and sampled.samples == 300
+    edges = np.array(EDGE_VALUES)
+    reports += [sampled, ErrorReport("clairvoyant", "exact", "exact", edges),
+                ErrorReport("blindfolded:symmetric", "monte_carlo", "absolute",
+                            edges, edges[::-1].copy(), 7)]
+    for report in reports:
+        emit_json(report, config, None)
+        assert capsys.readouterr().out == _encoded(report, config), report.setting
 
 
 def test_simulate_rejects_mismatched_energies(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from inexact.problems import (
     comparison_problem,
     custom_problem,
     or_problem,
+    sorting_problem,
     tribes_problem,
     truth_table,
     unary_evaluation,
@@ -146,6 +149,37 @@ def test_map_kernels_give_the_same_decode_map(monkeypatch):
             (table.n, group.kind)
 
 
+def _untiled_map(table, ev, group, prior):
+    """The dense MAP kernel in one pass over all 4**n (observation, row)
+    pairs: scores summed per output class, ties to the smaller value."""
+    avg = decoders.average_pattern_probabilities(group, ev)
+    classes, class_index = np.unique(table.outputs, return_inverse=True)
+    order = np.argsort(class_index, kind="stable")
+    starts = np.searchsorted(class_index[order], np.arange(classes.size))
+    idx = np.arange(1 << table.n, dtype=np.int64)
+    like = avg[idx[:, None] ^ order[None, :]] * prior[order][None, :]
+    return classes[decoders._first_near_top(np.add.reduceat(like, starts, axis=1))]
+
+
+def test_dense_map_tiles_match_one_untiled_pass():
+    # many-class problems keep the dense MAP path at n >= 8; its row tiles
+    # (128 rows at n = 9, 64 at n = 10) must decode exactly as one pass
+    # over every row does
+    rng = np.random.default_rng(8)
+    for problem in (binary_evaluation(9), sorting_problem(3, 3),
+                    custom_problem(rng.integers(0, 120, 1 << 10))):
+        n = problem.n
+        table = truth_table(problem)
+        assert not decoders._xor_is_cheaper(np.unique(table.outputs).size, n)
+        assert decoders._tile_rows(1 << n) < 1 << n
+        for group in _groups(n):
+            ev = energy_vector(rng.dirichlet(np.ones(n)) * n * (n + 1) / 4)
+            for prior in (uniform_prior(n), rng.dirichlet(np.ones(1 << n))):
+                want = _untiled_map(table, ev, group, prior)
+                got = map_decoder(table, ev, group, prior).decode_map
+                assert np.array_equal(got, want), (problem.name, group.kind)
+
+
 def test_map_decoder_guard():
     with pytest.raises(ResourceLimitError):
         map_decoder(or_problem(15), energy_vector(np.ones(15)))
@@ -244,11 +278,58 @@ def test_error_analysis_row_blocks_match_the_whole_matrix(monkeypatch):
     whole = ErrorAnalysis(problem, dec, "absolute")
     want = whole.profile(ev, group)
     assert whole._matrix is not None
-    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 48)  # three rows per block
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 48)  # L no longer fits: blocks
+    # three rows per tile and a last tile of one row; gemv may round rows
+    # of such short tiles by another path, hence allclose
+    monkeypatch.setattr(decoders, "_TILE_ENTRIES", 48)
+    monkeypatch.setattr(decoders, "_TILE_MIN_ROWS", 1)
     blocked = ErrorAnalysis(problem, dec, "absolute")
+    assert blocked.kernel == "blocks" and decoders._tile_rows(16) == 3
     got = blocked.profile(ev, group)
     assert blocked._matrix is None
     assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_production_tiles_match_the_whole_matrix_bit_for_bit(monkeypatch):
+    # at n = 10 the matrix kernel runs one gemv over all 1024 rows; forced
+    # onto blocks, the same rows go through 64-row tiles and must not round
+    # apart: be (absolute), sorting and a many-class custom problem
+    n = 10
+    problems = [(binary_evaluation(n), "absolute"), (sorting_problem(2, 5), "absolute"),
+                (custom_problem(np.random.default_rng(7).integers(0, 300, 1 << n)), "exact")]
+    rng = np.random.default_rng(10)
+    settings = [(g, energy_vector(rng.dirichlet(np.ones(n)) * 27.5)) for g in _groups(n)]
+    whole = []
+    for problem, loss in problems:
+        table = truth_table(problem)
+        analysis = ErrorAnalysis(table, identity_decoder(table), loss)
+        assert analysis.kernel == "matrix"
+        whole.append([analysis.profile(ev, g) for g, ev in settings])
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 1 << 19)
+    assert decoders._tile_rows(1 << n) == 64
+    for (problem, loss), want in zip(problems, whole):
+        table = truth_table(problem)
+        analysis = ErrorAnalysis(table, identity_decoder(table), loss)
+        assert analysis.kernel == "blocks", problem.name
+        for (g, ev), profile in zip(settings, want):
+            assert np.array_equal(analysis.profile(ev, g), profile), (problem.name, g.kind)
+
+
+def test_blocks_profile_memory_is_a_few_tiles():
+    # be at n = 12 runs 4**12 entries through tiles of 2**16; the three
+    # reused tile buffers take 1.5 MB, where whole 1024-row blocks of int64
+    # and float64 temporaries once took about 100 MB
+    table = truth_table(binary_evaluation(12))
+    analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
+    assert analysis.kernel == "blocks"
+    ev, group = energy_vector(np.linspace(1.0, 5.0, 12)), FullSymmetricGroup(12)
+    tracemalloc.start()
+    try:
+        analysis.profile(ev, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_xor_convolution_matches_a_double_loop():
