@@ -52,7 +52,6 @@ from .decoders import (
     per_input_error,
 )
 from .allocators import (
-    AllocationObjective,
     AllocationResult,
     analytic_allocation,
     comparison_allocation,
@@ -69,6 +68,7 @@ from .mobs import (
     aggregate_error,
     be_analytic_bounds,
     comparison_wrong_probability,
+    error_objective,
     expensive_pairs_instance,
     mobs,
     sorting_mobs_bound,

@@ -17,8 +17,10 @@ Closed-form allocations:
                         budget n(n+1)/2 (where c = 1).
 
 Numerical search: coordinate descent moving mass between entry pairs with a
-halving step ladder, and an exhaustive simplex lattice for small n.  Both
-keep every entry >= 0 and the total within the budget.
+halving step ladder, and an exhaustive simplex lattice for small n.  A
+search takes the function it minimizes, EnergyVector -> float (ue_variance
+here, or one built by mobs.error_objective), and the width n; both keep
+every entry >= 0 and the total within the budget.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .bits import ResourceLimitError
 from .noise import EnergyVector, energy_vector, flip_probability
-from .adversary import PermutationGroup
 from .problems import BooleanProblem
 
 IMPROVEMENT_EPS = 1e-10
@@ -119,16 +120,6 @@ def ue_variance(energies: EnergyVector) -> float:
 
 
 @dataclass(frozen=True)
-class AllocationObjective:
-    """What a numeric allocation search minimizes."""
-
-    problem: BooleanProblem
-    metric: str                       # see mobs.METRIC_KINDS, or "ue_variance"
-    decoder_strategy: str = "identity"
-    group: PermutationGroup | None = None
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     energies: EnergyVector
     objective_value: float
@@ -147,49 +138,15 @@ class AllocationResult:
         }
 
 
-def _is_ue_variance(objective) -> bool:
-    """The variance objective, named by string or by AllocationObjective."""
-    metric = objective.metric if isinstance(objective, AllocationObjective) else objective
-    return metric == "ue_variance"
+def coordinate_descent(fn: Callable[[EnergyVector], float], budget: float, n: int,
+                       seeds: Sequence[EnergyVector] | None = None) -> AllocationResult:
+    """Pairwise mass-transfer descent of fn from each seed; best result wins.
 
-
-def _objective_callable(objective, n: int) -> Callable[[EnergyVector], float]:
-    if callable(objective):
-        return objective
-    if _is_ue_variance(objective):
-        return ue_variance
-    if isinstance(objective, AllocationObjective):
-        from .mobs import error_objective  # deferred: mobs imports this module
-
-        problem = objective.problem
-        if problem.n != n:
-            raise ValueError(f"objective problem has n={problem.n}, search uses n={n}")
-        return error_objective(problem, objective.metric, objective.group,
-                               objective.decoder_strategy)
-    raise TypeError(f"cannot interpret objective {objective!r}")
-
-
-def _objective_n(objective, n) -> int:
-    if n is not None:
-        return int(n)
-    if isinstance(objective, AllocationObjective):
-        return objective.problem.n
-    raise ValueError("n is required when the objective is a bare callable")
-
-
-def coordinate_descent(objective, budget: float, n: int | None = None,
-                       seeds: Sequence[EnergyVector] | None = None,
-                       min_step: float = DESCENT_MIN_STEP,
-                       pass_cap: int = DESCENT_PASS_CAP) -> AllocationResult:
-    """Pairwise mass-transfer descent from each seed; best result wins.
-
-    At each step size (halving from 1 down to min_step) every ordered entry
-    pair is offered a transfer; a move is kept when it improves the
-    objective by more than IMPROVEMENT_EPS.  Runs hitting the pass cap are
-    flagged non-converged.
+    At each step size (halving from 1 down to DESCENT_MIN_STEP) every
+    ordered entry pair is offered a transfer; a move is kept when it
+    improves fn by more than IMPROVEMENT_EPS.  Runs hitting
+    DESCENT_PASS_CAP passes are flagged non-converged.
     """
-    n = _objective_n(objective, n)
-    fn = _objective_callable(objective, n)
     if seeds is None:
         seeds = [uniform_allocation(budget, n)]
     best = None
@@ -204,7 +161,7 @@ def coordinate_descent(objective, budget: float, n: int | None = None,
         passes = 0
         step = 1.0
         converged = False
-        while passes < pass_cap:
+        while passes < DESCENT_PASS_CAP:
             improved = False
             for a in range(n):
                 for b in range(n):
@@ -221,7 +178,7 @@ def coordinate_descent(objective, budget: float, n: int | None = None,
                         improved = True
             passes += 1
             if not improved:
-                if step <= min_step:
+                if step <= DESCENT_MIN_STEP:
                     converged = True
                     break
                 step /= 2.0
@@ -252,16 +209,21 @@ def _lattice_size(total_ticks: int, n: int) -> int:
     return comb(total_ticks + n - 1, n - 1)
 
 
-def grid_search(objective, budget: float, n: int | None = None,
-                resolution: float = 0.05) -> AllocationResult:
-    """Exhaustive search over the budget simplex at the given spacing.
+def _check_budget(budget: float) -> None:
+    if not 0 <= budget < np.inf:  # false on NaN too
+        raise ValueError(f"budget must be finite and >= 0, got {budget}")
 
-    Every lattice point spends the budget exactly.  The variance objective
-    runs vectorized; other objectives are evaluated pointwise and get a
-    tighter lattice-size guard.
+
+def grid_search(fn: Callable[[EnergyVector], float], budget: float, n: int,
+                resolution: float = 0.05) -> AllocationResult:
+    """Exhaustive search of fn over the budget simplex at the given spacing.
+
+    Every lattice point spends the budget exactly.  ue_variance runs
+    vectorized; other functions are evaluated pointwise and get a tighter
+    lattice-size guard.
     """
-    n = _objective_n(objective, n)
-    if resolution <= 0:
+    _check_budget(budget)
+    if not resolution > 0:  # false on NaN too
         raise ValueError("resolution must be positive")
     ticks = int(round(budget / resolution))
     if abs(ticks * resolution - budget) > 1e-9 * max(budget, 1.0):
@@ -271,7 +233,7 @@ def grid_search(objective, budget: float, n: int | None = None,
         raise ResourceLimitError(f"simplex lattice has {size} points (cap {GRID_POINT_CAP})")
     lattice = _simplex_lattice(ticks, n) * resolution
 
-    if _is_ue_variance(objective):
+    if fn is ue_variance:
         q = np.exp2(-lattice)
         values = ((1.0 - q) * q).sum(axis=1)
         best_idx = int(np.argmin(values))
@@ -281,7 +243,6 @@ def grid_search(objective, budget: float, n: int | None = None,
     if size > GRID_SLOW_POINT_CAP:
         raise ResourceLimitError(
             f"{size} pointwise objective evaluations exceed the cap {GRID_SLOW_POINT_CAP}")
-    fn = _objective_callable(objective, n)
     best_idx, best_value = 0, float("inf")
     for i in range(size):
         value = fn(energy_vector(lattice[i]))
@@ -291,15 +252,13 @@ def grid_search(objective, budget: float, n: int | None = None,
                             "grid", True, size)
 
 
-def optimize_allocation(objective, budget: float, n: int | None = None,
+def optimize_allocation(fn: Callable[[EnergyVector], float], budget: float, n: int,
                         method: str = "coordinate_descent",
-                        resolution: float = 0.05,
-                        seeds: Sequence[EnergyVector] | None = None) -> AllocationResult:
-    """Minimize the objective over allocations with total <= budget."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+                        resolution: float = 0.05) -> AllocationResult:
+    """Minimize fn over allocations with total <= budget."""
+    _check_budget(budget)
     if method == "coordinate_descent":
-        return coordinate_descent(objective, budget, n, seeds)
+        return coordinate_descent(fn, budget, n)
     if method == "grid":
-        return grid_search(objective, budget, n, resolution)
+        return grid_search(fn, budget, n, resolution)
     raise ValueError(f"unknown method {method!r}; expected coordinate_descent or grid")

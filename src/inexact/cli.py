@@ -42,12 +42,12 @@ from .decoders import (
     per_input_error,
 )
 from .allocators import (
-    AllocationObjective,
     analytic_allocation,
     optimize_allocation,
+    ue_variance,
     uniform_allocation,
 )
-from .mobs import METRIC_KINDS, mobs, table2_rows
+from .mobs import METRIC_KINDS, error_objective, mobs, table2_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -178,19 +178,19 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 # config assembly
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags (parser defaults are None)."""
-    cli = {k: v for k, v in vars(args).items()
-           if k not in ("command", "config") and v is not None}
+    """defaults < config file < explicit flags.  Every flag is a key, None
+    (the parser's default) unless the handler's defaults say otherwise."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text())
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults) - set(vars(args))
+        unknown = set(file_cfg) - set(vars(args))
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**defaults, **file_cfg, **cli}
-    return merged
+    return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
 
 
 def _problem_from(cfg: dict) -> BooleanProblem:
@@ -267,9 +267,7 @@ def _budget_list(raw) -> list[float] | None:
 # subcommand handlers
 
 def _cmd_eval(args) -> int:
-    defaults = {"problem": None, "n": None, "tribe_count": None, "k": None,
-                "count": None, "width": None, "table": None, "bits": None,
-                "format": "plain", "output": None}
+    defaults = {"format": "plain"}
     cfg = _merge_config(args, defaults)
     problem = _problem_from(cfg)
     if not cfg.get("bits"):
@@ -286,13 +284,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    defaults = {"problem": None, "n": None, "tribe_count": None, "k": None,
-                "count": None, "width": None, "table": None,
-                "energies": None, "energies_file": None, "allocation": None,
-                "budget": None, "group": "identity", "generators": None,
-                "decoder": "identity", "loss": "exact", "mode": None,
-                "samples": DEFAULT_SAMPLES, "seed": 0, "input": None,
-                "format": "json", "output": None}
+    defaults = {"group": "identity", "decoder": "identity", "loss": "exact",
+                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}
     cfg = _merge_config(args, defaults)
     problem = _problem_from(cfg)
     energies = _energies_from(cfg, problem)
@@ -345,11 +338,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    defaults = {"problem": None, "n": None, "tribe_count": None, "k": None,
-                "count": None, "width": None, "table": None,
-                "metric": None, "decoder": "identity", "group": "identity",
-                "generators": None, "budget": None, "method": "coordinate_descent",
-                "resolution": 0.05, "format": "json", "output": None}
+    defaults = {"decoder": "identity", "group": "identity",
+                "method": "coordinate_descent", "resolution": 0.05, "format": "json"}
     cfg = _merge_config(args, defaults)
     problem = _problem_from(cfg)
     if cfg.get("budget") is None:
@@ -357,13 +347,12 @@ def _cmd_allocate(args) -> int:
     budget = float(cfg["budget"])
     metric = cfg.get("metric") or "ue_variance"
     if metric == "ue_variance":
-        objective = "ue_variance"
+        fn = ue_variance
     elif metric in METRIC_KINDS:
-        group = _group_from(cfg, problem.n)
-        objective = AllocationObjective(problem, metric, cfg["decoder"], group)
+        fn = error_objective(problem, metric, _group_from(cfg, problem.n), cfg["decoder"])
     else:
         raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
-    result = optimize_allocation(objective, budget, problem.n,
+    result = optimize_allocation(fn, budget, problem.n,
                                  method=cfg["method"],
                                  resolution=float(cfg["resolution"]))
     cfg["command"] = "allocate"
@@ -382,12 +371,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_mobs(args) -> int:
-    defaults = {"problem": None, "n": None, "tribe_count": None, "k": None,
-                "count": None, "width": None, "table": None,
-                "metric": None, "decoder": "identity", "group": "symmetric",
-                "generators": None, "budgets": None, "mode": None,
-                "samples": DEFAULT_SAMPLES, "seed": 0,
-                "format": "json", "output": None}
+    defaults = {"decoder": "identity", "group": "symmetric",
+                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}
     cfg = _merge_config(args, defaults)
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
@@ -408,8 +393,7 @@ def _cmd_mobs(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    defaults = {"sigma": 1.0, "vdd": None, "vdd_min": 0.0, "vdd_max": None,
-                "steps": 101, "format": "csv", "output": None}
+    defaults = {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}
     cfg = _merge_config(args, defaults)
     sigma = float(cfg["sigma"])
     if cfg.get("vdd") is not None:
@@ -434,8 +418,7 @@ def _cmd_curve(args) -> int:
 def _cmd_table2(args) -> int:
     defaults = {"sizes": "4,6,8", "comparison_widths": "2,3,4",
                 "sorting_shapes": "4x2", "mode": "exact",
-                "samples": DEFAULT_SAMPLES, "seed": 0,
-                "format": "csv", "output": None}
+                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "csv"}
     cfg = _merge_config(args, defaults)
     sizes = [int(tok) for tok in str(cfg["sizes"]).split(",") if tok.strip()]
     widths = [int(tok) for tok in str(cfg["comparison_widths"]).split(",") if tok.strip()]

@@ -164,11 +164,11 @@ def cmos_correctness_probability(vdd, sigma: float = 1.0):
     probability 0.5 * erfc(vdd / (2 * sqrt(2) * sigma)); vdd = 0 reads at
     chance (p = 0.5) and large vdd approaches certainty.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # false on NaN too
         raise ValueError("sigma must be positive")
     arr = np.asarray(vdd, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("vdd must be >= 0")
+    if not np.all(arr >= 0):
+        raise ValueError("vdd must be >= 0 and not NaN")
     p = 1.0 - 0.5 * erfc(arr / (2.0 * np.sqrt(2.0) * sigma))
     return float(p) if arr.ndim == 0 else p
 
@@ -176,7 +176,7 @@ def cmos_correctness_probability(vdd, sigma: float = 1.0):
 def equivalent_energy(p_correct) -> np.ndarray | float:
     """Energy whose flip probability matches 1 - p_correct (log2 scale)."""
     arr = np.asarray(p_correct, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         e = -np.log2(1.0 - arr)

@@ -36,6 +36,7 @@ from inexact import (
     staircase_allocation,
     table2_rows,
     truth_table,
+    ue_variance,
     uniform_allocation,
 )
 from inexact.allocators import grid_search
@@ -113,8 +114,8 @@ def test_criterion_3_ue_uniform_optimality(capsys):
     all_uniform = True
     for n in (2, 3, 4):
         budget = n * (n + 1) / 2.0
-        grid = grid_search("ue_variance", budget, n=n, resolution=0.05)
-        walked = optimize_allocation("ue_variance", budget, n=n)
+        grid = grid_search(ue_variance, budget, n=n, resolution=0.05)
+        walked = optimize_allocation(ue_variance, budget, n=n)
         grid_uniform = bool(np.all(np.abs(grid.energies.entries - budget / n) <= 0.05))
         walk_uniform = bool(np.all(np.abs(walked.energies.entries - budget / n) <= 0.05))
         all_uniform = all_uniform and grid_uniform and walk_uniform

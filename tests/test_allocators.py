@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inexact.allocators import (
-    AllocationObjective,
     AllocationResult,
     analytic_allocation,
     comparison_allocation,
@@ -19,6 +18,7 @@ from inexact.allocators import (
     water_filled_ramp,
 )
 from inexact.bits import ResourceLimitError
+from inexact.mobs import error_objective
 from inexact.noise import energy_vector
 from inexact.problems import binary_evaluation, comparison_problem, or_problem, \
     sorting_problem, unary_evaluation
@@ -126,7 +126,7 @@ def test_ue_variance_examples():
 def test_uniform_split_minimizes_ue_variance():
     uniform = ue_variance(uniform_allocation(4.0, 2))
     assert uniform <= ue_variance(energy_vector([1.0, 3.0])) + 1e-12
-    grid = grid_search("ue_variance", 4.0, n=2, resolution=0.05)
+    grid = grid_search(ue_variance, 4.0, n=2, resolution=0.05)
     assert np.allclose(grid.energies.entries, 2.0, atol=1e-9)
 
 
@@ -138,7 +138,7 @@ def test_pairwise_averaging_reduces_ue_variance():
 
 
 def test_ue_variance_grid_minimum_is_a_corner():
-    result = grid_search("ue_variance", 4.0, n=2, resolution=0.05)
+    result = grid_search(ue_variance, 4.0, n=2, resolution=0.05)
     assert result.method == "grid"
     assert result.converged
     top = np.sort(result.energies.entries)
@@ -147,7 +147,7 @@ def test_ue_variance_grid_minimum_is_a_corner():
 
 
 def test_descent_walks_off_the_uniform_variance_plateau():
-    result = coordinate_descent("ue_variance", 4.0, n=2)
+    result = coordinate_descent(ue_variance, 4.0, n=2)
     assert result.converged
     assert result.objective_value < ue_variance(uniform_allocation(4.0, 2)) - 0.01
     assert np.allclose(np.sort(result.energies.entries), [0.0, 4.0], atol=1e-6)
@@ -168,19 +168,20 @@ def test_grid_matches_exhaustive_oracle():
 
 
 def test_grid_lattice_covers_simplex():
-    result = grid_search("ue_variance", 0.3, n=3, resolution=0.1)
+    result = grid_search(ue_variance, 0.3, n=3, resolution=0.1)
     # compositions of 3 ticks into 3 parts: C(5, 2) = 10
     assert result.evaluations == math.comb(5, 2)
     assert result.energies.budget == pytest.approx(0.3, abs=1e-12)
 
 
 def test_grid_validation_and_caps():
+    for resolution in (0.0, math.nan):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            grid_search(ue_variance, 1.0, n=2, resolution=resolution)
     with pytest.raises(ValueError):
-        grid_search("ue_variance", 1.0, n=2, resolution=0.0)
-    with pytest.raises(ValueError):
-        grid_search("ue_variance", 1.03, n=2, resolution=0.05)
+        grid_search(ue_variance, 1.03, n=2, resolution=0.05)
     with pytest.raises(ResourceLimitError):
-        grid_search("ue_variance", 50.0, n=6, resolution=0.05)
+        grid_search(ue_variance, 50.0, n=6, resolution=0.05)
     with pytest.raises(ResourceLimitError):
         # under the vectorized cap but over the pointwise one
         grid_search(lambda ev: 0.0, 10.0, n=4, resolution=0.05)
@@ -189,16 +190,16 @@ def test_grid_validation_and_caps():
 def test_or_worst_error_grid_minimum_is_uniform():
     # unlike the variance objective, the OR worst error really is best
     # split evenly: it equals 1 - prod(1 - 2**-e_j)
-    objective = AllocationObjective(or_problem(2), "worst_correctness")
-    result = grid_search(objective, 4.0, resolution=0.25)
+    objective = error_objective(or_problem(2), "worst_correctness")
+    result = grid_search(objective, 4.0, 2, resolution=0.25)
     assert np.allclose(result.energies.entries, [2.0, 2.0], atol=1e-12)
     assert result.objective_value == pytest.approx(1 - 0.75 ** 2, abs=1e-12)
 
 
 def test_descent_reaches_the_ramp_bound_for_be():
-    objective = AllocationObjective(binary_evaluation(3), "expected_magnitude")
+    objective = error_objective(binary_evaluation(3), "expected_magnitude")
     result = coordinate_descent(
-        objective, 6.0,
+        objective, 6.0, 3,
         seeds=[uniform_allocation(6.0, 3), analytic_allocation(binary_evaluation(3), 6.0)])
     assert result.converged
     assert result.objective_value <= 1.5 + 1e-9
@@ -208,8 +209,8 @@ def test_descent_reaches_the_ramp_bound_for_be():
 def test_descent_stalls_at_uniform_for_symmetric_problems():
     for n in (3, 6):
         for build in (or_problem, unary_evaluation):
-            objective = AllocationObjective(build(n), "worst_correctness")
-            result = coordinate_descent(objective, float(n))
+            objective = error_objective(build(n), "worst_correctness")
+            result = coordinate_descent(objective, float(n), n)
             assert result.converged
             assert np.allclose(result.energies.entries, 1.0, atol=1e-9)
 
@@ -245,13 +246,11 @@ def test_be_ramp_beats_uniform_twofold_from_n4():
 
 def test_descent_seed_validation():
     with pytest.raises(ValueError):
-        coordinate_descent("ue_variance", 4.0, n=2,
+        coordinate_descent(ue_variance, 4.0, n=2,
                            seeds=[uniform_allocation(4.0, 3)])
     with pytest.raises(ValueError):
-        coordinate_descent("ue_variance", 4.0, n=2,
+        coordinate_descent(ue_variance, 4.0, n=2,
                            seeds=[uniform_allocation(8.0, 2)])
-    with pytest.raises(ValueError):
-        coordinate_descent(lambda ev: 0.0, 4.0)  # bare callable needs n
     with pytest.raises(TypeError):
         coordinate_descent(12345, 4.0, n=2)
 
@@ -259,26 +258,32 @@ def test_descent_seed_validation():
 @given(st.integers(2, 4), st.floats(0.5, 6.0, allow_nan=False))
 @settings(max_examples=20, deadline=None)
 def test_descent_respects_the_budget(n, budget):
-    result = coordinate_descent("ue_variance", budget, n=n)
+    result = coordinate_descent(ue_variance, budget, n=n)
     assert np.all(result.energies.entries >= -1e-12)
     assert result.energies.budget <= budget + 1e-9
 
 
 def test_optimize_allocation_dispatch():
-    assert optimize_allocation("ue_variance", 2.0, n=2).method == "coordinate_descent"
-    assert optimize_allocation("ue_variance", 2.0, n=2, method="grid",
+    assert optimize_allocation(ue_variance, 2.0, n=2).method == "coordinate_descent"
+    assert optimize_allocation(ue_variance, 2.0, n=2, method="grid",
                                resolution=0.5).method == "grid"
     with pytest.raises(ValueError):
-        optimize_allocation("ue_variance", 2.0, n=2, method="annealing")
+        optimize_allocation(ue_variance, 2.0, n=2, method="annealing")
     with pytest.raises(ValueError):
-        optimize_allocation("ue_variance", -2.0, n=2)
+        optimize_allocation(ue_variance, -2.0, n=2)
+    for budget in (math.inf, 1e400, math.nan):
+        for method in ("coordinate_descent", "grid"):
+            with pytest.raises(ValueError, match="budget must be finite"):
+                optimize_allocation(ue_variance, budget, n=2, method=method)
+        with pytest.raises(ValueError, match="budget must be finite"):
+            grid_search(ue_variance, budget, n=2)
     with pytest.raises(ValueError):
-        objective = AllocationObjective(or_problem(3), "worst_correctness")
+        objective = error_objective(or_problem(3), "worst_correctness")
         coordinate_descent(objective, 2.0, n=2)  # problem width disagrees
 
 
 def test_allocation_result_json():
-    result = grid_search("ue_variance", 1.0, n=2, resolution=0.5)
+    result = grid_search(ue_variance, 1.0, n=2, resolution=0.5)
     body = result.to_json()
     assert set(body) == {"energies", "budget", "method", "converged",
                         "objective_value", "evaluations"}

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inexact import __version__
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.cli import config_hash, emit_json, fmt, jsonable, main
+from inexact.cli import build_parser, config_hash, emit_json, fmt, jsonable, main
 from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
 from inexact.noise import energy_vector
 from inexact.problems import binary_evaluation, or_problem
@@ -105,6 +107,16 @@ def test_curve_grid_is_monotone(capsys):
     assert ps[0] == 0.5
     assert all(b > a for a, b in zip(ps, ps[1:]))
     assert ps[-1] > 1 - 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--sigma", "nan", "--vdd", "1"],
+                                   ["--vdd", "nan"],
+                                   ["--vdd-max", "inf"]])  # linspace yields NaN
+def test_curve_rejects_nan_instead_of_emitting_it(capsys, flags):
+    code, out, err = run(capsys, "curve", *flags, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_simulate_exact_csv_matches_profile(capsys):
@@ -260,6 +272,35 @@ def test_allocate_requires_budget(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("method", ["coordinate_descent", "grid"])
+@pytest.mark.parametrize("budget", ["inf", "1e400", "nan"])
+def test_allocate_rejects_a_budget_it_cannot_split(capsys, method, budget):
+    code, out, err = run(capsys, "allocate", "--problem", "ue", "--n", "2",
+                         "--budget", budget, "--method", method)
+    assert code == 2 and out == ""
+    assert "budget must be finite" in err
+
+
+CONFIG_RUNS = {
+    "eval": ["--problem", "be", "--n", "3", "--bits", "101", "--format", "json"],
+    "simulate": ["--problem", "or", "--n", "2", "--energies", "1,1"],
+    "allocate": ["--problem", "ue", "--n", "2", "--budget", "2"],
+    "mobs": ["--problem", "or", "--n", "2", "--budgets", "2"],
+    "curve": ["--vdd", "1", "--format", "json"],
+    "table2": ["--sizes", "2", "--comparison-widths", "2", "--sorting-shapes", "2x1",
+               "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_emitted_config_holds_every_flag(capsys, command):
+    # the resolved config names every flag of the subcommand, set or not
+    code, out, _ = run(capsys, command, *CONFIG_RUNS[command])
+    assert code == 0
+    dests = set(vars(build_parser().parse_args([command])))
+    assert set(json.loads(out)["config"]) == dests - {"config"}
+
+
 def test_mobs_csv_row(capsys):
     code, out, _ = run(capsys, "mobs", "--problem", "or", "--n", "4",
                        "--format", "csv")
@@ -339,3 +380,29 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     first = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first
+
+
+def _readme_cli_tour():
+    """(argv, expected output lines) of each `$ inexact ...` command in the
+    README's CLI tour; a `...` line stands for the provenance preamble."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in tour.split("```")[1::2]:
+        for line in block.strip("\n").split("\n"):
+            if line.startswith("$ inexact "):
+                commands.append((shlex.split(line[len("$ inexact "):]), []))
+            elif line and line != "...":
+                commands[-1][1].append(line)
+    return commands
+
+
+def test_readme_cli_tour_runs_as_shown(capsys):
+    commands = _readme_cli_tour()
+    assert len(commands) == 6
+    for argv, expected in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        shown = [line for line in out.split("\n") if line and not
+                 line.startswith(("# version=", "# config_sha256=", "# config="))]
+        assert shown == expected, argv

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from inexact.adversary import FullSymmetricGroup, IdentityGroup, \
     average_pattern_probabilities
-from inexact.allocators import AllocationObjective, analytic_allocation, \
-    comparison_allocation, coordinate_descent, grid_search, staircase_allocation, \
-    uniform_allocation
+from inexact.allocators import analytic_allocation, comparison_allocation, \
+    coordinate_descent, grid_search, staircase_allocation, uniform_allocation, \
+    water_filled_ramp
 from inexact.bits import popcount_table
 from inexact.mobs import (
     aggregate_error,
@@ -19,6 +19,7 @@ from inexact.mobs import (
     comparison_wrong_probability,
     default_budget_grid,
     default_metric,
+    error_objective,
     expensive_pairs_instance,
     mobs,
     pair_wrong_probability,
@@ -233,7 +234,8 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error():
     for metric, strategy in (("expected_magnitude", "identity"),
                              ("worst_correctness", "identity"),
                              ("worst_correctness", "map")):
-        got = grid_search(AllocationObjective(be, metric, strategy), 3.0, resolution=0.5)
+        got = grid_search(error_objective(be, metric, None, strategy), 3.0, 3,
+                          resolution=0.5)
         want = grid_search(lambda ev: aggregate_error(be, ev, None, metric, strategy),
                            3.0, 3, resolution=0.5)
         assert got.to_json() == want.to_json()
@@ -254,6 +256,25 @@ def test_uniform_split_is_the_blindfolded_champion():
                 draw = energy_vector(budget * rng.dirichlet(np.ones(n)))
                 assert aggregate_error(problem, draw, group) >= floor - 1e-12, \
                     (kind, n, budget, draw.entries)
+
+
+def test_descent_finds_nothing_below_the_uniform_split():
+    # a real search of the blindfolded objective, started off uniform, ends
+    # no lower than the uniform split mobs plays on that side
+    rng = np.random.default_rng(2017)
+    n = 6
+    for kind in ("be", "or", "ue", "tribes"):
+        problem = build_problem(kind, n)
+        objective = error_objective(problem, None, FullSymmetricGroup(n))
+        for budget in default_budget_grid(n):
+            floor = objective(blindfolded_champion(problem, budget))
+            seeds = [water_filled_ramp(n, budget)]
+            seeds += [energy_vector(budget * rng.dirichlet(np.full(n, 0.5)))
+                      for _ in range(3)]
+            result = coordinate_descent(objective, budget, n, seeds)
+            assert result.converged, (kind, budget)
+            assert result.objective_value >= floor * (1 - 1e-9), \
+                (kind, budget, result.energies.entries)
 
 
 def test_mobs_is_one_for_fully_symmetric_kinds():

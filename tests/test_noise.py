@@ -231,6 +231,19 @@ def test_equivalent_energy_inverts_flip_probability():
         assert equivalent_energy(1.0 - flip_probability(e)) == pytest.approx(e, abs=1e-9)
 
 
+def test_cmos_and_equivalent_energy_reject_nan():
+    # NaN fails every comparison, so the range checks must be phrased as
+    # "is in range", not "is out of range"
+    with pytest.raises(ValueError):
+        cmos_correctness_probability(1.0, float("nan"))
+    with pytest.raises(ValueError):
+        cmos_correctness_probability(np.array([1.0, np.nan]), 1.0)
+    with pytest.raises(ValueError):
+        equivalent_energy(float("nan"))
+    with pytest.raises(ValueError):
+        equivalent_energy(np.array([0.5, np.nan]))
+
+
 def test_energy_json_round_trip(tmp_path):
     ev = energy_vector([0.25, 3.0, 1.125])
     path = tmp_path / "energies.json"
