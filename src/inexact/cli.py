@@ -179,7 +179,8 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags.  Every flag is a key, None
-    (the parser's default) unless the handler's defaults say otherwise."""
+    (the parser's default) unless the handler's defaults say otherwise.  A
+    file value must be one its flag would accept."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
@@ -190,6 +191,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(vars(args))
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        for flag in commands.choices[args.command]._actions:
+            if flag.choices and file_cfg.get(flag.dest) not in (None, *flag.choices):
+                raise ValueError(f"config key {flag.dest!r} must be one of "
+                                 f"{list(flag.choices)}, got {file_cfg[flag.dest]!r}")
     return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
 
 
@@ -399,11 +405,16 @@ def _cmd_curve(args) -> int:
     if cfg.get("vdd") is not None:
         grid = [float(cfg["vdd"])]
     else:
-        top = float(cfg["vdd_max"]) if cfg.get("vdd_max") is not None else 10.0 * sigma
+        bottom, top, top_flag = float(cfg["vdd_min"]), 10.0 * sigma, "--sigma"
+        if cfg.get("vdd_max") is not None:
+            top, top_flag = float(cfg["vdd_max"]), "--vdd-max"
+        for flag, end in (("--vdd-min", bottom), (top_flag, top)):
+            if not math.isfinite(end):  # np.linspace would warn and yield NaN
+                raise ValueError(f"{flag} must be finite for a vdd grid, got {end}")
         steps = int(cfg["steps"])
         if steps < 1:
             raise ValueError("--steps must be >= 1")
-        grid = np.linspace(float(cfg["vdd_min"]), top, steps).tolist()
+        grid = np.linspace(bottom, top, steps).tolist()
     cfg["command"] = "curve"
     rows = [(v, sigma, float(cmos_correctness_probability(v, sigma))) for v in grid]
     if cfg["format"] == "json":
@@ -445,7 +456,7 @@ def _cmd_table2(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub, *names):
+def _add_common(sub, formats, *names):
     if "problem" in names:
         sub.add_argument("--problem", choices=PROBLEM_KINDS)
         sub.add_argument("--n", type=int)
@@ -463,7 +474,7 @@ def _add_common(sub, *names):
         sub.add_argument("--group", choices=GROUP_KINDS)
         sub.add_argument("--generators")
     sub.add_argument("--config")
-    sub.add_argument("--format", choices=["plain", "csv", "json"])
+    sub.add_argument("--format", choices=formats)
     sub.add_argument("--output")
 
 
@@ -475,11 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("eval", help="apply a problem to one input")
-    _add_common(p, "problem")
+    _add_common(p, ["plain", "json"], "problem")
     p.add_argument("--bits", help="input bits, most significant first")
 
     p = commands.add_parser("simulate", help="per-input error report")
-    _add_common(p, "problem", "energies", "group")
+    _add_common(p, ["csv", "json"], "problem", "energies", "group")
     p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--loss", choices=["exact", "absolute"])
     p.add_argument("--mode", choices=["exact", "monte_carlo"])
@@ -488,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="restrict to one input row (bits, MSB first)")
 
     p = commands.add_parser("allocate", help="search for an energy allocation")
-    _add_common(p, "problem", "group")
+    _add_common(p, ["csv", "json"], "problem", "group")
     p.add_argument("--metric")
     p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--budget", type=float)
@@ -496,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float)
 
     p = commands.add_parser("mobs", help="blindfolded-vs-clairvoyant price")
-    _add_common(p, "problem", "group")
+    _add_common(p, ["csv", "json"], "problem", "group")
     p.add_argument("--metric", choices=list(METRIC_KINDS))
     p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--budgets", help="comma-separated energy budgets")

@@ -4,20 +4,21 @@ The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
 The blindfolded side always plays the uniform allocation (non-uniform
 vectors cannot improve any per-bit marginal once the adversary shuffles
-them); the clairvoyant side is found by coordinate descent seeded with the
-uniform vector and a kind-appropriate closed-form allocation.  Because the
-clairvoyant search starts at the blindfolded champion's own vector, the
-ratio can never sit below 1 (up to descent tolerance).
+them; MAP decoding is the exception, see mobs); the clairvoyant side is
+found by coordinate descent seeded with the uniform vector and a
+kind-appropriate closed-form allocation.  Because the clairvoyant search
+starts at the blindfolded champion's own vector, the ratio can never sit
+below 1 (up to descent tolerance).
 
-Every search (the descent here, the allocate subcommand, grid search) scores
-energies through error_objective.  For per-input metrics it scores through
-one profile function per problem and loss (one truth table); under the
-identity decoder that function is one decoders.ErrorAnalysis, whose loss
-matrix depends on neither the energies nor the group, so an evaluation is
-one matrix-vector product.  mobs builds one truth table per call, and in
-exact mode the profile function once, from which it also takes both
-champions' per-input profiles.  The pair-weighted metrics evaluate their
-closed form, averaged over the group's rewirings of the energies.
+Each metric is one profile function, (energies, group) -> errors: one entry
+per input row for the per-input metrics (one truth table; under the identity
+decoder one decoders.ErrorAnalysis, whose loss matrix depends on neither the
+energies nor the group, so an evaluation is one matrix-vector product), and
+one entry for the pair-weighted metrics (their closed form averaged over the
+group's rewirings of the energies).  Every search scores through
+error_objective, the worst entry.  Per budget, exact mobs descends on the
+identity-group objective and compares both champions' profiles entry for
+entry; sampled mode estimates the per-input profiles on probe rows instead.
 
 Metrics:
 
@@ -43,7 +44,7 @@ import numpy as np
 from .bits import as_rng
 from .noise import EnergyVector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
-from .problems import BooleanProblem, TruthTable, truth_table
+from .problems import BooleanProblem, truth_table
 from .decoders import (
     ErrorAnalysis,
     build_decoder,
@@ -52,7 +53,6 @@ from .decoders import (
     monte_carlo_error,
 )
 from .allocators import (
-    AllocationResult,
     analytic_allocation,
     coordinate_descent,
     uniform_allocation,
@@ -64,8 +64,6 @@ METRIC_KINDS = ("worst_correctness", "expected_magnitude",
 # per-input metrics score each input row under a decoder loss; the other
 # metrics are pair-weighted aggregates
 _PER_INPUT_LOSS = {"worst_correctness": "exact", "expected_magnitude": "absolute"}
-
-RATIO_TOLERANCE = 1e-9
 
 
 def default_metric(problem: BooleanProblem) -> str:
@@ -183,11 +181,9 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, energies: EnergyVect
     return total
 
 
-def _group_average(fn, group: PermutationGroup | None, energies: EnergyVector) -> float:
+def _group_average(fn, group: PermutationGroup, energies: EnergyVector) -> float:
     """Average fn over the group's rewirings of the energies (exact), in
     element order: the row for sigma gives bit j the entry sigma[j]."""
-    if group is None:
-        return fn(energies)
     if energies.n != group.n:
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if isinstance(group, IdentityGroup) or np.ptp(energies.entries) == 0.0:
@@ -196,22 +192,41 @@ def _group_average(fn, group: PermutationGroup | None, energies: EnergyVector) -
     return float(np.mean([fn(EnergyVector(row)) for row in rows]))
 
 
-def _profile_function(table: TruthTable, metric: str, decoder_strategy: str):
-    """(energies, group) -> per-input error profile of a per-input metric.
+def _profile_function(problem: BooleanProblem, metric: str, decoder_strategy: str,
+                      instance=None):
+    """(energies, group) -> error profile of the metric.
 
-    The given truth table serves every call.  Under the identity decoder
-    every call also shares one ErrorAnalysis; MAP decoding rebuilds its
-    decoder for each energy vector and group.
+    A per-input metric profiles every input row from one truth table; under
+    the identity decoder every call also shares one ErrorAnalysis, while MAP
+    decoding rebuilds its decoder for each energy vector and group.  A
+    pair-weighted metric profiles as one entry: its closed form averaged
+    over the group's rewirings of the energies.
     """
-    loss = _PER_INPUT_LOSS[metric]
-    if decoder_strategy == "identity":
-        return ErrorAnalysis(table, identity_decoder(table), loss).profile
+    if metric in _PER_INPUT_LOSS:
+        table = truth_table(problem)
+        loss = _PER_INPUT_LOSS[metric]
+        if decoder_strategy == "identity":
+            return ErrorAnalysis(table, identity_decoder(table), loss).profile
 
-    def profile(energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
-        decoder = build_decoder(decoder_strategy, table, energies, group)
-        return error_profile(table, energies, group, decoder, loss)
+        def profile(energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
+            decoder = build_decoder(decoder_strategy, table, energies, group)
+            return error_profile(table, energies, group, decoder, loss)
 
-    return profile
+        return profile
+    if metric == "comparison_weighted":
+        if problem.kind != "comparison":
+            raise ValueError("comparison_weighted needs a comparison problem")
+        direct = lambda ev: _comparison_weighted_error_direct(problem, ev)
+    elif metric == "sorting_weighted":
+        if problem.kind != "sorting":
+            raise ValueError("sorting_weighted needs a sorting problem")
+        if instance is None:
+            instance = expensive_pairs_instance(problem.params["count"],
+                                                problem.params["width"])
+        direct = lambda ev: _sorting_weighted_error_direct(problem, ev, instance)
+    else:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+    return lambda energies, group: np.array([_group_average(direct, group, energies)])
 
 
 def error_objective(problem: BooleanProblem, metric: str | None = None,
@@ -221,33 +236,16 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
     under the metric.
 
     This is the quantity the allocation searches minimize and the ratio in
-    the symmetry-price computation is built from.  Per-input metrics take
-    the worst row of one profile function (the given one, or one built
-    here), so the truth table, and under the identity decoder the loss
-    matrix, is built once per search.  Pair-weighted metrics average their
-    closed form over the group's rewirings.
+    the symmetry-price computation is built from: the worst entry of the
+    metric's profile function (the given one, or one built here, so a search
+    builds its truth table and loss matrix once).  No group means identity.
     """
     if metric is None:
         metric = default_metric(problem)
-    if metric in _PER_INPUT_LOSS:
-        g = group if group is not None else IdentityGroup(problem.n)
-        if profile is None:
-            profile = _profile_function(truth_table(problem), metric, decoder_strategy)
-        return lambda evec: float(profile(evec, g).max())
-    if metric == "comparison_weighted":
-        if problem.kind != "comparison":
-            raise ValueError("comparison_weighted needs a comparison problem")
-        return lambda evec: _group_average(
-            lambda ev: _comparison_weighted_error_direct(problem, ev), group, evec)
-    if metric == "sorting_weighted":
-        if problem.kind != "sorting":
-            raise ValueError("sorting_weighted needs a sorting problem")
-        if instance is None:
-            instance = expensive_pairs_instance(problem.params["count"],
-                                                problem.params["width"])
-        return lambda evec: _group_average(
-            lambda ev: _sorting_weighted_error_direct(problem, ev, instance), group, evec)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+    if profile is None:
+        profile = _profile_function(problem, metric, decoder_strategy, instance)
+    g = group if group is not None else IdentityGroup(problem.n)
+    return lambda evec: float(profile(evec, g).max())
 
 
 def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
@@ -279,26 +277,7 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# champions and the symmetry-price ratio
-
-def blindfolded_champion(problem: BooleanProblem, budget: float) -> EnergyVector:
-    return uniform_allocation(budget, problem.n)
-
-
-def clairvoyant_champion(problem: BooleanProblem, budget: float,
-                         metric: str | None = None,
-                         decoder_strategy: str = "identity",
-                         instance=None) -> AllocationResult:
-    """Coordinate descent from the uniform and closed-form seeds."""
-    objective = error_objective(problem, metric, IdentityGroup(problem.n),
-                                decoder_strategy, instance)
-    return _descend(problem, budget, objective)
-
-
-def _descend(problem: BooleanProblem, budget: float, objective) -> AllocationResult:
-    seeds = [uniform_allocation(budget, problem.n), analytic_allocation(problem, budget)]
-    return coordinate_descent(objective, budget, problem.n, seeds)
-
+# the symmetry-price ratio
 
 def _ratio(bf: float, cv: float) -> float:
     if cv == 0.0:
@@ -386,51 +365,39 @@ class MobsResult:
         return f"{self.problem_name},{self.n},{text},{self.mode}"
 
 
-def _exact_outcome(problem, budget, metric, decoder_strategy, group,
-                   profile) -> BudgetOutcome:
-    identity = IdentityGroup(problem.n)
-    bf_vec = blindfolded_champion(problem, budget)
-    cv = _descend(problem, budget,
-                  error_objective(problem, metric, identity, decoder_strategy,
-                                  profile=profile))
-    cv_profile = profile(cv.energies, identity)
-    bf_profile = profile(bf_vec, group)
-    ratios = np.array([_ratio(b, c) for b, c in zip(bf_profile, cv_profile)])
+def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
+             rows=None, std_errors=None) -> BudgetOutcome:
+    """One budget's outcome from both sides' profiles, entry for entry:
+    the worst entry ratio and the ratio of the worst entries.  rows names
+    the input row of each entry; None for a pair-weighted aggregate."""
+    ratios = np.array([_ratio(b, c) for b, c in zip(bf_rows, cv_rows)])
     worst = int(np.argmax(ratios))
-    return BudgetOutcome(budget, cv.energies, bf_vec,
-                         float(cv_profile.max()), float(bf_profile.max()),
-                         float(ratios[worst]),
-                         _ratio(float(bf_profile.max()), float(cv_profile.max())),
-                         worst, cv.converged)
+    cv_value, bf_value = float(np.max(cv_rows)), float(np.max(bf_rows))
+    return BudgetOutcome(budget, cv_energies, bf_energies, cv_value, bf_value,
+                         float(ratios[worst]), _ratio(bf_value, cv_value),
+                         None if rows is None else int(rows[worst]), converged,
+                         std_errors)
 
 
-def _sampled_outcome(problem, table, budget, metric, decoder_strategy, group,
-                     samples, rng) -> BudgetOutcome:
+def _sampled_outcome(problem, table, budget, bf_energies, metric, decoder_strategy,
+                     group, samples, rng) -> BudgetOutcome:
     # sampled mode skips the descent (each objective evaluation would be an
     # exact enumeration); the clairvoyant side plays its closed-form seed
     loss = _PER_INPUT_LOSS[metric]
-    bf_vec = blindfolded_champion(problem, budget)
     identity = IdentityGroup(problem.n)
     cv_energies = analytic_allocation(problem, budget)
     cv_decoder = build_decoder(decoder_strategy, table, cv_energies, identity)
-    bf_decoder = build_decoder(decoder_strategy, table, bf_vec, group)
+    bf_decoder = build_decoder(decoder_strategy, table, bf_energies, group)
     probes = _probe_inputs(problem, rng)
     cv_est, bf_est, cv_se, bf_se = {}, {}, {}, {}
     for i in probes:
-        cv_est[i], cv_se[i] = monte_carlo_error(table, cv_energies, identity,
-                                                cv_decoder, i, loss, samples, rng)
-        bf_est[i], bf_se[i] = monte_carlo_error(table, bf_vec, group,
-                                                bf_decoder, i, loss, samples, rng)
-    ratios = {i: _ratio(bf_est[i], cv_est[i]) for i in probes}
-    worst = max(probes, key=lambda i: ratios[i])
-    std = {"cv": {str(i): cv_se[i] for i in probes},
-           "bf": {str(i): bf_se[i] for i in probes},
-           "probes": [int(i) for i in probes]}
-    return BudgetOutcome(budget, cv_energies, bf_vec,
-                         max(cv_est.values()), max(bf_est.values()),
-                         float(ratios[worst]),
-                         _ratio(max(bf_est.values()), max(cv_est.values())),
-                         int(worst), True, std)
+        cv_est[i], cv_se[str(i)] = monte_carlo_error(table, cv_energies, identity,
+                                                     cv_decoder, i, loss, samples, rng)
+        bf_est[i], bf_se[str(i)] = monte_carlo_error(table, bf_energies, group,
+                                                     bf_decoder, i, loss, samples, rng)
+    std = {"cv": cv_se, "bf": bf_se, "probes": probes}
+    return _outcome(budget, cv_energies, bf_energies, list(cv_est.values()),
+                    list(bf_est.values()), True, probes, std)
 
 
 def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
@@ -442,16 +409,6 @@ def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
     return sorted(probes)
 
 
-def _aggregate_outcome(problem, budget, metric, decoder_strategy, group,
-                       instance) -> BudgetOutcome:
-    cv = clairvoyant_champion(problem, budget, metric, decoder_strategy, instance)
-    bf_vec = blindfolded_champion(problem, budget)
-    bf_value = aggregate_error(problem, bf_vec, group, metric, decoder_strategy, instance)
-    ratio = _ratio(bf_value, cv.objective_value)
-    return BudgetOutcome(budget, cv.energies, bf_vec, cv.objective_value, bf_value,
-                         ratio, ratio, None, cv.converged)
-
-
 def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
          group: PermutationGroup | None = None, decoder_strategy: str = "identity",
          mode: str = "exact", samples: int = 100_000, rng=None,
@@ -461,6 +418,11 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
     compare the scalar aggregates.  Exact mode enumerates; sampled mode
     estimates per-input errors on probe rows with standard errors attached.
+
+    Under MAP decoding the uniform split is not always the blindfolded
+    champion, so the price there can be overstated: for be at n = 4 under
+    S_4 at budget 4 it reads 15.0, where (0, 0, 4, 0) reads 10.578125
+    because MAP undoes the certain flip of an energy-0 bit.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -471,27 +433,34 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     if budget_grid is None:
         budget_grid = default_budget_grid(problem.n)
     budget_grid = [float(b) for b in budget_grid]
-    if not budget_grid or any(b < 0 for b in budget_grid):
-        raise ValueError("budget grid must be nonempty with budgets >= 0")
+    # not 0 <= b < inf is true on NaN too
+    if not budget_grid or any(not 0 <= b < np.inf for b in budget_grid):
+        raise ValueError("budget grid must be nonempty with finite budgets >= 0")
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}; expected exact or monte_carlo")
     rng = as_rng(rng)
 
     per_input = metric in _PER_INPUT_LOSS
-    table = truth_table(problem) if per_input else None
-    profile = (_profile_function(table, metric, decoder_strategy)
-               if per_input and mode == "exact" else None)
+    sampled = per_input and mode == "monte_carlo"
+    identity = IdentityGroup(problem.n)
+    if sampled:
+        table = truth_table(problem)
+    else:
+        profile = _profile_function(problem, metric, decoder_strategy, instance)
+        objective = error_objective(problem, metric, identity, profile=profile)
+    rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:
-        if not per_input:
-            outcomes.append(_aggregate_outcome(problem, budget, metric,
-                                               decoder_strategy, group, instance))
-        elif mode == "exact":
-            outcomes.append(_exact_outcome(problem, budget, metric,
-                                           decoder_strategy, group, profile))
-        else:
-            outcomes.append(_sampled_outcome(problem, table, budget, metric,
+        bf_energies = uniform_allocation(budget, problem.n)
+        if sampled:
+            outcomes.append(_sampled_outcome(problem, table, budget, bf_energies, metric,
                                              decoder_strategy, group, samples, rng))
+            continue
+        seeds = [bf_energies, analytic_allocation(problem, budget)]
+        cv = coordinate_descent(objective, budget, problem.n, seeds)
+        outcomes.append(_outcome(budget, cv.energies, bf_energies,
+                                 profile(cv.energies, identity),
+                                 profile(bf_energies, group), cv.converged, rows))
     used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric,
                       decoder_strategy, group.kind, used_mode, outcomes,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +110,28 @@ def test_curve_grid_is_monotone(capsys):
     assert ps[-1] > 1 - 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("flags", [["--sigma", "nan", "--vdd", "1"],
                                    ["--vdd", "nan"],
-                                   ["--vdd-max", "inf"]])  # linspace yields NaN
+                                   ["--vdd-max", "inf"]])
 def test_curve_rejects_nan_instead_of_emitting_it(capsys, flags):
     code, out, err = run(capsys, "curve", *flags, "--format", "json")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, named", [(["--vdd-max", "inf"], "--vdd-max"),
+                                          (["--vdd-min", "inf", "--vdd-max", "1"],
+                                           "--vdd-min"),
+                                          (["--sigma", "inf"], "--sigma")])
+def test_curve_rejects_an_infinite_grid_end_before_building_the_grid(capsys, flags,
+                                                                    named):
+    # an infinite end would reach np.linspace, which warns and yields NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "curve", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {named} must be finite for a vdd grid, got inf\n"
+    assert "RuntimeWarning" not in err
 
 
 def test_simulate_exact_csv_matches_profile(capsys):
@@ -310,6 +325,48 @@ def test_mobs_csv_row(capsys):
     assert lines == ["or,4,1,exact"]
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
+    code, out, err = run(capsys, "mobs", "--problem", "be", "--n", "4",
+                         "--budgets", budget)
+    assert code == 2 and out == ""
+    assert err == "error: budget grid must be nonempty with finite budgets >= 0\n"
+
+
+# sha256 of JSON mobs outputs through each branch of the per-budget price
+# step: a per-input metric under the symmetric group, a pair-weighted metric,
+# a pair-weighted metric under a generated group, MAP decoding, and seeded
+# Monte Carlo probes under a generated group
+PINNED_PRICES = {
+    "be-6":
+        (("--problem", "be", "--n", "6"),
+         "dd6e29c9e87040334b76db81f40054d2e9405b0e0dd30bfc5e51ce443ab30f58"),
+    "comparison-3":
+        (("--problem", "comparison", "--k", "3"),
+         "7294623df5591292785e1b7f43ae9465a156ceec3e9525c0a0e69af72f39e812"),
+    "sorting-2x2-generated":
+        (("--problem", "sorting", "--count", "2", "--width", "2", "--budgets", "1,3,5",
+          "--group", "generated", "--generators", "1,0,3,2"),
+         "1f11d17f43bfc5f1bc333305314df9ec81f2e751a229c66c4b81bfb8820f9667"),
+    "be-4-map":
+        (("--problem", "be", "--n", "4", "--decoder", "map"),
+         "254aaf6c04474addab1b092e0349e2f686b9b289046b2797c98f670a844571ea"),
+    "or-6-generated-monte-carlo":
+        (("--problem", "or", "--n", "6", "--group", "generated",
+          "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
+          "--seed", "2"),
+         "e36c0ff6c74735cf6861837e63740fe8c69b921fb8e165fa72896481dca7298c"),
+}
+
+
+@pytest.mark.parametrize("price", sorted(PINNED_PRICES))
+def test_price_outputs_are_pinned(capsys, price):
+    extra, digest = PINNED_PRICES[price]
+    code, out, _ = run(capsys, "mobs", *extra, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mobs_json_has_budget_outcomes(capsys):
     code, out, _ = run(capsys, "mobs", "--problem", "be", "--n", "2",
                        "--budgets", "2,3")
@@ -358,6 +415,36 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 
     code, _, _ = run(capsys, "eval", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_config_file_values_obey_the_flag_choices(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    code, out, err = run(capsys, "simulate", "--problem", "or", "--n", "2",
+                         "--energies", "1,1", "--input", "01", "--samples", "100",
+                         "--format", "csv", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "'mode'" in err and "'bogus'" in err
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_file_format_must_be_one_the_subcommand_writes(capsys, tmp_path,
+                                                              command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    argv = CONFIG_RUNS[command]
+    if "--format" in argv:
+        argv = argv[:argv.index("--format")] + argv[argv.index("--format") + 2:]
+    code, out, err = run(capsys, command, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "'format'" in err and "'xml'" in err
+
+
+@pytest.mark.parametrize("command, unwritten", [("mobs", "plain"), ("eval", "csv")])
+def test_format_flag_offers_only_what_the_subcommand_writes(command, unwritten):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CONFIG_RUNS[command], "--format", unwritten])
+    assert exc.value.code == 2
 
 
 def test_table2_tiny_run(capsys):
