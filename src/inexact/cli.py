@@ -180,7 +180,7 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags.  Every flag is a key, None
     (the parser's default) unless the handler's defaults say otherwise.  A
-    file value must be one its flag would accept."""
+    file value must be one its flag would accept, and null leaves it unset."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
@@ -196,7 +196,17 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             if flag.choices and file_cfg.get(flag.dest) not in (None, *flag.choices):
                 raise ValueError(f"config key {flag.dest!r} must be one of "
                                  f"{list(flag.choices)}, got {file_cfg[flag.dest]!r}")
+        file_cfg = {k: v for k, v in file_cfg.items() if v is not None}  # null: unset
     return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
+
+
+def _refuse_map_search(cfg: dict) -> None:
+    """Searches read bits through the identity decoder only."""
+    if cfg["decoder"] == "map":
+        raise ValueError("--decoder map cannot drive a search: MAP error is not "
+                         "monotone in energy (an energy-0 bit flips with certainty "
+                         "and MAP undoes the flip), so a search lands on plateau "
+                         "artifacts; use simulate for MAP error at given energies")
 
 
 def _problem_from(cfg: dict) -> BooleanProblem:
@@ -347,6 +357,7 @@ def _cmd_allocate(args) -> int:
     defaults = {"decoder": "identity", "group": "identity",
                 "method": "coordinate_descent", "resolution": 0.05, "format": "json"}
     cfg = _merge_config(args, defaults)
+    _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     if cfg.get("budget") is None:
         raise ValueError("--budget is required")
@@ -355,7 +366,7 @@ def _cmd_allocate(args) -> int:
     if metric == "ue_variance":
         fn = ue_variance
     elif metric in METRIC_KINDS:
-        fn = error_objective(problem, metric, _group_from(cfg, problem.n), cfg["decoder"])
+        fn = error_objective(problem, metric, _group_from(cfg, problem.n))
     else:
         raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
     result = optimize_allocation(fn, budget, problem.n,
@@ -380,12 +391,13 @@ def _cmd_mobs(args) -> int:
     defaults = {"decoder": "identity", "group": "symmetric",
                 "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}
     cfg = _merge_config(args, defaults)
+    _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
     mode = cfg.get("mode") or ("exact" if problem.n <= EXACT_AUTO_LIMIT else "monte_carlo")
     rng = np.random.default_rng(int(cfg["seed"]))
     result = mobs(problem, _budget_list(cfg.get("budgets")), cfg.get("metric"),
-                  group, cfg["decoder"], mode, int(cfg["samples"]), rng)
+                  group, mode, int(cfg["samples"]), rng)
     cfg["command"] = "mobs"
     cfg["mode"] = mode
     if cfg["format"] == "csv":

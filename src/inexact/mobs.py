@@ -4,21 +4,21 @@ The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
 The blindfolded side always plays the uniform allocation (non-uniform
 vectors cannot improve any per-bit marginal once the adversary shuffles
-them; MAP decoding is the exception, see mobs); the clairvoyant side is
-found by coordinate descent seeded with the uniform vector and a
-kind-appropriate closed-form allocation.  Because the clairvoyant search
-starts at the blindfolded champion's own vector, the ratio can never sit
-below 1 (up to descent tolerance).
+them); the clairvoyant side is found by coordinate descent seeded with the
+uniform vector and a kind-appropriate closed-form allocation.  Because the
+clairvoyant search starts at the blindfolded champion's own vector, the
+ratio can never sit below 1 (up to descent tolerance).
 
 Each metric is one profile function, (energies, group) -> errors: one entry
-per input row for the per-input metrics (one truth table; under the identity
-decoder one decoders.ErrorAnalysis, whose loss matrix depends on neither the
-energies nor the group, so an evaluation is one matrix-vector product), and
-one entry for the pair-weighted metrics (their closed form averaged over the
-group's rewirings of the energies).  Every search scores through
-error_objective, the worst entry.  Per budget, exact mobs descends on the
-identity-group objective and compares both champions' profiles entry for
-entry; sampled mode estimates the per-input profiles on probe rows instead.
+per input row for the per-input metrics (one decoders.ErrorAnalysis of the
+truth table read through the identity decoder, whose loss matrix depends on
+neither the energies nor the group, so an evaluation is one matrix-vector
+product), and one entry for the pair-weighted metrics (the worst position
+of their closed form averaged over the group's rewirings of the energies).
+Every search scores through error_objective, the worst entry.  Per budget,
+exact mobs descends on the identity-group objective and compares both
+champions' profiles entry for entry; sampled mode estimates the per-input
+profiles on probe rows instead.
 
 Metrics:
 
@@ -47,8 +47,6 @@ from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import BooleanProblem, truth_table
 from .decoders import (
     ErrorAnalysis,
-    build_decoder,
-    error_profile,
     identity_decoder,
     monte_carlo_error,
 )
@@ -142,15 +140,15 @@ def comparison_wrong_probability(problem: BooleanProblem, energies: EnergyVector
 
 
 def _comparison_weighted_error_direct(problem: BooleanProblem,
-                                      energies: EnergyVector) -> float:
-    # P{wrong} depends only on the top differing position j; the widest
-    # pair differing there has |x - y| = 2**(j+1) - 1
+                                      energies: EnergyVector) -> np.ndarray:
+    # one entry per top differing position j, which alone fixes P{wrong};
+    # the widest pair differing there has |x - y| = 2**(j+1) - 1
     ex, ey = _split_comparison_energies(problem, energies)
     p = _pooled_probabilities(ex, ey)
     A, B = _scan_terms(p)
     k = p.size
     weights = np.exp2(np.arange(1, k + 1)) - 1.0
-    return float(np.max(weights * (A + B * p)))
+    return weights * (A + B * p)
 
 
 def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
@@ -181,38 +179,29 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, energies: EnergyVect
     return total
 
 
-def _group_average(fn, group: PermutationGroup, energies: EnergyVector) -> float:
-    """Average fn over the group's rewirings of the energies (exact), in
-    element order: the row for sigma gives bit j the entry sigma[j]."""
+def _group_average(fn, group: PermutationGroup, energies: EnergyVector):
+    """Exact entry-wise mean of fn over the group's rewirings of the energies,
+    in element order: the row for sigma gives bit j the entry sigma[j]."""
     if energies.n != group.n:
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if isinstance(group, IdentityGroup) or np.ptp(energies.entries) == 0.0:
         return fn(energies)  # nothing moves, or every rewiring is the same vector
     rows = energies.entries[group.elements()]  # may raise the enumeration guard
-    return float(np.mean([fn(EnergyVector(row)) for row in rows]))
+    return np.mean([fn(EnergyVector(row)) for row in rows], axis=0)
 
 
-def _profile_function(problem: BooleanProblem, metric: str, decoder_strategy: str,
-                      instance=None):
+def _profile_function(problem: BooleanProblem, metric: str, instance=None):
     """(energies, group) -> error profile of the metric.
 
-    A per-input metric profiles every input row from one truth table; under
-    the identity decoder every call also shares one ErrorAnalysis, while MAP
-    decoding rebuilds its decoder for each energy vector and group.  A
-    pair-weighted metric profiles as one entry: its closed form averaged
-    over the group's rewirings of the energies.
+    A per-input metric profiles every input row through one ErrorAnalysis
+    of the truth table under the identity decoder.  A pair-weighted metric
+    profiles as one entry: the worst entry of its closed form averaged over
+    the group's rewirings of the energies.
     """
     if metric in _PER_INPUT_LOSS:
         table = truth_table(problem)
         loss = _PER_INPUT_LOSS[metric]
-        if decoder_strategy == "identity":
-            return ErrorAnalysis(table, identity_decoder(table), loss).profile
-
-        def profile(energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
-            decoder = build_decoder(decoder_strategy, table, energies, group)
-            return error_profile(table, energies, group, decoder, loss)
-
-        return profile
+        return ErrorAnalysis(table, identity_decoder(table), loss).profile
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
             raise ValueError("comparison_weighted needs a comparison problem")
@@ -226,12 +215,11 @@ def _profile_function(problem: BooleanProblem, metric: str, decoder_strategy: st
         direct = lambda ev: _sorting_weighted_error_direct(problem, ev, instance)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
-    return lambda energies, group: np.array([_group_average(direct, group, energies)])
+    return lambda ev, group: np.array([np.max(_group_average(direct, group, ev))])
 
 
 def error_objective(problem: BooleanProblem, metric: str | None = None,
-                    group: PermutationGroup | None = None,
-                    decoder_strategy: str = "identity", instance=None, profile=None):
+                    group: PermutationGroup | None = None, instance=None, profile=None):
     """energies -> one scalar error of (problem, allocation, adversary)
     under the metric.
 
@@ -243,17 +231,16 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
     if metric is None:
         metric = default_metric(problem)
     if profile is None:
-        profile = _profile_function(problem, metric, decoder_strategy, instance)
+        profile = _profile_function(problem, metric, instance)
     g = group if group is not None else IdentityGroup(problem.n)
     return lambda evec: float(profile(evec, g).max())
 
 
 def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
                     group: PermutationGroup | None = None, metric: str | None = None,
-                    decoder_strategy: str = "identity", instance=None) -> float:
-    """error_objective(problem, metric, group, decoder_strategy, instance)
-    at one energy vector."""
-    return error_objective(problem, metric, group, decoder_strategy, instance)(energies)
+                    instance=None) -> float:
+    """error_objective(problem, metric, group, instance) at one energy vector."""
+    return error_objective(problem, metric, group, instance)(energies)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +317,6 @@ class MobsResult:
     kind: str
     n: int
     metric: str
-    decoder_strategy: str
     group_kind: str
     mode: str
     outcomes: list[BudgetOutcome] = field(default_factory=list)
@@ -350,7 +336,7 @@ class MobsResult:
             "kind": self.kind,
             "n": self.n,
             "metric": self.metric,
-            "decoder_strategy": self.decoder_strategy,
+            "decoder_strategy": "identity",  # every search reads bits as-is
             "group": self.group_kind,
             "mode": self.mode,
             "samples": self.samples,
@@ -379,22 +365,21 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
                          std_errors)
 
 
-def _sampled_outcome(problem, table, budget, bf_energies, metric, decoder_strategy,
-                     group, samples, rng) -> BudgetOutcome:
+def _sampled_outcome(problem, table, budget, bf_energies, metric, group, samples,
+                     rng) -> BudgetOutcome:
     # sampled mode skips the descent (each objective evaluation would be an
     # exact enumeration); the clairvoyant side plays its closed-form seed
     loss = _PER_INPUT_LOSS[metric]
     identity = IdentityGroup(problem.n)
     cv_energies = analytic_allocation(problem, budget)
-    cv_decoder = build_decoder(decoder_strategy, table, cv_energies, identity)
-    bf_decoder = build_decoder(decoder_strategy, table, bf_energies, group)
+    decoder = identity_decoder(table)
     probes = _probe_inputs(problem, rng)
     cv_est, bf_est, cv_se, bf_se = {}, {}, {}, {}
     for i in probes:
         cv_est[i], cv_se[str(i)] = monte_carlo_error(table, cv_energies, identity,
-                                                     cv_decoder, i, loss, samples, rng)
+                                                     decoder, i, loss, samples, rng)
         bf_est[i], bf_se[str(i)] = monte_carlo_error(table, bf_energies, group,
-                                                     bf_decoder, i, loss, samples, rng)
+                                                     decoder, i, loss, samples, rng)
     std = {"cv": cv_se, "bf": bf_se, "probes": probes}
     return _outcome(budget, cv_energies, bf_energies, list(cv_est.values()),
                     list(bf_est.values()), True, probes, std)
@@ -410,19 +395,13 @@ def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
 
 
 def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
-         group: PermutationGroup | None = None, decoder_strategy: str = "identity",
-         mode: str = "exact", samples: int = 100_000, rng=None,
-         instance=None) -> MobsResult:
+         group: PermutationGroup | None = None, mode: str = "exact",
+         samples: int = 100_000, rng=None, instance=None) -> MobsResult:
     """Price of blindfolding across a budget grid.
 
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
     compare the scalar aggregates.  Exact mode enumerates; sampled mode
     estimates per-input errors on probe rows with standard errors attached.
-
-    Under MAP decoding the uniform split is not always the blindfolded
-    champion, so the price there can be overstated: for be at n = 4 under
-    S_4 at budget 4 it reads 15.0, where (0, 0, 4, 0) reads 10.578125
-    because MAP undoes the certain flip of an energy-0 bit.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -446,7 +425,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     if sampled:
         table = truth_table(problem)
     else:
-        profile = _profile_function(problem, metric, decoder_strategy, instance)
+        profile = _profile_function(problem, metric, instance)
         objective = error_objective(problem, metric, identity, profile=profile)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
@@ -454,7 +433,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         bf_energies = uniform_allocation(budget, problem.n)
         if sampled:
             outcomes.append(_sampled_outcome(problem, table, budget, bf_energies, metric,
-                                             decoder_strategy, group, samples, rng))
+                                             group, samples, rng))
             continue
         seeds = [bf_energies, analytic_allocation(problem, budget)]
         cv = coordinate_descent(objective, budget, problem.n, seeds)
@@ -462,9 +441,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
                                  profile(cv.energies, identity),
                                  profile(bf_energies, group), cv.converged, rows))
     used_mode = mode if per_input else "exact"
-    return MobsResult(problem.name, problem.kind, problem.n, metric,
-                      decoder_strategy, group.kind, used_mode, outcomes,
-                      samples if used_mode == "monte_carlo" else None)
+    return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
+                      used_mode, outcomes, samples if used_mode == "monte_carlo" else None)
 
 
 def table2_rows(sizes=(4, 6, 8), comparison_widths=(2, 3, 4),

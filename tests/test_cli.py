@@ -335,8 +335,8 @@ def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
 
 # sha256 of JSON mobs outputs through each branch of the per-budget price
 # step: a per-input metric under the symmetric group, a pair-weighted metric,
-# a pair-weighted metric under a generated group, MAP decoding, and seeded
-# Monte Carlo probes under a generated group
+# a pair-weighted metric under a generated group, and seeded Monte Carlo
+# probes under a generated group
 PINNED_PRICES = {
     "be-6":
         (("--problem", "be", "--n", "6"),
@@ -348,9 +348,6 @@ PINNED_PRICES = {
         (("--problem", "sorting", "--count", "2", "--width", "2", "--budgets", "1,3,5",
           "--group", "generated", "--generators", "1,0,3,2"),
          "1f11d17f43bfc5f1bc333305314df9ec81f2e751a229c66c4b81bfb8820f9667"),
-    "be-4-map":
-        (("--problem", "be", "--n", "4", "--decoder", "map"),
-         "254aaf6c04474addab1b092e0349e2f686b9b289046b2797c98f670a844571ea"),
     "or-6-generated-monte-carlo":
         (("--problem", "or", "--n", "6", "--group", "generated",
           "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
@@ -365,6 +362,24 @@ def test_price_outputs_are_pinned(capsys, price):
     code, out, _ = run(capsys, "mobs", *extra, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["mobs", "allocate"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_searches_refuse_the_map_decoder(capsys, tmp_path, command, source):
+    # MAP error is not monotone in energy, so a search through it would
+    # report plateau artifacts (test_mobs.py::test_map_error_is_not_monotone_in_energy)
+    argv = [command, *CONFIG_RUNS[command]]
+    if source == "flag":
+        argv += ["--decoder", "map"]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"decoder": "map"}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --decoder map cannot drive a search")
+    assert "not monotone in energy" in err and "use simulate" in err
 
 
 def test_mobs_json_has_budget_outcomes(capsys):
@@ -425,6 +440,24 @@ def test_config_file_values_obey_the_flag_choices(capsys, tmp_path):
                          "--format", "csv", "--config", str(cfg))
     assert code == 2 and out == ""
     assert "'mode'" in err and "'bogus'" in err
+
+
+def test_config_file_null_format_falls_back_to_the_default(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": None}))
+    code, out, _ = run(capsys, "mobs", *CONFIG_RUNS["mobs"], "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["format"] == "json"
+    assert (code, out) == run(capsys, "mobs", *CONFIG_RUNS["mobs"])[:2]
+
+
+def test_config_file_null_seed_falls_back_to_the_default(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": None}))
+    code, out, err = run(capsys, "mobs", *CONFIG_RUNS["mobs"], "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["seed"] == 0
+    assert out == run(capsys, "mobs", *CONFIG_RUNS["mobs"])[1]
 
 
 @pytest.mark.parametrize("command", sorted(CONFIG_RUNS))

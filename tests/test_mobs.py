@@ -11,6 +11,7 @@ from inexact.allocators import analytic_allocation, comparison_allocation, \
     coordinate_descent, grid_search, staircase_allocation, uniform_allocation, \
     water_filled_ramp
 from inexact.bits import popcount_table
+from inexact.decoders import error_profile, map_decoder
 from inexact.mobs import (
     aggregate_error,
     be_analytic_bounds,
@@ -160,17 +161,22 @@ def test_quality_examples():
     assert aggregate_error(comp, energy_vector([1500.0, 1500.0])) == 0.0
 
 
+def brute_group_comparison_weighted(k, ev, group):
+    """The worst pair x != y of |x - y| times its wrong probability averaged
+    over the group's rewirings of the energies, pair by pair."""
+    rows = [ev.entries[np.asarray(s)] for s in group.elements()]
+    return max(
+        abs(x - y) * np.mean([brute_pair_wrong(x, y, row[:k], row[k:]) for row in rows])
+        for x in range(1 << k) for y in range(1 << k) if x != y)
+
+
 def test_blindfolded_aggregate_averages_over_the_group():
     problem = comparison_problem(2)
     ev = energy_vector([0.5, 1.5, 1.0, 2.0])
     group = FullSymmetricGroup(4)
     got = aggregate_error(problem, ev, group, "comparison_weighted")
-    perms = group.elements()
-    want = np.mean([
-        aggregate_error(problem, energy_vector(ev.entries[np.asarray(s)]),
-                        None, "comparison_weighted")
-        for s in perms])
-    assert got == pytest.approx(float(want), rel=1e-12)
+    want = brute_group_comparison_weighted(2, ev, group)
+    assert got == pytest.approx(want, rel=1e-12)
     flat = uniform_allocation(4.0, 4)
     assert aggregate_error(problem, flat, group, "comparison_weighted") == \
         pytest.approx(aggregate_error(problem, flat, None, "comparison_weighted"),
@@ -178,6 +184,20 @@ def test_blindfolded_aggregate_averages_over_the_group():
     # an identity-group adversary degenerates to the clairvoyant setting
     assert aggregate_error(problem, ev, IdentityGroup(4), "comparison_weighted") == \
         aggregate_error(problem, ev, None, "comparison_weighted")
+
+
+def test_comparison_weighted_averages_each_pair_before_the_worst():
+    # the adversary averages each pair's wrong probability; the worst pair
+    # is taken after that, not per rewiring (a mean of maxes reads 1.96875
+    # and 3.1576 on these two vectors)
+    for k, entries, want in ((2, [3.0, 0.0, 0.0, 0.0], 1.6875),
+                             (3, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0], 2.7271)):
+        ev = energy_vector(entries)
+        group = FullSymmetricGroup(2 * k)
+        brute = brute_group_comparison_weighted(k, ev, group)
+        assert brute == pytest.approx(want, abs=1e-4)
+        got = aggregate_error(comparison_problem(k), ev, group, "comparison_weighted")
+        assert got == pytest.approx(brute, rel=1e-12)
 
 
 def test_be_analytic_bounds():
@@ -207,8 +227,8 @@ def test_champions():
 
 def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch):
     # the clairvoyant search mobs runs scores through one shared truth table
-    # (and, under the identity decoder, one loss matrix); it must take
-    # exactly the path of a search that calls aggregate_error each time
+    # and loss matrix; it must take exactly the path of a search that calls
+    # aggregate_error each time
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
 
@@ -218,34 +238,29 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
         return result
 
     monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
-    cases = [(kind, n, "identity") for kind in ("be", "or", "ue") for n in (4, 5, 6)]
-    cases += [(kind, 4, "map") for kind in ("be", "or", "ue")]
-    for kind, n, strategy in cases:
+    for kind, n in itertools.product(("be", "or", "ue"), (4, 5, 6)):
         problem = build_problem(kind, n)
         group = IdentityGroup(n)
 
         def objective(evec):
-            return aggregate_error(problem, evec, group, None, strategy)
+            return aggregate_error(problem, evec, group)
 
         for budget in default_budget_grid(n):
             searches.clear()
-            mobs(problem, [budget], decoder_strategy=strategy)
+            mobs(problem, [budget])
             (got,) = searches
             seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget)]
             want = coordinate_descent(objective, budget, n, seeds)
             assert np.array_equal(got.energies.entries, want.energies.entries), \
-                (kind, n, strategy, budget)
+                (kind, n, budget)
             assert got.objective_value == want.objective_value
             assert got.evaluations == want.evaluations
             assert got.converged == want.converged
 
     be = binary_evaluation(3)
-    for metric, strategy in (("expected_magnitude", "identity"),
-                             ("worst_correctness", "identity"),
-                             ("worst_correctness", "map")):
-        got = grid_search(error_objective(be, metric, None, strategy), 3.0, 3,
-                          resolution=0.5)
-        want = grid_search(lambda ev: aggregate_error(be, ev, None, metric, strategy),
+    for metric in ("expected_magnitude", "worst_correctness"):
+        got = grid_search(error_objective(be, metric), 3.0, 3, resolution=0.5)
+        want = grid_search(lambda ev: aggregate_error(be, ev, None, metric),
                            3.0, 3, resolution=0.5)
         assert got.to_json() == want.to_json()
 
@@ -286,17 +301,22 @@ def test_descent_finds_nothing_below_the_uniform_split():
                 (kind, budget, result.energies.entries)
 
 
-@pytest.mark.xfail(strict=True, reason="under MAP decoding the uniform split is "
-                                       "not the blindfolded champion")
-def test_uniform_split_is_the_blindfolded_champion_under_map():
-    # mobs plays the uniform split on the blindfolded side under MAP decoding
-    # too.  Under S_4 at budget 4, error_objective(be4, None,
-    # FullSymmetricGroup(4), "map") reads 15.0 at the uniform split but
-    # 10.578125 at (0, 0, 4, 0): an energy-0 bit flips with certainty, and
-    # MAP undoes the flip
+def test_map_error_is_not_monotone_in_energy():
+    # why no search reads through MAP: an energy-0 bit flips with certainty
+    # and MAP undoes the flip, so under S_4 the all-zero split of be 4 reads
+    # without error, the uniform split of budget 4 reads the worst value
+    # possible, and (0, 0, 4, 0) beats that uniform split
     be4 = binary_evaluation(4)
-    outcome = mobs(be4, [4.0], decoder_strategy="map").outcomes[0]
-    assert outcome.bf_value <= 10.578125
+    group = FullSymmetricGroup(4)
+
+    def worst(entries):
+        ev = energy_vector(entries)
+        return error_profile(be4, ev, group, map_decoder(be4, ev, group),
+                             "absolute").max()
+
+    assert worst([0.0, 0.0, 0.0, 0.0]) == 0.0
+    assert worst([1.0, 1.0, 1.0, 1.0]) == 15.0
+    assert worst([0.0, 0.0, 4.0, 0.0]) == 10.578125
 
 
 def test_mobs_is_one_for_fully_symmetric_kinds():
