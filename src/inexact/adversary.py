@@ -37,12 +37,13 @@ from typing import Sequence
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng, popcount_table
-from .noise import EnergyVector, _flip_patterns, flip_probability, pattern_probabilities
+from .noise import (EnergyVector, _flip_patterns, energy_rows, flip_probability,
+                    pattern_probabilities)
 
 SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
-_ROW_BLOCK = 1 << 18               # pattern entries per batch of group elements
+_ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
@@ -185,15 +186,21 @@ def sample_energy_assignments(group: PermutationGroup, energies: EnergyVector,
 
 
 def _mismatch_count_weights(q: np.ndarray) -> np.ndarray:
-    """P{exactly m bits flip}, m = 0..n (Poisson binomial via convolution)."""
-    a = np.array([1.0])
-    for qj in q:
-        a = np.convolve(a, np.array([1.0 - qj, qj]))
-    return a
+    """P{exactly m bits flip}, m = 0..n, for each flip vector along q's last
+    axis (Poisson binomial): bit j takes a[m] to a[m] * (1 - q_j) +
+    a[m - 1] * q_j, the two taps of np.convolve(a, (1 - q_j, q_j))."""
+    n = q.shape[-1]
+    q = np.moveaxis(q, -1, 0)
+    a = np.zeros((n + 1,) + q.shape[1:])
+    a[0] = 1.0
+    for j in range(n):
+        flipped = a[:j + 1] * q[j]
+        a[:j + 1] *= 1.0 - q[j]
+        a[1:j + 2] += flipped
+    return np.moveaxis(a, 0, -1)
 
 
-def average_pattern_probabilities(group: PermutationGroup,
-                                  energies: EnergyVector) -> np.ndarray:
+def average_pattern_probabilities(group: PermutationGroup, energies) -> np.ndarray:
     """Group-averaged probability of each flip pattern d in 0..2**n-1.
 
     The observation of input i is i XOR d with this probability, uniformly
@@ -203,28 +210,39 @@ def average_pattern_probabilities(group: PermutationGroup,
     n! permutations; generated groups average their explicit elements, one
     batch of rewired flip vectors q[sigma] at a time, summed in element
     order.
+
+    energies is an EnergyVector (one vector back) or a (K, n) stack of
+    energy rows (a (K, 2**n) stack back, each row bit for bit the vector
+    of that row alone).
     """
-    if energies.n != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
+    rows = energy_rows(energies)
+    if rows.shape[1] != group.n:
+        raise ValueError(f"group acts on {group.n} bits, energies have {rows.shape[1]}")
     n = group.n
     if isinstance(group, IdentityGroup):
-        return pattern_probabilities(energies)
-    if isinstance(group, FullSymmetricGroup):
-        q = flip_probability(energies)
-        a = _mismatch_count_weights(q)
-        m = popcount_table(n)
+        avg = pattern_probabilities(rows)
+    elif isinstance(group, FullSymmetricGroup):
+        a = _mismatch_count_weights(flip_probability(rows))
         counts = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
-        return a[m] / counts[m]
+        avg = (a / counts)[:, popcount_table(n)]
+    else:
+        avg = _generated_average(group, flip_probability(rows))
+    return avg[0] if isinstance(energies, EnergyVector) else avg
+
+
+def _generated_average(group: PermutationGroup, q: np.ndarray) -> np.ndarray:
     order = group.order()
+    n = group.n
     if order * (1 << n) > EXACT_OPS_LIMIT:
         raise ResourceLimitError(
             f"averaging {order} elements over 2**{n} patterns exceeds the exact guard")
-    rewired = flip_probability(energies)[group.elements()]
-    chunk = max(1, _ROW_BLOCK >> n)
-    total = np.zeros(1 << n)
+    rewired = q[:, group.elements()]
+    chunk = max(1, _ROW_BLOCK // (q.shape[0] << n))
+    total = np.zeros((q.shape[0], 1 << n))
     for lo in range(0, order, chunk):
-        for row in _flip_patterns(rewired[lo:lo + chunk]):
-            total += row
+        patterns = _flip_patterns(rewired[:, lo:lo + chunk])
+        for element in range(patterns.shape[1]):
+            total += patterns[:, element]
     return total / order
 
 

@@ -18,9 +18,12 @@ Closed-form allocations:
 
 Numerical search: coordinate descent moving mass between entry pairs with a
 halving step ladder, and an exhaustive simplex lattice for small n.  A
-search takes the function it minimizes, EnergyVector -> float (ue_variance
-here, or one built by mobs.error_objective), and the width n; both keep
-every entry >= 0 and the total within the budget.
+search takes the function it minimizes and the width n; both keep every
+entry >= 0 and the total within the budget.  The function scores a stack of
+candidates at once: a (K, n) float array of energy rows in, K values out
+(ue_variance here, or one built by mobs.error_objective), each value the
+one that row would score alone, so how a search stacks its candidates
+never changes what it finds.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bits import ResourceLimitError
-from .noise import EnergyVector, energy_vector, flip_probability
+from .noise import EnergyVector, energy_rows, energy_vector
 from .problems import BooleanProblem
 
 IMPROVEMENT_EPS = 1e-10
 DESCENT_MIN_STEP = 1e-6
 DESCENT_PASS_CAP = 500
 GRID_POINT_CAP = 5_000_000
-GRID_SLOW_POINT_CAP = 200_000  # per-point python objectives
+GRID_SLOW_POINT_CAP = 200_000  # objectives other than ue_variance
+_GRID_STACK_ENTRIES = 1 << 16  # rows x 2**n per objective call of grid_search
 
 
 def uniform_allocation(budget: float, n: int) -> EnergyVector:
@@ -113,10 +117,11 @@ def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
     return uniform_allocation(budget, n)
 
 
-def ue_variance(energies: EnergyVector) -> float:
-    """Variance of the ones-count estimator: sum_j (1 - 2**-e_j) * 2**-e_j."""
-    q = flip_probability(energies)
-    return float(np.sum((1.0 - q) * q))
+def ue_variance(rows: np.ndarray) -> np.ndarray:
+    """Variance of the ones-count estimator, sum_j (1 - 2**-e_j) * 2**-e_j,
+    for each row of a (K, n) stack of energy rows."""
+    q = np.exp2(-energy_rows(rows))
+    return np.sum((1.0 - q) * q, axis=1)
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class AllocationResult:
     objective_value: float
     method: str
     converged: bool
-    evaluations: int
+    evaluations: int  # candidates a one-at-a-time search examines, not rows scored
 
     def to_json(self) -> dict:
         return {
@@ -138,17 +143,28 @@ class AllocationResult:
         }
 
 
-def coordinate_descent(fn: Callable[[EnergyVector], float], budget: float, n: int,
+def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                        seeds: Sequence[EnergyVector] | None = None) -> AllocationResult:
     """Pairwise mass-transfer descent of fn from each seed; best result wins.
 
     At each step size (halving from 1 down to DESCENT_MIN_STEP) every
-    ordered entry pair is offered a transfer; a move is kept when it
-    improves fn by more than IMPROVEMENT_EPS.  Runs hitting
-    DESCENT_PASS_CAP passes are flagged non-converged.
+    ordered entry pair (a, b), in order, is offered a transfer from a to b;
+    a move is kept when it improves fn by more than IMPROVEMENT_EPS, and
+    later moves start from it.  Runs hitting DESCENT_PASS_CAP passes are
+    flagged non-converged.
+
+    The walk is first-improvement, one move at a time, but it scores the
+    moves as stacks: every move left in the pass that the current vector
+    can fund, one fn call, then the first row that improves is taken and
+    the moves after it are stacked again from the new vector.  Rows scored
+    past an accepted move are not counted in evaluations, so the result,
+    its evaluations included, is the one-at-a-time walk's.
     """
     if seeds is None:
         seeds = [uniform_allocation(budget, n)]
+    sources, targets = (m.ravel() for m in np.indices((n, n)))
+    moves = sources != targets
+    sources, targets = sources[moves], targets[moves]
     best = None
     evaluations = 0
     converged_all = True
@@ -156,26 +172,33 @@ def coordinate_descent(fn: Callable[[EnergyVector], float], budget: float, n: in
         if seed.n != n or seed.budget > budget * (1 + 1e-9) + 1e-12:
             raise ValueError("seed does not fit the search (wrong n or over budget)")
         e = seed.entries.copy()
-        value = fn(EnergyVector(e))
+        value = fn(e[None, :])[0]
         evaluations += 1
         passes = 0
         step = 1.0
         converged = False
         while passes < DESCENT_PASS_CAP:
             improved = False
-            for a in range(n):
-                for b in range(n):
-                    # e mutates on acceptance, so re-check headroom every move
-                    if a == b or e[a] < step:
-                        continue
-                    trial = e.copy()
-                    trial[a] -= step
-                    trial[b] += step
-                    trial_value = fn(EnergyVector(trial))
-                    evaluations += 1
-                    if trial_value < value - IMPROVEMENT_EPS:
-                        e, value = trial, trial_value
-                        improved = True
+            start = 0
+            while True:
+                # the moves left in the pass whose source can give a step
+                stack = start + np.flatnonzero(e[sources[start:]] >= step)
+                if stack.size == 0:
+                    break
+                trials = np.repeat(e[None, :], stack.size, axis=0)
+                index = np.arange(stack.size)
+                trials[index, sources[stack]] -= step
+                trials[index, targets[stack]] += step
+                values = fn(trials)
+                better = np.flatnonzero(values < value - IMPROVEMENT_EPS)
+                if better.size == 0:
+                    evaluations += stack.size
+                    break
+                first = better[0]
+                evaluations += first + 1
+                e, value = trials[first], values[first]
+                improved = True
+                start = stack[first] + 1
             passes += 1
             if not improved:
                 if step <= DESCENT_MIN_STEP:
@@ -186,7 +209,7 @@ def coordinate_descent(fn: Callable[[EnergyVector], float], budget: float, n: in
         if best is None or value < best[1] - IMPROVEMENT_EPS:
             best = (EnergyVector(e), value, converged)
     return AllocationResult(best[0], float(best[1]), "coordinate_descent",
-                            converged_all, evaluations)
+                            converged_all, int(evaluations))
 
 
 def _simplex_lattice(total_ticks: int, n: int) -> np.ndarray:
@@ -214,13 +237,15 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be finite and >= 0, got {budget}")
 
 
-def grid_search(fn: Callable[[EnergyVector], float], budget: float, n: int,
+def grid_search(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                 resolution: float = 0.05) -> AllocationResult:
     """Exhaustive search of fn over the budget simplex at the given spacing.
 
-    Every lattice point spends the budget exactly.  ue_variance runs
-    vectorized; other functions are evaluated pointwise and get a tighter
-    lattice-size guard.
+    Every lattice point spends the budget exactly; fn scores the lattice in
+    stacks of rows.  ue_variance takes the first minimum over a lattice of
+    up to GRID_POINT_CAP points; other functions cost a profile per point,
+    so they get a tighter lattice-size guard, and a point wins only by
+    improving on the best before it by more than IMPROVEMENT_EPS.
     """
     _check_budget(budget)
     if not resolution > 0:  # false on NaN too
@@ -231,23 +256,21 @@ def grid_search(fn: Callable[[EnergyVector], float], budget: float, n: int,
     size = _lattice_size(ticks, n)
     if size > GRID_POINT_CAP:
         raise ResourceLimitError(f"simplex lattice has {size} points (cap {GRID_POINT_CAP})")
-    lattice = _simplex_lattice(ticks, n) * resolution
-
-    if fn is ue_variance:
-        q = np.exp2(-lattice)
-        values = ((1.0 - q) * q).sum(axis=1)
-        best_idx = int(np.argmin(values))
-        return AllocationResult(energy_vector(lattice[best_idx]),
-                                float(values[best_idx]), "grid", True, size)
-
-    if size > GRID_SLOW_POINT_CAP:
+    cheap = fn is ue_variance
+    if not cheap and size > GRID_SLOW_POINT_CAP:
         raise ResourceLimitError(
             f"{size} pointwise objective evaluations exceed the cap {GRID_SLOW_POINT_CAP}")
-    best_idx, best_value = 0, float("inf")
-    for i in range(size):
-        value = fn(energy_vector(lattice[i]))
-        if value < best_value - IMPROVEMENT_EPS:
-            best_idx, best_value = i, value
+    lattice = _simplex_lattice(ticks, n) * resolution
+    height = max(1, _GRID_STACK_ENTRIES >> n)
+    values = np.concatenate([fn(lattice[lo:lo + height]) for lo in range(0, size, height)])
+    if cheap:
+        best_idx = int(np.argmin(values))
+        best_value = values[best_idx]
+    else:
+        best_idx, best_value = 0, float("inf")
+        for i, value in enumerate(values.tolist()):
+            if value < best_value - IMPROVEMENT_EPS:
+                best_idx, best_value = i, value
     return AllocationResult(energy_vector(lattice[best_idx]), float(best_value),
                             "grid", True, size)
 

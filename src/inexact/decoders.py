@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
-from .noise import EnergyVector, flip_probability
+from .noise import EnergyVector, energy_rows, flip_probability
 from .adversary import (IdentityGroup, PermutationGroup, average_pattern_probabilities,
                         sample_flip_patterns)
 from .problems import BooleanProblem, TruthTable, truth_table
@@ -323,9 +323,15 @@ class ErrorAnalysis:
         for lo, hi, decoded in _dense_tiles(self.decoder.decode_map, columns):
             yield lo, hi, decoded, truth[lo:hi]
 
-    def profile(self, energies: EnergyVector, group: PermutationGroup) -> np.ndarray:
-        _check_width(energies, self.table.n)
-        avg = average_pattern_probabilities(group, energies)
+    def profile(self, energies, group: PermutationGroup) -> np.ndarray:
+        """Per-input errors of an EnergyVector, or one row of them for each
+        row of a (K, n) stack of energy rows, bit for bit the profile of that
+        row alone: "matrix" runs one gemv per row (np.matmul over the stack;
+        a single gemm would round differently), "xor" and "blocks" score the
+        rows one by one, "blocks" each tile once for the whole stack."""
+        rows = energy_rows(energies)
+        _check_width(rows.shape[1], self.table.n)
+        avg = average_pattern_probabilities(group, rows)
         size = 1 << self.table.n
         if self._kernel == "matrix":
             if self._matrix is None:
@@ -333,17 +339,21 @@ class ErrorAnalysis:
                 for lo, hi, decoded, truth in self._decoded_tiles():
                     self._loss_fn(decoded, truth, out=matrix[lo:hi])
                 self._matrix = matrix
-            return self._matrix @ avg
-        if self._kernel == "xor":
-            err = (self._weights * _xor_convolve(avg, self._indicators)).sum(axis=0)
-            # a sum of nonnegative terms; clip the transform's rounding below 0
-            return np.maximum(err, 0.0, out=err)
-        weights = np.empty((_tile_rows(size), size))
-        out = np.empty(size)
-        for lo, hi, decoded, truth in self._decoded_tiles():
-            tile = self._loss_fn(decoded, truth, out=weights[:hi - lo])
-            np.matmul(tile, avg, out=out[lo:hi])
-        return out
+            out = np.matmul(self._matrix, avg[:, :, None])[:, :, 0]
+        elif self._kernel == "xor":
+            out = np.empty_like(avg)
+            for r, row in enumerate(avg):
+                err = (self._weights * _xor_convolve(row, self._indicators)).sum(axis=0)
+                # a sum of nonnegative terms; clip the transform's rounding below 0
+                np.maximum(err, 0.0, out=out[r])
+        else:
+            weights = np.empty((_tile_rows(size), size))
+            out = np.empty_like(avg)
+            for lo, hi, decoded, truth in self._decoded_tiles():
+                tile = self._loss_fn(decoded, truth, out=weights[:hi - lo])
+                for r, row in enumerate(avg):
+                    np.matmul(tile, row, out=out[r, lo:hi])
+        return out[0] if isinstance(energies, EnergyVector) else out
 
 
 def error_profile(problem, energies: EnergyVector, group: PermutationGroup,
@@ -357,9 +367,9 @@ def _check_row(i, n: int) -> None:
         raise ValueError(f"input row {i} out of range for {n} bits")
 
 
-def _check_width(energies: EnergyVector, n: int) -> None:
-    if energies.n != n:
-        raise ValueError(f"energies have {energies.n} bits, table has {n}")
+def _check_width(width: int, n: int) -> None:
+    if width != n:
+        raise ValueError(f"energies have {width} bits, table has {n}")
 
 
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
@@ -371,7 +381,7 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     _check_scale(table.n, "exact error analysis")
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
-    _check_width(energies, table.n)
+    _check_width(energies.n, table.n)
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]
@@ -399,7 +409,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
-    _check_width(energies, n)
+    _check_width(energies.n, n)
     if energies.n != group.n:
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if samples < 1:

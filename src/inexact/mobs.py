@@ -9,13 +9,16 @@ uniform vector and a kind-appropriate closed-form allocation.  Because the
 clairvoyant search starts at the blindfolded champion's own vector, the
 ratio can never sit below 1 (up to descent tolerance).
 
-Each metric is one profile function, (energies, group) -> errors: one entry
-per input row for the per-input metrics (one decoders.ErrorAnalysis of the
-truth table read through the identity decoder, whose loss matrix depends on
-neither the energies nor the group, so an evaluation is one matrix-vector
-product), and one entry for the pair-weighted metrics (the worst position
-of their closed form averaged over the group's rewirings of the energies).
-Every search scores through error_objective, the worst entry.  Per budget,
+Each metric is one profile function, (energy rows, group) -> errors, which
+scores a (K, n) stack of energy rows at once, each row bit for bit as it
+would score alone: one entry per input row for the per-input metrics (one
+decoders.ErrorAnalysis of the truth table read through the identity
+decoder, whose loss matrix depends on neither the energies nor the group,
+so a stack of K candidate moves costs K matrix-vector products behind one
+call), and one entry for the pair-weighted metrics (the worst position of
+their closed form, vectorized over the rows, averaged over the group's
+rewirings of each row).  Every search scores through error_objective, the
+worst entry of each row.  Per budget,
 exact mobs descends on the identity-group objective and compares both
 champions' profiles entry for entry; sampled mode estimates the per-input
 profiles on probe rows instead.
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import as_rng
-from .noise import EnergyVector
+from .noise import EnergyVector, energy_rows
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import BooleanProblem, truth_table
 from .decoders import (
@@ -82,22 +85,22 @@ def default_budget_grid(n: int) -> list[float]:
 # pooled ternary position reads (comparison and sorting)
 
 def _scan_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position terms of the most-significant-first scan.
+    """Per-position terms of the most-significant-first scan, for each row
+    of pooled probabilities along p's last axis.
 
     B[j] = P{every position above j reads correctly};
     A[j] = P{some tie above j misreads first AND breaks toward one fixed
            sign} (half the misread mass decides each way).
     """
-    k = p.size
-    B = np.empty(k)
-    A = np.empty(k)
-    B_next = 1.0
-    A_next = 0.0
-    for j in range(k - 1, -1, -1):
-        B[j] = B_next
-        A[j] = A_next
-        A_next = A_next + B_next * (p[j] / 2.0)
-        B_next = B_next * (1.0 - p[j])
+    B = np.empty_like(p)
+    A = np.empty_like(p)
+    B_next = np.ones(p.shape[:-1])
+    A_next = np.zeros(p.shape[:-1])
+    for j in range(p.shape[-1] - 1, -1, -1):
+        B[..., j] = B_next
+        A[..., j] = A_next
+        A_next = A_next + B_next * (p[..., j] / 2.0)
+        B_next = B_next * (1.0 - p[..., j])
     return A, B
 
 
@@ -105,26 +108,26 @@ def _pooled_probabilities(x_energies: np.ndarray, y_energies: np.ndarray) -> np.
     return np.exp2(-(x_energies + y_energies))
 
 
-def pair_wrong_probability(x: int, y: int, x_energies, y_energies) -> float:
-    """P{the pooled scan orders x and y wrongly} for k-bit values.
+def pair_wrong_probability(x: int, y: int, x_energies, y_energies):
+    """P{the pooled scan orders x and y wrongly} for k-bit values, for each
+    row of operand energies along the last axis (a float for one row).
 
     For x = y, "wrong" means any nonzero verdict.
     """
     p = _pooled_probabilities(np.asarray(x_energies, dtype=np.float64),
                               np.asarray(y_energies, dtype=np.float64))
-    A, B = _scan_terms(p)
     if x == y:
-        prod = float(np.prod(1.0 - p))
-        return 1.0 - prod
+        return 1.0 - np.prod(1.0 - p, axis=-1)
+    A, B = _scan_terms(p)
     j = (x ^ y).bit_length() - 1
-    return float(A[j] + B[j] * p[j])
+    return A[..., j] + B[..., j] * p[..., j]
 
 
-def _split_comparison_energies(problem: BooleanProblem, energies: EnergyVector):
+def _split_comparison_energies(problem: BooleanProblem, entries: np.ndarray):
     k = problem.params["k"]
-    if energies.n != 2 * k:
-        raise ValueError(f"comparison over {2 * k} bits, energies have {energies.n}")
-    return energies.entries[:k], energies.entries[k:]
+    if entries.shape[-1] != 2 * k:
+        raise ValueError(f"comparison over {2 * k} bits, energies have {entries.shape[-1]}")
+    return entries[..., :k], entries[..., k:]
 
 
 def comparison_wrong_probability(problem: BooleanProblem, energies: EnergyVector,
@@ -135,19 +138,18 @@ def comparison_wrong_probability(problem: BooleanProblem, energies: EnergyVector
     k = problem.params["k"]
     if not (0 <= x < (1 << k) and 0 <= y < (1 << k)):
         raise ValueError(f"operands must be {k}-bit values")
-    ex, ey = _split_comparison_energies(problem, energies)
-    return pair_wrong_probability(x, y, ex, ey)
+    ex, ey = _split_comparison_energies(problem, energies.entries)
+    return float(pair_wrong_probability(x, y, ex, ey))
 
 
 def _comparison_weighted_error_direct(problem: BooleanProblem,
-                                      energies: EnergyVector) -> np.ndarray:
+                                      rows: np.ndarray) -> np.ndarray:
     # one entry per top differing position j, which alone fixes P{wrong};
     # the widest pair differing there has |x - y| = 2**(j+1) - 1
-    ex, ey = _split_comparison_energies(problem, energies)
+    ex, ey = _split_comparison_energies(problem, rows)
     p = _pooled_probabilities(ex, ey)
     A, B = _scan_terms(p)
-    k = p.size
-    weights = np.exp2(np.arange(1, k + 1)) - 1.0
+    weights = np.exp2(np.arange(1, p.shape[-1] + 1)) - 1.0
     return weights * (A + B * p)
 
 
@@ -159,16 +161,16 @@ def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
     return tuple([high] * (count // 2) + [0] * (count // 2))
 
 
-def _sorting_weighted_error_direct(problem: BooleanProblem, energies: EnergyVector,
-                                   instance) -> float:
+def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray,
+                                   instance) -> np.ndarray:
     count, width = problem.params["count"], problem.params["width"]
-    if energies.n != problem.n:
-        raise ValueError(f"sorting over {problem.n} bits, energies have {energies.n}")
+    if rows.shape[1] != problem.n:
+        raise ValueError(f"sorting over {problem.n} bits, energies have {rows.shape[1]}")
     values = tuple(int(v) for v in instance)
     if len(values) != count or any(not 0 <= v < (1 << width) for v in values):
         raise ValueError(f"instance must hold {count} values of {width} bits")
-    slots = [energies.entries[m * width:(m + 1) * width] for m in range(count)]
-    total = 0.0
+    slots = [rows[:, m * width:(m + 1) * width] for m in range(count)]
+    total = np.zeros(rows.shape[0])
     for a in range(count):
         for b in range(a + 1, count):
             gap = abs(values[a] - values[b])
@@ -179,19 +181,27 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, energies: EnergyVect
     return total
 
 
-def _group_average(fn, group: PermutationGroup, energies: EnergyVector):
-    """Exact entry-wise mean of fn over the group's rewirings of the energies,
-    in element order: the row for sigma gives bit j the entry sigma[j]."""
-    if energies.n != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
-    if isinstance(group, IdentityGroup) or np.ptp(energies.entries) == 0.0:
-        return fn(energies)  # nothing moves, or every rewiring is the same vector
-    rows = energies.entries[group.elements()]  # may raise the enumeration guard
-    return np.mean([fn(EnergyVector(row)) for row in rows], axis=0)
+def _group_average(fn, group: PermutationGroup, rows: np.ndarray) -> np.ndarray:
+    """Per energy row, the exact entry-wise mean of fn over the group's
+    rewirings of that row, in element order: the rewired row for sigma
+    gives bit j the entry sigma[j].  fn scores a stack of rows."""
+    if rows.shape[1] != group.n:
+        raise ValueError(f"group acts on {group.n} bits, energies have {rows.shape[1]}")
+    out = fn(rows)
+    if isinstance(group, IdentityGroup):
+        return out  # nothing moves
+    # a flat row rewires to itself under every element
+    moving = np.flatnonzero(np.ptp(rows, axis=1) != 0.0)
+    if moving.size:
+        elements = group.elements()  # may raise the enumeration guard
+        for r in moving:
+            out[r] = np.mean(fn(rows[r][elements]), axis=0)
+    return out
 
 
 def _profile_function(problem: BooleanProblem, metric: str, instance=None):
-    """(energies, group) -> error profile of the metric.
+    """(energy rows, group) -> error profile of the metric, one row of
+    entries per row of the (K, n) stack.
 
     A per-input metric profiles every input row through one ErrorAnalysis
     of the truth table under the identity decoder.  A pair-weighted metric
@@ -205,23 +215,29 @@ def _profile_function(problem: BooleanProblem, metric: str, instance=None):
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
             raise ValueError("comparison_weighted needs a comparison problem")
-        direct = lambda ev: _comparison_weighted_error_direct(problem, ev)
+        direct = lambda rows: _comparison_weighted_error_direct(problem, rows)
     elif metric == "sorting_weighted":
         if problem.kind != "sorting":
             raise ValueError("sorting_weighted needs a sorting problem")
         if instance is None:
             instance = expensive_pairs_instance(problem.params["count"],
                                                 problem.params["width"])
-        direct = lambda ev: _sorting_weighted_error_direct(problem, ev, instance)
+        direct = lambda rows: _sorting_weighted_error_direct(problem, rows, instance)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
-    return lambda ev, group: np.array([np.max(_group_average(direct, group, ev))])
+
+    def profile(rows, group):
+        rows = energy_rows(rows)
+        averaged = _group_average(direct, group, rows)
+        return averaged.reshape(rows.shape[0], -1).max(axis=1, keepdims=True)
+
+    return profile
 
 
 def error_objective(problem: BooleanProblem, metric: str | None = None,
                     group: PermutationGroup | None = None, instance=None, profile=None):
-    """energies -> one scalar error of (problem, allocation, adversary)
-    under the metric.
+    """(K, n) energy rows -> K scalar errors of (problem, allocation,
+    adversary) under the metric, one per row.
 
     This is the quantity the allocation searches minimize and the ratio in
     the symmetry-price computation is built from: the worst entry of the
@@ -233,14 +249,15 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
     if profile is None:
         profile = _profile_function(problem, metric, instance)
     g = group if group is not None else IdentityGroup(problem.n)
-    return lambda evec: float(profile(evec, g).max())
+    return lambda rows: profile(rows, g).max(axis=1)
 
 
 def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
                     group: PermutationGroup | None = None, metric: str | None = None,
                     instance=None) -> float:
     """error_objective(problem, metric, group, instance) at one energy vector."""
-    return error_objective(problem, metric, group, instance)(energies)
+    objective = error_objective(problem, metric, group, instance)
+    return float(objective(energy_rows(energies))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +455,9 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         seeds = [bf_energies, analytic_allocation(problem, budget)]
         cv = coordinate_descent(objective, budget, problem.n, seeds)
         outcomes.append(_outcome(budget, cv.energies, bf_energies,
-                                 profile(cv.energies, identity),
-                                 profile(bf_energies, group), cv.converged, rows))
+                                 profile(energy_rows(cv.energies), identity)[0],
+                                 profile(energy_rows(bf_energies), group)[0],
+                                 cv.converged, rows))
     used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
                       used_mode, outcomes, samples if used_mode == "monte_carlo" else None)

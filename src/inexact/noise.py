@@ -11,14 +11,17 @@ not as "ignore the bit".
 Pattern probabilities.  Flip pattern d (bit j set when bit j flips) has
 probability prod_j f_j(d) with f_j(d) = q_j if bit j of d is set and
 1 - q_j if not, where q = 2**-e is the flip vector.  The kernel builds all
-2**n of them from q in a few vectorized numpy calls: the low (at most
-_TABLE_BITS) bits through one product over a cached boolean bit table,
+2**n of them from q in a few vectorized numpy calls: the low bits through
+one product over a cached boolean bit table,
 np.multiply.reduce(np.where(bits, q, 1 - q)), and each further bit j by
 doubling in place (the upper half is the lower half times q_j, then the
-lower half is scaled by 1 - q_j), so memory stays O(2**n).  Every entry is
-multiplied in the fixed order f_0 * f_1 * ... * f_{n-1}, left to right, so
-results are bit for bit reproducible and the same for one flip vector or a
-batch of them.
+lower half is scaled by 1 - q_j), so memory stays O(2**n).  The table
+covers at most _TABLE_BITS bits, one fewer for each doubling of the number
+of flip vectors in a batch, so a batch's table costs about what one
+vector's does.  Every entry is multiplied in the fixed order
+f_0 * f_1 * ... * f_{n-1}, left to right, by either route, so results are
+bit for bit reproducible and the same for one flip vector or a batch of
+them.
 
 Also provided: a supply-voltage correctness curve for CMOS-style reads,
 p(vdd) = 1 - 0.5 * erfc(vdd / (2 * sqrt(2) * sigma)), which maps a hardware
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -78,6 +82,19 @@ def energy_vector(entries: Sequence[float]) -> EnergyVector:
     return EnergyVector(np.asarray(entries, dtype=np.float64))
 
 
+def energy_rows(energies) -> np.ndarray:
+    """Energies as a float64 (K, n) stack of rows, each checked as an
+    EnergyVector checks its entries; an EnergyVector is one row."""
+    if isinstance(energies, EnergyVector):
+        return energies.entries[None, :]
+    rows = np.asarray(energies, dtype=np.float64)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("energy rows must form a nonempty (K, n) array")
+    if not (rows.min() >= 0.0 and rows.max() < np.inf):
+        raise ValueError("energies must be finite and >= 0")
+    return rows
+
+
 def flip_probability(energy) -> np.ndarray | float:
     """Per-bit misread probability 2**-e (e = 0 gives a certain flip)."""
     if isinstance(energy, EnergyVector):
@@ -105,11 +122,13 @@ def sample_observations(bits, energies: EnergyVector, count: int, rng=None) -> n
     return (arr[None, :] ^ flips.astype(np.uint8)).astype(np.uint8)
 
 
-def pattern_probabilities(energies: EnergyVector) -> np.ndarray:
+def pattern_probabilities(energies) -> np.ndarray:
     """Probability of each flip pattern d in 0..2**n-1.
 
     Entry d is prod_j q_j**d_j * (1-q_j)**(1-d_j); the observation of input
     i lands on i XOR d with exactly this probability.  Exact but 2**n long.
+    An EnergyVector gives one such vector, a (K, n) stack of energy rows
+    one per row, each bit for bit the vector of its row alone.
     """
     return _flip_patterns(flip_probability(energies))
 
@@ -131,7 +150,8 @@ def _flip_patterns(q: np.ndarray) -> np.ndarray:
     given in the module docstring.
     """
     n = q.shape[-1]
-    low = min(n, _TABLE_BITS)
+    vectors = math.prod(q.shape[:-1])
+    low = min(n, max(1, _TABLE_BITS + 1 - vectors.bit_length()))
     h = 1 << low
     out = np.empty(q.shape[:-1] + (1 << n,))
     q_low = q[..., :low, None]

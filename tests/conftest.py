@@ -178,3 +178,54 @@ def brute_pair_wrong(x: int, y: int, x_energies, y_energies) -> float:
         return wrong
 
     return walk(k - 1, 1.0)
+
+
+def one_row_at_a_time(score):
+    """A row function, (K, n) energy rows -> K values, that scores each row
+    alone through score(EnergyVector) -> float."""
+    from inexact.noise import energy_vector
+
+    return lambda rows: np.array([score(energy_vector(row)) for row in rows])
+
+
+def brute_descent(fn, budget: float, n: int, seeds) -> tuple:
+    """The first-improvement pairwise descent, one candidate move at a time:
+    at each step size (halving from 1 to DESCENT_MIN_STEP) every ordered pair
+    (a, b) that can give a step moves it from a to b, scored alone as a
+    one-row stack, and stays when it improves by more than IMPROVEMENT_EPS.
+    Returns (energies, objective value, evaluations, converged) of the best
+    seed's run."""
+    from inexact.allocators import DESCENT_MIN_STEP, DESCENT_PASS_CAP, IMPROVEMENT_EPS
+
+    best = None
+    evaluations = 0
+    converged_all = True
+    for seed in seeds:
+        e = np.array(seed.entries, dtype=np.float64)
+        value = fn(e[None, :])[0]
+        evaluations += 1
+        passes, step, converged = 0, 1.0, False
+        while passes < DESCENT_PASS_CAP:
+            improved = False
+            for a in range(n):
+                for b in range(n):
+                    if a == b or e[a] < step:
+                        continue
+                    trial = e.copy()
+                    trial[a] -= step
+                    trial[b] += step
+                    trial_value = fn(trial[None, :])[0]
+                    evaluations += 1
+                    if trial_value < value - IMPROVEMENT_EPS:
+                        e, value = trial, trial_value
+                        improved = True
+            passes += 1
+            if not improved:
+                if step <= DESCENT_MIN_STEP:
+                    converged = True
+                    break
+                step /= 2.0
+        converged_all = converged_all and converged
+        if best is None or value < best[1] - IMPROVEMENT_EPS:
+            best = (e, value)
+    return best[0], float(best[1]), evaluations, converged_all

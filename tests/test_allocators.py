@@ -110,22 +110,25 @@ def test_analytic_allocation_kinds():
 
 
 def test_ue_variance_examples():
-    assert ue_variance(energy_vector([1.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
-    assert ue_variance(energy_vector([0.0, 0.0])) == 0.0
-    assert ue_variance(energy_vector([60.0, 60.0])) < 1e-15
+    # one value per energy row of the stack
+    one, zero, high, even, spread = ue_variance(
+        np.array([[1.0, 1.0], [0.0, 0.0], [60.0, 60.0], [2.0, 2.0], [1.0, 3.0]]))
+    assert one == pytest.approx(0.5, abs=1e-15)
+    assert zero == 0.0
+    assert high < 1e-15
     # the true landscape: spreading a pair apart LOWERS the variance once
     # both energies sit above 1
-    assert ue_variance(energy_vector([2.0, 2.0])) == pytest.approx(0.375, abs=1e-15)
-    assert ue_variance(energy_vector([1.0, 3.0])) == pytest.approx(0.359375, abs=1e-15)
-    assert ue_variance(energy_vector([1.0, 3.0])) < ue_variance(energy_vector([2.0, 2.0]))
+    assert even == pytest.approx(0.375, abs=1e-15)
+    assert spread == pytest.approx(0.359375, abs=1e-15)
+    assert spread < even
 
 
 @pytest.mark.xfail(strict=True, reason="the ones-count variance is NOT minimized by "
                    "the uniform split: var(1,3)=0.359375 beats var(2,2)=0.375, and "
                    "the grid minimum sits at a corner")
 def test_uniform_split_minimizes_ue_variance():
-    uniform = ue_variance(uniform_allocation(4.0, 2))
-    assert uniform <= ue_variance(energy_vector([1.0, 3.0])) + 1e-12
+    uniform, spread = ue_variance(np.array([[2.0, 2.0], [1.0, 3.0]]))
+    assert uniform <= spread + 1e-12
     grid = grid_search(ue_variance, 4.0, n=2, resolution=0.05)
     assert np.allclose(grid.energies.entries, 2.0, atol=1e-9)
 
@@ -133,8 +136,8 @@ def test_uniform_split_minimizes_ue_variance():
 @pytest.mark.xfail(strict=True, reason="averaging an energy pair can RAISE the "
                    "ones-count variance (witness (1,3) -> (2,2))")
 def test_pairwise_averaging_reduces_ue_variance():
-    assert ue_variance(energy_vector([2.0, 2.0])) <= \
-        ue_variance(energy_vector([1.0, 3.0])) + 1e-12
+    averaged, spread = ue_variance(np.array([[2.0, 2.0], [1.0, 3.0]]))
+    assert averaged <= spread + 1e-12
 
 
 def test_ue_variance_grid_minimum_is_a_corner():
@@ -149,7 +152,7 @@ def test_ue_variance_grid_minimum_is_a_corner():
 def test_descent_walks_off_the_uniform_variance_plateau():
     result = coordinate_descent(ue_variance, 4.0, n=2)
     assert result.converged
-    assert result.objective_value < ue_variance(uniform_allocation(4.0, 2)) - 0.01
+    assert result.objective_value < ue_variance(np.array([[2.0, 2.0]]))[0] - 0.01
     assert np.allclose(np.sort(result.energies.entries), [0.0, 4.0], atol=1e-6)
 
 
@@ -160,8 +163,8 @@ def test_grid_matches_exhaustive_oracle():
         (a * resolution, (ticks - a) * resolution) for a in range(ticks + 1)
     ]
     oracle = min(points, key=lambda p: ramp_cost(p))
-    result = grid_search(lambda ev: ramp_cost(ev.entries), budget, n=n,
-                         resolution=resolution)
+    result = grid_search(lambda rows: np.array([ramp_cost(row) for row in rows]),
+                         budget, n=n, resolution=resolution)
     assert result.objective_value == pytest.approx(ramp_cost(oracle), abs=1e-12)
     assert np.allclose(result.energies.entries, oracle, atol=1e-12)
     assert result.evaluations == len(points)
@@ -184,7 +187,7 @@ def test_grid_validation_and_caps():
         grid_search(ue_variance, 50.0, n=6, resolution=0.05)
     with pytest.raises(ResourceLimitError):
         # under the vectorized cap but over the pointwise one
-        grid_search(lambda ev: 0.0, 10.0, n=4, resolution=0.05)
+        grid_search(lambda rows: np.zeros(len(rows)), 10.0, n=4, resolution=0.05)
 
 
 def test_or_worst_error_grid_minimum_is_uniform():

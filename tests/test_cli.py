@@ -364,6 +364,36 @@ def test_price_outputs_are_pinned(capsys, price):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of JSON allocate outputs, which record the energies found and the
+# evaluations the search counted: the ones-count variance, a per-input
+# metric, a pair-weighted metric under the symmetric group, and the grid
+PINNED_ALLOCATIONS = {
+    "ue-4-variance":
+        (("--problem", "ue", "--n", "4", "--budget", "6"),
+         "793dab04bef69947c781cd097507e6e537261dfcc41b575e5732b564fb681d96"),
+    "be-5-expected-magnitude":
+        (("--problem", "be", "--n", "5", "--metric", "expected_magnitude",
+          "--budget", "7.5"),
+         "daeda7877daf026bcc28607d9dc9dc8c09b7ca78b2a052be29c66ed4b3c0563f"),
+    "comparison-3-symmetric":
+        (("--problem", "comparison", "--k", "3", "--metric", "comparison_weighted",
+          "--group", "symmetric", "--budget", "6"),
+         "ff09064da2a2c2520d43ea3111a5f60339cbaadd056c655ae9a1a8295e3c5c9a"),
+    "be-3-grid":
+        (("--problem", "be", "--n", "3", "--metric", "expected_magnitude",
+          "--budget", "4.5", "--method", "grid", "--resolution", "0.25"),
+         "33c7c172b315e040be3b7a7f19af4945f707e04313f1c2cf9cc16414fd14d4df"),
+}
+
+
+@pytest.mark.parametrize("allocation", sorted(PINNED_ALLOCATIONS))
+def test_allocate_outputs_are_pinned(capsys, allocation):
+    extra, digest = PINNED_ALLOCATIONS[allocation]
+    code, out, _ = run(capsys, "allocate", *extra, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["mobs", "allocate"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_searches_refuse_the_map_decoder(capsys, tmp_path, command, source):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inexact.adversary import FullSymmetricGroup, IdentityGroup, \
+from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup, \
     average_pattern_probabilities
 from inexact.allocators import analytic_allocation, comparison_allocation, \
-    coordinate_descent, grid_search, staircase_allocation, uniform_allocation, \
-    water_filled_ramp
+    coordinate_descent, grid_search, staircase_allocation, ue_variance, \
+    uniform_allocation, water_filled_ramp
 from inexact.bits import popcount_table
 from inexact.decoders import error_profile, map_decoder
 from inexact.mobs import (
@@ -37,7 +37,7 @@ from inexact.problems import (
     unary_evaluation,
 )
 
-from conftest import brute_pair_wrong
+from conftest import brute_descent, brute_pair_wrong, one_row_at_a_time
 
 
 def test_default_metric_and_grid():
@@ -241,10 +241,7 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
     for kind, n in itertools.product(("be", "or", "ue"), (4, 5, 6)):
         problem = build_problem(kind, n)
         group = IdentityGroup(n)
-
-        def objective(evec):
-            return aggregate_error(problem, evec, group)
-
+        objective = one_row_at_a_time(lambda evec: aggregate_error(problem, evec, group))
         for budget in default_budget_grid(n):
             searches.clear()
             mobs(problem, [budget])
@@ -260,9 +257,135 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
     be = binary_evaluation(3)
     for metric in ("expected_magnitude", "worst_correctness"):
         got = grid_search(error_objective(be, metric), 3.0, 3, resolution=0.5)
-        want = grid_search(lambda ev: aggregate_error(be, ev, None, metric),
-                           3.0, 3, resolution=0.5)
+        one_at_a_time = one_row_at_a_time(lambda ev: aggregate_error(be, ev, None, metric))
+        want = grid_search(one_at_a_time, 3.0, 3, resolution=0.5)
         assert got.to_json() == want.to_json()
+
+
+def _energy_stack(rng, n: int) -> np.ndarray:
+    """Nine energy rows at budget n(n+1)/4: random splits, a flat row (every
+    rewiring is the same vector), a row with empty bits (certain flips) and
+    one with all of the budget on the top bit."""
+    budget = n * (n + 1) / 4.0
+    rows = budget * rng.dirichlet(np.ones(n), size=9)
+    rows[0] = budget / n
+    rows[1, :n // 2] = 0.0
+    rows[2] = 0.0
+    rows[2, -1] = budget
+    return rows
+
+
+def _groups(n):
+    return (IdentityGroup(n), FullSymmetricGroup(n),
+            GeneratedGroup(n, [tuple(range(1, n)) + (0,)]))
+
+
+def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
+    # a search scores a stack of candidate moves in one call: each row must
+    # get exactly the profile, pattern law and objective value it gets
+    # alone, under every group, every metric and every ErrorAnalysis kernel
+    # (xor and blocks forced at small n, as the tile tests force blocks)
+    mobs_module = importlib.import_module("inexact.mobs")
+    decoders = importlib.import_module("inexact.decoders")
+    rng = np.random.default_rng(2026)
+    per_input = [build_problem(kind, n) for n in range(3, 9)
+                 for kind in ("or", "ue", "be", "tribes") if kind != "tribes" or n % 2 == 0]
+    pair_weighted = [(comparison_problem(k), "comparison_weighted") for k in (2, 3, 4)]
+    pair_weighted += [(sorting_problem(count, width), "sorting_weighted")
+                      for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
+    for kernel in ("matrix", "xor", "blocks"):
+        if kernel != "matrix":
+            monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)  # L never kept whole
+            monkeypatch.setattr(decoders, "_xor_is_cheaper",
+                                lambda classes, n, xor=kernel == "xor": xor)
+        cases = [(p, metric) for p in per_input
+                 for metric in ("worst_correctness", "expected_magnitude")]
+        if kernel == "matrix":
+            cases += pair_weighted
+        for problem, metric in cases:
+            n = problem.n
+            profile = mobs_module._profile_function(problem, metric)
+            if metric in ("worst_correctness", "expected_magnitude"):
+                assert profile.__self__.kernel == kernel, (problem.name, kernel)
+            rows = _energy_stack(rng, n)
+            for group in _groups(n):
+                stacked = profile(rows, group)
+                values = error_objective(problem, metric, group, profile=profile)(rows)
+                assert stacked.shape[0] == values.shape[0] == len(rows)
+                laws = average_pattern_probabilities(group, rows)
+                for r, row in enumerate(rows):
+                    where = (problem.name, metric, kernel, group.kind, r)
+                    alone = profile(rows[r:r + 1], group)[0]
+                    assert np.array_equal(stacked[r], alone), where
+                    assert values[r] == stacked[r].max(), where
+                    law = average_pattern_probabilities(group, energy_vector(row))
+                    assert np.array_equal(laws[r], law), where
+                    if metric in ("worst_correctness", "expected_magnitude"):
+                        vector = profile(energy_vector(row), group)
+                        assert np.array_equal(stacked[r], vector), where
+
+
+def test_row_objectives_check_every_stack():
+    # each stack is checked as an EnergyVector checks its entries, whatever
+    # row holds the bad value, and for the width of the objective's problem
+    objectives = [ue_variance,
+                  error_objective(binary_evaluation(4), "expected_magnitude"),
+                  error_objective(or_problem(4), "worst_correctness",
+                                  FullSymmetricGroup(4)),
+                  error_objective(comparison_problem(2), "comparison_weighted"),
+                  error_objective(sorting_problem(2, 2), "sorting_weighted",
+                                  FullSymmetricGroup(4))]
+    for fn in objectives:
+        for bad in (np.nan, -1.0, np.inf):
+            rows = np.full((3, 4), 1.0)
+            rows[2, 1] = bad
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                fn(rows)
+        with pytest.raises(ValueError, match="nonempty"):
+            fn(np.ones(4))
+        if fn is not ue_variance:
+            with pytest.raises(ValueError, match="bits"):
+                fn(np.ones((3, 5)))
+
+
+def _counting(fn, scored):
+    def counted(rows):
+        scored.append(len(rows))
+        return fn(rows)
+    return counted
+
+
+def test_descent_walks_exactly_as_one_move_at_a_time():
+    # the descent scores each pass's moves as stacks and re-stacks after an
+    # accepted move; its trajectory, value, evaluation count and verdict
+    # must be those of the walk that scores one move at a time
+    cases = [(build_problem(kind, n), group, default_budget_grid(n)[:2])
+             for n in range(3, 8) for kind in ("be", "or", "ue", "tribes")
+             if kind != "tribes" or n % 2 == 0
+             for group in (IdentityGroup(n), FullSymmetricGroup(n))]
+    # comparison and sorting at their ladder budgets; S_8 enumerates 40320
+    # rewirings per row, so comparison k = 4 runs under the identity only
+    cases += [(comparison_problem(k), group(2 * k), [k * (k + 1) / 2.0])
+              for k in (2, 3, 4) for group in (IdentityGroup, FullSymmetricGroup)
+              if k < 4 or group is IdentityGroup]
+    cases += [(sorting_problem(4, 2), IdentityGroup(8), [6.0])]
+    cases += [(unary_evaluation(n), None, default_budget_grid(n)) for n in (2, 4, 6)]
+    for problem, group, budgets in cases:
+        n = problem.n
+        fn = ue_variance if group is None else error_objective(problem, None, group)
+        for budget in budgets:
+            seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget)]
+            scored = []
+            got = coordinate_descent(_counting(fn, scored), budget, n, seeds)
+            energies, value, evaluations, converged = brute_descent(fn, budget, n, seeds)
+            where = (problem.name, group and group.kind, budget)
+            assert np.array_equal(got.energies.entries, energies), where
+            assert got.objective_value == value, where
+            assert got.evaluations == evaluations, where
+            assert got.converged == converged, where
+            if problem.kind == "be" and n >= 4:
+                # some stack was cut short by a move accepted before its last row
+                assert sum(scored) > got.evaluations, where
 
 
 def test_uniform_split_is_the_blindfolded_champion():
@@ -285,20 +408,20 @@ def test_uniform_split_is_the_blindfolded_champion():
 def test_descent_finds_nothing_below_the_uniform_split():
     # a real search of the blindfolded objective, started off uniform, ends
     # no lower than the uniform split mobs plays on that side
-    rng = np.random.default_rng(2017)
-    n = 6
-    for kind in ("be", "or", "ue", "tribes"):
-        problem = build_problem(kind, n)
-        objective = error_objective(problem, None, FullSymmetricGroup(n))
-        for budget in default_budget_grid(n):
-            floor = objective(uniform_allocation(budget, n))
-            seeds = [water_filled_ramp(n, budget)]
-            seeds += [energy_vector(budget * rng.dirichlet(np.full(n, 0.5)))
-                      for _ in range(3)]
-            result = coordinate_descent(objective, budget, n, seeds)
-            assert result.converged, (kind, budget)
-            assert result.objective_value >= floor * (1 - 1e-9), \
-                (kind, budget, result.energies.entries)
+    for n in (6, 8):
+        rng = np.random.default_rng(2017)
+        for kind in ("be", "or", "ue", "tribes"):
+            problem = build_problem(kind, n)
+            objective = error_objective(problem, None, FullSymmetricGroup(n))
+            for budget in default_budget_grid(n):
+                floor = objective(uniform_allocation(budget, n).entries[None, :])[0]
+                seeds = [water_filled_ramp(n, budget)]
+                seeds += [energy_vector(budget * rng.dirichlet(np.full(n, 0.5)))
+                          for _ in range(3)]
+                result = coordinate_descent(objective, budget, n, seeds)
+                assert result.converged, (kind, n, budget)
+                assert result.objective_value >= floor * (1 - 1e-9), \
+                    (kind, n, budget, result.energies.entries)
 
 
 def test_map_error_is_not_monotone_in_energy():
