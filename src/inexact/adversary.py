@@ -98,17 +98,24 @@ class FullSymmetricGroup(PermutationGroup):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
+        self._elements = None
 
     def order(self) -> int:
         return math.factorial(self.n)
 
     def elements(self) -> np.ndarray:
-        if self.n > SYMMETRIC_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"enumerating S_{self.n} ({math.factorial(self.n)} elements) exceeds "
-                f"the n <= {SYMMETRIC_ENUM_LIMIT} guard; use sample() or the "
-                f"closed-form averages instead")
-        return np.array(list(itertools.permutations(range(self.n))), dtype=np.int64)
+        """All n! permutations in lexicographic order, enumerated on the first
+        call and shared, read-only, by every later one."""
+        if self._elements is None:
+            if self.n > SYMMETRIC_ENUM_LIMIT:
+                raise ResourceLimitError(
+                    f"enumerating S_{self.n} ({math.factorial(self.n)} elements) exceeds "
+                    f"the n <= {SYMMETRIC_ENUM_LIMIT} guard; use sample() or the "
+                    f"closed-form averages instead")
+            elements = np.array(list(itertools.permutations(range(self.n))), dtype=np.int64)
+            elements.flags.writeable = False
+            self._elements = elements
+        return self._elements
 
     def sample(self, count: int, rng=None) -> np.ndarray:
         base = np.tile(np.arange(self.n, dtype=np.int64), (count, 1))

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bits import ResourceLimitError, parse_bits
+from .bits import ResourceLimitError, bits_to_index, parse_bits
 from .problems import (
     PROBLEM_KINDS,
     BooleanProblem,
@@ -184,11 +186,11 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(vars(args))
+        unknown = set(file_cfg) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         commands = next(a for a in build_parser()._actions if a.dest == "command")
@@ -198,6 +200,19 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
                                  f"{list(flag.choices)}, got {file_cfg[flag.dest]!r}")
         file_cfg = {k: v for k, v in file_cfg.items() if v is not None}  # null: unset
     return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
+
+
+def _listed(raw, item, sep=",", *inner):
+    """The values of a list flag: its text split on sep, blank pieces
+    skipped, or a JSON list from a config file.  Each further separator
+    splits the pieces again, into a list of lists.  None stays None."""
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raw = [piece for piece in str(raw).split(sep) if piece.strip()]
+    if inner:
+        return [_listed(piece, item, *inner) for piece in raw]
+    return [item(piece) for piece in raw]
 
 
 def _refuse_map_search(cfg: dict) -> None:
@@ -210,6 +225,8 @@ def _refuse_map_search(cfg: dict) -> None:
 
 
 def _problem_from(cfg: dict) -> BooleanProblem:
+    """The problem the flags name; build_problem supplies the defaults of
+    the parameters left unset and checks the ones given."""
     kind = cfg.get("problem")
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"--problem must be one of {PROBLEM_KINDS}, got {kind!r}")
@@ -219,25 +236,14 @@ def _problem_from(cfg: dict) -> BooleanProblem:
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
         table = table_from_csv(path)
         return build_problem("custom", outputs=table.outputs, name="custom")
-    params = {}
-    if kind == "tribes":
-        params["tribe_count"] = int(cfg.get("tribe_count") or 2)
-    if kind == "comparison" and cfg.get("k") is not None:
-        params["k"] = int(cfg["k"])
-    if kind == "sorting":
-        if cfg.get("count") is None or cfg.get("width") is None:
-            raise ValueError("sorting problems need --count and --width")
-        params["count"], params["width"] = int(cfg["count"]), int(cfg["width"])
-    n = cfg.get("n")
-    return build_problem(kind, int(n) if n is not None else None, **params)
+    params = {key: int(cfg[key]) for key in ("n", "tribe_count", "k", "count", "width")
+              if cfg.get(key) is not None}
+    return build_problem(kind, **params)
 
 
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
-    listed = cfg.get("energies")
-    if listed is not None:
-        if isinstance(listed, str):
-            listed = [float(tok) for tok in listed.split(",") if tok.strip()]
-        return energy_vector(listed)
+    if cfg.get("energies") is not None:
+        return energy_vector(_listed(cfg["energies"], float))
     if cfg.get("energies_file"):
         return load_energies(cfg["energies_file"])
     allocation = cfg.get("allocation")
@@ -248,115 +254,77 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
         budget = float(budget)
         if allocation == "uniform":
             return uniform_allocation(budget, problem.n)
-        if allocation == "analytic":
-            return analytic_allocation(problem, budget)
-        raise ValueError(f"unknown allocation {allocation!r}; expected uniform or analytic")
+        return analytic_allocation(problem, budget)
     raise ValueError("no energies given; use --energies, --energies-file, or --allocation")
 
 
 def _group_from(cfg: dict, n: int):
-    kind = cfg.get("group") or "identity"
-    if kind not in GROUP_KINDS:
-        raise ValueError(f"--group must be one of {GROUP_KINDS}, got {kind!r}")
     generators = None
-    if kind == "generated":
-        raw = cfg.get("generators")
-        if not raw:
+    if cfg["group"] == "generated":
+        if not cfg.get("generators"):
             raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
-        if isinstance(raw, str):
-            generators = [[int(tok) for tok in part.split(",")]
-                          for part in raw.split(";") if part.strip()]
-        else:
-            generators = raw
-    return build_group(kind, n, generators)
+        generators = _listed(cfg["generators"], int, ";", ",")
+    return build_group(cfg["group"], n, generators)
 
 
-def _budget_list(raw) -> list[float] | None:
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    return [float(b) for b in raw]
+def _auto_mode(cfg: dict, n: int) -> str:
+    """--mode if given, else exact up to EXACT_AUTO_LIMIT bits and Monte
+    Carlo above; the config records the mode that ran."""
+    cfg["mode"] = cfg.get("mode") or ("exact" if n <= EXACT_AUTO_LIMIT else "monte_carlo")
+    return cfg["mode"]
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each takes the merged config and returns (JSON body, CSV header, CSV rows,
+# converged); main writes the format the config chose.  Rows may be a lazy
+# iterable: JSON runs never build them.
 
-def _cmd_eval(args) -> int:
-    defaults = {"format": "plain"}
-    cfg = _merge_config(args, defaults)
+def _cmd_eval(cfg: dict):
     problem = _problem_from(cfg)
     if not cfg.get("bits"):
         raise ValueError("--bits is required")
     bits = parse_bits(cfg["bits"], problem.n)
     value = evaluate(problem, bits)
-    cfg["command"] = "eval"
-    if cfg["format"] == "json":
-        emit_json({"problem": problem.name, "bits": cfg["bits"], "value": value},
-                  cfg, cfg.get("output"))
-    else:
-        _write(f"{value}\n", cfg.get("output"))
-    return EXIT_OK
+    return ({"problem": problem.name, "bits": cfg["bits"], "value": value},
+            None, [f"{value}"], True)
 
 
-def _cmd_simulate(args) -> int:
-    defaults = {"group": "identity", "decoder": "identity", "loss": "exact",
-                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}
-    cfg = _merge_config(args, defaults)
+def _cmd_simulate(cfg: dict):
     problem = _problem_from(cfg)
     energies = _energies_from(cfg, problem)
     if energies.n != problem.n:
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
-    mode = cfg.get("mode") or ("exact" if problem.n <= EXACT_AUTO_LIMIT else "monte_carlo")
+    mode = _auto_mode(cfg, problem.n)
     rng = np.random.default_rng(int(cfg["seed"]))
     table = truth_table(problem)
     decoder = build_decoder(cfg["decoder"], table, energies, group)
-    cfg["command"] = "simulate"
-    cfg["mode"] = mode
 
     if cfg.get("input") is not None:
-        from .bits import bits_to_index
-
         row = int(bits_to_index(parse_bits(str(cfg["input"]), problem.n)))
         if mode == "exact":
             p = per_input_error(table, energies, group, decoder, row, cfg["loss"])
-            result = {"row": row, "p_err": p, "mode": mode, "loss": cfg["loss"]}
-        else:
-            p, se = monte_carlo_error(table, energies, group, decoder, row,
-                                      cfg["loss"], int(cfg["samples"]), rng)
-            result = {"row": row, "p_err": p, "std_err": se, "mode": mode,
-                      "loss": cfg["loss"], "samples": int(cfg["samples"])}
-        if cfg["format"] == "csv":
-            header = "row,p_err" + (",std_err" if "std_err" in result else "")
-            line = f"{row},{fmt(result['p_err'])}"
-            if "std_err" in result:
-                line += f",{fmt(result['std_err'])}"
-            emit_csv(header, [line], cfg, cfg.get("output"))
-        else:
-            emit_json(result, cfg, cfg.get("output"))
-        return EXIT_OK
+            return ({"row": row, "p_err": p, "mode": mode, "loss": cfg["loss"]},
+                    "row,p_err", [f"{row},{fmt(p)}"], True)
+        p, se = monte_carlo_error(table, energies, group, decoder, row,
+                                  cfg["loss"], int(cfg["samples"]), rng)
+        return ({"row": row, "p_err": p, "std_err": se, "mode": mode,
+                 "loss": cfg["loss"], "samples": int(cfg["samples"])},
+                "row,p_err,std_err", [f"{row},{fmt(p)},{fmt(se)}"], True)
 
     report = error_report(table, energies, group, decoder, cfg["loss"], mode,
                           int(cfg["samples"]), rng)
-    if cfg["format"] == "csv":
-        if report.std_err is None:
-            header = "row,p_err"
-            lines = [f"{i},{fmt(p)}" for i, p in enumerate(report.per_input)]
-        else:
-            header = "row,p_err,std_err"
-            lines = [f"{i},{fmt(p)},{fmt(s)}"
-                     for i, (p, s) in enumerate(zip(report.per_input, report.std_err))]
-        emit_csv(header, lines, cfg, cfg.get("output"))
-    else:
-        emit_json(report, cfg, cfg.get("output"))
-    return EXIT_OK
+    if report.std_err is None:
+        return (report, "row,p_err",
+                (f"{i},{fmt(p)}" for i, p in enumerate(report.per_input)), True)
+    return (report, "row,p_err,std_err",
+            (f"{i},{fmt(p)},{fmt(s)}"
+             for i, (p, s) in enumerate(zip(report.per_input, report.std_err))), True)
 
 
-def _cmd_allocate(args) -> int:
-    defaults = {"decoder": "identity", "group": "identity",
-                "method": "coordinate_descent", "resolution": 0.05, "format": "json"}
-    cfg = _merge_config(args, defaults)
+def _cmd_allocate(cfg: dict):
     _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     if cfg.get("budget") is None:
@@ -372,47 +340,24 @@ def _cmd_allocate(args) -> int:
     result = optimize_allocation(fn, budget, problem.n,
                                  method=cfg["method"],
                                  resolution=float(cfg["resolution"]))
-    cfg["command"] = "allocate"
-    if cfg["format"] == "csv":
-        header = "j,energy"
-        lines = [f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)]
-        lines.append(f"# objective_value={fmt(result.objective_value)}")
-        lines.append(f"# converged={result.converged}")
-        emit_csv(header, lines, cfg, cfg.get("output"))
-    else:
-        emit_json(result.to_json(), cfg, cfg.get("output"))
-    if not result.converged:
-        print("allocation search did not converge within its pass cap", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    rows = itertools.chain((f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)),
+                           (f"# objective_value={fmt(result.objective_value)}",
+                            f"# converged={result.converged}"))
+    return result.to_json(), "j,energy", rows, result.converged
 
 
-def _cmd_mobs(args) -> int:
-    defaults = {"decoder": "identity", "group": "symmetric",
-                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}
-    cfg = _merge_config(args, defaults)
+def _cmd_mobs(cfg: dict):
     _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
-    mode = cfg.get("mode") or ("exact" if problem.n <= EXACT_AUTO_LIMIT else "monte_carlo")
+    mode = _auto_mode(cfg, problem.n)
     rng = np.random.default_rng(int(cfg["seed"]))
-    result = mobs(problem, _budget_list(cfg.get("budgets")), cfg.get("metric"),
+    result = mobs(problem, _listed(cfg.get("budgets"), float), cfg.get("metric"),
                   group, mode, int(cfg["samples"]), rng)
-    cfg["command"] = "mobs"
-    cfg["mode"] = mode
-    if cfg["format"] == "csv":
-        emit_csv("problem,n,mobs,mode", [result.csv_row()], cfg, cfg.get("output"))
-    else:
-        emit_json(result.to_json(), cfg, cfg.get("output"))
-    if not result.converged:
-        print("a clairvoyant search did not converge within its pass cap", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 
 
-def _cmd_curve(args) -> int:
-    defaults = {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}
-    cfg = _merge_config(args, defaults)
+def _cmd_curve(cfg: dict):
     sigma = float(cfg["sigma"])
     if cfg.get("vdd") is not None:
         grid = [float(cfg["vdd"])]
@@ -427,48 +372,45 @@ def _cmd_curve(args) -> int:
         if steps < 1:
             raise ValueError("--steps must be >= 1")
         grid = np.linspace(bottom, top, steps).tolist()
-    cfg["command"] = "curve"
-    rows = [(v, sigma, float(cmos_correctness_probability(v, sigma))) for v in grid]
-    if cfg["format"] == "json":
-        emit_json([{"vdd": v, "sigma": s, "p": p} for v, s, p in rows],
-                  cfg, cfg.get("output"))
-    else:
-        lines = [f"{fmt(v)},{fmt(s)},{fmt(p)}" for v, s, p in rows]
-        emit_csv("vdd,sigma,p", lines, cfg, cfg.get("output"))
-    return EXIT_OK
+    points = [(v, sigma, float(cmos_correctness_probability(v, sigma))) for v in grid]
+    return ([{"vdd": v, "sigma": s, "p": p} for v, s, p in points], "vdd,sigma,p",
+            (f"{fmt(v)},{fmt(s)},{fmt(p)}" for v, s, p in points), True)
 
 
-def _cmd_table2(args) -> int:
-    defaults = {"sizes": "4,6,8", "comparison_widths": "2,3,4",
-                "sorting_shapes": "4x2", "mode": "exact",
-                "samples": DEFAULT_SAMPLES, "seed": 0, "format": "csv"}
-    cfg = _merge_config(args, defaults)
-    sizes = [int(tok) for tok in str(cfg["sizes"]).split(",") if tok.strip()]
-    widths = [int(tok) for tok in str(cfg["comparison_widths"]).split(",") if tok.strip()]
-    shapes = []
-    for part in str(cfg["sorting_shapes"]).split(";"):
-        part = part.strip()
-        if part:
-            count, width = part.split("x")
-            shapes.append((int(count), int(width)))
+def _cmd_table2(cfg: dict):
+    shapes = [(count, width) for count, width
+              in _listed(cfg["sorting_shapes"], int, ";", "x")]
     rng = np.random.default_rng(int(cfg["seed"]))
-    rows = table2_rows(sizes, widths, shapes, cfg["mode"], int(cfg["samples"]), rng)
-    cfg["command"] = "table2"
-    if cfg["format"] == "json":
-        emit_json([r.to_json() for r in rows], cfg, cfg.get("output"))
-    else:
-        emit_csv("problem,n,mobs,mode", [r.csv_row() for r in rows],
-                 cfg, cfg.get("output"))
-    if not all(r.converged for r in rows):
-        print("a clairvoyant search did not converge within its pass cap", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    results = table2_rows(_listed(cfg["sizes"], int), _listed(cfg["comparison_widths"], int),
+                          shapes, cfg["mode"], int(cfg["samples"]), rng)
+    return ([r.to_json() for r in results], "problem,n,mobs,mode",
+            (r.csv_row() for r in results), all(r.converged for r in results))
+
+
+# subcommand -> (handler, the defaults a config file and flags override)
+_COMMANDS = {
+    "eval": (_cmd_eval, {"format": "plain"}),
+    "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity",
+                                 "loss": "exact", "samples": DEFAULT_SAMPLES,
+                                 "seed": 0, "format": "json"}),
+    "allocate": (_cmd_allocate, {"decoder": "identity", "group": "identity",
+                                 "method": "coordinate_descent", "resolution": 0.05,
+                                 "format": "json"}),
+    "mobs": (_cmd_mobs, {"decoder": "identity", "group": "symmetric",
+                         "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}),
+    "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}),
+    "table2": (_cmd_table2, {"sizes": "4,6,8", "comparison_widths": "2,3,4",
+                             "sorting_shapes": "4x2", "mode": "exact",
+                             "samples": DEFAULT_SAMPLES, "seed": 0, "format": "csv"}),
+}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 def _add_common(sub, formats, *names):
+    """The flag groups sub shares with other subcommands, then --config,
+    --format (one of formats) and --output, which every subcommand takes."""
     if "problem" in names:
         sub.add_argument("--problem", choices=PROBLEM_KINDS)
         sub.add_argument("--n", type=int)
@@ -485,12 +427,20 @@ def _add_common(sub, formats, *names):
     if "group" in names:
         sub.add_argument("--group", choices=GROUP_KINDS)
         sub.add_argument("--generators")
+    if "decoder" in names:
+        sub.add_argument("--decoder", choices=["identity", "map"])
+    if "sampling" in names:
+        sub.add_argument("--mode", choices=["exact", "monte_carlo"])
+        sub.add_argument("--samples", type=int)
+        sub.add_argument("--seed", type=int)
     sub.add_argument("--config")
     sub.add_argument("--format", choices=formats)
     sub.add_argument("--output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="inexact",
         description="Energy/error tradeoff experiments for noisy Boolean evaluation")
@@ -502,76 +452,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", help="input bits, most significant first")
 
     p = commands.add_parser("simulate", help="per-input error report")
-    _add_common(p, ["csv", "json"], "problem", "energies", "group")
-    p.add_argument("--decoder", choices=["identity", "map"])
+    _add_common(p, ["csv", "json"], "problem", "energies", "group", "decoder", "sampling")
     p.add_argument("--loss", choices=["exact", "absolute"])
-    p.add_argument("--mode", choices=["exact", "monte_carlo"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--input", help="restrict to one input row (bits, MSB first)")
 
     p = commands.add_parser("allocate", help="search for an energy allocation")
-    _add_common(p, ["csv", "json"], "problem", "group")
+    _add_common(p, ["csv", "json"], "problem", "group", "decoder")
     p.add_argument("--metric")
-    p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--budget", type=float)
     p.add_argument("--method", choices=["coordinate_descent", "grid"])
     p.add_argument("--resolution", type=float)
 
     p = commands.add_parser("mobs", help="blindfolded-vs-clairvoyant price")
-    _add_common(p, ["csv", "json"], "problem", "group")
+    _add_common(p, ["csv", "json"], "problem", "group", "decoder", "sampling")
     p.add_argument("--metric", choices=list(METRIC_KINDS))
-    p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--budgets", help="comma-separated energy budgets")
-    p.add_argument("--mode", choices=["exact", "monte_carlo"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
 
     p = commands.add_parser("curve", help="supply-voltage correctness curve")
+    _add_common(p, ["csv", "json"])
     p.add_argument("--sigma", type=float)
     p.add_argument("--vdd", type=float)
     p.add_argument("--vdd-min", type=float, dest="vdd_min")
     p.add_argument("--vdd-max", type=float, dest="vdd_max")
     p.add_argument("--steps", type=int)
-    p.add_argument("--config")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--output")
 
     p = commands.add_parser("table2", help="summary sweep over problem families")
+    _add_common(p, ["csv", "json"], "sampling")
     p.add_argument("--sizes", help="comma-separated n values")
     p.add_argument("--comparison-widths", dest="comparison_widths")
     p.add_argument("--sorting-shapes", dest="sorting_shapes",
                    help="semicolon-separated countxwidth shapes")
-    p.add_argument("--mode", choices=["exact", "monte_carlo"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--output")
     return parser
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "simulate": _cmd_simulate,
-    "allocate": _cmd_allocate,
-    "mobs": _cmd_mobs,
-    "curve": _cmd_curve,
-    "table2": _cmd_table2,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, defaults = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        cfg = _merge_config(args, defaults)
+        cfg["command"] = args.command
+        body, header, rows, converged = handler(cfg)
+        if cfg["format"] == "json":
+            emit_json(body, cfg, cfg.get("output"))
+        elif cfg["format"] == "csv":
+            emit_csv(header, list(rows), cfg, cfg.get("output"))
+        else:  # plain: the bare rows
+            _write("\n".join(rows) + "\n", cfg.get("output"))
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not converged:
+        search = "allocation search" if args.command == "allocate" else "a clairvoyant search"
+        print(f"{search} did not converge within its pass cap", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -36,6 +38,13 @@ def test_symmetric_group_enumeration():
     assert len({tuple(e) for e in elements}) == 6
     with pytest.raises(ResourceLimitError):
         FullSymmetricGroup(10).elements()
+    # enumerated once per group, in itertools order, and shared read-only
+    g = FullSymmetricGroup(5)
+    first = g.elements()
+    assert g.elements() is first and not first.flags.writeable
+    assert first.tolist() == [list(p) for p in itertools.permutations(range(5))]
+    with pytest.raises(ValueError):
+        first[0, 0] = 1
 
 
 def test_symmetric_sampling_is_uniform():

@@ -71,6 +71,9 @@ def test_eval_usage_errors(capsys):
     code, _, err = run(capsys, "eval", "--problem", "be", "--n", "3",
                        "--bits", "01")
     assert code == 2  # wrong width
+    code, out, err = run(capsys, "eval", "--problem", "tribes", "--n", "4",
+                         "--tribe-count", "0", "--bits", "1100")
+    assert (code, out) == (2, "") and "tribe_count" in err
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--problem", "nand", "--n", "2", "--bits", "01"])
     assert exc.value.code == 2
@@ -316,6 +319,21 @@ def test_emitted_config_holds_every_flag(capsys, command):
     assert set(json.loads(out)["config"]) == dests - {"config"}
 
 
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_subcommand_help_renders(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: inexact {command}")
+
+
+def test_main_calls_share_one_parser(capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "eval", *CONFIG_RUNS["eval"])[0] == 0
+    assert build_parser.cache_info().misses == 1
+
+
 def test_mobs_csv_row(capsys):
     code, out, _ = run(capsys, "mobs", "--problem", "or", "--n", "4",
                        "--format", "csv")
@@ -449,10 +467,11 @@ def test_config_file_round_trip(capsys, tmp_path):
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"problem": "be", "n": 3, "bits": "101",
-                               "fuzziness": 3}))
-    code, _, err = run(capsys, "eval", "--config", str(cfg))
-    assert code == 2 and "fuzziness" in err
+    # nor may a file name another config file or the subcommand it runs under
+    for key, value in (("fuzziness", 3), ("config", "other.json"), ("command", "mobs")):
+        cfg.write_text(json.dumps({"problem": "be", "n": 3, "bits": "101", key: value}))
+        code, out, err = run(capsys, "eval", "--config", str(cfg))
+        assert (code, out) == (2, "") and f"unknown config keys: [{key!r}]" in err
 
     cfg.write_text("[1, 2]")
     code, _, _ = run(capsys, "eval", "--config", str(cfg))
@@ -460,6 +479,36 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
 
     code, _, _ = run(capsys, "eval", "--config", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+# list flag -> (subcommand, its other flags, the flag's text, the same as a JSON list)
+LIST_FLAGS = {
+    "budgets": ("mobs", ["--problem", "be", "--n", "3"], "2,4.5", [2, 4.5]),
+    "energies": ("simulate", ["--problem", "be", "--n", "3"], "0.5,1,2", [0.5, 1, 2]),
+    "generators": ("mobs", ["--problem", "or", "--n", "3", "--group", "generated"],
+                   "1,2,0;0,2,1", [[1, 2, 0], [0, 2, 1]]),
+    "sizes": ("table2", ["--comparison-widths", "2", "--sorting-shapes", "2x1"],
+              "2,3", [2, 3]),
+    "comparison_widths": ("table2", ["--sizes", "2", "--sorting-shapes", "2x1"],
+                          "1,2", [1, 2]),
+    "sorting_shapes": ("table2", ["--sizes", "2", "--comparison-widths", "2"],
+                       "2x1;2x2", [[2, 1], [2, 2]]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LIST_FLAGS))
+def test_config_file_lists_read_as_the_comma_text(capsys, tmp_path, key):
+    command, argv, text, listed = LIST_FLAGS[key]
+    code, out, _ = run(capsys, command, *argv, f"--{key.replace('_', '-')}", text,
+                       "--format", "json")
+    assert code == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: listed}))
+    code, from_file, _ = run(capsys, command, *argv, "--config", str(cfg),
+                             "--format", "json")
+    assert code == 0
+    assert json.loads(from_file)["config"][key] == listed
+    assert json.loads(from_file)["result"] == json.loads(out)["result"]
 
 
 def test_config_file_values_obey_the_flag_choices(capsys, tmp_path):
