@@ -51,20 +51,6 @@ def uniform_allocation(budget: float, n: int) -> EnergyVector:
     return energy_vector(np.full(n, budget / n))
 
 
-def staircase_allocation(n: int) -> EnergyVector:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return energy_vector(np.arange(1, n + 1, dtype=np.float64))
-
-
-def comparison_allocation(k: int) -> EnergyVector:
-    """Both operands' bits of position j get (j+1)/2; total k(k+1)/2."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    half = (np.arange(k, dtype=np.float64) + 1.0) / 2.0
-    return energy_vector(np.concatenate([half, half]))
-
-
 def sorting_allocation(count: int, width: int) -> EnergyVector:
     """Per-number comparison ladder; total count * width * (width+1) / 4."""
     if count < 1 or width < 1:
@@ -91,6 +77,17 @@ def water_filled_ramp(n: int, budget: float) -> EnergyVector:
     e = np.zeros(n)
     e[-1] = budget
     return energy_vector(e)
+
+
+def staircase_allocation(n: int) -> EnergyVector:
+    """e_j = j + 1: the water-filled ramp at its canonical budget n(n+1)/2."""
+    return water_filled_ramp(n, n * (n + 1) / 2)
+
+
+def comparison_allocation(k: int) -> EnergyVector:
+    """Both operands' bits of position j get (j+1)/2; total k(k+1)/2: the
+    sorting ladder of two numbers."""
+    return sorting_allocation(2, k)
 
 
 def _scaled(base: EnergyVector, budget: float) -> EnergyVector:
@@ -275,10 +272,12 @@ def grid_search(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                             "grid", True, size)
 
 
-def optimize_allocation(fn: Callable[[EnergyVector], float], budget: float, n: int,
+def optimize_allocation(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                         method: str = "coordinate_descent",
                         resolution: float = 0.05) -> AllocationResult:
-    """Minimize fn over allocations with total <= budget."""
+    """Minimize fn over allocations with total <= budget.  fn scores a
+    (K, n) stack of energy rows and returns K values, as every search takes
+    it (see the module docstring)."""
     _check_budget(budget)
     if method == "coordinate_descent":
         return coordinate_descent(fn, budget, n)

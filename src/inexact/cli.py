@@ -215,6 +215,22 @@ def _listed(raw, item, sep=",", *inner):
     return [item(piece) for piece in raw]
 
 
+def _integer(cfg: dict, key: str) -> int:
+    """cfg[key] as an int: an int, an integral float or integer text (a
+    config file may give any of them); anything else is refused by key."""
+    value = cfg[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+
+
 def _refuse_map_search(cfg: dict) -> None:
     """Searches read bits through the identity decoder only."""
     if cfg["decoder"] == "map":
@@ -236,7 +252,7 @@ def _problem_from(cfg: dict) -> BooleanProblem:
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
         table = table_from_csv(path)
         return build_problem("custom", outputs=table.outputs, name="custom")
-    params = {key: int(cfg[key]) for key in ("n", "tribe_count", "k", "count", "width")
+    params = {key: _integer(cfg, key) for key in ("n", "tribe_count", "k", "count", "width")
               if cfg.get(key) is not None}
     return build_problem(kind, **params)
 
@@ -298,7 +314,7 @@ def _cmd_simulate(cfg: dict):
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
     mode = _auto_mode(cfg, problem.n)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_integer(cfg, "seed"))
     table = truth_table(problem)
     decoder = build_decoder(cfg["decoder"], table, energies, group)
 
@@ -308,14 +324,15 @@ def _cmd_simulate(cfg: dict):
             p = per_input_error(table, energies, group, decoder, row, cfg["loss"])
             return ({"row": row, "p_err": p, "mode": mode, "loss": cfg["loss"]},
                     "row,p_err", [f"{row},{fmt(p)}"], True)
+        samples = _integer(cfg, "samples")
         p, se = monte_carlo_error(table, energies, group, decoder, row,
-                                  cfg["loss"], int(cfg["samples"]), rng)
+                                  cfg["loss"], samples, rng)
         return ({"row": row, "p_err": p, "std_err": se, "mode": mode,
-                 "loss": cfg["loss"], "samples": int(cfg["samples"])},
+                 "loss": cfg["loss"], "samples": samples},
                 "row,p_err,std_err", [f"{row},{fmt(p)},{fmt(se)}"], True)
 
     report = error_report(table, energies, group, decoder, cfg["loss"], mode,
-                          int(cfg["samples"]), rng)
+                          _integer(cfg, "samples"), rng)
     if report.std_err is None:
         return (report, "row,p_err",
                 (f"{i},{fmt(p)}" for i, p in enumerate(report.per_input)), True)
@@ -351,9 +368,9 @@ def _cmd_mobs(cfg: dict):
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
     mode = _auto_mode(cfg, problem.n)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_integer(cfg, "seed"))
     result = mobs(problem, _listed(cfg.get("budgets"), float), cfg.get("metric"),
-                  group, mode, int(cfg["samples"]), rng)
+                  group, mode, _integer(cfg, "samples"), rng)
     return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 
 
@@ -368,7 +385,7 @@ def _cmd_curve(cfg: dict):
         for flag, end in (("--vdd-min", bottom), (top_flag, top)):
             if not math.isfinite(end):  # np.linspace would warn and yield NaN
                 raise ValueError(f"{flag} must be finite for a vdd grid, got {end}")
-        steps = int(cfg["steps"])
+        steps = _integer(cfg, "steps")
         if steps < 1:
             raise ValueError("--steps must be >= 1")
         grid = np.linspace(bottom, top, steps).tolist()
@@ -380,9 +397,9 @@ def _cmd_curve(cfg: dict):
 def _cmd_table2(cfg: dict):
     shapes = [(count, width) for count, width
               in _listed(cfg["sorting_shapes"], int, ";", "x")]
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_integer(cfg, "seed"))
     results = table2_rows(_listed(cfg["sizes"], int), _listed(cfg["comparison_widths"], int),
-                          shapes, cfg["mode"], int(cfg["samples"]), rng)
+                          shapes, cfg["mode"], _integer(cfg, "samples"), rng)
     return ([r.to_json() for r in results], "problem,n,mobs,mode",
             (r.csv_row() for r in results), all(r.converged for r in results))
 

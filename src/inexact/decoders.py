@@ -5,9 +5,9 @@ value.  Two strategies:
 
 * identity -- trust the read bits and apply the function to them.
 * map      -- Bayes rule: pick the output value with the highest posterior
-              mass given the observed row, a prior over inputs, and the
-              channel (with the adversary's draw marginalized out, since
-              the decoder never learns which permutation was used).
+              mass given the observed row, the uniform prior over inputs,
+              and the channel (with the adversary's draw marginalized out,
+              since the decoder never learns which permutation was used).
 
 Error analysis leans on one fact: the observation of input i is i XOR d
 where the flip pattern d has a probability independent of i, and averaging
@@ -78,6 +78,7 @@ _TILE_ENTRIES = 1 << 16
 _TILE_MIN_ROWS = 16
 _XOR_MIN_BITS = 8         # below this a dense gather beats the transforms' fixed cost
 _TIE_REL_TOL = 1e-12      # MAP scores this close to a row's top score tie
+_MC_BATCH = 1 << 16       # Monte Carlo draws per batch; seeded streams depend on it
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,8 @@ def _dense_tiles(source: np.ndarray, columns: np.ndarray):
 def _first_near_top(scores: np.ndarray) -> np.ndarray:
     """Per row of scores, the first column within _TIE_REL_TOL of the row's
     top score: columns ascend by value, so ties pick the smaller value.
-    Scores are posterior masses, so the top is positive and the threshold
-    sits just below it."""
+    Scores are scaled posterior masses, so the top is positive and the
+    threshold sits just below it."""
     top = scores.max(axis=1, keepdims=True)
     top *= 1.0 - _TIE_REL_TOL
     return (scores >= top).argmax(axis=1)
@@ -194,70 +195,51 @@ def identity_decoder(problem) -> Decoder:
     return Decoder("identity", table.outputs)
 
 
-def uniform_prior(n: int) -> np.ndarray:
-    return np.full(1 << n, 1.0 / (1 << n))
-
-
-def _check_prior(prior, n: int) -> np.ndarray:
-    if prior is None:
-        return uniform_prior(n)
-    prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (1 << n,) or np.any(prior < 0):
-        raise ValueError("prior must be a nonnegative vector over all 2**n rows")
-    total = prior.sum()
-    if not np.isclose(total, 1.0, rtol=0, atol=1e-9):
-        raise ValueError(f"prior sums to {total}, expected 1")
-    return prior
-
-
-def map_decoder(problem, energies: EnergyVector, group: PermutationGroup | None = None,
-                prior=None) -> Decoder:
+def map_decoder(problem, energies: EnergyVector,
+                group: PermutationGroup | None = None) -> Decoder:
     """Posterior-mass decoder: observed row -> most likely output value.
 
-    Scores value v at observation o by sum over rows i with f(i) = v of
-    prior(i) * P(o | i), the channel marginalized over the group's draw.
-    That is the XOR convolution of the pattern probabilities with the
-    prior on v's rows, computed by transform for few output values at
-    n >= 8 and by dense row tiles otherwise.  Values scoring within a
-    relative 1e-12 of the top tie, and ties break toward the smaller
-    output value.
+    Under the uniform prior, value v at observation o scores the sum over
+    rows i with f(i) = v of P(o | i), the channel marginalized over the
+    group's draw: the posterior mass times 2**n, a power of two, so the
+    ranking is the posterior's.  That is the XOR convolution of the pattern
+    probabilities with the indicator of v's rows, computed by transform for
+    few output values at n >= 8 and by dense row tiles otherwise.  Values
+    scoring within a relative 1e-12 of the top tie, and ties break toward
+    the smaller output value.
     """
     table = _as_table(problem)
     n = table.n
     _check_scale(n, "map decoding")
     if group is None:
         group = IdentityGroup(n)
-    prior = _check_prior(prior, n)
     avg = average_pattern_probabilities(group, energies)
 
     classes, class_index = np.unique(table.outputs, return_inverse=True)
     size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
     if _xor_is_cheaper(classes.size, n):
         columns = np.zeros((classes.size, size))
-        columns[class_index, idx] = prior
+        columns[class_index, np.arange(size)] = 1.0
         return Decoder("map", classes[_first_near_top(_xor_convolve(avg, columns).T)])
 
     order = np.argsort(class_index, kind="stable")
     starts = np.searchsorted(class_index[order], np.arange(classes.size))
-    weighted_cols = prior[order]
     scores = np.empty((_tile_rows(size), classes.size))
     decode = np.empty(size, dtype=np.int64)
     for lo, hi, like in _dense_tiles(avg, order):
-        like *= weighted_cols
         tile_scores = np.add.reduceat(like, starts, axis=1, out=scores[:hi - lo])
         decode[lo:hi] = classes[_first_near_top(tile_scores)]
     return Decoder("map", decode)
 
 
 def build_decoder(strategy: str, problem, energies: EnergyVector | None = None,
-                  group: PermutationGroup | None = None, prior=None) -> Decoder:
+                  group: PermutationGroup | None = None) -> Decoder:
     if strategy == "identity":
         return identity_decoder(problem)
     if strategy == "map":
         if energies is None:
             raise ValueError("map decoding needs the energy vector")
-        return map_decoder(problem, energies, group, prior)
+        return map_decoder(problem, energies, group)
     raise ValueError(f"unknown decoder strategy {strategy!r}; expected identity or map")
 
 
@@ -390,8 +372,7 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
 
 def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
                       decoder: Decoder, i: int, loss: str = "exact",
-                      samples: int = 100_000, rng=None,
-                      batch: int = 1 << 16) -> tuple[float, float]:
+                      samples: int = 100_000, rng=None) -> tuple[float, float]:
     """Sampled error of one input row: (estimate, standard error).
 
     Each trial draws a flip pattern d from the group-averaged law that
@@ -399,7 +380,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     under the full symmetric group a flip count and a uniform subset of
     that size, otherwise independent flips of the possibly rewired bits)
     and decodes the observed row i XOR d.  The flip vector is computed
-    once and sampled batch by batch.
+    once and sampled _MC_BATCH draws at a time.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
@@ -414,8 +395,6 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     rng = as_rng(rng)
     q = flip_probability(energies)
     truth = int(table.outputs[i])
@@ -424,7 +403,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(_MC_BATCH, samples - done)
         observed = np.int64(i) ^ sample_flip_patterns(group, q, m, rng)
         vals = loss_fn(decoder.decode_map[observed], truth)
         total += vals.sum()

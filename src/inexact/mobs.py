@@ -29,7 +29,9 @@ Metrics:
 * expected_magnitude  -- worst-input expected |truth - decoded|.
 * comparison_weighted -- worst pair (x != y) of |x - y| * P{compared wrong}.
 * sorting_weighted    -- sum over pairs of |x_a - x_b| * P{ordered wrong},
-                         on a chosen input instance.
+                         on the expensive-pairs instance (half the numbers
+                         at 2**(width-1), half at 0), the one
+                         sorting_mobs_bound is derived on.
 
 Comparison and sorting score position reads as pooled atomic events: the
 two operand bits at position j share their energy (c_j = sum of both), a
@@ -167,8 +169,6 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray,
     if rows.shape[1] != problem.n:
         raise ValueError(f"sorting over {problem.n} bits, energies have {rows.shape[1]}")
     values = tuple(int(v) for v in instance)
-    if len(values) != count or any(not 0 <= v < (1 << width) for v in values):
-        raise ValueError(f"instance must hold {count} values of {width} bits")
     slots = [rows[:, m * width:(m + 1) * width] for m in range(count)]
     total = np.zeros(rows.shape[0])
     for a in range(count):
@@ -199,7 +199,7 @@ def _group_average(fn, group: PermutationGroup, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_function(problem: BooleanProblem, metric: str, instance=None):
+def _profile_function(problem: BooleanProblem, metric: str):
     """(energy rows, group) -> error profile of the metric, one row of
     entries per row of the (K, n) stack.
 
@@ -219,9 +219,8 @@ def _profile_function(problem: BooleanProblem, metric: str, instance=None):
     elif metric == "sorting_weighted":
         if problem.kind != "sorting":
             raise ValueError("sorting_weighted needs a sorting problem")
-        if instance is None:
-            instance = expensive_pairs_instance(problem.params["count"],
-                                                problem.params["width"])
+        instance = expensive_pairs_instance(problem.params["count"],
+                                            problem.params["width"])
         direct = lambda rows: _sorting_weighted_error_direct(problem, rows, instance)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
@@ -235,7 +234,7 @@ def _profile_function(problem: BooleanProblem, metric: str, instance=None):
 
 
 def error_objective(problem: BooleanProblem, metric: str | None = None,
-                    group: PermutationGroup | None = None, instance=None, profile=None):
+                    group: PermutationGroup | None = None, profile=None):
     """(K, n) energy rows -> K scalar errors of (problem, allocation,
     adversary) under the metric, one per row.
 
@@ -247,16 +246,16 @@ def error_objective(problem: BooleanProblem, metric: str | None = None,
     if metric is None:
         metric = default_metric(problem)
     if profile is None:
-        profile = _profile_function(problem, metric, instance)
+        profile = _profile_function(problem, metric)
     g = group if group is not None else IdentityGroup(problem.n)
     return lambda rows: profile(rows, g).max(axis=1)
 
 
 def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
-                    group: PermutationGroup | None = None, metric: str | None = None,
-                    instance=None) -> float:
-    """error_objective(problem, metric, group, instance) at one energy vector."""
-    objective = error_objective(problem, metric, group, instance)
+                    group: PermutationGroup | None = None,
+                    metric: str | None = None) -> float:
+    """error_objective(problem, metric, group) at one energy vector."""
+    objective = error_objective(problem, metric, group)
     return float(objective(energy_rows(energies))[0])
 
 
@@ -413,7 +412,7 @@ def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
 
 def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
          group: PermutationGroup | None = None, mode: str = "exact",
-         samples: int = 100_000, rng=None, instance=None) -> MobsResult:
+         samples: int = 100_000, rng=None) -> MobsResult:
     """Price of blindfolding across a budget grid.
 
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
@@ -442,7 +441,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     if sampled:
         table = truth_table(problem)
     else:
-        profile = _profile_function(problem, metric, instance)
+        profile = _profile_function(problem, metric)
         objective = error_objective(problem, metric, identity, profile=profile)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []

@@ -108,10 +108,7 @@ def flip_probability(energy) -> np.ndarray | float:
 
 def sample_observation(bits, energies: EnergyVector, rng=None) -> np.ndarray:
     """Read the input once through the channel: each bit flips w.p. 2**-e."""
-    arr = as_bit_array(bits, energies.n)
-    q = flip_probability(energies)
-    flips = as_rng(rng).random(energies.n) < q
-    return (arr ^ flips.astype(np.uint8)).astype(np.uint8)
+    return sample_observations(bits, energies, 1, rng)[0]
 
 
 def sample_observations(bits, energies: EnergyVector, count: int, rng=None) -> np.ndarray:

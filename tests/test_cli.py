@@ -465,6 +465,36 @@ def test_config_file_round_trip(capsys, tmp_path):
     assert code == 0 and out == "7\n"
 
 
+# (subcommand, its other flags, integer config key)
+INTEGER_KEYS = [
+    ("eval", ["--bits", "101", "--problem", "be", "--format", "json"], "n"),
+    ("simulate", ["--problem", "or", "--n", "2", "--energies", "1,1", "--input", "01",
+                  "--mode", "monte_carlo", "--samples", "100"], "seed"),
+    ("mobs", ["--problem", "or", "--n", "3", "--budgets", "3", "--mode", "monte_carlo",
+              "--seed", "1"], "samples"),
+    ("curve", ["--format", "json"], "steps"),
+]
+
+
+@pytest.mark.parametrize("command, argv, key", INTEGER_KEYS)
+def test_config_file_integers_are_whole(capsys, tmp_path, command, argv, key):
+    # an int, an integral float and integer text read alike; a fraction,
+    # other text or a boolean is refused by its key before any output
+    cfg = tmp_path / "run.json"
+    results = []
+    for value in (3, 3.0, "3"):
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, *argv, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1] == results[2]
+    for value in (3.9, 2.5, "3.0", "three", True, [3]):
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert f"config key {key!r} must be an integer" in err
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     # nor may a file name another config file or the subcommand it runs under

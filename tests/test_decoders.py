@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from inexact.decoders import (
     monte_carlo_error,
     per_input_error,
     setting_name,
-    uniform_prior,
 )
 from inexact.noise import energy_vector
 from inexact.problems import (
@@ -67,25 +67,6 @@ def test_map_decoder_inverts_certain_flips():
     assert dec.decode(parse_bits("11")) == 0
     expected = table.outputs[np.arange(4) ^ 3]
     assert np.array_equal(dec.decode_map, expected)
-
-
-def test_map_decoder_with_uninformative_channel_plays_the_prior_mode():
-    # e=1 per bit means q=1/2: observations carry nothing, so a skewed
-    # prior wins every row
-    prior = np.array([0.97, 0.01, 0.01, 0.01])
-    dec = map_decoder(or_problem(2), energy_vector([1.0, 1.0]), prior=prior)
-    assert np.array_equal(dec.decode_map, np.zeros(4, dtype=np.int64))
-
-
-def test_prior_validation():
-    ev = energy_vector([1.0, 1.0])
-    with pytest.raises(ValueError):
-        map_decoder(or_problem(2), ev, prior=np.array([0.5, 0.5, 0.25, -0.25]))
-    with pytest.raises(ValueError):
-        map_decoder(or_problem(2), ev, prior=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        map_decoder(or_problem(2), ev, prior=np.full(4, 0.3))
-    assert uniform_prior(2).sum() == 1.0
 
 
 def test_map_decoder_matches_brute_posterior():
@@ -149,7 +130,7 @@ def test_map_kernels_give_the_same_decode_map(monkeypatch):
             (table.n, group.kind)
 
 
-def _untiled_map(table, ev, group, prior):
+def _untiled_map(table, ev, group):
     """The dense MAP kernel in one pass over all 4**n (observation, row)
     pairs: scores summed per output class, ties to the smaller value."""
     avg = decoders.average_pattern_probabilities(group, ev)
@@ -157,7 +138,7 @@ def _untiled_map(table, ev, group, prior):
     order = np.argsort(class_index, kind="stable")
     starts = np.searchsorted(class_index[order], np.arange(classes.size))
     idx = np.arange(1 << table.n, dtype=np.int64)
-    like = avg[idx[:, None] ^ order[None, :]] * prior[order][None, :]
+    like = avg[idx[:, None] ^ order[None, :]]
     return classes[decoders._first_near_top(np.add.reduceat(like, starts, axis=1))]
 
 
@@ -174,10 +155,39 @@ def test_dense_map_tiles_match_one_untiled_pass():
         assert decoders._tile_rows(1 << n) < 1 << n
         for group in _groups(n):
             ev = energy_vector(rng.dirichlet(np.ones(n)) * n * (n + 1) / 4)
-            for prior in (uniform_prior(n), rng.dirichlet(np.ones(1 << n))):
-                want = _untiled_map(table, ev, group, prior)
-                got = map_decoder(table, ev, group, prior).decode_map
-                assert np.array_equal(got, want), (problem.name, group.kind)
+            want = _untiled_map(table, ev, group)
+            got = map_decoder(table, ev, group).decode_map
+            assert np.array_equal(got, want), (problem.name, group.kind)
+
+
+# sha256 of three seeded dense-path MAP decode maps per case (energies on the
+# budget simplex, or all 0), as little-endian int64: many-class tables at
+# n <= 10 under each group kind, and a two-class table below the transform's
+# floor whose every bit flips with certainty
+DENSE_MAP_PINS = [
+    (binary_evaluation(6), FullSymmetricGroup(6), 10.5,
+     "6ee064114ef8d6bfd96f0e0422d9bf80fee7318232dba02833e056953c671fed"),
+    (sorting_problem(3, 3), GeneratedGroup(9, [tuple(range(1, 9)) + (0,)]), 22.5,
+     "e28ceeca1c9fd1d76a1648343328955f1b9b385af31f7746c400733cec1d5c17"),
+    (custom_problem(np.random.default_rng(120).integers(0, 120, 1 << 10)),
+     IdentityGroup(10), 27.5,
+     "e8cc3a2735255c8c29f2848fc7e63ff5a54205cd1e57d5ddfa7771c888743eb6"),
+    (or_problem(4), IdentityGroup(4), 0.0,
+     "b159912c3571a7e7ae8b195aee261e8f647cc045a009ec4128f00fd97b1d808a"),
+]
+
+
+@pytest.mark.parametrize("problem, group, budget, digest", DENSE_MAP_PINS,
+                         ids=lambda case: getattr(case, "name", None))
+def test_dense_map_decode_maps_are_pinned(problem, group, budget, digest):
+    n = problem.n
+    table = truth_table(problem)
+    assert not decoders._xor_is_cheaper(np.unique(table.outputs).size, n)
+    rng = np.random.default_rng(n)
+    maps = [map_decoder(table, energy_vector(rng.dirichlet(np.ones(n)) * budget),
+                        group).decode_map for _ in range(3)]
+    data = np.concatenate(maps).astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_map_decoder_guard():
@@ -205,7 +215,7 @@ def test_or2_error_profile_by_hand():
     assert per_input_error(p, ev, g, dec, 0) == pytest.approx(0.75, abs=1e-15)
     assert per_input_error(p, ev, g, dec, 1) == pytest.approx(0.25, abs=1e-15)
     assert profile.max() == pytest.approx(0.75, abs=1e-15)
-    assert uniform_prior(2) @ profile == pytest.approx(0.375, abs=1e-15)
+    assert np.full(4, 0.25) @ profile == pytest.approx(0.375, abs=1e-15)
     assert np.array([0.0, 0.0, 0.0, 1.0]) @ profile == pytest.approx(0.25, abs=1e-15)
 
 
@@ -457,11 +467,9 @@ def test_map_decoding_is_bayes_optimal():
         outputs = rng.integers(0, 4, size=1 << n)
         table = truth_table(custom_problem(outputs))
         ev = energy_vector(rng.random(n) * 3.0)
-        prior = rng.random(1 << n)
-        prior /= prior.sum()
+        prior = np.full(1 << n, 1.0 / (1 << n))  # the uniform prior MAP reads
         group = FullSymmetricGroup(n) if rng.random() < 0.5 else IdentityGroup(n)
-        best = prior @ error_profile(table, ev, group,
-                                     map_decoder(table, ev, group, prior))
+        best = prior @ error_profile(table, ev, group, map_decoder(table, ev, group))
         rivals = [identity_decoder(table)]
         rivals += [Decoder("rand", rng.integers(0, 4, size=1 << n)) for _ in range(5)]
         for rival in rivals:
@@ -559,36 +567,18 @@ def test_monte_carlo_determinism_and_validation():
     GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
 ])
 @pytest.mark.parametrize("loss", ["exact", "absolute"])
-def test_monte_carlo_is_the_per_batch_sampler(group, loss):
+def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
     # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
+    monkeypatch.setattr(decoders, "_MC_BATCH", 333)
     p = binary_evaluation(5)
     table = truth_table(p)
     dec = identity_decoder(p)
     ev = energy_vector([0.0, 0.4, 1.3, 2.0, 3.7])
     for i in (0, 13, 31):
-        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17,
-                                batch=333)
+        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17)
         want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
                                        np.random.default_rng(17), 333)
         assert got == want
-
-
-def test_monte_carlo_rejects_empty_batches_before_any_draw(monkeypatch):
-    p = or_problem(3)
-    ev = energy_vector([1.0, 2.0, 0.5])
-    dec = identity_decoder(p)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the batch size was checked")
-
-    monkeypatch.setattr(decoders, "flip_probability", no_work)
-    rng = np.random.default_rng(8)
-    state = rng.bit_generator.state
-    for batch in (0, -3):
-        with pytest.raises(ValueError, match="batch"):
-            monte_carlo_error(p, ev, FullSymmetricGroup(3), dec, 0, samples=10,
-                              rng=rng, batch=batch)
-    assert rng.bit_generator.state == state
 
 
 def test_unknown_loss_is_rejected_before_any_work(monkeypatch):
