@@ -6,32 +6,33 @@ The identity group models a clairvoyant designer (assignments stick); the
 full symmetric group models a blindfolded one (any rewiring is equally
 likely); smaller generated groups interpolate.
 
-The workhorse is :func:`average_pattern_probabilities`: the probability of
-each flip pattern d, averaged over the group.  Independence across bits
-makes the observation of input i land on i XOR d with a probability that
-depends only on d, so the group average is a single 2**n vector shared by
-every input.  For the full symmetric group it collapses to a function of
-popcount(d) (a Poisson binomial), which keeps exact blindfolded analysis
-polynomial in n instead of factorial.
+Independence across bits makes the observation of input i land on i XOR d
+with a probability that depends only on the flip pattern d, so the group
+average is one 2**n vector shared by every input.  Each group class owns
+that law: ``law`` gives it exactly, ``sample_patterns`` draws packed
+patterns from it, ``marginal`` gives each bit's flip probability,
+``average`` the mean of a row score over the rewired rows, and ``setting``
+names the designer ("clairvoyant" or "blindfolded:<kind>").
 
-:func:`sample_flip_patterns` draws from the same law, side by side with the
-exact average:
+* identity   -- law: the channel's product over bits.  sampled: bit j flips
+                when a uniform draw falls below q[j].  average: one call.
+* generated  -- law: the mean of the channel over the rewired flip vectors
+                q[sigma].  sampled: one element per trial, then the
+                identity's coins against q[sigma].
+* symmetric  -- law: a[popcount(d)] / C(n, popcount(d)), a the flip-count
+                law (a Poisson binomial), polynomial in n where the
+                elements are factorial.  sampled: a count K from a, then a
+                uniform K-subset, so a trial costs two draws and n unranking
+                steps instead of a permutation.
 
-* identity   -- exact: the channel's product over bits.
-                sampled: bit j flips when a uniform draw falls below q[j].
-* generated  -- exact: the mean of the channel over the rewired flip
-                vectors q[sigma].  sampled: one element per trial, then
-                the identity's coins against q[sigma].
-* symmetric  -- exact: a[popcount(d)] / C(n, popcount(d)), a the flip-count
-                law.  sampled: a count K from a, then a uniform K-subset,
-                so a trial costs two draws and n unranking steps instead
-                of a permutation.
+Generated and symmetric groups average over their explicit elements.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +49,43 @@ _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group e
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
 
+def _mismatch_count_weights(q: np.ndarray) -> np.ndarray:
+    """P{exactly m bits flip}, m = 0..n, for each flip vector along q's last
+    axis (Poisson binomial): bit j takes a[m] to a[m] * (1 - q_j) +
+    a[m - 1] * q_j, the two taps of np.convolve(a, (1 - q_j, q_j))."""
+    n = q.shape[-1]
+    q = np.moveaxis(q, -1, 0)
+    a = np.zeros((n + 1,) + q.shape[1:])
+    a[0] = 1.0
+    for j in range(n):
+        flipped = a[:j + 1] * q[j]
+        a[:j + 1] *= 1.0 - q[j]
+        a[1:j + 2] += flipped
+    return np.moveaxis(a, 0, -1)
+
+
+def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
+    """count packed patterns, bit j set when a uniform draw falls below q[..., j]."""
+    n = q.shape[-1]
+    flips = rng.random((count, n)) < q
+    return flips @ np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+
+
 class PermutationGroup:
-    """Base: a subgroup of S_n acting on bit positions."""
+    """Base: a subgroup of S_n acting on bit positions.
+
+    Each class defines its own sample (uniform elements, one per row), which
+    perfbench/spans.py times.  law, sample_patterns and marginal take energy
+    rows or flip vectors q = 2**-e of width n unchecked: the module's
+    functions (average_pattern_probabilities, ...) check.
+    """
 
     kind: str
-    n: int
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.n = int(n)
 
     def order(self) -> int:
         raise NotImplementedError
@@ -61,9 +94,39 @@ class PermutationGroup:
         """All elements, one permutation per row."""
         raise NotImplementedError
 
-    def sample(self, count: int, rng=None) -> np.ndarray:
-        """Uniform draws, one permutation per row."""
+    def law(self, rows: np.ndarray) -> np.ndarray:
+        """(K, n) energy rows -> (K, 2**n) group-averaged pattern laws."""
         raise NotImplementedError
+
+    def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
+        """count packed flip patterns d (bit j set when bit j flips) drawn
+        from the law that law gives exactly, for the flip vector q."""
+        raise NotImplementedError
+
+    def marginal(self, q: np.ndarray) -> np.ndarray:
+        """Per-bit flip probability averaged over the draw."""
+        return q[self.elements()].mean(axis=0)
+
+    def average(self, fn, rows: np.ndarray) -> np.ndarray:
+        """Per energy row, the exact entry-wise mean of fn over the group's
+        rewirings of that row, in element order: the rewired row for sigma
+        gives bit j the entry sigma[j].  fn scores a stack of rows."""
+        out = fn(rows)
+        # a flat row rewires to itself under every element
+        moving = np.flatnonzero(np.ptp(rows, axis=1) != 0.0)
+        if moving.size:
+            elements = self.elements()  # may raise the enumeration guard
+            for r in moving:
+                out[r] = np.mean(fn(rows[r][elements]), axis=0)
+        return out
+
+    @property
+    def setting(self) -> str:
+        return f"blindfolded:{self.kind}"
+
+    def check_width(self, width: int) -> None:
+        if width != self.n:
+            raise ValueError(f"group acts on {self.n} bits, energies have {width}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n})"
@@ -73,11 +136,7 @@ class IdentityGroup(PermutationGroup):
     """The trivial group: energies stay where they were assigned."""
 
     kind = "identity"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = int(n)
+    setting = "clairvoyant"
 
     def order(self) -> int:
         return 1
@@ -88,17 +147,24 @@ class IdentityGroup(PermutationGroup):
     def sample(self, count: int, rng=None) -> np.ndarray:
         return np.tile(np.arange(self.n, dtype=np.int64), (count, 1))
 
+    def law(self, rows: np.ndarray) -> np.ndarray:
+        return pattern_probabilities(rows)
+
+    def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
+        return _flip_coins(q, count, rng)
+
+    def marginal(self, q: np.ndarray) -> np.ndarray:
+        return q
+
+    def average(self, fn, rows: np.ndarray) -> np.ndarray:
+        return fn(rows)  # nothing moves
+
 
 class FullSymmetricGroup(PermutationGroup):
     """All of S_n: the adversary may rewire energies arbitrarily."""
 
     kind = "symmetric"
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = int(n)
-        self._elements = None
+    _elements = None  # enumerated on the first elements() call
 
     def order(self) -> int:
         return math.factorial(self.n)
@@ -121,6 +187,38 @@ class FullSymmetricGroup(PermutationGroup):
         base = np.tile(np.arange(self.n, dtype=np.int64), (count, 1))
         return as_rng(rng).permuted(base, axis=1)
 
+    def law(self, rows: np.ndarray) -> np.ndarray:
+        n = self.n
+        a = _mismatch_count_weights(flip_probability(rows))
+        counts = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
+        return (a / counts)[:, popcount_table(n)]
+
+    def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
+        # each trial draws the flip count K, then a rank r < C(n, K), the
+        # r-th K-subset in numeric order
+        n = self.n
+        cdf = np.cumsum(_mismatch_count_weights(q))
+        cdf /= cdf[-1]
+        # side="right" never lands on a count of zero weight (a flat cdf step)
+        k = np.searchsorted(cdf, rng.random(count), side="right")
+        # binom[j, c] = C(j, c), 0 when c > j
+        binom = np.array([[math.comb(j, c) for c in range(n + 1)] for j in range(n + 1)],
+                         dtype=np.int64)
+        rank = rng.integers(binom[n, k])
+        # unranking: C(j, k) k-subsets of the bits below j precede the first
+        # one that sets bit j
+        d = np.zeros(count, dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            below = binom[j, k]
+            take = rank >= below
+            rank -= below * take
+            k -= take
+            d |= take.astype(np.int64) << j
+        return d
+
+    def marginal(self, q: np.ndarray) -> np.ndarray:
+        return np.full(self.n, q.mean())
+
 
 class GeneratedGroup(PermutationGroup):
     """Subgroup generated by explicit permutations (closure by products).
@@ -132,9 +230,7 @@ class GeneratedGroup(PermutationGroup):
     kind = "generated"
 
     def __init__(self, n: int, generators: Sequence[Sequence[int]]):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = int(n)
+        super().__init__(n)
         gens = [self._check_perm(g) for g in generators]
         identity = tuple(range(self.n))
         seen = {identity}
@@ -155,7 +251,7 @@ class GeneratedGroup(PermutationGroup):
         self.generators = [tuple(g) for g in gens]
 
     def _check_perm(self, g) -> tuple:
-        g = tuple(int(x) for x in g)
+        g = tuple(map(operator.index, g))  # integers only (numpy's too): 1.7 is refused
         if sorted(g) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {g!r}")
         return g
@@ -169,6 +265,26 @@ class GeneratedGroup(PermutationGroup):
     def sample(self, count: int, rng=None) -> np.ndarray:
         idx = as_rng(rng).integers(self.order(), size=count)
         return self._elements[idx]
+
+    def law(self, rows: np.ndarray) -> np.ndarray:
+        """The rewired flip vectors q[sigma], one batch of elements at a
+        time, summed in element order."""
+        order, n = self.order(), self.n
+        if order * (1 << n) > EXACT_OPS_LIMIT:
+            raise ResourceLimitError(
+                f"averaging {order} elements over 2**{n} patterns exceeds the exact guard")
+        rewired = flip_probability(rows)[:, self._elements]
+        chunk = max(1, _ROW_BLOCK // (rows.shape[0] << n))
+        total = np.zeros((rows.shape[0], 1 << n))
+        for lo in range(0, order, chunk):
+            patterns = _flip_patterns(rewired[:, lo:lo + chunk])
+            for element in range(patterns.shape[1]):
+                total += patterns[:, element]
+        return total / order
+
+    def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
+        return _flip_coins(q[self._elements][rng.integers(self.order(), size=count)],
+                           count, rng)
 
 
 def build_group(kind: str, n: int, generators=None) -> PermutationGroup:
@@ -186,132 +302,30 @@ def build_group(kind: str, n: int, generators=None) -> PermutationGroup:
 def sample_energy_assignments(group: PermutationGroup, energies: EnergyVector,
                               count: int, rng=None) -> np.ndarray:
     """Matrix of adversarially rewired energy rows, entries[sigma[j]] at j."""
-    if energies.n != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
-    sigmas = group.sample(count, rng)
-    return energies.entries[sigmas]
-
-
-def _mismatch_count_weights(q: np.ndarray) -> np.ndarray:
-    """P{exactly m bits flip}, m = 0..n, for each flip vector along q's last
-    axis (Poisson binomial): bit j takes a[m] to a[m] * (1 - q_j) +
-    a[m - 1] * q_j, the two taps of np.convolve(a, (1 - q_j, q_j))."""
-    n = q.shape[-1]
-    q = np.moveaxis(q, -1, 0)
-    a = np.zeros((n + 1,) + q.shape[1:])
-    a[0] = 1.0
-    for j in range(n):
-        flipped = a[:j + 1] * q[j]
-        a[:j + 1] *= 1.0 - q[j]
-        a[1:j + 2] += flipped
-    return np.moveaxis(a, 0, -1)
+    group.check_width(energies.n)
+    return energies.entries[group.sample(count, rng)]
 
 
 def average_pattern_probabilities(group: PermutationGroup, energies) -> np.ndarray:
-    """Group-averaged probability of each flip pattern d in 0..2**n-1.
-
-    The observation of input i is i XOR d with this probability, uniformly
-    over the adversary's draw.  Identity reduces to the plain channel;
-    the full symmetric group averages to a[popcount(d)] / C(n, popcount(d))
-    where a is the flip-count distribution, exactly and without enumerating
-    n! permutations; generated groups average their explicit elements, one
-    batch of rewired flip vectors q[sigma] at a time, summed in element
-    order.
+    """Group-averaged probability of each flip pattern d in 0..2**n-1: the
+    observation of input i is i XOR d with this probability, uniformly over
+    the adversary's draw (group.law, see the module docstring).
 
     energies is an EnergyVector (one vector back) or a (K, n) stack of
     energy rows (a (K, 2**n) stack back, each row bit for bit the vector
     of that row alone).
     """
     rows = energy_rows(energies)
-    if rows.shape[1] != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {rows.shape[1]}")
-    n = group.n
-    if isinstance(group, IdentityGroup):
-        avg = pattern_probabilities(rows)
-    elif isinstance(group, FullSymmetricGroup):
-        a = _mismatch_count_weights(flip_probability(rows))
-        counts = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
-        avg = (a / counts)[:, popcount_table(n)]
-    else:
-        avg = _generated_average(group, flip_probability(rows))
+    group.check_width(rows.shape[1])
+    avg = group.law(rows)
     return avg[0] if isinstance(energies, EnergyVector) else avg
-
-
-def _generated_average(group: PermutationGroup, q: np.ndarray) -> np.ndarray:
-    order = group.order()
-    n = group.n
-    if order * (1 << n) > EXACT_OPS_LIMIT:
-        raise ResourceLimitError(
-            f"averaging {order} elements over 2**{n} patterns exceeds the exact guard")
-    rewired = q[:, group.elements()]
-    chunk = max(1, _ROW_BLOCK // (q.shape[0] << n))
-    total = np.zeros((q.shape[0], 1 << n))
-    for lo in range(0, order, chunk):
-        patterns = _flip_patterns(rewired[:, lo:lo + chunk])
-        for element in range(patterns.shape[1]):
-            total += patterns[:, element]
-    return total / order
-
-
-def sample_flip_patterns(group: PermutationGroup, q: np.ndarray, count: int,
-                         rng=None) -> np.ndarray:
-    """count packed flip patterns d (bit j set when bit j flips), drawn from
-    the law that average_pattern_probabilities gives exactly, for the flip
-    vector q = 2**-e (see the module docstring).
-
-    Under the full symmetric group each trial draws the flip count K, then
-    a rank r < C(n, K) that it unranks into the r-th K-subset in numeric
-    order; other groups flip each possibly rewired bit against its own
-    uniform draw.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    n = group.n
-    if q.shape != (n,):
-        raise ValueError(f"group acts on {n} bits, flip vector has shape {q.shape}")
-    rng = as_rng(rng)
-    if isinstance(group, FullSymmetricGroup):
-        return _sample_symmetric_patterns(q, count, rng)
-    if isinstance(group, IdentityGroup):
-        rows = q
-    else:
-        rows = q[group.elements()][rng.integers(group.order(), size=count)]
-    flips = rng.random((count, n)) < rows
-    return flips @ np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-
-
-def _sample_symmetric_patterns(q: np.ndarray, count: int, rng) -> np.ndarray:
-    n = q.size
-    cdf = np.cumsum(_mismatch_count_weights(q))
-    cdf /= cdf[-1]
-    # side="right" never lands on a count of zero weight (a flat cdf step)
-    k = np.searchsorted(cdf, rng.random(count), side="right")
-    # binom[j, c] = C(j, c), 0 when c > j
-    binom = np.array([[math.comb(j, c) for c in range(n + 1)] for j in range(n + 1)],
-                     dtype=np.int64)
-    rank = rng.integers(binom[n, k])
-    # colex unranking: C(j, k) k-subsets of the bits below j precede the
-    # first one that sets bit j
-    d = np.zeros(count, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        below = binom[j, k]
-        take = rank >= below
-        rank -= below * take
-        k -= take
-        d |= take.astype(np.int64) << j
-    return d
 
 
 def marginal_flip_probability(group: PermutationGroup,
                               energies: EnergyVector) -> np.ndarray:
     """Per-bit flip probability averaged over the adversary's draw."""
-    if energies.n != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
-    q = flip_probability(energies)
-    if isinstance(group, IdentityGroup):
-        return q
-    if isinstance(group, FullSymmetricGroup):
-        return np.full(group.n, q.mean())
-    return q[group.elements()].mean(axis=0)
+    group.check_width(energies.n)
+    return group.marginal(flip_probability(energies))
 
 
 def amgm_bound(energies: EnergyVector) -> float:

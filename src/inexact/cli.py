@@ -202,23 +202,29 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
 
 
-def _listed(raw, item, sep=",", *inner):
-    """The values of a list flag: its text split on sep, blank pieces
-    skipped, or a JSON list from a config file.  Each further separator
-    splits the pieces again, into a list of lists.  None stays None."""
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raw = [piece for piece in str(raw).split(sep) if piece.strip()]
-    if inner:
-        return [_listed(piece, item, *inner) for piece in raw]
-    return [item(piece) for piece in raw]
+def _listed(cfg: dict, key: str, item, *seps):
+    """The values of a list key: its flag text split on the first of seps
+    (default ","), blank pieces skipped, or a JSON list from a config file.
+    Each further separator splits the pieces again, into a list of lists.
+    int items follow _integer's whole-number rule.  None stays None."""
+    def split(raw, seps):
+        if not isinstance(raw, list):
+            raw = [piece for piece in str(raw).split(seps[0]) if piece.strip()]
+        if len(seps) > 1:
+            return [split(piece, seps[1:]) for piece in raw]
+        return [_whole(piece, key) if item is int else item(piece) for piece in raw]
+
+    return None if cfg.get(key) is None else split(cfg[key], seps or (",",))
 
 
 def _integer(cfg: dict, key: str) -> int:
-    """cfg[key] as an int: an int, an integral float or integer text (a
-    config file may give any of them); anything else is refused by key."""
-    value = cfg[key]
+    return _whole(cfg[key], key)
+
+
+def _whole(value, key: str) -> int:
+    """A value of config key as an int: an int, an integral float or integer
+    text (a config file may give any of them); anything else is refused by
+    key."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -259,7 +265,7 @@ def _problem_from(cfg: dict) -> BooleanProblem:
 
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("energies") is not None:
-        return energy_vector(_listed(cfg["energies"], float))
+        return energy_vector(_listed(cfg, "energies", float))
     if cfg.get("energies_file"):
         return load_energies(cfg["energies_file"])
     allocation = cfg.get("allocation")
@@ -279,7 +285,7 @@ def _group_from(cfg: dict, n: int):
     if cfg["group"] == "generated":
         if not cfg.get("generators"):
             raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
-        generators = _listed(cfg["generators"], int, ";", ",")
+        generators = _listed(cfg, "generators", int, ";", ",")
     return build_group(cfg["group"], n, generators)
 
 
@@ -369,7 +375,7 @@ def _cmd_mobs(cfg: dict):
     group = _group_from(cfg, problem.n)
     mode = _auto_mode(cfg, problem.n)
     rng = np.random.default_rng(_integer(cfg, "seed"))
-    result = mobs(problem, _listed(cfg.get("budgets"), float), cfg.get("metric"),
+    result = mobs(problem, _listed(cfg, "budgets", float), cfg.get("metric"),
                   group, mode, _integer(cfg, "samples"), rng)
     return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 
@@ -396,9 +402,9 @@ def _cmd_curve(cfg: dict):
 
 def _cmd_table2(cfg: dict):
     shapes = [(count, width) for count, width
-              in _listed(cfg["sorting_shapes"], int, ";", "x")]
+              in _listed(cfg, "sorting_shapes", int, ";", "x")]
     rng = np.random.default_rng(_integer(cfg, "seed"))
-    results = table2_rows(_listed(cfg["sizes"], int), _listed(cfg["comparison_widths"], int),
+    results = table2_rows(_listed(cfg, "sizes", int), _listed(cfg, "comparison_widths", int),
                           shapes, cfg["mode"], _integer(cfg, "samples"), rng)
     return ([r.to_json() for r in results], "problem,n,mobs,mode",
             (r.csv_row() for r in results), all(r.converged for r in results))

@@ -60,8 +60,7 @@ import numpy as np
 
 from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
 from .noise import EnergyVector, energy_rows, flip_probability
-from .adversary import (IdentityGroup, PermutationGroup, average_pattern_probabilities,
-                        sample_flip_patterns)
+from .adversary import IdentityGroup, PermutationGroup, average_pattern_probabilities
 from .problems import BooleanProblem, TruthTable, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
@@ -376,7 +375,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     """Sampled error of one input row: (estimate, standard error).
 
     Each trial draws a flip pattern d from the group-averaged law that
-    average_pattern_probabilities gives exactly (see sample_flip_patterns:
+    average_pattern_probabilities gives exactly (group.sample_patterns:
     under the full symmetric group a flip count and a uniform subset of
     that size, otherwise independent flips of the possibly rewired bits)
     and decodes the observed row i XOR d.  The flip vector is computed
@@ -391,8 +390,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     if decoder.n != n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
     _check_width(energies.n, n)
-    if energies.n != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {energies.n}")
+    group.check_width(energies.n)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_rng(rng)
@@ -404,7 +402,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        observed = np.int64(i) ^ sample_flip_patterns(group, q, m, rng)
+        observed = np.int64(i) ^ group.sample_patterns(q, m, rng)
         vals = loss_fn(decoder.decode_map[observed], truth)
         total += vals.sum()
         total_sq += (vals * vals).sum()
@@ -440,17 +438,13 @@ class ErrorReport:
         return body
 
 
-def setting_name(group: PermutationGroup) -> str:
-    return "clairvoyant" if isinstance(group, IdentityGroup) else f"blindfolded:{group.kind}"
-
-
 def error_report(problem, energies: EnergyVector, group: PermutationGroup,
                  decoder: Decoder, loss: str = "exact", mode: str = "exact",
                  samples: int = 100_000, rng=None) -> ErrorReport:
     table = _as_table(problem)
     if mode == "exact":
         profile = error_profile(table, energies, group, decoder, loss)
-        return ErrorReport(setting_name(group), "exact", loss, profile)
+        return ErrorReport(group.setting, "exact", loss, profile)
     if mode == "monte_carlo":
         rows = 1 << table.n
         if rows * samples > MC_REPORT_WORK_LIMIT:
@@ -464,5 +458,5 @@ def error_report(problem, energies: EnergyVector, group: PermutationGroup,
         for i in range(1 << table.n):
             est[i], err[i] = monte_carlo_error(table, energies, group, decoder, i,
                                                loss, samples, rng)
-        return ErrorReport(setting_name(group), "monte_carlo", loss, est, err, samples)
+        return ErrorReport(group.setting, "monte_carlo", loss, est, err, samples)
     raise ValueError(f"unknown mode {mode!r}; expected exact or monte_carlo")

@@ -181,24 +181,6 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray,
     return total
 
 
-def _group_average(fn, group: PermutationGroup, rows: np.ndarray) -> np.ndarray:
-    """Per energy row, the exact entry-wise mean of fn over the group's
-    rewirings of that row, in element order: the rewired row for sigma
-    gives bit j the entry sigma[j].  fn scores a stack of rows."""
-    if rows.shape[1] != group.n:
-        raise ValueError(f"group acts on {group.n} bits, energies have {rows.shape[1]}")
-    out = fn(rows)
-    if isinstance(group, IdentityGroup):
-        return out  # nothing moves
-    # a flat row rewires to itself under every element
-    moving = np.flatnonzero(np.ptp(rows, axis=1) != 0.0)
-    if moving.size:
-        elements = group.elements()  # may raise the enumeration guard
-        for r in moving:
-            out[r] = np.mean(fn(rows[r][elements]), axis=0)
-    return out
-
-
 def _profile_function(problem: BooleanProblem, metric: str):
     """(energy rows, group) -> error profile of the metric, one row of
     entries per row of the (K, n) stack.
@@ -227,7 +209,8 @@ def _profile_function(problem: BooleanProblem, metric: str):
 
     def profile(rows, group):
         rows = energy_rows(rows)
-        averaged = _group_average(direct, group, rows)
+        group.check_width(rows.shape[1])
+        averaged = group.average(direct, rows)
         return averaged.reshape(rows.shape[0], -1).max(axis=1, keepdims=True)
 
     return profile

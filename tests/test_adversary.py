@@ -15,7 +15,6 @@ from inexact.adversary import (
     build_group,
     marginal_flip_probability,
     sample_energy_assignments,
-    sample_flip_patterns,
 )
 from inexact.bits import ResourceLimitError
 from inexact.noise import energy_vector, flip_probability, pattern_probabilities
@@ -71,6 +70,14 @@ def test_generated_cycle_group():
 def test_generated_transposition_group():
     g = GeneratedGroup(2, [(1, 0)])
     assert g.order() == 2
+    assert GeneratedGroup(2, [np.array([1, 0])]).order() == 2  # numpy ints are integers
+
+
+@pytest.mark.parametrize("generator", [(1.7, 0.2), (1.0, 0.0), ("1", "0"), (1, 0.5)])
+def test_generated_group_refuses_non_integral_entries(generator):
+    # an entry must be an integer, not something int() would truncate to one
+    with pytest.raises(TypeError):
+        GeneratedGroup(2, [generator])
 
 
 def test_generated_group_closure_properties():
@@ -249,7 +256,7 @@ def test_symmetric_flip_patterns_follow_the_exact_law():
     g = FullSymmetricGroup(5)
     draws = 400_000
     expected = average_pattern_probabilities(g, ev) * draws
-    patterns = sample_flip_patterns(g, flip_probability(ev), draws, rng=21)
+    patterns = g.sample_patterns(flip_probability(ev), draws, np.random.default_rng(21))
     observed = np.bincount(patterns, minlength=32)
     assert observed.size == 32 and observed.sum() == draws
     live = expected > 0
@@ -267,13 +274,8 @@ def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     g = FullSymmetricGroup(5)
     possible = average_pattern_probabilities(g, ev) > 0
     assert not possible.all()
-    patterns = sample_flip_patterns(g, flip_probability(ev), 200_000, rng=4)
+    patterns = g.sample_patterns(flip_probability(ev), 200_000, np.random.default_rng(4))
     assert possible[patterns].all()
-
-
-def test_flip_patterns_reject_a_mismatched_flip_vector():
-    with pytest.raises(ValueError, match="flip vector"):
-        sample_flip_patterns(FullSymmetricGroup(4), np.full(3, 0.5), 10, rng=0)
 
 
 def test_dimension_mismatch_is_rejected():

@@ -541,6 +541,30 @@ def test_config_file_lists_read_as_the_comma_text(capsys, tmp_path, key):
     assert json.loads(from_file)["result"] == json.loads(out)["result"]
 
 
+# integer list key -> a config file that lists one fraction under it
+FRACTIONAL_ITEMS = {
+    "sizes": ("table2", {"sizes": [2.7], "comparison_widths": [2],
+                         "sorting_shapes": [[2, 1]]}),
+    "comparison_widths": ("table2", {"sizes": [2], "comparison_widths": [2.5],
+                                     "sorting_shapes": [[2, 1]]}),
+    "sorting_shapes": ("table2", {"sizes": [2], "comparison_widths": [2],
+                                  "sorting_shapes": [[2, 1.5]]}),
+    "generators": ("simulate", {"problem": "or", "n": 2, "energies": [1, 1], "input": "01",
+                                "group": "generated", "generators": [[1.5, 0]]}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FRACTIONAL_ITEMS))
+def test_config_file_list_items_are_whole(capsys, tmp_path, key):
+    # list items follow the integer keys' rule: a fraction is refused, not truncated
+    command, body = FRACTIONAL_ITEMS[key]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"config key {key!r} must be an integer" in err
+
+
 def test_config_file_values_obey_the_flag_choices(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"mode": "bogus"}))

@@ -20,7 +20,6 @@ from inexact.decoders import (
     map_decoder,
     monte_carlo_error,
     per_input_error,
-    setting_name,
 )
 from inexact.noise import energy_vector
 from inexact.problems import (
@@ -674,6 +673,24 @@ def test_energy_width_is_checked_before_any_work(monkeypatch, width, group):
         per_input_error(p, ev, group, dec, 0)
 
 
+def test_monte_carlo_refuses_a_group_of_another_width(monkeypatch):
+    # the energies match the table, the group does not: refused before any draw
+    p = or_problem(4)
+    ev = energy_vector([0.5, 1.0, 1.5, 2.0])
+    dec = identity_decoder(p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the group width was checked")
+
+    monkeypatch.setattr(decoders, "flip_probability", no_work)
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    for group in (IdentityGroup(3), FullSymmetricGroup(5), GeneratedGroup(3, [(1, 2, 0)])):
+        with pytest.raises(ValueError, match=f"group acts on {group.n} bits, energies have 4"):
+            monte_carlo_error(p, ev, group, dec, 0, samples=10, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_error_report_shapes():
     p = or_problem(2)
     ev = energy_vector([1.0, 1.0])
@@ -696,7 +713,8 @@ def test_error_report_shapes():
 
     with pytest.raises(ValueError):
         error_report(p, ev, IdentityGroup(2), dec, mode="guess")
-    assert setting_name(GeneratedGroup(2, [(1, 0)])) == "blindfolded:generated"
+    assert GeneratedGroup(2, [(1, 0)]).setting == "blindfolded:generated"
+    assert IdentityGroup(2).setting == "clairvoyant"
 
 
 def test_full_monte_carlo_report_work_guard(monkeypatch):

@@ -172,17 +172,38 @@ def brute_group_comparison_weighted(k, ev, group):
 def test_blindfolded_aggregate_averages_over_the_group():
     problem = comparison_problem(2)
     ev = energy_vector([0.5, 1.5, 1.0, 2.0])
-    group = FullSymmetricGroup(4)
-    got = aggregate_error(problem, ev, group, "comparison_weighted")
-    want = brute_group_comparison_weighted(2, ev, group)
-    assert got == pytest.approx(want, rel=1e-12)
     flat = uniform_allocation(4.0, 4)
-    assert aggregate_error(problem, flat, group, "comparison_weighted") == \
-        pytest.approx(aggregate_error(problem, flat, None, "comparison_weighted"),
-                      rel=1e-15)
+    # group.average of a stack: per row, the mean over the enumerated
+    # rewirings in element order; a flat row is scored once
+    score = lambda rows: rows @ np.array([1.0, 2.0, 4.0, 8.0]) + rows[:, 0] ** 2
+    rows = np.array([ev.entries, flat.entries, [3.0, 0.0, 0.0, 1.0]])
+    for group in (FullSymmetricGroup(4), GeneratedGroup(4, [(1, 2, 3, 0)]),
+                  GeneratedGroup(4, [(2, 3, 0, 1), (1, 0, 2, 3)])):
+        got = aggregate_error(problem, ev, group, "comparison_weighted")
+        want = brute_group_comparison_weighted(2, ev, group)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert aggregate_error(problem, flat, group, "comparison_weighted") == \
+            pytest.approx(aggregate_error(problem, flat, None, "comparison_weighted"),
+                          rel=1e-15)
+        want = [np.mean([score(row[np.asarray(s)][None])[0] for s in group.elements()])
+                for row in rows]
+        assert np.array_equal(group.average(score, rows), want)
     # an identity-group adversary degenerates to the clairvoyant setting
     assert aggregate_error(problem, ev, IdentityGroup(4), "comparison_weighted") == \
         aggregate_error(problem, ev, None, "comparison_weighted")
+
+
+def test_identity_average_scores_each_stack_once():
+    # the clairvoyant pair-weighted descent pays one call per stack of moves
+    calls = []
+
+    def score(rows):
+        calls.append(rows.shape)
+        return rows.sum(axis=1)
+
+    rows = np.array([[0.5, 1.5, 1.0, 2.0], [3.0, 0.0, 0.0, 1.0]])
+    assert np.array_equal(IdentityGroup(4).average(score, rows), rows.sum(axis=1))
+    assert calls == [(2, 4)]
 
 
 def test_comparison_weighted_averages_each_pair_before_the_worst():
