@@ -206,13 +206,14 @@ def _listed(cfg: dict, key: str, item, *seps):
     """The values of a list key: its flag text split on the first of seps
     (default ","), blank pieces skipped, or a JSON list from a config file.
     Each further separator splits the pieces again, into a list of lists.
-    int items follow _integer's whole-number rule.  None stays None."""
+    Each item is read by item(piece, key), _whole or _real.  None stays
+    None."""
     def split(raw, seps):
         if not isinstance(raw, list):
             raw = [piece for piece in str(raw).split(seps[0]) if piece.strip()]
         if len(seps) > 1:
             return [split(piece, seps[1:]) for piece in raw]
-        return [_whole(piece, key) if item is int else item(piece) for piece in raw]
+        return [item(piece, key) for piece in raw]
 
     return None if cfg.get(key) is None else split(cfg[key], seps or (",",))
 
@@ -235,6 +236,14 @@ def _whole(value, key: str) -> int:
         except ValueError:
             pass
     raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+
+
+def _real(value, key: str) -> float:
+    """A list item of config key as a float: a number or number text.  A
+    JSON boolean is refused by key, where float() would read it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def _refuse_map_search(cfg: dict) -> None:
@@ -265,7 +274,7 @@ def _problem_from(cfg: dict) -> BooleanProblem:
 
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("energies") is not None:
-        return energy_vector(_listed(cfg, "energies", float))
+        return energy_vector(_listed(cfg, "energies", _real))
     if cfg.get("energies_file"):
         return load_energies(cfg["energies_file"])
     allocation = cfg.get("allocation")
@@ -285,7 +294,7 @@ def _group_from(cfg: dict, n: int):
     if cfg["group"] == "generated":
         if not cfg.get("generators"):
             raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
-        generators = _listed(cfg, "generators", int, ";", ",")
+        generators = _listed(cfg, "generators", _whole, ";", ",")
     return build_group(cfg["group"], n, generators)
 
 
@@ -375,7 +384,7 @@ def _cmd_mobs(cfg: dict):
     group = _group_from(cfg, problem.n)
     mode = _auto_mode(cfg, problem.n)
     rng = np.random.default_rng(_integer(cfg, "seed"))
-    result = mobs(problem, _listed(cfg, "budgets", float), cfg.get("metric"),
+    result = mobs(problem, _listed(cfg, "budgets", _real), cfg.get("metric"),
                   group, mode, _integer(cfg, "samples"), rng)
     return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 
@@ -402,9 +411,9 @@ def _cmd_curve(cfg: dict):
 
 def _cmd_table2(cfg: dict):
     shapes = [(count, width) for count, width
-              in _listed(cfg, "sorting_shapes", int, ";", "x")]
+              in _listed(cfg, "sorting_shapes", _whole, ";", "x")]
     rng = np.random.default_rng(_integer(cfg, "seed"))
-    results = table2_rows(_listed(cfg, "sizes", int), _listed(cfg, "comparison_widths", int),
+    results = table2_rows(_listed(cfg, "sizes", _whole), _listed(cfg, "comparison_widths", _whole),
                           shapes, cfg["mode"], _integer(cfg, "samples"), rng)
     return ([r.to_json() for r in results], "problem,n,mobs,mode",
             (r.csv_row() for r in results), all(r.converged for r in results))

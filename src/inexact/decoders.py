@@ -25,8 +25,16 @@ the decoded value v turns the same sum into XOR convolutions,
     err(i) = sum_v loss(v, f(i)) * (avg_pattern_prob (*) 1[decode = v])(i),
 
 one per output class, and the fast Walsh-Hadamard transform computes each
-in O(n 2**n).  An ErrorAnalysis binds (truth table, decoder, loss) and
-picks one of three kernels once, shown by its ``kernel`` attribute:
+in O(n 2**n).  Where the decoder reads the identity map against the
+identity table, so each flip costs |(i XOR d) - i| (be under the identity
+decoder), the cost depends on d only through its top flipped bit t and
+the signs s_j = 1 - 2 bit_j(i) below it:
+
+    |(i XOR d) - i| = 2**t + s_t * sum_{j<t} s_j d_j 2**j,
+
+so err(i) needs only the law's mass on each top bit and its first moments
+d_j below it.  An ErrorAnalysis binds (truth table, decoder, loss) and
+picks one of four kernels once, shown by its ``kernel`` attribute:
 
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
@@ -37,9 +45,13 @@ picks one of three kernels once, shown by its ``kernel`` attribute:
             and their C x 2**n arrays fit one block: or, tribes, comparison,
             ue, few-valued custom problems and sorting with narrow words at
             n >= 12.
+* ramp   -- the top-flipped-bit moments, O(n 2**n) under any group's
+            law, for the identity map read against the identity table
+            (be under the identity decoder) at n >= 12.
 * blocks -- L rebuilt on every call, one cache-sized tile of rows at a
-            time, each tile's errors one matrix-vector product, for
-            many-valued decoders (be, wide-word sorting) at n >= 12.
+            time, each tile's errors one matrix-vector product, for the
+            other many-valued decoders (wide-word sorting, many-valued
+            custom tables) at n >= 12.
 
 The MAP decoder's scores are XOR convolutions too, and it picks between
 them and dense row tiles by the same rule; having no matrix to keep, it
@@ -124,6 +136,13 @@ def _xor_is_cheaper(classes: int, n: int) -> bool:
     size = 1 << n
     return (n >= _XOR_MIN_BITS and classes * n < size
             and classes * size <= _CHUNK_ENTRIES)
+
+
+def _is_ramp(decoder: Decoder, table: TruthTable) -> bool:
+    """Kernel rule: the decoder returns the observed row and the table the
+    input row, so a flip's cost is the distance it moves the row index."""
+    ramp = np.arange(table.outputs.size)
+    return np.array_equal(decoder.decode_map, ramp) and np.array_equal(table.outputs, ramp)
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -264,13 +283,17 @@ class ErrorAnalysis:
     """Exact per-input errors of one (truth table, decoder, loss) under any
     energies and group: L @ average_pattern_probabilities(group, energies).
 
-    The kernel ("matrix", "xor" or "blocks", see the module docstring) is
-    picked once, here, with the energy-independent arrays it keeps: the
-    decoder's class indicators and their loss weights for "xor", L whole
-    (built on the first profile) for "matrix".  "blocks" rebuilds L on every
-    call in cache-sized tiles of rows through buffers it reuses from tile to
-    tile; each tile's errors come from one gemv, bit for bit the sums whole
-    row blocks gave.
+    The kernel ("matrix", "xor", "ramp" or "blocks", see the module
+    docstring) is picked once, here: "matrix" where L fits one block
+    (n <= 11), else "ramp" for the identity map read against the identity
+    table, else "xor" where the decoder's classes make the transforms
+    cheaper, else "blocks".  It keeps the energy-independent arrays its
+    kernel needs: L whole (built on the first profile) for "matrix", the
+    decoder's class indicators and their loss weights for "xor", the
+    2**n x n bit table and its +-1 signs for "ramp" under the absolute
+    loss.  "blocks" rebuilds L on every call in cache-sized tiles of rows
+    through buffers it reuses from tile to tile; each tile's errors come
+    from one gemv, bit for bit the sums whole row blocks gave.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
@@ -281,9 +304,15 @@ class ErrorAnalysis:
         if decoder.n != n:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
-        self._matrix = self._indicators = self._weights = None
+        self._matrix = self._indicators = self._weights = self._bits = self._signs = None
         if 1 << (2 * n) <= _CHUNK_ENTRIES:
             self._kernel = "matrix"
+            return
+        if _is_ramp(decoder, self.table):
+            self._kernel = "ramp"
+            if loss == "absolute":
+                self._bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+                self._signs = 1.0 - 2.0 * self._bits
             return
         classes = np.unique(decoder.decode_map)[:, None]
         if _xor_is_cheaper(classes.size, n):
@@ -304,12 +333,38 @@ class ErrorAnalysis:
         for lo, hi, decoded in _dense_tiles(self.decoder.decode_map, columns):
             yield lo, hi, decoded, truth[lo:hi]
 
+    def _ramp_row(self, avg: np.ndarray) -> np.ndarray:
+        """Per-input errors of one pattern law under the ramp kernel.  Under
+        the exact loss every flip costs 1, so each row reads the mass on
+        d != 0.  Under the absolute loss, with top[t] the mass on patterns
+        whose top flipped bit is t and below[t, j] = 2**j times their mass
+        with bit j flipped too (j < t),
+
+            err(i) = sum_t top[t] 2**t + s_t(i) sum_{j<t} s_j(i) below[t, j].
+        """
+        if self._signs is None:
+            return np.full(avg.size, avg[1:].sum())
+        n = self.table.n
+        scale = np.exp2(np.arange(n))
+        top = np.empty(n)
+        below = np.zeros((n, n))
+        for t in range(n):
+            # the patterns whose top flipped bit is t: d in [2**t, 2**(t+1))
+            block = avg[1 << t:2 << t]
+            top[t] = block.sum()
+            below[t, :t] = block @ self._bits[:1 << t, :t]
+        below *= scale
+        quad = self._signs @ below.T
+        quad *= self._signs
+        return top @ scale + quad @ np.ones(n)
+
     def profile(self, energies, group: PermutationGroup) -> np.ndarray:
         """Per-input errors of an EnergyVector, or one row of them for each
         row of a (K, n) stack of energy rows, bit for bit the profile of that
         row alone: "matrix" runs one gemv per row (np.matmul over the stack;
-        a single gemm would round differently), "xor" and "blocks" score the
-        rows one by one, "blocks" each tile once for the whole stack."""
+        a single gemm would round differently), "xor", "ramp" and "blocks"
+        score the rows one by one, "blocks" each tile once for the whole
+        stack."""
         rows = energy_rows(energies)
         _check_width(rows.shape[1], self.table.n)
         avg = average_pattern_probabilities(group, rows)
@@ -327,6 +382,10 @@ class ErrorAnalysis:
                 err = (self._weights * _xor_convolve(row, self._indicators)).sum(axis=0)
                 # a sum of nonnegative terms; clip the transform's rounding below 0
                 np.maximum(err, 0.0, out=out[r])
+        elif self._kernel == "ramp":
+            out = np.empty_like(avg)
+            for r, row in enumerate(avg):
+                out[r] = self._ramp_row(row)
         else:
             weights = np.empty((_tile_rows(size), size))
             out = np.empty_like(avg)

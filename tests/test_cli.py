@@ -203,12 +203,13 @@ def test_seeded_monte_carlo_streams_are_pinned(capsys, group):
 
 
 # sha256 of exact n = 12 reports whose per_input rows emit_json encodes
-# without the json module: be under the absolute loss (the row-tile kernel)
-# and or's MAP decoder under the symmetric group (the XOR-convolution kernels)
+# without the json module: be under the absolute loss (the top-flipped-bit
+# ramp kernel) and or's MAP decoder under the symmetric group (the
+# XOR-convolution kernels)
 PINNED_REPORTS = {
     "be-absolute":
         (("--problem", "be", "--loss", "absolute"),
-         "4aadc13c90a80c0cce2a369c5c9e45e762538a2132f65e88c10d34af5f6003df"),
+         "bf7ece8762de799894692159d0b0f0661ca530113210bb6b9fc6ff5692b79d4b"),
     "or-map-symmetric":
         (("--problem", "or", "--group", "symmetric", "--decoder", "map"),
          "d73fda4c9d0715fc693dc0d77c59496d3a581219fdfd97288e12167c69a266f4"),
@@ -493,6 +494,25 @@ def test_config_file_integers_are_whole(capsys, tmp_path, command, argv, key):
         code, out, err = run(capsys, command, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert f"config key {key!r} must be an integer" in err
+
+
+# float list key -> a config file that lists a JSON boolean under it
+BOOLEAN_ITEMS = {
+    "budgets": ("mobs", {"problem": "or", "n": 2, "budgets": [True]}),
+    "energies": ("simulate", {"problem": "or", "n": 2, "energies": [True, 1],
+                              "input": "01"}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BOOLEAN_ITEMS))
+def test_config_file_float_items_refuse_booleans(capsys, tmp_path, key):
+    # float() reads true as 1.0; a boolean item is refused by its key, not run
+    command, body = BOOLEAN_ITEMS[key]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(body))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"config key {key!r} must be a number, got True" in err
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):

@@ -280,7 +280,7 @@ def test_error_analysis_reuse_matches_a_fresh_error_profile():
 
 
 def test_error_analysis_row_blocks_match_the_whole_matrix(monkeypatch):
-    problem = binary_evaluation(4)
+    problem = sorting_problem(2, 2)
     dec = identity_decoder(problem)
     ev = energy_vector([0.5, 1.0, 2.0, 3.0])
     group = FullSymmetricGroup(4)
@@ -302,10 +302,13 @@ def test_error_analysis_row_blocks_match_the_whole_matrix(monkeypatch):
 def test_production_tiles_match_the_whole_matrix_bit_for_bit(monkeypatch):
     # at n = 10 the matrix kernel runs one gemv over all 1024 rows; forced
     # onto blocks, the same rows go through 64-row tiles and must not round
-    # apart: be (absolute), sorting and a many-class custom problem
+    # apart: a shuffled ramp (1024 values, absolute), sorting and a
+    # many-class custom problem
     n = 10
-    problems = [(binary_evaluation(n), "absolute"), (sorting_problem(2, 5), "absolute"),
-                (custom_problem(np.random.default_rng(7).integers(0, 300, 1 << n)), "exact")]
+    rng = np.random.default_rng(7)
+    problems = [(custom_problem(rng.permutation(1 << n)), "absolute"),
+                (sorting_problem(2, 5), "absolute"),
+                (custom_problem(rng.integers(0, 300, 1 << n)), "exact")]
     rng = np.random.default_rng(10)
     settings = [(g, energy_vector(rng.dirichlet(np.ones(n)) * 27.5)) for g in _groups(n)]
     whole = []
@@ -325,10 +328,10 @@ def test_production_tiles_match_the_whole_matrix_bit_for_bit(monkeypatch):
 
 
 def test_blocks_profile_memory_is_a_few_tiles():
-    # be at n = 12 runs 4**12 entries through tiles of 2**16; the three
-    # reused tile buffers take 1.5 MB, where whole 1024-row blocks of int64
-    # and float64 temporaries once took about 100 MB
-    table = truth_table(binary_evaluation(12))
+    # sorting 2x6 (2,080 values) at n = 12 runs 4**12 entries through tiles
+    # of 2**16; the three reused tile buffers take 1.5 MB, where whole
+    # 1024-row blocks of int64 and float64 temporaries once took about 100 MB
+    table = truth_table(sorting_problem(2, 6))
     analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
     assert analysis.kernel == "blocks"
     ev, group = energy_vector(np.linspace(1.0, 5.0, 12)), FullSymmetricGroup(12)
@@ -365,8 +368,18 @@ def test_error_analysis_picks_its_kernel():
                     unary_evaluation(12)):
         assert kernel(problem) == "xor", problem.name
     assert kernel(unary_evaluation(12), "absolute") == "xor"
-    assert kernel(binary_evaluation(12), "absolute") == "blocks"
-    # 400 classes fit one block at n = 12 but cost 400 * 12 > 2**12 transforms
+    # the identity map read against the identity table: be, or a custom
+    # table equal to the ramp, under either loss
+    assert kernel(binary_evaluation(11), "absolute") == "matrix"
+    for loss in ("exact", "absolute"):
+        assert kernel(binary_evaluation(12), loss) == "ramp"
+        assert kernel(custom_problem(np.arange(1 << 12)), loss) == "ramp"
+    table = truth_table(binary_evaluation(12))
+    shifted = Decoder("shifted", np.roll(table.outputs, 1))
+    assert ErrorAnalysis(table, shifted, "absolute").kernel == "blocks"
+    # many values that are not the ramp: sorting 2x6 has 2,080; 400 classes
+    # fit one block at n = 12 but cost 400 * 12 > 2**12 transforms
+    assert kernel(sorting_problem(2, 6), "absolute") == "blocks"
     assert kernel(custom_problem(np.arange(1 << 12) % 400)) == "blocks"
     with pytest.raises(AttributeError):
         ErrorAnalysis(or_problem(2), identity_decoder(or_problem(2))).kernel = "xor"
@@ -419,6 +432,46 @@ def test_few_output_profiles_match_the_dense_blocks():
     quiet = energy_vector(10.0 + 0.5 * np.arange(12))
     profile = ErrorAnalysis(or_table, identity_decoder(or_table)).profile(quiet, IdentityGroup(12))
     assert profile.min() == 0.0
+
+
+def test_ramp_profiles_match_brute_definition(monkeypatch):
+    # forced at small n (L never kept whole), the top-flipped-bit moments
+    # must give the definition's sum under every group and both losses:
+    # every row at n <= 5, the extreme rows and a few others at n = 8,
+    # where S_8's 40,320 elements put the brute sum out of reach
+    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)
+    rng = np.random.default_rng(23)
+    for n in (3, 5, 8):
+        table = truth_table(binary_evaluation(n))
+        dec = identity_decoder(table)
+        groups = _groups(n)[::2] if n == 8 else _groups(n)
+        rows = (0, 1, 77, 128, 200, 255) if n == 8 else range(1 << n)
+        for group in groups:
+            ev = energy_vector(rng.random(n) * 4.0)
+            for loss in ("exact", "absolute"):
+                analysis = ErrorAnalysis(table, dec, loss)
+                assert analysis.kernel == "ramp"
+                profile = analysis.profile(ev, group)
+                for i in rows:
+                    want = brute_error(table, ev, group, dec, i, loss)
+                    assert profile[i] == pytest.approx(want, rel=1e-12, abs=1e-12), \
+                        (n, group.kind, loss, i)
+
+
+def test_ramp_profiles_match_the_dense_blocks():
+    # at n = 12, the smallest size that picks it, the ramp kernel agrees
+    # with the dense row sums under every group and both losses
+    rng = np.random.default_rng(4)
+    settings = [(g, energy_vector(rng.dirichlet(np.ones(12)) * 39.0)) for g in _groups(12)]
+    table = truth_table(binary_evaluation(12))
+    dec = identity_decoder(table)
+    dense = _dense_profiles(table, dec, settings, ("exact", "absolute"))
+    for loss, wants in dense.items():
+        analysis = ErrorAnalysis(table, dec, loss)
+        assert analysis.kernel == "ramp"
+        for (g, ev), want in zip(settings, wants):
+            got = analysis.profile(ev, g)
+            assert np.allclose(got, want, rtol=1e-12, atol=0), (g.kind, loss)
 
 
 def test_expected_magnitude_examples():

@@ -304,7 +304,8 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     # a search scores a stack of candidate moves in one call: each row must
     # get exactly the profile, pattern law and objective value it gets
     # alone, under every group, every metric and every ErrorAnalysis kernel
-    # (xor and blocks forced at small n, as the tile tests force blocks)
+    # (xor, blocks and ramp forced at small n, as the tile tests force
+    # blocks; ramp on be, the one table here it fits)
     mobs_module = importlib.import_module("inexact.mobs")
     decoders = importlib.import_module("inexact.decoders")
     rng = np.random.default_rng(2026)
@@ -313,12 +314,15 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     pair_weighted = [(comparison_problem(k), "comparison_weighted") for k in (2, 3, 4)]
     pair_weighted += [(sorting_problem(count, width), "sorting_weighted")
                       for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
-    for kernel in ("matrix", "xor", "blocks"):
+    is_ramp = decoders._is_ramp
+    for kernel in ("matrix", "xor", "blocks", "ramp"):
         if kernel != "matrix":
             monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)  # L never kept whole
             monkeypatch.setattr(decoders, "_xor_is_cheaper",
                                 lambda classes, n, xor=kernel == "xor": xor)
-        cases = [(p, metric) for p in per_input
+            monkeypatch.setattr(decoders, "_is_ramp",
+                                is_ramp if kernel == "ramp" else lambda decoder, table: False)
+        cases = [(p, metric) for p in per_input if kernel != "ramp" or p.kind == "be"
                  for metric in ("worst_correctness", "expected_magnitude")]
         if kernel == "matrix":
             cases += pair_weighted
@@ -512,6 +516,15 @@ def test_mobs_be_frozen_values_and_growth():
     big = mobs(binary_evaluation(6))
     assert big.mobs == pytest.approx(2.654156, abs=1e-3)
     assert small.mobs < mid.mobs < big.mobs
+
+
+def test_mobs_be_first_exact_price_above_11_bits():
+    # at n = 12 the analysis scores be by its top-flipped-bit moments, so
+    # the descent's 13,000-odd rows take seconds, not the minutes of dense
+    # row tiles
+    result = mobs(binary_evaluation(12), budget_grid=[39.0])
+    assert result.mobs == pytest.approx(9.155975152866, rel=1e-9)
+    assert result.converged
 
 
 def test_mobs_comparison_and_sorting_frozen_values():
