@@ -22,14 +22,17 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
 * symmetric  -- law: a[popcount(d)] / C(n, popcount(d)), a the flip-count
                 law (a Poisson binomial), polynomial in n where the
                 elements are factorial.  sampled: a count K from a, then a
-                uniform K-subset, so a trial costs two draws and n unranking
-                steps instead of a permutation.
+                uniform K-subset, so a trial costs two draws instead of a
+                permutation: the subset's rank is unranked one bit at a time
+                down to UNRANK_LOW_BITS, and the low bits are one gather
+                from a table of the low-width patterns.
 
 Generated and symmetric groups average over their explicit elements.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,6 +47,7 @@ from .noise import (EnergyVector, _flip_patterns, energy_rows, flip_probability,
 SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
+UNRANK_LOW_BITS = 12               # symmetric draws gather their low bits from a table
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
@@ -62,6 +66,28 @@ def _mismatch_count_weights(q: np.ndarray) -> np.ndarray:
         a[:j + 1] *= 1.0 - q[j]
         a[1:j + 2] += flipped
     return np.moveaxis(a, 0, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """Read-only (n + 1, n + 1) table, entry [j, c] = C(j, c), 0 when c > j."""
+    binom = np.array([[math.comb(j, c) for c in range(n + 1)] for j in range(n + 1)],
+                     dtype=np.int64)
+    binom.flags.writeable = False
+    return binom
+
+
+@functools.lru_cache(maxsize=None)
+def _low_patterns(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """All width-bit patterns sorted by flip count, then by value, and
+    starts[k], the position of the first one with k flips: the r-th
+    k-subset in numeric order is patterns[starts[k] + r].  Read-only."""
+    counts = popcount_table(width)
+    patterns = np.argsort(counts, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(counts, minlength=width + 1))))
+    for a in (patterns, starts):
+        a.flags.writeable = False
+    return patterns, starts
 
 
 def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
@@ -190,8 +216,7 @@ class FullSymmetricGroup(PermutationGroup):
     def law(self, rows: np.ndarray) -> np.ndarray:
         n = self.n
         a = _mismatch_count_weights(flip_probability(rows))
-        counts = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
-        return (a / counts)[:, popcount_table(n)]
+        return (a / _binomials(n)[n])[:, popcount_table(n)]
 
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
         # each trial draws the flip count K, then a rank r < C(n, K), the
@@ -201,19 +226,24 @@ class FullSymmetricGroup(PermutationGroup):
         cdf /= cdf[-1]
         # side="right" never lands on a count of zero weight (a flat cdf step)
         k = np.searchsorted(cdf, rng.random(count), side="right")
-        # binom[j, c] = C(j, c), 0 when c > j
-        binom = np.array([[math.comb(j, c) for c in range(n + 1)] for j in range(n + 1)],
-                         dtype=np.int64)
+        binom = _binomials(n)
         rank = rng.integers(binom[n, k])
-        # unranking: C(j, k) k-subsets of the bits below j precede the first
-        # one that sets bit j
-        d = np.zeros(count, dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            below = binom[j, k]
+        # unranking the bits above the low width, highest first: C(j, k)
+        # k-subsets of the bits below j precede the first one that sets bit j
+        low = min(n, UNRANK_LOW_BITS)
+        high = np.zeros(count, dtype=np.int64)
+        for j in range(n - 1, low - 1, -1):
+            below = binom[j].take(k)
             take = rank >= below
-            rank -= below * take
+            below *= take
+            rank -= below
             k -= take
-            d |= take.astype(np.int64) << j
+            high <<= 1
+            high |= take
+        # the rest is the rank-th k-subset of the low bits, one gather
+        patterns, starts = _low_patterns(low)
+        d = patterns[starts[k] + rank]
+        d |= high << low
         return d
 
     def marginal(self, q: np.ndarray) -> np.ndarray:

@@ -436,7 +436,8 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     Each trial draws a flip pattern d from the group-averaged law that
     average_pattern_probabilities gives exactly (group.sample_patterns:
     under the full symmetric group a flip count and a uniform subset of
-    that size, otherwise independent flips of the possibly rewired bits)
+    that size, unranked above the low bits and gathered from a table
+    below them; otherwise independent flips of the possibly rewired bits)
     and decodes the observed row i XOR d.  The flip vector is computed
     once and sampled _MC_BATCH draws at a time.
     """

@@ -76,8 +76,9 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
     bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
     truth = int(table.outputs[i])
     weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
-    by_count = [[d for d in range(1 << n) if bin(d).count("1") == k]
-                for k in range(n + 1)]
+    by_count = [[] for _ in range(n + 1)]
+    for d in range(1 << n):
+        by_count[bin(d).count("1")].append(d)
     cdf = np.cumsum(_mismatch_count_weights(np.exp2(-energies.entries)))
     cdf /= cdf[-1]
     total = total_sq = 0.0

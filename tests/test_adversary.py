@@ -268,14 +268,22 @@ def test_symmetric_flip_patterns_follow_the_exact_law():
 @pytest.mark.parametrize("entries", [
     [0.0, 1.0, 0.0, 2.0, 0.5],        # q = 1: counts 0 and 1 have weight 0
     [1100.0, 1.0, 0.0, 1100.0, 0.5],  # q = 0 twice: counts 4 and 5 too
+    # n = 14, above the unranking low width
+    [0.0] + [0.05] * 13,              # q = 1: count 0 excluded, count 14 drawn
+    [1100.0] + [4.0] * 13,            # q = 0: count 0 drawn, count 14 excluded
+    [0.0, 1100.0] + [0.5] * 12,       # both: counts 0 and 14 excluded
 ])
 def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     ev = energy_vector(entries)
-    g = FullSymmetricGroup(5)
+    n = ev.n
+    g = FullSymmetricGroup(n)
     possible = average_pattern_probabilities(g, ev) > 0
     assert not possible.all()
     patterns = g.sample_patterns(flip_probability(ev), 200_000, np.random.default_rng(4))
     assert possible[patterns].all()
+    # the extreme counts are drawn exactly when they can be
+    assert (patterns == 0).any() == possible[0]
+    assert (patterns == (1 << n) - 1).any() == possible[-1]
 
 
 def test_dimension_mismatch_is_rejected():

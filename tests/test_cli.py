@@ -180,7 +180,7 @@ def test_simulate_monte_carlo_is_seed_deterministic(capsys, tmp_path):
 # draw batches) under the groups that flip each possibly rewired bit against
 # its own coin.  These streams stay fixed: moving them changes every seeded
 # identity- or generated-group output.  Symmetric-group draws (a flip count,
-# then a subset) are checked against the oracle in tests/conftest.py instead.
+# then a subset) are pinned in SYMMETRIC_STREAMS below.
 PINNED_STREAMS = {
     "identity":
         ((), "0d949112a9e78c82903cec6139a1ea6a76cd09f07c339856f1326b1acb7f9c6f"),
@@ -198,6 +198,34 @@ def test_seeded_monte_carlo_streams_are_pinned(capsys, group):
                        *extra, "--loss", "absolute", "--mode", "monte_carlo",
                        "--samples", "100000", "--seed", "11", "--input", "101101",
                        "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of seeded Monte Carlo outputs under the full symmetric group, whose
+# draws (a flip count, then the rank of a subset of that size) unrank the
+# bits above the low width and gather the rest from a table: a single-row
+# report at n = 16 and a sampled mobs run at n = 20, budget 20 giving every
+# bit a flip probability of 1/2 and budget 105 one of 2**-5.25.  The
+# sampler itself is checked against tests/conftest.py's oracle up to n = 16.
+SYMMETRIC_STREAMS = {
+    "simulate-be-16":
+        (("simulate", "--problem", "be", "--n", "16", "--energies",
+          "0.0,0.37,0.74,1.11,1.48,1.85,2.22,2.59,2.96,0.23,0.6,0.97,1.34,1.71,2.08,2.45",
+          "--group", "symmetric", "--loss", "absolute", "--mode", "monte_carlo",
+          "--samples", "100000", "--seed", "11", "--input", "1011010011100101"),
+         "9a2ec140d51e3ef3bc7b33af67c36d7188682a7598a7dd0c2c26c7a4d0701680"),
+    "mobs-be-20":
+        (("mobs", "--problem", "be", "--n", "20", "--mode", "monte_carlo",
+          "--samples", "20000", "--seed", "13", "--budgets", "20,105"),
+         "ffe616aef12f419cf898b5229d67582677f73d8d8f4b0b9b74b038303af4abc6"),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(SYMMETRIC_STREAMS))
+def test_seeded_symmetric_streams_are_pinned(capsys, stream):
+    argv, digest = SYMMETRIC_STREAMS[stream]
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -617,16 +617,20 @@ def test_monte_carlo_determinism_and_validation():
     IdentityGroup(5),
     FullSymmetricGroup(5),
     GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    # above the unranking low width: a walk over the high bits, then the gather
+    FullSymmetricGroup(13),
+    FullSymmetricGroup(16),
 ])
 @pytest.mark.parametrize("loss", ["exact", "absolute"])
 def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
     # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
     monkeypatch.setattr(decoders, "_MC_BATCH", 333)
-    p = binary_evaluation(5)
+    n = group.n
+    p = binary_evaluation(n)
     table = truth_table(p)
     dec = identity_decoder(p)
-    ev = energy_vector([0.0, 0.4, 1.3, 2.0, 3.7])
-    for i in (0, 13, 31):
+    ev = energy_vector(np.resize([0.0, 0.4, 1.3, 2.0, 3.7], n))
+    for i in (0, 13, (1 << n) - 1):
         got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17)
         want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
                                        np.random.default_rng(17), 333)

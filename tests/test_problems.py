@@ -235,3 +235,17 @@ def test_popcount_counts_the_low_bits():
         assert table.dtype == np.int64
         assert table.tolist() == [bin(i).count("1") for i in range(1 << n)]
         assert np.array_equal(truth_table(unary_evaluation(n)).outputs, table)
+
+
+def test_popcount_matches_the_bit_by_bit_count_at_every_width():
+    # full-range rows set bits above every n (the sign bit too); those are ignored
+    rows = np.random.default_rng(12).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                              size=2_000, dtype=np.int64, endpoint=True)
+    for n in range(1, 63):
+        want = np.zeros(rows.shape, dtype=np.int64)
+        for j in range(n):
+            want += (rows >> j) & 1
+        got = popcount(rows, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), n
+        assert np.array_equal(popcount(rows & ((1 << n) - 1), n), want), n
