@@ -125,6 +125,55 @@ def _json_number(x: float) -> str:
     return json.dumps(value)
 
 
+def _digits(values):
+    """(floats, "%.12g" texts, the texts parsed back, scalar mask) of
+    values, the texts made by one format pass.  The mask marks what needs
+    the one-value path in either format: non-finite values, and values that
+    round to 0 or 1 without being 0 or 1 (fmt's tail rule)."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    xs = x.tolist()
+    texts = ("%.12g " * len(xs) % tuple(xs)).split()
+    rounded = np.fromiter(map(float, texts), np.float64, len(texts))  # as _policy_value parses
+    scalar = ~np.isfinite(x) | (((rounded == 0.0) | (rounded == 1.0)) & (x != rounded))
+    return xs, texts, rounded, scalar
+
+
+def _csv_numbers(values) -> list[str]:
+    """[fmt(v) for v in values] for floats, built in bulk."""
+    xs, texts, _, scalar = _digits(values)
+    for i in np.flatnonzero(scalar).tolist():
+        texts[i] = fmt(xs[i])
+    return texts
+
+
+def _csv_rows(*columns):
+    """CSV lines (row, value, ...) of float columns, formatted on first
+    use: a handler's CSV lines are only read when the format is csv."""
+    rows = map(str, range(len(columns[0])))
+    yield from map(",".join, zip(rows, *map(_csv_numbers, columns)))
+
+
+def _json_numbers(values) -> list[str]:
+    """[_json_number(v) for v in values], built in bulk.
+
+    A rounded value's repr is its "%.12g" text plus ".0" where it is whole:
+    a decimal of at most 15 digits round-trips through a normal double, so
+    the shortest repr has exactly those digits, and both forms turn to
+    exponents below 1e-4 with the same layout.  Left to _json_number are
+    the entries fmt's policy treats apart, |rounded| >= 1e11 (repr stays
+    positional up to 1e16, "%g" only up to 1e12) and nonzero subnormals
+    (whose repr may be shorter than 12 digits).
+    """
+    xs, texts, rounded, scalar = _digits(values)
+    magnitude = np.abs(rounded)
+    scalar |= (magnitude >= 1e11) | ((magnitude < np.finfo(np.float64).tiny) & (rounded != 0.0))
+    for i in np.flatnonzero(scalar).tolist():
+        texts[i] = _json_number(xs[i])
+    for i in np.flatnonzero(~scalar & (rounded == np.trunc(rounded))).tolist():
+        texts[i] += ".0"
+    return texts
+
+
 # one per_input entry of an ErrorReport as json.dumps(..., indent=2,
 # sort_keys=True) lays it out inside the envelope's "result"
 _ROW = '      {\n        "p_err": %s,\n        "row": %d\n      }'
@@ -132,22 +181,30 @@ _SAMPLED_ROW = '      {\n        "p_err": %s,\n        "row": %d,\n        "std_
 
 
 def _report_rows(report: ErrorReport) -> str:
-    """The per_input entries of report.to_json(), encoded, one format string
-    a row."""
-    p_err = map(_json_number, np.asarray(report.per_input, dtype=np.float64).tolist())
-    if report.std_err is None:
-        return ",\n".join(_ROW % (p, i) for i, p in enumerate(p_err))
-    std_err = map(_json_number, np.asarray(report.std_err, dtype=np.float64).tolist())
-    return ",\n".join(_SAMPLED_ROW % (p, i, s)
-                      for i, (p, s) in enumerate(zip(p_err, std_err)))
+    """The per_input entries of report.to_json(), encoded, all rows laid
+    out by one % over the repeated row template."""
+    size = len(report.per_input)
+    columns = [_json_numbers(report.per_input), range(size)]
+    template = _ROW
+    if report.std_err is not None:
+        columns.append(_json_numbers(report.std_err))
+        template = _SAMPLED_ROW
+    fields = [None] * (len(columns) * size)
+    for c, column in enumerate(columns):
+        fields[c::len(columns)] = column
+    return ",\n".join([template] * size) % tuple(fields)
 
 
 def emit_json(result, config: dict, output: str | None) -> None:
     """The JSON envelope of a result: version, config, its sha256 and the
     result, keys sorted, indented by 2.  An ErrorReport's per_input rows,
-    the bulk of a report, are encoded by _report_rows and spliced in: the
+    the bulk of a report, are spliced in as _report_rows lays them out: the
     bytes json.dumps gives, without walking 2**n row dicts through jsonable
-    and the pure-Python indenting encoder."""
+    and the pure-Python indenting encoder.  Their numbers are formatted in
+    bulk by _json_numbers, one "%.12g" pass and one parse back for all
+    rows; only non-finite values, values near 0 or 1 that keep full
+    precision, magnitudes of 1e11 and above and subnormals go through
+    _json_number one at a time."""
     rows = None
     if isinstance(result, ErrorReport):
         rows = _report_rows(result)
@@ -349,11 +406,8 @@ def _cmd_simulate(cfg: dict):
     report = error_report(table, energies, group, decoder, cfg["loss"], mode,
                           _integer(cfg, "samples"), rng)
     if report.std_err is None:
-        return (report, "row,p_err",
-                (f"{i},{fmt(p)}" for i, p in enumerate(report.per_input)), True)
-    return (report, "row,p_err,std_err",
-            (f"{i},{fmt(p)},{fmt(s)}"
-             for i, (p, s) in enumerate(zip(report.per_input, report.std_err))), True)
+        return report, "row,p_err", _csv_rows(report.per_input), True
+    return report, "row,p_err,std_err", _csv_rows(report.per_input, report.std_err), True
 
 
 def _cmd_allocate(cfg: dict):

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from inexact import __version__
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.cli import build_parser, config_hash, emit_json, fmt, jsonable, main
+from inexact.cli import (_csv_numbers, _json_number, _json_numbers, build_parser, config_hash,
+                         emit_json, fmt, jsonable, main)
 from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
 from inexact.noise import energy_vector
 from inexact.problems import binary_evaluation, or_problem
@@ -254,11 +256,50 @@ def test_exact_reports_are_pinned(capsys, report):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of full CSV reports, whose p_err and std_err columns are formatted
+# in bulk: the exact be report above and a seeded sampled or report at n = 8
+# under the symmetric group (rows of 0 and 1 with a std_err of 0)
+PINNED_CSV_REPORTS = {
+    "be-absolute":
+        (("--problem", "be", "--n", "12", "--energies",
+          "0.4,2.9,1.3,0.0,5.2,3.3,0.9,4.1,2.2,1.7,6.0,0.6", "--loss", "absolute",
+          "--mode", "exact"),
+         "43c757ca6aae49c5eaebed118a86397268bb8f94c1812495c428c9ff3368bf2c"),
+    "or-sampled-symmetric":
+        (("--problem", "or", "--n", "8", "--energies", "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0",
+          "--group", "symmetric", "--mode", "monte_carlo", "--samples", "3000",
+          "--seed", "11"),
+         "a79ebc111f3fe0ceebd8bec58c648f4b8ebe2969a29cd07afeaf037e83cac235"),
+}
+
+
+@pytest.mark.parametrize("report", sorted(PINNED_CSV_REPORTS))
+def test_csv_reports_are_pinned(capsys, report):
+    argv, digest = PINNED_CSV_REPORTS[report]
+    code, out, _ = run(capsys, "simulate", *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # values whose text takes each branch of the policy: 12 significant digits,
-# full precision near 0 and 1, "inf", json's own NaN, signed zero, exponents
+# full precision near 0 and 1, "inf", json's own NaN, signed zero, exponents;
+# and the boundaries of the bulk path: whole numbers, where "%g" and repr
+# part between positional and exponent form (1e11 to 1e16, 1e-4), a
+# subnormal that is not the smallest, and a small negative
 EDGE_VALUES = [0.0, 1.0, 1 - 1e-14, 1e-300, 5e-324, float("inf"), -float("inf"),
                float("nan"), -0.0, 0.75, 1e-5, 2.0 ** -60, 1 - 2.0 ** -50, 3.0,
-               123456789012.5, 1e20, 0.1 + 0.2]
+               123456789012.5, 1e20, 0.1 + 0.2,
+               -2.0, 16000.0, 3.0000000000004,
+               99999999999.9, 999999999999.5, 1e12, 123456789012345.0, 1e16,
+               9.99999999999995e-05, 2.5e-310, -1e-5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+@example(EDGE_VALUES)
+def test_bulk_numbers_are_the_scalar_texts(xs):
+    assert _json_numbers(xs) == [_json_number(x) for x in xs]
+    assert _csv_numbers(xs) == [fmt(x) for x in xs]
 
 
 def _encoded(result, config) -> str:
