@@ -72,7 +72,7 @@ def fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         x = float(x)
         if math.isinf(x):
-            return "inf"
+            return "inf" if x > 0 else "-inf"
         text = f"{x:.12g}"
         if float(text) in (0.0, 1.0) and x != float(text):
             return repr(x)
@@ -81,11 +81,11 @@ def fmt(x) -> str:
 
 
 def _policy_value(x: float):
-    """The JSON value of one float: "inf" for infinities, else 12
-    significant digits, or full precision where those would round a value
-    into 0 or 1 (see fmt)."""
+    """The JSON value of one float: the string "inf" or "-inf" for an
+    infinity, else 12 significant digits, or full precision where those
+    would round a value into 0 or 1 (see fmt)."""
     if math.isinf(x):
-        return "inf"
+        return fmt(x)
     rounded = float(f"{x:.12g}")
     if rounded in (0.0, 1.0) and x != rounded:
         return x

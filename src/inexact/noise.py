@@ -25,7 +25,9 @@ them.
 
 Also provided: a supply-voltage correctness curve for CMOS-style reads,
 p(vdd) = 1 - 0.5 * erfc(vdd / (2 * sqrt(2) * sigma)), which maps a hardware
-knob onto the same per-bit correctness scale.
+knob onto the same per-bit correctness scale; erfc is the standard
+library's math.erfc, applied value by value, so numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .bits import as_bit_array, as_rng
 
@@ -179,14 +180,17 @@ def cmos_correctness_probability(vdd, sigma: float = 1.0):
 
     Gaussian threshold noise of scale sigma makes the read wrong with
     probability 0.5 * erfc(vdd / (2 * sqrt(2) * sigma)); vdd = 0 reads at
-    chance (p = 0.5) and large vdd approaches certainty.
+    chance (p = 0.5) and large vdd approaches certainty.  erfc is math.erfc,
+    taken value by value; a scalar vdd gives a float, an array its shape.
     """
     if not sigma > 0:  # false on NaN too
         raise ValueError("sigma must be positive")
     arr = np.asarray(vdd, dtype=np.float64)
     if not np.all(arr >= 0):
         raise ValueError("vdd must be >= 0 and not NaN")
-    p = 1.0 - 0.5 * erfc(arr / (2.0 * np.sqrt(2.0) * sigma))
+    x = arr / (2.0 * np.sqrt(2.0) * sigma)
+    tails = np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size)
+    p = 1.0 - 0.5 * tails.reshape(x.shape)
     return float(p) if arr.ndim == 0 else p
 
 

@@ -34,6 +34,7 @@ def csv_body(text):
 def test_fmt_policy():
     assert fmt(0.75) == "0.75"
     assert fmt(float("inf")) == "inf"
+    assert fmt(float("-inf")) == "-inf"
     assert fmt(3) == "3"
     assert fmt(1.0) == "1"
     # tail-sensitive values refuse to round into 0 or 1
@@ -43,8 +44,9 @@ def test_fmt_policy():
 
 def test_jsonable_policy():
     tree = jsonable({"a": np.float64(0.25), "b": [np.int64(3), (1, 2)],
-                     "c": float("inf"), "d": None})
-    assert tree == {"a": 0.25, "b": [3, [1, 2]], "c": "inf", "d": None}
+                     "c": float("inf"), "d": None, "e": -np.inf})
+    assert tree == {"a": 0.25, "b": [3, [1, 2]], "c": "inf", "d": None, "e": "-inf"}
+    assert _json_number(-np.inf) == '"-inf"'
     with pytest.raises(TypeError):
         jsonable(object())
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
+import inexact
 from inexact.bits import bits_to_index
 from inexact.noise import (
     EnergyVector,
@@ -211,6 +217,25 @@ def test_cmos_curve_values():
     vdd = 2 * np.sqrt(2) * sigma
     expected = 1 - 0.5 * _erfc_oracle(1.0)
     assert cmos_correctness_probability(vdd, sigma) == pytest.approx(expected, abs=1e-12)
+    # a 0-d input gives a float, an array keeps its shape
+    assert type(cmos_correctness_probability(np.float64(1.5))) is float
+    assert type(cmos_correctness_probability(np.array(1.5))) is float
+    square = cmos_correctness_probability(np.full((2, 3), 1.5))
+    assert square.shape == (2, 3)
+    assert np.all(square == cmos_correctness_probability(1.5))
+    # math.erfc against scipy's on the curve command's default grid
+    grid = np.linspace(0.0, 10.0, 101)
+    reference = 1.0 - 0.5 * erfc(grid / (2.0 * np.sqrt(2.0)))
+    assert np.max(np.abs(cmos_correctness_probability(grid) - reference)) <= 2.3e-16
+
+
+def test_the_package_imports_without_scipy():
+    # the test process has scipy loaded already, so look from a fresh one
+    code = "import sys, inexact, inexact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(inexact.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cmos_curve_is_strictly_increasing():
