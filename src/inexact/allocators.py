@@ -148,7 +148,8 @@ def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n:
     ordered entry pair (a, b), in order, is offered a transfer from a to b;
     a move is kept when it improves fn by more than IMPROVEMENT_EPS, and
     later moves start from it.  Runs hitting DESCENT_PASS_CAP passes are
-    flagged non-converged.
+    flagged non-converged.  A seed equal to an earlier one is skipped: its
+    walk would repeat that one.
 
     The walk is first-improvement, one move at a time, but it scores the
     moves as stacks: every move left in the pass that the current vector
@@ -165,9 +166,11 @@ def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n:
     best = None
     evaluations = 0
     converged_all = True
-    for seed in seeds:
+    for s, seed in enumerate(seeds):
         if seed.n != n or seed.budget > budget * (1 + 1e-9) + 1e-12:
             raise ValueError("seed does not fit the search (wrong n or over budget)")
+        if any(np.array_equal(seed.entries, earlier.entries) for earlier in seeds[:s]):
+            continue  # the same walk again
         e = seed.entries.copy()
         value = fn(e[None, :])[0]
         evaluations += 1

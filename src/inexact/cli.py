@@ -303,15 +303,6 @@ def _real(value, key: str) -> float:
     return float(value)
 
 
-def _refuse_map_search(cfg: dict) -> None:
-    """Searches read bits through the identity decoder only."""
-    if cfg["decoder"] == "map":
-        raise ValueError("--decoder map cannot drive a search: MAP error is not "
-                         "monotone in energy (an energy-0 bit flips with certainty "
-                         "and MAP undoes the flip), so a search lands on plateau "
-                         "artifacts; use simulate for MAP error at given energies")
-
-
 def _problem_from(cfg: dict) -> BooleanProblem:
     """The problem the flags name; build_problem supplies the defaults of
     the parameters left unset and checks the ones given."""
@@ -411,7 +402,6 @@ def _cmd_simulate(cfg: dict):
 
 
 def _cmd_allocate(cfg: dict):
-    _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     if cfg.get("budget") is None:
         raise ValueError("--budget is required")
@@ -433,7 +423,6 @@ def _cmd_allocate(cfg: dict):
 
 
 def _cmd_mobs(cfg: dict):
-    _refuse_map_search(cfg)
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
     mode = _auto_mode(cfg, problem.n)
@@ -466,9 +455,8 @@ def _cmd_curve(cfg: dict):
 def _cmd_table2(cfg: dict):
     shapes = [(count, width) for count, width
               in _listed(cfg, "sorting_shapes", _whole, ";", "x")]
-    rng = np.random.default_rng(_integer(cfg, "seed"))
     results = table2_rows(_listed(cfg, "sizes", _whole), _listed(cfg, "comparison_widths", _whole),
-                          shapes, cfg["mode"], _integer(cfg, "samples"), rng)
+                          shapes)
     return ([r.to_json() for r in results], "problem,n,mobs,mode",
             (r.csv_row() for r in results), all(r.converged for r in results))
 
@@ -479,15 +467,13 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity",
                                  "loss": "exact", "samples": DEFAULT_SAMPLES,
                                  "seed": 0, "format": "json"}),
-    "allocate": (_cmd_allocate, {"decoder": "identity", "group": "identity",
-                                 "method": "coordinate_descent", "resolution": 0.05,
-                                 "format": "json"}),
-    "mobs": (_cmd_mobs, {"decoder": "identity", "group": "symmetric",
-                         "samples": DEFAULT_SAMPLES, "seed": 0, "format": "json"}),
+    "allocate": (_cmd_allocate, {"group": "identity", "method": "coordinate_descent",
+                                 "resolution": 0.05, "format": "json"}),
+    "mobs": (_cmd_mobs, {"group": "symmetric", "samples": DEFAULT_SAMPLES, "seed": 0,
+                         "format": "json"}),
     "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}),
     "table2": (_cmd_table2, {"sizes": "4,6,8", "comparison_widths": "2,3,4",
-                             "sorting_shapes": "4x2", "mode": "exact",
-                             "samples": DEFAULT_SAMPLES, "seed": 0, "format": "csv"}),
+                             "sorting_shapes": "4x2", "format": "csv"}),
 }
 
 
@@ -513,8 +499,6 @@ def _add_common(sub, formats, *names):
     if "group" in names:
         sub.add_argument("--group", choices=GROUP_KINDS)
         sub.add_argument("--generators")
-    if "decoder" in names:
-        sub.add_argument("--decoder", choices=["identity", "map"])
     if "sampling" in names:
         sub.add_argument("--mode", choices=["exact", "monte_carlo"])
         sub.add_argument("--samples", type=int)
@@ -538,19 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", help="input bits, most significant first")
 
     p = commands.add_parser("simulate", help="per-input error report")
-    _add_common(p, ["csv", "json"], "problem", "energies", "group", "decoder", "sampling")
+    _add_common(p, ["csv", "json"], "problem", "energies", "group", "sampling")
+    p.add_argument("--decoder", choices=["identity", "map"])
     p.add_argument("--loss", choices=["exact", "absolute"])
     p.add_argument("--input", help="restrict to one input row (bits, MSB first)")
 
     p = commands.add_parser("allocate", help="search for an energy allocation")
-    _add_common(p, ["csv", "json"], "problem", "group", "decoder")
+    _add_common(p, ["csv", "json"], "problem", "group")
     p.add_argument("--metric")
     p.add_argument("--budget", type=float)
     p.add_argument("--method", choices=["coordinate_descent", "grid"])
     p.add_argument("--resolution", type=float)
 
     p = commands.add_parser("mobs", help="blindfolded-vs-clairvoyant price")
-    _add_common(p, ["csv", "json"], "problem", "group", "decoder", "sampling")
+    _add_common(p, ["csv", "json"], "problem", "group", "sampling")
     p.add_argument("--metric", choices=list(METRIC_KINDS))
     p.add_argument("--budgets", help="comma-separated energy budgets")
 
@@ -563,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
 
     p = commands.add_parser("table2", help="summary sweep over problem families")
-    _add_common(p, ["csv", "json"], "sampling")
+    _add_common(p, ["csv", "json"])
     p.add_argument("--sizes", help="comma-separated n values")
     p.add_argument("--comparison-widths", dest="comparison_widths")
     p.add_argument("--sorting-shapes", dest="sorting_shapes",

@@ -205,6 +205,18 @@ def _first_near_top(scores: np.ndarray) -> np.ndarray:
     return (scores >= top).argmax(axis=1)
 
 
+def _classes(values: np.ndarray):
+    """(the distinct values ascending, the stable order that sorts values,
+    where each distinct value starts in that order): np.unique by one sort
+    and a neighbour comparison, without the numpy.ma import np.unique makes."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    first = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ranked[starts], order, starts
+
+
 def identity_decoder(problem) -> Decoder:
     """Read the bits as-is and apply the function."""
     table = _as_table(problem)
@@ -233,15 +245,12 @@ def map_decoder(problem, energies: EnergyVector,
         group = IdentityGroup(n)
     avg = average_pattern_probabilities(group, energies)
 
-    classes, class_index = np.unique(table.outputs, return_inverse=True)
+    classes, order, starts = _classes(table.outputs)
     size = 1 << n
     if _xor_is_cheaper(classes.size, n):
-        columns = np.zeros((classes.size, size))
-        columns[class_index, np.arange(size)] = 1.0
+        columns = table.outputs == classes[:, None]
         return Decoder("map", classes[_first_near_top(_xor_convolve(avg, columns).T)])
 
-    order = np.argsort(class_index, kind="stable")
-    starts = np.searchsorted(class_index[order], np.arange(classes.size))
     scores = np.empty((_tile_rows(size), classes.size))
     decode = np.empty(size, dtype=np.int64)
     for lo, hi, like in _dense_tiles(avg, order):
@@ -314,7 +323,7 @@ class ErrorAnalysis:
                 self._bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
                 self._signs = 1.0 - 2.0 * self._bits
             return
-        classes = np.unique(decoder.decode_map)[:, None]
+        classes = _classes(decoder.decode_map)[0][:, None]
         if _xor_is_cheaper(classes.size, n):
             self._kernel = "xor"
             self._indicators = decoder.decode_map[None, :] == classes

@@ -49,7 +49,8 @@ import numpy as np
 from .bits import as_rng
 from .noise import EnergyVector, energy_rows
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
-from .problems import BooleanProblem, truth_table
+from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
+                       sorting_problem, truth_table, unary_evaluation)
 from .decoders import (
     ErrorAnalysis,
     identity_decoder,
@@ -446,26 +447,19 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
 
 
 def table2_rows(sizes=(4, 6, 8), comparison_widths=(2, 3, 4),
-                sorting_shapes=((4, 2),), mode: str = "exact",
-                samples: int = 100_000, rng=None) -> list[MobsResult]:
-    """Desk-scale sweep over the canonical problem families.
+                sorting_shapes=((4, 2),)) -> list[MobsResult]:
+    """Desk-scale sweep over the canonical problem families, exact.
 
     One result per (family, size); comparison and sorting run at their
     ladder budgets, the rest over the default grid.
     """
-    from .problems import (binary_evaluation, comparison_problem, or_problem,
-                           sorting_problem, unary_evaluation)
-
-    rng = as_rng(rng)
     rows = []
     for n in sizes:
         for build in (or_problem, unary_evaluation, binary_evaluation):
-            rows.append(mobs(build(n), mode=mode, samples=samples, rng=rng))
+            rows.append(mobs(build(n)))
     for k in comparison_widths:
-        problem = comparison_problem(k)
-        rows.append(mobs(problem, budget_grid=[k * (k + 1) / 2.0], rng=rng))
+        rows.append(mobs(comparison_problem(k), budget_grid=[k * (k + 1) / 2.0]))
     for count, width in sorting_shapes:
-        problem = sorting_problem(count, width)
-        rows.append(mobs(problem,
-                         budget_grid=[count * width * (width + 1) / 4.0], rng=rng))
+        rows.append(mobs(sorting_problem(count, width),
+                         budget_grid=[count * width * (width + 1) / 4.0]))
     return rows

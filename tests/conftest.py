@@ -194,14 +194,16 @@ def brute_descent(fn, budget: float, n: int, seeds) -> tuple:
     at each step size (halving from 1 to DESCENT_MIN_STEP) every ordered pair
     (a, b) that can give a step moves it from a to b, scored alone as a
     one-row stack, and stays when it improves by more than IMPROVEMENT_EPS.
-    Returns (energies, objective value, evaluations, converged) of the best
-    seed's run."""
+    A seed equal to an earlier one is skipped.  Returns (energies, objective
+    value, evaluations, converged) of the best seed's run."""
     from inexact.allocators import DESCENT_MIN_STEP, DESCENT_PASS_CAP, IMPROVEMENT_EPS
 
     best = None
     evaluations = 0
     converged_all = True
-    for seed in seeds:
+    for s, seed in enumerate(seeds):
+        if any(np.array_equal(seed.entries, earlier.entries) for earlier in seeds[:s]):
+            continue  # a repeated seed walks the same path again
         e = np.array(seed.entries, dtype=np.float64)
         value = fn(e[None, :])[0]
         evaluations += 1

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import shlex
 import warnings
@@ -13,6 +14,7 @@ from inexact.adversary import FullSymmetricGroup, IdentityGroup
 from inexact.cli import (_csv_numbers, _json_number, _json_numbers, build_parser, config_hash,
                          emit_json, fmt, jsonable, main)
 from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
+from inexact.mobs import table2_rows
 from inexact.noise import energy_vector
 from inexact.problems import binary_evaluation, or_problem
 
@@ -222,7 +224,7 @@ SYMMETRIC_STREAMS = {
     "mobs-be-20":
         (("mobs", "--problem", "be", "--n", "20", "--mode", "monte_carlo",
           "--samples", "20000", "--seed", "13", "--budgets", "20,105"),
-         "ffe616aef12f419cf898b5229d67582677f73d8d8f4b0b9b74b038303af4abc6"),
+         "03d55e248400aa16feeaabb06eb122f5f07325e37666d4cb8d4e6590334ab194"),
 }
 
 
@@ -430,19 +432,19 @@ def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
 PINNED_PRICES = {
     "be-6":
         (("--problem", "be", "--n", "6"),
-         "dd6e29c9e87040334b76db81f40054d2e9405b0e0dd30bfc5e51ce443ab30f58"),
+         "1a0e15e0b4819012206864c433f360ec9b06d38253b66311a0b3191900e82d67"),
     "comparison-3":
         (("--problem", "comparison", "--k", "3"),
-         "7294623df5591292785e1b7f43ae9465a156ceec3e9525c0a0e69af72f39e812"),
+         "2937d0f9e8da66c6a8d4885d28a04c25a1ec4247df54c97f3054bb920e3cbf64"),
     "sorting-2x2-generated":
         (("--problem", "sorting", "--count", "2", "--width", "2", "--budgets", "1,3,5",
           "--group", "generated", "--generators", "1,0,3,2"),
-         "1f11d17f43bfc5f1bc333305314df9ec81f2e751a229c66c4b81bfb8820f9667"),
+         "e0bf46b0e51123afeceeb97db226b3beaf09debc67fb73a8190f8197bcdf0a0a"),
     "or-6-generated-monte-carlo":
         (("--problem", "or", "--n", "6", "--group", "generated",
           "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
           "--seed", "2"),
-         "e36c0ff6c74735cf6861837e63740fe8c69b921fb8e165fa72896481dca7298c"),
+         "706f1c36e5e61719e34d145b45bf55401c12325b09497986710c3ed5c5837902"),
 }
 
 
@@ -460,19 +462,19 @@ def test_price_outputs_are_pinned(capsys, price):
 PINNED_ALLOCATIONS = {
     "ue-4-variance":
         (("--problem", "ue", "--n", "4", "--budget", "6"),
-         "793dab04bef69947c781cd097507e6e537261dfcc41b575e5732b564fb681d96"),
+         "033a5779f27296a10a12786163fe54fc2e6c11fb326f7224924e6eca6adefe19"),
     "be-5-expected-magnitude":
         (("--problem", "be", "--n", "5", "--metric", "expected_magnitude",
           "--budget", "7.5"),
-         "daeda7877daf026bcc28607d9dc9dc8c09b7ca78b2a052be29c66ed4b3c0563f"),
+         "dfc1a7c896feca1f1e976369a56f19772b6084239fab051271e19bb75d98f787"),
     "comparison-3-symmetric":
         (("--problem", "comparison", "--k", "3", "--metric", "comparison_weighted",
           "--group", "symmetric", "--budget", "6"),
-         "ff09064da2a2c2520d43ea3111a5f60339cbaadd056c655ae9a1a8295e3c5c9a"),
+         "7168dcdd7f029f4a11fc7c603c69ed4382902c4c7ab46c327e0afbc6302ed10f"),
     "be-3-grid":
         (("--problem", "be", "--n", "3", "--metric", "expected_magnitude",
           "--budget", "4.5", "--method", "grid", "--resolution", "0.25"),
-         "33c7c172b315e040be3b7a7f19af4945f707e04313f1c2cf9cc16414fd14d4df"),
+         "72fe7e22d4b3cff46c9155170ed6fbb315c2a073a7f6d192e098927260476b2f"),
 }
 
 
@@ -484,22 +486,37 @@ def test_allocate_outputs_are_pinned(capsys, allocation):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command", ["mobs", "allocate"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_searches_refuse_the_map_decoder(capsys, tmp_path, command, source):
-    # MAP error is not monotone in energy, so a search through it would
-    # report plateau artifacts (test_mobs.py::test_map_error_is_not_monotone_in_energy)
-    argv = [command, *CONFIG_RUNS[command]]
-    if source == "flag":
-        argv += ["--decoder", "map"]
-    else:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"decoder": "map"}))
-        argv += ["--config", str(cfg)]
-    code, out, err = run(capsys, *argv)
+# flags that could not change a price, gone: searches read bits through the
+# identity decoder (MAP error is not monotone in energy,
+# test_mobs.py::test_map_error_is_not_monotone_in_energy), and table2 runs
+# exact mobs, which draws nothing
+REMOVED_FLAGS = [("mobs", "decoder", "identity"), ("allocate", "decoder", "map"),
+                 ("table2", "mode", "exact"), ("table2", "samples", "10"),
+                 ("table2", "seed", "1")]
+
+
+@pytest.mark.parametrize("command, key, value", REMOVED_FLAGS)
+def test_removed_flags_exit_2(capsys, command, key, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CONFIG_RUNS[command], f"--{key}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", REMOVED_FLAGS)
+def test_removed_config_keys_exit_2(capsys, tmp_path, command, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, command, *CONFIG_RUNS[command], "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err.startswith("error: --decoder map cannot drive a search")
-    assert "not monotone in energy" in err and "use simulate" in err
+    assert err == f"error: unknown config keys: [{key!r}]\n"
+
+
+def test_removed_names_are_gone():
+    from inexact import cli
+    assert not hasattr(cli, "_refuse_map_search")
+    assert list(inspect.signature(table2_rows).parameters) == \
+        ["sizes", "comparison_widths", "sorting_shapes"]
 
 
 def test_mobs_json_has_budget_outcomes(capsys):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,32 @@ def test_dense_map_decode_maps_are_pinned(problem, group, budget, digest):
                         group).decode_map for _ in range(3)]
     data = np.concatenate(maps).astype("<i8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_exact_analysis_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (about 13 ms) on numpy 2.x; the decoders
+    # find output classes without it.  A fresh process runs an exact n = 12
+    # few-output report and MAP decodes through both of its kernels, and
+    # numpy.ma must be loaded after them only if importing numpy loaded it
+    # (numpy 1.x does)
+    code = """if True:
+        import sys
+        import numpy
+        print("numpy.ma" in sys.modules)
+        from inexact.adversary import FullSymmetricGroup
+        from inexact.allocators import uniform_allocation
+        from inexact.decoders import error_report, identity_decoder, map_decoder
+        from inexact.problems import or_problem
+        p, e, g = or_problem(12), uniform_allocation(39.0, 12), FullSymmetricGroup(12)
+        error_report(p, e, g, identity_decoder(p))
+        map_decoder(p, e, g)
+        map_decoder(or_problem(6), uniform_allocation(6.0, 6))
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(decoders.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out in ("False\nFalse\n", "True\nTrue\n")
 
 
 def test_map_decoder_guard():
