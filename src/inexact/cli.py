@@ -37,6 +37,7 @@ from .problems import (
 from .noise import EnergyVector, cmos_correctness_probability, energy_vector, load_energies
 from .adversary import GROUP_KINDS, build_group
 from .decoders import (
+    DECODE_BITS_LIMIT,
     ErrorReport,
     build_decoder,
     error_report,
@@ -49,7 +50,7 @@ from .allocators import (
     ue_variance,
     uniform_allocation,
 )
-from .mobs import METRIC_KINDS, error_objective, mobs, table2_rows
+from .mobs import METRIC_KINDS, closed_form_champion, error_objective, mobs, table2_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -346,10 +347,10 @@ def _group_from(cfg: dict, n: int):
     return build_group(cfg["group"], n, generators)
 
 
-def _auto_mode(cfg: dict, n: int) -> str:
-    """--mode if given, else exact up to EXACT_AUTO_LIMIT bits and Monte
-    Carlo above; the config records the mode that ran."""
-    cfg["mode"] = cfg.get("mode") or ("exact" if n <= EXACT_AUTO_LIMIT else "monte_carlo")
+def _auto_mode(cfg: dict, exact_fits: bool) -> str:
+    """--mode if given, else exact where exact_fits (the caller's bit limit
+    holds) and Monte Carlo otherwise; the config records the mode that ran."""
+    cfg["mode"] = cfg.get("mode") or ("exact" if exact_fits else "monte_carlo")
     return cfg["mode"]
 
 
@@ -376,7 +377,7 @@ def _cmd_simulate(cfg: dict):
     if energies.n != problem.n:
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
-    mode = _auto_mode(cfg, problem.n)
+    mode = _auto_mode(cfg, problem.n <= EXACT_AUTO_LIMIT)
     rng = np.random.default_rng(_integer(cfg, "seed"))
     table = truth_table(problem)
     decoder = build_decoder(cfg["decoder"], table, energies, group)
@@ -425,7 +426,11 @@ def _cmd_allocate(cfg: dict):
 def _cmd_mobs(cfg: dict):
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
-    mode = _auto_mode(cfg, problem.n)
+    # a closed-form clairvoyant champion needs no descent, so exact mode
+    # costs one profile per side and budget: exact as far as analysis goes
+    closed_form = closed_form_champion(problem, cfg.get("metric"))
+    limit = DECODE_BITS_LIMIT if closed_form else EXACT_AUTO_LIMIT
+    mode = _auto_mode(cfg, problem.n <= limit)
     rng = np.random.default_rng(_integer(cfg, "seed"))
     result = mobs(problem, _listed(cfg, "budgets", _real), cfg.get("metric"),
                   group, mode, _integer(cfg, "samples"), rng)

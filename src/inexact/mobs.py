@@ -4,10 +4,13 @@ The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
 The blindfolded side always plays the uniform allocation (non-uniform
 vectors cannot improve any per-bit marginal once the adversary shuffles
-them); the clairvoyant side is found by coordinate descent seeded with the
-uniform vector and a kind-appropriate closed-form allocation.  Because the
-clairvoyant search starts at the blindfolded champion's own vector, the
-ratio can never sit below 1 (up to descent tolerance).
+them).  The clairvoyant side plays the kind's closed-form allocation where
+that is the exact optimum (closed_form_champion: be under
+expected_magnitude, whose water-filled ramp minimizes its worst row), and
+is otherwise found by coordinate descent seeded with the uniform vector
+and that closed-form allocation.  Because the clairvoyant side is optimal
+or starts at the blindfolded champion's own vector, the ratio can never
+sit below 1 (up to descent tolerance).
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
@@ -18,8 +21,8 @@ so a stack of K candidate moves costs K matrix-vector products behind one
 call), and one entry for the pair-weighted metrics (the worst position of
 their closed form, vectorized over the rows, averaged over the group's
 rewirings of each row).  Every search scores through error_objective, the
-worst entry of each row.  Per budget,
-exact mobs descends on the identity-group objective and compares both
+worst entry of each row.  Per budget, exact mobs takes the closed-form
+champion or descends on the identity-group objective, and compares both
 champions' profiles entry for entry; sampled mode estimates the per-input
 profiles on probe rows instead.
 
@@ -266,6 +269,20 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 # ---------------------------------------------------------------------------
 # the symmetry-price ratio
 
+def closed_form_champion(problem: BooleanProblem, metric: str | None = None) -> bool:
+    """Whether analytic_allocation is the exact clairvoyant optimum, so
+    exact mobs plays it with no descent.
+
+    True for be under expected_magnitude: read through the identity
+    decoder, row 0 is the worst row under any pattern law, and under the
+    identity group it errs sum_j 2**j * 2**-e_j, which water_filled_ramp
+    minimizes exactly on the budget simplex.
+    """
+    if metric is None:
+        metric = default_metric(problem)
+    return problem.kind == "be" and metric == "expected_magnitude"
+
+
 def _ratio(bf: float, cv: float) -> float:
     if cv == 0.0:
         return 1.0 if bf == 0.0 else float("inf")
@@ -400,8 +417,11 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     """Price of blindfolding across a budget grid.
 
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
-    compare the scalar aggregates.  Exact mode enumerates; sampled mode
-    estimates per-input errors on probe rows with standard errors attached.
+    compare the scalar aggregates.  Exact mode enumerates: the clairvoyant
+    champion is the closed-form allocation where closed_form_champion holds
+    (converged, with no search) and a coordinate descent from the uniform
+    and closed-form seeds otherwise.  Sampled mode estimates per-input
+    errors on probe rows with standard errors attached.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -421,12 +441,14 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
 
     per_input = metric in _PER_INPUT_LOSS
     sampled = per_input and mode == "monte_carlo"
+    closed_form = closed_form_champion(problem, metric)
     identity = IdentityGroup(problem.n)
     if sampled:
         table = truth_table(problem)
     else:
         profile = _profile_function(problem, metric)
-        objective = error_objective(problem, metric, identity, profile=profile)
+        if not closed_form:
+            objective = error_objective(problem, metric, identity, profile=profile)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:
@@ -435,12 +457,14 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
             outcomes.append(_sampled_outcome(problem, table, budget, bf_energies, metric,
                                              group, samples, rng))
             continue
-        seeds = [bf_energies, analytic_allocation(problem, budget)]
-        cv = coordinate_descent(objective, budget, problem.n, seeds)
-        outcomes.append(_outcome(budget, cv.energies, bf_energies,
-                                 profile(energy_rows(cv.energies), identity)[0],
+        cv_energies, converged = analytic_allocation(problem, budget), True
+        if not closed_form:
+            cv = coordinate_descent(objective, budget, problem.n, [bf_energies, cv_energies])
+            cv_energies, converged = cv.energies, cv.converged
+        outcomes.append(_outcome(budget, cv_energies, bf_energies,
+                                 profile(energy_rows(cv_energies), identity)[0],
                                  profile(energy_rows(bf_energies), group)[0],
-                                 cv.converged, rows))
+                                 converged, rows))
     used_mode = mode if per_input else "exact"
     return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
                       used_mode, outcomes, samples if used_mode == "monte_carlo" else None)

@@ -544,6 +544,22 @@ def test_auto_monte_carlo_report_guard_exits_3(capsys):
     assert code == 3 and "resource limit" in err
 
 
+def test_auto_mode_prices_be_exactly_up_to_the_decode_limit(capsys):
+    # be's clairvoyant champion is closed form, so without --mode its price
+    # is exact through n = 14; other metrics, and be past 14 bits, keep
+    # Monte Carlo above n = 10
+    code, out, _ = run(capsys, "mobs", "--problem", "be", "--n", "12", "--format", "csv")
+    assert code == 0
+    comments, header, lines = csv_body(out)
+    assert lines == ["be,12,9.15597515287,exact"]
+    assert '"mode":"exact"' in comments[2]
+    for extra in (("--n", "12", "--metric", "worst_correctness"), ("--n", "15")):
+        code, out, _ = run(capsys, "mobs", "--problem", "be", *extra, "--samples", "200",
+                           "--format", "csv")
+        assert code == 0
+        assert csv_body(out)[2][0].endswith(",monte_carlo"), extra
+
+
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"problem": "be", "n": 3, "bits": "101"}))

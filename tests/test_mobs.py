@@ -15,6 +15,7 @@ from inexact.decoders import error_profile, map_decoder
 from inexact.mobs import (
     aggregate_error,
     be_analytic_bounds,
+    closed_form_champion,
     comparison_wrong_probability,
     default_budget_grid,
     default_metric,
@@ -248,7 +249,8 @@ def test_champions():
 def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch):
     # the clairvoyant search mobs runs scores through one shared truth table
     # and loss matrix; it must take exactly the path of a search that calls
-    # aggregate_error each time
+    # aggregate_error each time (be under expected_magnitude takes its
+    # champion in closed form, so be descends here under worst_correctness)
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
 
@@ -258,18 +260,22 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
         return result
 
     monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
-    for kind, n in itertools.product(("be", "or", "ue"), (4, 5, 6)):
-        problem = build_problem(kind, n)
+    cases = [(build_problem(kind, n), None) for kind in ("or", "ue") for n in (4, 5, 6)]
+    cases += [(tribes_problem(n), None) for n in (4, 6)]
+    cases += [(binary_evaluation(n), "worst_correctness") for n in (4, 5, 6)]
+    for problem, metric in cases:
+        n = problem.n
         group = IdentityGroup(n)
-        objective = one_row_at_a_time(lambda evec: aggregate_error(problem, evec, group))
+        objective = one_row_at_a_time(
+            lambda evec: aggregate_error(problem, evec, group, metric))
         for budget in default_budget_grid(n):
             searches.clear()
-            mobs(problem, [budget])
+            mobs(problem, [budget], metric)
             (got,) = searches
             seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget)]
             want = coordinate_descent(objective, budget, n, seeds)
             assert np.array_equal(got.energies.entries, want.energies.entries), \
-                (kind, n, budget)
+                (problem.name, metric, budget)
             assert got.objective_value == want.objective_value
             assert got.evaluations == want.evaluations
             assert got.converged == want.converged
@@ -540,12 +546,55 @@ def test_mobs_be_frozen_values_and_growth():
 
 
 def test_mobs_be_first_exact_price_above_11_bits():
-    # at n = 12 the analysis scores be by its top-flipped-bit moments, so
-    # the descent's 13,000-odd rows take seconds, not the minutes of dense
-    # row tiles
-    result = mobs(binary_evaluation(12), budget_grid=[39.0])
-    assert result.mobs == pytest.approx(9.155975152866, rel=1e-9)
+    # at n = 12 and 14 the analysis scores be by its top-flipped-bit
+    # moments and the clairvoyant champion is the ramp, so a whole default
+    # grid prices in milliseconds with no descent
+    result = mobs(binary_evaluation(12))
+    assert result.mobs == pytest.approx(9.155975152866473, rel=1e-12)
+    assert max(result.outcomes, key=lambda o: o.error_ratio).budget == 39.0
     assert result.converged
+    result = mobs(binary_evaluation(14))
+    assert result.mobs == pytest.approx(14.698399916347949, rel=1e-12)
+    assert result.converged
+
+
+def test_no_descent_beats_the_ramp_on_be():
+    # the closed-form be champion: many-seed descents on the identity-group
+    # objective never find a better point than water_filled_ramp
+    rng = np.random.default_rng(22)
+    for n in range(2, 9):
+        be = binary_evaluation(n)
+        assert closed_form_champion(be)
+        objective = error_objective(be, "expected_magnitude", IdentityGroup(n))
+        for budget in default_budget_grid(n):
+            ramp = water_filled_ramp(n, budget)
+            seeds = [uniform_allocation(budget, n), ramp]
+            seeds += [energy_vector(budget * rng.dirichlet(np.ones(n))) for _ in range(8)]
+            ramp_value = objective(ramp.entries[None])[0]
+            for seed in seeds:
+                found = coordinate_descent(objective, budget, n, [seed])
+                assert found.objective_value >= ramp_value * (1 - 1e-12), \
+                    (n, budget, seed.entries, found.objective_value, ramp_value)
+
+
+def test_mobs_plays_the_ramp_on_be_without_a_search(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("be under expected_magnitude needs no descent")
+
+    monkeypatch.setattr(mobs_module, "coordinate_descent", refusing)
+    for n in range(2, 11):
+        result = mobs(binary_evaluation(n))
+        assert result.converged
+        for outcome in result.outcomes:
+            want = water_filled_ramp(n, outcome.budget).entries
+            assert np.array_equal(outcome.cv_energies.entries, want), (n, outcome.budget)
+    # every other (problem, metric) pair keeps its descent
+    assert not closed_form_champion(binary_evaluation(4), "worst_correctness")
+    assert not closed_form_champion(or_problem(4), "expected_magnitude")
+    with pytest.raises(AssertionError, match="no descent"):
+        mobs(binary_evaluation(4), [4.0], "worst_correctness")
 
 
 def test_mobs_comparison_and_sorting_frozen_values():
