@@ -55,10 +55,7 @@ def parse_bits(text: str, n: int | None = None) -> np.ndarray:
     text = text.strip()
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"bit string must be nonempty and contain only 0/1, got {text!r}")
-    arr = np.array([int(c) for c in reversed(text)], dtype=np.uint8)
-    if n is not None and arr.size != n:
-        raise ValueError(f"expected {n} bits, got {arr.size}")
-    return as_bit_array(arr)
+    return as_bit_array([int(c) for c in reversed(text)], n)
 
 
 def format_bits(bits: Sequence[int]) -> str:

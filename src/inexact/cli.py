@@ -4,7 +4,8 @@ Subcommands: eval, simulate, allocate, mobs, curve, table2.  Every run can
 load a JSON config file (--config) whose keys match the long flag names;
 explicit flags override the file.  Outputs embed the effective config and
 its sha256 so runs are reproducible, and identical config+seed yields
-byte-identical bytes.
+byte-identical bytes.  Without --mode, simulate and mobs run exact, and
+sample only where a guard of the exact path refuses (config records which).
 
 Exit codes: 0 success, 2 usage or invalid config, 3 resource limit,
 4 numerical non-convergence.
@@ -37,7 +38,6 @@ from .problems import (
 from .noise import EnergyVector, cmos_correctness_probability, energy_vector, load_energies
 from .adversary import GROUP_KINDS, build_group
 from .decoders import (
-    DECODE_BITS_LIMIT,
     ErrorReport,
     build_decoder,
     error_report,
@@ -50,14 +50,13 @@ from .allocators import (
     ue_variance,
     uniform_allocation,
 )
-from .mobs import METRIC_KINDS, closed_form_champion, error_objective, mobs, table2_rows
+from .mobs import METRIC_KINDS, error_objective, mobs, table2_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NONCONVERGED = 4
 
-EXACT_AUTO_LIMIT = 10  # auto-picked exact mode boundary
 DEFAULT_SAMPLES = 100_000
 
 
@@ -326,13 +325,11 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
         return energy_vector(_listed(cfg, "energies", _real))
     if cfg.get("energies_file"):
         return load_energies(cfg["energies_file"])
-    allocation = cfg.get("allocation")
-    if allocation:
-        budget = cfg.get("budget")
-        if budget is None:
+    if cfg.get("allocation"):
+        if cfg.get("budget") is None:
             raise ValueError("--allocation needs --budget")
-        budget = float(budget)
-        if allocation == "uniform":
+        budget = float(cfg["budget"])
+        if cfg["allocation"] == "uniform":
             return uniform_allocation(budget, problem.n)
         return analytic_allocation(problem, budget)
     raise ValueError("no energies given; use --energies, --energies-file, or --allocation")
@@ -347,11 +344,17 @@ def _group_from(cfg: dict, n: int):
     return build_group(cfg["group"], n, generators)
 
 
-def _auto_mode(cfg: dict, exact_fits: bool) -> str:
-    """--mode if given, else exact where exact_fits (the caller's bit limit
-    holds) and Monte Carlo otherwise; the config records the mode that ran."""
-    cfg["mode"] = cfg.get("mode") or ("exact" if exact_fits else "monte_carlo")
-    return cfg["mode"]
+def _exact_else_sampled(cfg: dict, run):
+    """run(--mode); without it run("exact"), and run("monte_carlo") only where
+    a guard of the exact path refuses.  The config records the mode that ran."""
+    if cfg.get("mode"):
+        return run(cfg["mode"])
+    try:
+        cfg["mode"] = "exact"
+        return run("exact")
+    except ResourceLimitError:
+        cfg["mode"] = "monte_carlo"
+        return run("monte_carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +380,29 @@ def _cmd_simulate(cfg: dict):
     if energies.n != problem.n:
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
-    mode = _auto_mode(cfg, problem.n <= EXACT_AUTO_LIMIT)
+    # exact analysis draws nothing, so a fallback samples from the seed's start
     rng = np.random.default_rng(_integer(cfg, "seed"))
+    samples, loss = _integer(cfg, "samples"), cfg["loss"]
     table = truth_table(problem)
     decoder = build_decoder(cfg["decoder"], table, energies, group)
+    row = None if cfg.get("input") is None else \
+        int(bits_to_index(parse_bits(str(cfg["input"]), problem.n)))
 
-    if cfg.get("input") is not None:
-        row = int(bits_to_index(parse_bits(str(cfg["input"]), problem.n)))
+    def run(mode):
+        if row is None:
+            report = error_report(table, energies, group, decoder, loss, mode, samples, rng)
+            if report.std_err is None:
+                return report, "row,p_err", _csv_rows(report.per_input), True
+            return report, "row,p_err,std_err", _csv_rows(report.per_input, report.std_err), True
         if mode == "exact":
-            p = per_input_error(table, energies, group, decoder, row, cfg["loss"])
-            return ({"row": row, "p_err": p, "mode": mode, "loss": cfg["loss"]},
+            p = per_input_error(table, energies, group, decoder, row, loss)
+            return ({"row": row, "p_err": p, "mode": mode, "loss": loss},
                     "row,p_err", [f"{row},{fmt(p)}"], True)
-        samples = _integer(cfg, "samples")
-        p, se = monte_carlo_error(table, energies, group, decoder, row,
-                                  cfg["loss"], samples, rng)
-        return ({"row": row, "p_err": p, "std_err": se, "mode": mode,
-                 "loss": cfg["loss"], "samples": samples},
-                "row,p_err,std_err", [f"{row},{fmt(p)},{fmt(se)}"], True)
+        p, se = monte_carlo_error(table, energies, group, decoder, row, loss, samples, rng)
+        return ({"row": row, "p_err": p, "std_err": se, "mode": mode, "loss": loss,
+                 "samples": samples}, "row,p_err,std_err", [f"{row},{fmt(p)},{fmt(se)}"], True)
 
-    report = error_report(table, energies, group, decoder, cfg["loss"], mode,
-                          _integer(cfg, "samples"), rng)
-    if report.std_err is None:
-        return report, "row,p_err", _csv_rows(report.per_input), True
-    return report, "row,p_err,std_err", _csv_rows(report.per_input, report.std_err), True
+    return _exact_else_sampled(cfg, run)
 
 
 def _cmd_allocate(cfg: dict):
@@ -426,15 +429,14 @@ def _cmd_allocate(cfg: dict):
 def _cmd_mobs(cfg: dict):
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
-    # a closed-form clairvoyant champion needs no descent, so exact mode
-    # costs one profile per side and budget: exact as far as analysis goes
-    closed_form = closed_form_champion(problem, cfg.get("metric"))
-    limit = DECODE_BITS_LIMIT if closed_form else EXACT_AUTO_LIMIT
-    mode = _auto_mode(cfg, problem.n <= limit)
-    rng = np.random.default_rng(_integer(cfg, "seed"))
-    result = mobs(problem, _listed(cfg, "budgets", _real), cfg.get("metric"),
-                  group, mode, _integer(cfg, "samples"), rng)
-    return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
+    rng = np.random.default_rng(_integer(cfg, "seed"))  # exact mobs draws nothing
+    budgets, samples = _listed(cfg, "budgets", _real), _integer(cfg, "samples")
+
+    def run(mode):
+        result = mobs(problem, budgets, cfg.get("metric"), group, mode, samples, rng)
+        return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
+
+    return _exact_else_sampled(cfg, run)
 
 
 def _cmd_curve(cfg: dict):

@@ -423,11 +423,11 @@ def _check_width(width: int, n: int) -> None:
 
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
-    """Exact error of one input row (noise and adversary draw averaged)."""
+    """Exact error of one input row (noise and adversary draw averaged): one
+    2**n law and one 2**n gather, guarded by the decoder, table and group."""
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     _check_row(i, table.n)
-    _check_scale(table.n, "exact error analysis")
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
     _check_width(energies.n, table.n)
@@ -466,8 +466,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     q = flip_probability(energies)
     truth = int(table.outputs[i])
 
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
@@ -478,8 +477,7 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         done += m
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
-    std_err = np.sqrt(var / samples)
-    return float(mean), float(std_err)
+    return float(mean), float(np.sqrt(var / samples))
 
 
 @dataclass(frozen=True)
@@ -522,9 +520,8 @@ def error_report(problem, energies: EnergyVector, group: PermutationGroup,
                 f"that is over the {MC_REPORT_WORK_LIMIT} decode cap, so target "
                 f"one row or cut samples")
         rng = as_rng(rng)
-        est = np.empty(1 << table.n)
-        err = np.empty(1 << table.n)
-        for i in range(1 << table.n):
+        est, err = np.empty(rows), np.empty(rows)
+        for i in range(rows):
             est[i], err[i] = monte_carlo_error(table, energies, group, decoder, i,
                                                loss, samples, rng)
         return ErrorReport(group.setting, "monte_carlo", loss, est, err, samples)

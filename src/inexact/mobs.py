@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import as_rng
+from .bits import ResourceLimitError, as_rng
 from .noise import EnergyVector, energy_rows
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
@@ -242,8 +242,7 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
                     group: PermutationGroup | None = None,
                     metric: str | None = None) -> float:
     """error_objective(problem, metric, group) at one energy vector."""
-    objective = error_objective(problem, metric, group)
-    return float(objective(energy_rows(energies))[0])
+    return float(error_objective(problem, metric, group)(energy_rows(energies))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +405,7 @@ def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
     """Sampled-mode input rows: the two sign-extreme rows plus random ones."""
     size = 1 << problem.n
     probes = {0, size - 1}
-    draw = as_rng(rng).integers(size, size=8)
-    probes.update(int(d) for d in draw)
+    probes.update(as_rng(rng).integers(size, size=8).tolist())
     return sorted(probes)
 
 
@@ -420,8 +418,9 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     compare the scalar aggregates.  Exact mode enumerates: the clairvoyant
     champion is the closed-form allocation where closed_form_champion holds
     (converged, with no search) and a coordinate descent from the uniform
-    and closed-form seeds otherwise.  Sampled mode estimates per-input
-    errors on probe rows with standard errors attached.
+    and closed-form seeds otherwise, after the blindfolded side is scored and
+    only through a kept loss matrix (else ResourceLimitError).  Sampled mode
+    estimates per-input metrics only, on probe rows with standard errors.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -437,17 +436,23 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError("budget grid must be nonempty with finite budgets >= 0")
     if mode not in ("exact", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}; expected exact or monte_carlo")
+    per_input = metric in _PER_INPUT_LOSS
+    sampled = mode == "monte_carlo"
+    if sampled and not per_input:
+        raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
     rng = as_rng(rng)
 
-    per_input = metric in _PER_INPUT_LOSS
-    sampled = per_input and mode == "monte_carlo"
-    closed_form = closed_form_champion(problem, metric)
+    descend = not closed_form_champion(problem, metric)
     identity = IdentityGroup(problem.n)
     if sampled:
         table = truth_table(problem)
     else:
         profile = _profile_function(problem, metric)
-        if not closed_form:
+        # profile is an ErrorAnalysis' method; only a kept loss matrix scores rows finely enough
+        if descend and per_input and profile.__self__.kernel != "matrix":
+            raise ResourceLimitError(f"exact mobs descends on {metric} only through a "
+                                     f"kept loss matrix, not the {profile.__self__.kernel} kernel")
+        if descend:
             objective = error_objective(problem, metric, identity, profile=profile)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
@@ -457,17 +462,16 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
             outcomes.append(_sampled_outcome(problem, table, budget, bf_energies, metric,
                                              group, samples, rng))
             continue
+        bf_rows = profile(energy_rows(bf_energies), group)[0]
         cv_energies, converged = analytic_allocation(problem, budget), True
-        if not closed_form:
+        if descend:
             cv = coordinate_descent(objective, budget, problem.n, [bf_energies, cv_energies])
             cv_energies, converged = cv.energies, cv.converged
         outcomes.append(_outcome(budget, cv_energies, bf_energies,
                                  profile(energy_rows(cv_energies), identity)[0],
-                                 profile(energy_rows(bf_energies), group)[0],
-                                 converged, rows))
-    used_mode = mode if per_input else "exact"
+                                 bf_rows, converged, rows))
     return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
-                      used_mode, outcomes, samples if used_mode == "monte_carlo" else None)
+                      mode, outcomes, samples if sampled else None)
 
 
 def table2_rows(sizes=(4, 6, 8), comparison_widths=(2, 3, 4),

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import inspect
 import json
 import shlex
@@ -514,7 +515,9 @@ def test_removed_config_keys_exit_2(capsys, tmp_path, command, key, value):
 
 def test_removed_names_are_gone():
     from inexact import cli
-    assert not hasattr(cli, "_refuse_map_search")
+    for name in ("_refuse_map_search", "EXACT_AUTO_LIMIT", "_auto_mode",
+                 "closed_form_champion", "DECODE_BITS_LIMIT"):
+        assert not hasattr(cli, name), name
     assert list(inspect.signature(table2_rows).parameters) == \
         ["sizes", "comparison_widths", "sorting_shapes"]
 
@@ -558,6 +561,62 @@ def test_auto_mode_prices_be_exactly_up_to_the_decode_limit(capsys):
                            "--format", "csv")
         assert code == 0
         assert csv_body(out)[2][0].endswith(",monte_carlo"), extra
+
+
+@pytest.mark.parametrize("n", ["11", "12"])
+def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
+    # an n = 12 auto report exited 3 on the Monte Carlo report cap, and an
+    # n = 11 one sampled for seconds; both are the exact report now
+    argv = ("simulate", "--problem", "or", "--n", n, "--allocation", "uniform",
+            "--budget", n, "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert '"mode":"exact"' in csv_body(out)[0][2]
+    assert run(capsys, *argv, "--mode", "exact") == (0, out, "")
+
+
+S8_ON_12_BITS = "1,0,2,3,4,5,6,7,8,9,10,11;1,2,3,4,5,6,7,0,8,9,10,11"
+
+
+@pytest.mark.parametrize("argv", [
+    ("mobs", "--problem", "be", "--n", "12", "--budgets", "39"),
+    ("simulate", "--problem", "ue", "--n", "12", "--allocation", "uniform", "--budget", "12",
+     "--input", "000000000111"),
+], ids=["mobs-be-12", "simulate-ue-12-input"])
+def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, argv):
+    # S_8's exact average over 2**12 patterns is over the generated group's
+    # guard, so the exact attempt refuses, with no descent, and sampling runs
+    mobs_module = importlib.import_module("inexact.mobs")
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("the exact attempt descended")
+
+    monkeypatch.setattr(mobs_module, "coordinate_descent", refusing)
+    code, out, _ = run(capsys, *argv, "--group", "generated", "--generators", S8_ON_12_BITS,
+                       "--samples", "200", "--format", "csv")
+    assert code == 0
+    comments, _, lines = csv_body(out)
+    assert '"mode":"monte_carlo"' in comments[2]
+    if argv[0] == "mobs":
+        assert lines[0].endswith(",monte_carlo")
+
+
+def test_exact_mobs_without_the_loss_matrix_exits_3(capsys):
+    code, out, err = run(capsys, "mobs", "--problem", "or", "--n", "12", "--mode", "exact")
+    assert code == 3 and out == ""
+    assert "kept loss matrix" in err
+
+
+def test_sampled_pair_weighted_mobs_exits_2(capsys):
+    code, out, err = run(capsys, "mobs", "--problem", "comparison", "--k", "2",
+                         "--mode", "monte_carlo", "--samples", "50", "--seed", "3")
+    assert code == 2 and out == ""
+    assert "per-input metrics only" in err
+    # auto and exact mode still price it exactly
+    for extra in ((), ("--mode", "exact")):
+        code, out, _ = run(capsys, "mobs", "--problem", "comparison", "--k", "2",
+                           "--budgets", "3", *extra, "--format", "csv")
+        assert code == 0 and csv_body(out)[2] == ["comparison2,4,1.76776686646,exact"]
 
 
 def test_config_file_round_trip(capsys, tmp_path):

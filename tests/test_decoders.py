@@ -627,6 +627,32 @@ def test_monte_carlo_matches_exact():
     assert abs(est_abs - exact_abs) <= 4 * se_abs
 
 
+def test_per_input_error_is_the_brute_row_past_the_analysis_guard():
+    # one row costs one 2**n law and one gather, so it needs no 14-bit guard
+    rng = np.random.default_rng(16)
+    ev = energy_vector(rng.dirichlet(np.ones(16)) * 16.0)
+    for problem, loss in ((unary_evaluation(16), "exact"), (binary_evaluation(16), "absolute")):
+        table, row = truth_table(problem), int(rng.integers(1 << 16))
+        dec, g = identity_decoder(table), IdentityGroup(16)
+        want = brute_error(table, ev, g, dec, row, loss)
+        assert per_input_error(table, ev, g, dec, row, loss) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("kind", ["symmetric", "rotation"])
+def test_per_input_error_past_the_analysis_guard_matches_monte_carlo(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    ev = energy_vector(rng.dirichlet(np.ones(n)) * n)
+    group = FullSymmetricGroup(n) if kind == "symmetric" else \
+        GeneratedGroup(n, [[(j + 1) % n for j in range(n)]])
+    for problem, loss in ((unary_evaluation(n), "exact"), (binary_evaluation(n), "absolute")):
+        dec, row = identity_decoder(problem), int(rng.integers(1 << n))
+        exact = per_input_error(problem, ev, group, dec, row, loss)
+        est, se = monte_carlo_error(problem, ev, group, dec, row, loss, 200_000, rng)
+        assert se > 0
+        assert abs(est - exact) <= 4 * se, (problem.name, est, exact, se)
+
+
 def test_monte_carlo_determinism_and_validation():
     p = or_problem(2)
     ev = energy_vector([1.0, 2.0])

@@ -10,8 +10,8 @@ from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup,
 from inexact.allocators import analytic_allocation, comparison_allocation, \
     coordinate_descent, grid_search, staircase_allocation, ue_variance, \
     uniform_allocation, water_filled_ramp
-from inexact.bits import popcount_table
-from inexact.decoders import error_profile, map_decoder
+from inexact.bits import ResourceLimitError, popcount_table
+from inexact.decoders import ErrorAnalysis, error_profile, map_decoder
 from inexact.mobs import (
     aggregate_error,
     be_analytic_bounds,
@@ -673,6 +673,44 @@ def test_mobs_builds_one_truth_table_per_call(monkeypatch):
     built.clear()
     mobs(or_problem(4))
     assert built == ["or"]
+
+
+def _refusing(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+    return refuse
+
+
+def test_exact_mobs_refuses_a_descent_without_the_loss_matrix(monkeypatch):
+    # past 11 bits a per-input analysis keeps no loss matrix, and a descent on
+    # the transform's rows would compare rounding noise; mobs refuses up
+    # front, before any profile or descent
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    monkeypatch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
+    for problem in (or_problem(12), unary_evaluation(12), tribes_problem(12, 2)):
+        with pytest.raises(ResourceLimitError, match="kept loss matrix"):
+            mobs(problem, mode="exact")
+    with pytest.raises(ResourceLimitError, match="kept loss matrix"):
+        mobs(binary_evaluation(12), [39.0], "worst_correctness")
+
+
+def test_exact_mobs_scores_the_blindfolded_side_before_any_descent(monkeypatch):
+    # S_8 on 11 bits is over the generated group's exact guard; the refusal
+    # comes from its law, not after a descent
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    s8 = GeneratedGroup(11, [[1, 0, *range(2, 11)], [*range(1, 8), 0, 8, 9, 10]])
+    with pytest.raises(ResourceLimitError, match="exact guard"):
+        mobs(or_problem(11), [11.0], group=s8)
+
+
+@pytest.mark.parametrize("problem", [comparison_problem(2), sorting_problem(2, 2)],
+                         ids=lambda p: p.name)
+def test_sampled_mobs_refuses_pair_weighted_metrics(problem):
+    with pytest.raises(ValueError, match="per-input metrics only"):
+        mobs(problem, mode="monte_carlo", samples=50, rng=3)
+    assert mobs(problem).mode == "exact"
 
 
 def test_mobs_validation():
