@@ -14,11 +14,15 @@ patterns from it, ``marginal`` gives each bit's flip probability,
 ``average`` the mean of a row score over the rewired rows, and ``setting``
 names the designer ("clairvoyant" or "blindfolded:<kind>").
 
-* identity   -- law: the channel's product over bits.  sampled: bit j flips
-                when a uniform draw falls below q[j].  average: one call.
+* identity   -- law: the channel's product over bits.  sampled: one
+                uniform per block of COIN_BLOCK_BITS bits, read through
+                Walker's alias table of that block's own product law
+                (independent bits factorise over blocks), so a trial costs
+                n / COIN_BLOCK_BITS draws instead of n.  average: one call.
 * generated  -- law: the mean of the channel over the rewired flip vectors
-                q[sigma].  sampled: one element per trial, then the
-                identity's coins against q[sigma].
+                q[sigma].  sampled: one element per trial, then a coin per
+                bit: bit j flips when a uniform draw falls below q[sigma][j]
+                (a table per element would grow with the group's order).
 * symmetric  -- law: a[popcount(d)] / C(n, popcount(d)), a the flip-count
                 law (a Poisson binomial), polynomial in n where the
                 elements are factorial.  sampled: a count K from a, then a
@@ -48,6 +52,7 @@ SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
 UNRANK_LOW_BITS = 12               # symmetric draws gather their low bits from a table
+COIN_BLOCK_BITS = 8                # identity draws take one uniform per block of bits
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
@@ -88,6 +93,28 @@ def _low_patterns(width: int) -> tuple[np.ndarray, np.ndarray]:
     for a in (patterns, starts):
         a.flags.writeable = False
     return patterns, starts
+
+
+def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table (prob, alias) of a law over 2**w outcomes, by
+    Vose's construction in Python floats: a draw lands in slot k uniformly
+    and keeps k when its fraction within the slot falls below prob[k], else
+    it takes alias[k].  The law is scaled by 2**w, exactly, and not divided
+    by its sum, so the table is the same bytes whatever numpy's summation
+    order; an outcome of weight 0 keeps no fraction of its slot."""
+    size = law.size
+    weight = (law * size).tolist()
+    prob = [1.0] * size
+    alias = list(range(size))
+    small = [k for k, p in enumerate(weight) if p < 1.0]
+    large = [k for k, p in enumerate(weight) if p >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = weight[s], g
+        weight[g] = (weight[g] + weight[s]) - 1.0
+        (small if weight[g] < 1.0 else large).append(g)
+    # the slots left over hold weight 1 up to rounding and keep their draws
+    return np.array(prob), np.array(alias, dtype=np.int64)
 
 
 def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
@@ -177,7 +204,19 @@ class IdentityGroup(PermutationGroup):
         return pattern_probabilities(rows)
 
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
-        return _flip_coins(q, count, rng)
+        # one uniform u per block and trial: slot floor(u * 2**w), and the
+        # fraction past it picks the slot or its alias; both steps are exact
+        u = rng.random((-(-self.n // COIN_BLOCK_BITS), count))
+        d = np.zeros(count, dtype=np.int64)
+        for x, lo in zip(u, range(0, self.n, COIN_BLOCK_BITS)):
+            prob, alias = _alias_table(_flip_patterns(q[lo:lo + COIN_BLOCK_BITS]))
+            x *= prob.size
+            slot = x.astype(np.int64)
+            x -= slot
+            block = np.where(x < prob[slot], slot, alias[slot])
+            block <<= lo
+            d |= block
+        return d
 
     def marginal(self, q: np.ndarray) -> np.ndarray:
         return q

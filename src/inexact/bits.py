@@ -77,8 +77,12 @@ def popcount(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def popcount_table(n: int) -> np.ndarray:
-    """Array of popcounts for row indices 0 .. 2**n - 1."""
-    return popcount(np.arange(1 << n, dtype=np.int64), n)
+    """Array of popcounts for row indices 0 .. 2**n - 1, built by doubling:
+    rows 2**j .. 2**(j+1) - 1 are the rows below them with bit j set."""
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        np.add(counts[:1 << j], 1, out=counts[1 << j:2 << j])
+    return counts
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -446,9 +446,11 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     average_pattern_probabilities gives exactly (group.sample_patterns:
     under the full symmetric group a flip count and a uniform subset of
     that size, unranked above the low bits and gathered from a table
-    below them; otherwise independent flips of the possibly rewired bits)
-    and decodes the observed row i XOR d.  The flip vector is computed
-    once and sampled _MC_BATCH draws at a time.
+    below them; under the identity group one uniform per block of 8 bits,
+    read through the alias table of that block's law; under a generated
+    group an element, then a coin per rewired bit) and decodes the
+    observed row i XOR d.  The flip vector is computed once and sampled
+    _MC_BATCH draws at a time.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)

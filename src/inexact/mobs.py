@@ -56,6 +56,7 @@ from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or
                        sorting_problem, truth_table, unary_evaluation)
 from .decoders import (
     ErrorAnalysis,
+    _check_scale,
     identity_decoder,
     monte_carlo_error,
 )
@@ -195,6 +196,8 @@ def _profile_function(problem: BooleanProblem, metric: str):
     the group's rewirings of the energies.
     """
     if metric in _PER_INPUT_LOSS:
+        # ErrorAnalysis' own guard, before a table too wide to analyse is built
+        _check_scale(problem.n, "exact error analysis")
         table = truth_table(problem)
         loss = _PER_INPUT_LOSS[metric]
         return ErrorAnalysis(table, identity_decoder(table), loss).profile

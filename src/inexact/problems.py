@@ -35,6 +35,7 @@ from .bits import (
     bits_to_index,
     index_to_bits,
     popcount,
+    popcount_table,
 )
 
 TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
@@ -234,6 +235,8 @@ def truth_table(problem: BooleanProblem) -> TruthTable:
     n = problem.n
     if n > TABLE_BITS_LIMIT:
         raise ResourceLimitError(f"truth tables support n <= {TABLE_BITS_LIMIT}, got n={n}")
+    if problem.kind == "ue":  # the ones count of every row, by doubling
+        return TruthTable(n, popcount_table(n))
     return TruthTable(n, _outputs(problem, np.arange(1 << n, dtype=np.int64)))
 
 

@@ -66,11 +66,16 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
     order as the library, then decoded from the observed bits.  Under the
     full symmetric group each trial draws a flip count from the
     Poisson-binomial law, then a rank into the numerically ordered list of
-    patterns with that many flips, enumerated here in full.  Otherwise it
-    rewires the energies by a drawn permutation and flips each bit against
-    2**-e."""
-    from inexact.adversary import (FullSymmetricGroup, _mismatch_count_weights,
+    patterns with that many flips, enumerated here in full.  Under the
+    identity group each block of COIN_BLOCK_BITS bits takes one uniform
+    per trial, block by block, looked up one at a time in the library's
+    alias table of the block's law (tests/test_adversary.py checks each
+    table's law against the block's).  Otherwise it rewires the energies
+    by a drawn permutation and flips each bit against 2**-e."""
+    from inexact.adversary import (COIN_BLOCK_BITS, FullSymmetricGroup, IdentityGroup,
+                                   _alias_table, _mismatch_count_weights,
                                    sample_energy_assignments)
+    from inexact.noise import energy_vector
 
     n = table.n
     bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
@@ -91,6 +96,18 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
                                           dtype=np.int64))
             patterns = np.array([by_count[k][r] for k, r in zip(counts, ranks)],
                                 dtype=np.int64)
+            flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
+        elif isinstance(group, IdentityGroup):
+            patterns = [0] * m
+            for lo in range(0, n, COIN_BLOCK_BITS):
+                block = energy_vector(energies.entries[lo:lo + COIN_BLOCK_BITS])
+                prob, alias = (a.tolist() for a in
+                               _alias_table(brute_pattern_probabilities(block)))
+                for t, u in enumerate(rng.random(m).tolist()):
+                    x = u * len(prob)
+                    slot = int(x)
+                    patterns[t] |= (slot if x - slot < prob[slot] else alias[slot]) << lo
+            patterns = np.array(patterns, dtype=np.int64)
             flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
         else:
             assigned = sample_energy_assignments(group, energies, m, rng)

@@ -286,6 +286,67 @@ def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     assert (patterns == (1 << n) - 1).any() == possible[-1]
 
 
+@pytest.mark.parametrize("entries", [
+    [0.0, 0.4, 1.3, 2.0, 3.7],
+    # n = 13: a block of 8 coins and a short one of 5
+    [0.0, 0.4, 1.3, 2.0, 0.7, 0.1, 1.6, 0.9, 0.3, 1.1, 0.0, 2.2, 0.5],
+])
+def test_identity_flip_patterns_follow_the_exact_law(entries):
+    # seeded, so the statistic is fixed; the possible cells expecting
+    # fewer than 5 draws are pooled into one
+    ev = energy_vector(entries)
+    g = IdentityGroup(ev.n)
+    draws = 400_000
+    expected = average_pattern_probabilities(g, ev) * draws
+    patterns = g.sample_patterns(flip_probability(ev), draws, np.random.default_rng(21))
+    observed = np.bincount(patterns, minlength=expected.size)
+    assert observed.size == expected.size and observed.sum() == draws
+    assert observed[expected == 0].sum() == 0
+    big = expected >= 5
+    pooled = (expected > 0) & ~big
+    assert big.sum() >= expected.size // 8
+    observed = np.append(observed[big], observed[pooled].sum())
+    expected = np.append(expected[big], expected[pooled].sum())
+    live = expected > 0  # the pooled cell is empty when no possible cell is small
+    stat = (((observed - expected) ** 2)[live] / expected[live]).sum()
+    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+
+
+@pytest.mark.parametrize("entries", [
+    [0.0, 1.0, 1100.0, 2.0, 0.5],
+    # n = 13: an impossible bit in each block, the last bit of the short one
+    [1100.0, 0.3, 0.0, 1.0, 2.0, 0.5, 1.5, 0.7, 0.0, 1.2, 0.4, 0.9, 1100.0],
+])
+def test_identity_sampler_never_draws_impossible_patterns(entries):
+    ev = energy_vector(entries)
+    g = IdentityGroup(ev.n)
+    possible = average_pattern_probabilities(g, ev) > 0
+    assert not possible.all()
+    patterns = g.sample_patterns(flip_probability(ev), 200_000, np.random.default_rng(4))
+    assert possible[patterns].all()
+    # every pattern the law allows at n = 5 is drawn
+    if ev.n == 5:
+        assert np.unique(patterns).size == possible.sum()
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_alias_tables_carry_their_block_laws(width):
+    # slot k keeps prob[k] of its 2**-width share and hands the rest to alias[k]
+    rng = np.random.default_rng(width)
+    for q in [rng.random(width), np.exp2(-rng.uniform(0.0, 12.0, width)),
+              np.r_[1.0, np.zeros(width - 1)], np.full(width, 0.5)]:
+        law = adversary._flip_patterns(q)
+        prob, alias = adversary._alias_table(law)
+        assert prob.shape == alias.shape == law.shape
+        assert ((prob >= 0.0) & (prob <= 1.0)).all()
+        carried = prob / law.size
+        np.add.at(carried, alias, (1.0 - prob) / law.size)
+        assert np.abs(carried - law).max() <= 1e-15
+        # an impossible pattern keeps no part of its slot and is no alias
+        assert (prob[law == 0.0] == 0.0).all()
+        assert (law[alias[prob < 1.0]] > 0.0).all()
+
+
 def test_dimension_mismatch_is_rejected():
     with pytest.raises(ValueError):
         marginal_flip_probability(FullSymmetricGroup(3), energy_vector([1.0, 2.0]))

@@ -676,6 +676,8 @@ def test_monte_carlo_determinism_and_validation():
     # above the unranking low width: a walk over the high bits, then the gather
     FullSymmetricGroup(13),
     FullSymmetricGroup(16),
+    # two coin blocks, the second one short
+    IdentityGroup(13),
 ])
 @pytest.mark.parametrize("loss", ["exact", "absolute"])
 def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
