@@ -14,9 +14,6 @@ import numpy as np
 
 MAX_PACK_BITS = 62  # packed row indices live in int64
 
-_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
 class ResourceLimitError(RuntimeError):
     """An exact computation would exceed its enumeration guard."""
 
@@ -65,14 +62,11 @@ def format_bits(bits: Sequence[int]) -> str:
 
 
 def popcount(idx: np.ndarray, n: int) -> np.ndarray:
-    """Ones among the low n bits of each packed int64 row index, counted a
-    byte at a time from a 256-entry table through one reused scratch array."""
+    """Ones among the low n bits of each packed int64 row index, summed a
+    bit at a time (whole tables read popcount_table)."""
     counts = np.zeros(idx.shape, dtype=np.int64)
-    scratch = np.empty_like(counts)
-    for lo in range(0, n, 8):
-        np.right_shift(idx, lo, out=scratch)
-        np.bitwise_and(scratch, (1 << min(8, n - lo)) - 1, out=scratch)
-        counts += _BYTE_ONES[scratch]
+    for j in range(n):
+        counts += (idx >> j) & 1
     return counts
 
 

@@ -35,7 +35,7 @@ from .problems import (
     table_from_csv,
     truth_table,
 )
-from .noise import EnergyVector, cmos_correctness_probability, energy_vector, load_energies
+from .noise import EnergyVector, cmos_correctness_probability, energy_vector
 from .adversary import GROUP_KINDS, build_group
 from .decoders import (
     ErrorReport,
@@ -323,8 +323,6 @@ def _problem_from(cfg: dict) -> BooleanProblem:
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("energies") is not None:
         return energy_vector(_listed(cfg, "energies", _real))
-    if cfg.get("energies_file"):
-        return load_energies(cfg["energies_file"])
     if cfg.get("allocation"):
         if cfg.get("budget") is None:
             raise ValueError("--allocation needs --budget")
@@ -332,7 +330,7 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
         if cfg["allocation"] == "uniform":
             return uniform_allocation(budget, problem.n)
         return analytic_allocation(problem, budget)
-    raise ValueError("no energies given; use --energies, --energies-file, or --allocation")
+    raise ValueError("no energies given; use --energies or --allocation")
 
 
 def _group_from(cfg: dict, n: int):
@@ -500,7 +498,6 @@ def _add_common(sub, formats, *names):
         sub.add_argument("--table")
     if "energies" in names:
         sub.add_argument("--energies")
-        sub.add_argument("--energies-file", dest="energies_file")
         sub.add_argument("--allocation", choices=["uniform", "analytic"])
         sub.add_argument("--budget", type=float)
     if "group" in names:

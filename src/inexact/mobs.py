@@ -31,10 +31,10 @@ Metrics:
 * worst_correctness   -- worst-input wrong-output probability.
 * expected_magnitude  -- worst-input expected |truth - decoded|.
 * comparison_weighted -- worst pair (x != y) of |x - y| * P{compared wrong}.
-* sorting_weighted    -- sum over pairs of |x_a - x_b| * P{ordered wrong},
+* sorting_weighted    -- sum over pairs of |x_a - x_b| * P{ordered wrong}
                          on the expensive-pairs instance (half the numbers
-                         at 2**(width-1), half at 0), the one
-                         sorting_mobs_bound is derived on.
+                         at 2**(width-1), half at 0; sorting_mobs_bound's),
+                         which reads only the numbers' top-bit energies.
 
 Comparison and sorting score position reads as pooled atomic events: the
 two operand bits at position j share their energy (c_j = sum of both), a
@@ -115,21 +115,6 @@ def _pooled_probabilities(x_energies: np.ndarray, y_energies: np.ndarray) -> np.
     return np.exp2(-(x_energies + y_energies))
 
 
-def pair_wrong_probability(x: int, y: int, x_energies, y_energies):
-    """P{the pooled scan orders x and y wrongly} for k-bit values, for each
-    row of operand energies along the last axis (a float for one row).
-
-    For x = y, "wrong" means any nonzero verdict.
-    """
-    p = _pooled_probabilities(np.asarray(x_energies, dtype=np.float64),
-                              np.asarray(y_energies, dtype=np.float64))
-    if x == y:
-        return 1.0 - np.prod(1.0 - p, axis=-1)
-    A, B = _scan_terms(p)
-    j = (x ^ y).bit_length() - 1
-    return A[..., j] + B[..., j] * p[..., j]
-
-
 def _split_comparison_energies(problem: BooleanProblem, entries: np.ndarray):
     k = problem.params["k"]
     if entries.shape[-1] != 2 * k:
@@ -139,14 +124,19 @@ def _split_comparison_energies(problem: BooleanProblem, entries: np.ndarray):
 
 def comparison_wrong_probability(problem: BooleanProblem, energies: EnergyVector,
                                  x: int, y: int) -> float:
-    """Exact wrong-comparison probability for one operand pair."""
+    """Exact probability that the pooled scan compares one operand pair
+    wrongly.  For x = y, "wrong" means any nonzero verdict."""
     if problem.kind != "comparison":
         raise ValueError("expected a comparison problem")
     k = problem.params["k"]
     if not (0 <= x < (1 << k) and 0 <= y < (1 << k)):
         raise ValueError(f"operands must be {k}-bit values")
-    ex, ey = _split_comparison_energies(problem, energies.entries)
-    return float(pair_wrong_probability(x, y, ex, ey))
+    p = _pooled_probabilities(*_split_comparison_energies(problem, energies.entries))
+    if x == y:
+        return float(1.0 - np.prod(1.0 - p))
+    A, B = _scan_terms(p)
+    j = (x ^ y).bit_length() - 1
+    return float(A[j] + B[j] * p[j])
 
 
 def _comparison_weighted_error_direct(problem: BooleanProblem,
@@ -168,21 +158,21 @@ def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
     return tuple([high] * (count // 2) + [0] * (count // 2))
 
 
-def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray,
-                                   instance) -> np.ndarray:
+def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) -> np.ndarray:
+    # every unequal pair of the expensive-pairs instance differs first at the
+    # top position, where the scan has read nothing above (A = 0, B = 1), so
+    # it errs with the pooled probability of the two top-bit energies alone
     count, width = problem.params["count"], problem.params["width"]
     if rows.shape[1] != problem.n:
         raise ValueError(f"sorting over {problem.n} bits, energies have {rows.shape[1]}")
-    values = tuple(int(v) for v in instance)
-    slots = [rows[:, m * width:(m + 1) * width] for m in range(count)]
+    values = expensive_pairs_instance(count, width)
+    top = rows[:, width - 1::width]
     total = np.zeros(rows.shape[0])
     for a in range(count):
         for b in range(a + 1, count):
-            gap = abs(values[a] - values[b])
-            if gap == 0:
-                continue
-            total += gap * pair_wrong_probability(values[a], values[b],
-                                                  slots[a], slots[b])
+            if values[a] != values[b]:
+                p = _pooled_probabilities(top[:, a], top[:, b])
+                total += abs(values[a] - values[b]) * p
     return total
 
 
@@ -208,9 +198,7 @@ def _profile_function(problem: BooleanProblem, metric: str):
     elif metric == "sorting_weighted":
         if problem.kind != "sorting":
             raise ValueError("sorting_weighted needs a sorting problem")
-        instance = expensive_pairs_instance(problem.params["count"],
-                                            problem.params["width"])
-        direct = lambda rows: _sorting_weighted_error_direct(problem, rows, instance)
+        direct = lambda rows: _sorting_weighted_error_direct(problem, rows)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
 

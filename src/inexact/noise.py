@@ -33,10 +33,8 @@ dependency.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -202,12 +200,3 @@ def equivalent_energy(p_correct) -> np.ndarray | float:
     with np.errstate(divide="ignore"):
         e = -np.log2(1.0 - arr)
     return float(e) if arr.ndim == 0 else e
-
-
-def save_energies(energies: EnergyVector, path) -> None:
-    Path(path).write_text(json.dumps({"energies": energies.entries.tolist()}, indent=2) + "\n")
-
-
-def load_energies(path) -> EnergyVector:
-    data = json.loads(Path(path).read_text())
-    return energy_vector(data["energies"])

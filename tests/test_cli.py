@@ -191,13 +191,15 @@ def test_simulate_monte_carlo_is_seed_deterministic(capsys, tmp_path):
 # re-recorded when its draws went from a coin per bit to one uniform per
 # block (the row reads 9.76499 +- 0.02929 against an exact 9.72453).
 # Symmetric-group draws (a flip count, then a subset) are pinned in
-# SYMMETRIC_STREAMS below.
+# SYMMETRIC_STREAMS below.  Both digests, simulate-be-16's and the four
+# report digests below were re-recorded when simulate lost --energies-file:
+# only the config preamble moved, the result bodies are the same bytes.
 PINNED_STREAMS = {
     "identity":
-        ((), "2232fb38f0645bba976ac26b756524f7c453b662d593bf587cc8c7e2c772a2aa"),
+        ((), "023814185abc438e921cd4b2cb89ae1a58d02e791fc4c66c6cac92092e5b7541"),
     "generated":
         (("--generators", "1,2,3,4,5,0"),
-         "3abc3b24fc80940691dbe35e70af2db85919433d5ebbfb0eb787d0a54a1f13c6"),
+         "815e40f3765dbb0d6547d0729ce5b7b60129ac5021d94f4115fa5e7bad47013c"),
 }
 
 
@@ -228,7 +230,7 @@ SYMMETRIC_STREAMS = {
           "0.0,0.37,0.74,1.11,1.48,1.85,2.22,2.59,2.96,0.23,0.6,0.97,1.34,1.71,2.08,2.45",
           "--group", "symmetric", "--loss", "absolute", "--mode", "monte_carlo",
           "--samples", "100000", "--seed", "11", "--input", "1011010011100101"),
-         "9a2ec140d51e3ef3bc7b33af67c36d7188682a7598a7dd0c2c26c7a4d0701680"),
+         "a2c350b1790ea44261cf2d3ab9ba59c439f037fed6447f31a690305ac7b53713"),
     "mobs-be-20":
         (("mobs", "--problem", "be", "--n", "20", "--mode", "monte_carlo",
           "--samples", "20000", "--seed", "13", "--budgets", "20,105"),
@@ -251,10 +253,10 @@ def test_seeded_symmetric_streams_are_pinned(capsys, stream):
 PINNED_REPORTS = {
     "be-absolute":
         (("--problem", "be", "--loss", "absolute"),
-         "bf7ece8762de799894692159d0b0f0661ca530113210bb6b9fc6ff5692b79d4b"),
+         "c440b06861188b804f89b90fe2616ed24b69f3e0d8a2438da4a6b504cf3383dd"),
     "or-map-symmetric":
         (("--problem", "or", "--group", "symmetric", "--decoder", "map"),
-         "d73fda4c9d0715fc693dc0d77c59496d3a581219fdfd97288e12167c69a266f4"),
+         "d50a2f732846811b7a8db531c8ab983402a1123de004d3a4044b58c68860c62a"),
 }
 
 
@@ -276,12 +278,12 @@ PINNED_CSV_REPORTS = {
         (("--problem", "be", "--n", "12", "--energies",
           "0.4,2.9,1.3,0.0,5.2,3.3,0.9,4.1,2.2,1.7,6.0,0.6", "--loss", "absolute",
           "--mode", "exact"),
-         "43c757ca6aae49c5eaebed118a86397268bb8f94c1812495c428c9ff3368bf2c"),
+         "a9fe30676743704cbdb3f516718d2f764fac410ed9b6fc709669127eb9ed4cb1"),
     "or-sampled-symmetric":
         (("--problem", "or", "--n", "8", "--energies", "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0",
           "--group", "symmetric", "--mode", "monte_carlo", "--samples", "3000",
           "--seed", "11"),
-         "a79ebc111f3fe0ceebd8bec58c648f4b8ebe2969a29cd07afeaf037e83cac235"),
+         "95cfb040b8e302a45d29633f3d31de286090c1ffd45ba865f5c1a27fcef66a03"),
 }
 
 
@@ -502,15 +504,16 @@ def test_allocate_outputs_are_pinned(capsys, allocation):
 # exact mobs, which draws nothing
 REMOVED_FLAGS = [("mobs", "decoder", "identity"), ("allocate", "decoder", "map"),
                  ("table2", "mode", "exact"), ("table2", "samples", "10"),
-                 ("table2", "seed", "1")]
+                 ("table2", "seed", "1"), ("simulate", "energies_file", "energies.json")]
 
 
 @pytest.mark.parametrize("command, key, value", REMOVED_FLAGS)
 def test_removed_flags_exit_2(capsys, command, key, value):
+    flag = f"--{key.replace('_', '-')}"
     with pytest.raises(SystemExit) as exc:
-        main([command, *CONFIG_RUNS[command], f"--{key}", value])
+        main([command, *CONFIG_RUNS[command], flag, value])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key, value", REMOVED_FLAGS)
@@ -522,11 +525,28 @@ def test_removed_config_keys_exit_2(capsys, tmp_path, command, key, value):
     assert err == f"error: unknown config keys: [{key!r}]\n"
 
 
+def test_energies_config_file_prints_the_energies_flag_rows(capsys, tmp_path):
+    # a {"energies": [...]} file read as --config stands where --energies-file stood
+    cfg = tmp_path / "energies.json"
+    cfg.write_text(json.dumps({"energies": [1, 1]}))
+    argv = ["simulate", "--problem", "or", "--n", "2", "--format", "csv"]
+    code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    code, from_flag, _ = run(capsys, *argv, "--energies", "1,1")
+    assert code == 0
+    rows = [line for line in from_file.splitlines() if not line.startswith("#")]
+    assert rows == ["row,p_err", "0,0.75", "1,0.25", "2,0.25", "3,0.25"]
+    assert rows == [line for line in from_flag.splitlines() if not line.startswith("#")]
+
+
 def test_removed_names_are_gone():
     from inexact import cli
     for name in ("_refuse_map_search", "EXACT_AUTO_LIMIT", "_auto_mode",
                  "closed_form_champion", "DECODE_BITS_LIMIT"):
         assert not hasattr(cli, name), name
+    for module, name in (("noise", "load_energies"), ("noise", "save_energies"),
+                         ("mobs", "pair_wrong_probability"), ("bits", "_BYTE_ONES")):
+        assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
     assert list(inspect.signature(table2_rows).parameters) == \
         ["sizes", "comparison_widths", "sorting_shapes"]
 

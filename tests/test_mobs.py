@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup, \
-    average_pattern_probabilities
+from inexact.adversary import SYMMETRIC_ENUM_LIMIT, FullSymmetricGroup, GeneratedGroup, \
+    IdentityGroup, average_pattern_probabilities
 from inexact.allocators import analytic_allocation, comparison_allocation, \
     coordinate_descent, grid_search, staircase_allocation, ue_variance, \
     uniform_allocation, water_filled_ramp
@@ -22,7 +22,6 @@ from inexact.mobs import (
     error_objective,
     expensive_pairs_instance,
     mobs,
-    pair_wrong_probability,
     sorting_mobs_bound,
     table2_rows,
 )
@@ -56,7 +55,7 @@ def test_pair_wrong_probability_matches_brute_walk(k, data):
     ey = data.draw(st.lists(st.floats(0, 5, allow_nan=False), min_size=k, max_size=k))
     x = data.draw(st.integers(0, (1 << k) - 1))
     y = data.draw(st.integers(0, (1 << k) - 1))
-    got = pair_wrong_probability(x, y, ex, ey)
+    got = comparison_wrong_probability(comparison_problem(k), energy_vector(ex + ey), x, y)
     want = brute_pair_wrong(x, y, np.array(ex), np.array(ey))
     assert got == pytest.approx(want, abs=1e-12)
     assert 0.0 <= got <= 1.0
@@ -77,7 +76,8 @@ def test_comparison_closed_forms():
 
 def test_equal_operands_err_on_any_nonzero_verdict():
     p = 2.0 ** -1.5
-    got = pair_wrong_probability(2, 2, [0.5, 1.0], [1.0, 0.5])
+    got = comparison_wrong_probability(comparison_problem(2),
+                                       energy_vector([0.5, 1.0] + [1.0, 0.5]), 2, 2)
     assert got == pytest.approx(1.0 - (1.0 - p) ** 2, abs=1e-15)
 
 
@@ -113,17 +113,63 @@ def test_sorting_weighted_error_examples():
 
     rng = np.random.default_rng(8)
     problem = sorting_problem(4, 2)
-    values = (3, 1, 0, 2)
+    values = expensive_pairs_instance(4, 2)
     ev = energy_vector(rng.random(8) * 2.0)
     mobs_module = importlib.import_module("inexact.mobs")
-    direct = mobs_module._sorting_weighted_error_direct(problem, ev.entries[None, :],
-                                                        values)[0]
+    direct = mobs_module._sorting_weighted_error_direct(problem, ev.entries[None, :])[0]
     slots = [ev.entries[2 * m:2 * m + 2] for m in range(4)]
     brute = sum(
         abs(values[a] - values[b]) * brute_pair_wrong(values[a], values[b],
                                                       slots[a], slots[b])
         for a in range(4) for b in range(a + 1, 4))
     assert direct == pytest.approx(brute, abs=1e-12)
+
+
+def _scan_top_sum(count, width, rows):
+    """sorting_weighted by the full pooled scan: each unequal expensive pair's
+    A + B * p at its top differing position, weighted by its gap and summed
+    in (a, b) order."""
+    mobs_module = importlib.import_module("inexact.mobs")
+    values = expensive_pairs_instance(count, width)
+    slots = [rows[:, m * width:(m + 1) * width] for m in range(count)]
+    total = np.zeros(rows.shape[0])
+    for a in range(count):
+        for b in range(a + 1, count):
+            if values[a] != values[b]:
+                p = mobs_module._pooled_probabilities(slots[a], slots[b])
+                A, B = mobs_module._scan_terms(p)
+                j = (values[a] ^ values[b]).bit_length() - 1
+                total += abs(values[a] - values[b]) * (A[:, j] + B[:, j] * p[:, j])
+    return total
+
+
+@pytest.mark.parametrize("count, width", [(2, 1), (2, 3), (4, 2), (6, 2), (2, 6)])
+def test_sorting_weighted_closed_form_is_the_top_position_scan(count, width):
+    # every unequal expensive pair differs first at the top position, so the
+    # closed form reads top-bit energies alone and equals the scan bit for bit
+    mobs_module = importlib.import_module("inexact.mobs")
+    problem = sorting_problem(count, width)
+    n = problem.n
+    rng = np.random.default_rng(25 + n)
+    rows = rng.random((6, n)) * 4.0
+    rows[rng.random(rows.shape) < 0.25] = 0.0
+    rows[0] = 0.0
+    direct = mobs_module._sorting_weighted_error_direct(problem, rows)
+    assert np.array_equal(direct, _scan_top_sum(count, width, rows))
+    values = expensive_pairs_instance(count, width)
+    for row, got in zip(rows, direct):
+        slots = [row[m * width:(m + 1) * width] for m in range(count)]
+        brute = sum(abs(values[a] - values[b])
+                    * brute_pair_wrong(values[a], values[b], slots[a], slots[b])
+                    for a in range(count) for b in range(a + 1, count))
+        assert got == pytest.approx(brute, abs=1e-12)
+    # S_n past the enumeration guard cannot average a moving row
+    groups = [g for g in _groups(n) if g.kind != "symmetric" or n <= SYMMETRIC_ENUM_LIMIT]
+    for group in groups:
+        for row in rows:
+            got = aggregate_error(problem, energy_vector(row), group, "sorting_weighted")
+            rewired = row[group.elements()] if np.ptp(row) else row[None]
+            assert got == np.mean(_scan_top_sum(count, width, rewired))
 
 
 def test_expensive_pairs_instance():

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -18,12 +17,10 @@ from inexact.noise import (
     energy_vector,
     equivalent_energy,
     flip_probability,
-    load_energies,
     observation_distribution,
     pattern_probabilities,
     sample_observation,
     sample_observations,
-    save_energies,
 )
 
 from conftest import brute_pattern_probabilities
@@ -267,14 +264,6 @@ def test_cmos_and_equivalent_energy_reject_nan():
         equivalent_energy(float("nan"))
     with pytest.raises(ValueError):
         equivalent_energy(np.array([0.5, np.nan]))
-
-
-def test_energy_json_round_trip(tmp_path):
-    ev = energy_vector([0.25, 3.0, 1.125])
-    path = tmp_path / "energies.json"
-    save_energies(ev, path)
-    assert json.loads(path.read_text())["energies"] == [0.25, 3.0, 1.125]
-    assert np.array_equal(load_energies(path).entries, ev.entries)
 
 
 def test_observation_distribution_oracle_by_pattern():
