@@ -28,8 +28,6 @@ from .noise import (
     cmos_correctness_probability,
     energy_vector,
     flip_probability,
-    observation_distribution,
-    sample_observation,
 )
 from .adversary import (
     FullSymmetricGroup,

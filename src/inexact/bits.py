@@ -55,12 +55,6 @@ def parse_bits(text: str, n: int | None = None) -> np.ndarray:
     return as_bit_array([int(c) for c in reversed(text)], n)
 
 
-def format_bits(bits: Sequence[int]) -> str:
-    """Big-endian text form of a bit vector."""
-    arr = as_bit_array(bits)
-    return "".join(str(int(b)) for b in arr[::-1])
-
-
 def popcount(idx: np.ndarray, n: int) -> np.ndarray:
     """Ones among the low n bits of each packed int64 row index, summed a
     bit at a time (whole tables read popcount_table)."""

@@ -239,7 +239,9 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags.  Every flag is a key, None
     (the parser's default) unless the handler's defaults say otherwise.  A
-    file value must be one its flag would accept, and null leaves it unset."""
+    file value is read as its flag reads it (an int flag's by _whole, a float
+    flag's by _real) and must be one its flag would accept; null leaves it
+    unset."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
@@ -251,10 +253,16 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         commands = next(a for a in build_parser()._actions if a.dest == "command")
+        read = {int: _whole, float: _real}
         for flag in commands.choices[args.command]._actions:
-            if flag.choices and file_cfg.get(flag.dest) not in (None, *flag.choices):
+            value = file_cfg.get(flag.dest)
+            if value is None:
+                continue
+            if flag.type in read:
+                file_cfg[flag.dest] = read[flag.type](value, flag.dest)
+            if flag.choices and value not in flag.choices:
                 raise ValueError(f"config key {flag.dest!r} must be one of "
-                                 f"{list(flag.choices)}, got {file_cfg[flag.dest]!r}")
+                                 f"{list(flag.choices)}, got {value!r}")
         file_cfg = {k: v for k, v in file_cfg.items() if v is not None}  # null: unset
     return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
 
@@ -275,10 +283,6 @@ def _listed(cfg: dict, key: str, item, *seps):
     return None if cfg.get(key) is None else split(cfg[key], seps or (",",))
 
 
-def _integer(cfg: dict, key: str) -> int:
-    return _whole(cfg[key], key)
-
-
 def _whole(value, key: str) -> int:
     """A value of config key as an int: an int, an integral float or integer
     text (a config file may give any of them); anything else is refused by
@@ -296,8 +300,8 @@ def _whole(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """A list item of config key as a float: a number or number text.  A
-    JSON boolean is refused by key, where float() would read it as 0 or 1."""
+    """A value of config key as a float: a number or number text.  A JSON
+    boolean is refused by key, where float() would read it as 0 or 1."""
     if isinstance(value, bool):
         raise ValueError(f"config key {key!r} must be a number, got {value!r}")
     return float(value)
@@ -315,7 +319,7 @@ def _problem_from(cfg: dict) -> BooleanProblem:
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
         table = table_from_csv(path)
         return build_problem("custom", outputs=table.outputs, name="custom")
-    params = {key: _integer(cfg, key) for key in ("n", "tribe_count", "k", "count", "width")
+    params = {key: cfg[key] for key in ("n", "tribe_count", "k", "count", "width")
               if cfg.get(key) is not None}
     return build_problem(kind, **params)
 
@@ -326,7 +330,7 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("allocation"):
         if cfg.get("budget") is None:
             raise ValueError("--allocation needs --budget")
-        budget = float(cfg["budget"])
+        budget = cfg["budget"]
         if cfg["allocation"] == "uniform":
             return uniform_allocation(budget, problem.n)
         return analytic_allocation(problem, budget)
@@ -379,8 +383,8 @@ def _cmd_simulate(cfg: dict):
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
     # exact analysis draws nothing, so a fallback samples from the seed's start
-    rng = np.random.default_rng(_integer(cfg, "seed"))
-    samples, loss = _integer(cfg, "samples"), cfg["loss"]
+    rng = np.random.default_rng(cfg["seed"])
+    samples, loss = cfg["samples"], cfg["loss"]
     table = truth_table(problem)
     decoder = build_decoder(cfg["decoder"], table, energies, group)
     row = None if cfg.get("input") is None else \
@@ -407,7 +411,7 @@ def _cmd_allocate(cfg: dict):
     problem = _problem_from(cfg)
     if cfg.get("budget") is None:
         raise ValueError("--budget is required")
-    budget = float(cfg["budget"])
+    budget = cfg["budget"]
     metric = cfg.get("metric") or "ue_variance"
     if metric == "ue_variance":
         fn = ue_variance
@@ -417,7 +421,7 @@ def _cmd_allocate(cfg: dict):
         raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
     result = optimize_allocation(fn, budget, problem.n,
                                  method=cfg["method"],
-                                 resolution=float(cfg["resolution"]))
+                                 resolution=cfg["resolution"])
     rows = itertools.chain((f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)),
                            (f"# objective_value={fmt(result.objective_value)}",
                             f"# converged={result.converged}"))
@@ -427,8 +431,8 @@ def _cmd_allocate(cfg: dict):
 def _cmd_mobs(cfg: dict):
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
-    rng = np.random.default_rng(_integer(cfg, "seed"))  # exact mobs draws nothing
-    budgets, samples = _listed(cfg, "budgets", _real), _integer(cfg, "samples")
+    rng = np.random.default_rng(cfg["seed"])  # exact mobs draws nothing
+    budgets, samples = _listed(cfg, "budgets", _real), cfg["samples"]
 
     def run(mode):
         result = mobs(problem, budgets, cfg.get("metric"), group, mode, samples, rng)
@@ -438,17 +442,17 @@ def _cmd_mobs(cfg: dict):
 
 
 def _cmd_curve(cfg: dict):
-    sigma = float(cfg["sigma"])
+    sigma = cfg["sigma"]
     if cfg.get("vdd") is not None:
-        grid = [float(cfg["vdd"])]
+        grid = [cfg["vdd"]]
     else:
-        bottom, top, top_flag = float(cfg["vdd_min"]), 10.0 * sigma, "--sigma"
+        bottom, top, top_flag = cfg["vdd_min"], 10.0 * sigma, "--sigma"
         if cfg.get("vdd_max") is not None:
-            top, top_flag = float(cfg["vdd_max"]), "--vdd-max"
+            top, top_flag = cfg["vdd_max"], "--vdd-max"
         for flag, end in (("--vdd-min", bottom), (top_flag, top)):
             if not math.isfinite(end):  # np.linspace would warn and yield NaN
                 raise ValueError(f"{flag} must be finite for a vdd grid, got {end}")
-        steps = _integer(cfg, "steps")
+        steps = cfg["steps"]
         if steps < 1:
             raise ValueError("--steps must be >= 1")
         grid = np.linspace(bottom, top, steps).tolist()

@@ -241,6 +241,7 @@ def map_decoder(problem, energies: EnergyVector,
     table = _as_table(problem)
     n = table.n
     _check_scale(n, "map decoding")
+    _check_width(energies.n, n)
     if group is None:
         group = IdentityGroup(n)
     avg = average_pattern_probabilities(group, energies)

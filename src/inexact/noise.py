@@ -39,8 +39,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bits import as_bit_array, as_rng
-
 _TABLE_BITS = 8  # bits covered by the cached table; higher bits double in place
 
 
@@ -69,13 +67,6 @@ class EnergyVector:
         """Total energy spent across all bits."""
         return float(self.entries.sum())
 
-    def permuted(self, sigma: Sequence[int]) -> "EnergyVector":
-        """Reassign energies so bit j receives entry sigma[j]."""
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sorted(sigma.tolist()) != list(range(self.n)):
-            raise ValueError(f"not a permutation of 0..{self.n - 1}: {sigma!r}")
-        return EnergyVector(self.entries[sigma])
-
 
 def energy_vector(entries: Sequence[float]) -> EnergyVector:
     return EnergyVector(np.asarray(entries, dtype=np.float64))
@@ -103,19 +94,6 @@ def flip_probability(energy) -> np.ndarray | float:
         raise ValueError("energies must be >= 0 and not NaN")
     out = np.exp2(-arr)
     return float(out) if arr.ndim == 0 else out
-
-
-def sample_observation(bits, energies: EnergyVector, rng=None) -> np.ndarray:
-    """Read the input once through the channel: each bit flips w.p. 2**-e."""
-    return sample_observations(bits, energies, 1, rng)[0]
-
-
-def sample_observations(bits, energies: EnergyVector, count: int, rng=None) -> np.ndarray:
-    """Matrix of `count` independent reads, one per row."""
-    arr = as_bit_array(bits, energies.n)
-    q = flip_probability(energies)
-    flips = as_rng(rng).random((count, energies.n)) < q
-    return (arr[None, :] ^ flips.astype(np.uint8)).astype(np.uint8)
 
 
 def pattern_probabilities(energies) -> np.ndarray:
@@ -161,18 +139,6 @@ def _flip_patterns(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def observation_distribution(bits, energies: EnergyVector) -> np.ndarray:
-    """Distribution over observed rows for one true input."""
-    from .bits import bits_to_index
-
-    i = bits_to_index(as_bit_array(bits, energies.n))
-    probs = pattern_probabilities(energies)
-    out = np.empty_like(probs)
-    idx = np.arange(probs.size, dtype=np.int64)
-    out[idx ^ i] = probs
-    return out
-
-
 def cmos_correctness_probability(vdd, sigma: float = 1.0):
     """Correct-read probability of a CMOS bit at supply voltage vdd.
 
@@ -190,13 +156,3 @@ def cmos_correctness_probability(vdd, sigma: float = 1.0):
     tails = np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64, x.size)
     p = 1.0 - 0.5 * tails.reshape(x.shape)
     return float(p) if arr.ndim == 0 else p
-
-
-def equivalent_energy(p_correct) -> np.ndarray | float:
-    """Energy whose flip probability matches 1 - p_correct (log2 scale)."""
-    arr = np.asarray(p_correct, dtype=np.float64)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        e = -np.log2(1.0 - arr)
-    return float(e) if arr.ndim == 0 else e

@@ -40,7 +40,6 @@ from inexact import (
     uniform_allocation,
 )
 from inexact.allocators import grid_search
-from inexact.bits import format_bits, index_to_bits
 from inexact.cli import main
 from inexact.decoders import build_decoder
 
@@ -68,7 +67,7 @@ def test_criterion_1_reference_truth_tables(capsys):
     for kind, expected in REFERENCE_TABLES.items():
         assert truth_table(build_problem(kind, 3)).outputs.tolist() == expected
         for i, want in enumerate(expected):
-            bits = format_bits(index_to_bits(i, 3))
+            bits = format(i, "03b")
             assert main(["eval", "--problem", kind, "--n", "3", "--bits", bits]) == 0
             assert capsys.readouterr().out.strip() == str(want)
     elapsed = time.monotonic() - start

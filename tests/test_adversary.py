@@ -227,7 +227,7 @@ def test_generated_average_is_the_per_element_loop(n, generators):
     ev = energy_vector(entries)
     total = np.zeros(1 << n)
     for sigma in g.elements():
-        total += brute_pattern_probabilities(ev.permuted(sigma))
+        total += brute_pattern_probabilities(energy_vector(ev.entries[sigma]))
     assert np.array_equal(average_pattern_probabilities(g, ev), total / g.order())
 
 

@@ -545,8 +545,15 @@ def test_removed_names_are_gone():
                  "closed_form_champion", "DECODE_BITS_LIMIT"):
         assert not hasattr(cli, name), name
     for module, name in (("noise", "load_energies"), ("noise", "save_energies"),
-                         ("mobs", "pair_wrong_probability"), ("bits", "_BYTE_ONES")):
+                         ("mobs", "pair_wrong_probability"), ("bits", "_BYTE_ONES"),
+                         ("noise", "sample_observation"), ("noise", "sample_observations"),
+                         ("noise", "observation_distribution"),
+                         ("noise", "equivalent_energy"), ("bits", "format_bits")):
         assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
+    package = importlib.import_module("inexact")
+    assert not hasattr(package.EnergyVector, "permuted")
+    for name in ("sample_observation", "observation_distribution"):
+        assert not hasattr(package, name), name
     assert list(inspect.signature(table2_rows).parameters) == \
         ["sizes", "comparison_widths", "sorting_shapes"]
 
@@ -705,23 +712,49 @@ def test_config_file_integers_are_whole(capsys, tmp_path, command, argv, key):
         assert f"config key {key!r} must be an integer" in err
 
 
-# float list key -> a config file that lists a JSON boolean under it
-BOOLEAN_ITEMS = {
-    "budgets": ("mobs", {"problem": "or", "n": 2, "budgets": [True]}),
-    "energies": ("simulate", {"problem": "or", "n": 2, "energies": [True, 1],
-                              "input": "01"}),
-}
+# float key, its subcommand and a config file that gives a JSON boolean under
+# the key, alone or as a list item
+BOOLEAN_ITEMS = [
+    pytest.param("budgets", "mobs", {"problem": "or", "n": 2, "budgets": [True]},
+                 id="budgets"),
+    pytest.param("energies", "simulate", {"problem": "or", "n": 2, "energies": [True, 1],
+                                          "input": "01"}, id="energies"),
+    pytest.param("budget", "simulate", {"problem": "or", "n": 2, "allocation": "uniform",
+                                        "budget": True}, id="budget-simulate"),
+    pytest.param("budget", "allocate", {"problem": "or", "n": 2, "budget": True},
+                 id="budget-allocate"),
+    pytest.param("resolution", "allocate", {"problem": "or", "n": 2, "budget": 2,
+                                            "resolution": True}, id="resolution"),
+    pytest.param("sigma", "curve", {"sigma": True}, id="sigma"),
+    pytest.param("vdd", "curve", {"vdd": True}, id="vdd"),
+    pytest.param("vdd_min", "curve", {"vdd_min": True}, id="vdd_min"),
+    pytest.param("vdd_max", "curve", {"vdd_max": True}, id="vdd_max"),
+]
 
 
-@pytest.mark.parametrize("key", sorted(BOOLEAN_ITEMS))
-def test_config_file_float_items_refuse_booleans(capsys, tmp_path, key):
-    # float() reads true as 1.0; a boolean item is refused by its key, not run
-    command, body = BOOLEAN_ITEMS[key]
+@pytest.mark.parametrize("key, command, body", BOOLEAN_ITEMS)
+def test_config_file_float_items_refuse_booleans(capsys, tmp_path, key, command, body):
+    # float() reads true as 1.0; a boolean value or item is refused by its
+    # key, not run
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(body))
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert f"config key {key!r} must be a number, got True" in err
+
+
+def test_config_file_values_echo_as_their_flags_give_them(capsys, tmp_path):
+    # each file value is read by its flag's type, so the config lines (and
+    # their sha256) are the ones the same flags write
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"budget": 3, "n": 3.0, "seed": "0"}))
+    argv = ["simulate", "--problem", "or", "--allocation", "uniform", "--format", "csv"]
+    code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    code, from_flags, _ = run(capsys, *argv, "--budget", "3", "--n", "3", "--seed", "0")
+    assert code == 0
+    assert from_file == from_flags
+    assert all(f in from_file for f in ('"budget":3.0,', '"n":3,', '"seed":0,'))
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):

@@ -786,6 +786,8 @@ def test_energy_width_is_checked_before_any_work(monkeypatch, width, group):
         ErrorAnalysis(p, dec).profile(ev, group)
     with pytest.raises(ValueError, match=message):
         per_input_error(p, ev, group, dec, 0)
+    with pytest.raises(ValueError, match=message):
+        map_decoder(p, ev, group)
 
 
 def test_monte_carlo_refuses_a_group_of_another_width(monkeypatch):

@@ -10,17 +10,13 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import inexact
-from inexact.bits import bits_to_index
+from inexact.adversary import IdentityGroup
 from inexact.noise import (
     EnergyVector,
     cmos_correctness_probability,
     energy_vector,
-    equivalent_energy,
     flip_probability,
-    observation_distribution,
     pattern_probabilities,
-    sample_observation,
-    sample_observations,
 )
 
 from conftest import brute_pattern_probabilities
@@ -110,69 +106,48 @@ def test_pattern_kernel_matches_doubling_recursion(n):
         assert np.array_equal(pattern_probabilities(ev), brute_pattern_probabilities(ev))
 
 
-def test_energy_vector_budget_and_permutation():
+def test_energy_vector_width_and_budget():
     ev = energy_vector([1.0, 3.0, 0.5])
     assert ev.n == 3
     assert ev.budget == pytest.approx(4.5, abs=0)
-    permuted = ev.permuted([2, 0, 1])  # bit j receives entry sigma[j]
-    assert permuted.entries.tolist() == [0.5, 1.0, 3.0]
-    with pytest.raises(ValueError):
-        ev.permuted([0, 0, 1])
 
 
 def test_zero_energy_read_is_a_certain_flip():
-    ev = energy_vector([0.0, 0.0, 0.0, 0.0])
-    bits = np.array([0, 1, 0, 1], dtype=np.uint8)
+    # input 1010 read at no energy is observed as 0101 on every draw
+    q = flip_probability(energy_vector([0.0, 0.0, 0.0, 0.0]))
     for seed in range(50):
-        out = sample_observation(bits, ev, seed)
-        assert out.tolist() == [1, 0, 1, 0]
+        d = IdentityGroup(4).sample_patterns(q, 8, np.random.default_rng(seed))
+        assert (0b1010 ^ d).tolist() == [0b0101] * 8
 
 
 def test_huge_energy_read_is_clean():
-    ev = energy_vector([1000.0] * 5)
-    bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    for seed in range(10_000):
-        assert np.array_equal(sample_observation(bits, ev, seed), bits)
-
-
-def test_sampling_matches_a_coin_pair():
-    # bits 00 at one unit each: observing 00 needs two correct reads
-    ev = energy_vector([1.0, 1.0])
-    rows = sample_observations([0, 0], ev, 1_000_000, rng=7)
-    freq = np.mean((rows == 0).all(axis=1))
-    assert abs(freq - 0.25) < 0.002
-
-
-def test_sampling_is_seed_deterministic():
-    ev = energy_vector([1.0, 2.0, 0.7])
-    a = sample_observations([1, 0, 1], ev, 64, rng=123)
-    b = sample_observations([1, 0, 1], ev, 64, rng=123)
-    assert np.array_equal(a, b)
+    q = flip_probability(energy_vector([1000.0] * 5))
+    d = IdentityGroup(5).sample_patterns(q, 10_000, np.random.default_rng(0))
+    assert not d.any()
 
 
 def test_observation_distribution_examples():
-    d1 = observation_distribution([0], energy_vector([1.0]))
+    # the observations of input 0 follow the pattern law itself
+    d1 = pattern_probabilities(energy_vector([1.0]))
     assert np.allclose(d1, [0.5, 0.5], atol=0)
 
-    d2 = observation_distribution([0, 0], energy_vector([1.0, 1.0]))
+    d2 = pattern_probabilities(energy_vector([1.0, 1.0]))
     assert np.allclose(d2, [0.25] * 4, atol=0)
 
-    d3 = observation_distribution([0, 0], energy_vector([1.0, 2.0]))
+    d3 = pattern_probabilities(energy_vector([1.0, 2.0]))
     assert d3[0] == pytest.approx(0.375, abs=1e-15)
     assert abs(d3.sum() - 1.0) < 1e-12
 
 
-@given(energies_strategy, st.data())
+@given(energies_strategy)
 @settings(max_examples=80, deadline=None)
-def test_distribution_marginals_factorize(entries, data):
+def test_distribution_marginals_factorize(entries):
+    # the patterns that flip bit j carry its flip probability in total
     ev = energy_vector(entries)
-    n = ev.n
-    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                    dtype=np.uint8)
-    dist = observation_distribution(bits, ev)
-    idx = np.arange(1 << n)
-    for j in range(n):
-        flipped_mass = dist[((idx >> j) & 1) != bits[j]].sum()
+    probs = pattern_probabilities(ev)
+    idx = np.arange(1 << ev.n)
+    for j in range(ev.n):
+        flipped_mass = probs[((idx >> j) & 1) == 1].sum()
         assert flipped_mass == pytest.approx(flip_probability(float(ev.entries[j])),
                                              abs=1e-12)
 
@@ -183,19 +158,6 @@ def test_pattern_probabilities_are_a_distribution(entries):
     probs = pattern_probabilities(energy_vector(entries))
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-12
-
-
-def test_empirical_frequencies_match_distribution():
-    ev = energy_vector([0.8, 1.5, 2.5])
-    bits = np.array([1, 0, 1], dtype=np.uint8)
-    dist = observation_distribution(bits, ev)
-    samples = 1_000_000
-    rows = sample_observations(bits, ev, samples, rng=99)
-    packed = rows @ (1 << np.arange(3))
-    counts = np.bincount(packed, minlength=8)
-    for o in range(8):
-        se = np.sqrt(dist[o] * (1 - dist[o]) / samples)
-        assert abs(counts[o] / samples - dist[o]) <= 4 * se + 1e-9
 
 
 def _erfc_oracle(x: float) -> float:
@@ -248,32 +210,22 @@ def test_cmos_rejects_bad_sigma():
         cmos_correctness_probability(-1.0, 1.0)
 
 
-def test_equivalent_energy_inverts_flip_probability():
-    for e in (0.0, 0.5, 3.0, 12.0):
-        assert equivalent_energy(1.0 - flip_probability(e)) == pytest.approx(e, abs=1e-9)
-
-
-def test_cmos_and_equivalent_energy_reject_nan():
+def test_cmos_rejects_nan():
     # NaN fails every comparison, so the range checks must be phrased as
     # "is in range", not "is out of range"
     with pytest.raises(ValueError):
         cmos_correctness_probability(1.0, float("nan"))
     with pytest.raises(ValueError):
         cmos_correctness_probability(np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(ValueError):
-        equivalent_energy(float("nan"))
-    with pytest.raises(ValueError):
-        equivalent_energy(np.array([0.5, np.nan]))
 
 
 def test_observation_distribution_oracle_by_pattern():
-    # independent recomputation of one cell: P(observe 5 | input 3)
+    # independent recomputation of one cell: input 3 is observed as 5 when
+    # flip pattern 3 XOR 5 occurs
     ev = energy_vector([0.7, 1.9, 2.2])
-    bits = np.array([1, 1, 0], dtype=np.uint8)
     q = flip_probability(ev)
-    pattern = bits_to_index(bits) ^ 5
+    pattern = 3 ^ 5
     expected = 1.0
     for j in range(3):
         expected *= q[j] if (pattern >> j) & 1 else 1 - q[j]
-    dist = observation_distribution(bits, ev)
-    assert dist[5] == pytest.approx(expected, abs=1e-15)
+    assert pattern_probabilities(ev)[pattern] == pytest.approx(expected, abs=1e-15)
