@@ -53,7 +53,6 @@ from .allocators import (
     AllocationResult,
     analytic_allocation,
     comparison_allocation,
-    optimize_allocation,
     sorting_allocation,
     staircase_allocation,
     ue_variance,

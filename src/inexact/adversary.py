@@ -317,7 +317,6 @@ class GeneratedGroup(PermutationGroup):
                                 f"generated group exceeds {GENERATED_ORDER_LIMIT} elements")
             frontier = nxt
         self._elements = np.array(sorted(seen), dtype=np.int64)
-        self.generators = [tuple(g) for g in gens]
 
     def _check_perm(self, g) -> tuple:
         g = tuple(map(operator.index, g))  # integers only (numpy's too): 1.7 is refused

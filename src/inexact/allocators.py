@@ -142,6 +142,11 @@ class AllocationResult:
         }
 
 
+def _check_budget(budget: float) -> None:
+    if not 0 <= budget < np.inf:  # false on NaN too
+        raise ValueError(f"budget must be finite and >= 0, got {budget}")
+
+
 def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                        seeds: Sequence[EnergyVector] | None = None) -> AllocationResult:
     """Pairwise mass-transfer descent of fn from each seed; best result wins.
@@ -160,6 +165,7 @@ def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n:
     past an accepted move are not counted in evaluations, so the result,
     its evaluations included, is the one-at-a-time walk's.
     """
+    _check_budget(budget)
     if seeds is None:
         seeds = [uniform_allocation(budget, n)]
     sources, targets = (m.ravel() for m in np.indices((n, n)))
@@ -234,11 +240,6 @@ def _lattice_size(total_ticks: int, n: int) -> int:
     return comb(total_ticks + n - 1, n - 1)
 
 
-def _check_budget(budget: float) -> None:
-    if not 0 <= budget < np.inf:  # false on NaN too
-        raise ValueError(f"budget must be finite and >= 0, got {budget}")
-
-
 def grid_search(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
                 resolution: float = 0.05) -> AllocationResult:
     """Exhaustive search of fn over the budget simplex at the given spacing.
@@ -276,16 +277,3 @@ def grid_search(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
     return AllocationResult(energy_vector(lattice[best_idx]), float(best_value),
                             "grid", True, size)
 
-
-def optimize_allocation(fn: Callable[[np.ndarray], np.ndarray], budget: float, n: int,
-                        method: str = "coordinate_descent",
-                        resolution: float = 0.05) -> AllocationResult:
-    """Minimize fn over allocations with total <= budget.  fn scores a
-    (K, n) stack of energy rows and returns K values, as every search takes
-    it (see the module docstring)."""
-    _check_budget(budget)
-    if method == "coordinate_descent":
-        return coordinate_descent(fn, budget, n)
-    if method == "grid":
-        return grid_search(fn, budget, n, resolution)
-    raise ValueError(f"unknown method {method!r}; expected coordinate_descent or grid")

@@ -39,14 +39,16 @@ from .noise import EnergyVector, cmos_correctness_probability, energy_vector
 from .adversary import GROUP_KINDS, build_group
 from .decoders import (
     ErrorReport,
-    build_decoder,
     error_report,
+    identity_decoder,
+    map_decoder,
     monte_carlo_error,
     per_input_error,
 )
 from .allocators import (
     analytic_allocation,
-    optimize_allocation,
+    coordinate_descent,
+    grid_search,
     ue_variance,
     uniform_allocation,
 )
@@ -300,27 +302,32 @@ def _whole(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """A value of config key as a float: a number or number text.  A JSON
-    boolean is refused by key, where float() would read it as 0 or 1."""
-    if isinstance(value, bool):
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    """A value of config key as a float: a number or number text.  Anything
+    else is refused by key, a JSON boolean too (float() reads it as 0 or 1)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config key {key!r} must be a number, got {value!r}")
 
 
 def _problem_from(cfg: dict) -> BooleanProblem:
     """The problem the flags name; build_problem supplies the defaults of
-    the parameters left unset and checks the ones given."""
+    the parameters left unset, checks the ones given and refuses those its
+    kind does not read."""
     kind = cfg.get("problem")
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"--problem must be one of {PROBLEM_KINDS}, got {kind!r}")
+    params = {key: cfg[key] for key in ("n", "tribe_count", "k", "count", "width")
+              if cfg.get(key) is not None}
     if kind == "custom":
         path = cfg.get("table")
         if not path:
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
-        table = table_from_csv(path)
-        return build_problem("custom", outputs=table.outputs, name="custom")
-    params = {key: cfg[key] for key in ("n", "tribe_count", "k", "count", "width")
-              if cfg.get(key) is not None}
+        params.update(outputs=table_from_csv(path).outputs, name="custom")
+    elif cfg.get("table") is not None:
+        raise ValueError(f"{kind} problems do not read --table")
     return build_problem(kind, **params)
 
 
@@ -386,7 +393,8 @@ def _cmd_simulate(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     samples, loss = cfg["samples"], cfg["loss"]
     table = truth_table(problem)
-    decoder = build_decoder(cfg["decoder"], table, energies, group)
+    decoder = map_decoder(table, energies, group) if cfg["decoder"] == "map" \
+        else identity_decoder(table)
     row = None if cfg.get("input") is None else \
         int(bits_to_index(parse_bits(str(cfg["input"]), problem.n)))
 
@@ -419,9 +427,8 @@ def _cmd_allocate(cfg: dict):
         fn = error_objective(problem, metric, _group_from(cfg, problem.n))
     else:
         raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
-    result = optimize_allocation(fn, budget, problem.n,
-                                 method=cfg["method"],
-                                 resolution=cfg["resolution"])
+    result = grid_search(fn, budget, problem.n, cfg["resolution"]) if cfg["method"] == "grid" \
+        else coordinate_descent(fn, budget, problem.n)
     rows = itertools.chain((f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)),
                            (f"# objective_value={fmt(result.objective_value)}",
                             f"# converged={result.converged}"))

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import ResourceLimitError, as_bit_array, as_rng, bits_to_index
+from .bits import ResourceLimitError, as_rng
 from .noise import EnergyVector, energy_rows, flip_probability
 from .adversary import IdentityGroup, PermutationGroup, average_pattern_probabilities
 from .problems import BooleanProblem, TruthTable, truth_table
@@ -110,9 +110,6 @@ class Decoder:
     @property
     def n(self) -> int:
         return int(self.decode_map.size).bit_length() - 1
-
-    def decode(self, observed) -> int:
-        return int(self.decode_map[bits_to_index(as_bit_array(observed, self.n))])
 
 
 def _as_table(problem) -> TruthTable:
@@ -258,17 +255,6 @@ def map_decoder(problem, energies: EnergyVector,
         tile_scores = np.add.reduceat(like, starts, axis=1, out=scores[:hi - lo])
         decode[lo:hi] = classes[_first_near_top(tile_scores)]
     return Decoder("map", decode)
-
-
-def build_decoder(strategy: str, problem, energies: EnergyVector | None = None,
-                  group: PermutationGroup | None = None) -> Decoder:
-    if strategy == "identity":
-        return identity_decoder(problem)
-    if strategy == "map":
-        if energies is None:
-            raise ValueError("map decoding needs the energy vector")
-        return map_decoder(problem, energies, group)
-    raise ValueError(f"unknown decoder strategy {strategy!r}; expected identity or map")
 
 
 def _loss_kernel(loss: str):

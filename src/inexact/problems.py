@@ -12,8 +12,7 @@ families:
                      returns sign(x - y) in {-1, 0, 1}.
 * ``sorting``     -- `count` numbers of `width` bits each; returns the sorted
                      sequence packed into one integer, least element in the
-                     lowest width-bit field.  The value tuple is recoverable
-                     via :func:`sorting_values` / :func:`unpack_sorting_output`.
+                     lowest width-bit field.
 * ``custom``      -- explicit output column of length 2**n.
 
 Truth tables index rows by the packed input (bit 0 least significant); the
@@ -41,7 +40,10 @@ from .bits import (
 TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
 CUSTOM_BITS_LIMIT = 14   # explicit output arrays
 
-PROBLEM_KINDS = ("or", "ue", "be", "tribes", "comparison", "sorting", "custom")
+# each kind and the parameters it reads besides n
+_KIND_PARAMS = {"or": (), "ue": (), "be": (), "tribes": ("tribe_count",), "comparison": ("k",),
+                "sorting": ("count", "width"), "custom": ("outputs", "name")}
+PROBLEM_KINDS = tuple(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class BooleanProblem:
     kind: str
     n: int
     params: dict
-    output_bound: int
 
     def __repr__(self) -> str:  # params carry arrays for custom tables
         return f"BooleanProblem(name={self.name!r}, kind={self.kind!r}, n={self.n})"
@@ -71,9 +72,6 @@ class TruthTable:
             raise ValueError(f"expected {1 << self.n} outputs, got {outputs.shape}")
         object.__setattr__(self, "outputs", outputs)
 
-    def output(self, i: int) -> int:
-        return int(self.outputs[i])
-
 
 def _check_n(n, minimum=1) -> int:
     if not isinstance(n, (int, np.integer)) or n < minimum:
@@ -83,17 +81,17 @@ def _check_n(n, minimum=1) -> int:
 
 def or_problem(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("or", "or", n, {}, 1)
+    return BooleanProblem("or", "or", n, {})
 
 
 def unary_evaluation(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("ue", "ue", n, {}, n)
+    return BooleanProblem("ue", "ue", n, {})
 
 
 def binary_evaluation(n: int) -> BooleanProblem:
     n = _check_n(n)
-    return BooleanProblem("be", "be", n, {}, (1 << n) - 1)
+    return BooleanProblem("be", "be", n, {})
 
 
 def tribes_problem(n: int, tribe_count: int = 2) -> BooleanProblem:
@@ -102,14 +100,12 @@ def tribes_problem(n: int, tribe_count: int = 2) -> BooleanProblem:
         raise ValueError(f"tribe_count must be a positive integer, got {tribe_count!r}")
     if n % tribe_count != 0:
         raise ValueError(f"n={n} is not divisible by tribe_count={tribe_count}")
-    return BooleanProblem(
-        f"tribes{tribe_count}", "tribes", n, {"tribe_count": int(tribe_count)}, 1,
-    )
+    return BooleanProblem(f"tribes{tribe_count}", "tribes", n, {"tribe_count": int(tribe_count)})
 
 
 def comparison_problem(k: int) -> BooleanProblem:
     k = _check_n(k)
-    return BooleanProblem(f"comparison{k}", "comparison", 2 * k, {"k": int(k)}, 1)
+    return BooleanProblem(f"comparison{k}", "comparison", 2 * k, {"k": int(k)})
 
 
 def sorting_problem(count: int, width: int) -> BooleanProblem:
@@ -118,10 +114,8 @@ def sorting_problem(count: int, width: int) -> BooleanProblem:
     n = count * width
     if n > 62:
         raise ResourceLimitError(f"sorting over {n} bits cannot pack its output into int64")
-    return BooleanProblem(
-        f"sorting{count}x{width}", "sorting", n,
-        {"count": int(count), "width": int(width)}, (1 << n) - 1,
-    )
+    return BooleanProblem(f"sorting{count}x{width}", "sorting", n,
+                          {"count": int(count), "width": int(width)})
 
 
 def custom_problem(outputs: Sequence[int], name: str = "custom") -> BooleanProblem:
@@ -133,11 +127,18 @@ def custom_problem(outputs: Sequence[int], name: str = "custom") -> BooleanProbl
         raise ResourceLimitError(f"custom tables support n <= {CUSTOM_BITS_LIMIT}, got n={n}")
     column = outputs.copy()
     column.setflags(write=False)
-    return BooleanProblem(name, "custom", n, {"outputs": column}, int(np.abs(column).max()))
+    return BooleanProblem(name, "custom", n, {"outputs": column})
 
 
 def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
-    """Construct a problem from its kind string and parameters."""
+    """Construct a problem from its kind string and parameters.  A parameter
+    the kind does not read, or an n other than the problem's own, is
+    refused."""
+    if kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
+    unread = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if unread:
+        raise ValueError(f"{kind} problems do not read {unread}")
     if kind == "or":
         return or_problem(n)
     if kind == "ue":
@@ -152,18 +153,20 @@ def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
             if n is None or n % 2 != 0:
                 raise ValueError("comparison needs k, or an even n")
             k = n // 2
-        return comparison_problem(k)
-    if kind == "sorting":
+        problem = comparison_problem(k)
+    elif kind == "sorting":
         count, width = params.get("count"), params.get("width")
         if count is None or width is None:
             raise ValueError("sorting needs count and width")
-        return sorting_problem(count, width)
-    if kind == "custom":
+        problem = sorting_problem(count, width)
+    else:
         outputs = params.get("outputs")
         if outputs is None:
             raise ValueError("custom needs an outputs column")
-        return custom_problem(outputs, params.get("name", "custom"))
-    raise ValueError(f"unknown problem kind {kind!r}; expected one of {PROBLEM_KINDS}")
+        problem = custom_problem(outputs, params.get("name", "custom"))
+    if n is not None and n != problem.n:
+        raise ValueError(f"{problem.name} has n={problem.n}, got n={n!r}")
+    return problem
 
 
 def _outputs(problem: BooleanProblem, idx: np.ndarray) -> np.ndarray:
@@ -201,33 +204,6 @@ def evaluate(problem: BooleanProblem, bits: Sequence[int]) -> int:
     """Apply the problem to one input vector."""
     index = bits_to_index(as_bit_array(bits, problem.n))
     return int(_outputs(problem, np.array([index], dtype=np.int64))[0])
-
-
-def comparison_values(problem: BooleanProblem, bits: Sequence[int]) -> tuple[int, int]:
-    """The (x, y) operand pair encoded by a comparison input row."""
-    if problem.kind != "comparison":
-        raise ValueError("comparison_values expects a comparison problem")
-    k = problem.params["k"]
-    arr = as_bit_array(bits, problem.n)
-    return bits_to_index(arr[:k]), bits_to_index(arr[k:])
-
-
-def sorting_values(problem: BooleanProblem, bits: Sequence[int]) -> tuple[int, ...]:
-    """The input value sequence encoded by a sorting input row (unsorted)."""
-    if problem.kind != "sorting":
-        raise ValueError("sorting_values expects a sorting problem")
-    count, width = problem.params["count"], problem.params["width"]
-    arr = as_bit_array(bits, problem.n)
-    return tuple(bits_to_index(arr[m * width:(m + 1) * width]) for m in range(count))
-
-
-def unpack_sorting_output(problem: BooleanProblem, packed: int) -> tuple[int, ...]:
-    """Recover the sorted value sequence from a packed sorting output."""
-    if problem.kind != "sorting":
-        raise ValueError("unpack_sorting_output expects a sorting problem")
-    count, width = problem.params["count"], problem.params["width"]
-    mask = (1 << width) - 1
-    return tuple((packed >> (width * m)) & mask for m in range(count))
 
 
 def truth_table(problem: BooleanProblem) -> TruthTable:

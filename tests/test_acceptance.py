@@ -29,9 +29,9 @@ from inexact import (
     energy_vector,
     error_profile,
     identity_decoder,
+    map_decoder,
     marginal_flip_probability,
     monte_carlo_error,
-    optimize_allocation,
     per_input_error,
     staircase_allocation,
     table2_rows,
@@ -39,9 +39,8 @@ from inexact import (
     ue_variance,
     uniform_allocation,
 )
-from inexact.allocators import grid_search
+from inexact.allocators import coordinate_descent, grid_search
 from inexact.cli import main
-from inexact.decoders import build_decoder
 
 from conftest import brute_pair_wrong
 
@@ -114,7 +113,7 @@ def test_criterion_3_ue_uniform_optimality(capsys):
     for n in (2, 3, 4):
         budget = n * (n + 1) / 2.0
         grid = grid_search(ue_variance, budget, n=n, resolution=0.05)
-        walked = optimize_allocation(ue_variance, budget, n=n)
+        walked = coordinate_descent(ue_variance, budget, n)
         grid_uniform = bool(np.all(np.abs(grid.energies.entries - budget / n) <= 0.05))
         walk_uniform = bool(np.all(np.abs(walked.energies.entries - budget / n) <= 0.05))
         all_uniform = all_uniform and grid_uniform and walk_uniform
@@ -265,7 +264,8 @@ def test_criterion_8_monte_carlo_matches_exact(capsys):
         else:
             group = GeneratedGroup(n, [tuple(np.roll(np.arange(n), 1))])
         strategy = ("identity", "map")[int(rng.integers(0, 2))]
-        decoder = build_decoder(strategy, problem, vec, group)
+        decoder = map_decoder(problem, vec, group) if strategy == "map" \
+            else identity_decoder(problem)
         row = int(rng.integers(0, 1 << n))
         exact = per_input_error(problem, vec, group, decoder, row)
         estimate, stderr = monte_carlo_error(problem, vec, group, decoder, row,

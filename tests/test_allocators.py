@@ -10,7 +10,6 @@ from inexact.allocators import (
     comparison_allocation,
     coordinate_descent,
     grid_search,
-    optimize_allocation,
     sorting_allocation,
     staircase_allocation,
     ue_variance,
@@ -266,20 +265,11 @@ def test_descent_respects_the_budget(n, budget):
     assert result.energies.budget <= budget + 1e-9
 
 
-def test_optimize_allocation_dispatch():
-    assert optimize_allocation(ue_variance, 2.0, n=2).method == "coordinate_descent"
-    assert optimize_allocation(ue_variance, 2.0, n=2, method="grid",
-                               resolution=0.5).method == "grid"
-    with pytest.raises(ValueError):
-        optimize_allocation(ue_variance, 2.0, n=2, method="annealing")
-    with pytest.raises(ValueError):
-        optimize_allocation(ue_variance, -2.0, n=2)
-    for budget in (math.inf, 1e400, math.nan):
-        for method in ("coordinate_descent", "grid"):
+def test_searches_refuse_a_negative_or_infinite_budget():
+    for search in (coordinate_descent, grid_search):
+        for budget in (-2.0, math.inf, 1e400, math.nan):
             with pytest.raises(ValueError, match="budget must be finite"):
-                optimize_allocation(ue_variance, budget, n=2, method=method)
-        with pytest.raises(ValueError, match="budget must be finite"):
-            grid_search(ue_variance, budget, n=2)
+                search(ue_variance, budget, n=2)
     with pytest.raises(ValueError):
         objective = error_objective(or_problem(3), "worst_correctness")
         coordinate_descent(objective, 2.0, n=2)  # problem width disagrees

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -17,7 +18,7 @@ from inexact.cli import (_csv_numbers, _json_number, _json_numbers, build_parser
 from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
 from inexact.mobs import table2_rows
 from inexact.noise import energy_vector
-from inexact.problems import binary_evaluation, or_problem
+from inexact.problems import binary_evaluation, or_problem, table_to_csv, truth_table
 
 
 def run(capsys, *argv):
@@ -84,6 +85,34 @@ def test_eval_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--problem", "nand", "--n", "2", "--bits", "01"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--problem", "comparison", "--k", "2", "--n", "6", "--bits", "0101"], "n=6"),
+    (["eval", "--problem", "or", "--n", "3", "--width", "7", "--count", "3", "--bits", "010"],
+     "['count', 'width']"),
+    (["mobs", "--problem", "sorting", "--count", "2", "--width", "2", "--n", "9",
+      "--budgets", "3"], "n=9"),
+    (["eval", "--problem", "be", "--n", "2", "--table", "be2.csv", "--bits", "01"], "--table"),
+    (["eval", "--problem", "custom", "--table", "be2.csv", "--n", "3", "--bits", "01"], "n=3"),
+    (["eval", "--problem", "custom", "--table", "be2.csv", "--k", "1", "--bits", "01"], "['k']"),
+])
+def test_problem_flags_the_kind_does_not_read_exit_2(capsys, tmp_path, monkeypatch, argv,
+                                                     named):
+    monkeypatch.chdir(tmp_path)
+    table_to_csv(truth_table(binary_evaluation(2)), "be2.csv")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and named in err
+
+
+def test_problem_flags_that_agree_run(capsys, tmp_path):
+    # an n that is the problem's own is accepted, and comparison derives k from it
+    table_to_csv(truth_table(binary_evaluation(2)), tmp_path / "be2.csv")
+    for argv, value in [(["--problem", "comparison", "--k", "2", "--n", "4", "--bits", "0001"], 1),
+                        (["--problem", "comparison", "--n", "4", "--bits", "0100"], -1),
+                        (["--problem", "custom", "--table", str(tmp_path / "be2.csv"), "--n",
+                          "2", "--bits", "10"], 2)]:
+        assert run(capsys, "eval", *argv) == (0, f"{value}\n", "")
 
 
 def test_unknown_subcommand_exits_2():
@@ -548,12 +577,19 @@ def test_removed_names_are_gone():
                          ("mobs", "pair_wrong_probability"), ("bits", "_BYTE_ONES"),
                          ("noise", "sample_observation"), ("noise", "sample_observations"),
                          ("noise", "observation_distribution"),
-                         ("noise", "equivalent_energy"), ("bits", "format_bits")):
+                         ("noise", "equivalent_energy"), ("bits", "format_bits"),
+                         ("decoders", "build_decoder"), ("allocators", "optimize_allocation"),
+                         ("problems", "comparison_values"), ("problems", "sorting_values"),
+                         ("problems", "unpack_sorting_output")):
         assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
     package = importlib.import_module("inexact")
     assert not hasattr(package.EnergyVector, "permuted")
-    for name in ("sample_observation", "observation_distribution"):
+    for name in ("sample_observation", "observation_distribution", "optimize_allocation"):
         assert not hasattr(package, name), name
+    assert not hasattr(package.TruthTable, "output")
+    assert not hasattr(package.Decoder, "decode")
+    assert "output_bound" not in {f.name for f in dataclasses.fields(package.BooleanProblem)}
+    assert not hasattr(package.GeneratedGroup(2, [(1, 0)]), "generators")
     assert list(inspect.signature(table2_rows).parameters) == \
         ["sizes", "comparison_widths", "sorting_shapes"]
 
@@ -741,6 +777,33 @@ def test_config_file_float_items_refuse_booleans(capsys, tmp_path, key, command,
     code, out, err = run(capsys, command, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert f"config key {key!r} must be a number, got True" in err
+
+
+# float key, its subcommand and argv that gives text or a list that is not a
+# number under the key, in a config file or a flag
+NOT_NUMBERS = [
+    pytest.param("budget", ["simulate", "--problem", "or", "--n", "2", "--allocation", "uniform"],
+                 {"budget": "abc"}, id="budget-text"),
+    pytest.param("budget", ["simulate", "--problem", "or", "--n", "2", "--allocation", "uniform"],
+                 {"budget": [3]}, id="budget-list"),
+    pytest.param("budget", ["allocate", "--problem", "or", "--n", "2"], {"budget": {}},
+                 id="budget-object"),
+    pytest.param("budgets", ["mobs", "--problem", "or", "--n", "2"], {"budgets": ["x"]},
+                 id="budgets-item"),
+    pytest.param("energies", ["simulate", "--problem", "or", "--n", "2", "--energies", "1,x"],
+                 None, id="energies-flag"),
+]
+
+
+@pytest.mark.parametrize("key, argv, body", NOT_NUMBERS)
+def test_float_values_that_are_not_numbers_name_their_key(capsys, tmp_path, key, argv, body):
+    if body is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(body))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"config key {key!r} must be a number, got " in err
 
 
 def test_config_file_values_echo_as_their_flags_give_them(capsys, tmp_path):

@@ -13,11 +13,10 @@ import inexact.decoders as decoders
 
 from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup
 from inexact.allocators import staircase_allocation
-from inexact.bits import ResourceLimitError, parse_bits
+from inexact.bits import ResourceLimitError, bits_to_index, parse_bits
 from inexact.decoders import (
     Decoder,
     ErrorAnalysis,
-    build_decoder,
     error_profile,
     error_report,
     identity_decoder,
@@ -41,9 +40,9 @@ from conftest import brute_error, brute_map_scores, brute_monte_carlo_error
 
 
 def test_identity_decoder_reads_bits_literally():
-    assert identity_decoder(or_problem(3)).decode(parse_bits("010")) == 1
-    assert identity_decoder(binary_evaluation(3)).decode(parse_bits("101")) == 5
-    assert identity_decoder(unary_evaluation(3)).decode(parse_bits("000")) == 0
+    assert identity_decoder(or_problem(3)).decode_map[bits_to_index(parse_bits("010"))] == 1
+    assert identity_decoder(binary_evaluation(3)).decode_map[bits_to_index(parse_bits("101"))] == 5
+    assert identity_decoder(unary_evaluation(3)).decode_map[bits_to_index(parse_bits("000"))] == 0
     dec = identity_decoder(or_problem(4))
     assert dec.n == 4
     assert dec.name == "identity"
@@ -67,7 +66,7 @@ def test_map_decoder_inverts_certain_flips():
     # observation o is f(~o)
     table = truth_table(or_problem(2))
     dec = map_decoder(table, energy_vector([0.0, 0.0]))
-    assert dec.decode(parse_bits("11")) == 0
+    assert dec.decode_map[bits_to_index(parse_bits("11"))] == 0
     expected = table.outputs[np.arange(4) ^ 3]
     assert np.array_equal(dec.decode_map, expected)
 
@@ -222,16 +221,6 @@ def test_exact_analysis_leaves_numpy_ma_unloaded():
 def test_map_decoder_guard():
     with pytest.raises(ResourceLimitError):
         map_decoder(or_problem(15), energy_vector(np.ones(15)))
-
-
-def test_build_decoder_dispatch():
-    p = or_problem(2)
-    assert build_decoder("identity", p).name == "identity"
-    assert build_decoder("map", p, energy_vector([1.0, 1.0])).name == "map"
-    with pytest.raises(ValueError):
-        build_decoder("map", p)
-    with pytest.raises(ValueError):
-        build_decoder("majority", p)
 
 
 def test_or2_error_profile_by_hand():

@@ -14,18 +14,15 @@ from inexact.problems import (
     binary_evaluation,
     build_problem,
     comparison_problem,
-    comparison_values,
     custom_problem,
     evaluate,
     or_problem,
     sorting_problem,
-    sorting_values,
     table_from_csv,
     table_to_csv,
     tribes_problem,
     truth_table,
     unary_evaluation,
-    unpack_sorting_output,
 )
 
 from conftest import brute_output
@@ -61,10 +58,8 @@ def test_single_bit_comparison():
 
 
 def test_two_one_bit_numbers_sort():
-    p = sorting_problem(2, 1)
-    packed = evaluate(p, [1, 0])
-    assert unpack_sorting_output(p, packed) == (0, 1)
-    assert sorting_values(p, [1, 0]) == (1, 0)
+    # values 1 (bit 0) and 0 (bit 1) sort to 0 in the low field, 1 above it
+    assert evaluate(sorting_problem(2, 1), [1, 0]) == 0b10
 
 
 def test_evaluate_rejects_wrong_length():
@@ -83,6 +78,24 @@ def test_build_problem_validation():
         build_problem("nonesuch", 3)
     with pytest.raises(ValueError):
         build_problem("or", 0)
+
+
+def test_build_problem_refuses_what_its_kind_does_not_read():
+    for kind, n, params in [("or", 3, {"width": 7}), ("be", 3, {"count": 3}),
+                            ("tribes", 4, {"k": 2}), ("comparison", None, {"k": 2, "width": 2}),
+                            ("sorting", None, {"count": 2, "width": 2, "tribe_count": 2}),
+                            ("custom", None, {"outputs": [0, 1], "k": 1})]:
+        with pytest.raises(ValueError, match="do not read"):
+            build_problem(kind, n, **params)
+    for kind, n, params in [("comparison", 6, {"k": 2}), ("sorting", 9, {"count": 2, "width": 2}),
+                            ("custom", 2, {"outputs": [0, 1]})]:
+        with pytest.raises(ValueError, match="has n="):
+            build_problem(kind, n, **params)
+    # an n that agrees is accepted, and comparison derives k from an even n
+    assert build_problem("comparison", 4, k=2) == comparison_problem(2)
+    assert build_problem("comparison", 12) == comparison_problem(6)
+    assert build_problem("sorting", 4, count=2, width=2) == sorting_problem(2, 2)
+    assert build_problem("custom", 1, outputs=[0, 1]).n == 1
 
 
 @given(st.integers(2, 8), st.data())
@@ -122,6 +135,7 @@ def test_binary_evaluation_is_the_weighted_bit_sum(n, data):
     binary_evaluation(4),
     tribes_problem(6, 3),
     comparison_problem(2),
+    comparison_problem(3),
     sorting_problem(3, 2),
     custom_problem([3, -1, 0, 7, 2, 2, -5, 1]),
 ])
@@ -130,7 +144,7 @@ def test_table_rows_match_the_evaluator(problem):
     for i in range(1 << problem.n):
         bits = index_to_bits(i, problem.n)
         expected = brute_output(problem, bits)
-        assert table.output(i) == expected
+        assert table.outputs[i] == expected
         assert evaluate(problem, bits) == expected
 
 
@@ -146,39 +160,11 @@ def test_evaluate_works_above_the_table_limit(problem):
         assert evaluate(problem, bits) == brute_output(problem, bits)
 
 
-@pytest.mark.parametrize("problem", [
-    or_problem(5), unary_evaluation(5), binary_evaluation(5),
-    tribes_problem(4, 2), comparison_problem(2), sorting_problem(2, 2),
-])
-def test_output_bound_holds_by_enumeration(problem):
-    table = truth_table(problem)
-    assert int(np.abs(table.outputs).max()) <= problem.output_bound
-
-
-def test_comparison_against_integer_compare():
-    p = comparison_problem(3)
-    table = truth_table(p)
-    for i in range(1 << 6):
-        bits = index_to_bits(i, 6)
-        x, y = comparison_values(p, bits)
-        assert table.output(i) == (x > y) - (x < y)
-
-
-def test_sorting_output_is_the_sorted_value_sequence():
-    p = sorting_problem(3, 2)
-    for i in range(1 << 6):
-        bits = index_to_bits(i, 6)
-        values = sorting_values(p, bits)
-        packed = evaluate(p, bits)
-        assert unpack_sorting_output(p, packed) == tuple(sorted(values))
-
-
 def test_custom_problem_round_trip():
     outputs = [3, -1, 0, 7]
     p = custom_problem(outputs)
     assert p.n == 2
     assert [evaluate(p, index_to_bits(i, 2)) for i in range(4)] == outputs
-    assert p.output_bound == 7
 
 
 def test_custom_rejects_bad_lengths_and_scale():
