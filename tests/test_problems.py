@@ -160,6 +160,28 @@ def test_evaluate_works_above_the_table_limit(problem):
         assert evaluate(problem, bits) == brute_output(problem, bits)
 
 
+def test_comparison_against_integer_compare():
+    # x is the low k bits, y the high k bits, each least-significant first
+    p = comparison_problem(3)
+    table = truth_table(p)
+    for i in range(1 << 6):
+        bits = index_to_bits(i, 6)
+        x, y = i & 0b111, i >> 3
+        assert table.outputs[i] == (x > y) - (x < y)
+        assert evaluate(p, bits) == (x > y) - (x < y)
+
+
+def test_sorting_output_is_the_sorted_value_sequence():
+    # three 2-bit values; the output packs them ascending, smallest lowest
+    p = sorting_problem(3, 2)
+    for i in range(1 << 6):
+        bits = index_to_bits(i, 6)
+        values = [(i >> (2 * m)) & 0b11 for m in range(3)]
+        packed = evaluate(p, bits)
+        assert [(packed >> (2 * m)) & 0b11 for m in range(3)] == sorted(values)
+        assert packed >> 6 == 0
+
+
 def test_custom_problem_round_trip():
     outputs = [3, -1, 0, 7]
     p = custom_problem(outputs)
