@@ -52,9 +52,7 @@ from .decoders import (
 from .allocators import (
     AllocationResult,
     analytic_allocation,
-    comparison_allocation,
     sorting_allocation,
-    staircase_allocation,
     ue_variance,
     uniform_allocation,
     water_filled_ramp,
@@ -63,7 +61,6 @@ from .mobs import (
     METRIC_KINDS,
     MobsResult,
     aggregate_error,
-    be_analytic_bounds,
     comparison_wrong_probability,
     error_objective,
     expensive_pairs_instance,

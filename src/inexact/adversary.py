@@ -356,15 +356,16 @@ class GeneratedGroup(PermutationGroup):
 
 
 def build_group(kind: str, n: int, generators=None) -> PermutationGroup:
-    if kind == "identity":
-        return IdentityGroup(n)
-    if kind == "symmetric":
-        return FullSymmetricGroup(n)
+    """The group of a kind; only a generated group takes generators."""
     if kind == "generated":
         if not generators:
             raise ValueError("generated groups need at least one generator")
         return GeneratedGroup(n, generators)
-    raise ValueError(f"unknown group kind {kind!r}; expected one of {GROUP_KINDS}")
+    if kind not in GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}; expected one of {GROUP_KINDS}")
+    if generators is not None:
+        raise ValueError(f"{kind} groups take no generators")
+    return IdentityGroup(n) if kind == "identity" else FullSymmetricGroup(n)
 
 
 def sample_energy_assignments(group: PermutationGroup, energies: EnergyVector,

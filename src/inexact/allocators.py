@@ -3,18 +3,16 @@
 Closed-form allocations:
 
 * uniform            -- E/n everywhere; the blindfolded workhorse.
-* staircase          -- e_j = j + 1; more significant bits get more energy,
-                        total n(n+1)/2.
-* comparison ladder  -- operand bits of position j get (j+1)/2 each, so the
-                        position-j comparison carries j+1 units pooled;
-                        total k(k+1)/2.
-* sorting ladder     -- the comparison ladder replicated inside each number
-                        (an interpretation: nothing pins down the split
-                        across numbers, so all numbers are treated alike).
 * water-filled ramp  -- e_j = max(0, j + c) with c set so the total is E,
                         the exact minimizer of sum_j 2**j * 2**-e_j under a
-                        budget; generalizes the staircase off its canonical
-                        budget n(n+1)/2 (where c = 1).
+                        budget.  The staircase e_j = j + 1 is the ramp at
+                        its canonical budget: water_filled_ramp(n, n(n+1)/2).
+* sorting ladder     -- every number's bits of position j get (j+1)/2 each
+                        (an interpretation: nothing pins down the split
+                        across numbers, so all numbers are treated alike).
+                        The comparison ladder is its two-number case,
+                        sorting_allocation(2, k): the position-j comparison
+                        carries j+1 units pooled, total k(k+1)/2.
 
 Numerical search: coordinate descent moving mass between entry pairs with a
 halving step ladder, and an exhaustive simplex lattice for small n.  A
@@ -79,22 +77,8 @@ def water_filled_ramp(n: int, budget: float) -> EnergyVector:
     return energy_vector(e)
 
 
-def staircase_allocation(n: int) -> EnergyVector:
-    """e_j = j + 1: the water-filled ramp at its canonical budget n(n+1)/2."""
-    return water_filled_ramp(n, n * (n + 1) / 2)
-
-
-def comparison_allocation(k: int) -> EnergyVector:
-    """Both operands' bits of position j get (j+1)/2; total k(k+1)/2: the
-    sorting ladder of two numbers."""
-    return sorting_allocation(2, k)
-
-
 def _scaled(base: EnergyVector, budget: float) -> EnergyVector:
-    total = base.budget
-    if total == 0:
-        return base
-    return energy_vector(base.entries * (budget / total))
+    return energy_vector(base.entries * (budget / base.budget))
 
 
 def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
@@ -109,7 +93,7 @@ def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
     if kind == "be":
         return water_filled_ramp(n, budget)
     if kind == "comparison":
-        return _scaled(comparison_allocation(problem.params["k"]), budget)
+        return _scaled(sorting_allocation(2, problem.params["k"]), budget)
     if kind == "sorting":
         return _scaled(sorting_allocation(problem.params["count"],
                                           problem.params["width"]), budget)
@@ -168,6 +152,8 @@ def coordinate_descent(fn: Callable[[np.ndarray], np.ndarray], budget: float, n:
     _check_budget(budget)
     if seeds is None:
         seeds = [uniform_allocation(budget, n)]
+    if not seeds:
+        raise ValueError("coordinate_descent needs at least one seed")
     sources, targets = (m.ravel() for m in np.indices((n, n)))
     moves = sources != targets
     sources, targets = sources[moves], targets[moves]

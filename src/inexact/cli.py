@@ -325,7 +325,7 @@ def _problem_from(cfg: dict) -> BooleanProblem:
         path = cfg.get("table")
         if not path:
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
-        params.update(outputs=table_from_csv(path).outputs, name="custom")
+        params["outputs"] = table_from_csv(path).outputs
     elif cfg.get("table") is not None:
         raise ValueError(f"{kind} problems do not read --table")
     return build_problem(kind, **params)
@@ -333,6 +333,8 @@ def _problem_from(cfg: dict) -> BooleanProblem:
 
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("energies") is not None:
+        if cfg.get("allocation") is not None or cfg.get("budget") is not None:
+            raise ValueError("--energies takes no --allocation or --budget")
         return energy_vector(_listed(cfg, "energies", _real))
     if cfg.get("allocation"):
         if cfg.get("budget") is None:
@@ -345,12 +347,9 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
 
 
 def _group_from(cfg: dict, n: int):
-    generators = None
-    if cfg["group"] == "generated":
-        if not cfg.get("generators"):
-            raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
-        generators = _listed(cfg, "generators", _whole, ";", ",")
-    return build_group(cfg["group"], n, generators)
+    if cfg["group"] == "generated" and not cfg.get("generators"):
+        raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
+    return build_group(cfg["group"], n, _listed(cfg, "generators", _whole, ";", ","))
 
 
 def _exact_else_sampled(cfg: dict, run):

@@ -96,7 +96,6 @@ _MC_BATCH = 1 << 16       # Monte Carlo draws per batch; seeded streams depend o
 class Decoder:
     """Deterministic observed-row -> output-value map."""
 
-    name: str
     decode_map: np.ndarray
 
     def __post_init__(self):
@@ -219,7 +218,7 @@ def identity_decoder(problem) -> Decoder:
     table = _as_table(problem)
     if table.n > MC_BITS_LIMIT:
         raise ResourceLimitError(f"decode maps support n <= {MC_BITS_LIMIT}, got n={table.n}")
-    return Decoder("identity", table.outputs)
+    return Decoder(table.outputs)
 
 
 def map_decoder(problem, energies: EnergyVector,
@@ -247,14 +246,14 @@ def map_decoder(problem, energies: EnergyVector,
     size = 1 << n
     if _xor_is_cheaper(classes.size, n):
         columns = table.outputs == classes[:, None]
-        return Decoder("map", classes[_first_near_top(_xor_convolve(avg, columns).T)])
+        return Decoder(classes[_first_near_top(_xor_convolve(avg, columns).T)])
 
     scores = np.empty((_tile_rows(size), classes.size))
     decode = np.empty(size, dtype=np.int64)
     for lo, hi, like in _dense_tiles(avg, order):
         tile_scores = np.add.reduceat(like, starts, axis=1, out=scores[:hi - lo])
         decode[lo:hi] = classes[_first_near_top(tile_scores)]
-    return Decoder("map", decode)
+    return Decoder(decode)
 
 
 def _loss_kernel(loss: str):

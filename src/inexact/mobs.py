@@ -239,13 +239,6 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
 # ---------------------------------------------------------------------------
 # analytic cross-checks
 
-def be_analytic_bounds(n: int) -> tuple[float, float]:
-    """(ramp-allocation expected error n/2, uniform-allocation floor 2**((n-3)/2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n / 2.0, 2.0 ** ((n - 3) / 2.0)
-
-
 def sorting_mobs_bound(count: int, width: int) -> float:
     """Expensive-pair wrong-order probability ratio 2**((width-1)/2) between
     uniform play (2**-((width+1)/2)) and per-position ladder play (2**-width)."""

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bits import (
+    MAX_PACK_BITS,
     ResourceLimitError,
     as_bit_array,
     bits_to_index,
@@ -42,7 +43,7 @@ CUSTOM_BITS_LIMIT = 14   # explicit output arrays
 
 # each kind and the parameters it reads besides n
 _KIND_PARAMS = {"or": (), "ue": (), "be": (), "tribes": ("tribe_count",), "comparison": ("k",),
-                "sorting": ("count", "width"), "custom": ("outputs", "name")}
+                "sorting": ("count", "width"), "custom": ("outputs",)}
 PROBLEM_KINDS = tuple(_KIND_PARAMS)
 
 
@@ -73,9 +74,9 @@ class TruthTable:
         object.__setattr__(self, "outputs", outputs)
 
 
-def _check_n(n, minimum=1) -> int:
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ValueError(f"n must be an integer >= {minimum}, got {n!r}")
+def _check_n(n) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return int(n)
 
 
@@ -112,13 +113,13 @@ def sorting_problem(count: int, width: int) -> BooleanProblem:
     count = _check_n(count)
     width = _check_n(width)
     n = count * width
-    if n > 62:
+    if n > MAX_PACK_BITS:
         raise ResourceLimitError(f"sorting over {n} bits cannot pack its output into int64")
     return BooleanProblem(f"sorting{count}x{width}", "sorting", n,
                           {"count": int(count), "width": int(width)})
 
 
-def custom_problem(outputs: Sequence[int], name: str = "custom") -> BooleanProblem:
+def custom_problem(outputs: Sequence[int]) -> BooleanProblem:
     outputs = np.asarray(outputs, dtype=np.int64)
     if outputs.ndim != 1 or outputs.size < 2 or (outputs.size & (outputs.size - 1)) != 0:
         raise ValueError("custom outputs must have length 2**n with n >= 1")
@@ -127,7 +128,7 @@ def custom_problem(outputs: Sequence[int], name: str = "custom") -> BooleanProbl
         raise ResourceLimitError(f"custom tables support n <= {CUSTOM_BITS_LIMIT}, got n={n}")
     column = outputs.copy()
     column.setflags(write=False)
-    return BooleanProblem(name, "custom", n, {"outputs": column})
+    return BooleanProblem("custom", "custom", n, {"outputs": column})
 
 
 def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
@@ -163,7 +164,7 @@ def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
         outputs = params.get("outputs")
         if outputs is None:
             raise ValueError("custom needs an outputs column")
-        problem = custom_problem(outputs, params.get("name", "custom"))
+        problem = custom_problem(outputs)
     if n is not None and n != problem.n:
         raise ValueError(f"{problem.name} has n={problem.n}, got n={n!r}")
     return problem

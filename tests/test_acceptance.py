@@ -22,7 +22,6 @@ from inexact import (
     binary_evaluation,
     build_problem,
     cmos_correctness_probability,
-    comparison_allocation,
     comparison_problem,
     comparison_wrong_probability,
     custom_problem,
@@ -33,11 +32,12 @@ from inexact import (
     marginal_flip_probability,
     monte_carlo_error,
     per_input_error,
-    staircase_allocation,
+    sorting_allocation,
     table2_rows,
     truth_table,
     ue_variance,
     uniform_allocation,
+    water_filled_ramp,
 )
 from inexact.allocators import coordinate_descent, grid_search
 from inexact.cli import main
@@ -133,7 +133,7 @@ def test_criterion_4_be_analytic_values(capsys):
         problem = binary_evaluation(n)
         decoder = identity_decoder(problem)
         group = IdentityGroup(n)
-        ramp = error_profile(problem, staircase_allocation(n), group,
+        ramp = error_profile(problem, water_filled_ramp(n, n * (n + 1) / 2), group,
                              decoder, "absolute").max()
         assert abs(ramp - n / 2.0) <= 1e-9
         flat = uniform_allocation(n * (n + 1) / 2.0, n)
@@ -190,7 +190,7 @@ def test_criterion_6_comparison_bounds(capsys):
         x, y = 1 << (k - 1), 0  # the expensive pair at width k
         budget = k * (k + 1) / 2.0
         flat = uniform_allocation(budget, 2 * k).entries
-        ladder = comparison_allocation(k).entries
+        ladder = sorting_allocation(2, k).entries
         p_flat = brute_pair_wrong(x, y, flat[:k], flat[k:])
         p_ladder = brute_pair_wrong(x, y, ladder[:k], ladder[k:])
         assert p_flat >= 2.0 ** (-(k + 1) / 2.0) - 1e-12

@@ -108,6 +108,9 @@ def test_build_group_dispatch():
         build_group("generated", 3)
     with pytest.raises(ValueError):
         build_group("dihedral", 3)
+    for kind in ("identity", "symmetric"):
+        with pytest.raises(ValueError, match=f"{kind} groups take no generators"):
+            build_group(kind, 3, [(1, 0, 2)])
 
 
 def test_marginal_flip_probability_examples():

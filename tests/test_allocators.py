@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from inexact.allocators import (
     AllocationResult,
     analytic_allocation,
-    comparison_allocation,
     coordinate_descent,
     grid_search,
     sorting_allocation,
-    staircase_allocation,
     ue_variance,
     uniform_allocation,
     water_filled_ramp,
@@ -40,25 +38,27 @@ def test_uniform_allocation():
 
 
 def test_staircase_allocation():
-    ev = staircase_allocation(3)
+    # the staircase e_j = j + 1 is the ramp at its canonical budget n(n+1)/2
+    ev = water_filled_ramp(3, 6)
     assert ev.entries.tolist() == [1.0, 2.0, 3.0]
     assert ev.budget == 6.0
     with pytest.raises(ValueError):
-        staircase_allocation(0)
+        water_filled_ramp(0, 0)
 
 
 def test_comparison_allocation():
-    ev = comparison_allocation(2)
+    # the comparison ladder is the sorting ladder of two numbers
+    ev = sorting_allocation(2, 2)
     assert ev.entries.tolist() == [0.5, 1.0, 0.5, 1.0]
     assert ev.budget == pytest.approx(3.0)
     # position j pools j+1 units across the two operands
     k = 7
-    ev = comparison_allocation(k)
+    ev = sorting_allocation(2, k)
     assert ev.budget == pytest.approx(k * (k + 1) / 2)
     pooled = ev.entries[:k] + ev.entries[k:]
     assert np.allclose(pooled, np.arange(1, k + 1))
     with pytest.raises(ValueError):
-        comparison_allocation(0)
+        sorting_allocation(2, 0)
 
 
 def test_sorting_allocation():
@@ -72,7 +72,7 @@ def test_sorting_allocation():
 def test_water_filled_ramp_equals_staircase_at_its_budget():
     for n in (1, 3, 6):
         ramp = water_filled_ramp(n, n * (n + 1) / 2)
-        assert np.allclose(ramp.entries, staircase_allocation(n).entries, atol=1e-12)
+        assert np.allclose(ramp.entries, np.arange(1, n + 1), atol=1e-12)
 
 
 def test_water_filled_ramp_clamps_small_budgets():
@@ -255,6 +255,9 @@ def test_descent_seed_validation():
                            seeds=[uniform_allocation(8.0, 2)])
     with pytest.raises(TypeError):
         coordinate_descent(12345, 4.0, n=2)
+    # refused before any evaluation, which would raise the TypeError above
+    with pytest.raises(ValueError, match="at least one seed"):
+        coordinate_descent(12345, 4.0, n=2, seeds=[])
 
 
 @given(st.integers(2, 4), st.floats(0.5, 6.0, allow_nan=False))

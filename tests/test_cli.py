@@ -568,6 +568,30 @@ def test_energies_config_file_prints_the_energies_flag_rows(capsys, tmp_path):
     assert rows == [line for line in from_flag.splitlines() if not line.startswith("#")]
 
 
+# --energies and an allocation each give the energies: one of them would be
+# dropped, so the pair is refused, from flags and from a config file alike
+@pytest.mark.parametrize("extra", [{"allocation": "uniform", "budget": 9},
+                                   {"allocation": "uniform"}, {"budget": 9}])
+def test_energies_take_no_allocation_or_budget(capsys, tmp_path, extra):
+    argv = ["simulate", "--problem", "or", "--n", "2", "--format", "csv"]
+    flags = [text for key, value in extra.items() for text in (f"--{key}", str(value))]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"energies": [1, 1], **extra}))
+    for given in ([*argv, "--energies", "1,1", *flags], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == "error: --energies takes no --allocation or --budget\n"
+
+
+@pytest.mark.parametrize("group", ["identity", "symmetric"])
+def test_generators_need_a_generated_group(capsys, group):
+    # a group that reads no generators would run as if none were given
+    code, out, err = run(capsys, "mobs", "--problem", "or", "--n", "3", "--group", group,
+                         "--generators", "1,0,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {group} groups take no generators\n"
+
+
 def test_removed_names_are_gone():
     from inexact import cli
     for name in ("_refuse_map_search", "EXACT_AUTO_LIMIT", "_auto_mode",
@@ -580,14 +604,20 @@ def test_removed_names_are_gone():
                          ("noise", "equivalent_energy"), ("bits", "format_bits"),
                          ("decoders", "build_decoder"), ("allocators", "optimize_allocation"),
                          ("problems", "comparison_values"), ("problems", "sorting_values"),
-                         ("problems", "unpack_sorting_output")):
+                         ("problems", "unpack_sorting_output"),
+                         ("allocators", "staircase_allocation"),
+                         ("allocators", "comparison_allocation"),
+                         ("mobs", "be_analytic_bounds")):
         assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
     package = importlib.import_module("inexact")
     assert not hasattr(package.EnergyVector, "permuted")
-    for name in ("sample_observation", "observation_distribution", "optimize_allocation"):
+    for name in ("sample_observation", "observation_distribution", "optimize_allocation",
+                 "staircase_allocation", "comparison_allocation", "be_analytic_bounds"):
         assert not hasattr(package, name), name
     assert not hasattr(package.TruthTable, "output")
     assert not hasattr(package.Decoder, "decode")
+    assert [f.name for f in dataclasses.fields(package.Decoder)] == ["decode_map"]
+    assert list(inspect.signature(package.custom_problem).parameters) == ["outputs"]
     assert "output_bound" not in {f.name for f in dataclasses.fields(package.BooleanProblem)}
     assert not hasattr(package.GeneratedGroup(2, [(1, 0)]), "generators")
     assert list(inspect.signature(table2_rows).parameters) == \

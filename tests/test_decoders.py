@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import inexact.decoders as decoders
 
 from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup
-from inexact.allocators import staircase_allocation
+from inexact.allocators import water_filled_ramp
 from inexact.bits import ResourceLimitError, bits_to_index, parse_bits
 from inexact.decoders import (
     Decoder,
@@ -45,14 +45,14 @@ def test_identity_decoder_reads_bits_literally():
     assert identity_decoder(unary_evaluation(3)).decode_map[bits_to_index(parse_bits("000"))] == 0
     dec = identity_decoder(or_problem(4))
     assert dec.n == 4
-    assert dec.name == "identity"
+    assert np.array_equal(dec.decode_map, truth_table(or_problem(4)).outputs)
 
 
 def test_decoder_map_must_cover_all_rows():
     with pytest.raises(ValueError):
-        Decoder("broken", np.array([0, 1, 1]))
+        Decoder(np.array([0, 1, 1]))
     with pytest.raises(ValueError):
-        Decoder("broken", np.array([], dtype=np.int64))
+        Decoder(np.array([], dtype=np.int64))
 
 
 def test_map_decoder_trusts_clean_reads():
@@ -274,13 +274,14 @@ def test_error_profile_matches_brute_definition():
         # at n = 5, 6 each sum adds up to 720 * 64 terms as large as 63, and
         # the brute and vectorized sums round apart by up to 2e-12
         tol = 1e-12 if n <= 4 else 1e-11
-        for dec in (identity_decoder(table), map_decoder(table, ev, group)):
+        for strategy, dec in (("identity", identity_decoder(table)),
+                              ("map", map_decoder(table, ev, group))):
             for loss in ("exact", "absolute"):
                 profile = error_profile(table, ev, group, dec, loss)
                 for i in rows:
                     want = brute_error(table, ev, group, dec, i, loss)
                     assert profile[i] == pytest.approx(want, abs=tol), \
-                        (problem.name, group.kind, dec.name, loss, i)
+                        (problem.name, group.kind, strategy, loss, i)
 
 
 def test_error_analysis_reuse_matches_a_fresh_error_profile():
@@ -394,7 +395,7 @@ def test_error_analysis_picks_its_kernel():
         assert kernel(binary_evaluation(12), loss) == "ramp"
         assert kernel(custom_problem(np.arange(1 << 12)), loss) == "ramp"
     table = truth_table(binary_evaluation(12))
-    shifted = Decoder("shifted", np.roll(table.outputs, 1))
+    shifted = Decoder(np.roll(table.outputs, 1))
     assert ErrorAnalysis(table, shifted, "absolute").kernel == "blocks"
     # many values that are not the ramp: sorting 2x6 has 2,080; 400 classes
     # fit one block at n = 12 but cost 400 * 12 > 2**12 transforms
@@ -428,20 +429,20 @@ def test_few_output_profiles_match_the_dense_blocks():
     settings = [(g, energy_vector(rng.dirichlet(np.ones(12)) * 39.0)) for g in _groups(12)]
     or_table, ue_table = truth_table(or_problem(12)), truth_table(unary_evaluation(12))
     both = ("exact", "absolute")
-    cases = [(or_table, identity_decoder(or_table), settings, ("exact",))]
-    cases += [(or_table, map_decoder(or_table, ev, g), [(g, ev)], ("exact",))
+    cases = [(or_table, "identity", identity_decoder(or_table), settings, ("exact",))]
+    cases += [(or_table, "map", map_decoder(or_table, ev, g), [(g, ev)], ("exact",))
               for g, ev in settings]
-    cases += [(ue_table, identity_decoder(ue_table), settings, both),
-              (ue_table, map_decoder(ue_table, settings[1][1], settings[1][0]),
+    cases += [(ue_table, "identity", identity_decoder(ue_table), settings, both),
+              (ue_table, "map", map_decoder(ue_table, settings[1][1], settings[1][0]),
                settings[1:2], both)]
-    for table, dec, where, losses in cases:
+    for table, strategy, dec, where, losses in cases:
         dense = _dense_profiles(table, dec, where, losses)
         for loss in losses:
             analysis = ErrorAnalysis(table, dec, loss)
             assert analysis.kernel == "xor"
             for (g, ev), want in zip(where, dense[loss]):
                 got = analysis.profile(ev, g)
-                assert np.allclose(got, want, rtol=0, atol=1e-13), (g.kind, dec.name, loss)
+                assert np.allclose(got, want, rtol=0, atol=1e-13), (g.kind, strategy, loss)
                 if g.kind == "identity" and table is or_table:
                     for i in (0, 1, 4095):
                         assert got[i] == pytest.approx(
@@ -498,7 +499,7 @@ def test_expected_magnitude_examples():
     # 2**-(j+1); the all-zeros input has no cancellation, totalling n/2
     for n in (2, 5, 8):
         be = binary_evaluation(n)
-        ev = staircase_allocation(n)
+        ev = water_filled_ramp(n, n * (n + 1) / 2)
         dec = identity_decoder(be)
         worst = error_profile(be, ev, IdentityGroup(n), dec, "absolute").max()
         assert worst == pytest.approx(n / 2, abs=1e-9)
@@ -521,7 +522,7 @@ def test_worst_case_quality():
     worst = error_profile(p, ev, IdentityGroup(2), identity_decoder(p)).max()
     assert 1.0 / worst == pytest.approx(1 / 0.75, abs=1e-12)
 
-    constant = custom_problem(np.full(4, 7), name="always7")
+    constant = custom_problem(np.full(4, 7))
     assert error_profile(constant, ev, IdentityGroup(2),
                          identity_decoder(constant)).max() == 0.0
 
@@ -542,7 +543,7 @@ def test_map_decoding_is_bayes_optimal():
         group = FullSymmetricGroup(n) if rng.random() < 0.5 else IdentityGroup(n)
         best = prior @ error_profile(table, ev, group, map_decoder(table, ev, group))
         rivals = [identity_decoder(table)]
-        rivals += [Decoder("rand", rng.integers(0, 4, size=1 << n)) for _ in range(5)]
+        rivals += [Decoder(rng.integers(0, 4, size=1 << n)) for _ in range(5)]
         for rival in rivals:
             other = prior @ error_profile(table, ev, group, rival)
             assert best <= other + 1e-12

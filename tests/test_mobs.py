@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from inexact.adversary import SYMMETRIC_ENUM_LIMIT, FullSymmetricGroup, GeneratedGroup, \
     IdentityGroup, average_pattern_probabilities
-from inexact.allocators import analytic_allocation, comparison_allocation, \
-    coordinate_descent, grid_search, staircase_allocation, ue_variance, \
-    uniform_allocation, water_filled_ramp
+from inexact.allocators import analytic_allocation, coordinate_descent, grid_search, \
+    sorting_allocation, ue_variance, uniform_allocation, water_filled_ramp
 from inexact.bits import ResourceLimitError, popcount_table
 from inexact.decoders import ErrorAnalysis, error_profile, map_decoder
 from inexact.mobs import (
     aggregate_error,
-    be_analytic_bounds,
     closed_form_champion,
     comparison_wrong_probability,
     default_budget_grid,
@@ -69,7 +67,7 @@ def test_comparison_closed_forms():
         flat = comparison_wrong_probability(problem, uniform_allocation(budget, 2 * k),
                                             x, y)
         assert flat == pytest.approx(2.0 ** (-(k + 1) / 2.0), abs=1e-15)
-        ladder = comparison_wrong_probability(problem, comparison_allocation(k), x, y)
+        ladder = comparison_wrong_probability(problem, sorting_allocation(2, k), x, y)
         assert ladder == pytest.approx(2.0 ** (-k), abs=1e-15)
         assert flat / ladder == pytest.approx(2.0 ** ((k - 1) / 2.0), rel=1e-12)
 
@@ -200,7 +198,7 @@ def test_quality_examples():
     # quality is the reciprocal of the aggregate error
     n = 4
     be = binary_evaluation(n)
-    assert 1.0 / aggregate_error(be, staircase_allocation(n)) == \
+    assert 1.0 / aggregate_error(be, water_filled_ramp(n, n * (n + 1) / 2)) == \
         pytest.approx(2.0 / n, rel=1e-9)
     # noiseless play: energies high enough that 2**-e underflows to exactly 0
     comp = comparison_problem(1)
@@ -265,14 +263,6 @@ def test_comparison_weighted_averages_each_pair_before_the_worst():
         assert brute == pytest.approx(want, abs=1e-4)
         got = aggregate_error(comparison_problem(k), ev, group, "comparison_weighted")
         assert got == pytest.approx(brute, rel=1e-12)
-
-
-def test_be_analytic_bounds():
-    assert be_analytic_bounds(3) == (1.5, 1.0)
-    assert be_analytic_bounds(1) == (0.5, 0.5)
-    assert be_analytic_bounds(11) == (5.5, 16.0)
-    with pytest.raises(ValueError):
-        be_analytic_bounds(0)
 
 
 def test_sorting_mobs_bound():

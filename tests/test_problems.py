@@ -84,7 +84,8 @@ def test_build_problem_refuses_what_its_kind_does_not_read():
     for kind, n, params in [("or", 3, {"width": 7}), ("be", 3, {"count": 3}),
                             ("tribes", 4, {"k": 2}), ("comparison", None, {"k": 2, "width": 2}),
                             ("sorting", None, {"count": 2, "width": 2, "tribe_count": 2}),
-                            ("custom", None, {"outputs": [0, 1], "k": 1})]:
+                            ("custom", None, {"outputs": [0, 1], "k": 1}),
+                            ("custom", None, {"outputs": [0, 1], "name": "x"})]:
         with pytest.raises(ValueError, match="do not read"):
             build_problem(kind, n, **params)
     for kind, n, params in [("comparison", 6, {"k": 2}), ("sorting", 9, {"count": 2, "width": 2}),
@@ -185,7 +186,7 @@ def test_sorting_output_is_the_sorted_value_sequence():
 def test_custom_problem_round_trip():
     outputs = [3, -1, 0, 7]
     p = custom_problem(outputs)
-    assert p.n == 2
+    assert (p.name, p.n) == ("custom", 2)
     assert [evaluate(p, index_to_bits(i, 2)) for i in range(4)] == outputs
 
 
