@@ -20,9 +20,13 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
                 (independent bits factorise over blocks), so a trial costs
                 n / COIN_BLOCK_BITS draws instead of n.  average: one call.
 * generated  -- law: the mean of the channel over the rewired flip vectors
-                q[sigma].  sampled: one element per trial, then a coin per
-                bit: bit j flips when a uniform draw falls below q[sigma][j]
-                (a table per element would grow with the group's order).
+                q[sigma].  sampled: one element per trial, then one uniform
+                per block read through that element's alias table of the
+                block law of q[sigma], as the identity group draws.  A
+                group needing more than ALIAS_ENTRIES_LIMIT table entries
+                (its order times the table sizes of the blocks) draws a
+                coin per bit instead: bit j flips when a uniform draw falls
+                below q[sigma][j].
 * symmetric  -- law: a[popcount(d)] / C(n, popcount(d)), a the flip-count
                 law (a Poisson binomial), polynomial in n where the
                 elements are factorial.  sampled: a count K from a, then a
@@ -31,7 +35,10 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
                 down to UNRANK_LOW_BITS, and the low bits are one gather
                 from a table of the low-width patterns.
 
-Generated and symmetric groups average over their explicit elements.
+Generated and symmetric groups average over their explicit elements.  A
+group builds the alias tables of a flip vector once and keeps those of its
+last TABLE_MEMO_SIZE flip vectors, so the batches of one sampled row and
+the probe rows that share energies read one table set.
 """
 
 from __future__ import annotations
@@ -52,7 +59,9 @@ SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
 UNRANK_LOW_BITS = 12               # symmetric draws gather their low bits from a table
-COIN_BLOCK_BITS = 8                # identity draws take one uniform per block of bits
+COIN_BLOCK_BITS = 8                # alias draws take one uniform per block of bits
+ALIAS_ENTRIES_LIMIT = 1 << 14      # generated groups past this many table entries draw coins
+TABLE_MEMO_SIZE = 4                # flip vectors whose alias tables a group keeps
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
@@ -117,6 +126,45 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(prob), np.array(alias, dtype=np.int64)
 
 
+def _block_tables(rows: np.ndarray) -> list:
+    """(lo, w, prob, alias) for each block of COIN_BLOCK_BITS bits from bit
+    lo, w bits wide: the alias tables of the block laws of the (E, n) flip
+    vectors rows, laid end to end, row r's at [r * 2**w, (r + 1) * 2**w)
+    with its aliases counted within it.  Rows that agree on a block share
+    one build."""
+    tables = []
+    for lo in range(0, rows.shape[1], COIN_BLOCK_BITS):
+        block = rows[:, lo:lo + COIN_BLOCK_BITS]
+        laws = _flip_patterns(block)  # each row bit for bit its law alone
+        keys = [r.tobytes() for r in block]
+        built = {}
+        for key, law in zip(keys, laws):
+            if key not in built:
+                built[key] = _alias_table(law)
+        prob, alias = zip(*map(built.get, keys))
+        tables.append((lo, block.shape[1], np.concatenate(prob), np.concatenate(alias)))
+    return tables
+
+
+def _alias_draws(tables: list, element, count: int, rng) -> np.ndarray:
+    """count packed patterns: one uniform u per block and trial, all blocks'
+    drawn at once, read through the table of the trial's element (an
+    index array into the rows _block_tables took, or 0 for one row).
+    Slot floor(u * 2**w), and the fraction past it picks the slot or its
+    alias; both steps are exact."""
+    u = rng.random((len(tables), count))
+    d = np.zeros(count, dtype=np.int64)
+    for x, (lo, width, prob, alias) in zip(u, tables):
+        x *= 1 << width
+        slot = x.astype(np.int64)
+        x -= slot
+        at = slot + (element << width)
+        block = np.where(x < prob[at], slot, alias[at])
+        block <<= lo
+        d |= block
+    return d
+
+
 def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
     """count packed patterns, bit j set when a uniform draw falls below q[..., j]."""
     n = q.shape[-1]
@@ -139,6 +187,19 @@ class PermutationGroup:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
+        self._tables = {}  # flip vector bytes -> _block_tables of its rewirings
+
+    def _alias_tables(self, q: np.ndarray) -> list:
+        """_block_tables of the rewired flip vectors q[sigma], one row per
+        element, built once per flip vector while the group keeps the
+        tables of its last TABLE_MEMO_SIZE flip vectors."""
+        key = q.tobytes()
+        tables = self._tables.get(key)
+        if tables is None:
+            if len(self._tables) >= TABLE_MEMO_SIZE:
+                del self._tables[next(iter(self._tables))]  # the oldest
+            tables = self._tables[key] = _block_tables(q[self.elements()])
+        return tables
 
     def order(self) -> int:
         raise NotImplementedError
@@ -204,19 +265,7 @@ class IdentityGroup(PermutationGroup):
         return pattern_probabilities(rows)
 
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
-        # one uniform u per block and trial: slot floor(u * 2**w), and the
-        # fraction past it picks the slot or its alias; both steps are exact
-        u = rng.random((-(-self.n // COIN_BLOCK_BITS), count))
-        d = np.zeros(count, dtype=np.int64)
-        for x, lo in zip(u, range(0, self.n, COIN_BLOCK_BITS)):
-            prob, alias = _alias_table(_flip_patterns(q[lo:lo + COIN_BLOCK_BITS]))
-            x *= prob.size
-            slot = x.astype(np.int64)
-            x -= slot
-            block = np.where(x < prob[slot], slot, alias[slot])
-            block <<= lo
-            d |= block
-        return d
+        return _alias_draws(self._alias_tables(q), 0, count, rng)
 
     def marginal(self, q: np.ndarray) -> np.ndarray:
         return q
@@ -351,8 +400,12 @@ class GeneratedGroup(PermutationGroup):
         return total / order
 
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
-        return _flip_coins(q[self._elements][rng.integers(self.order(), size=count)],
-                           count, rng)
+        element = rng.integers(self.order(), size=count)
+        full, rest = divmod(self.n, COIN_BLOCK_BITS)
+        entries = self.order() * ((full << COIN_BLOCK_BITS) + (1 << rest if rest else 0))
+        if entries > ALIAS_ENTRIES_LIMIT:
+            return _flip_coins(q[self._elements[element]], count, rng)
+        return _alias_draws(self._alias_tables(q), element, count, rng)
 
 
 def build_group(kind: str, n: int, generators=None) -> PermutationGroup:

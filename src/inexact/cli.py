@@ -420,13 +420,22 @@ def _cmd_allocate(cfg: dict):
         raise ValueError("--budget is required")
     budget = cfg["budget"]
     metric = cfg.get("metric") or "ue_variance"
-    if metric == "ue_variance":
-        fn = ue_variance
-    elif metric in METRIC_KINDS:
-        fn = error_objective(problem, metric, _group_from(cfg, problem.n))
-    else:
+    if metric != "ue_variance" and metric not in METRIC_KINDS:
         raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
-    result = grid_search(fn, budget, problem.n, cfg["resolution"]) if cfg["method"] == "grid" \
+    # a value given where the run reads none is refused, not dropped
+    grid = cfg["method"] == "grid"
+    unread = [] if grid else [("resolution", f"--method {cfg['method']}")]
+    if metric == "ue_variance":
+        unread += [("group", "--metric ue_variance"), ("generators", "--metric ue_variance")]
+    for key, setting in unread:
+        if cfg.get(key) is not None:
+            raise ValueError(f"--{key} is not read under {setting}")
+    for key, default in (("group", "identity"), ("resolution", 0.05)):
+        if cfg.get(key) is None:
+            cfg[key] = default  # recorded in the config, read or not
+    fn = ue_variance if metric == "ue_variance" else \
+        error_objective(problem, metric, _group_from(cfg, problem.n))
+    result = grid_search(fn, budget, problem.n, cfg["resolution"]) if grid \
         else coordinate_descent(fn, budget, problem.n)
     rows = itertools.chain((f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)),
                            (f"# objective_value={fmt(result.objective_value)}",
@@ -482,8 +491,7 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity",
                                  "loss": "exact", "samples": DEFAULT_SAMPLES,
                                  "seed": 0, "format": "json"}),
-    "allocate": (_cmd_allocate, {"group": "identity", "method": "coordinate_descent",
-                                 "resolution": 0.05, "format": "json"}),
+    "allocate": (_cmd_allocate, {"method": "coordinate_descent", "format": "json"}),
     "mobs": (_cmd_mobs, {"group": "symmetric", "samples": DEFAULT_SAMPLES, "seed": 0,
                          "format": "json"}),
     "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}),

@@ -434,9 +434,12 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     that size, unranked above the low bits and gathered from a table
     below them; under the identity group one uniform per block of 8 bits,
     read through the alias table of that block's law; under a generated
-    group an element, then a coin per rewired bit) and decodes the
-    observed row i XOR d.  The flip vector is computed once and sampled
-    _MC_BATCH draws at a time.
+    group an element, then the same through that element's tables of the
+    rewired law, or a coin per rewired bit where its tables would pass
+    adversary.ALIAS_ENTRIES_LIMIT) and decodes the observed row i XOR d.
+    The flip vector is computed once and sampled _MC_BATCH draws at a
+    time; the group builds its tables once and keeps them for the later
+    batches and calls.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)

@@ -67,12 +67,16 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
     full symmetric group each trial draws a flip count from the
     Poisson-binomial law, then a rank into the numerically ordered list of
     patterns with that many flips, enumerated here in full.  Under the
-    identity group each block of COIN_BLOCK_BITS bits takes one uniform
-    per trial, block by block, looked up one at a time in the library's
-    alias table of the block's law (tests/test_adversary.py checks each
-    table's law against the block's).  Otherwise it rewires the energies
-    by a drawn permutation and flips each bit against 2**-e."""
-    from inexact.adversary import (COIN_BLOCK_BITS, FullSymmetricGroup, IdentityGroup,
+    identity group, and under a generated group whose order times the
+    table sizes of its blocks is at most ALIAS_ENTRIES_LIMIT, each trial
+    draws an element (the identity group draws none), then each block of
+    COIN_BLOCK_BITS bits takes one uniform per trial, block by block,
+    looked up one at a time in the library's alias table of that element's
+    block law (tests/test_adversary.py checks each table's law against the
+    block's).  A larger generated group rewires the energies by a drawn
+    permutation and flips each bit against 2**-e."""
+    from inexact import adversary
+    from inexact.adversary import (COIN_BLOCK_BITS, FullSymmetricGroup, GeneratedGroup,
                                    _alias_table, _mismatch_count_weights,
                                    sample_energy_assignments)
     from inexact.noise import energy_vector
@@ -86,6 +90,10 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
         by_count[bin(d).count("1")].append(d)
     cdf = np.cumsum(_mismatch_count_weights(np.exp2(-energies.entries)))
     cdf /= cdf[-1]
+    entries = group.order() * sum(1 << min(COIN_BLOCK_BITS, n - lo)
+                                  for lo in range(0, n, COIN_BLOCK_BITS))
+    coins = isinstance(group, GeneratedGroup) and entries > adversary.ALIAS_ENTRIES_LIMIT
+    tables = {}  # (element, lo) -> (prob, alias) as lists
     total = total_sq = 0.0
     done = 0
     while done < samples:
@@ -97,21 +105,25 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
             patterns = np.array([by_count[k][r] for k, r in zip(counts, ranks)],
                                 dtype=np.int64)
             flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
-        elif isinstance(group, IdentityGroup):
+        elif coins:
+            assigned = sample_energy_assignments(group, energies, m, rng)
+            flips = rng.random((m, n)) < np.exp2(-assigned)
+        else:
+            elements = [tuple(sigma) for sigma in group.sample(m, rng).tolist()]
             patterns = [0] * m
             for lo in range(0, n, COIN_BLOCK_BITS):
-                block = energy_vector(energies.entries[lo:lo + COIN_BLOCK_BITS])
-                prob, alias = (a.tolist() for a in
-                               _alias_table(brute_pattern_probabilities(block)))
                 for t, u in enumerate(rng.random(m).tolist()):
+                    if (elements[t], lo) not in tables:
+                        rewired = energies.entries[list(elements[t])]
+                        block = energy_vector(rewired[lo:lo + COIN_BLOCK_BITS])
+                        tables[elements[t], lo] = [
+                            a.tolist() for a in _alias_table(brute_pattern_probabilities(block))]
+                    prob, alias = tables[elements[t], lo]
                     x = u * len(prob)
                     slot = int(x)
                     patterns[t] |= (slot if x - slot < prob[slot] else alias[slot]) << lo
             patterns = np.array(patterns, dtype=np.int64)
             flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
-        else:
-            assigned = sample_energy_assignments(group, energies, m, rng)
-            flips = rng.random((m, n)) < np.exp2(-assigned)
         observed = (bits[None, :] ^ flips) @ weights
         decoded = decoder.decode_map[observed]
         if loss == "exact":

@@ -289,19 +289,13 @@ def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     assert (patterns == (1 << n) - 1).any() == possible[-1]
 
 
-@pytest.mark.parametrize("entries", [
-    [0.0, 0.4, 1.3, 2.0, 3.7],
-    # n = 13: a block of 8 coins and a short one of 5
-    [0.0, 0.4, 1.3, 2.0, 0.7, 0.1, 1.6, 0.9, 0.3, 1.1, 0.0, 2.2, 0.5],
-])
-def test_identity_flip_patterns_follow_the_exact_law(entries):
-    # seeded, so the statistic is fixed; the possible cells expecting
-    # fewer than 5 draws are pooled into one
-    ev = energy_vector(entries)
-    g = IdentityGroup(ev.n)
+def _chi_square_p_value(group, ev):
+    """The chi-square p-value of 400,000 seeded draws of group's sampler
+    against the exact law; the possible cells expecting fewer than 5 draws
+    are pooled into one.  Seeded, so the statistic is fixed."""
     draws = 400_000
-    expected = average_pattern_probabilities(g, ev) * draws
-    patterns = g.sample_patterns(flip_probability(ev), draws, np.random.default_rng(21))
+    expected = average_pattern_probabilities(group, ev) * draws
+    patterns = group.sample_patterns(flip_probability(ev), draws, np.random.default_rng(21))
     observed = np.bincount(patterns, minlength=expected.size)
     assert observed.size == expected.size and observed.sum() == draws
     assert observed[expected == 0].sum() == 0
@@ -312,24 +306,67 @@ def test_identity_flip_patterns_follow_the_exact_law(entries):
     expected = np.append(expected[big], expected[pooled].sum())
     live = expected > 0  # the pooled cell is empty when no possible cell is small
     stat = (((observed - expected) ** 2)[live] / expected[live]).sum()
-    assert chi2.sf(stat, live.sum() - 1) > 1e-3
+    return chi2.sf(stat, live.sum() - 1)
 
 
-@pytest.mark.parametrize("entries", [
+LAW_ENTRIES = [
+    [0.0, 0.4, 1.3, 2.0, 3.7],
+    # n = 13: a block of 8 bits and a short one of 5
+    [0.0, 0.4, 1.3, 2.0, 0.7, 0.1, 1.6, 0.9, 0.3, 1.1, 0.0, 2.2, 0.5],
+]
+
+# per width: a bit of energy 0 (q = 1) and bits of energy 1100 (q = 0)
+IMPOSSIBLE_ENTRIES = [
     [0.0, 1.0, 1100.0, 2.0, 0.5],
     # n = 13: an impossible bit in each block, the last bit of the short one
     [1100.0, 0.3, 0.0, 1.0, 2.0, 0.5, 1.5, 0.7, 0.0, 1.2, 0.4, 0.9, 1100.0],
-])
-def test_identity_sampler_never_draws_impossible_patterns(entries):
+]
+
+
+@pytest.mark.parametrize("entries", LAW_ENTRIES)
+def test_identity_flip_patterns_follow_the_exact_law(entries):
     ev = energy_vector(entries)
-    g = IdentityGroup(ev.n)
-    possible = average_pattern_probabilities(g, ev) > 0
+    assert _chi_square_p_value(IdentityGroup(ev.n), ev) > 1e-3
+
+
+def _never_draws_impossible_patterns(group, ev):
+    possible = average_pattern_probabilities(group, ev) > 0
     assert not possible.all()
-    patterns = g.sample_patterns(flip_probability(ev), 200_000, np.random.default_rng(4))
+    patterns = group.sample_patterns(flip_probability(ev), 200_000, np.random.default_rng(4))
     assert possible[patterns].all()
     # every pattern the law allows at n = 5 is drawn
     if ev.n == 5:
         assert np.unique(patterns).size == possible.sum()
+
+
+@pytest.mark.parametrize("entries", IMPOSSIBLE_ENTRIES)
+def test_identity_sampler_never_draws_impossible_patterns(entries):
+    ev = energy_vector(entries)
+    _never_draws_impossible_patterns(IdentityGroup(ev.n), ev)
+
+
+def _rotations(n):
+    return GeneratedGroup(n, [[(j + 1) % n for j in range(n)]])
+
+
+# the rotation groups need 5 * 2**5 and 13 * (2**8 + 2**5) table entries,
+# within the cap; a cap of 0 puts them on the coin path
+@pytest.mark.parametrize("coins", [False, True], ids=["tables", "coins"])
+@pytest.mark.parametrize("entries", LAW_ENTRIES)
+def test_generated_flip_patterns_follow_the_exact_law(monkeypatch, entries, coins):
+    if coins:
+        monkeypatch.setattr(adversary, "ALIAS_ENTRIES_LIMIT", 0)
+    ev = energy_vector(entries)
+    assert _chi_square_p_value(_rotations(ev.n), ev) > 1e-3
+
+
+@pytest.mark.parametrize("coins", [False, True], ids=["tables", "coins"])
+@pytest.mark.parametrize("entries", IMPOSSIBLE_ENTRIES)
+def test_generated_sampler_never_draws_impossible_patterns(monkeypatch, entries, coins):
+    if coins:
+        monkeypatch.setattr(adversary, "ALIAS_ENTRIES_LIMIT", 0)
+    ev = energy_vector(entries)
+    _never_draws_impossible_patterns(_rotations(ev.n), ev)
 
 
 @pytest.mark.parametrize("width", [1, 3, 8])

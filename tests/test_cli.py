@@ -214,11 +214,15 @@ def test_simulate_monte_carlo_is_seed_deterministic(capsys, tmp_path):
 
 # sha256 of seeded single-row Monte Carlo reports (100,000 samples, two
 # draw batches) under the identity group, which draws each block of 8 bits
-# through its alias table, and a generated group, which flips each rewired
-# bit against its own coin.  These streams stay fixed: moving them changes
-# every seeded identity- or generated-group output.  The identity digest was
+# through its alias table, and a generated group, which draws an element,
+# then each block of 8 bits through that element's alias table of the
+# block's rewired law.  These streams stay fixed: moving them changes every
+# seeded identity- or generated-group output.  The identity digest was
 # re-recorded when its draws went from a coin per bit to one uniform per
-# block (the row reads 9.76499 +- 0.02929 against an exact 9.72453).
+# block (the row reads 9.76499 +- 0.02929 against an exact 9.72453), and
+# the generated one when its draws did the same (18.78139 +- 0.04050 with
+# a coin per bit, 18.76099 +- 0.04046 by blocks, against an exact
+# 18.73003).
 # Symmetric-group draws (a flip count, then a subset) are pinned in
 # SYMMETRIC_STREAMS below.  Both digests, simulate-be-16's and the four
 # report digests below were re-recorded when simulate lost --energies-file:
@@ -228,7 +232,7 @@ PINNED_STREAMS = {
         ((), "023814185abc438e921cd4b2cb89ae1a58d02e791fc4c66c6cac92092e5b7541"),
     "generated":
         (("--generators", "1,2,3,4,5,0"),
-         "815e40f3765dbb0d6547d0729ce5b7b60129ac5021d94f4115fa5e7bad47013c"),
+         "77ade80e61a28d88b17760a243bf5aa88da3d9b29e0bf13ebf7f91645a371334"),
 }
 
 
@@ -468,8 +472,11 @@ def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
 # step: a per-input metric under the symmetric group, a pair-weighted metric,
 # a pair-weighted metric under a generated group, and seeded Monte Carlo
 # probes under a generated group (re-recorded when the clairvoyant side's
-# identity draws went to one uniform per block of 8 bits; they share the
-# generator with the blindfolded side, so both sides' estimates moved)
+# identity draws went to one uniform per block of 8 bits, and again when the
+# generated draws did; the sides share the generator, so both sides'
+# estimates moved each time: the price read 4 with generated coins and
+# reads inf now, where the exact price is 1, as a 2,000-sample ratio on
+# rows whose errors are rare reads noise)
 PINNED_PRICES = {
     "be-6":
         (("--problem", "be", "--n", "6"),
@@ -485,7 +492,7 @@ PINNED_PRICES = {
         (("--problem", "or", "--n", "6", "--group", "generated",
           "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
           "--seed", "2"),
-         "ecb6c71fef5c651cbe4f6375f12a4ce2386e9f369e8d2f0e0b93f360e2c5d403"),
+         "8ecf58550c6cf671fa39e4d4fe9e5d1c43c2449ed033162d607d0b884aaa6020"),
 }
 
 
@@ -590,6 +597,28 @@ def test_generators_need_a_generated_group(capsys, group):
                          "--generators", "1,0,2")
     assert (code, out) == (2, "")
     assert err == f"error: {group} groups take no generators\n"
+
+
+# allocate reads --group and --generators only under an error metric, and
+# --resolution only under --method grid: a value given elsewhere would be
+# dropped, so it is refused, from flags and from a config file alike
+@pytest.mark.parametrize("extra, key, setting", [
+    ({"group": "generated"}, "group", "--metric ue_variance"),
+    ({"group": "identity"}, "group", "--metric ue_variance"),
+    ({"generators": "1,0,2"}, "generators", "--metric ue_variance"),
+    ({"resolution": 0.1}, "resolution", "--method coordinate_descent"),
+    ({"metric": "expected_magnitude", "resolution": 0.1}, "resolution",
+     "--method coordinate_descent"),
+], ids=["group", "default-group", "generators", "resolution", "resolution-error-metric"])
+def test_allocate_refuses_values_it_does_not_read(capsys, tmp_path, extra, key, setting):
+    argv = ["allocate", "--problem", "be", "--n", "3", "--budget", "6", "--format", "csv"]
+    flags = [text for name, value in extra.items() for text in (f"--{name}", str(value))]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(extra))
+    for given in ([*argv, *flags], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{key} is not read under {setting}\n"
 
 
 def test_removed_names_are_gone():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import inexact.adversary as adversary
 import inexact.decoders as decoders
 
 from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup
@@ -666,23 +667,54 @@ def test_monte_carlo_determinism_and_validation():
     # above the unranking low width: a walk over the high bits, then the gather
     FullSymmetricGroup(13),
     FullSymmetricGroup(16),
-    # two coin blocks, the second one short
+    # two alias blocks, the second one short
     IdentityGroup(13),
+    GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]]),
+    # 16 elements times 2 * 2**8 table entries, past the patched cap: coins
+    GeneratedGroup(16, [[(j + 1) % 16 for j in range(16)]]),
 ])
 @pytest.mark.parametrize("loss", ["exact", "absolute"])
 def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
     # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
     monkeypatch.setattr(decoders, "_MC_BATCH", 333)
+    monkeypatch.setattr(adversary, "ALIAS_ENTRIES_LIMIT", 4096)
     n = group.n
     p = binary_evaluation(n)
     table = truth_table(p)
     dec = identity_decoder(p)
-    ev = energy_vector(np.resize([0.0, 0.4, 1.3, 2.0, 3.7], n))
+    # a bit of energy 0 flips on every trial, which would make every
+    # exact-loss trial an error
+    entries = [0.0, 0.4, 1.3, 2.0, 3.7] if loss == "absolute" else [4.0, 2.5, 6.0, 3.3, 8.0]
+    ev = energy_vector(np.resize(entries, n))
     for i in (0, 13, (1 << n) - 1):
         got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17)
         want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
                                        np.random.default_rng(17), 333)
         assert got == want
+        assert got[1] > 0.0  # the trials disagree
+
+
+@pytest.mark.parametrize("order, entries, built", [
+    (1, np.linspace(0.5, 4.0, 13), [256, 32]),
+    (13, np.linspace(0.5, 4.0, 13), [256] * 13 + [32] * 13),
+    # every rotation of a flat vector has the same block laws
+    (13, np.full(13, 2.0), [256, 32]),
+])
+def test_a_sampled_row_builds_each_table_once(monkeypatch, order, entries, built):
+    # 200,000 draws take four batches; 13 bits make a block of 8 and one of 5
+    real, sizes = adversary._alias_table, []
+
+    def counting(law):
+        sizes.append(law.size)
+        return real(law)
+
+    monkeypatch.setattr(adversary, "_alias_table", counting)
+    group = IdentityGroup(13) if order == 1 else \
+        GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]])
+    p = binary_evaluation(13)
+    monte_carlo_error(p, energy_vector(entries), group, identity_decoder(p), 5, "absolute",
+                      200_000, 0)
+    assert sizes == built
 
 
 def test_unknown_loss_is_rejected_before_any_work(monkeypatch):

@@ -695,6 +695,23 @@ def test_mobs_monte_carlo_smoke(monkeypatch):
     assert again.mobs == result.mobs
 
 
+def test_sampled_mobs_builds_each_clairvoyant_table_once(monkeypatch):
+    # the probe rows of a budget share its clairvoyant energies, so one
+    # table per block serves them all; the blindfolded side (S_12) draws
+    # through no tables
+    adversary = importlib.import_module("inexact.adversary")
+    real, sizes = adversary._alias_table, []
+
+    def counting(law):
+        sizes.append(law.size)
+        return real(law)
+
+    monkeypatch.setattr(adversary, "_alias_table", counting)
+    result = mobs(binary_evaluation(12), [39.0], mode="monte_carlo", samples=200, rng=0)
+    assert len(result.outcomes[0].std_errors["probes"]) == 10
+    assert sizes == [256, 16]
+
+
 def test_mobs_builds_one_truth_table_per_call(monkeypatch):
     mobs_module = importlib.import_module("inexact.mobs")
     built = []
