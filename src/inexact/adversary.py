@@ -37,8 +37,8 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
 
 Generated and symmetric groups average over their explicit elements.  A
 group builds the alias tables of a flip vector once and keeps those of its
-last TABLE_MEMO_SIZE flip vectors, so the batches of one sampled row and
-the probe rows that share energies read one table set.
+last flip vector, so the batches of one sampled row and the probe rows
+that share energies read one table set.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
 UNRANK_LOW_BITS = 12               # symmetric draws gather their low bits from a table
 COIN_BLOCK_BITS = 8                # alias draws take one uniform per block of bits
 ALIAS_ENTRIES_LIMIT = 1 << 14      # generated groups past this many table entries draw coins
-TABLE_MEMO_SIZE = 4                # flip vectors whose alias tables a group keeps
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
@@ -187,19 +186,15 @@ class PermutationGroup:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self._tables = {}  # flip vector bytes -> _block_tables of its rewirings
+        self._tables = (None, None)  # last flip vector's bytes, its _block_tables
 
     def _alias_tables(self, q: np.ndarray) -> list:
         """_block_tables of the rewired flip vectors q[sigma], one row per
-        element, built once per flip vector while the group keeps the
-        tables of its last TABLE_MEMO_SIZE flip vectors."""
+        element, rebuilt only when q differs from the last flip vector."""
         key = q.tobytes()
-        tables = self._tables.get(key)
-        if tables is None:
-            if len(self._tables) >= TABLE_MEMO_SIZE:
-                del self._tables[next(iter(self._tables))]  # the oldest
-            tables = self._tables[key] = _block_tables(q[self.elements()])
-        return tables
+        if self._tables[0] != key:
+            self._tables = (key, _block_tables(q[self.elements()]))
+        return self._tables[1]
 
     def order(self) -> int:
         raise NotImplementedError

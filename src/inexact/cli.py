@@ -430,9 +430,11 @@ def _cmd_allocate(cfg: dict):
     for key, setting in unread:
         if cfg.get(key) is not None:
             raise ValueError(f"--{key} is not read under {setting}")
-    for key, default in (("group", "identity"), ("resolution", 0.05)):
-        if cfg.get(key) is None:
-            cfg[key] = default  # recorded in the config, read or not
+    # defaults are filled, and so recorded in the config, only where read
+    if metric != "ue_variance" and cfg.get("group") is None:
+        cfg["group"] = "identity"
+    if grid and cfg.get("resolution") is None:
+        cfg["resolution"] = 0.05
     fn = ue_variance if metric == "ue_variance" else \
         error_objective(problem, metric, _group_from(cfg, problem.n))
     result = grid_search(fn, budget, problem.n, cfg["resolution"]) if grid \

@@ -510,15 +510,15 @@ def test_price_outputs_are_pinned(capsys, price):
 PINNED_ALLOCATIONS = {
     "ue-4-variance":
         (("--problem", "ue", "--n", "4", "--budget", "6"),
-         "033a5779f27296a10a12786163fe54fc2e6c11fb326f7224924e6eca6adefe19"),
+         "ed70dda878e3b0489d5283fe254538e3399cf5fe7555c0982e5f24695d064ea1"),
     "be-5-expected-magnitude":
         (("--problem", "be", "--n", "5", "--metric", "expected_magnitude",
           "--budget", "7.5"),
-         "dfc1a7c896feca1f1e976369a56f19772b6084239fab051271e19bb75d98f787"),
+         "e004fbd9604d287a0fcd23e0c99e4d70e3e6778fb977f65673bdf322db998d41"),
     "comparison-3-symmetric":
         (("--problem", "comparison", "--k", "3", "--metric", "comparison_weighted",
           "--group", "symmetric", "--budget", "6"),
-         "7168dcdd7f029f4a11fc7c603c69ed4382902c4c7ab46c327e0afbc6302ed10f"),
+         "d9014de557bf6029fcba3a881126b044ed33d4de590bb523f7d1cf9705457557"),
     "be-3-grid":
         (("--problem", "be", "--n", "3", "--metric", "expected_magnitude",
           "--budget", "4.5", "--method", "grid", "--resolution", "0.25"),
@@ -619,6 +619,20 @@ def test_allocate_refuses_values_it_does_not_read(capsys, tmp_path, extra, key, 
         code, out, err = run(capsys, *given)
         assert (code, out) == (2, "")
         assert err == f"error: --{key} is not read under {setting}\n"
+
+
+@pytest.mark.parametrize("extra, group, resolution", [
+    ((), None, None),
+    (("--method", "grid"), None, 0.05),
+    (("--metric", "expected_magnitude"), "identity", None),
+    (("--metric", "expected_magnitude", "--method", "grid"), "identity", 0.05),
+], ids=["variance", "variance-grid", "error-metric", "error-metric-grid"])
+def test_allocate_records_a_default_only_where_read(capsys, extra, group, resolution):
+    code, out, _ = run(capsys, "allocate", "--problem", "be", "--n", "3", "--budget", "6",
+                       *extra, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["group"], config["resolution"]) == (group, resolution)
 
 
 def test_removed_names_are_gone():
