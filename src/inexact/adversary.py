@@ -31,14 +31,22 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
                 law (a Poisson binomial), polynomial in n where the
                 elements are factorial.  sampled: a count K from a, then a
                 uniform K-subset, so a trial costs two draws instead of a
-                permutation: the subset's rank is unranked one bit at a time
-                down to UNRANK_LOW_BITS, and the low bits are one gather
-                from a table of the low-width patterns.
+                permutation.  K is read through a guide table of a's cdf
+                over _GUIDE_BUCKETS equal buckets of the uniform (Chen and
+                Asau; Devroye, Non-Uniform Random Variate Generation,
+                III.2.4): a bucket that holds no cdf breakpoint gives its
+                count directly, the draws in the others search the cdf.
+                The subset's rank is unranked one bit at a time down to
+                UNRANK_LOW_BITS, and the low bits are one gather from a
+                table of the low-width patterns.
 
 Generated and symmetric groups average over their explicit elements.  A
-group builds the alias tables of a flip vector once and keeps those of its
-last flip vector, so the batches of one sampled row and the probe rows
-that share energies read one table set.
+group builds the tables of a flip vector (alias tables, or the symmetric
+group's cdf and guide) once and keeps those of its last flip vector, so
+the batches of one sampled row and the probe rows that share energies read
+one table set.  Draws work through a batch _DRAW_CHUNK trials at a time,
+so their temporaries stay in cache; the rng calls take the whole batch,
+so the drawn patterns do not depend on the chunk.
 """
 
 from __future__ import annotations
@@ -58,10 +66,12 @@ from .noise import (EnergyVector, _flip_patterns, energy_rows, flip_probability,
 SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
-UNRANK_LOW_BITS = 12               # symmetric draws gather their low bits from a table
+UNRANK_LOW_BITS = 14               # symmetric draws gather their low bits from a table
 COIN_BLOCK_BITS = 8                # alias draws take one uniform per block of bits
 ALIAS_ENTRIES_LIMIT = 1 << 14      # generated groups past this many table entries draw coins
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
+_DRAW_CHUNK = 1 << 14              # trials per pass of a draw loop's arithmetic
+_GUIDE_BUCKETS = 1 << 12           # equal buckets of the uniform in a flip-count guide
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
@@ -145,23 +155,61 @@ def _block_tables(rows: np.ndarray) -> list:
     return tables
 
 
+def _chunks(count: int):
+    """Slices over count trials, _DRAW_CHUNK at a time."""
+    return (slice(at, at + _DRAW_CHUNK) for at in range(0, count, _DRAW_CHUNK))
+
+
 def _alias_draws(tables: list, element, count: int, rng) -> np.ndarray:
     """count packed patterns: one uniform u per block and trial, all blocks'
     drawn at once, read through the table of the trial's element (an
-    index array into the rows _block_tables took, or 0 for one row).
+    index array into the rows _block_tables took, or None for one row).
     Slot floor(u * 2**w), and the fraction past it picks the slot or its
     alias; both steps are exact."""
     u = rng.random((len(tables), count))
     d = np.zeros(count, dtype=np.int64)
-    for x, (lo, width, prob, alias) in zip(u, tables):
-        x *= 1 << width
-        slot = x.astype(np.int64)
-        x -= slot
-        at = slot + (element << width)
-        block = np.where(x < prob[at], slot, alias[at])
-        block <<= lo
-        d |= block
+    for span in _chunks(count):
+        out = d[span]
+        for x, (lo, width, prob, alias) in zip(u[:, span], tables):
+            x *= 1 << width
+            slot = x.astype(np.int64)
+            x -= slot
+            at = slot if element is None else slot + (element[span] << width)
+            block = np.where(x < prob[at], slot, alias[at])
+            block <<= lo
+            out |= block
     return d
+
+
+def _count_guide(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, first, split): the flip-count law's cdf for the flip vector q,
+    and its guide over _GUIDE_BUCKETS equal buckets of [0, 1).  A uniform u
+    in bucket b has searchsorted(cdf, u, "right") == first[b] unless a cdf
+    breakpoint lies inside the bucket (split[b]).  side="right" never lands
+    on a count of zero weight (a flat cdf step), here or in the search."""
+    cdf = np.cumsum(_mismatch_count_weights(q))
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    split = first != np.searchsorted(cdf, edges[1:], side="left")
+    return cdf, first, split
+
+
+def _guided_counts(guide: tuple, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for the uniforms u, read through
+    the guide _count_guide made; only draws in split buckets search.  u
+    times a power of two is exact, so each draw lands in its own bucket."""
+    cdf, first, split = guide
+    k = np.empty(u.size, dtype=np.int64)
+    for span in _chunks(u.size):
+        x = u[span]
+        bucket = (x * _GUIDE_BUCKETS).astype(np.int64)
+        counts = first[bucket]
+        hard = np.flatnonzero(split[bucket])
+        if hard.size:
+            counts[hard] = np.searchsorted(cdf, x[hard], side="right")
+        k[span] = counts
+    return k
 
 
 def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
@@ -186,15 +234,20 @@ class PermutationGroup:
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = int(n)
-        self._tables = (None, None)  # last flip vector's bytes, its _block_tables
+        self._tables = (None, None)  # last flip vector's bytes, its _build_tables
 
-    def _alias_tables(self, q: np.ndarray) -> list:
-        """_block_tables of the rewired flip vectors q[sigma], one row per
-        element, rebuilt only when q differs from the last flip vector."""
+    def _tables_of(self, q: np.ndarray):
+        """_build_tables of q, rebuilt only when q differs from the last
+        flip vector."""
         key = q.tobytes()
         if self._tables[0] != key:
-            self._tables = (key, _block_tables(q[self.elements()]))
+            self._tables = (key, self._build_tables(q))
         return self._tables[1]
+
+    def _build_tables(self, q: np.ndarray):
+        """_block_tables of the rewired flip vectors q[sigma], one row per
+        element."""
+        return _block_tables(q[self.elements()])
 
     def order(self) -> int:
         raise NotImplementedError
@@ -260,7 +313,7 @@ class IdentityGroup(PermutationGroup):
         return pattern_probabilities(rows)
 
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
-        return _alias_draws(self._alias_tables(q), 0, count, rng)
+        return _alias_draws(self._tables_of(q), None, count, rng)
 
     def marginal(self, q: np.ndarray) -> np.ndarray:
         return q
@@ -301,32 +354,37 @@ class FullSymmetricGroup(PermutationGroup):
         a = _mismatch_count_weights(flip_probability(rows))
         return (a / _binomials(n)[n])[:, popcount_table(n)]
 
+    def _build_tables(self, q: np.ndarray) -> tuple:
+        return _count_guide(q)
+
     def sample_patterns(self, q: np.ndarray, count: int, rng) -> np.ndarray:
         # each trial draws the flip count K, then a rank r < C(n, K), the
         # r-th K-subset in numeric order
         n = self.n
-        cdf = np.cumsum(_mismatch_count_weights(q))
-        cdf /= cdf[-1]
-        # side="right" never lands on a count of zero weight (a flat cdf step)
-        k = np.searchsorted(cdf, rng.random(count), side="right")
+        k = _guided_counts(self._tables_of(q), rng.random(count))
         binom = _binomials(n)
         rank = rng.integers(binom[n, k])
-        # unranking the bits above the low width, highest first: C(j, k)
-        # k-subsets of the bits below j precede the first one that sets bit j
         low = min(n, UNRANK_LOW_BITS)
-        high = np.zeros(count, dtype=np.int64)
-        for j in range(n - 1, low - 1, -1):
-            below = binom[j].take(k)
-            take = rank >= below
-            below *= take
-            rank -= below
-            k -= take
-            high <<= 1
-            high |= take
-        # the rest is the rank-th k-subset of the low bits, one gather
         patterns, starts = _low_patterns(low)
-        d = patterns[starts[k] + rank]
-        d |= high << low
+        d = np.empty(count, dtype=np.int64)
+        for span in _chunks(count):
+            kc, rc = k[span], rank[span]
+            # unranking the bits above the low width, highest first: C(j, k)
+            # k-subsets of the bits below j precede the first one that sets bit j
+            high = np.zeros(kc.size, dtype=np.int64)
+            for j in range(n - 1, low - 1, -1):
+                below = binom[j].take(kc)
+                take = rc >= below
+                below *= take
+                rc -= below
+                kc -= take
+                high <<= 1
+                high |= take
+            # the rest is the rank-th k-subset of the low bits, one gather
+            out = patterns[starts[kc] + rc]
+            if n > low:
+                out |= high << low
+            d[span] = out
         return d
 
     def marginal(self, q: np.ndarray) -> np.ndarray:
@@ -400,7 +458,7 @@ class GeneratedGroup(PermutationGroup):
         entries = self.order() * ((full << COIN_BLOCK_BITS) + (1 << rest if rest else 0))
         if entries > ALIAS_ENTRIES_LIMIT:
             return _flip_coins(q[self._elements[element]], count, rng)
-        return _alias_draws(self._alias_tables(q), element, count, rng)
+        return _alias_draws(self._tables_of(q), element, count, rng)
 
 
 def build_group(kind: str, n: int, generators=None) -> PermutationGroup:

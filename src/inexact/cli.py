@@ -352,6 +352,18 @@ def _group_from(cfg: dict, n: int):
     return build_group(cfg["group"], n, _listed(cfg, "generators", _whole, ";", ","))
 
 
+def _sampling_from(cfg: dict) -> tuple[int, np.random.Generator]:
+    """--samples and a generator seeded by --seed.  An explicit --mode exact
+    reads neither, so a value given there is refused, not dropped; the
+    defaults are filled, and recorded in the config, under every mode."""
+    for key, default in (("samples", DEFAULT_SAMPLES), ("seed", 0)):
+        if cfg.get(key) is None:
+            cfg[key] = default
+        elif cfg.get("mode") == "exact":
+            raise ValueError(f"--{key} is not read under --mode exact")
+    return cfg["samples"], np.random.default_rng(cfg["seed"])
+
+
 def _exact_else_sampled(cfg: dict, run):
     """run(--mode); without it run("exact"), and run("monte_carlo") only where
     a guard of the exact path refuses.  The config records the mode that ran."""
@@ -383,14 +395,14 @@ def _cmd_eval(cfg: dict):
 
 
 def _cmd_simulate(cfg: dict):
+    # exact analysis draws nothing, so a fallback samples from the seed's start
+    samples, rng = _sampling_from(cfg)
     problem = _problem_from(cfg)
     energies = _energies_from(cfg, problem)
     if energies.n != problem.n:
         raise ValueError(f"{problem.n}-bit problem with {energies.n} energies")
     group = _group_from(cfg, problem.n)
-    # exact analysis draws nothing, so a fallback samples from the seed's start
-    rng = np.random.default_rng(cfg["seed"])
-    samples, loss = cfg["samples"], cfg["loss"]
+    loss = cfg["loss"]
     table = truth_table(problem)
     decoder = map_decoder(table, energies, group) if cfg["decoder"] == "map" \
         else identity_decoder(table)
@@ -446,10 +458,10 @@ def _cmd_allocate(cfg: dict):
 
 
 def _cmd_mobs(cfg: dict):
+    samples, rng = _sampling_from(cfg)  # exact mobs draws nothing
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
-    rng = np.random.default_rng(cfg["seed"])  # exact mobs draws nothing
-    budgets, samples = _listed(cfg, "budgets", _real), cfg["samples"]
+    budgets = _listed(cfg, "budgets", _real)
 
     def run(mode):
         result = mobs(problem, budgets, cfg.get("metric"), group, mode, samples, rng)
@@ -491,11 +503,9 @@ def _cmd_table2(cfg: dict):
 _COMMANDS = {
     "eval": (_cmd_eval, {"format": "plain"}),
     "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity",
-                                 "loss": "exact", "samples": DEFAULT_SAMPLES,
-                                 "seed": 0, "format": "json"}),
+                                 "loss": "exact", "format": "json"}),
     "allocate": (_cmd_allocate, {"method": "coordinate_descent", "format": "json"}),
-    "mobs": (_cmd_mobs, {"group": "symmetric", "samples": DEFAULT_SAMPLES, "seed": 0,
-                         "format": "json"}),
+    "mobs": (_cmd_mobs, {"group": "symmetric", "format": "json"}),
     "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}),
     "table2": (_cmd_table2, {"sizes": "4,6,8", "comparison_widths": "2,3,4",
                              "sorting_shapes": "4x2", "format": "csv"}),

@@ -430,16 +430,18 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
 
     Each trial draws a flip pattern d from the group-averaged law that
     average_pattern_probabilities gives exactly (group.sample_patterns:
-    under the full symmetric group a flip count and a uniform subset of
-    that size, unranked above the low bits and gathered from a table
-    below them; under the identity group one uniform per block of 8 bits,
-    read through the alias table of that block's law; under a generated
-    group an element, then the same through that element's tables of the
-    rewired law, or a coin per rewired bit where its tables would pass
+    under the full symmetric group a flip count, read through a guide
+    table of its cdf, and a uniform subset of that size, unranked above
+    the low 14 bits and gathered from a table below them; under the
+    identity group one uniform per block of 8 bits, read through the alias
+    table of that block's law; under a generated group an element, then
+    the same through that element's tables of the rewired law, or a coin
+    per rewired bit where its tables would pass
     adversary.ALIAS_ENTRIES_LIMIT) and decodes the observed row i XOR d.
     The flip vector is computed once and sampled _MC_BATCH draws at a
-    time; the group builds its tables once and keeps them for the later
-    batches and calls.
+    time, one rng call per batch whose arithmetic runs in cache-sized
+    chunks of trials; the group builds its tables once and keeps them for
+    the later batches and calls.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)

@@ -16,6 +16,7 @@ from inexact.adversary import (
     marginal_flip_probability,
     sample_energy_assignments,
 )
+from inexact.allocators import uniform_allocation
 from inexact.bits import ResourceLimitError
 from inexact.noise import energy_vector, flip_probability, pattern_probabilities
 
@@ -271,10 +272,14 @@ def test_symmetric_flip_patterns_follow_the_exact_law():
 @pytest.mark.parametrize("entries", [
     [0.0, 1.0, 0.0, 2.0, 0.5],        # q = 1: counts 0 and 1 have weight 0
     [1100.0, 1.0, 0.0, 1100.0, 0.5],  # q = 0 twice: counts 4 and 5 too
-    # n = 14, above the unranking low width
+    # n = 14, the unranking low width: the gather alone
     [0.0] + [0.05] * 13,              # q = 1: count 0 excluded, count 14 drawn
     [1100.0] + [4.0] * 13,            # q = 0: count 0 drawn, count 14 excluded
     [0.0, 1100.0] + [0.5] * 12,       # both: counts 0 and 14 excluded
+    # n = 16, above it: a walk over the two high bits, then the gather
+    [0.0] + [0.05] * 15,
+    [1100.0] + [4.0] * 15,
+    [0.0, 1100.0] + [0.5] * 14,
 ])
 def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     ev = energy_vector(entries)
@@ -287,6 +292,68 @@ def test_symmetric_sampler_never_draws_impossible_patterns(entries):
     # the extreme counts are drawn exactly when they can be
     assert (patterns == 0).any() == possible[0]
     assert (patterns == (1 << n) - 1).any() == possible[-1]
+
+
+def _guide_cases():
+    """(name, q) flip vectors whose count laws stress the guide."""
+    flat = flip_probability(uniform_allocation(20 * 21 / 4, 20))
+    return [
+        # q of exactly 0 and 1: counts 0, 1 and 6 have weight 0
+        ("zero-weight", np.array([0.0, 1.0, 0.3, 0.0, 0.7, 0.5])),
+        # every breakpoint 1/4, 3/4 on a bucket edge
+        ("edge", np.array([0.5, 0.5])),
+        # the breakpoints of counts 0, 1 and 2 inside the top bucket
+        ("top-bucket", np.full(20, 1e-5)),
+        # the flat vector sampled mobs draws its blindfolded side from
+        ("flat", flat),
+        ("mixed", np.exp2(-np.linspace(0.0, 9.0, 17))),
+    ]
+
+
+@pytest.mark.parametrize("name, q", _guide_cases(), ids=[c[0] for c in _guide_cases()])
+def test_guided_counts_are_the_searched_counts(name, q):
+    cdf, first, split = guide = adversary._count_guide(q)
+    buckets = adversary._GUIDE_BUCKETS
+    weights = adversary._mismatch_count_weights(q)
+    if name == "zero-weight":
+        assert (weights == 0.0).sum() == 3
+    if name == "top-bucket":
+        inside = cdf[cdf < 1.0]
+        assert inside.size == 3 and (inside >= 1.0 - 1.0 / buckets).all()
+    # a breakpoint on a bucket edge starts its bucket: none is split
+    on_edges = name == "edge"
+    assert ((cdf * buckets) % 1.0 == 0.0).all() == on_edges
+    assert split.any() != on_edges and not split.all()
+    # every breakpoint, a step each side of it, every bucket edge and a
+    # step below it, the ends of [0, 1), then seeded uniforms
+    top = np.nextafter(1.0, 0.0)
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), edges,
+                        np.nextafter(edges, 0.0), [0.0, top],
+                        np.random.default_rng(3).random(200_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = np.searchsorted(cdf, u, side="right")
+    got = adversary._guided_counts(guide, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a count of weight 0 is never drawn
+    assert (weights[got] > 0.0).all()
+
+
+@pytest.mark.parametrize("group", [
+    IdentityGroup(13),
+    FullSymmetricGroup(12),
+    FullSymmetricGroup(16),
+    GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]]),
+], ids=["identity-13", "symmetric-12", "symmetric-16", "rotations-13"])
+def test_draws_do_not_depend_on_the_chunk(monkeypatch, group):
+    # the rng calls take the whole batch; only the arithmetic after them is
+    # chunked, so a chunk of 7 trials draws the same patterns as the default
+    count = 3 * adversary._DRAW_CHUNK + 5
+    q = np.exp2(-np.resize([0.0, 0.4, 1.3, 2.0, 3.7, 0.9], group.n))
+    default = group.sample_patterns(q, count, np.random.default_rng(9))
+    monkeypatch.setattr(adversary, "_DRAW_CHUNK", 7)
+    small = group.sample_patterns(q, count, np.random.default_rng(9))
+    assert np.array_equal(small, default)
 
 
 def _chi_square_p_value(group, ev):

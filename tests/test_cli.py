@@ -621,6 +621,42 @@ def test_allocate_refuses_values_it_does_not_read(capsys, tmp_path, extra, key, 
         assert err == f"error: --{key} is not read under {setting}\n"
 
 
+# an explicit --mode exact draws nothing, so --samples and --seed given
+# there would be dropped: refused from flags and a config file alike
+@pytest.mark.parametrize("key, value", [("samples", 500), ("seed", 3), ("seed", 0)],
+                         ids=["samples", "seed", "default-seed"])
+@pytest.mark.parametrize("argv", [
+    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
+    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
+], ids=["mobs", "simulate"])
+def test_exact_mode_refuses_sampling_values(capsys, tmp_path, argv, key, value):
+    argv = [*argv, "--mode", "exact", "--format", "csv"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    for given in ([*argv, f"--{key}", str(value)], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{key} is not read under --mode exact\n"
+
+
+@pytest.mark.parametrize("mode", [None, "exact"])
+@pytest.mark.parametrize("argv", [
+    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
+    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
+], ids=["mobs", "simulate"])
+def test_sampling_defaults_are_recorded_and_auto_mode_reads_them(capsys, argv, mode):
+    extra = [] if mode is None else ["--mode", mode]
+    code, out, _ = run(capsys, *argv, *extra, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["samples"], config["seed"]) == (100_000, 0)
+    if mode is None:  # auto mode takes both, whichever mode then runs
+        code, out, _ = run(capsys, *argv, "--samples", "500", "--seed", "3", "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["samples"], config["seed"], config["mode"]) == (500, 3, "exact")
+
+
 @pytest.mark.parametrize("extra, group, resolution", [
     ((), None, None),
     (("--method", "grid"), None, 0.05),

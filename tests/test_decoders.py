@@ -665,7 +665,7 @@ def test_monte_carlo_determinism_and_validation():
     FullSymmetricGroup(5),
     GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
     # above the unranking low width: a walk over the high bits, then the gather
-    FullSymmetricGroup(13),
+    FullSymmetricGroup(15),
     FullSymmetricGroup(16),
     # two alias blocks, the second one short
     IdentityGroup(13),
