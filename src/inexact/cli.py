@@ -7,6 +7,11 @@ its sha256 so runs are reproducible, and identical config+seed yields
 byte-identical bytes.  Without --mode, simulate and mobs run exact, and
 sample only where a guard of the exact path refuses (config records which).
 
+_COMMANDS declares each subcommand's defaults and the settings it reads only
+under certain values of another (--resolution only under --method grid, say).
+Such a setting given elsewhere, from a flag or a config file, exits 2 rather
+than go unread, and its default is filled, so recorded, only where it is read.
+
 Exit codes: 0 success, 2 usage or invalid config, 3 resource limit,
 4 numerical non-convergence.
 """
@@ -58,8 +63,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NONCONVERGED = 4
-
-DEFAULT_SAMPLES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +241,15 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 # ---------------------------------------------------------------------------
 # config assembly
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags.  Every flag is a key, None
-    (the parser's default) unless the handler's defaults say otherwise.  A
+    (the parser's default) unless the subcommand's defaults say otherwise.  A
     file value is read as its flag reads it (an int flag's by _whole, a float
     flag's by _real) and must be one its flag would accept; null leaves it
-    unset."""
+    unset.  A setting the subcommand reads only under certain values of
+    another is refused where that one holds any other value, and keeps no
+    default there."""
+    _, defaults, reads = _COMMANDS[args.command]
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
     file_cfg = {}
@@ -266,7 +272,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
                 raise ValueError(f"config key {flag.dest!r} must be one of "
                                  f"{list(flag.choices)}, got {value!r}")
         file_cfg = {k: v for k, v in file_cfg.items() if v is not None}  # null: unset
-    return {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
+    cfg = {**dict.fromkeys(flags), **defaults, **file_cfg, **cli}
+    for key, (governor, values) in reads.items():
+        if cfg[governor] not in values:
+            if key in file_cfg or key in cli:
+                raise ValueError(f"--{key.replace('_', '-')} is not read under "
+                                 f"--{governor} {cfg[governor]}")
+            cfg[key] = None
+    return cfg
 
 
 def _listed(cfg: dict, key: str, item, *seps):
@@ -313,28 +326,20 @@ def _real(value, key: str) -> float:
 
 
 def _problem_from(cfg: dict) -> BooleanProblem:
-    """The problem the flags name; build_problem supplies the defaults of
-    the parameters left unset, checks the ones given and refuses those its
-    kind does not read."""
-    kind = cfg.get("problem")
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"--problem must be one of {PROBLEM_KINDS}, got {kind!r}")
+    """The problem the flags name; build_problem refuses an unknown kind,
+    supplies the defaults of the parameters left unset, checks the ones
+    given and refuses those its kind does not read."""
     params = {key: cfg[key] for key in ("n", "tribe_count", "k", "count", "width")
               if cfg.get(key) is not None}
-    if kind == "custom":
-        path = cfg.get("table")
-        if not path:
+    if cfg.get("problem") == "custom":
+        if not cfg.get("table"):
             raise ValueError("custom problems need --table pointing at a truth-table CSV")
-        params["outputs"] = table_from_csv(path).outputs
-    elif cfg.get("table") is not None:
-        raise ValueError(f"{kind} problems do not read --table")
-    return build_problem(kind, **params)
+        params["outputs"] = table_from_csv(cfg["table"]).outputs
+    return build_problem(cfg.get("problem"), **params)
 
 
 def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
     if cfg.get("energies") is not None:
-        if cfg.get("allocation") is not None or cfg.get("budget") is not None:
-            raise ValueError("--energies takes no --allocation or --budget")
         return energy_vector(_listed(cfg, "energies", _real))
     if cfg.get("allocation"):
         if cfg.get("budget") is None:
@@ -347,21 +352,12 @@ def _energies_from(cfg: dict, problem: BooleanProblem) -> EnergyVector:
 
 
 def _group_from(cfg: dict, n: int):
-    if cfg["group"] == "generated" and not cfg.get("generators"):
-        raise ValueError("generated groups need --generators like '1,2,0;0,2,1'")
     return build_group(cfg["group"], n, _listed(cfg, "generators", _whole, ";", ","))
 
 
-def _sampling_from(cfg: dict) -> tuple[int, np.random.Generator]:
-    """--samples and a generator seeded by --seed.  An explicit --mode exact
-    reads neither, so a value given there is refused, not dropped; the
-    defaults are filled, and recorded in the config, under every mode."""
-    for key, default in (("samples", DEFAULT_SAMPLES), ("seed", 0)):
-        if cfg.get(key) is None:
-            cfg[key] = default
-        elif cfg.get("mode") == "exact":
-            raise ValueError(f"--{key} is not read under --mode exact")
-    return cfg["samples"], np.random.default_rng(cfg["seed"])
+def _rng_from(cfg: dict) -> np.random.Generator | None:
+    """A generator seeded by --seed, none where the seed is not read."""
+    return None if cfg["seed"] is None else np.random.default_rng(cfg["seed"])
 
 
 def _exact_else_sampled(cfg: dict, run):
@@ -386,17 +382,19 @@ def _exact_else_sampled(cfg: dict, run):
 
 def _cmd_eval(cfg: dict):
     problem = _problem_from(cfg)
-    if not cfg.get("bits"):
+    text = cfg.get("bits")
+    if text is not None and not isinstance(text, str):  # a config file may give any JSON
+        raise ValueError(f"config key 'bits' must be a bit string, got {text!r}")
+    if not text:
         raise ValueError("--bits is required")
-    bits = parse_bits(cfg["bits"], problem.n)
-    value = evaluate(problem, bits)
-    return ({"problem": problem.name, "bits": cfg["bits"], "value": value},
+    value = evaluate(problem, parse_bits(text, problem.n))
+    return ({"problem": problem.name, "bits": text, "value": value},
             None, [f"{value}"], True)
 
 
 def _cmd_simulate(cfg: dict):
     # exact analysis draws nothing, so a fallback samples from the seed's start
-    samples, rng = _sampling_from(cfg)
+    samples, rng = cfg["samples"], _rng_from(cfg)
     problem = _problem_from(cfg)
     energies = _energies_from(cfg, problem)
     if energies.n != problem.n:
@@ -431,25 +429,9 @@ def _cmd_allocate(cfg: dict):
     if cfg.get("budget") is None:
         raise ValueError("--budget is required")
     budget = cfg["budget"]
-    metric = cfg.get("metric") or "ue_variance"
-    if metric != "ue_variance" and metric not in METRIC_KINDS:
-        raise ValueError(f"--metric must be ue_variance or one of {METRIC_KINDS}")
-    # a value given where the run reads none is refused, not dropped
-    grid = cfg["method"] == "grid"
-    unread = [] if grid else [("resolution", f"--method {cfg['method']}")]
-    if metric == "ue_variance":
-        unread += [("group", "--metric ue_variance"), ("generators", "--metric ue_variance")]
-    for key, setting in unread:
-        if cfg.get(key) is not None:
-            raise ValueError(f"--{key} is not read under {setting}")
-    # defaults are filled, and so recorded in the config, only where read
-    if metric != "ue_variance" and cfg.get("group") is None:
-        cfg["group"] = "identity"
-    if grid and cfg.get("resolution") is None:
-        cfg["resolution"] = 0.05
-    fn = ue_variance if metric == "ue_variance" else \
-        error_objective(problem, metric, _group_from(cfg, problem.n))
-    result = grid_search(fn, budget, problem.n, cfg["resolution"]) if grid \
+    fn = ue_variance if cfg["metric"] == "ue_variance" else \
+        error_objective(problem, cfg["metric"], _group_from(cfg, problem.n))
+    result = grid_search(fn, budget, problem.n, cfg["resolution"]) if cfg["method"] == "grid" \
         else coordinate_descent(fn, budget, problem.n)
     rows = itertools.chain((f"{j},{fmt(e)}" for j, e in enumerate(result.energies.entries)),
                            (f"# objective_value={fmt(result.objective_value)}",
@@ -458,13 +440,13 @@ def _cmd_allocate(cfg: dict):
 
 
 def _cmd_mobs(cfg: dict):
-    samples, rng = _sampling_from(cfg)  # exact mobs draws nothing
+    rng = _rng_from(cfg)  # exact mobs draws nothing
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
     budgets = _listed(cfg, "budgets", _real)
 
     def run(mode):
-        result = mobs(problem, budgets, cfg.get("metric"), group, mode, samples, rng)
+        result = mobs(problem, budgets, cfg.get("metric"), group, mode, cfg["samples"], rng)
         return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 
     return _exact_else_sampled(cfg, run)
@@ -499,16 +481,31 @@ def _cmd_table2(cfg: dict):
             (r.csv_row() for r in results), all(r.converged for r in results))
 
 
-# subcommand -> (handler, the defaults a config file and flags override)
+# settings read only under certain values of another:
+# setting -> (governing setting, the values under which it is read)
+_TABLE = {"table": ("problem", ("custom",))}
+# auto mode (None) samples where the exact path refuses, so it reads both
+_SAMPLING = dict.fromkeys(("samples", "seed"), ("mode", (None, "monte_carlo")))
+
+# subcommand -> (handler, the defaults a config file and flags override,
+# its settings read only under certain values of another)
 _COMMANDS = {
-    "eval": (_cmd_eval, {"format": "plain"}),
-    "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity",
-                                 "loss": "exact", "format": "json"}),
-    "allocate": (_cmd_allocate, {"method": "coordinate_descent", "format": "json"}),
-    "mobs": (_cmd_mobs, {"group": "symmetric", "format": "json"}),
-    "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"}),
+    "eval": (_cmd_eval, {"format": "plain"}, _TABLE),
+    "simulate": (_cmd_simulate, {"group": "identity", "decoder": "identity", "loss": "exact",
+                                 "samples": 100_000, "seed": 0, "format": "json"},
+                 {**_TABLE, **_SAMPLING, **dict.fromkeys(("allocation", "budget"),
+                                                          ("energies", (None,)))}),
+    "allocate": (_cmd_allocate, {"metric": "ue_variance", "group": "identity",
+                                 "method": "coordinate_descent", "resolution": 0.05,
+                                 "format": "json"},
+                 {**_TABLE, **dict.fromkeys(("group", "generators"), ("metric", METRIC_KINDS)),
+                  "resolution": ("method", ("grid",))}),
+    "mobs": (_cmd_mobs, {"group": "symmetric", "samples": 100_000, "seed": 0, "format": "json"},
+             {**_TABLE, **_SAMPLING}),
+    "curve": (_cmd_curve, {"sigma": 1.0, "vdd_min": 0.0, "steps": 101, "format": "csv"},
+              dict.fromkeys(("vdd_min", "vdd_max", "steps"), ("vdd", (None,)))),
     "table2": (_cmd_table2, {"sizes": "4,6,8", "comparison_widths": "2,3,4",
-                             "sorting_shapes": "4x2", "format": "csv"}),
+                             "sorting_shapes": "4x2", "format": "csv"}, {}),
 }
 
 
@@ -563,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("allocate", help="search for an energy allocation")
     _add_common(p, ["csv", "json"], "problem", "group")
-    p.add_argument("--metric")
+    p.add_argument("--metric", choices=["ue_variance", *METRIC_KINDS])
     p.add_argument("--budget", type=float)
     p.add_argument("--method", choices=["coordinate_descent", "grid"])
     p.add_argument("--resolution", type=float)
@@ -592,11 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, defaults = _COMMANDS[args.command]
     try:
-        cfg = _merge_config(args, defaults)
+        cfg = _merge_config(args)
         cfg["command"] = args.command
-        body, header, rows, converged = handler(cfg)
+        body, header, rows, converged = _COMMANDS[args.command][0](cfg)
         if cfg["format"] == "json":
             emit_json(body, cfg, cfg.get("output"))
         elif cfg["format"] == "csv":

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from inexact import __version__
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.cli import (_csv_numbers, _json_number, _json_numbers, build_parser, config_hash,
-                         emit_json, fmt, jsonable, main)
+from inexact.cli import (_COMMANDS, _csv_numbers, _json_number, _json_numbers, build_parser,
+                         config_hash, emit_json, fmt, jsonable, main)
 from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
 from inexact.mobs import table2_rows
 from inexact.noise import energy_vector
@@ -85,6 +85,15 @@ def test_eval_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--problem", "nand", "--n", "2", "--bits", "01"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bits", [101, True, [1, 0, 1]])
+def test_config_file_bits_must_be_a_bit_string(capsys, tmp_path, bits):
+    # a JSON value that is not text is refused by its key, not parsed
+    (tmp_path / "run.json").write_text(json.dumps({"bits": bits}))
+    argv = ["eval", "--problem", "or", "--n", "3", "--config", str(tmp_path / "run.json")]
+    assert run(capsys, *argv) == (2, "", f"error: config key 'bits' must be a bit string, "
+                                         f"got {bits!r}\n")
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -282,14 +291,16 @@ def test_seeded_symmetric_streams_are_pinned(capsys, stream):
 # sha256 of exact n = 12 reports whose per_input rows emit_json encodes
 # without the json module: be under the absolute loss (the top-flipped-bit
 # ramp kernel) and or's MAP decoder under the symmetric group (the
-# XOR-convolution kernels)
+# XOR-convolution kernels).  These two and the CSV be-absolute digest were
+# re-recorded when explicit --mode exact stopped recording the samples and
+# seed it does not read: the bytes from "result" on (CSV rows) are the same.
 PINNED_REPORTS = {
     "be-absolute":
         (("--problem", "be", "--loss", "absolute"),
-         "c440b06861188b804f89b90fe2616ed24b69f3e0d8a2438da4a6b504cf3383dd"),
+         "464b0378b3a2d9a74b7aa753eee35bf117a470f92b739cfedf0acbb2f5f2f8a1"),
     "or-map-symmetric":
         (("--problem", "or", "--group", "symmetric", "--decoder", "map"),
-         "d50a2f732846811b7a8db531c8ab983402a1123de004d3a4044b58c68860c62a"),
+         "240b20eb64615e839c1f59950b01f7e14bdcbee1fb4cc507e7f9e0d278a97e38"),
 }
 
 
@@ -311,7 +322,7 @@ PINNED_CSV_REPORTS = {
         (("--problem", "be", "--n", "12", "--energies",
           "0.4,2.9,1.3,0.0,5.2,3.3,0.9,4.1,2.2,1.7,6.0,0.6", "--loss", "absolute",
           "--mode", "exact"),
-         "a9fe30676743704cbdb3f516718d2f764fac410ed9b6fc709669127eb9ed4cb1"),
+         "dfbad092d08a7a15253821f7b7408659c4b60b9bf4161106034f5f032f64fb31"),
     "or-sampled-symmetric":
         (("--problem", "or", "--n", "8", "--energies", "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0",
           "--group", "symmetric", "--mode", "monte_carlo", "--samples", "3000",
@@ -506,11 +517,13 @@ def test_price_outputs_are_pinned(capsys, price):
 
 # sha256 of JSON allocate outputs, which record the energies found and the
 # evaluations the search counted: the ones-count variance, a per-input
-# metric, a pair-weighted metric under the symmetric group, and the grid
+# metric, a pair-weighted metric under the symmetric group, and the grid.
+# The variance digest was re-recorded when its config line's metric went
+# from null to "ue_variance"; the bytes from "result" on are the same.
 PINNED_ALLOCATIONS = {
     "ue-4-variance":
         (("--problem", "ue", "--n", "4", "--budget", "6"),
-         "ed70dda878e3b0489d5283fe254538e3399cf5fe7555c0982e5f24695d064ea1"),
+         "1c0a00a82ccbd09d3f5ea44a832279d76125cc4a4b642756fb61e747481fb2da"),
     "be-5-expected-magnitude":
         (("--problem", "be", "--n", "5", "--metric", "expected_magnitude",
           "--budget", "7.5"),
@@ -575,21 +588,6 @@ def test_energies_config_file_prints_the_energies_flag_rows(capsys, tmp_path):
     assert rows == [line for line in from_flag.splitlines() if not line.startswith("#")]
 
 
-# --energies and an allocation each give the energies: one of them would be
-# dropped, so the pair is refused, from flags and from a config file alike
-@pytest.mark.parametrize("extra", [{"allocation": "uniform", "budget": 9},
-                                   {"allocation": "uniform"}, {"budget": 9}])
-def test_energies_take_no_allocation_or_budget(capsys, tmp_path, extra):
-    argv = ["simulate", "--problem", "or", "--n", "2", "--format", "csv"]
-    flags = [text for key, value in extra.items() for text in (f"--{key}", str(value))]
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"energies": [1, 1], **extra}))
-    for given in ([*argv, "--energies", "1,1", *flags], [*argv, "--config", str(cfg)]):
-        code, out, err = run(capsys, *given)
-        assert (code, out) == (2, "")
-        assert err == "error: --energies takes no --allocation or --budget\n"
-
-
 @pytest.mark.parametrize("group", ["identity", "symmetric"])
 def test_generators_need_a_generated_group(capsys, group):
     # a group that reads no generators would run as if none were given
@@ -599,76 +597,71 @@ def test_generators_need_a_generated_group(capsys, group):
     assert err == f"error: {group} groups take no generators\n"
 
 
-# allocate reads --group and --generators only under an error metric, and
-# --resolution only under --method grid: a value given elsewhere would be
-# dropped, so it is refused, from flags and from a config file alike
-@pytest.mark.parametrize("extra, key, setting", [
-    ({"group": "generated"}, "group", "--metric ue_variance"),
-    ({"group": "identity"}, "group", "--metric ue_variance"),
-    ({"generators": "1,0,2"}, "generators", "--metric ue_variance"),
-    ({"resolution": 0.1}, "resolution", "--method coordinate_descent"),
-    ({"metric": "expected_magnitude", "resolution": 0.1}, "resolution",
-     "--method coordinate_descent"),
-], ids=["group", "default-group", "generators", "resolution", "resolution-error-metric"])
-def test_allocate_refuses_values_it_does_not_read(capsys, tmp_path, extra, key, setting):
-    argv = ["allocate", "--problem", "be", "--n", "3", "--budget", "6", "--format", "csv"]
-    flags = [text for name, value in extra.items() for text in (f"--{name}", str(value))]
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(extra))
-    for given in ([*argv, *flags], [*argv, "--config", str(cfg)]):
-        code, out, err = run(capsys, *given)
-        assert (code, out) == (2, "")
-        assert err == f"error: --{key} is not read under {setting}\n"
+# a run of each subcommand that declares conditional settings
+DECLARED_RUNS = {"eval": {"problem": "or", "n": 2, "bits": "01"}, "curve": {},
+                 "simulate": {"problem": "or", "n": 2, "energies": "1,1", "input": "01"},
+                 "allocate": {"problem": "be", "n": 2, "budget": 2.0},
+                 "mobs": {"problem": "or", "n": 2, "budgets": "2"}}
+# governing setting -> each value it is tried at (every value a declaration
+# lists, and one it does not) -> the flags that set it where the run does
+# not, and that a run there needs; None unsets a flag of the run
+GOVERNING = {
+    "problem": {"or": {"problem": "or"}, "custom": {"problem": "custom"}},
+    "mode": {None: {}, "exact": {"mode": "exact"}, "monte_carlo": {"mode": "monte_carlo"}},
+    "energies": {None: {"energies": None, "allocation": "uniform", "budget": 2.0}, "1,1": {}},
+    "metric": {"ue_variance": {}, "worst_correctness": {"metric": "worst_correctness"},
+               "expected_magnitude": {"metric": "expected_magnitude"},
+               "comparison_weighted": {"metric": "comparison_weighted", "problem": "comparison",
+                                       "n": None, "k": 1},
+               "sorting_weighted": {"metric": "sorting_weighted", "problem": "sorting",
+                                    "n": None, "count": 2, "width": 1}},
+    "method": {"coordinate_descent": {}, "grid": {"method": "grid"}},
+    "vdd": {None: {}, 0.5: {"vdd": 0.5}},
+}
+# declared setting -> a value to give it, and what else a run that reads it needs
+GIVEN = {"table": ("be2.csv", {}), "samples": (200, {}), "seed": (3, {}),
+         "allocation": ("analytic", {"budget": 2.0}), "budget": (3.0, {"allocation": "uniform"}),
+         "group": ("symmetric", {}), "generators": ("1,0", {"group": "generated"}),
+         "resolution": (0.5, {}), "vdd_min": (0.2, {}), "vdd_max": (3.0, {}), "steps": (7, {})}
+DECLARED = [(command, key, governor, value) for command, (_, _, reads) in _COMMANDS.items()
+            for key, (governor, _) in reads.items() for value in GOVERNING[governor]]
 
 
-# an explicit --mode exact draws nothing, so --samples and --seed given
-# there would be dropped: refused from flags and a config file alike
-@pytest.mark.parametrize("key, value", [("samples", 500), ("seed", 3), ("seed", 0)],
-                         ids=["samples", "seed", "default-seed"])
-@pytest.mark.parametrize("argv", [
-    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
-    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
-], ids=["mobs", "simulate"])
-def test_exact_mode_refuses_sampling_values(capsys, tmp_path, argv, key, value):
-    argv = [*argv, "--mode", "exact", "--format", "csv"]
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
-    for given in ([*argv, f"--{key}", str(value)], [*argv, "--config", str(cfg)]):
-        code, out, err = run(capsys, *given)
-        assert (code, out) == (2, "")
-        assert err == f"error: --{key} is not read under --mode exact\n"
+def _flags(settings: dict) -> list[str]:
+    return [text for key, value in settings.items() if value is not None
+            for text in (f"--{key.replace('_', '-')}", str(value))]
 
 
-@pytest.mark.parametrize("mode", [None, "exact"])
-@pytest.mark.parametrize("argv", [
-    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
-    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
-], ids=["mobs", "simulate"])
-def test_sampling_defaults_are_recorded_and_auto_mode_reads_them(capsys, argv, mode):
-    extra = [] if mode is None else ["--mode", mode]
-    code, out, _ = run(capsys, *argv, *extra, "--format", "json")
-    assert code == 0
-    config = json.loads(out)["config"]
-    assert (config["samples"], config["seed"]) == (100_000, 0)
-    if mode is None:  # auto mode takes both, whichever mode then runs
-        code, out, _ = run(capsys, *argv, "--samples", "500", "--seed", "3", "--format", "json")
-        assert code == 0
-        config = json.loads(out)["config"]
-        assert (config["samples"], config["seed"], config["mode"]) == (500, 3, "exact")
-
-
-@pytest.mark.parametrize("extra, group, resolution", [
-    ((), None, None),
-    (("--method", "grid"), None, 0.05),
-    (("--metric", "expected_magnitude"), "identity", None),
-    (("--metric", "expected_magnitude", "--method", "grid"), "identity", 0.05),
-], ids=["variance", "variance-grid", "error-metric", "error-metric-grid"])
-def test_allocate_records_a_default_only_where_read(capsys, extra, group, resolution):
-    code, out, _ = run(capsys, "allocate", "--problem", "be", "--n", "3", "--budget", "6",
-                       *extra, "--format", "json")
-    assert code == 0
-    config = json.loads(out)["config"]
-    assert (config["group"], config["resolution"]) == (group, resolution)
+# a setting that a subcommand reads only under certain values of another is
+# refused elsewhere, from a flag and from a config file alike, and recorded
+# as null there; where it is read, it runs and its default is recorded
+@pytest.mark.parametrize("command, key, governor, value", DECLARED,
+                         ids=[f"{c}-{k}-{g}={v}" for c, k, g, v in DECLARED])
+def test_declared_settings_are_refused_where_unread(capsys, tmp_path, monkeypatch, command, key,
+                                                    governor, value):
+    _, defaults, reads = _COMMANDS[command]
+    tried, listed = set(GOVERNING[governor]), set(reads[key][1])
+    assert listed <= tried and tried - listed  # every listed value, and one more
+    monkeypatch.chdir(tmp_path)
+    table_to_csv(truth_table(binary_evaluation(2)), "be2.csv")
+    run_flags = {**DECLARED_RUNS[command], **GOVERNING[governor][value], "format": "json"}
+    given, needs = GIVEN[key]
+    read = value in listed
+    if read:
+        code, out, err = run(capsys, command, *_flags({**run_flags, **needs, key: given}))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"][key] == given
+        if key not in defaults:  # the run without it needs it, or gets it from run_flags
+            return
+    else:
+        Path("run.json").write_text(json.dumps({key: given}))
+        refusal = f"error: --{key.replace('_', '-')} is not read under --{governor} {value}\n"
+        for argv in (_flags({**run_flags, key: given}),
+                     [*_flags(run_flags), "--config", "run.json"]):
+            assert run(capsys, command, *argv) == (2, "", refusal)
+    code, out, err = run(capsys, command, *_flags(run_flags))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"][key] == (defaults[key] if read else None)
 
 
 def test_removed_names_are_gone():
@@ -753,7 +746,14 @@ def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert '"mode":"exact"' in csv_body(out)[0][2]
-    assert run(capsys, *argv, "--mode", "exact") == (0, out, "")
+    code, exact, err = run(capsys, *argv, "--mode", "exact")
+    assert (code, err) == (0, "")
+    auto, exact = out.split("\n"), exact.split("\n")
+    # all but the config lines (its sha256, then the config) are the same
+    assert auto[:1] + auto[3:] == exact[:1] + exact[3:]
+    auto, exact = (json.loads(lines[2][len("# config="):]) for lines in (auto, exact))
+    # explicit exact mode reads, so records, no sampling values
+    assert {key for key in auto if auto[key] != exact[key]} == {"samples", "seed"}
 
 
 S8_ON_12_BITS = "1,0,2,3,4,5,6,7,8,9,10,11;1,2,3,4,5,6,7,0,8,9,10,11"
