@@ -276,8 +276,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (governor, values) in reads.items():
         if cfg[governor] not in values:
             if key in file_cfg or key in cli:
+                given = cfg[governor]  # a file's list is named as its flag text
+                if isinstance(given, list):
+                    given = ",".join(map(str, given))
                 raise ValueError(f"--{key.replace('_', '-')} is not read under "
-                                 f"--{governor} {cfg[governor]}")
+                                 f"--{governor} {given}")
             cfg[key] = None
     return cfg
 

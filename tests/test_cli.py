@@ -664,6 +664,95 @@ def test_declared_settings_are_refused_where_unread(capsys, tmp_path, monkeypatc
     assert json.loads(out)["config"][key] == (defaults[key] if read else None)
 
 
+# --energies and an allocation each give the energies: --allocation and
+# --budget are read only without --energies, so the pair is refused, from
+# flags and from a config file alike
+@pytest.mark.parametrize("extra", [{"allocation": "uniform", "budget": 9},
+                                   {"allocation": "uniform"}, {"budget": 9}])
+def test_energies_take_no_allocation_or_budget(capsys, tmp_path, extra):
+    argv = ["simulate", "--problem", "or", "--n", "2", "--format", "csv"]
+    flags = [text for key, value in extra.items() for text in (f"--{key}", str(value))]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"energies": [1, 1], **extra}))
+    for given in ([*argv, "--energies", "1,1", *flags], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{next(iter(extra))} is not read under --energies 1,1\n"
+
+
+# allocate reads --group and --generators only under an error metric, and
+# --resolution only under --method grid: a value given elsewhere would be
+# dropped, so it is refused, from flags and from a config file alike
+@pytest.mark.parametrize("extra, key, setting", [
+    ({"group": "generated"}, "group", "--metric ue_variance"),
+    ({"group": "identity"}, "group", "--metric ue_variance"),
+    ({"generators": "1,0,2"}, "generators", "--metric ue_variance"),
+    ({"resolution": 0.1}, "resolution", "--method coordinate_descent"),
+    ({"metric": "expected_magnitude", "resolution": 0.1}, "resolution",
+     "--method coordinate_descent"),
+], ids=["group", "default-group", "generators", "resolution", "resolution-error-metric"])
+def test_allocate_refuses_values_it_does_not_read(capsys, tmp_path, extra, key, setting):
+    argv = ["allocate", "--problem", "be", "--n", "3", "--budget", "6", "--format", "csv"]
+    flags = [text for name, value in extra.items() for text in (f"--{name}", str(value))]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(extra))
+    for given in ([*argv, *flags], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{key} is not read under {setting}\n"
+
+
+# an explicit --mode exact draws nothing, so --samples and --seed given
+# there would be dropped: refused from flags and a config file alike
+@pytest.mark.parametrize("key, value", [("samples", 500), ("seed", 3), ("seed", 0)],
+                         ids=["samples", "seed", "default-seed"])
+@pytest.mark.parametrize("argv", [
+    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
+    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
+], ids=["mobs", "simulate"])
+def test_exact_mode_refuses_sampling_values(capsys, tmp_path, argv, key, value):
+    argv = [*argv, "--mode", "exact", "--format", "csv"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    for given in ([*argv, f"--{key}", str(value)], [*argv, "--config", str(cfg)]):
+        code, out, err = run(capsys, *given)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{key} is not read under --mode exact\n"
+
+
+@pytest.mark.parametrize("mode", [None, "exact"])
+@pytest.mark.parametrize("argv", [
+    ["mobs", "--problem", "or", "--n", "3", "--budgets", "3"],
+    ["simulate", "--problem", "or", "--n", "3", "--allocation", "uniform", "--budget", "3"],
+], ids=["mobs", "simulate"])
+def test_sampling_defaults_are_recorded_and_auto_mode_reads_them(capsys, argv, mode):
+    extra = [] if mode is None else ["--mode", mode]
+    code, out, _ = run(capsys, *argv, *extra, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    # an explicit --mode exact reads neither, so records neither
+    assert (config["samples"], config["seed"]) == ((100_000, 0) if mode is None else (None, None))
+    if mode is None:  # auto mode takes both, whichever mode then runs
+        code, out, _ = run(capsys, *argv, "--samples", "500", "--seed", "3", "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["samples"], config["seed"], config["mode"]) == (500, 3, "exact")
+
+
+@pytest.mark.parametrize("extra, group, resolution", [
+    ((), None, None),
+    (("--method", "grid"), None, 0.05),
+    (("--metric", "expected_magnitude"), "identity", None),
+    (("--metric", "expected_magnitude", "--method", "grid"), "identity", 0.05),
+], ids=["variance", "variance-grid", "error-metric", "error-metric-grid"])
+def test_allocate_records_a_default_only_where_read(capsys, extra, group, resolution):
+    code, out, _ = run(capsys, "allocate", "--problem", "be", "--n", "3", "--budget", "6",
+                       *extra, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["group"], config["resolution"]) == (group, resolution)
+
+
 def test_removed_names_are_gone():
     from inexact import cli
     for name in ("_refuse_map_search", "EXACT_AUTO_LIMIT", "_auto_mode",
