@@ -241,14 +241,20 @@ def emit_csv(header: str, lines: list[str], config: dict, output: str | None) ->
 # ---------------------------------------------------------------------------
 # config assembly
 
+# text flags whose config file value must be text too; the other text flags
+# are list keys, which also take a JSON list (see _listed)
+_TEXT_KEYS = {"table": "a file path", "output": "a file path",
+              "bits": "a bit string", "input": "a bit string"}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags.  Every flag is a key, None
     (the parser's default) unless the subcommand's defaults say otherwise.  A
     file value is read as its flag reads it (an int flag's by _whole, a float
-    flag's by _real) and must be one its flag would accept; null leaves it
-    unset.  A setting the subcommand reads only under certain values of
-    another is refused where that one holds any other value, and keeps no
-    default there."""
+    flag's by _real, a _TEXT_KEYS flag's from text only) and must be one its
+    flag would accept; null leaves it unset.  A setting the subcommand reads
+    only under certain values of another is refused where that one holds any
+    other value, and keeps no default there."""
     _, defaults, reads = _COMMANDS[args.command]
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     cli = {k: v for k, v in flags.items() if v is not None}
@@ -266,6 +272,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             value = file_cfg.get(flag.dest)
             if value is None:
                 continue
+            if flag.dest in _TEXT_KEYS and not isinstance(value, str):
+                raise ValueError(f"config key {flag.dest!r} must be {_TEXT_KEYS[flag.dest]}, "
+                                 f"got {value!r}")
             if flag.type in read:
                 file_cfg[flag.dest] = read[flag.type](value, flag.dest)
             if flag.choices and value not in flag.choices:
@@ -386,8 +395,6 @@ def _exact_else_sampled(cfg: dict, run):
 def _cmd_eval(cfg: dict):
     problem = _problem_from(cfg)
     text = cfg.get("bits")
-    if text is not None and not isinstance(text, str):  # a config file may give any JSON
-        raise ValueError(f"config key 'bits' must be a bit string, got {text!r}")
     if not text:
         raise ValueError("--bits is required")
     value = evaluate(problem, parse_bits(text, problem.n))
@@ -408,7 +415,7 @@ def _cmd_simulate(cfg: dict):
     decoder = map_decoder(table, energies, group) if cfg["decoder"] == "map" \
         else identity_decoder(table)
     row = None if cfg.get("input") is None else \
-        int(bits_to_index(parse_bits(str(cfg["input"]), problem.n)))
+        int(bits_to_index(parse_bits(cfg["input"], problem.n)))
 
     def run(mode):
         if row is None:

@@ -26,6 +26,17 @@ champion or descends on the identity-group objective, and compares both
 champions' profiles entry for entry; sampled mode estimates the per-input
 profiles on probe rows instead.
 
+When the truth table depends on the ones count alone (or, ue, parity,
+majority), the identity-group objective is unchanged by any permutation of
+the energies, so the descent's stack of moves from the uniform split (every
+move a rearrangement of the first) is scored by its first row, its value
+repeated: the rows agree up to rounding, far below the descent's 1e-10
+improvement threshold (IMPROVEMENT_EPS), so the walk takes the same first
+move or rejects the same stack, counts the same evaluations and prints the
+same bytes.  mobs(or, 10) hands the objective 88 rows instead of 7,564 and
+takes 0.09 s instead of 3.2 s; or 11 takes 0.2 s instead of 14 s (one BLAS
+thread, 2-vCPU VM).
+
 Metrics:
 
 * worst_correctness   -- worst-input wrong-output probability.
@@ -49,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import ResourceLimitError, as_rng
+from .bits import ResourceLimitError, as_rng, popcount_table
 from .noise import EnergyVector, energy_rows
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
@@ -365,6 +376,28 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
                          std_errors)
 
 
+def _counts_only(table) -> bool:
+    """Whether the truth table's output depends on the ones count alone."""
+    return bool(np.all(table.outputs == table.outputs[(1 << popcount_table(table.n)) - 1]))
+
+
+def _rearrangements_scored_once(objective):
+    """objective, but a stack whose rows are all rearrangements of its first
+    row is scored by that row alone, its value repeated for each row: the
+    identity-group objective of a table that depends on the ones count
+    alone (see the module docstring).  The first row's value is the one the
+    whole stack would give it, as a stack scores each row as it scores
+    alone."""
+    def score(rows):
+        if len(rows) > 1:
+            ordered = np.sort(rows, axis=1)
+            if (ordered == ordered[0]).all():
+                return np.repeat(objective(rows[:1]), len(rows))
+        return objective(rows)
+
+    return score
+
+
 def _sampled_outcome(problem, table, budget, bf_energies, metric, group, samples,
                      rng) -> BudgetOutcome:
     # sampled mode skips the descent (each objective evaluation would be an
@@ -438,6 +471,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
                                      f"kept loss matrix, not the {profile.__self__.kernel} kernel")
         if descend:
             objective = error_objective(problem, metric, identity, profile=profile)
+            if per_input and _counts_only(profile.__self__.table):
+                objective = _rearrangements_scored_once(objective)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:

@@ -96,6 +96,40 @@ def test_config_file_bits_must_be_a_bit_string(capsys, tmp_path, bits):
                                          f"got {bits!r}\n")
 
 
+# each text flag that is not a list key, with a run that reads it
+TEXT_KEY_RUNS = {
+    "table": (["eval", "--problem", "custom", "--bits", "01"], "a file path"),
+    "output": (["eval", "--problem", "or", "--n", "2", "--bits", "01"], "a file path"),
+    "input": (["simulate", "--problem", "or", "--n", "3", "--energies", "1,1,1"],
+              "a bit string"),
+    "bits": (["eval", "--problem", "or", "--n", "3"], "a bit string"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_KEY_RUNS))
+@pytest.mark.parametrize("value", [101, 7.5, True, [1, 0, 1], {"path": "x"}])
+def test_config_file_text_values_must_be_text(capsys, tmp_path, key, value):
+    # a JSON value that is not text is refused by its key, not read as the
+    # text it prints as (input 101 would run row 5) or handed to open()
+    argv, kind = TEXT_KEY_RUNS[key]
+    (tmp_path / "run.json").write_text(json.dumps({key: value}))
+    assert run(capsys, *argv, "--config", str(tmp_path / "run.json")) == \
+        (2, "", f"error: config key {key!r} must be {kind}, got {value!r}\n")
+
+
+def test_every_text_flag_is_text_or_a_list_key():
+    # a text flag added later must say whether a config file may list it
+    from inexact.cli import _TEXT_KEYS
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    text_flags = {action.dest for sub in commands.choices.values() for action in sub._actions
+                  if action.type is None and not action.choices and action.nargs is None
+                  and action.dest not in ("help", "config")}
+    list_keys = {"energies", "generators", "budgets", "sizes", "comparison_widths",
+                 "sorting_shapes"}
+    assert text_flags == set(_TEXT_KEYS) | list_keys
+
+
 @pytest.mark.parametrize("argv, named", [
     (["eval", "--problem", "comparison", "--k", "2", "--n", "6", "--bits", "0101"], "n=6"),
     (["eval", "--problem", "or", "--n", "3", "--width", "7", "--count", "3", "--bits", "010"],
@@ -510,6 +544,48 @@ PINNED_PRICES = {
 @pytest.mark.parametrize("price", sorted(PINNED_PRICES))
 def test_price_outputs_are_pinned(capsys, price):
     extra, digest = PINNED_PRICES[price]
+    code, out, _ = run(capsys, "mobs", *extra, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of JSON mobs outputs for or and ue at n = 10 and 11 under both
+# per-input metrics, recorded on the descent that scored every row of every
+# stack (up to about 15 s a run on a 2-vCPU VM).  Both tables depend on the
+# ones count alone, so the descent now scores a stack of rearrangements of
+# one row by that row, and each run takes under a second; the bytes must not
+# move.
+PINNED_SYMMETRIC_PRICES = {
+    "or-10-worst-correctness":
+        (("--problem", "or", "--n", "10", "--metric", "worst_correctness"),
+         "af5c92ae3e2cd778c7fb90f014eafd2da13f10d56eeceb484bf1c85a29c9380a"),
+    "or-10-expected-magnitude":
+        (("--problem", "or", "--n", "10", "--metric", "expected_magnitude"),
+         "483d684adaafd98df767ee96aec31c31f06eb02c42f9ab7e26a880dd033edc66"),
+    "or-11-worst-correctness":
+        (("--problem", "or", "--n", "11", "--metric", "worst_correctness"),
+         "9bff960b65ff0775b15c19cb844d2b607a1b70b49624fb4883ba757fe9593cea"),
+    "or-11-expected-magnitude":
+        (("--problem", "or", "--n", "11", "--metric", "expected_magnitude"),
+         "899c58afe452a0fcad05cc28c7ad602a01b8bb075d422ef623b2797c1d88f373"),
+    "ue-10-worst-correctness":
+        (("--problem", "ue", "--n", "10", "--metric", "worst_correctness"),
+         "11c279e958207fa25a5a81c740a97616398b87152899771350a6b17cb82e0fb0"),
+    "ue-10-expected-magnitude":
+        (("--problem", "ue", "--n", "10", "--metric", "expected_magnitude"),
+         "04f2499c40b7e6fb345482c0205aea8716b2c430f28adb93454b056fa99665e6"),
+    "ue-11-worst-correctness":
+        (("--problem", "ue", "--n", "11", "--metric", "worst_correctness"),
+         "e2ecd947305853ea5e467d20e85c1499a34934bab0e7a2f222264f95bc5b6587"),
+    "ue-11-expected-magnitude":
+        (("--problem", "ue", "--n", "11", "--metric", "expected_magnitude"),
+         "0edb928622331031a3f6ca8a5116e682ac93c56ee4adb68b4888cc840e84a5b4"),
+}
+
+
+@pytest.mark.parametrize("price", sorted(PINNED_SYMMETRIC_PRICES))
+def test_symmetric_price_outputs_are_pinned(capsys, price):
+    extra, digest = PINNED_SYMMETRIC_PRICES[price]
     code, out, _ = run(capsys, "mobs", *extra, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

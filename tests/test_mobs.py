@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from inexact.mobs import (
     sorting_mobs_bound,
     table2_rows,
 )
-from inexact.noise import energy_vector
+from inexact.noise import energy_rows, energy_vector
 from inexact.problems import (
     binary_evaluation,
     build_problem,
@@ -32,6 +33,7 @@ from inexact.problems import (
     or_problem,
     sorting_problem,
     tribes_problem,
+    truth_table,
     unary_evaluation,
 )
 
@@ -473,6 +475,105 @@ def test_a_repeated_seed_walks_once(monkeypatch):
     want = coordinate_descent(error_objective(problem), 10.5, 6, [uniform])
     assert got.evaluations == want.evaluations
     assert np.array_equal(got.energies.entries, want.energies.entries)
+
+
+def _unwrapped(monkeypatch):
+    """Make mobs descend on the plain objective, every row of every stack
+    scored: the reference walk."""
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "_rearrangements_scored_once", lambda objective: objective)
+
+
+def _rows_per_profile_call(monkeypatch) -> list:
+    """The number of energy rows each ErrorAnalysis.profile call gets, in
+    call order, from here on."""
+    calls = []
+    real = ErrorAnalysis.profile
+
+    def counting(self, energies, group):
+        calls.append(energy_rows(energies).shape[0])
+        return real(self, energies, group)
+
+    monkeypatch.setattr(ErrorAnalysis, "profile", counting)
+    return calls
+
+
+def _price_and_rows(problem, metric=None, group=None):
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _rows_per_profile_call(patch)
+        result = mobs(problem, metric=metric, group=group)
+    return json.dumps(result.to_json()), calls
+
+
+@pytest.mark.parametrize("kind", ["or", "ue"])
+@pytest.mark.parametrize("metric", ["worst_correctness", "expected_magnitude"])
+@pytest.mark.parametrize("group", [FullSymmetricGroup, IdentityGroup])
+def test_scoring_a_rearranged_stack_once_leaves_the_price_unchanged(monkeypatch, kind,
+                                                                    metric, group):
+    # or and ue depend on the ones count alone, so the clairvoyant descent
+    # scores a stack of rearrangements of one row by that row; the price must
+    # be the one the descent that scores every row finds, byte for byte
+    for n in range(2, 10):
+        problem = build_problem(kind, n)
+        got = json.dumps(mobs(problem, metric=metric, group=group(n)).to_json())
+        with monkeypatch.context() as patch:
+            _unwrapped(patch)
+            want = json.dumps(mobs(problem, metric=metric, group=group(n)).to_json())
+        assert got == want, (kind, n, metric, group.__name__)
+
+
+def test_a_count_symmetric_table_is_scored_one_row_per_call(monkeypatch):
+    # from the uniform split, or 8's descent rejects every move of all 21
+    # step sizes at each of the 4 default budgets: 56 rows a call before,
+    # one now (4 * (1 + 21 * 56) = 4,708 objective rows, plus one profile
+    # per side and budget)
+    price, calls = _price_and_rows(or_problem(8))
+    _unwrapped(monkeypatch)
+    full_price, full_calls = _price_and_rows(or_problem(8))
+    assert price == full_price
+    assert sum(full_calls) == 4_708 + 8
+    assert calls == [1] * len(full_calls)
+
+
+def test_rearranged_stacks_are_scored_once_only_for_count_symmetric_tables(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    pc = popcount_table(6)
+    # parity and majority, and a many-valued count table whose descent
+    # leaves the uniform split at budget 4, so later stacks mix rows
+    symmetric = [(custom_problem(pc % 2), None), (custom_problem((pc > 3).astype(int)), None),
+                 (custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)]),
+                  "expected_magnitude")]
+    asymmetric = [(binary_evaluation(6), "worst_correctness"), (tribes_problem(6, 2), None),
+                  (comparison_problem(3), "worst_correctness"),
+                  (custom_problem((np.arange(64) % 3 == 0).astype(int)), None)]
+    for problem, _ in symmetric + [(or_problem(5), None), (unary_evaluation(5), None)]:
+        assert mobs_module._counts_only(truth_table(problem)), problem.params
+    for problem, _ in asymmetric:
+        assert not mobs_module._counts_only(truth_table(problem)), problem.name
+    shortcut = [_price_and_rows(problem, metric) for problem, metric in symmetric + asymmetric]
+    _unwrapped(monkeypatch)
+    full = [_price_and_rows(problem, metric) for problem, metric in symmetric + asymmetric]
+    # the count-symmetric tables take the shortcut and price byte for byte
+    # the same
+    for (price, calls), (full_price, full_calls) in zip(shortcut, full[:len(symmetric)]):
+        assert price == full_price
+        assert len(calls) == len(full_calls) and sum(calls) < sum(full_calls)
+    moved = json.loads(full[2][0])["per_budget"][0]["cv_energies"]  # the many-valued table
+    assert np.ptp(moved) > 0.1
+    # the others hand the objective exactly the rows the unwrapped descent
+    # hands it
+    assert shortcut[len(symmetric):] == full[len(symmetric):]
+
+
+def test_only_a_stack_of_rearrangements_is_scored_once():
+    mobs_module = importlib.import_module("inexact.mobs")
+    scored = []
+    objective = mobs_module._rearrangements_scored_once(
+        _counting(error_objective(or_problem(3), "worst_correctness"), scored))
+    rows = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
+    assert np.array_equal(objective(rows), np.repeat(objective(rows[:1]), 3))
+    assert objective(np.vstack([rows, [[1.0, 1.0, 1.0]]])).shape == (4,)
+    assert scored == [1, 1, 4]
 
 
 def test_uniform_split_is_the_blindfolded_champion():
