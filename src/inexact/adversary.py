@@ -15,12 +15,15 @@ patterns from it, ``marginal`` gives each bit's flip probability,
 names the designer ("clairvoyant" or "blindfolded:<kind>").
 
 * identity   -- law: the channel's product over bits.  sampled: one
-                uniform per block of COIN_BLOCK_BITS bits, read through
+                64-bit word per block of COIN_BLOCK_BITS bits, read through
                 Walker's alias table of that block's own product law
                 (independent bits factorise over blocks), so a trial costs
-                n / COIN_BLOCK_BITS draws instead of n.  average: one call.
+                n / COIN_BLOCK_BITS draws instead of n.  The word's top w
+                bits pick the slot and an integer threshold per slot keeps
+                the slot or takes its alias, the decision a uniform of the
+                word's top 53 bits would make.  average: one call.
 * generated  -- law: the mean of the channel over the rewired flip vectors
-                q[sigma].  sampled: one element per trial, then one uniform
+                q[sigma].  sampled: one element per trial, then one word
                 per block read through that element's alias table of the
                 block law of q[sigma], as the identity group draws.  A
                 group needing more than ALIAS_ENTRIES_LIMIT table entries
@@ -66,12 +69,14 @@ from .noise import (EnergyVector, _flip_patterns, energy_rows, flip_probability,
 SYMMETRIC_ENUM_LIMIT = 9          # 9! = 362880 explicit elements
 GENERATED_ORDER_LIMIT = 1_000_000  # closure size guard
 EXACT_OPS_LIMIT = 50_000_000       # order * 2**n guard for generated averages
-UNRANK_LOW_BITS = 14               # symmetric draws gather their low bits from a table
-COIN_BLOCK_BITS = 8                # alias draws take one uniform per block of bits
+UNRANK_LOW_BITS = 16               # symmetric draws gather their low bits from a table
+COIN_BLOCK_BITS = 8                # alias draws take one 64-bit word per block of bits
 ALIAS_ENTRIES_LIMIT = 1 << 14      # generated groups past this many table entries draw coins
 _ROW_BLOCK = 1 << 18               # pattern entries per batch of rows x group elements
 _DRAW_CHUNK = 1 << 14              # trials per pass of a draw loop's arithmetic
 _GUIDE_BUCKETS = 1 << 12           # equal buckets of the uniform in a flip-count guide
+_UNIFORM_BITS = 53                 # the top bits of a 64-bit word that make a uniform double
+_WORD_SHIFT = np.uint64(64 - _UNIFORM_BITS)
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
@@ -136,22 +141,35 @@ def _alias_table(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_tables(rows: np.ndarray) -> list:
-    """(lo, w, prob, alias) for each block of COIN_BLOCK_BITS bits from bit
+    """(lo, w, limit, pick) for each block of COIN_BLOCK_BITS bits from bit
     lo, w bits wide: the alias tables of the block laws of the (E, n) flip
     vectors rows, laid end to end, row r's at [r * 2**w, (r + 1) * 2**w)
     with its aliases counted within it.  Rows that agree on a block share
-    one build."""
+    one build.
+
+    In integers, with f = _UNIFORM_BITS - w: slot s of a row keeps the 53-bit
+    draws k in [s * 2**f, limit[s]), limit[s] = s * 2**f + clip(ceil(prob[s]
+    * 2**f), 0, 2**f) as uint64, which is the float rule k * 2**-f - s <
+    prob[s] exactly (k * 2**-f - s is a whole multiple of 2**-f).  pick[2 *
+    at] is the alias of table entry at and pick[2 * at + 1] its slot, each
+    shifted to bit lo."""
     tables = []
     for lo in range(0, rows.shape[1], COIN_BLOCK_BITS):
         block = rows[:, lo:lo + COIN_BLOCK_BITS]
+        width = block.shape[1]
         laws = _flip_patterns(block)  # each row bit for bit its law alone
         keys = [r.tobytes() for r in block]
         built = {}
         for key, law in zip(keys, laws):
             if key not in built:
                 built[key] = _alias_table(law)
-        prob, alias = zip(*map(built.get, keys))
-        tables.append((lo, block.shape[1], np.concatenate(prob), np.concatenate(alias)))
+        prob, alias = (np.concatenate(a) for a in zip(*map(built.get, keys)))
+        f = _UNIFORM_BITS - width
+        slot = np.arange(prob.size, dtype=np.int64) & ((1 << width) - 1)
+        cut = np.clip(np.ceil(np.ldexp(prob, f)), 0.0, float(1 << f))
+        limit = (slot << f).astype(np.uint64) + cut.astype(np.uint64)
+        pick = np.stack([alias << lo, slot << lo], axis=1).ravel()
+        tables.append((lo, width, limit, pick))
     return tables
 
 
@@ -161,23 +179,25 @@ def _chunks(count: int):
 
 
 def _alias_draws(tables: list, element, count: int, rng) -> np.ndarray:
-    """count packed patterns: one uniform u per block and trial, all blocks'
-    drawn at once, read through the table of the trial's element (an
-    index array into the rows _block_tables took, or None for one row).
-    Slot floor(u * 2**w), and the fraction past it picks the slot or its
-    alias; both steps are exact."""
-    u = rng.random((len(tables), count))
+    """count packed patterns: one 64-bit word per block and trial, all
+    blocks' drawn at once, read through the table of the trial's element
+    (an index array into the rows _block_tables took, or None for one row).
+    The word's top 53 bits k are the uniform k * 2**-53 that rng.random
+    makes of it; k's top w bits pick the slot, and k < limit[slot] keeps
+    it, else its alias is taken."""
+    words = rng.integers(0, 1 << 64, size=(len(tables), count), dtype=np.uint64)
     d = np.zeros(count, dtype=np.int64)
     for span in _chunks(count):
         out = d[span]
-        for x, (lo, width, prob, alias) in zip(u[:, span], tables):
-            x *= 1 << width
-            slot = x.astype(np.int64)
-            x -= slot
-            at = slot if element is None else slot + (element[span] << width)
-            block = np.where(x < prob[at], slot, alias[at])
-            block <<= lo
-            out |= block
+        for k, (lo, width, limit, pick) in zip(words[:, span], tables):
+            np.right_shift(k, _WORD_SHIFT, out=k)
+            at = (k >> np.uint64(_UNIFORM_BITS - width)).view(np.int64)
+            if element is not None:
+                at += element[span] << width
+            keep = k < limit.take(at)
+            at <<= 1
+            at |= keep
+            out |= pick.take(at)
     return d
 
 
@@ -226,6 +246,14 @@ class PermutationGroup:
     perfbench/spans.py times.  law, sample_patterns and marginal take energy
     rows or flip vectors q = 2**-e of width n unchecked: the module's
     functions (average_pattern_probabilities, ...) check.
+
+    Alias draws (identity and generated groups) read a 64-bit word per block
+    and trial and decide slot or alias by an integer threshold per slot.
+    The words come from rng.integers over all 64 bits, the words rng.random
+    turns into doubles for a 64-bit bit generator (PCG64, SFC64, Philox),
+    so the draws are those the float rule makes of rng.random.  MT19937
+    builds a 64-bit word from two 32-bit outputs, so its stream differs
+    from the float rule's while its law does not.
     """
 
     kind: str

@@ -432,16 +432,17 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     average_pattern_probabilities gives exactly (group.sample_patterns:
     under the full symmetric group a flip count, read through a guide
     table of its cdf, and a uniform subset of that size, unranked above
-    the low 14 bits and gathered from a table below them; under the
-    identity group one uniform per block of 8 bits, read through the alias
-    table of that block's law; under a generated group an element, then
-    the same through that element's tables of the rewired law, or a coin
-    per rewired bit where its tables would pass
-    adversary.ALIAS_ENTRIES_LIMIT) and decodes the observed row i XOR d.
-    The flip vector is computed once and sampled _MC_BATCH draws at a
-    time, one rng call per batch whose arithmetic runs in cache-sized
-    chunks of trials; the group builds its tables once and keeps them for
-    the later batches and calls.
+    the low 16 bits and gathered from a table below them; under the
+    identity group a 64-bit word per block of 8 bits, read through the
+    alias table of that block's law by an integer threshold per slot;
+    under a generated group an element, then the same through that
+    element's tables of the rewired law, or a coin per rewired bit where
+    its tables would pass adversary.ALIAS_ENTRIES_LIMIT) and decodes the
+    observed row i XOR d.  The flip vector is computed once and sampled
+    _MC_BATCH draws at a time, one rng call per batch whose arithmetic runs
+    in cache-sized chunks of trials; the group builds its tables once and
+    keeps them for the later batches and calls.  Under the exact loss a
+    batch adds its count of wrong decodes to both sums.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
@@ -464,9 +465,16 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
     while done < samples:
         m = min(_MC_BATCH, samples - done)
         observed = np.int64(i) ^ group.sample_patterns(q, m, rng)
-        vals = loss_fn(decoder.decode_map[observed], truth)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
+        decoded = decoder.decode_map[observed]
+        if loss == "exact":
+            # a sum of 0/1 values is exact, so the count is the float sums' value
+            wrong = np.count_nonzero(decoded != truth)
+            total += wrong
+            total_sq += wrong
+        else:
+            vals = loss_fn(decoded, truth)
+            total += vals.sum()
+            total_sq += (vals * vals).sum()
         done += m
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)

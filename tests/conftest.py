@@ -72,8 +72,10 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
     draws an element (the identity group draws none), then each block of
     COIN_BLOCK_BITS bits takes one uniform per trial, block by block,
     looked up one at a time in the library's alias table of that element's
-    block law (tests/test_adversary.py checks each table's law against the
-    block's).  A larger generated group rewires the energies by a drawn
+    block law by the float rule (tests/test_adversary.py checks each
+    table's law against the block's).  The library decides in integers on
+    the 64-bit words rng.random turns into these uniforms, so the two agree
+    under any 64-bit bit generator.  A larger generated group rewires the energies by a drawn
     permutation and flips each bit against 2**-e."""
     from inexact import adversary
     from inexact.adversary import (COIN_BLOCK_BITS, FullSymmetricGroup, GeneratedGroup,

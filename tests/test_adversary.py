@@ -343,8 +343,12 @@ def test_guided_counts_are_the_searched_counts(name, q):
     IdentityGroup(13),
     FullSymmetricGroup(12),
     FullSymmetricGroup(16),
+    # above the unranking low width: one and two high bits walked
+    FullSymmetricGroup(17),
+    FullSymmetricGroup(18),
     GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]]),
-], ids=["identity-13", "symmetric-12", "symmetric-16", "rotations-13"])
+], ids=["identity-13", "symmetric-12", "symmetric-16", "symmetric-17", "symmetric-18",
+        "rotations-13"])
 def test_draws_do_not_depend_on_the_chunk(monkeypatch, group):
     # the rng calls take the whole batch; only the arithmetic after them is
     # chunked, so a chunk of 7 trials draws the same patterns as the default
@@ -356,13 +360,16 @@ def test_draws_do_not_depend_on_the_chunk(monkeypatch, group):
     assert np.array_equal(small, default)
 
 
-def _chi_square_p_value(group, ev):
+def _chi_square_p_value(group, ev, rng=None):
     """The chi-square p-value of 400,000 seeded draws of group's sampler
     against the exact law; the possible cells expecting fewer than 5 draws
-    are pooled into one.  Seeded, so the statistic is fixed."""
+    are pooled into one.  Seeded (by default PCG64 at 21), so the statistic
+    is fixed."""
     draws = 400_000
     expected = average_pattern_probabilities(group, ev) * draws
-    patterns = group.sample_patterns(flip_probability(ev), draws, np.random.default_rng(21))
+    if rng is None:
+        rng = np.random.default_rng(21)
+    patterns = group.sample_patterns(flip_probability(ev), draws, rng)
     observed = np.bincount(patterns, minlength=expected.size)
     assert observed.size == expected.size and observed.sum() == draws
     assert observed[expected == 0].sum() == 0
@@ -427,6 +434,17 @@ def test_generated_flip_patterns_follow_the_exact_law(monkeypatch, entries, coin
     assert _chi_square_p_value(_rotations(ev.n), ev) > 1e-3
 
 
+@pytest.mark.parametrize("kind", ["identity", "generated"])
+def test_mt19937_alias_draws_follow_the_exact_law(kind):
+    # MT19937 makes a 64-bit word of two 32-bit outputs and a double of 27
+    # and 26 bits of two more, so the alias draws do not read the bits its
+    # random() reads: the seeded stream is not the float rule's, the law is
+    ev = energy_vector(LAW_ENTRIES[1])
+    group = IdentityGroup(ev.n) if kind == "identity" else _rotations(ev.n)
+    rng = np.random.Generator(np.random.MT19937(21))
+    assert _chi_square_p_value(group, ev, rng) > 1e-3
+
+
 @pytest.mark.parametrize("coins", [False, True], ids=["tables", "coins"])
 @pytest.mark.parametrize("entries", IMPOSSIBLE_ENTRIES)
 def test_generated_sampler_never_draws_impossible_patterns(monkeypatch, entries, coins):
@@ -452,6 +470,75 @@ def test_alias_tables_carry_their_block_laws(width):
         # an impossible pattern keeps no part of its slot and is no alias
         assert (prob[law == 0.0] == 0.0).all()
         assert (law[alias[prob < 1.0]] > 0.0).all()
+
+
+class _GivenWords:
+    """A generator stand-in whose integers() hands out the given 64-bit
+    words, one block's worth, as the alias draws ask for them."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype, size) == (0, 1 << 64, np.uint64, (1, self.words.size))
+        return self.words.reshape(size).copy()
+
+
+def _threshold_flip_vectors():
+    """One-block flip vectors: random ones at several widths, then the edge
+    laws.  Outcomes of weight 0 keep no part of their slots (prob 0); a flat
+    law's slots all carry weight 1 exactly and are left over (prob 1.0)."""
+    rng = np.random.default_rng(34)
+    vectors = []
+    for width in (1, 2, 5, 8):
+        vectors += [rng.random(width), np.exp2(-rng.uniform(0.0, 12.0, width))]
+    return vectors + [np.array([0.0, 0.3, 1.0, 0.6]), np.full(8, 0.5),
+                      np.r_[1.0, np.zeros(7)]]
+
+
+@pytest.mark.parametrize("nudged", [False, True], ids=["vose", "rounded-past-the-ends"])
+def test_integer_thresholds_are_the_float_rule(monkeypatch, nudged):
+    # Vose's construction never leaves a weight below 0 or above 1 (from
+    # weights g >= 1 and s >= 0 the rounded g + s is >= 1), so the nudged
+    # case plants one a hair below 0 in slot 0 and one a hair above 1 in the
+    # last slot, to hold the clip: each limit must stay in its own slot's
+    # range, and slot 0's must not wrap around
+    if nudged:
+        real = adversary._alias_table
+
+        def rounded(law):
+            prob, alias = real(law)
+            prob[0], alias[0] = -2.0 ** -40, law.size - 1
+            prob[-1] = 1.0 + 2.0 ** -40
+            return prob, alias
+
+        monkeypatch.setattr(adversary, "_alias_table", rounded)
+    rng = np.random.default_rng(35)
+    for q in _threshold_flip_vectors():
+        width = q.size
+        f = 53 - width
+        (table,) = adversary._block_tables(q[None, :])
+        lo, w, limit, pick = table
+        assert (lo, w) == (0, width) and limit.dtype == np.uint64
+        prob, alias = adversary._alias_table(adversary._flip_patterns(q))
+        # every slot's threshold lies within the slot
+        base = [s << f for s in range(1 << width)]
+        assert all(b <= int(x) <= b + (1 << f) for b, x in zip(base, limit))
+        # per slot: the draws either side of its limit, its first and last
+        # 53-bit value, each under random low 11 bits and under both ends
+        high = []
+        for b, x in zip(base, limit.tolist()):
+            high += [k for k in (x - 1, x, b, b + (1 << f) - 1) if 0 <= k < 1 << 53]
+        words = [(k << 11) | int(low) for k in high
+                 for low in (0, 2047, *rng.integers(0, 2048, 2))]
+        got = adversary._alias_draws([table], None, len(words),
+                                     _GivenWords(np.array(words, dtype=np.uint64)))
+        want = []
+        for word in words:
+            x = (word >> 11) * 2.0 ** -53 * (1 << width)
+            slot = int(x)
+            want.append(slot if x - slot < prob[slot] else int(alias[slot]))
+        assert got.tolist() == want
 
 
 def test_dimension_mismatch_is_rejected():

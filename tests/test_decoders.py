@@ -664,7 +664,7 @@ def test_monte_carlo_determinism_and_validation():
     IdentityGroup(5),
     FullSymmetricGroup(5),
     GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
-    # above the unranking low width: a walk over the high bits, then the gather
+    # at the unranking low width: every bit gathered, no walk
     FullSymmetricGroup(15),
     FullSymmetricGroup(16),
     # two alias blocks, the second one short
@@ -672,9 +672,19 @@ def test_monte_carlo_determinism_and_validation():
     GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]]),
     # 16 elements times 2 * 2**8 table entries, past the patched cap: coins
     GeneratedGroup(16, [[(j + 1) % 16 for j in range(16)]]),
+    # above the unranking low width: a walk over one and two high bits,
+    # then the gather
+    FullSymmetricGroup(17),
+    FullSymmetricGroup(18),
 ])
 @pytest.mark.parametrize("loss", ["exact", "absolute"])
 def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
+    _check_per_batch_sampler(monkeypatch, group, loss, np.random.PCG64)
+
+
+def _check_per_batch_sampler(monkeypatch, group, loss, bit_generator):
+    """monte_carlo_error equals the brute per-batch sampler at ==, both
+    drawing from bit_generator seeded at 17."""
     # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
     monkeypatch.setattr(decoders, "_MC_BATCH", 333)
     monkeypatch.setattr(adversary, "ALIAS_ENTRIES_LIMIT", 4096)
@@ -687,11 +697,28 @@ def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
     entries = [0.0, 0.4, 1.3, 2.0, 3.7] if loss == "absolute" else [4.0, 2.5, 6.0, 3.3, 8.0]
     ev = energy_vector(np.resize(entries, n))
     for i in (0, 13, (1 << n) - 1):
-        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000, rng=17)
+        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000,
+                                rng=np.random.Generator(bit_generator(17)))
         want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
-                                       np.random.default_rng(17), 333)
+                                       np.random.Generator(bit_generator(17)), 333)
         assert got == want
         assert got[1] > 0.0  # the trials disagree
+
+
+# the integer alias draws read the 64-bit words every 64-bit bit generator's
+# random() reads, so they are the brute sampler's float rule for each
+@pytest.mark.parametrize("bit_generator", [np.random.SFC64, np.random.Philox],
+                         ids=["SFC64", "Philox"])
+@pytest.mark.parametrize("group", [
+    IdentityGroup(5),
+    GeneratedGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]),
+    IdentityGroup(13),
+    GeneratedGroup(13, [[(j + 1) % 13 for j in range(13)]]),
+])
+@pytest.mark.parametrize("loss", ["exact", "absolute"])
+def test_alias_draws_are_the_float_rule_of_every_64_bit_generator(monkeypatch, bit_generator,
+                                                                  group, loss):
+    _check_per_batch_sampler(monkeypatch, group, loss, bit_generator)
 
 
 @pytest.mark.parametrize("order, entries, built", [
