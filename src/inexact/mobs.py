@@ -2,15 +2,21 @@
 
 The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
-The blindfolded side always plays the uniform allocation (non-uniform
-vectors cannot improve any per-bit marginal once the adversary shuffles
-them).  The clairvoyant side plays the kind's closed-form allocation where
-that is the exact optimum (closed_form_champion: be under
-expected_magnitude, whose water-filled ramp minimizes its worst row), and
-is otherwise found by coordinate descent seeded with the uniform vector
-and that closed-form allocation.  Because the clairvoyant side is optimal
-or starts at the blindfolded champion's own vector, the ratio can never
-sit below 1 (up to descent tolerance).
+The blindfolded side always plays the uniform allocation.  That is an
+assumption, not a fact: that no other vector does better once the
+adversary shuffles it.  It fails for some many-valued tables that depend
+on the ones count alone, where the shuffled objective is lower off the
+uniform split (the strict xfail
+tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
+The clairvoyant side plays the kind's closed-form champion where one gives
+the optimum (closed_form_champion: be under expected_magnitude, whose
+water-filled ramp minimizes its worst row, and comparison under
+comparison_weighted, whose top-down equalizer holds every position's entry
+at one level), and is otherwise found by coordinate descent seeded with
+the uniform vector and the kind's analytic allocation.  Because the
+clairvoyant side is optimal or starts at the blindfolded champion's own
+vector, the ratio can never sit below 1 (up to descent tolerance and
+rounding).
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
@@ -56,12 +62,13 @@ decision comes from the most significant position that reads nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng, popcount_table
-from .noise import EnergyVector, energy_rows
+from .noise import EnergyVector, energy_rows, energy_vector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
                        sorting_problem, truth_table, unary_evaluation)
@@ -75,6 +82,7 @@ from .allocators import (
     analytic_allocation,
     coordinate_descent,
     uniform_allocation,
+    water_filled_ramp,
 )
 
 METRIC_KINDS = ("worst_correctness", "expected_magnitude",
@@ -159,6 +167,60 @@ def _comparison_weighted_error_direct(problem: BooleanProblem,
     A, B = _scan_terms(p)
     weights = np.exp2(np.arange(1, p.shape[-1] + 1)) - 1.0
     return weights * (A + B * p)
+
+
+def _equalized_pooled_sums(k: int, level: float) -> list[float] | None:
+    """The pooled sums s_j that hold every entry of
+    _comparison_weighted_error_direct at the level, set from the top
+    position down: p_j = 2**-s_j solves w_j * (A_j + B_j * p_j) = level
+    given the positions above, clipped to 1 (s_j = 0, its entry below the
+    level; B_j = 0 below such a position, which spends nothing either).
+    None where a sum leaves the float range (p_j underflows to 0)."""
+    sums = [0.0] * k
+    a, b = 0.0, 1.0
+    for j in range(k - 1, -1, -1):
+        # a <= level / w_{j+1} by the entry above, so the numerator is
+        # positive in exact arithmetic
+        p = 1.0 if b == 0.0 else min((level / ((2 << j) - 1) - a) / b, 1.0)
+        if not p > 0.0:
+            return None
+        sums[j] = 0.0 - math.log2(p)  # +0.0 at p = 1
+        a += b * p / 2.0
+        b *= 1.0 - p
+    return sums
+
+
+def equalized_comparison(k: int, budget: float) -> EnergyVector:
+    """Clairvoyant comparison_weighted champion at the budget, by top-down
+    equalization: bisect on the level until the pooled sums of
+    _equalized_pooled_sums spend the budget, and split each sum evenly
+    between the two operands' bits.
+
+    The top entry alone at the level costs log2(w_top / level), so the
+    level lies above w_top * 2**-(budget + 1), where that entry alone
+    overspends, and at most w_top, which spends nothing.  Bisection needs
+    the budget spent to fall as the level rises, which is checked
+    numerically, not proven.  The sums of the level returned are >= 0 and,
+    summed exactly, at most the budget.  Where the level needed leaves the float range (budgets of
+    about a thousand per position) the rule returns the uniform split, as
+    the descent did there: no float level tells the optimum apart.
+    """
+    top = float((2 << (k - 1)) - 1)
+    lo, hi = top * 2.0 ** -(budget + 1.0), top
+    best = [0.0] * k
+    while True:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        sums = _equalized_pooled_sums(k, mid)
+        if sums is not None and math.fsum(sums) <= budget:
+            hi, best = mid, sums
+        else:
+            lo = mid
+    if _equalized_pooled_sums(k, lo) is None:
+        return uniform_allocation(budget, 2 * k)
+    half = [s / 2.0 for s in best]
+    return energy_vector(half + half)
 
 
 def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
@@ -263,18 +325,28 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 # ---------------------------------------------------------------------------
 # the symmetry-price ratio
 
-def closed_form_champion(problem: BooleanProblem, metric: str | None = None) -> bool:
-    """Whether analytic_allocation is the exact clairvoyant optimum, so
-    exact mobs plays it with no descent.
+def closed_form_champion(problem: BooleanProblem, metric: str | None = None):
+    """The clairvoyant champion's allocation rule, budget -> EnergyVector,
+    where a closed form gives the optimum of the identity-group objective,
+    so exact mobs plays it with no descent; None where it descends.
 
-    True for be under expected_magnitude: read through the identity
-    decoder, row 0 is the worst row under any pattern law, and under the
-    identity group it errs sum_j 2**j * 2**-e_j, which water_filled_ramp
-    minimizes exactly on the budget simplex.
+    * be under expected_magnitude: read through the identity decoder, row 0
+      is the worst row under any pattern law, and under the identity group
+      it errs sum_j 2**j * 2**-e_j, which water_filled_ramp minimizes
+      exactly on the budget simplex.
+    * comparison under comparison_weighted: the metric reads the energies
+      only through the pooled sums, and equalized_comparison holds every
+      entry at one level from the top position down.  Optimal by numerical
+      evidence, not by proof: fine grid searches over the pooled sums and
+      many-seed descents on the 2k energies never beat it (tests/test_mobs.py).
     """
     if metric is None:
         metric = default_metric(problem)
-    return problem.kind == "be" and metric == "expected_magnitude"
+    if problem.kind == "be" and metric == "expected_magnitude":
+        return lambda budget: water_filled_ramp(problem.n, budget)
+    if problem.kind == "comparison" and metric == "comparison_weighted":
+        return lambda budget: equalized_comparison(problem.params["k"], budget)
+    return None
 
 
 def _ratio(bf: float, cv: float) -> float:
@@ -433,10 +505,10 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
 
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
     compare the scalar aggregates.  Exact mode enumerates: the clairvoyant
-    champion is the closed-form allocation where closed_form_champion holds
+    champion is closed_form_champion's allocation where it gives one
     (converged, with no search) and a coordinate descent from the uniform
-    and closed-form seeds otherwise, after the blindfolded side is scored and
-    only through a kept loss matrix (else ResourceLimitError).  Sampled mode
+    split and analytic_allocation otherwise, only through a kept loss
+    matrix for per-input metrics (else ResourceLimitError).  Sampled mode
     estimates per-input metrics only, on probe rows with standard errors.
     """
     if metric is None:
@@ -459,7 +531,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
     rng = as_rng(rng)
 
-    descend = not closed_form_champion(problem, metric)
+    champion = closed_form_champion(problem, metric)
+    descend = champion is None
     identity = IdentityGroup(problem.n)
     if sampled:
         table = truth_table(problem)
@@ -482,10 +555,12 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
                                              group, samples, rng))
             continue
         bf_rows = profile(energy_rows(bf_energies), group)[0]
-        cv_energies, converged = analytic_allocation(problem, budget), True
         if descend:
-            cv = coordinate_descent(objective, budget, problem.n, [bf_energies, cv_energies])
+            cv = coordinate_descent(objective, budget, problem.n,
+                                    [bf_energies, analytic_allocation(problem, budget)])
             cv_energies, converged = cv.energies, cv.converged
+        else:
+            cv_energies, converged = champion(budget), True
         outcomes.append(_outcome(budget, cv_energies, bf_energies,
                                  profile(energy_rows(cv_energies), identity)[0],
                                  bf_rows, converged, rows))

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -748,9 +749,109 @@ def test_mobs_plays_the_ramp_on_be_without_a_search(monkeypatch):
         mobs(binary_evaluation(4), [4.0], "worst_correctness")
 
 
+def _comparison_budgets(k):
+    return default_budget_grid(2 * k) + [k * (k + 1) / 2.0]
+
+
+def _pooled_objective(k):
+    # the comparison objective read through the k pooled sums, each split
+    # evenly between the operands' bits
+    objective = error_objective(comparison_problem(k), "comparison_weighted")
+    return lambda sums: objective(np.hstack([sums / 2.0, sums / 2.0]))
+
+
+def test_no_grid_point_beats_the_equalizer_on_comparison():
+    # the equalizer is backed numerically, not by proof: every point of a
+    # fine lattice over the pooled sums scores at least its value
+    for k, ticks in ((2, 4000), (3, 400)):
+        objective = error_objective(comparison_problem(k), "comparison_weighted")
+        for budget in _comparison_budgets(k):
+            champion = closed_form_champion(comparison_problem(k))(budget)
+            value = objective(champion.entries[None])[0]
+            found = grid_search(_pooled_objective(k), budget, k, budget / ticks)
+            assert found.objective_value >= value * (1 - 1e-12), \
+                (k, budget, found.energies.entries, found.objective_value, value)
+
+
+def test_no_descent_beats_the_equalizer_on_comparison():
+    # many-seed descents over all 2k energies, the equalizer among the seeds
+    rng = np.random.default_rng(35)
+    for k in range(1, 5):
+        n = 2 * k
+        problem = comparison_problem(k)
+        objective = error_objective(problem, "comparison_weighted")
+        for budget in _comparison_budgets(k):
+            champion = closed_form_champion(problem)(budget)
+            value = objective(champion.entries[None])[0]
+            seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget),
+                     champion]
+            seeds += [energy_vector(budget * rng.dirichlet(np.ones(n))) for _ in range(8)]
+            for seed in seeds:
+                found = coordinate_descent(objective, budget, n, [seed])
+                assert found.objective_value >= value * (1 - 1e-12), \
+                    (k, budget, seed.entries, found.objective_value, value)
+
+
+def test_the_equalizer_at_edge_budgets():
+    # past the float range (5000 spreads 625 to 2500 per position) every
+    # entry reads 0 or the level underflows; the price must not dip below 1
+    mobs_module = importlib.import_module("inexact.mobs")
+    for k in range(1, 5):
+        objective = error_objective(comparison_problem(k), "comparison_weighted")
+        for budget in (0.0, 0.25, 1.0, 2.0, 300.0, 1500.0, 5000.0):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                champion = closed_form_champion(comparison_problem(k))(budget)
+                result = mobs(comparison_problem(k), [budget])
+            entries = champion.entries
+            where = (k, budget)
+            assert entries.min() >= 0.0 and not np.signbit(entries).any(), where
+            assert math.fsum(entries) <= budget, where
+            assert math.fsum(entries) >= budget * (1 - 1e-12), where
+            assert np.array_equal(entries[:k], entries[k:]), where
+            outcome = result.outcomes[0]
+            assert np.array_equal(outcome.cv_energies.entries, entries), where
+            assert np.isfinite([outcome.cv_value, outcome.bf_value]).all(), where
+            assert outcome.quality_ratio >= 1 - 1e-12, where
+            assert outcome.cv_value == objective(entries[None])[0], where
+            if budget == 0.0:
+                # every read errs: each position below the top is reached
+                # with probability 0, and spends nothing
+                _, B = mobs_module._scan_terms(np.exp2(-(entries[:k] + entries[k:])))
+                assert (B[:-1] == 0.0).all() and (entries == 0.0).all(), where
+
+
+def test_the_equalizer_level_to_budget_map_never_rises():
+    # bisection on the level is sound only if the budget its sums spend
+    # never rises with the level
+    mobs_module = importlib.import_module("inexact.mobs")
+    for k in range(1, 9):
+        top = float((2 << (k - 1)) - 1)
+        levels = top * np.exp2(-np.linspace(80.0, 0.0, 20_001))
+        spent = [math.fsum(mobs_module._equalized_pooled_sums(k, float(t))) for t in levels]
+        assert (np.diff(spent) <= 0.0).all(), k
+        assert spent[-1] == 0.0 and spent[0] >= 80.0, k
+
+
+def test_mobs_plays_the_equalizer_on_comparison_without_a_search(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    for k in range(1, 7):
+        result = mobs(comparison_problem(k), _comparison_budgets(k))
+        assert result.converged
+        for outcome in result.outcomes:
+            want = mobs_module.equalized_comparison(k, outcome.budget).entries
+            assert np.array_equal(outcome.cv_energies.entries, want), (k, outcome.budget)
+    # other metrics on comparison problems keep their descent
+    assert closed_form_champion(comparison_problem(3), "worst_correctness") is None
+    with pytest.raises(AssertionError, match="the descent"):
+        mobs(comparison_problem(2), [3.0], "worst_correctness")
+
+
 def test_mobs_comparison_and_sorting_frozen_values():
+    # the equalized champion's exact ladder price 5*sqrt(2)/4: clairvoyant
+    # 0.6 against blindfolded 3*sqrt(2)/4
     comp = mobs(comparison_problem(2), budget_grid=[3.0])
-    assert comp.mobs == pytest.approx(1.76776686646, abs=1e-6)
+    assert comp.mobs == pytest.approx(5.0 * np.sqrt(2.0) / 4.0, abs=1e-12)
     assert comp.metric == "comparison_weighted"
     assert comp.outcomes[0].worst_input is None
 
