@@ -87,7 +87,7 @@ def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
     Used as a search seed: exact optimum for symmetric kinds and for the
     ramp objective, a scaled ladder otherwise.  For be it is also the
     clairvoyant champion itself: mobs plays the ramp with no search (see
-    mobs.closed_form_champion).
+    mobs.champion).
     """
     kind, n = problem.kind, problem.n
     if kind == "be":

@@ -8,15 +8,10 @@ adversary shuffles it.  It fails for some many-valued tables that depend
 on the ones count alone, where the shuffled objective is lower off the
 uniform split (the strict xfail
 tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
-The clairvoyant side plays the kind's closed-form champion where one gives
-the optimum (closed_form_champion: be under expected_magnitude, whose
-water-filled ramp minimizes its worst row, and comparison under
-comparison_weighted, whose top-down equalizer holds every position's entry
-at one level), and is otherwise found by coordinate descent seeded with
-the uniform vector and the kind's analytic allocation.  Because the
-clairvoyant side is optimal or starts at the blindfolded champion's own
-vector, the ratio can never sit below 1 (up to descent tolerance and
-rounding).
+The clairvoyant side plays champion's rule: a closed form where one gives
+the optimum, else a coordinate descent from the uniform vector and the
+kind's analytic allocation, so the ratio never sits below 1 (up to descent
+tolerance and rounding).
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
@@ -27,21 +22,8 @@ so a stack of K candidate moves costs K matrix-vector products behind one
 call), and one entry for the pair-weighted metrics (the worst position of
 their closed form, vectorized over the rows, averaged over the group's
 rewirings of each row).  Every search scores through error_objective, the
-worst entry of each row.  Per budget, exact mobs takes the closed-form
-champion or descends on the identity-group objective, and compares both
-champions' profiles entry for entry; sampled mode estimates the per-input
-profiles on probe rows instead.
-
-When the truth table depends on the ones count alone (or, ue, parity,
-majority), the identity-group objective is unchanged by any permutation of
-the energies, so the descent's stack of moves from the uniform split (every
-move a rearrangement of the first) is scored by its first row, its value
-repeated: the rows agree up to rounding, far below the descent's 1e-10
-improvement threshold (IMPROVEMENT_EPS), so the walk takes the same first
-move or rejects the same stack, counts the same evaluations and prints the
-same bytes.  mobs(or, 10) hands the objective 88 rows instead of 7,564 and
-takes 0.09 s instead of 3.2 s; or 11 takes 0.2 s instead of 14 s (one BLAS
-thread, 2-vCPU VM).
+worst entry of each row.  Exact mobs compares both champions' profiles
+entry for entry; sampled mode estimates them on probe rows instead.
 
 Metrics:
 
@@ -75,6 +57,7 @@ from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or
 from .decoders import (
     ErrorAnalysis,
     _check_scale,
+    _classes,
     identity_decoder,
     monte_carlo_error,
 )
@@ -200,10 +183,12 @@ def equalized_comparison(k: int, budget: float) -> EnergyVector:
     level lies above w_top * 2**-(budget + 1), where that entry alone
     overspends, and at most w_top, which spends nothing.  Bisection needs
     the budget spent to fall as the level rises, which is checked
-    numerically, not proven.  The sums of the level returned are >= 0 and,
-    summed exactly, at most the budget.  Where the level needed leaves the float range (budgets of
-    about a thousand per position) the rule returns the uniform split, as
-    the descent did there: no float level tells the optimum apart.
+    numerically, not proven.  The top position takes the ulps the float
+    level leaves unspent, unless adding them rounds over the budget, so the
+    sums are >= 0 and, summed exactly, at most the budget.  Where the level
+    needed leaves the float range (budgets of about a thousand per
+    position) the rule returns the uniform split, as the descent did there:
+    no float level tells the optimum apart.
     """
     top = float((2 << (k - 1)) - 1)
     lo, hi = top * 2.0 ** -(budget + 1.0), top
@@ -219,6 +204,8 @@ def equalized_comparison(k: int, budget: float) -> EnergyVector:
             lo = mid
     if _equalized_pooled_sums(k, lo) is None:
         return uniform_allocation(budget, 2 * k)
+    topped = best[:-1] + [best[-1] + max(budget - math.fsum(best), 0.0)]
+    best = topped if math.fsum(topped) <= budget else best
     half = [s / 2.0 for s in best]
     return energy_vector(half + half)
 
@@ -324,30 +311,6 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 
 # ---------------------------------------------------------------------------
 # the symmetry-price ratio
-
-def closed_form_champion(problem: BooleanProblem, metric: str | None = None):
-    """The clairvoyant champion's allocation rule, budget -> EnergyVector,
-    where a closed form gives the optimum of the identity-group objective,
-    so exact mobs plays it with no descent; None where it descends.
-
-    * be under expected_magnitude: read through the identity decoder, row 0
-      is the worst row under any pattern law, and under the identity group
-      it errs sum_j 2**j * 2**-e_j, which water_filled_ramp minimizes
-      exactly on the budget simplex.
-    * comparison under comparison_weighted: the metric reads the energies
-      only through the pooled sums, and equalized_comparison holds every
-      entry at one level from the top position down.  Optimal by numerical
-      evidence, not by proof: fine grid searches over the pooled sums and
-      many-seed descents on the 2k energies never beat it (tests/test_mobs.py).
-    """
-    if metric is None:
-        metric = default_metric(problem)
-    if problem.kind == "be" and metric == "expected_magnitude":
-        return lambda budget: water_filled_ramp(problem.n, budget)
-    if problem.kind == "comparison" and metric == "comparison_weighted":
-        return lambda budget: equalized_comparison(problem.params["k"], budget)
-    return None
-
 
 def _ratio(bf: float, cv: float) -> float:
     if cv == 0.0:
@@ -455,11 +418,13 @@ def _counts_only(table) -> bool:
 
 def _rearrangements_scored_once(objective):
     """objective, but a stack whose rows are all rearrangements of its first
-    row is scored by that row alone, its value repeated for each row: the
+    row is scored by that row alone, its value repeated: for the
     identity-group objective of a table that depends on the ones count
-    alone (see the module docstring).  The first row's value is the one the
-    whole stack would give it, as a stack scores each row as it scores
-    alone."""
+    alone (parity, majority; or and ue under expected_magnitude), which no
+    permutation of the energies changes.  The descent's stack of moves from
+    the uniform split is such a stack, its rows equal up to rounding far
+    below IMPROVEMENT_EPS, so the walk takes the same moves, counts the
+    same evaluations and prints the same bytes."""
     def score(rows):
         if len(rows) > 1:
             ordered = np.sort(rows, axis=1)
@@ -468,6 +433,58 @@ def _rearrangements_scored_once(objective):
         return objective(rows)
 
     return score
+
+
+def _has_lone_output(table) -> bool:
+    """Whether some output value comes from exactly one input row."""
+    return 1 in np.diff(_classes(table.outputs)[2], append=table.outputs.size)
+
+
+def champion(problem: BooleanProblem, metric: str, profile):
+    """Exact mobs' clairvoyant rule, budget -> (EnergyVector, converged),
+    given the metric's _profile_function; the first that applies:
+
+    * worst_correctness on a table with a lone output (a value exactly one
+      input row gives: or, ue, be, sorting): the uniform split, by proof.
+      Under any pattern law row i errs with probability
+      P{f(i ^ d) != f(i)} <= P{d != 0} = 1 - prod_j (1 - 2**-e_j), with
+      equality at the lone output's row.  sum_j log(1 - 2**-e_j) is
+      strictly concave and symmetric, so the uniform split is its exact
+      maximizer on the budget simplex.
+    * be under expected_magnitude: water_filled_ramp.  Row 0 is the worst
+      row; it errs sum_j 2**j * 2**-e_j, which the ramp minimizes exactly.
+    * comparison under comparison_weighted: equalized_comparison, optimal
+      by numerical evidence (tests/test_mobs.py), not by proof.
+    * otherwise a coordinate descent on the identity-group objective from
+      the uniform split and analytic_allocation.
+
+    A per-input closed form prices only through the kept loss matrix or the
+    ramp kernel (the xor kernel's rows carry transform noise), a descent
+    only through the matrix; elsewhere this raises ResourceLimitError.
+    """
+    n = problem.n
+    analysis = getattr(profile, "__self__", None)  # the per-input metrics' ErrorAnalysis
+    kernel = "matrix" if analysis is None else analysis.kernel
+    if kernel in ("matrix", "ramp"):
+        if metric == "worst_correctness" and _has_lone_output(analysis.table):
+            return lambda budget: (uniform_allocation(budget, n), True)
+        if problem.kind == "be" and metric == "expected_magnitude":
+            return lambda budget: (water_filled_ramp(n, budget), True)
+    if problem.kind == "comparison" and metric == "comparison_weighted":
+        return lambda budget: (equalized_comparison(problem.params["k"], budget), True)
+    if kernel != "matrix":
+        raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only "
+                                 f"through a kept loss matrix, not the {kernel} kernel")
+    objective = error_objective(problem, metric, IdentityGroup(n), profile=profile)
+    if analysis is not None and _counts_only(analysis.table):
+        objective = _rearrangements_scored_once(objective)
+
+    def descend(budget):
+        cv = coordinate_descent(objective, budget, n, [uniform_allocation(budget, n),
+                                                       analytic_allocation(problem, budget)])
+        return cv.energies, cv.converged
+
+    return descend
 
 
 def _sampled_outcome(problem, table, budget, bf_energies, metric, group, samples,
@@ -504,12 +521,9 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     """Price of blindfolding across a budget grid.
 
     Per-input metrics take the worst input-row ratio; pair-weighted metrics
-    compare the scalar aggregates.  Exact mode enumerates: the clairvoyant
-    champion is closed_form_champion's allocation where it gives one
-    (converged, with no search) and a coordinate descent from the uniform
-    split and analytic_allocation otherwise, only through a kept loss
-    matrix for per-input metrics (else ResourceLimitError).  Sampled mode
-    estimates per-input metrics only, on probe rows with standard errors.
+    compare the scalar aggregates.  Exact mode enumerates, the clairvoyant
+    side playing champion's rule.  Sampled mode estimates per-input metrics
+    only, on probe rows with standard errors.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -531,21 +545,12 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
     rng = as_rng(rng)
 
-    champion = closed_form_champion(problem, metric)
-    descend = champion is None
     identity = IdentityGroup(problem.n)
     if sampled:
         table = truth_table(problem)
     else:
         profile = _profile_function(problem, metric)
-        # profile is an ErrorAnalysis' method; only a kept loss matrix scores rows finely enough
-        if descend and per_input and profile.__self__.kernel != "matrix":
-            raise ResourceLimitError(f"exact mobs descends on {metric} only through a "
-                                     f"kept loss matrix, not the {profile.__self__.kernel} kernel")
-        if descend:
-            objective = error_objective(problem, metric, identity, profile=profile)
-            if per_input and _counts_only(profile.__self__.table):
-                objective = _rearrangements_scored_once(objective)
+        rule = champion(problem, metric, profile)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:
@@ -555,12 +560,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
                                              group, samples, rng))
             continue
         bf_rows = profile(energy_rows(bf_energies), group)[0]
-        if descend:
-            cv = coordinate_descent(objective, budget, problem.n,
-                                    [bf_energies, analytic_allocation(problem, budget)])
-            cv_energies, converged = cv.energies, cv.converged
-        else:
-            cv_energies, converged = champion(budget), True
+        cv_energies, converged = rule(budget)
         outcomes.append(_outcome(budget, cv_energies, bf_energies,
                                  profile(energy_rows(cv_energies), identity)[0],
                                  bf_rows, converged, rows))

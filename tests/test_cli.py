@@ -846,7 +846,7 @@ def test_removed_names_are_gone():
                          ("problems", "unpack_sorting_output"),
                          ("allocators", "staircase_allocation"),
                          ("allocators", "comparison_allocation"),
-                         ("mobs", "be_analytic_bounds")):
+                         ("mobs", "be_analytic_bounds"), ("mobs", "closed_form_champion")):
         assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
     package = importlib.import_module("inexact")
     assert not hasattr(package.EnergyVector, "permuted")
@@ -889,19 +889,21 @@ def test_auto_monte_carlo_report_guard_exits_3(capsys):
 
 
 def test_auto_mode_prices_be_exactly_up_to_the_decode_limit(capsys):
-    # be's clairvoyant champion is closed form, so without --mode its price
-    # is exact through n = 14; other metrics, and be past 14 bits, keep
-    # Monte Carlo above n = 10
-    code, out, _ = run(capsys, "mobs", "--problem", "be", "--n", "12", "--format", "csv")
-    assert code == 0
-    comments, header, lines = csv_body(out)
-    assert lines == ["be,12,9.15597515287,exact"]
-    assert '"mode":"exact"' in comments[2]
-    for extra in (("--n", "12", "--metric", "worst_correctness"), ("--n", "15")):
-        code, out, _ = run(capsys, "mobs", "--problem", "be", *extra, "--samples", "200",
-                           "--format", "csv")
+    # be's clairvoyant champion is closed form under both per-input metrics
+    # (the ramp, and the uniform split, every output being lone), so without
+    # --mode its price is exact through n = 14; be past 14 bits keeps Monte
+    # Carlo
+    for extra, want in ((("--n", "12"), "be,12,9.15597515287,exact"),
+                        (("--n", "12", "--metric", "worst_correctness"), "be,12,1,exact")):
+        code, out, _ = run(capsys, "mobs", "--problem", "be", *extra, "--format", "csv")
         assert code == 0
-        assert csv_body(out)[2][0].endswith(",monte_carlo"), extra
+        comments, header, lines = csv_body(out)
+        assert lines == [want]
+        assert '"mode":"exact"' in comments[2]
+    code, out, _ = run(capsys, "mobs", "--problem", "be", "--n", "15", "--samples", "200",
+                       "--format", "csv")
+    assert code == 0
+    assert csv_body(out)[2][0].endswith(",monte_carlo")
 
 
 @pytest.mark.parametrize("n", ["11", "12"])

@@ -15,7 +15,7 @@ from inexact.bits import ResourceLimitError, popcount_table
 from inexact.decoders import ErrorAnalysis, error_profile, map_decoder
 from inexact.mobs import (
     aggregate_error,
-    closed_form_champion,
+    champion,
     comparison_wrong_probability,
     default_budget_grid,
     default_metric,
@@ -39,6 +39,13 @@ from inexact.problems import (
 )
 
 from conftest import brute_descent, brute_pair_wrong, one_row_at_a_time
+
+
+def _rule(problem, metric=None):
+    """champion's rule for the problem under the metric (its default if None)."""
+    metric = metric or default_metric(problem)
+    profile = importlib.import_module("inexact.mobs")._profile_function(problem, metric)
+    return champion(problem, metric, profile)
 
 
 def test_default_metric_and_grid():
@@ -288,8 +295,10 @@ def test_champions():
 def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch):
     # the clairvoyant search mobs runs scores through one shared truth table
     # and loss matrix; it must take exactly the path of a search that calls
-    # aggregate_error each time (be under expected_magnitude takes its
-    # champion in closed form, so be descends here under worst_correctness)
+    # aggregate_error each time (or, ue and be under worst_correctness and
+    # be under expected_magnitude take their champions in closed form, so
+    # or and ue descend here under expected_magnitude, and comparison,
+    # whose walk leaves the uniform split, under worst_correctness)
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
 
@@ -299,9 +308,10 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
         return result
 
     monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
-    cases = [(build_problem(kind, n), None) for kind in ("or", "ue") for n in (4, 5, 6)]
+    cases = [(build_problem(kind, n), "expected_magnitude") for kind in ("or", "ue")
+             for n in (4, 5, 6)]
     cases += [(tribes_problem(n), None) for n in (4, 6)]
-    cases += [(binary_evaluation(n), "worst_correctness") for n in (4, 5, 6)]
+    cases += [(comparison_problem(k), "worst_correctness") for k in (2, 3)]
     for problem, metric in cases:
         n = problem.n
         group = IdentityGroup(n)
@@ -458,8 +468,8 @@ def test_descent_walks_exactly_as_one_move_at_a_time():
 
 
 def test_a_repeated_seed_walks_once(monkeypatch):
-    # or's closed-form seed is the uniform split, so mobs's search walks
-    # one descent, not the same descent twice
+    # or's closed-form seed is the uniform split, so mobs's search under
+    # expected_magnitude walks one descent, not the same descent twice
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
 
@@ -471,9 +481,10 @@ def test_a_repeated_seed_walks_once(monkeypatch):
     problem = or_problem(6)
     uniform = uniform_allocation(10.5, 6)
     assert np.array_equal(analytic_allocation(problem, 10.5).entries, uniform.entries)
-    mobs(problem, [10.5])
+    mobs(problem, [10.5], "expected_magnitude")
     (got,) = searches
-    want = coordinate_descent(error_objective(problem), 10.5, 6, [uniform])
+    want = coordinate_descent(error_objective(problem, "expected_magnitude"), 10.5, 6,
+                              [uniform])
     assert got.evaluations == want.evaluations
     assert np.array_equal(got.energies.entries, want.energies.entries)
 
@@ -524,13 +535,13 @@ def test_scoring_a_rearranged_stack_once_leaves_the_price_unchanged(monkeypatch,
 
 
 def test_a_count_symmetric_table_is_scored_one_row_per_call(monkeypatch):
-    # from the uniform split, or 8's descent rejects every move of all 21
-    # step sizes at each of the 4 default budgets: 56 rows a call before,
-    # one now (4 * (1 + 21 * 56) = 4,708 objective rows, plus one profile
-    # per side and budget)
-    price, calls = _price_and_rows(or_problem(8))
+    # from the uniform split, or 8's descent under expected_magnitude
+    # rejects every move of all 21 step sizes at each of the 4 default
+    # budgets: 56 rows a call before, one now (4 * (1 + 21 * 56) = 4,708
+    # objective rows, plus one profile per side and budget)
+    price, calls = _price_and_rows(or_problem(8), "expected_magnitude")
     _unwrapped(monkeypatch)
-    full_price, full_calls = _price_and_rows(or_problem(8))
+    full_price, full_calls = _price_and_rows(or_problem(8), "expected_magnitude")
     assert price == full_price
     assert sum(full_calls) == 4_708 + 8
     assert calls == [1] * len(full_calls)
@@ -716,7 +727,6 @@ def test_no_descent_beats_the_ramp_on_be():
     rng = np.random.default_rng(22)
     for n in range(2, 9):
         be = binary_evaluation(n)
-        assert closed_form_champion(be)
         objective = error_objective(be, "expected_magnitude", IdentityGroup(n))
         for budget in default_budget_grid(n):
             ramp = water_filled_ramp(n, budget)
@@ -742,11 +752,86 @@ def test_mobs_plays_the_ramp_on_be_without_a_search(monkeypatch):
         for outcome in result.outcomes:
             want = water_filled_ramp(n, outcome.budget).entries
             assert np.array_equal(outcome.cv_energies.entries, want), (n, outcome.budget)
-    # every other (problem, metric) pair keeps its descent
-    assert not closed_form_champion(binary_evaluation(4), "worst_correctness")
-    assert not closed_form_champion(or_problem(4), "expected_magnitude")
+    # or under expected_magnitude keeps its descent
     with pytest.raises(AssertionError, match="no descent"):
-        mobs(binary_evaluation(4), [4.0], "worst_correctness")
+        mobs(or_problem(4), [4.0], "expected_magnitude")
+
+
+def _lone_output_tables(n, seed):
+    """Tables of n bits with a lone output (a value exactly one input row
+    gives): or, ue, be, sorting 2x2 at n = 4, and three seeded random
+    custom tables, each with one row's value made unique."""
+    rng = np.random.default_rng(seed)
+    tables = [build_problem(kind, n) for kind in ("or", "ue", "be")]
+    tables += [sorting_problem(2, 2)] if n == 4 else []
+    for _ in range(3):
+        outputs = rng.integers(0, 3, size=1 << n)
+        outputs[rng.integers(1 << n)] = 3
+        tables.append(custom_problem(outputs))
+    return tables
+
+
+def test_no_grid_point_beats_the_uniform_split_on_a_lone_output_table():
+    # the uniform split is the worst_correctness champion by proof (see
+    # mobs.champion); a lattice over the whole budget simplex checks it
+    for n, ticks in ((2, 400), (3, 90), (4, 36)):
+        for problem in _lone_output_tables(n, seed=n):
+            objective = error_objective(problem, "worst_correctness")
+            for budget in default_budget_grid(n):
+                value = objective(uniform_allocation(budget, n).entries[None])[0]
+                found = grid_search(objective, budget, n, budget / ticks)
+                assert found.objective_value >= value * (1 - 1e-12), \
+                    (problem.name, n, budget, found.energies.entries)
+
+
+def test_no_descent_beats_the_uniform_split_on_a_lone_output_table():
+    rng = np.random.default_rng(36)
+    for n in (5, 6):
+        for problem in _lone_output_tables(n, seed=n):
+            objective = error_objective(problem, "worst_correctness")
+            for budget in default_budget_grid(n):
+                value = objective(uniform_allocation(budget, n).entries[None])[0]
+                for _ in range(6):
+                    seed = energy_vector(budget * rng.dirichlet(np.ones(n)))
+                    found = coordinate_descent(objective, budget, n, [seed])
+                    assert found.objective_value >= value * (1 - 1e-12), \
+                        (problem.name, n, budget, seed.entries, found.objective_value)
+
+
+def test_mobs_plays_the_uniform_split_on_a_lone_output_table_without_a_search(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    cases = [(problem, group) for n in range(2, 9) for problem in _lone_output_tables(n, n)
+             for group in (FullSymmetricGroup(n), IdentityGroup(n))]
+    for problem, group in cases:
+        assert mobs_module._has_lone_output(truth_table(problem)), problem.name
+        result = mobs(problem, metric="worst_correctness", group=group)
+        assert result.converged
+        for outcome in result.outcomes:
+            want = uniform_allocation(outcome.budget, problem.n).entries
+            assert np.array_equal(outcome.cv_energies.entries, want), \
+                (problem.name, outcome.budget)
+        # both sides play the uniform split, whose law no rewiring changes
+        assert result.mobs == pytest.approx(1.0, abs=1e-12), (problem.name, group.kind)
+
+
+def test_tables_without_a_lone_output_still_descend(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    searches = []
+
+    def recording(fn, budget, n, seeds):
+        searches.append(coordinate_descent(fn, budget, n, seeds))
+        return searches[-1]
+
+    monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
+    parity = custom_problem(popcount_table(4) % 2)
+    for problem in (tribes_problem(4), tribes_problem(6), parity, comparison_problem(2)):
+        assert not mobs_module._has_lone_output(truth_table(problem)), problem.name
+        searches.clear()
+        result = mobs(problem, [float(problem.n), 2.0 * problem.n], "worst_correctness")
+        assert len(searches) == 2, problem.name
+        for outcome, search in zip(result.outcomes, searches):
+            assert np.array_equal(outcome.cv_energies.entries, search.energies.entries)
 
 
 def _comparison_budgets(k):
@@ -766,7 +851,7 @@ def test_no_grid_point_beats_the_equalizer_on_comparison():
     for k, ticks in ((2, 4000), (3, 400)):
         objective = error_objective(comparison_problem(k), "comparison_weighted")
         for budget in _comparison_budgets(k):
-            champion = closed_form_champion(comparison_problem(k))(budget)
+            champion, _ = _rule(comparison_problem(k))(budget)
             value = objective(champion.entries[None])[0]
             found = grid_search(_pooled_objective(k), budget, k, budget / ticks)
             assert found.objective_value >= value * (1 - 1e-12), \
@@ -781,7 +866,7 @@ def test_no_descent_beats_the_equalizer_on_comparison():
         problem = comparison_problem(k)
         objective = error_objective(problem, "comparison_weighted")
         for budget in _comparison_budgets(k):
-            champion = closed_form_champion(problem)(budget)
+            champion, _ = _rule(problem)(budget)
             value = objective(champion.entries[None])[0]
             seeds = [uniform_allocation(budget, n), analytic_allocation(problem, budget),
                      champion]
@@ -800,10 +885,11 @@ def test_the_equalizer_at_edge_budgets():
         objective = error_objective(comparison_problem(k), "comparison_weighted")
         for budget in (0.0, 0.25, 1.0, 2.0, 300.0, 1500.0, 5000.0):
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                champion = closed_form_champion(comparison_problem(k))(budget)
+                champion, converged = _rule(comparison_problem(k))(budget)
                 result = mobs(comparison_problem(k), [budget])
             entries = champion.entries
             where = (k, budget)
+            assert converged, where
             assert entries.min() >= 0.0 and not np.signbit(entries).any(), where
             assert math.fsum(entries) <= budget, where
             assert math.fsum(entries) >= budget * (1 - 1e-12), where
@@ -818,6 +904,29 @@ def test_the_equalizer_at_edge_budgets():
                 # with probability 0, and spends nothing
                 _, B = mobs_module._scan_terms(np.exp2(-(entries[:k] + entries[k:])))
                 assert (B[:-1] == 0.0).all() and (entries == 0.0).all(), where
+
+
+def test_the_equalizer_spends_at_most_the_budget_up_to_k_8():
+    # the top position takes what the bisection's level leaves unspent, but
+    # never so much that the sums, added exactly, pass the budget
+    for k in range(1, 9):
+        budgets = _comparison_budgets(k) + [0.0, 0.1, 0.25, 0.3, 1.0, 2.0, 7.7, 300.0,
+                                            1500.0, 5000.0]
+        for budget in budgets:
+            entries = _rule(comparison_problem(k))(budget)[0].entries
+            assert math.fsum(entries) <= budget, (k, budget)
+            assert math.fsum(entries) >= budget * (1 - 1e-12), (k, budget)
+
+
+def test_one_position_comparison_prices_exactly_one():
+    # at k = 1 the equalizer and the uniform split pool the same sum, so the
+    # price is 1 to the last bit; the bisection's level alone left the
+    # pooled sum 0.2499999999999999 and both ratios 0.9999999999999999
+    result = mobs(comparison_problem(1), [0.25])
+    (outcome,) = result.outcomes
+    assert np.array_equal(outcome.cv_energies.entries, [0.125, 0.125])
+    assert outcome.error_ratio == outcome.quality_ratio == 1.0
+    assert result.mobs == 1.0
 
 
 def test_the_equalizer_level_to_budget_map_never_rises():
@@ -842,7 +951,6 @@ def test_mobs_plays_the_equalizer_on_comparison_without_a_search(monkeypatch):
             want = mobs_module.equalized_comparison(k, outcome.budget).entries
             assert np.array_equal(outcome.cv_energies.entries, want), (k, outcome.budget)
     # other metrics on comparison problems keep their descent
-    assert closed_form_champion(comparison_problem(3), "worst_correctness") is None
     with pytest.raises(AssertionError, match="the descent"):
         mobs(comparison_problem(2), [3.0], "worst_correctness")
 
@@ -953,17 +1061,21 @@ def _refusing(what):
 
 
 def test_exact_mobs_refuses_a_descent_without_the_loss_matrix(monkeypatch):
-    # past 11 bits a per-input analysis keeps no loss matrix, and a descent on
-    # the transform's rows would compare rounding noise; mobs refuses up
-    # front, before any profile or descent
+    # past 11 bits a per-input analysis keeps no loss matrix, and the xor
+    # transform's rows carry rounding noise, too coarse for a descent or a
+    # closed form's price; mobs refuses up front, before any profile or
+    # descent.  be under worst_correctness needs no descent (every output
+    # is lone) and the ramp kernel scores it exactly, so it prices 1.
     mobs_module = importlib.import_module("inexact.mobs")
     monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
-    monkeypatch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
-    for problem in (or_problem(12), unary_evaluation(12), tribes_problem(12, 2)):
-        with pytest.raises(ResourceLimitError, match="kept loss matrix"):
-            mobs(problem, mode="exact")
-    with pytest.raises(ResourceLimitError, match="kept loss matrix"):
-        mobs(binary_evaluation(12), [39.0], "worst_correctness")
+    with monkeypatch.context() as patch:
+        patch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
+        for problem in (or_problem(12), unary_evaluation(12), tribes_problem(12, 2)):
+            with pytest.raises(ResourceLimitError, match="kept loss matrix"):
+                mobs(problem, mode="exact")
+    result = mobs(binary_evaluation(12), [39.0], "worst_correctness")
+    assert result.mode == "exact" and result.converged
+    assert result.csv_row() == "be,12,1,exact"
 
 
 def test_exact_mobs_scores_the_blindfolded_side_before_any_descent(monkeypatch):
