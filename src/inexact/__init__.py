@@ -55,7 +55,7 @@ from .allocators import (
     sorting_allocation,
     ue_variance,
     uniform_allocation,
-    water_filled_ramp,
+    water_fill,
 )
 from .mobs import (
     METRIC_KINDS,

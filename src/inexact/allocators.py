@@ -3,10 +3,10 @@
 Closed-form allocations:
 
 * uniform            -- E/n everywhere; the blindfolded workhorse.
-* water-filled ramp  -- e_j = max(0, j + c) with c set so the total is E,
-                        the exact minimizer of sum_j 2**j * 2**-e_j under a
-                        budget.  The staircase e_j = j + 1 is the ramp at
-                        its canonical budget: water_filled_ramp(n, n(n+1)/2).
+* water fill         -- e_j = max(0, l_j + c), c set so the total is E: the
+                        exact minimizer of sum_j 2**(l_j - e_j) under a
+                        budget.  be's ramp is the fill of l_j = j; the
+                        staircase e_j = j + 1 is the ramp at budget n(n+1)/2.
 * sorting ladder     -- every number's bits of position j get (j+1)/2 each
                         (an interpretation: nothing pins down the split
                         across numbers, so all numbers are treated alike).
@@ -57,23 +57,22 @@ def sorting_allocation(count: int, width: int) -> EnergyVector:
     return energy_vector(np.tile(half, count))
 
 
-def water_filled_ramp(n: int, budget: float) -> EnergyVector:
-    """Minimizer of sum_j 2**j * 2**-e_j subject to the budget.
-
-    The unconstrained optimum is e_j = j + c; entries that would go
-    negative clamp to 0 and the offset rebalances over the rest.
-    """
-    if n < 1 or budget < 0:
-        raise ValueError("need n >= 1 and budget >= 0")
-    j = np.arange(n, dtype=np.float64)
+def water_fill(levels, budget: float) -> EnergyVector:
+    """Minimizer of sum_j 2**(levels[j] - e_j) subject to the budget:
+    e_j = levels[j] + c, where entries that would go negative clamp to 0
+    and c rebalances over the rest.  Levels come in any order (sorted
+    stably here); a linear table's champion fills log2 of its weights."""
+    n = np.size(levels)
+    if n < 1 or not budget >= 0:  # false on NaN too
+        raise ValueError("need at least one level and budget >= 0")
+    order = np.argsort(levels, kind="stable")
+    j = np.asarray(levels, dtype=np.float64)[order]
     for t in range(n):
         c = (budget - j[t:].sum()) / (n - t)
-        if t + c >= 0:
-            e = np.maximum(j + c, 0.0)
-            e[:t] = 0.0
-            return energy_vector(e)
+        if j[t] + c >= 0:  # by t = n - 1 at the latest, where it reads budget >= 0
+            break
     e = np.zeros(n)
-    e[-1] = budget
+    e[order[t:]] = j[t:] + c  # each >= j[t] + c >= 0
     return energy_vector(e)
 
 
@@ -84,14 +83,13 @@ def _scaled(base: EnergyVector, budget: float) -> EnergyVector:
 def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
     """Kind-appropriate closed-form allocation at the given budget.
 
-    Used as a search seed: exact optimum for symmetric kinds and for the
-    ramp objective, a scaled ladder otherwise.  For be it is also the
-    clairvoyant champion itself: mobs plays the ramp with no search (see
-    mobs.champion).
+    Used as a search seed and as sampled mobs' clairvoyant side.  Exact
+    mobs needs no seed where the truth table has a closed form (be's ramp
+    among them), keyed on the table, not the kind (see mobs.champion).
     """
     kind, n = problem.kind, problem.n
     if kind == "be":
-        return water_filled_ramp(n, budget)
+        return water_fill(np.arange(n, dtype=np.float64), budget)
     if kind == "comparison":
         return _scaled(sorting_allocation(2, problem.params["k"]), budget)
     if kind == "sorting":

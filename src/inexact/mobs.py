@@ -2,11 +2,15 @@
 
 The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
-The blindfolded side always plays the uniform allocation.  That is an
-assumption, not a fact: that no other vector does better once the
-adversary shuffles it.  It fails for some many-valued tables that depend
-on the ones count alone, where the shuffled objective is lower off the
-uniform split (the strict xfail
+The blindfolded side always plays the uniform allocation.  For a table
+champion prices by a per-input proof, that proof makes it the blindfolded
+optimum too: under S_n each bit flips with marginal mean(q), q = 2**-e, so
+a lone-output table read right or wrong errs 1 - prod_j (1 - q_j) on its
+worst row and a linear table sum_j w_j * mean(q), both least at the uniform
+split.  Elsewhere it is an assumption, not a fact: that no other vector
+does better once the adversary shuffles it.  It fails for some many-valued
+tables that depend on the ones count alone (which descend), where the
+shuffled objective is lower off the uniform split (the strict xfail
 tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
 The clairvoyant side plays champion's rule: a closed form where one gives
 the optimum, else a coordinate descent from the uniform vector and the
@@ -61,12 +65,7 @@ from .decoders import (
     identity_decoder,
     monte_carlo_error,
 )
-from .allocators import (
-    analytic_allocation,
-    coordinate_descent,
-    uniform_allocation,
-    water_filled_ramp,
-)
+from .allocators import analytic_allocation, coordinate_descent, uniform_allocation, water_fill
 
 METRIC_KINDS = ("worst_correctness", "expected_magnitude",
                 "comparison_weighted", "sorting_weighted")
@@ -420,11 +419,11 @@ def _rearrangements_scored_once(objective):
     """objective, but a stack whose rows are all rearrangements of its first
     row is scored by that row alone, its value repeated: for the
     identity-group objective of a table that depends on the ones count
-    alone (parity, majority; or and ue under expected_magnitude), which no
-    permutation of the energies changes.  The descent's stack of moves from
-    the uniform split is such a stack, its rows equal up to rounding far
-    below IMPROVEMENT_EPS, so the walk takes the same moves, counts the
-    same evaluations and prints the same bytes."""
+    alone and descends (parity, majority, many-valued ones-count tables),
+    which no permutation of the energies changes.  The descent's stack of
+    moves from the uniform split is such a stack, its rows equal up to
+    rounding far below IMPROVEMENT_EPS, so the walk takes the same moves,
+    counts the same evaluations and prints the same bytes."""
     def score(rows):
         if len(rows) > 1:
             ordered = np.sort(rows, axis=1)
@@ -440,19 +439,33 @@ def _has_lone_output(table) -> bool:
     return 1 in np.diff(_classes(table.outputs)[2], append=table.outputs.size)
 
 
+def _linear_levels(table):
+    """log2 w if outputs(i) = outputs(0) + sum_j w_j bit_j(i), every w_j > 0
+    (rows [2**j, 2**(j+1)) are rows [0, 2**j) plus w_j), else None."""
+    out = table.outputs
+    w = out[1 << np.arange(table.n)] - out[0]
+    steps = (np.array_equal(out[1 << j:2 << j], out[:1 << j] + w[j]) for j in range(table.n))
+    return np.log2(w) if (w > 0).all() and all(steps) else None
+
+
 def champion(problem: BooleanProblem, metric: str, profile):
     """Exact mobs' clairvoyant rule, budget -> (EnergyVector, converged),
     given the metric's _profile_function; the first that applies:
 
-    * worst_correctness on a table with a lone output (a value exactly one
-      input row gives: or, ue, be, sorting): the uniform split, by proof.
-      Under any pattern law row i errs with probability
-      P{f(i ^ d) != f(i)} <= P{d != 0} = 1 - prod_j (1 - 2**-e_j), with
-      equality at the lone output's row.  sum_j log(1 - 2**-e_j) is
-      strictly concave and symmetric, so the uniform split is its exact
-      maximizer on the budget simplex.
-    * be under expected_magnitude: water_filled_ramp.  Row 0 is the worst
-      row; it errs sum_j 2**j * 2**-e_j, which the ramp minimizes exactly.
+    * a table with a lone output (a value exactly one input row gives: or,
+      ue, be, sorting) read right or wrong (worst_correctness, or
+      expected_magnitude on 0/1 outputs, where |a - b| = 1[a != b]): the
+      uniform split, by proof.  Under any pattern law row i errs with
+      probability P{f(i ^ d) != f(i)} <= P{d != 0} = 1 - prod_j (1 - 2**-e_j),
+      with equality at the lone output's row, and sum_j log(1 - 2**-e_j) is
+      strictly concave and symmetric, so the uniform split maximizes it.
+    * a linear table, f(i) = f(0) + sum_j w_j bit_j(i) with every w_j > 0
+      (be: w_j = 2**j; ue: w_j = 1), under expected_magnitude:
+      water_fill(log2 w), by proof.  |f(i ^ d) - f(i)| = |sum_j w_j s_j d_j|
+      <= sum_j w_j d_j (s_j = 1 - 2 bit_j(i)), equal at row 0, so under any
+      pattern law row 0 is the worst row and errs sum_j w_j m_j, m_j bit j's
+      marginal flip probability: under the identity group sum_j w_j 2**-e_j,
+      strictly convex and least exactly at e_j = max(0, log2 w_j + c).
     * comparison under comparison_weighted: equalized_comparison, optimal
       by numerical evidence (tests/test_mobs.py), not by proof.
     * otherwise a coordinate descent on the identity-group objective from
@@ -465,11 +478,14 @@ def champion(problem: BooleanProblem, metric: str, profile):
     n = problem.n
     analysis = getattr(profile, "__self__", None)  # the per-input metrics' ErrorAnalysis
     kernel = "matrix" if analysis is None else analysis.kernel
-    if kernel in ("matrix", "ramp"):
-        if metric == "worst_correctness" and _has_lone_output(analysis.table):
+    if analysis is not None and kernel in ("matrix", "ramp"):
+        outputs = analysis.table.outputs
+        right_or_wrong = metric == "worst_correctness" or np.array_equal(outputs & 1, outputs)
+        if right_or_wrong and _has_lone_output(analysis.table):
             return lambda budget: (uniform_allocation(budget, n), True)
-        if problem.kind == "be" and metric == "expected_magnitude":
-            return lambda budget: (water_filled_ramp(n, budget), True)
+        levels = _linear_levels(analysis.table)
+        if levels is not None:  # expected_magnitude, since linear tables have a lone output
+            return lambda budget: (water_fill(levels, budget), True)
     if problem.kind == "comparison" and metric == "comparison_weighted":
         return lambda budget: (equalized_comparison(problem.params["k"], budget), True)
     if kernel != "matrix":

@@ -37,7 +37,7 @@ from inexact import (
     truth_table,
     ue_variance,
     uniform_allocation,
-    water_filled_ramp,
+    water_fill,
 )
 from inexact.allocators import coordinate_descent, grid_search
 from inexact.cli import main
@@ -133,7 +133,7 @@ def test_criterion_4_be_analytic_values(capsys):
         problem = binary_evaluation(n)
         decoder = identity_decoder(problem)
         group = IdentityGroup(n)
-        ramp = error_profile(problem, water_filled_ramp(n, n * (n + 1) / 2), group,
+        ramp = error_profile(problem, water_fill(np.arange(n), n * (n + 1) / 2), group,
                              decoder, "absolute").max()
         assert abs(ramp - n / 2.0) <= 1e-9
         flat = uniform_allocation(n * (n + 1) / 2.0, n)

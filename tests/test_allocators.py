@@ -12,7 +12,7 @@ from inexact.allocators import (
     sorting_allocation,
     ue_variance,
     uniform_allocation,
-    water_filled_ramp,
+    water_fill,
 )
 from inexact.bits import ResourceLimitError
 from inexact.mobs import error_objective
@@ -24,7 +24,16 @@ from inexact.problems import binary_evaluation, comparison_problem, or_problem, 
 def ramp_cost(entries) -> float:
     # what the water-filled ramp minimizes
     e = np.asarray(entries, dtype=np.float64)
-    return float(np.sum(np.exp2(np.arange(e.size) - e)))
+    return level_cost(np.arange(e.size), e)
+
+
+def level_cost(levels, entries) -> float:
+    # what water_fill(levels, budget) minimizes
+    return float(np.sum(np.exp2(np.asarray(levels) - np.asarray(entries))))
+
+
+def ramp(n: int, budget: float):
+    return water_fill(np.arange(n, dtype=np.float64), budget)
 
 
 def test_uniform_allocation():
@@ -39,11 +48,11 @@ def test_uniform_allocation():
 
 def test_staircase_allocation():
     # the staircase e_j = j + 1 is the ramp at its canonical budget n(n+1)/2
-    ev = water_filled_ramp(3, 6)
+    ev = ramp(3, 6)
     assert ev.entries.tolist() == [1.0, 2.0, 3.0]
     assert ev.budget == 6.0
     with pytest.raises(ValueError):
-        water_filled_ramp(0, 0)
+        water_fill([], 0)
 
 
 def test_comparison_allocation():
@@ -71,29 +80,82 @@ def test_sorting_allocation():
 
 def test_water_filled_ramp_equals_staircase_at_its_budget():
     for n in (1, 3, 6):
-        ramp = water_filled_ramp(n, n * (n + 1) / 2)
-        assert np.allclose(ramp.entries, np.arange(1, n + 1), atol=1e-12)
+        staircase = ramp(n, n * (n + 1) / 2)
+        assert np.allclose(staircase.entries, np.arange(1, n + 1), atol=1e-12)
 
 
 def test_water_filled_ramp_clamps_small_budgets():
-    ev = water_filled_ramp(3, 0.5)
+    ev = ramp(3, 0.5)
     assert np.allclose(ev.entries, [0.0, 0.0, 0.5], atol=1e-12)
-    assert water_filled_ramp(2, 0.0).entries.tolist() == [0.0, 0.0]
+    assert ramp(2, 0.0).entries.tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
-        water_filled_ramp(0, 1.0)
-    with pytest.raises(ValueError):
-        water_filled_ramp(2, -1.0)
+        water_fill([], 1.0)
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ramp(2, budget)
+
+
+def _staircase_ramp(n: int, budget: float) -> np.ndarray:
+    """Reference ramp written for the levels 0..n-1 alone: e_j = max(0, j + c),
+    c spread over j = t..n-1 for the first t that fits."""
+    j = np.arange(n, dtype=np.float64)
+    for t in range(n):
+        c = (budget - j[t:].sum()) / (n - t)
+        if t + c >= 0:
+            e = np.maximum(j + c, 0.0)
+            e[:t] = 0.0
+            return e
+
+
+def test_water_fill_of_the_positions_is_the_ramp_byte_for_byte():
+    for n in range(1, 17):
+        for budget in (0.0, 0.5, float(n), n * (n + 1) / 2):
+            got = water_fill(np.arange(n, dtype=np.float64), budget).entries
+            assert got.tobytes() == _staircase_ramp(n, budget).tobytes(), (n, budget)
+
+
+def test_water_fill_takes_its_levels_in_any_order():
+    # a permutation of the levels permutes the fill and nothing else, ties
+    # included (the levels are sorted stably)
+    assert water_fill([2.0, 0.0, 1.0], 6.0).entries.tolist() == [3.0, 1.0, 2.0]
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 5, 9):
+        levels = np.round(rng.normal(0.0, 2.0, n), 1)
+        levels[0] = levels[-1]
+        for budget in (0.0, 0.3, float(n), 4.0 * n):
+            fill = water_fill(levels, budget).entries
+            perm = rng.permutation(n)
+            assert np.array_equal(water_fill(levels[perm], budget).entries, fill[perm])
+            assert fill.sum() == pytest.approx(budget, abs=1e-9)
+            # the optimality conditions: e_j - l_j is one offset c on the
+            # filled entries and at least c on the empty ones
+            gap, filled = fill - levels, fill > 0
+            if filled.any():
+                assert np.ptp(gap[filled]) <= 1e-9
+                assert (gap[~filled] >= gap[filled].max() - 1e-9).all()
+
+
+@given(st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=6),
+       st.floats(0.0, 30.0, allow_nan=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_water_fill_beats_random_feasible_vectors(levels, budget, data):
+    fill = water_fill(levels, budget)
+    assert fill.budget == pytest.approx(budget, abs=1e-9)
+    weights = data.draw(st.lists(st.floats(0.01, 1.0, allow_nan=False),
+                                 min_size=len(levels), max_size=len(levels)))
+    rival = np.array(weights) * (budget / np.sum(weights))
+    assert level_cost(levels, fill.entries) <= level_cost(levels, rival) * (1 + 1e-12) + 1e-9
 
 
 @given(st.integers(1, 6), st.floats(0.0, 30.0, allow_nan=False), st.data())
 @settings(max_examples=60, deadline=None)
 def test_water_filled_ramp_beats_random_feasible_vectors(n, budget, data):
-    ramp = water_filled_ramp(n, budget)
-    assert ramp.budget == pytest.approx(budget, abs=1e-9)
+    fill = ramp(n, budget)
+    assert fill.budget == pytest.approx(budget, abs=1e-9)
     weights = data.draw(st.lists(st.floats(0.01, 1.0, allow_nan=False),
                                  min_size=n, max_size=n))
     rival = np.array(weights) * (budget / np.sum(weights))
-    assert ramp_cost(ramp.entries) <= ramp_cost(rival) + 1e-9
+    assert ramp_cost(fill.entries) <= ramp_cost(rival) + 1e-9
 
 
 def test_analytic_allocation_kinds():
@@ -227,8 +289,8 @@ def be_asymmetry_factor(n: int) -> float:
     dec = identity_decoder(be)
     g = IdentityGroup(n)
     flat = error_profile(be, uniform_allocation(budget, n), g, dec, "absolute").max()
-    ramp = error_profile(be, water_filled_ramp(n, budget), g, dec, "absolute").max()
-    return flat / ramp
+    steep = error_profile(be, ramp(n, budget), g, dec, "absolute").max()
+    return flat / steep
 
 
 def test_be_ramp_beats_uniform_increasingly():

@@ -846,12 +846,14 @@ def test_removed_names_are_gone():
                          ("problems", "unpack_sorting_output"),
                          ("allocators", "staircase_allocation"),
                          ("allocators", "comparison_allocation"),
-                         ("mobs", "be_analytic_bounds"), ("mobs", "closed_form_champion")):
+                         ("mobs", "be_analytic_bounds"), ("mobs", "closed_form_champion"),
+                         ("allocators", "water_filled_ramp")):
         assert not hasattr(importlib.import_module(f"inexact.{module}"), name), name
     package = importlib.import_module("inexact")
     assert not hasattr(package.EnergyVector, "permuted")
     for name in ("sample_observation", "observation_distribution", "optimize_allocation",
-                 "staircase_allocation", "comparison_allocation", "be_analytic_bounds"):
+                 "staircase_allocation", "comparison_allocation", "be_analytic_bounds",
+                 "water_filled_ramp"):
         assert not hasattr(package, name), name
     assert not hasattr(package.TruthTable, "output")
     assert not hasattr(package.Decoder, "decode")

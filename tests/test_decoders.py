@@ -13,7 +13,7 @@ import inexact.adversary as adversary
 import inexact.decoders as decoders
 
 from inexact.adversary import FullSymmetricGroup, GeneratedGroup, IdentityGroup
-from inexact.allocators import water_filled_ramp
+from inexact.allocators import water_fill
 from inexact.bits import ResourceLimitError, bits_to_index, parse_bits
 from inexact.decoders import (
     Decoder,
@@ -500,7 +500,7 @@ def test_expected_magnitude_examples():
     # 2**-(j+1); the all-zeros input has no cancellation, totalling n/2
     for n in (2, 5, 8):
         be = binary_evaluation(n)
-        ev = water_filled_ramp(n, n * (n + 1) / 2)
+        ev = water_fill(np.arange(n), n * (n + 1) / 2)
         dec = identity_decoder(be)
         worst = error_profile(be, ev, IdentityGroup(n), dec, "absolute").max()
         assert worst == pytest.approx(n / 2, abs=1e-9)

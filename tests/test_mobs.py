@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from inexact.adversary import SYMMETRIC_ENUM_LIMIT, FullSymmetricGroup, GeneratedGroup, \
     IdentityGroup, average_pattern_probabilities
 from inexact.allocators import analytic_allocation, coordinate_descent, grid_search, \
-    sorting_allocation, ue_variance, uniform_allocation, water_filled_ramp
+    sorting_allocation, ue_variance, uniform_allocation, water_fill
 from inexact.bits import ResourceLimitError, popcount_table
 from inexact.decoders import ErrorAnalysis, error_profile, map_decoder
 from inexact.mobs import (
@@ -208,7 +208,7 @@ def test_quality_examples():
     # quality is the reciprocal of the aggregate error
     n = 4
     be = binary_evaluation(n)
-    assert 1.0 / aggregate_error(be, water_filled_ramp(n, n * (n + 1) / 2)) == \
+    assert 1.0 / aggregate_error(be, water_fill(np.arange(n), n * (n + 1) / 2)) == \
         pytest.approx(2.0 / n, rel=1e-9)
     # noiseless play: energies high enough that 2**-e underflows to exactly 0
     comp = comparison_problem(1)
@@ -295,9 +295,8 @@ def test_champions():
 def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch):
     # the clairvoyant search mobs runs scores through one shared truth table
     # and loss matrix; it must take exactly the path of a search that calls
-    # aggregate_error each time (or, ue and be under worst_correctness and
-    # be under expected_magnitude take their champions in closed form, so
-    # or and ue descend here under expected_magnitude, and comparison,
+    # aggregate_error each time (or, ue and be take their champions in
+    # closed form, so parity and majority descend here, and comparison,
     # whose walk leaves the uniform split, under worst_correctness)
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
@@ -308,8 +307,8 @@ def test_descent_through_the_shared_analysis_matches_aggregate_error(monkeypatch
         return result
 
     monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
-    cases = [(build_problem(kind, n), "expected_magnitude") for kind in ("or", "ue")
-             for n in (4, 5, 6)]
+    cases = [(problem, metric) for n in (4, 5, 6) for problem, metric in
+             zip(_ones_count_tables(n).values(), ("worst_correctness", "expected_magnitude"))]
     cases += [(tribes_problem(n), None) for n in (4, 6)]
     cases += [(comparison_problem(k), "worst_correctness") for k in (2, 3)]
     for problem, metric in cases:
@@ -468,8 +467,8 @@ def test_descent_walks_exactly_as_one_move_at_a_time():
 
 
 def test_a_repeated_seed_walks_once(monkeypatch):
-    # or's closed-form seed is the uniform split, so mobs's search under
-    # expected_magnitude walks one descent, not the same descent twice
+    # a custom table's closed-form seed is the uniform split, so mobs's
+    # search on parity walks one descent, not the same descent twice
     mobs_module = importlib.import_module("inexact.mobs")
     searches = []
 
@@ -478,7 +477,7 @@ def test_a_repeated_seed_walks_once(monkeypatch):
         return searches[-1]
 
     monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
-    problem = or_problem(6)
+    problem = custom_problem(popcount_table(6) % 2)
     uniform = uniform_allocation(10.5, 6)
     assert np.array_equal(analytic_allocation(problem, 10.5).entries, uniform.entries)
     mobs(problem, [10.5], "expected_magnitude")
@@ -517,31 +516,57 @@ def _price_and_rows(problem, metric=None, group=None):
     return json.dumps(result.to_json()), calls
 
 
-@pytest.mark.parametrize("kind", ["or", "ue"])
-@pytest.mark.parametrize("metric", ["worst_correctness", "expected_magnitude"])
+def _ones_count_tables(n):
+    """Parity and majority of n bits: 0/1 tables of the ones count alone
+    with no lone output (n >= 3), so they descend under both per-input
+    metrics."""
+    pc = popcount_table(n)
+    return {"parity": custom_problem(pc % 2),
+            "majority": custom_problem((2 * pc > n).astype(np.int64))}
+
+
+@pytest.mark.parametrize("metric, tables", [
+    (metric, tables) for metric in ("worst_correctness", "expected_magnitude")
+    for tables in ("parity", "majority", "many_valued")
+    if metric == "expected_magnitude" or tables != "many_valued"])
 @pytest.mark.parametrize("group", [FullSymmetricGroup, IdentityGroup])
-def test_scoring_a_rearranged_stack_once_leaves_the_price_unchanged(monkeypatch, kind,
-                                                                    metric, group):
-    # or and ue depend on the ones count alone, so the clairvoyant descent
-    # scores a stack of rearrangements of one row by that row; the price must
-    # be the one the descent that scores every row finds, byte for byte
-    for n in range(2, 10):
-        problem = build_problem(kind, n)
+def test_scoring_a_rearranged_stack_once_leaves_the_price_unchanged(monkeypatch, group,
+                                                                    metric, tables):
+    # these tables depend on the ones count alone, so the clairvoyant
+    # descent scores a stack of rearrangements of one row by that row; the
+    # price must be the one the descent that scores every row finds, byte
+    # for byte
+    mobs_module = importlib.import_module("inexact.mobs")
+    if tables == "many_valued":
+        # its descent under expected_magnitude leaves the uniform split;
+        # under worst_correctness its lone output takes the closed form
+        problems = [custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)])]
+    else:
+        problems = [_ones_count_tables(n)[tables] for n in range(3, 10)]
+    wrapped = []
+    real = mobs_module._rearrangements_scored_once
+    monkeypatch.setattr(mobs_module, "_rearrangements_scored_once",
+                        lambda objective: wrapped.append(1) or real(objective))
+    for problem in problems:
+        n = problem.n
         got = json.dumps(mobs(problem, metric=metric, group=group(n)).to_json())
         with monkeypatch.context() as patch:
             _unwrapped(patch)
             want = json.dumps(mobs(problem, metric=metric, group=group(n)).to_json())
-        assert got == want, (kind, n, metric, group.__name__)
+        assert got == want, (tables, n, metric, group.__name__)
+    # every table reached the shortcut, none a closed form
+    assert len(wrapped) == len(problems)
 
 
 def test_a_count_symmetric_table_is_scored_one_row_per_call(monkeypatch):
-    # from the uniform split, or 8's descent under expected_magnitude
+    # from the uniform split, parity 8's descent under expected_magnitude
     # rejects every move of all 21 step sizes at each of the 4 default
-    # budgets: 56 rows a call before, one now (4 * (1 + 21 * 56) = 4,708
-    # objective rows, plus one profile per side and budget)
-    price, calls = _price_and_rows(or_problem(8), "expected_magnitude")
+    # budgets: 56 rows a call unwrapped, one wrapped (4 * (1 + 21 * 56) =
+    # 4,708 objective rows, plus one profile per side and budget)
+    parity = custom_problem(popcount_table(8) % 2)
+    price, calls = _price_and_rows(parity, "expected_magnitude")
     _unwrapped(monkeypatch)
-    full_price, full_calls = _price_and_rows(or_problem(8), "expected_magnitude")
+    full_price, full_calls = _price_and_rows(parity, "expected_magnitude")
     assert price == full_price
     assert sum(full_calls) == 4_708 + 8
     assert calls == [1] * len(full_calls)
@@ -591,18 +616,25 @@ def test_only_a_stack_of_rearrangements_is_scored_once():
 def test_uniform_split_is_the_blindfolded_champion():
     # mobs plays the uniform split on the blindfolded side without searching;
     # no random split of the same budget may do better under the full group
+    # (a fact, by champion's proofs, for the seeded lone-output tables under
+    # worst_correctness and the linear ones under expected_magnitude)
     rng = np.random.default_rng(2017)
-    cases = [(kind, n) for kind in ("be", "or", "ue") for n in (2, 3, 4)]
-    cases += [("tribes", 2), ("tribes", 4)]
-    for kind, n in cases:
-        problem = build_problem(kind, n)
-        group = FullSymmetricGroup(n)
+    cases = [(build_problem(kind, n), None) for kind in ("be", "or", "ue") for n in (2, 3, 4)]
+    cases += [(tribes_problem(2), None), (tribes_problem(4), None)]
+    for n in (2, 3, 4):
+        cases += [(problem, "worst_correctness") for problem in _lone_output_tables(n, n)
+                  if problem.kind == "custom"]
+        cases += [(problem, "expected_magnitude") for problem, _ in _linear_tables(n, n)
+                  if problem.kind == "custom"]
+    for problem, metric in cases:
+        n = problem.n
+        objective = error_objective(problem, metric, FullSymmetricGroup(n))
         for budget in default_budget_grid(n):
-            floor = aggregate_error(problem, uniform_allocation(budget, n), group)
-            for _ in range(100):
-                draw = energy_vector(budget * rng.dirichlet(np.ones(n)))
-                assert aggregate_error(problem, draw, group) >= floor - 1e-12, \
-                    (kind, n, budget, draw.entries)
+            floor = objective(uniform_allocation(budget, n).entries[None])[0]
+            draws = budget * rng.dirichlet(np.ones(n), size=100)
+            values = objective(draws)
+            assert (values >= floor - 1e-12).all(), \
+                (problem.name, n, budget, draws[np.argmin(values)])
 
 
 def test_descent_finds_nothing_below_the_uniform_split():
@@ -615,7 +647,7 @@ def test_descent_finds_nothing_below_the_uniform_split():
             objective = error_objective(problem, None, FullSymmetricGroup(n))
             for budget in default_budget_grid(n):
                 floor = objective(uniform_allocation(budget, n).entries[None, :])[0]
-                seeds = [water_filled_ramp(n, budget)]
+                seeds = [water_fill(np.arange(n), budget)]
                 seeds += [energy_vector(budget * rng.dirichlet(np.full(n, 0.5)))
                           for _ in range(3)]
                 result = coordinate_descent(objective, budget, n, seeds)
@@ -723,13 +755,14 @@ def test_mobs_be_first_exact_price_above_11_bits():
 
 def test_no_descent_beats_the_ramp_on_be():
     # the closed-form be champion: many-seed descents on the identity-group
-    # objective never find a better point than water_filled_ramp
+    # objective never find a better point than the ramp, the water fill of
+    # the bit positions
     rng = np.random.default_rng(22)
     for n in range(2, 9):
         be = binary_evaluation(n)
         objective = error_objective(be, "expected_magnitude", IdentityGroup(n))
         for budget in default_budget_grid(n):
-            ramp = water_filled_ramp(n, budget)
+            ramp = water_fill(np.arange(n), budget)
             seeds = [uniform_allocation(budget, n), ramp]
             seeds += [energy_vector(budget * rng.dirichlet(np.ones(n))) for _ in range(8)]
             ramp_value = objective(ramp.entries[None])[0]
@@ -741,20 +774,126 @@ def test_no_descent_beats_the_ramp_on_be():
 
 def test_mobs_plays_the_ramp_on_be_without_a_search(monkeypatch):
     mobs_module = importlib.import_module("inexact.mobs")
-
-    def refusing(*args, **kwargs):
-        raise AssertionError("be under expected_magnitude needs no descent")
-
-    monkeypatch.setattr(mobs_module, "coordinate_descent", refusing)
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
     for n in range(2, 11):
         result = mobs(binary_evaluation(n))
         assert result.converged
         for outcome in result.outcomes:
-            want = water_filled_ramp(n, outcome.budget).entries
+            want = water_fill(np.arange(n), outcome.budget).entries
             assert np.array_equal(outcome.cv_energies.entries, want), (n, outcome.budget)
-    # or under expected_magnitude keeps its descent
-    with pytest.raises(AssertionError, match="no descent"):
-        mobs(or_problem(4), [4.0], "expected_magnitude")
+    # or (a 0/1 table with a lone output) and ue (linear, every weight 1)
+    # take the uniform split under expected_magnitude too
+    for problem in (or_problem(4), unary_evaluation(4)):
+        result = mobs(problem, [4.0, 9.0], "expected_magnitude")
+        for outcome in result.outcomes:
+            want = uniform_allocation(outcome.budget, 4).entries
+            assert np.array_equal(outcome.cv_energies.entries, want), problem.name
+    # parity keeps its descent
+    with pytest.raises(AssertionError, match="the descent ran"):
+        mobs(custom_problem(popcount_table(4) % 2), [4.0], "expected_magnitude")
+
+
+def _linear_tables(n, seed):
+    """(problem, weights) for ue, be and three seeded random linear tables
+    of n bits, outputs(i) = offset + sum_j w_j bit_j(i), the weights
+    positive and in no order, the offset of either sign."""
+    rng = np.random.default_rng(seed)
+    tables = [(unary_evaluation(n), np.ones(n)), (binary_evaluation(n), np.exp2(np.arange(n)))]
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    for _ in range(3):
+        weights = rng.integers(1, 40, size=n)
+        tables.append((custom_problem(int(rng.integers(-9, 10)) + bits @ weights), weights))
+    return tables
+
+
+def test_linear_tables_are_read_as_their_weights():
+    mobs_module = importlib.import_module("inexact.mobs")
+    for n in range(1, 9):
+        for problem, weights in _linear_tables(n, seed=n):
+            levels = mobs_module._linear_levels(truth_table(problem))
+            assert np.array_equal(levels, np.log2(weights)), (problem.name, n)
+    for problem in _near_linear_tables() + [custom_problem(popcount_table(4) % 2)]:
+        assert mobs_module._linear_levels(truth_table(problem)) is None, problem.params
+
+
+def _near_linear_tables():
+    """Tables of 4 bits one step from linear: weights (3, 1, 4, 2) with one
+    entry raised by 1, and weights with a zero and with a negative entry."""
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    perturbed = bits @ np.array([3, 1, 4, 2])
+    perturbed[5] += 1
+    return [custom_problem(outputs) for outputs in
+            (perturbed, bits @ np.array([3, 0, 4, 2]), bits @ np.array([3, -1, 4, 2]))]
+
+
+def test_no_grid_point_beats_the_water_fill_on_a_linear_table():
+    # the water fill of log2 w is a linear table's expected_magnitude
+    # champion by proof (see mobs.champion); a lattice over the whole budget
+    # simplex checks it
+    for n, ticks in ((2, 400), (3, 90), (4, 36)):
+        for problem, weights in _linear_tables(n, seed=n):
+            objective = error_objective(problem, "expected_magnitude")
+            for budget in default_budget_grid(n):
+                value = objective(water_fill(np.log2(weights), budget).entries[None])[0]
+                found = grid_search(objective, budget, n, budget / ticks)
+                assert found.objective_value >= value * (1 - 1e-12), \
+                    (problem.name, n, budget, found.energies.entries)
+
+
+def test_no_descent_beats_the_water_fill_on_a_linear_table():
+    rng = np.random.default_rng(37)
+    for n in (5, 6):
+        for problem, weights in _linear_tables(n, seed=n):
+            objective = error_objective(problem, "expected_magnitude")
+            for budget in default_budget_grid(n):
+                value = objective(water_fill(np.log2(weights), budget).entries[None])[0]
+                for _ in range(6):
+                    seed = energy_vector(budget * rng.dirichlet(np.ones(n)))
+                    found = coordinate_descent(objective, budget, n, [seed])
+                    assert found.objective_value >= value * (1 - 1e-12), \
+                        (problem.name, n, budget, seed.entries, found.objective_value)
+
+
+def test_mobs_plays_the_water_fill_on_a_linear_table_without_a_search(monkeypatch):
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    for n in range(2, 9):
+        for problem, weights in _linear_tables(n, seed=n):
+            result = mobs(problem, metric="expected_magnitude", group=IdentityGroup(n))
+            assert result.converged
+            for outcome in result.outcomes:
+                want = water_fill(np.log2(weights), outcome.budget).entries
+                assert np.array_equal(outcome.cv_energies.entries, want), \
+                    (problem.name, outcome.budget)
+            # scored under one law, the water fill is no worse than the
+            # uniform split
+            assert result.mobs >= 1.0 - 1e-12, problem.name
+    # a custom table equal to be's is priced as be, through the ramp kernel
+    # at n = 12
+    custom = mobs(custom_problem(np.arange(4096)), [39.0], "expected_magnitude").to_json()
+    be = mobs(binary_evaluation(12), [39.0]).to_json()
+    assert (custom.pop("problem"), custom.pop("kind")) == ("custom", "custom")
+    assert (be.pop("problem"), be.pop("kind")) == ("be", "be")
+    assert custom == be and custom["mode"] == "exact"
+
+
+def test_tables_near_linear_still_descend(monkeypatch):
+    # one entry off a linear table, or a zero or negative weight, and the
+    # proof no longer holds: mobs descends once per budget
+    mobs_module = importlib.import_module("inexact.mobs")
+    searches = []
+
+    def recording(fn, budget, n, seeds):
+        searches.append(coordinate_descent(fn, budget, n, seeds))
+        return searches[-1]
+
+    monkeypatch.setattr(mobs_module, "coordinate_descent", recording)
+    for problem in _near_linear_tables():
+        searches.clear()
+        result = mobs(problem, [4.0, 8.0], "expected_magnitude")
+        assert len(searches) == 2, problem.params
+        for outcome, search in zip(result.outcomes, searches):
+            assert np.array_equal(outcome.cv_energies.entries, search.energies.entries)
 
 
 def _lone_output_tables(n, seed):
