@@ -39,17 +39,22 @@ names the designer ("clairvoyant" or "blindfolded:<kind>").
                 Asau; Devroye, Non-Uniform Random Variate Generation,
                 III.2.4): a bucket that holds no cdf breakpoint gives its
                 count directly, the draws in the others search the cdf.
-                The subset's rank is unranked one bit at a time down to
+                The subset's rank r < C = C(n, K) is the high word of a
+                64-bit draw w times C, floor(w C / 2**64) (Lemire's
+                multiply-shift), a word whose low product w C mod 2**64
+                falls below 2**64 mod C being redrawn so that each rank is
+                exactly uniform.  It is unranked one bit at a time down to
                 UNRANK_LOW_BITS, and the low bits are one gather from a
                 table of the low-width patterns.
 
 Generated and symmetric groups average over their explicit elements.  A
 group builds the tables of a flip vector (alias tables, or the symmetric
 group's cdf and guide) once and keeps those of its last flip vector, so
-the batches of one sampled row and the probe rows that share energies read
+the batches of a sampled call, whose rows all decode the same draws, read
 one table set.  Draws work through a batch _DRAW_CHUNK trials at a time,
-so their temporaries stay in cache; the rng calls take the whole batch,
-so the drawn patterns do not depend on the chunk.
+so their temporaries stay in cache; the rng calls take the whole batch
+(the rare redrawn rank words follow, one at a time in trial order), so
+the drawn patterns do not depend on the chunk.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ _DRAW_CHUNK = 1 << 14              # trials per pass of a draw loop's arithmetic
 _GUIDE_BUCKETS = 1 << 12           # equal buckets of the uniform in a flip-count guide
 _UNIFORM_BITS = 53                 # the top bits of a 64-bit word that make a uniform double
 _WORD_SHIFT = np.uint64(64 - _UNIFORM_BITS)
+_HALF_SHIFT = np.uint64(32)
+_LOW_HALF = np.uint64((1 << 32) - 1)
 
 GROUP_KINDS = ("identity", "symmetric", "generated")
 
@@ -232,6 +239,25 @@ def _guided_counts(guide: tuple, u: np.ndarray) -> np.ndarray:
     return k
 
 
+def _subset_ranks(words: np.ndarray, sizes: np.ndarray, rng) -> np.ndarray:
+    """Uniform ranks r < sizes from 64-bit words, as int64: the high word
+    of the 128-bit product words * sizes (Lemire's multiply-shift), from
+    the words' 32-bit halves, since every size is below 2**32.  A word
+    whose low product falls below 2**64 mod size would make some ranks
+    likelier than others, so that trial draws a fresh word from rng, one
+    at a time in trial order, until its low product does not.  All
+    operands are uint64: numpy 1.24 takes uint64 with int64 to float64."""
+    lo = (words & _LOW_HALF) * sizes
+    ranks = ((words >> _HALF_SHIFT) * sizes + (lo >> _HALF_SHIFT)) >> _HALF_SHIFT
+    # 2**64 mod size < size, so only a low product below the size can fall short
+    for t in np.flatnonzero(words * sizes < sizes).tolist():
+        word, size = int(words[t]), int(sizes[t])
+        while (word * size) % (1 << 64) < (1 << 64) % size:
+            word = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+        ranks[t] = (word * size) >> 64
+    return ranks.view(np.int64)
+
+
 def _flip_coins(q: np.ndarray, count: int, rng) -> np.ndarray:
     """count packed patterns, bit j set when a uniform draw falls below q[..., j]."""
     n = q.shape[-1]
@@ -253,7 +279,9 @@ class PermutationGroup:
     turns into doubles for a 64-bit bit generator (PCG64, SFC64, Philox),
     so the draws are those the float rule makes of rng.random.  MT19937
     builds a 64-bit word from two 32-bit outputs, so its stream differs
-    from the float rule's while its law does not.
+    from the float rule's while its law does not.  The symmetric group's
+    subset ranks read the same full-range words, one per trial, each rank
+    the high word of its product with the subset count (_subset_ranks).
     """
 
     kind: str
@@ -390,13 +418,15 @@ class FullSymmetricGroup(PermutationGroup):
         # r-th K-subset in numeric order
         n = self.n
         k = _guided_counts(self._tables_of(q), rng.random(count))
+        words = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
         binom = _binomials(n)
-        rank = rng.integers(binom[n, k])
+        sizes = binom[n].astype(np.uint64)
         low = min(n, UNRANK_LOW_BITS)
         patterns, starts = _low_patterns(low)
         d = np.empty(count, dtype=np.int64)
         for span in _chunks(count):
-            kc, rc = k[span], rank[span]
+            kc = k[span]
+            rc = _subset_ranks(words[span], sizes.take(kc), rng)
             # unranking the bits above the low width, highest first: C(j, k)
             # k-subsets of the bits below j precede the first one that sets bit j
             high = np.zeros(kc.size, dtype=np.int64)

@@ -62,6 +62,12 @@ and refilled in place, so a pass costs its arithmetic and not page faults
 on fresh temporaries.  error_profile is a one-shot ErrorAnalysis.
 Losses: "exact" counts any wrong output, "absolute" weighs it by
 |decoded - truth|.
+
+The same fact makes sampling cheap across rows: monte_carlo_error draws
+each batch of flip patterns once and decodes every requested row from
+it, so a sampled mobs budget draws one stream per side for all its probe
+rows, and a full sampled report one stream for all 2**n rows.  Each row's
+estimate is the one a call for that row alone makes at the same seed.
 """
 
 from __future__ import annotations
@@ -424,30 +430,41 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
 
 
 def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
-                      decoder: Decoder, i: int, loss: str = "exact",
-                      samples: int = 100_000, rng=None) -> tuple[float, float]:
-    """Sampled error of one input row: (estimate, standard error).
+                      decoder: Decoder, rows, loss: str = "exact",
+                      samples: int = 100_000, rng=None):
+    """Sampled error of input rows: (estimate, standard error), floats for
+    one row and arrays in row order for a sequence of rows.
 
     Each trial draws a flip pattern d from the group-averaged law that
     average_pattern_probabilities gives exactly (group.sample_patterns:
     under the full symmetric group a flip count, read through a guide
-    table of its cdf, and a uniform subset of that size, unranked above
-    the low 16 bits and gathered from a table below them; under the
-    identity group a 64-bit word per block of 8 bits, read through the
-    alias table of that block's law by an integer threshold per slot;
-    under a generated group an element, then the same through that
-    element's tables of the rewired law, or a coin per rewired bit where
-    its tables would pass adversary.ALIAS_ENTRIES_LIMIT) and decodes the
-    observed row i XOR d.  The flip vector is computed once and sampled
-    _MC_BATCH draws at a time, one rng call per batch whose arithmetic runs
-    in cache-sized chunks of trials; the group builds its tables once and
-    keeps them for the later batches and calls.  Under the exact loss a
-    batch adds its count of wrong decodes to both sums.
+    table of its cdf, and a uniform subset of that size, its rank the high
+    word of a 64-bit draw times the subset count, unranked above the low
+    16 bits and gathered from a table below them; under the identity group
+    a 64-bit word per block of 8 bits, read through the alias table of
+    that block's law by an integer threshold per slot; under a generated
+    group an element, then the same through that element's tables of the
+    rewired law, or a coin per rewired bit where its tables would pass
+    adversary.ALIAS_ENTRIES_LIMIT) and decodes the observed row i XOR d of
+    every row i.  The pattern law does not depend on the row, so the rows
+    share their draws: the flip vector is computed once and sampled
+    _MC_BATCH draws at a time, one sample_patterns call per batch whose
+    patterns every row decodes, and a row's estimate is the one a call for
+    that row alone makes from the same generator state.  The group builds
+    its tables once and keeps them for the later batches and calls.  Each
+    row keeps its own sums: under the exact loss a batch adds its count of
+    wrong decodes to both, under the absolute loss the batch's sums of the
+    losses and their squares.
     """
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     n = table.n
-    _check_row(i, n)
+    one = np.ndim(rows) == 0
+    rows = [rows] if one else list(rows)
+    if not rows:
+        raise ValueError("rows must name at least one input row")
+    for i in rows:
+        _check_row(i, n)
     if n > MC_BITS_LIMIT:
         raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:
@@ -458,27 +475,31 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ValueError("samples must be >= 1")
     rng = as_rng(rng)
     q = flip_probability(energies)
-    truth = int(table.outputs[i])
+    rows = np.array(rows, dtype=np.int64)
+    truths = table.outputs[rows].tolist()
 
-    total = total_sq = 0.0
+    total, total_sq = np.zeros(rows.size), np.zeros(rows.size)
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        observed = np.int64(i) ^ group.sample_patterns(q, m, rng)
-        decoded = decoder.decode_map[observed]
-        if loss == "exact":
-            # a sum of 0/1 values is exact, so the count is the float sums' value
-            wrong = np.count_nonzero(decoded != truth)
-            total += wrong
-            total_sq += wrong
-        else:
-            vals = loss_fn(decoded, truth)
-            total += vals.sum()
-            total_sq += (vals * vals).sum()
+        patterns = group.sample_patterns(q, m, rng)
+        for r, (i, truth) in enumerate(zip(rows, truths)):
+            decoded = decoder.decode_map[i ^ patterns]
+            if loss == "exact":
+                # a sum of 0/1 values is exact, so the count is the float sums' value
+                wrong = np.count_nonzero(decoded != truth)
+                total[r] += wrong
+                total_sq[r] += wrong
+            else:
+                vals = loss_fn(decoded, truth)
+                total[r] += vals.sum()
+                total_sq[r] += (vals * vals).sum()
         done += m
     mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return float(mean), float(np.sqrt(var / samples))
+    std_err = np.sqrt(np.maximum(total_sq / samples - mean * mean, 0.0) / samples)
+    if one:
+        return float(mean[0]), float(std_err[0])
+    return mean, std_err
 
 
 @dataclass(frozen=True)
@@ -509,6 +530,11 @@ class ErrorReport:
 def error_report(problem, energies: EnergyVector, group: PermutationGroup,
                  decoder: Decoder, loss: str = "exact", mode: str = "exact",
                  samples: int = 100_000, rng=None) -> ErrorReport:
+    """Every input row's error: error_profile in exact mode; in monte_carlo
+    mode one monte_carlo_error call over all 2**n rows, which decode shared
+    draws, so each row reads what that row alone reads at the same seed.
+    A sampled report over MC_REPORT_WORK_LIMIT rows x samples decodes is
+    refused before any draw."""
     table = _as_table(problem)
     if mode == "exact":
         profile = error_profile(table, energies, group, decoder, loss)
@@ -520,10 +546,7 @@ def error_report(problem, energies: EnergyVector, group: PermutationGroup,
                 f"full Monte Carlo report needs {rows} rows x {samples} samples; "
                 f"that is over the {MC_REPORT_WORK_LIMIT} decode cap, so target "
                 f"one row or cut samples")
-        rng = as_rng(rng)
-        est, err = np.empty(rows), np.empty(rows)
-        for i in range(rows):
-            est[i], err[i] = monte_carlo_error(table, energies, group, decoder, i,
-                                               loss, samples, rng)
+        est, err = monte_carlo_error(table, energies, group, decoder, range(rows), loss,
+                                     samples, rng)
         return ErrorReport(group.setting, "monte_carlo", loss, est, err, samples)
     raise ValueError(f"unknown mode {mode!r}; expected exact or monte_carlo")

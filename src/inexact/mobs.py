@@ -505,22 +505,25 @@ def champion(problem: BooleanProblem, metric: str, profile):
 
 def _sampled_outcome(problem, table, budget, bf_energies, metric, group, samples,
                      rng) -> BudgetOutcome:
-    # sampled mode skips the descent (each objective evaluation would be an
-    # exact enumeration); the clairvoyant side plays its closed-form seed
+    """One budget's sampled outcome on the probe rows.  Sampled mode skips
+    the descent (each objective evaluation would be an exact enumeration),
+    so the clairvoyant side plays its closed-form seed.  Each side makes one
+    monte_carlo_error call over all the probes, which decode one shared
+    stream of patterns: the clairvoyant side's first, then the blindfolded
+    side's, from the same generator after the probe draw."""
     loss = _PER_INPUT_LOSS[metric]
     identity = IdentityGroup(problem.n)
     cv_energies = analytic_allocation(problem, budget)
     decoder = identity_decoder(table)
     probes = _probe_inputs(problem, rng)
-    cv_est, bf_est, cv_se, bf_se = {}, {}, {}, {}
-    for i in probes:
-        cv_est[i], cv_se[str(i)] = monte_carlo_error(table, cv_energies, identity,
-                                                     decoder, i, loss, samples, rng)
-        bf_est[i], bf_se[str(i)] = monte_carlo_error(table, bf_energies, group,
-                                                     decoder, i, loss, samples, rng)
-    std = {"cv": cv_se, "bf": bf_se, "probes": probes}
-    return _outcome(budget, cv_energies, bf_energies, list(cv_est.values()),
-                    list(bf_est.values()), True, probes, std)
+    cv_est, cv_se = monte_carlo_error(table, cv_energies, identity, decoder, probes, loss,
+                                      samples, rng)
+    bf_est, bf_se = monte_carlo_error(table, bf_energies, group, decoder, probes, loss,
+                                      samples, rng)
+    std = {"cv": dict(zip(map(str, probes), cv_se.tolist())),
+           "bf": dict(zip(map(str, probes), bf_se.tolist())), "probes": probes}
+    return _outcome(budget, cv_energies, bf_energies, cv_est.tolist(), bf_est.tolist(),
+                    True, probes, std)
 
 
 def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:

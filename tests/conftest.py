@@ -60,13 +60,19 @@ def brute_pattern_probabilities(energies) -> np.ndarray:
     return probs
 
 
-def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
+def brute_monte_carlo_error(table, energies, group, decoder, rows, loss: str,
                             samples: int, rng, batch: int) -> tuple:
-    """Sampled error of row i, drawn batch by batch in the same generator
-    order as the library, then decoded from the observed bits.  Under the
+    """Sampled errors of the input rows, as lists (estimates, standard
+    errors) in row order: each batch's patterns drawn once, in the same
+    generator order as the library, then every row decoded from its
+    observed bits under them, each row keeping its own sums.  Under the
     full symmetric group each trial draws a flip count from the
-    Poisson-binomial law, then a rank into the numerically ordered list of
-    patterns with that many flips, enumerated here in full.  Under the
+    Poisson-binomial law, then a 64-bit word w, and takes the rank
+    (w * C) >> 64 into the numerically ordered list of the C patterns with
+    that many flips, enumerated here in full; after the batch's words, a
+    trial whose low product (w * C) mod 2**64 falls below 2**64 mod C draws
+    fresh words one at a time, in trial order, until one does not (all in
+    Python ints).  Under the
     identity group, and under a generated group whose order times the
     table sizes of its blocks is at most ALIAS_ENTRIES_LIMIT, each trial
     draws an element (the identity group draws none), then each block of
@@ -84,8 +90,6 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
     from inexact.noise import energy_vector
 
     n = table.n
-    bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
-    truth = int(table.outputs[i])
     weights = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
     by_count = [[] for _ in range(n + 1)]
     for d in range(1 << n):
@@ -96,16 +100,20 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
                                   for lo in range(0, n, COIN_BLOCK_BITS))
     coins = isinstance(group, GeneratedGroup) and entries > adversary.ALIAS_ENTRIES_LIMIT
     tables = {}  # (element, lo) -> (prob, alias) as lists
-    total = total_sq = 0.0
+    total, total_sq = [0.0] * len(rows), [0.0] * len(rows)
     done = 0
     while done < samples:
         m = min(batch, samples - done)
         if isinstance(group, FullSymmetricGroup):
             counts = np.searchsorted(cdf, rng.random(m), side="right")
-            ranks = rng.integers(np.array([len(by_count[k]) for k in counts],
-                                          dtype=np.int64))
-            patterns = np.array([by_count[k][r] for k, r in zip(counts, ranks)],
-                                dtype=np.int64)
+            words = rng.integers(0, 1 << 64, size=m, dtype=np.uint64).tolist()
+            patterns = []
+            for k, w in zip(counts, words):
+                size = len(by_count[k])
+                while (w * size) % (1 << 64) < (1 << 64) % size:
+                    w = int(rng.integers(0, 1 << 64, dtype=np.uint64))
+                patterns.append(by_count[k][(w * size) >> 64])
+            patterns = np.array(patterns, dtype=np.int64)
             flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
         elif coins:
             assigned = sample_energy_assignments(group, energies, m, rng)
@@ -126,18 +134,25 @@ def brute_monte_carlo_error(table, energies, group, decoder, i: int, loss: str,
                     patterns[t] |= (slot if x - slot < prob[slot] else alias[slot]) << lo
             patterns = np.array(patterns, dtype=np.int64)
             flips = (patterns[:, None] >> np.arange(n, dtype=np.int64)) & 1
-        observed = (bits[None, :] ^ flips) @ weights
-        decoded = decoder.decode_map[observed]
-        if loss == "exact":
-            vals = (decoded != truth).astype(np.float64)
-        else:
-            vals = np.abs(decoded - truth).astype(np.float64)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
+        for r, i in enumerate(rows):
+            bits = (np.int64(i) >> np.arange(n, dtype=np.int64)) & 1
+            truth = int(table.outputs[i])
+            observed = (bits[None, :] ^ flips) @ weights
+            decoded = decoder.decode_map[observed]
+            if loss == "exact":
+                vals = (decoded != truth).astype(np.float64)
+            else:
+                vals = np.abs(decoded - truth).astype(np.float64)
+            total[r] += vals.sum()
+            total_sq[r] += (vals * vals).sum()
         done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return float(mean), float(np.sqrt(var / samples))
+    means, std_errs = [], []
+    for t, t_sq in zip(total, total_sq):
+        mean = t / samples
+        var = max(t_sq / samples - mean * mean, 0.0)
+        means.append(float(mean))
+        std_errs.append(float(np.sqrt(var / samples)))
+    return means, std_errs
 
 
 def brute_error(table, energies, group, decoder, i: int, loss: str) -> float:

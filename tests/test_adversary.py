@@ -17,7 +17,7 @@ from inexact.adversary import (
     sample_energy_assignments,
 )
 from inexact.allocators import uniform_allocation
-from inexact.bits import ResourceLimitError
+from inexact.bits import ResourceLimitError, popcount_table
 from inexact.noise import energy_vector, flip_probability, pattern_probabilities
 
 from conftest import brute_pattern_probabilities, brute_pattern_probability
@@ -539,6 +539,68 @@ def test_integer_thresholds_are_the_float_rule(monkeypatch, nudged):
             slot = int(x)
             want.append(slot if x - slot < prob[slot] else int(alias[slot]))
         assert got.tolist() == want
+
+
+class _GivenRankWords:
+    """A generator stand-in for the symmetric sampler: random() hands out
+    uniforms of 1/2 for the flip counts, integers() the given 64-bit words,
+    the batch's all at once, then the redraws one at a time."""
+
+    def __init__(self, words, redraws=()):
+        self.words = words
+        self.redraws = list(redraws)
+
+    def random(self, count):
+        return np.full(count, 0.5)
+
+    def integers(self, low, high, size=None, dtype=None):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        if size is None:
+            return np.uint64(self.redraws.pop(0))
+        assert size == len(self.words)
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _subsets_by_rank(n: int, k: int) -> tuple:
+    """The k-subsets of n bits in numeric order, and a flip vector under
+    which exactly k bits flip on every trial (the low k), so the count
+    draw is k whatever its uniform."""
+    d = np.arange(1 << n)
+    return d[popcount_table(n) == k], (np.arange(n) < k).astype(np.float64)
+
+
+@pytest.mark.parametrize("n, k", [(6, 0), (6, 6), (20, 10)],
+                         ids=["C=1-empty", "C=1-full", "C=C(20,10)"])
+def test_subset_ranks_are_the_high_word_of_the_product(n, k):
+    # rank = floor(w * C / 2**64) for every word that is kept; word 0 is
+    # redrawn under C(20, 10), whose 2**64 mod C is not 0, and kept under C = 1
+    subsets, q = _subsets_by_rank(n, k)
+    size = subsets.size
+    words = [0, (1 << 64) - 1, *np.random.default_rng(38).integers(
+        0, 1 << 64, 3000, dtype=np.uint64).tolist()]
+    kept = [(w * size) % (1 << 64) >= (1 << 64) % size for w in words]
+    assert kept[0] == (size == 1) and all(kept[1:])
+    given = _GivenRankWords(words, redraws=[] if kept[0] else [(1 << 64) - 1])
+    got = FullSymmetricGroup(n).sample_patterns(q, len(words), given)
+    ranks = [(w * size) >> 64 for w in words]
+    if not kept[0]:
+        ranks[0] = size - 1  # the redrawn word's rank
+    assert ranks[1] == size - 1
+    assert got.tolist() == subsets[ranks].tolist()
+    assert given.redraws == []
+
+
+def test_a_short_low_product_redraws_its_word(monkeypatch):
+    # C(3, 1) = 3 and 2**64 mod 3 = 1, so word 0 (low product 0) would give
+    # rank 0 one extra word in 2**64; trials 0 and 2 redraw, in trial order
+    # and in chunks of 2, trial 0 twice (its first redraw is 0 again)
+    monkeypatch.setattr(adversary, "_DRAW_CHUNK", 2)
+    subsets, q = _subsets_by_rank(3, 1)
+    assert subsets.tolist() == [1, 2, 4]
+    given = _GivenRankWords([0, 5, 0], redraws=[0, 1 << 63, (1 << 64) - 1])
+    got = FullSymmetricGroup(3).sample_patterns(q, 3, given)
+    assert given.redraws == []
+    assert got.tolist() == [subsets[1], subsets[0], subsets[2]]
 
 
 def test_dimension_mismatch_is_rejected():

@@ -299,18 +299,24 @@ def test_seeded_monte_carlo_streams_are_pinned(capsys, group):
 # sampler itself is checked against tests/conftest.py's oracle up to n = 16.
 # The mobs run also samples its clairvoyant side under the identity group,
 # from the same generator, so its digest was re-recorded when the identity
-# draws went to one uniform per block of 8 bits.
+# draws went to one uniform per block of 8 bits.  Both digests were
+# re-recorded when the subset rank became the high word of a 64-bit draw
+# times the subset count (in place of rng.integers with one bound per
+# trial), and the mobs run's again because each side now draws one pattern
+# stream shared by all its probe rows: simulate-be-16 read 18116.64257 +-
+# 41.79922 and reads 18169.864 +- 41.86637 against an exact 18080.77232;
+# the mobs price read 73.6020564133 and reads 57.7138931855.
 SYMMETRIC_STREAMS = {
     "simulate-be-16":
         (("simulate", "--problem", "be", "--n", "16", "--energies",
           "0.0,0.37,0.74,1.11,1.48,1.85,2.22,2.59,2.96,0.23,0.6,0.97,1.34,1.71,2.08,2.45",
           "--group", "symmetric", "--loss", "absolute", "--mode", "monte_carlo",
           "--samples", "100000", "--seed", "11", "--input", "1011010011100101"),
-         "a2c350b1790ea44261cf2d3ab9ba59c439f037fed6447f31a690305ac7b53713"),
+         "9a2ebc3eabc60f18a3717c7aef65f07264d272129652564d6f91d0e3963cf75c"),
     "mobs-be-20":
         (("mobs", "--problem", "be", "--n", "20", "--mode", "monte_carlo",
           "--samples", "20000", "--seed", "13", "--budgets", "20,105"),
-         "5acc975a695856fe97eb62626bd5a4d011d3c334116e52f808bc1ba71b05fa7d"),
+         "0dc4496dc1dfa45483fc5e676a4c56189942961f623760aca3ba38f38840fdfb"),
 }
 
 
@@ -350,7 +356,12 @@ def test_exact_reports_are_pinned(capsys, report):
 
 # sha256 of full CSV reports, whose p_err and std_err columns are formatted
 # in bulk: the exact be report above and a seeded sampled or report at n = 8
-# under the symmetric group (rows of 0 and 1 with a std_err of 0)
+# under the symmetric group (rows of 0 and 1 with a std_err of 0).  The
+# sampled digest was re-recorded when the report's rows came to share one
+# pattern stream, each row reading what --input would print for it at the
+# same seed, and its subset ranks came from 64-bit words: row 1 read
+# 0.00333333333333 +- 0.001052334266 and reads 0.00233333333333 +-
+# 0.000880887599506.
 PINNED_CSV_REPORTS = {
     "be-absolute":
         (("--problem", "be", "--n", "12", "--energies",
@@ -361,7 +372,7 @@ PINNED_CSV_REPORTS = {
         (("--problem", "or", "--n", "8", "--energies", "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0",
           "--group", "symmetric", "--mode", "monte_carlo", "--samples", "3000",
           "--seed", "11"),
-         "95cfb040b8e302a45d29633f3d31de286090c1ffd45ba865f5c1a27fcef66a03"),
+         "441340a73a47d2071004d3705c0beab59fcf9f9f7da82f43f95d794e5772b863"),
 }
 
 
@@ -371,6 +382,24 @@ def test_csv_reports_are_pinned(capsys, report):
     code, out, _ = run(capsys, "simulate", *argv, "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group", ["identity", "symmetric", "generated"])
+def test_sampled_report_rows_are_their_input_runs(capsys, group):
+    # a full sampled report's rows share the draws a single row makes from
+    # the same seed, so each row prints the text --input prints for it
+    generators = ["--generators", "1,2,3,4,5,6,7,0"] if group == "generated" else []
+    argv = ["simulate", "--problem", "or", "--n", "8", "--energies",
+            "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0", "--group", group, *generators,
+            "--mode", "monte_carlo", "--samples", "3000", "--seed", "11", "--format", "csv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    _, _, rows = csv_body(out)
+    assert len(rows) == 256
+    for row in (0, 37, 164, 255):
+        code, one, _ = run(capsys, *argv, "--input", format(row, "08b"))
+        assert code == 0
+        assert csv_body(one)[2] == [rows[row]]
 
 
 # values whose text takes each branch of the policy: 12 significant digits,
@@ -523,7 +552,11 @@ def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
 # reads inf now, where the exact price is 1, as a 2,000-sample ratio on
 # rows whose errors are rare reads noise).  comparison-3 was re-recorded when
 # its clairvoyant side became the top-down equalizer in place of a descent:
-# the price moved from 2.51111298996 to 2.51111929956.
+# the price moved from 2.51111298996 to 2.51111929956.  The Monte Carlo
+# digest was re-recorded when each side came to draw one pattern stream per
+# budget shared by all its probe rows: the price still reads inf (the last
+# budget's clairvoyant probes see no error), and the finite error ratios
+# moved from 1.4, 3, 2 to 1.375, 2.66666666667, 1.21212121212.
 PINNED_PRICES = {
     "be-6":
         (("--problem", "be", "--n", "6"),
@@ -539,7 +572,7 @@ PINNED_PRICES = {
         (("--problem", "or", "--n", "6", "--group", "generated",
           "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
           "--seed", "2"),
-         "8ecf58550c6cf671fa39e4d4fe9e5d1c43c2449ed033162d607d0b884aaa6020"),
+         "48201149b2d859e16bada438aca3b5e88ff3e2923ec0d8758675d8fcb7d1cc8e"),
 }
 
 

@@ -658,6 +658,8 @@ def test_monte_carlo_determinism_and_validation():
         monte_carlo_error(p, ev, g, dec, 1, samples=0)
     with pytest.raises(ValueError):
         monte_carlo_error(p, ev, g, dec, 1, loss="squared", samples=10)
+    with pytest.raises(ValueError, match="at least one input row"):
+        monte_carlo_error(p, ev, g, dec, [], samples=10)
 
 
 @pytest.mark.parametrize("group", [
@@ -684,7 +686,9 @@ def test_monte_carlo_is_the_per_batch_sampler(monkeypatch, group, loss):
 
 def _check_per_batch_sampler(monkeypatch, group, loss, bit_generator):
     """monte_carlo_error equals the brute per-batch sampler at ==, both
-    drawing from bit_generator seeded at 17."""
+    drawing from bit_generator seeded at 17: one call over row 0, a middle
+    row, the last row and the middle row again, every row decoded from each
+    batch's shared patterns."""
     # batch 333 leaves a partial last batch of 1,000 - 3 * 333 = 1 draw
     monkeypatch.setattr(decoders, "_MC_BATCH", 333)
     monkeypatch.setattr(adversary, "ALIAS_ENTRIES_LIMIT", 4096)
@@ -696,13 +700,36 @@ def _check_per_batch_sampler(monkeypatch, group, loss, bit_generator):
     # exact-loss trial an error
     entries = [0.0, 0.4, 1.3, 2.0, 3.7] if loss == "absolute" else [4.0, 2.5, 6.0, 3.3, 8.0]
     ev = energy_vector(np.resize(entries, n))
-    for i in (0, 13, (1 << n) - 1):
-        got = monte_carlo_error(p, ev, group, dec, i, loss, samples=1_000,
+    rows = [0, 13, (1 << n) - 1, 13]
+    est, se = monte_carlo_error(p, ev, group, dec, rows, loss, samples=1_000,
                                 rng=np.random.Generator(bit_generator(17)))
-        want = brute_monte_carlo_error(table, ev, group, dec, i, loss, 1_000,
-                                       np.random.Generator(bit_generator(17)), 333)
-        assert got == want
-        assert got[1] > 0.0  # the trials disagree
+    want = brute_monte_carlo_error(table, ev, group, dec, rows, loss, 1_000,
+                                   np.random.Generator(bit_generator(17)), 333)
+    assert (est.tolist(), se.tolist()) == want
+    assert (se > 0.0).all()  # each row's trials disagree
+    assert est[1] == est[3] and se[1] == se[3]
+
+
+@pytest.mark.parametrize("group", [
+    IdentityGroup(9),
+    FullSymmetricGroup(9),
+    GeneratedGroup(9, [[(j + 1) % 9 for j in range(9)]]),
+    FullSymmetricGroup(18),
+])
+@pytest.mark.parametrize("loss", ["exact", "absolute"])
+def test_each_row_of_a_rows_call_is_its_estimate_alone(group, loss):
+    # the rows share every batch's patterns, and a one-row call draws the
+    # same patterns from the same seed, so each row reads as it does alone;
+    # 150,000 draws take three batches, the last one partial
+    n = group.n
+    p = binary_evaluation(n)
+    dec = identity_decoder(p)
+    ev = energy_vector(np.resize([0.3, 1.1, 2.6, 1.7, 0.9, 3.2], n))
+    rows = [0, 5, 300, (1 << n) - 1]
+    est, se = monte_carlo_error(p, ev, group, dec, rows, loss, 150_000, 29)
+    assert est.shape == se.shape == (len(rows),)
+    for i, e, s in zip(rows, est.tolist(), se.tolist()):
+        assert monte_carlo_error(p, ev, group, dec, i, loss, 150_000, 29) == (e, s)
 
 
 # the integer alias draws read the 64-bit words every 64-bit bit generator's
@@ -784,6 +811,8 @@ def test_row_index_is_checked_before_any_work(monkeypatch):
             per_input_error(p, ev, g, dec, i)
         with pytest.raises(ValueError, match="out of range"):
             monte_carlo_error(p, ev, g, dec, i, samples=10, rng=rng)
+        with pytest.raises(ValueError, match="out of range"):
+            monte_carlo_error(p, ev, g, dec, [0, 7, i], samples=10, rng=rng)
     assert rng.bit_generator.state == state
 
 

@@ -1124,9 +1124,9 @@ def test_mobs_monte_carlo_smoke(monkeypatch):
     real = mobs_module.monte_carlo_error
     calls = []
 
-    def recording(table, energies, group, decoder, i, loss, samples, rng):
-        est, se = real(table, energies, group, decoder, i, loss, samples, rng)
-        calls.append((table, energies, group, decoder, i, loss, samples, est))
+    def recording(table, energies, group, decoder, rows, loss, samples, rng):
+        est, se = real(table, energies, group, decoder, rows, loss, samples, rng)
+        calls.append((table, energies, group, decoder, rows, loss, samples, est))
         return est, se
 
     monkeypatch.setattr(mobs_module, "monte_carlo_error", recording)
@@ -1134,26 +1134,33 @@ def test_mobs_monte_carlo_smoke(monkeypatch):
     assert result.mode == "monte_carlo"
     assert result.samples == 20_000
     # the pin follows the seeded stream (12.0521739130 before the identity
-    # draws went to one uniform per block of 8 bits); the exact worst-probe
+    # draws went to one uniform per block of 8 bits, 11.9619706137 before
+    # each side drew one stream for all its probes); the exact worst-probe
     # ratios at budgets 12/39/78/156 are 4.815/8.611/8.228/7.549, so it is
     # last-budget noise
-    assert result.mobs == pytest.approx(11.9619706137, abs=1e-6)
+    assert result.mobs == pytest.approx(11.3801498127, abs=1e-6)
     outcome = result.outcomes[0]
     assert outcome.std_errors is not None
     assert outcome.converged
     assert len(outcome.std_errors["probes"]) >= 2
+    # one call per side and budget, over all the budget's probes
+    assert len(calls) == 2 * len(result.outcomes)
+    for o, cv, bf in zip(result.outcomes, calls[::2], calls[1::2]):
+        assert cv[4] == bf[4] == o.std_errors["probes"]
+        assert cv[2].kind == "identity" and bf[2].kind == "symmetric"
     # whatever the stream, each probe estimate sits within 4 standard errors
     # of its exact mean, the error taken from the exact loss variance
-    assert len(calls) == 2 * sum(len(o.std_errors["probes"]) for o in result.outcomes)
-    for table, energies, group, decoder, i, loss, samples, est in calls:
+    for table, energies, group, decoder, rows, loss, samples, est in calls:
         avg = average_pattern_probabilities(group, energies)
-        decoded = decoder.decode_map[i ^ np.arange(avg.size)]
-        truth = table.outputs[i]
-        vals = (decoded != truth) if loss == "exact" else np.abs(decoded - truth)
-        vals = vals.astype(np.float64)
-        mean = avg @ vals
-        var = max(avg @ (vals * vals) - mean * mean, 0.0)
-        assert abs(est - mean) <= 4 * np.sqrt(var / samples) + 1e-12
+        assert est.shape == (len(rows),)
+        for i, e in zip(rows, est):
+            decoded = decoder.decode_map[i ^ np.arange(avg.size)]
+            truth = table.outputs[i]
+            vals = (decoded != truth) if loss == "exact" else np.abs(decoded - truth)
+            vals = vals.astype(np.float64)
+            mean = avg @ vals
+            var = max(avg @ (vals * vals) - mean * mean, 0.0)
+            assert abs(e - mean) <= 4 * np.sqrt(var / samples) + 1e-12
     again = mobs(binary_evaluation(12), mode="monte_carlo", samples=20_000, rng=0)
     assert again.mobs == result.mobs
 
