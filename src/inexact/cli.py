@@ -130,25 +130,61 @@ def _json_number(x: float) -> str:
     return json.dumps(value)
 
 
-def _digits(values):
-    """(floats, "%.12g" texts, the texts parsed back, scalar mask) of
-    values, the texts made by one format pass.  The mask marks what needs
-    the one-value path in either format: non-finite values, and values that
-    round to 0 or 1 without being 0 or 1 (fmt's tail rule)."""
+# below this magnitude "%.12g" may round into the subnormals
+_NEAR_SUBNORMAL = 1.001 * np.finfo(np.float64).tiny
+
+
+def _digits(values, in_json: bool) -> list[str]:
+    """The texts of the floats of values: fmt's in CSV, _json_number's in
+    JSON, built in bulk, each distinct value formatted once.
+
+    Values are keyed by their bytes, so -0.0 and 0.0 stay apart and so do
+    NaN payloads.  The distinct values take one "%.12g" pass, and their
+    texts come back in row order through the inverse index, with no gather
+    where every value is distinct.
+
+    Masks read off the floats send some values to the one-value path.  It
+    is the reference, so the masks take a margin: a value it need not take
+    prints the same.  It takes non-finite values and values within 1e-11
+    of magnitude 1 (fmt's tail rule: a value that rounds to 0 or 1 without
+    being it keeps full precision, and only 0 rounds to 0).  In JSON it
+    also takes magnitudes of 9.9e10 and above (repr stays positional up to
+    1e16, "%g" only up to 1e12) and nonzero magnitudes below 1.001 times
+    the smallest normal (a subnormal's repr may be shorter than 12 digits).
+
+    Any other JSON text is the value's repr once ".0" is added where it is
+    whole: a decimal of at most 15 digits round-trips through a normal
+    double, and both forms turn to exponents below 1e-4 with the same
+    layout.  Only 0 and magnitudes of 1 and above can print whole there,
+    and their texts hold no exponent, so a text without "." is whole.
+    """
     x = np.asarray(values, dtype=np.float64).ravel()
+    # np.unique with these returns leaves numpy.ma unloaded, unlike a bare one
+    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
+    repeated = len(first) < len(x)
+    if repeated:
+        x = x[first]
     xs = x.tolist()
     texts = ("%.12g " * len(xs) % tuple(xs)).split()
-    rounded = np.fromiter(map(float, texts), np.float64, len(texts))  # as _policy_value parses
-    scalar = ~np.isfinite(x) | (((rounded == 0.0) | (rounded == 1.0)) & (x != rounded))
-    return xs, texts, rounded, scalar
+    magnitude = np.abs(x)
+    scalar = ~np.isfinite(x) | ((np.abs(magnitude - 1.0) < 1e-11) & (magnitude != 1.0))
+    one = fmt
+    if in_json:
+        one = _json_number
+        scalar |= (magnitude >= 9.9e10) | ((magnitude < _NEAR_SUBNORMAL) & (x != 0.0))
+        for i in np.flatnonzero(~scalar & ((x == 0.0) | (magnitude >= 1.0))).tolist():
+            if "." not in texts[i]:
+                texts[i] += ".0"
+    for i in np.flatnonzero(scalar).tolist():
+        texts[i] = one(xs[i])
+    if repeated:
+        return np.array(texts, dtype=object)[inverse].tolist()
+    return texts
 
 
 def _csv_numbers(values) -> list[str]:
-    """[fmt(v) for v in values] for floats, built in bulk."""
-    xs, texts, _, scalar = _digits(values)
-    for i in np.flatnonzero(scalar).tolist():
-        texts[i] = fmt(xs[i])
-    return texts
+    """[fmt(v) for v in values] for floats, built in bulk by _digits."""
+    return _digits(values, in_json=False)
 
 
 def _csv_rows(*columns):
@@ -159,24 +195,9 @@ def _csv_rows(*columns):
 
 
 def _json_numbers(values) -> list[str]:
-    """[_json_number(v) for v in values], built in bulk.
-
-    A rounded value's repr is its "%.12g" text plus ".0" where it is whole:
-    a decimal of at most 15 digits round-trips through a normal double, so
-    the shortest repr has exactly those digits, and both forms turn to
-    exponents below 1e-4 with the same layout.  Left to _json_number are
-    the entries fmt's policy treats apart, |rounded| >= 1e11 (repr stays
-    positional up to 1e16, "%g" only up to 1e12) and nonzero subnormals
-    (whose repr may be shorter than 12 digits).
-    """
-    xs, texts, rounded, scalar = _digits(values)
-    magnitude = np.abs(rounded)
-    scalar |= (magnitude >= 1e11) | ((magnitude < np.finfo(np.float64).tiny) & (rounded != 0.0))
-    for i in np.flatnonzero(scalar).tolist():
-        texts[i] = _json_number(xs[i])
-    for i in np.flatnonzero(~scalar & (rounded == np.trunc(rounded))).tolist():
-        texts[i] += ".0"
-    return texts
+    """[_json_number(v) for v in values] for floats, built in bulk by
+    _digits."""
+    return _digits(values, in_json=True)
 
 
 # one per_input entry of an ErrorReport as json.dumps(..., indent=2,
@@ -206,10 +227,10 @@ def emit_json(result, config: dict, output: str | None) -> None:
     the bulk of a report, are spliced in as _report_rows lays them out: the
     bytes json.dumps gives, without walking 2**n row dicts through jsonable
     and the pure-Python indenting encoder.  Their numbers are formatted in
-    bulk by _json_numbers, one "%.12g" pass and one parse back for all
-    rows; only non-finite values, values near 0 or 1 that keep full
-    precision, magnitudes of 1e11 and above and subnormals go through
-    _json_number one at a time."""
+    bulk by _json_numbers, one "%.12g" pass over the distinct values,
+    whose masks are read off the floats; only non-finite values, values
+    within 1e-11 of magnitude 1, magnitudes of 9.9e10 and above and those
+    near the subnormals go through _json_number, once per distinct value."""
     rows = None
     if isinstance(result, ErrorReport):
         rows = _report_rows(result)

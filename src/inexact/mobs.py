@@ -27,7 +27,9 @@ call), and one entry for the pair-weighted metrics (the worst position of
 their closed form, vectorized over the rows, averaged over the group's
 rewirings of each row).  Every search scores through error_objective, the
 worst entry of each row.  Exact mobs compares both champions' profiles
-entry for entry; sampled mode estimates them on probe rows instead.
+entry for entry; sampled mode estimates them on probe rows instead, its
+clairvoyant side playing the kind's analytic allocation, or the water fill
+of a custom linear table under expected_magnitude, with no descent.
 
 Metrics:
 
@@ -503,17 +505,17 @@ def champion(problem: BooleanProblem, metric: str, profile):
     return descend
 
 
-def _sampled_outcome(problem, table, budget, bf_energies, metric, group, samples,
-                     rng) -> BudgetOutcome:
+def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, group,
+                     samples, rng) -> BudgetOutcome:
     """One budget's sampled outcome on the probe rows.  Sampled mode skips
     the descent (each objective evaluation would be an exact enumeration),
-    so the clairvoyant side plays its closed-form seed.  Each side makes one
-    monte_carlo_error call over all the probes, which decode one shared
-    stream of patterns: the clairvoyant side's first, then the blindfolded
-    side's, from the same generator after the probe draw."""
+    so the clairvoyant side plays cv_energies, a closed form (see mobs).
+    Each side makes one monte_carlo_error call over all the probes, which
+    decode one shared stream of patterns: the clairvoyant side's first,
+    then the blindfolded side's, from the same generator after the probe
+    draw."""
     loss = _PER_INPUT_LOSS[metric]
     identity = IdentityGroup(problem.n)
-    cv_energies = analytic_allocation(problem, budget)
     decoder = identity_decoder(table)
     probes = _probe_inputs(problem, rng)
     cv_est, cv_se = monte_carlo_error(table, cv_energies, identity, decoder, probes, loss,
@@ -567,6 +569,12 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     identity = IdentityGroup(problem.n)
     if sampled:
         table = truth_table(problem)
+        # the clairvoyant side plays analytic_allocation, under
+        # expected_magnitude already champion's closed form for be, ue and
+        # or; a custom linear table plays its water fill, as in champion
+        levels = None
+        if problem.kind == "custom" and metric == "expected_magnitude":
+            levels = _linear_levels(table)
     else:
         profile = _profile_function(problem, metric)
         rule = champion(problem, metric, profile)
@@ -575,8 +583,10 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     for budget in budget_grid:
         bf_energies = uniform_allocation(budget, problem.n)
         if sampled:
-            outcomes.append(_sampled_outcome(problem, table, budget, bf_energies, metric,
-                                             group, samples, rng))
+            cv_energies = (analytic_allocation(problem, budget) if levels is None
+                           else water_fill(levels, budget))
+            outcomes.append(_sampled_outcome(problem, table, budget, cv_energies, bf_energies,
+                                             metric, group, samples, rng))
             continue
         bf_rows = profile(energy_rows(bf_energies), group)[0]
         cv_energies, converged = rule(budget)

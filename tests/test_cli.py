@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from inexact import __version__
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.cli import (_COMMANDS, _csv_numbers, _json_number, _json_numbers, build_parser,
-                         config_hash, emit_json, fmt, jsonable, main)
-from inexact.decoders import ErrorReport, error_profile, error_report, identity_decoder
+from inexact.cli import (_COMMANDS, _csv_numbers, _csv_rows, _json_number, _json_numbers,
+                         build_parser, config_hash, emit_json, fmt, jsonable, main)
+from inexact.decoders import (ErrorReport, error_profile, error_report, identity_decoder,
+                              map_decoder)
 from inexact.mobs import table2_rows
 from inexact.noise import energy_vector
 from inexact.problems import binary_evaluation, or_problem, table_to_csv, truth_table
@@ -404,21 +405,42 @@ def test_sampled_report_rows_are_their_input_runs(capsys, group):
 
 # values whose text takes each branch of the policy: 12 significant digits,
 # full precision near 0 and 1, "inf", json's own NaN, signed zero, exponents;
-# and the boundaries of the bulk path: whole numbers, where "%g" and repr
+# the boundaries of the bulk path: whole numbers, where "%g" and repr
 # part between positional and exponent form (1e11 to 1e16, 1e-4), a
-# subnormal that is not the smallest, and a small negative
+# subnormal that is not the smallest, and a small negative; and both sides
+# of the margins of its masks: 1e-11 and 1e-12 about magnitude 1 (-1 + 1e-14
+# prints "-1"), 9.9e10, 1e11 - 1, the smallest normal and 1.001 times it
+TINY = float(np.finfo(np.float64).tiny)
 EDGE_VALUES = [0.0, 1.0, 1 - 1e-14, 1e-300, 5e-324, float("inf"), -float("inf"),
                float("nan"), -0.0, 0.75, 1e-5, 2.0 ** -60, 1 - 2.0 ** -50, 3.0,
                123456789012.5, 1e20, 0.1 + 0.2,
                -2.0, 16000.0, 3.0000000000004,
                99999999999.9, 999999999999.5, 1e12, 123456789012345.0, 1e16,
-               9.99999999999995e-05, 2.5e-310, -1e-5]
+               9.99999999999995e-05, 2.5e-310, -1e-5,
+               1 + 1e-11, 1 - 1e-11, 1 + 1e-12, 1 - 1e-12, -1 + 1e-14, -1 - 1e-12,
+               -1 + 1e-11, 1 - 4e-13, 9.9e10, float(np.nextafter(9.9e10, 0)), 1e11 - 1,
+               TINY, -TINY, 1.001 * TINY, float(np.nextafter(1.001 * TINY, 0)),
+               float(np.nextafter(TINY, 0))]
+# a pool that repeats: the bulk path formats each distinct value once, keyed
+# by its bytes, so signed zeros and NaN payloads must not share a text
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0])
+REPEATED_POOL = [0.0, -0.0, float("nan"), -float("nan"), NAN_PAYLOAD, float("inf"),
+                 -float("inf"), 1.0, 1 + 1e-11, 1 - 1e-11, 1 + 1e-12, 1 - 1e-12, 9.9e10,
+                 1e11 - 1, TINY, 1.001 * TINY, 2.5e-310, 1e-5, 16000.0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 @example(EDGE_VALUES)
 def test_bulk_numbers_are_the_scalar_texts(xs):
+    assert _json_numbers(xs) == [_json_number(x) for x in xs]
+    assert _csv_numbers(xs) == [fmt(x) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(REPEATED_POOL), max_size=60))
+@example(REPEATED_POOL * 3)
+def test_bulk_numbers_of_repeated_values_are_the_scalar_texts(xs):
     assert _json_numbers(xs) == [_json_number(x) for x in xs]
     assert _csv_numbers(xs) == [fmt(x) for x in xs]
 
@@ -430,9 +452,10 @@ def _encoded(result, config) -> str:
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def test_emitted_report_rows_are_the_json_encoders_bytes(capsys):
-    config = {"command": "simulate", "problem": "be", "n": 5, "energies": "1,2",
-              "budget": 2.5, "output": None, "per_input": [], "note": '"per_input": []'}
+def _reports() -> list[ErrorReport]:
+    """Reports whose rows take each path of the bulk formatting: exact and
+    sampled, every value distinct and few distinct values repeated (MAP
+    under S_n, interleaved signed zeros and NaNs), and the edge values."""
     ev = energy_vector([0.0, 0.5, 1.0, 2.0, 8.0])
     reports = []
     for problem, loss in ((binary_evaluation(5), "absolute"), (or_problem(5), "exact")):
@@ -442,13 +465,34 @@ def test_emitted_report_rows_are_the_json_encoders_bytes(capsys):
                            identity_decoder(or_problem(3)), mode="monte_carlo",
                            samples=300, rng=5)
     assert sampled.std_err is not None and sampled.samples == 300
+    or8, s8 = or_problem(8), FullSymmetricGroup(8)
+    ev8 = energy_vector([0.3, 1.1, 0.0, 2.5, 1.7, 3.2, 0.8, 4.0])
+    map8 = error_report(or8, ev8, s8, map_decoder(or8, ev8, s8))
+    assert len(set(map8.per_input.tolist())) == 2  # 0.0 in every row but one
+    mixed = np.tile([0.0, -0.0, np.nan, 0.25, -np.nan, 0.0], 8)
     edges = np.array(EDGE_VALUES)
-    reports += [sampled, ErrorReport("clairvoyant", "exact", "exact", edges),
-                ErrorReport("blindfolded:symmetric", "monte_carlo", "absolute",
-                            edges, edges[::-1].copy(), 7)]
-    for report in reports:
+    return reports + [sampled, map8,
+                      ErrorReport("blindfolded:symmetric", "monte_carlo", "absolute",
+                                  mixed, np.roll(mixed, 1), 9),
+                      ErrorReport("clairvoyant", "exact", "exact", edges),
+                      ErrorReport("blindfolded:symmetric", "monte_carlo", "absolute",
+                                  edges, edges[::-1].copy(), 7)]
+
+
+def test_emitted_report_rows_are_the_json_encoders_bytes(capsys):
+    config = {"command": "simulate", "problem": "be", "n": 5, "energies": "1,2",
+              "budget": 2.5, "output": None, "per_input": [], "note": '"per_input": []'}
+    for report in _reports():
         emit_json(report, config, None)
         assert capsys.readouterr().out == _encoded(report, config), report.setting
+
+
+def test_csv_report_rows_are_the_scalar_texts():
+    for report in _reports():
+        columns = [report.per_input] + ([] if report.std_err is None else [report.std_err])
+        expected = [",".join([str(i)] + [fmt(c[i]) for c in columns])
+                    for i in range(len(report.per_input))]
+        assert list(_csv_rows(*columns)) == expected, report.setting
 
 
 def test_simulate_rejects_mismatched_energies(capsys):

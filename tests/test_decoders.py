@@ -219,6 +219,31 @@ def test_exact_analysis_leaves_numpy_ma_unloaded():
     assert out in ("False\nFalse\n", "True\nTrue\n")
 
 
+def test_cli_reports_leave_numpy_ma_unloaded(tmp_path):
+    # the CLI formats a report's numbers once per distinct value, found by
+    # np.unique with index and inverse returns, which leaves numpy.ma
+    # unloaded where a bare np.unique loads it.  A fresh process writes a
+    # full n = 12 report (MAP under S_12, two distinct values) in JSON and
+    # in CSV through cli.main
+    code = """if True:
+        import sys
+        import numpy
+        print("numpy.ma" in sys.modules)
+        from inexact.cli import main
+        argv = ["simulate", "--problem", "or", "--n", "12", "--decoder", "map",
+                "--group", "symmetric", "--allocation", "uniform", "--budget", "39"]
+        for fmt in ("json", "csv"):
+            assert main(argv + ["--format", fmt, "--output", sys.argv[1] + "." + fmt]) == 0
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(decoders.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out in ("False\nFalse\n", "True\nTrue\n")
+    assert (tmp_path / "report.json").stat().st_size > 4096 * 40
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 4 + 4096
+
+
 def test_map_decoder_guard():
     with pytest.raises(ResourceLimitError):
         map_decoder(or_problem(15), energy_vector(np.ones(15)))

@@ -12,7 +12,8 @@ from inexact.adversary import SYMMETRIC_ENUM_LIMIT, FullSymmetricGroup, Generate
 from inexact.allocators import analytic_allocation, coordinate_descent, grid_search, \
     sorting_allocation, ue_variance, uniform_allocation, water_fill
 from inexact.bits import ResourceLimitError, popcount_table
-from inexact.decoders import ErrorAnalysis, error_profile, map_decoder
+from inexact.decoders import ErrorAnalysis, error_profile, identity_decoder, map_decoder, \
+    per_input_error
 from inexact.mobs import (
     aggregate_error,
     champion,
@@ -1163,6 +1164,30 @@ def test_mobs_monte_carlo_smoke(monkeypatch):
             assert abs(e - mean) <= 4 * np.sqrt(var / samples) + 1e-12
     again = mobs(binary_evaluation(12), mode="monte_carlo", samples=20_000, rng=0)
     assert again.mobs == result.mobs
+
+
+def test_sampled_mobs_plays_a_custom_linear_tables_water_fill():
+    # a custom linear table with unequal weights (1 x 11, 4) at n = 12 has
+    # 16 output values, so exact mobs refuses (the xor kernel) and it
+    # samples; its clairvoyant side is champion's water fill of log2 w, not
+    # the uniform split analytic_allocation gives a custom kind
+    weights = np.array([1] * 11 + [4])
+    problem = custom_problem(((np.arange(4096)[:, None] >> np.arange(12)) & 1) @ weights)
+    result = mobs(problem, [12.0], "expected_magnitude", mode="monte_carlo",
+                  samples=2_000, rng=0)
+    outcome = result.outcomes[0]
+    fill = water_fill(np.log2(weights), 12.0)
+    assert outcome.cv_energies.entries.tolist() == fill.entries.tolist()
+    assert outcome.bf_energies.entries.tolist() == [1.0] * 12
+    # row 0 is the worst row and errs sum_j w_j m_j: 15 / 2 under the
+    # uniform split, 6.7348 under the fill
+    table = truth_table(problem)
+    decoder = identity_decoder(table)
+    bf = per_input_error(table, outcome.bf_energies, FullSymmetricGroup(12), decoder, 0,
+                         "absolute")
+    cv = per_input_error(table, fill, IdentityGroup(12), decoder, 0, "absolute")
+    assert bf == pytest.approx(7.5, rel=1e-12)
+    assert cv == pytest.approx(6.7348, abs=5e-5)
 
 
 def test_sampled_mobs_builds_each_clairvoyant_table_once(monkeypatch):
