@@ -424,8 +424,7 @@ def _cmd_eval(cfg: dict):
 
 
 def _cmd_simulate(cfg: dict):
-    # exact analysis draws nothing, so a fallback samples from the seed's start
-    samples, rng = cfg["samples"], _rng_from(cfg)
+    samples = cfg["samples"]
     problem = _problem_from(cfg)
     energies = _energies_from(cfg, problem)
     if energies.n != problem.n:
@@ -439,6 +438,8 @@ def _cmd_simulate(cfg: dict):
         int(bits_to_index(parse_bits(cfg["input"], problem.n)))
 
     def run(mode):
+        # exact analysis draws nothing, so a sampled run starts from the seed
+        rng = _rng_from(cfg) if mode == "monte_carlo" else None
         if row is None:
             report = error_report(table, energies, group, decoder, loss, mode, samples, rng)
             if report.std_err is None:
@@ -471,12 +472,13 @@ def _cmd_allocate(cfg: dict):
 
 
 def _cmd_mobs(cfg: dict):
-    rng = _rng_from(cfg)  # exact mobs draws nothing
     problem = _problem_from(cfg)
     group = _group_from(cfg, problem.n)
     budgets = _listed(cfg, "budgets", _real)
 
     def run(mode):
+        # exact mobs draws nothing, so a sampled run starts from the seed
+        rng = _rng_from(cfg) if mode == "monte_carlo" else None
         result = mobs(problem, budgets, cfg.get("metric"), group, mode, cfg["samples"], rng)
         return result.to_json(), "problem,n,mobs,mode", [result.csv_row()], result.converged
 

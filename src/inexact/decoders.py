@@ -33,8 +33,11 @@ the signs s_j = 1 - 2 bit_j(i) below it:
     |(i XOR d) - i| = 2**t + s_t * sum_{j<t} s_j d_j 2**j,
 
 so err(i) needs only the law's mass on each top bit and its first moments
-d_j below it.  An ErrorAnalysis binds (truth table, decoder, loss) and
-picks one of four kernels once, shown by its ``kernel`` attribute:
+d_j below it.  Under a product law those are closed form, and
+product_ramp_profile builds every row from the flip vector alone, by
+doubling over the bits: no table, no 2**n law.  An ErrorAnalysis binds
+(truth table, decoder, loss) and picks one of four kernels once, shown by
+its ``kernel`` attribute:
 
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
@@ -83,6 +86,7 @@ from .problems import BooleanProblem, TruthTable, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
 MC_BITS_LIMIT = 20       # Monte Carlo decodes via packed row lookup
+RAMP_BITS_LIMIT = 20     # 2**n rows of a product-law ramp profile
 MC_REPORT_WORK_LIMIT = 1 << 28  # rows x samples cap for full sampled reports
 LOSS_KINDS = ("exact", "absolute")
 
@@ -100,7 +104,9 @@ _MC_BATCH = 1 << 16       # Monte Carlo draws per batch; seeded streams depend o
 
 @dataclass(frozen=True)
 class Decoder:
-    """Deterministic observed-row -> output-value map."""
+    """Deterministic observed-row -> output-value map, kept read-only: a
+    read-only int64 map (a truth table's column) is kept as given, any
+    other is copied."""
 
     decode_map: np.ndarray
 
@@ -108,8 +114,9 @@ class Decoder:
         dm = np.asarray(self.decode_map, dtype=np.int64)
         if dm.ndim != 1 or dm.size == 0 or (dm.size & (dm.size - 1)) != 0:
             raise ValueError("decode map must cover all 2**n rows")
-        dm = dm.copy()
-        dm.setflags(write=False)
+        if dm.flags.writeable:
+            dm = dm.copy()
+            dm.setflags(write=False)
         object.__setattr__(self, "decode_map", dm)
 
     @property
@@ -395,6 +402,57 @@ class ErrorAnalysis:
                 for r, row in enumerate(avg):
                     np.matmul(tile, row, out=out[r, lo:hi])
         return out[0] if isinstance(energies, EnergyVector) else out
+
+
+def product_ramp_profile(q, loss: str = "exact") -> np.ndarray:
+    """Exact per-input errors of the ramp table (the identity map read
+    against the identity table: be under the identity decoder) under the
+    product law with flip vector q, every row at once, from q alone: no
+    table, no 2**n law and no bit table, O(2**n) time.
+
+    Under the exact loss every flip costs 1, so every row reads
+    P{d != 0} = 1 - prod_j (1 - q_j), taken through log1p and expm1 so
+    that tiny q keep their digits.  Under the absolute loss the top flipped
+    bit t has probability P_t = q_t prod_{k>t} (1 - q_k), the bits below it
+    flip independently, and with s_j = 1 - 2 bit_j(i) (see the module
+    docstring)
+
+        err(i) = sum_t P_t (2**t + s_t A_t(i)),  A_t(i) = sum_{j<t} s_j 2**j q_j,
+
+    that is c + sum_t s_t P_t A_t(i) with c = sum_t P_t 2**t.  Each term is
+    positive (|A_t| < 2**t), and rows are built by doubling over the bits:
+    rows [2**t, 2**(t+1)) are rows [0, 2**t) with s_t = -1.  Rows i and
+    2**n - 1 - i get the same float, since A_t flips sign with s.
+    """
+    _loss_kernel(loss)  # refuses an unknown loss
+    q = np.asarray(q, dtype=np.float64)
+    n = q.size
+    if q.ndim != 1 or n < 1:
+        raise ValueError("the flip vector must be one-dimensional and nonempty")
+    if n > RAMP_BITS_LIMIT:
+        raise ResourceLimitError(f"ramp profiles support n <= {RAMP_BITS_LIMIT}, got n={n}")
+    if loss == "exact":
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, a certain flip
+            return np.full(1 << n, -np.expm1(np.log1p(-q).sum()))
+    top = q * np.append(np.cumprod((1.0 - q)[::-1])[::-1][1:], 1.0)
+    err = np.zeros(1 << n)
+    partial = np.zeros(1 << n)  # A_t of each row built so far
+    low = np.empty(1 << (n - 1))
+    h = 1
+    for t in range(n):
+        scale = float(1 << t)
+        high = err[h:2 * h]  # s_t = -1 on these rows
+        np.subtract(scale, partial[:h], out=high)
+        high *= top[t]
+        high += err[:h]
+        np.add(scale, partial[:h], out=low[:h])
+        low[:h] *= top[t]
+        err[:h] += low[:h]
+        step = scale * q[t]
+        np.subtract(partial[:h], step, out=partial[h:2 * h])
+        partial[:h] += step
+        h *= 2
+    return err
 
 
 def error_profile(problem, energies: EnergyVector, group: PermutationGroup,

@@ -31,6 +31,16 @@ entry for entry; sampled mode estimates them on probe rows instead, its
 clairvoyant side playing the kind's analytic allocation, or the water fill
 of a custom linear table under expected_magnitude, with no descent.
 
+The ramp table (outputs(i) = i: be, or a custom table of 0 .. 2**n - 1)
+takes a shorter road under both per-input metrics.  Its champions are
+closed forms (the water-filled ramp, the uniform split), the clairvoyant
+side reads the identity group and the blindfolded uniform split is fixed
+by every permutation, so both sides play product laws, whose rows
+decoders.product_ramp_profile gives from the flip vector alone.  Exact mobs
+there builds no truth table, ErrorAnalysis, loss matrix or group law, and
+prices up to decoders.RAMP_BITS_LIMIT bits; sampled mode plays the same
+closed forms.
+
 Metrics:
 
 * worst_correctness   -- worst-input wrong-output probability.
@@ -56,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng, popcount_table
-from .noise import EnergyVector, energy_rows, energy_vector
+from .noise import EnergyVector, energy_rows, energy_vector, flip_probability
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
                        sorting_problem, truth_table, unary_evaluation)
@@ -66,6 +76,7 @@ from .decoders import (
     _classes,
     identity_decoder,
     monte_carlo_error,
+    product_ramp_profile,
 )
 from .allocators import analytic_allocation, coordinate_descent, uniform_allocation, water_fill
 
@@ -403,8 +414,14 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
     """One budget's outcome from both sides' profiles, entry for entry:
     the worst entry ratio and the ratio of the worst entries.  rows names
     the input row of each entry; None for a pair-weighted aggregate."""
-    ratios = np.array([_ratio(b, c) for b, c in zip(bf_rows, cv_rows)])
-    worst = int(np.argmax(ratios))
+    bf_rows = np.asarray(bf_rows, dtype=np.float64)
+    cv_rows = np.asarray(cv_rows, dtype=np.float64)
+    # _ratio entry for entry: IEEE division, then 0/0 reads 1 and x/0 inf
+    with np.errstate(all="ignore"):
+        ratios = bf_rows / cv_rows
+    zero = cv_rows == 0.0
+    ratios[zero] = np.where(bf_rows[zero] == 0.0, 1.0, np.inf)
+    worst = int(np.argmax(ratios))  # the first maximum
     cv_value, bf_value = float(np.max(cv_rows)), float(np.max(bf_rows))
     return BudgetOutcome(budget, cv_energies, bf_energies, cv_value, bf_value,
                          float(ratios[worst]), _ratio(bf_value, cv_value),
@@ -473,14 +490,16 @@ def champion(problem: BooleanProblem, metric: str, profile):
     * otherwise a coordinate descent on the identity-group objective from
       the uniform split and analytic_allocation.
 
-    A per-input closed form prices only through the kept loss matrix or the
-    ramp kernel (the xor kernel's rows carry transform noise), a descent
-    only through the matrix; elsewhere this raises ResourceLimitError.
+    A per-input closed form or a descent prices only through the kept loss
+    matrix (the xor kernel's rows carry transform noise); elsewhere this
+    raises ResourceLimitError.  mobs gives the ramp table these closed
+    forms itself, at any size up to 20 bits, with no table
+    (_ramp_champion).
     """
     n = problem.n
     analysis = getattr(profile, "__self__", None)  # the per-input metrics' ErrorAnalysis
     kernel = "matrix" if analysis is None else analysis.kernel
-    if analysis is not None and kernel in ("matrix", "ramp"):
+    if analysis is not None and kernel == "matrix":
         outputs = analysis.table.outputs
         right_or_wrong = metric == "worst_correctness" or np.array_equal(outputs & 1, outputs)
         if right_or_wrong and _has_lone_output(analysis.table):
@@ -505,6 +524,46 @@ def champion(problem: BooleanProblem, metric: str, profile):
     return descend
 
 
+def _has_ramp_table(problem: BooleanProblem) -> bool:
+    """Whether the problem's table is the ramp, outputs(i) = i, read off
+    the problem without building the table: be, or a custom table whose
+    stored column is 0 .. 2**n - 1."""
+    if problem.kind == "custom":
+        return np.array_equal(problem.params["outputs"], np.arange(1 << problem.n))
+    return problem.kind == "be"
+
+
+def _ramp_champion(n: int, metric: str):
+    """champion's closed form on the ramp table, without the table: the
+    ramp has a lone output, so worst_correctness takes the uniform split,
+    and it is linear with w_j = 2**j, so expected_magnitude takes
+    water_fill(0 .. n-1) (at n = 1, where the table is 0/1, both read the
+    whole budget)."""
+    if metric == "worst_correctness":
+        return lambda budget: (uniform_allocation(budget, n), True)
+    levels = np.arange(n, dtype=np.float64)
+    return lambda budget: (water_fill(levels, budget), True)
+
+
+def _ramp_profile(metric: str):
+    """The per-input metric's profile function on the ramp table, for the
+    two laws exact mobs reads: any energies under the identity group, and
+    a flat row (the uniform split) under any group, which every permutation
+    fixes.  Both are the product law of the row's flip vector, so each row
+    takes decoders.product_ramp_profile: no truth table, 2**n law or loss
+    matrix.  A row that is not flat under another group is refused."""
+    loss = _PER_INPUT_LOSS[metric]
+
+    def profile(rows, group):
+        rows = energy_rows(rows)
+        group.check_width(rows.shape[1])
+        if not isinstance(group, IdentityGroup) and np.ptp(rows, axis=1).any():
+            raise ValueError("a ramp profile under a group reads flat energy rows only")
+        return np.stack([product_ramp_profile(flip_probability(row), loss) for row in rows])
+
+    return profile
+
+
 def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, group,
                      samples, rng) -> BudgetOutcome:
     """One budget's sampled outcome on the probe rows.  Sampled mode skips
@@ -524,8 +583,7 @@ def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, g
                                       samples, rng)
     std = {"cv": dict(zip(map(str, probes), cv_se.tolist())),
            "bf": dict(zip(map(str, probes), bf_se.tolist())), "probes": probes}
-    return _outcome(budget, cv_energies, bf_energies, cv_est.tolist(), bf_est.tolist(),
-                    True, probes, std)
+    return _outcome(budget, cv_energies, bf_energies, cv_est, bf_est, True, probes, std)
 
 
 def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
@@ -541,10 +599,13 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
          samples: int = 100_000, rng=None) -> MobsResult:
     """Price of blindfolding across a budget grid.
 
-    Per-input metrics take the worst input-row ratio; pair-weighted metrics
-    compare the scalar aggregates.  Exact mode enumerates, the clairvoyant
-    side playing champion's rule.  Sampled mode estimates per-input metrics
-    only, on probe rows with standard errors.
+    Per-input metrics take the worst input-row ratio (the first row of the
+    largest ratio); pair-weighted metrics compare the scalar aggregates.
+    Exact mode enumerates, the clairvoyant side playing champion's rule; on
+    the ramp table it plays the same closed forms and scores both sides
+    through decoders.product_ramp_profile, with no truth table (see the
+    module docstring).  Sampled mode estimates per-input metrics only, on
+    probe rows with standard errors; only it reads rng.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -564,17 +625,25 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     sampled = mode == "monte_carlo"
     if sampled and not per_input:
         raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
-    rng = as_rng(rng)
 
     identity = IdentityGroup(problem.n)
     if sampled:
+        rng = as_rng(rng)  # exact mode draws nothing
         table = truth_table(problem)
+    if per_input and _has_ramp_table(problem):
+        rule, profile = _ramp_champion(problem.n, metric), _ramp_profile(metric)
+    elif sampled:
         # the clairvoyant side plays analytic_allocation, under
-        # expected_magnitude already champion's closed form for be, ue and
-        # or; a custom linear table plays its water fill, as in champion
+        # expected_magnitude already champion's closed form for ue and or;
+        # a custom linear table plays its water fill, as in champion
         levels = None
         if problem.kind == "custom" and metric == "expected_magnitude":
             levels = _linear_levels(table)
+
+        def rule(budget):
+            if levels is None:
+                return analytic_allocation(problem, budget), True
+            return water_fill(levels, budget), True
     else:
         profile = _profile_function(problem, metric)
         rule = champion(problem, metric, profile)
@@ -582,17 +651,14 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     outcomes = []
     for budget in budget_grid:
         bf_energies = uniform_allocation(budget, problem.n)
+        cv_energies, converged = rule(budget)
         if sampled:
-            cv_energies = (analytic_allocation(problem, budget) if levels is None
-                           else water_fill(levels, budget))
             outcomes.append(_sampled_outcome(problem, table, budget, cv_energies, bf_energies,
                                              metric, group, samples, rng))
             continue
-        bf_rows = profile(energy_rows(bf_energies), group)[0]
-        cv_energies, converged = rule(budget)
         outcomes.append(_outcome(budget, cv_energies, bf_energies,
                                  profile(energy_rows(cv_energies), identity)[0],
-                                 bf_rows, converged, rows))
+                                 profile(energy_rows(bf_energies), group)[0], converged, rows))
     return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
                       mode, outcomes, samples if sampled else None)
 

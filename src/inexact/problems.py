@@ -171,14 +171,15 @@ def build_problem(kind: str, n: int | None = None, **params) -> BooleanProblem:
 
 
 def _outputs(problem: BooleanProblem, idx: np.ndarray) -> np.ndarray:
-    """The problem's outputs on an int64 array of packed input rows."""
+    """The problem's outputs on an int64 array of packed input rows, which
+    it may return (be) or overwrite (or)."""
     n, kind = problem.n, problem.kind
     if kind == "or":
-        return (idx != 0).astype(np.int64)
+        return np.not_equal(idx, 0, out=idx)
     if kind == "ue":
         return popcount(idx, n)
     if kind == "be":
-        return idx.copy()
+        return idx
     if kind == "tribes":
         t = problem.params["tribe_count"]
         size = n // t
@@ -208,13 +209,17 @@ def evaluate(problem: BooleanProblem, bits: Sequence[int]) -> int:
 
 
 def truth_table(problem: BooleanProblem) -> TruthTable:
-    """Enumerate the full output column (guarded at n <= TABLE_BITS_LIMIT)."""
+    """Enumerate the full output column (guarded at n <= TABLE_BITS_LIMIT),
+    one read-only 2**n array, which decoders.identity_decoder shares."""
     n = problem.n
     if n > TABLE_BITS_LIMIT:
         raise ResourceLimitError(f"truth tables support n <= {TABLE_BITS_LIMIT}, got n={n}")
     if problem.kind == "ue":  # the ones count of every row, by doubling
-        return TruthTable(n, popcount_table(n))
-    return TruthTable(n, _outputs(problem, np.arange(1 << n, dtype=np.int64)))
+        column = popcount_table(n)
+    else:
+        column = _outputs(problem, np.arange(1 << n, dtype=np.int64))
+    column.setflags(write=False)
+    return TruthTable(n, column)
 
 
 def table_to_csv(table: TruthTable, path) -> None:

@@ -967,22 +967,30 @@ def test_auto_monte_carlo_report_guard_exits_3(capsys):
     assert code == 3 and "resource limit" in err
 
 
-def test_auto_mode_prices_be_exactly_up_to_the_decode_limit(capsys):
+S8_ON_12_BITS = "1,0,2,3,4,5,6,7,8,9,10,11;1,2,3,4,5,6,7,0,8,9,10,11"
+
+
+def test_auto_mode_prices_be_exactly_up_to_twenty_bits(capsys):
     # be's clairvoyant champion is closed form under both per-input metrics
-    # (the ramp, and the uniform split, every output being lone), so without
-    # --mode its price is exact through n = 14; be past 14 bits keeps Monte
-    # Carlo
+    # (the ramp, and the uniform split, every output being lone), and both
+    # sides' rows come from product laws with no truth table, so without
+    # --mode its price is exact through n = 20, under the S_8 group on 12
+    # bits too (whose exact law is over the generated group's guard); at
+    # n = 21 the exact attempt and Monte Carlo both refuse
     for extra, want in ((("--n", "12"), "be,12,9.15597515287,exact"),
-                        (("--n", "12", "--metric", "worst_correctness"), "be,12,1,exact")):
+                        (("--n", "12", "--metric", "worst_correctness"), "be,12,1,exact"),
+                        (("--n", "12", "--budgets", "39", "--group", "generated",
+                          "--generators", S8_ON_12_BITS), "be,12,9.15597515287,exact"),
+                        (("--n", "15"), "be,15,18.7190272342,exact"),
+                        (("--n", "20"), "be,20,76.8927586012,exact")):
         code, out, _ = run(capsys, "mobs", "--problem", "be", *extra, "--format", "csv")
         assert code == 0
         comments, header, lines = csv_body(out)
         assert lines == [want]
         assert '"mode":"exact"' in comments[2]
-    code, out, _ = run(capsys, "mobs", "--problem", "be", "--n", "15", "--samples", "200",
-                       "--format", "csv")
-    assert code == 0
-    assert csv_body(out)[2][0].endswith(",monte_carlo")
+    code, out, err = run(capsys, "mobs", "--problem", "be", "--n", "21", "--samples", "200",
+                         "--format", "csv")
+    assert code == 3 and out == "" and "resource limit" in err
 
 
 @pytest.mark.parametrize("n", ["11", "12"])
@@ -1004,17 +1012,16 @@ def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
     assert {key for key in auto if auto[key] != exact[key]} == {"samples", "seed"}
 
 
-S8_ON_12_BITS = "1,0,2,3,4,5,6,7,8,9,10,11;1,2,3,4,5,6,7,0,8,9,10,11"
-
-
 @pytest.mark.parametrize("argv", [
-    ("mobs", "--problem", "be", "--n", "12", "--budgets", "39"),
+    ("mobs", "--problem", "ue", "--n", "12", "--budgets", "39"),
     ("simulate", "--problem", "ue", "--n", "12", "--allocation", "uniform", "--budget", "12",
      "--input", "000000000111"),
-], ids=["mobs-be-12", "simulate-ue-12-input"])
+], ids=["mobs-ue-12", "simulate-ue-12-input"])
 def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, argv):
     # S_8's exact average over 2**12 patterns is over the generated group's
-    # guard, so the exact attempt refuses, with no descent, and sampling runs
+    # guard, so the exact attempt refuses, with no descent, and sampling
+    # runs (be no longer reads the group's law: its blindfolded uniform
+    # split is fixed by every permutation)
     mobs_module = importlib.import_module("inexact.mobs")
 
     def refusing(*args, **kwargs):
@@ -1045,6 +1052,34 @@ def test_auto_mobs_that_falls_back_builds_one_truth_table(capsys, monkeypatch):
                        "--samples", "100", "--format", "csv")
     assert code == 0 and csv_body(out)[2][0].endswith(",monte_carlo")
     assert built == ["ue"]
+
+
+@pytest.mark.parametrize("argv, sampled", [
+    (("mobs", "--problem", "be", "--n", "6"), False),
+    (("mobs", "--problem", "or", "--n", "4", "--mode", "exact"), False),
+    (("mobs", "--problem", "ue", "--n", "20", "--budgets", "105", "--samples", "100"), True),
+    (("mobs", "--problem", "or", "--n", "6", "--mode", "monte_carlo", "--samples", "100"), True),
+    (("simulate", "--problem", "or", "--n", "6", "--allocation", "uniform", "--budget", "6"),
+     False),
+    (("simulate", "--problem", "or", "--n", "6", "--allocation", "uniform", "--budget", "6",
+      "--mode", "monte_carlo", "--samples", "100"), True),
+], ids=["mobs-auto-exact", "mobs-exact", "mobs-auto-sampled", "mobs-sampled",
+        "simulate-auto-exact", "simulate-sampled"])
+def test_only_a_sampled_run_builds_a_generator(capsys, monkeypatch, argv, sampled):
+    # exact runs draw nothing; a sampled one, auto-mode fallback included,
+    # builds one generator from the seed when it starts
+    cli = importlib.import_module("inexact.cli")
+    built = []
+    real = cli._rng_from
+
+    def counting(cfg):
+        built.append(cfg["seed"])
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_rng_from", counting)
+    code, _, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert built == ([0] if sampled else [])
 
 
 def test_exact_mobs_without_the_loss_matrix_exits_3(capsys):

@@ -24,8 +24,9 @@ from inexact.decoders import (
     map_decoder,
     monte_carlo_error,
     per_input_error,
+    product_ramp_profile,
 )
-from inexact.noise import energy_vector
+from inexact.noise import energy_vector, flip_probability
 from inexact.problems import (
     binary_evaluation,
     comparison_problem,
@@ -518,6 +519,75 @@ def test_ramp_profiles_match_the_dense_blocks():
         for (g, ev), want in zip(settings, wants):
             got = analysis.profile(ev, g)
             assert np.allclose(got, want, rtol=1e-12, atol=0), (g.kind, loss)
+
+
+def _ramp_energies(n, rng):
+    """Energy vectors for the product-law ramp rows: random ones, all zero
+    (every bit flips), very large ones (only single flips keep any mass)
+    and a mix of zero and very large entries."""
+    mixed = np.where(np.arange(n) % 2 == 0, 0.0, 1000.0)
+    return [rng.random(n) * 4.0, rng.dirichlet(np.ones(n)) * n * (n + 1) / 4.0,
+            np.zeros(n), np.full(n, 60.0), np.full(n, 1000.0), mixed]
+
+
+def test_product_ramp_rows_match_brute_definition():
+    # every row of the ramp table under the identity group's product law,
+    # from the flip vector alone, against the definition's sum over patterns
+    rng = np.random.default_rng(40)
+    for n in range(1, 7):
+        table = truth_table(binary_evaluation(n))
+        dec = identity_decoder(table)
+        for entries in _ramp_energies(n, rng):
+            ev = energy_vector(entries)
+            for loss in ("exact", "absolute"):
+                got = product_ramp_profile(flip_probability(ev), loss)
+                want = [brute_error(table, ev, IdentityGroup(n), dec, i, loss)
+                        for i in range(1 << n)]
+                assert np.allclose(got, want, rtol=1e-14, atol=0), (n, entries, loss)
+
+
+def test_product_ramp_rows_match_the_analysis_kernels():
+    # against ErrorAnalysis of be under the identity group: the kept loss
+    # matrix at n <= 11, the top-flipped-bit moments of the 2**n law at
+    # n = 12 to 14; rows i and 2**n - 1 - i come out as the same float
+    rng = np.random.default_rng(41)
+    for n in range(1, 15):
+        table = truth_table(binary_evaluation(n))
+        dec = identity_decoder(table)
+        energies = _ramp_energies(n, rng)
+        for loss in ("exact", "absolute"):
+            analysis = ErrorAnalysis(table, dec, loss)
+            assert analysis.kernel == ("matrix" if n <= 11 else "ramp")
+            wants = analysis.profile(np.array(energies), IdentityGroup(n))
+            for entries, want in zip(energies, wants):
+                got = product_ramp_profile(flip_probability(energy_vector(entries)), loss)
+                assert np.allclose(got, want, rtol=1e-14, atol=0), (n, entries, loss)
+                assert np.array_equal(got, got[::-1]), (n, entries, loss)
+
+
+def test_product_ramp_rows_guards():
+    with pytest.raises(ValueError, match="unknown loss"):
+        product_ramp_profile(np.full(3, 0.5), "squared")
+    with pytest.raises(ValueError, match="nonempty"):
+        product_ramp_profile(np.zeros(0))
+    with pytest.raises(ResourceLimitError):
+        product_ramp_profile(np.full(decoders.RAMP_BITS_LIMIT + 1, 0.5), "absolute")
+
+
+def test_identity_decoder_shares_the_read_only_table_column():
+    # a truth table holds one read-only 2**n column, and the identity
+    # decoder keeps it as given; a writable map is copied and frozen
+    for problem in (or_problem(6), unary_evaluation(6), binary_evaluation(6),
+                    tribes_problem(6, 2), comparison_problem(3), sorting_problem(2, 3),
+                    custom_problem(np.arange(64) % 5)):
+        table = truth_table(problem)
+        assert not table.outputs.flags.writeable, problem.name
+        assert identity_decoder(table).decode_map is table.outputs, problem.name
+    column = np.arange(8)
+    decoder = Decoder(column)
+    assert decoder.decode_map is not column and not decoder.decode_map.flags.writeable
+    column[0] = 5
+    assert decoder.decode_map[0] == 0
 
 
 def test_expected_magnitude_examples():

@@ -742,7 +742,7 @@ def test_mobs_be_frozen_values_and_growth():
 
 
 def test_mobs_be_first_exact_price_above_11_bits():
-    # at n = 12 and 14 the analysis scores be by its top-flipped-bit
+    # at n = 12 and 14 both sides' rows come from product-law top-bit
     # moments and the clairvoyant champion is the ramp, so a whole default
     # grid prices in milliseconds with no descent
     result = mobs(binary_evaluation(12))
@@ -752,6 +752,81 @@ def test_mobs_be_first_exact_price_above_11_bits():
     result = mobs(binary_evaluation(14))
     assert result.mobs == pytest.approx(14.698399916347949, rel=1e-12)
     assert result.converged
+
+
+def _analysis_route(n, group, analysis):
+    """Per budget of be's default grid: (clairvoyant rows, blindfolded rows)
+    as ErrorAnalysis of the truth table scores them (the kept loss matrix
+    at n <= 11, the 2**n law's top-bit moments above), the clairvoyant side
+    playing the water-filled ramp under the identity group."""
+    return [(analysis.profile(water_fill(np.arange(n), budget), IdentityGroup(n)),
+             analysis.profile(uniform_allocation(budget, n), group))
+            for budget in default_budget_grid(n)]
+
+
+def test_ramp_prices_match_the_analysis_route_without_a_table(monkeypatch):
+    # exact mobs on be builds no truth table, ErrorAnalysis or loss matrix,
+    # and reads no group law, yet gives the analysis route's price, worst
+    # input and both sides' rows there within 1e-14 relative, under every
+    # group kind; under worst_correctness both sides play one product law,
+    # so every ratio is exactly 1
+    mobs_module = importlib.import_module("inexact.mobs")
+    sizes = range(2, 15)
+    routes = {}
+    for n in sizes:
+        table = truth_table(binary_evaluation(n))
+        analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
+        routes[n] = [_analysis_route(n, group, analysis) for group in _groups(n)]
+    for name in ("truth_table", "ErrorAnalysis", "identity_decoder", "coordinate_descent"):
+        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    for n in sizes:
+        for group, route in zip(_groups(n), routes[n]):
+            result = mobs(binary_evaluation(n), group=group)
+            assert result.mode == "exact" and result.converged
+            for outcome, (cv_rows, bf_rows) in zip(result.outcomes, route):
+                where = (n, group.kind, outcome.budget)
+                ratios = bf_rows / cv_rows
+                worst = int(np.argmax(ratios))
+                assert outcome.worst_input == worst, where
+                assert outcome.error_ratio == pytest.approx(ratios[worst], rel=1e-14), where
+                assert outcome.cv_value == pytest.approx(cv_rows.max(), rel=1e-14), where
+                assert outcome.bf_value == pytest.approx(bf_rows.max(), rel=1e-14), where
+            ours = _ramp_rows(result, group)
+            for (cv, bf), (cv_rows, bf_rows) in zip(ours, route):
+                assert np.allclose(cv, cv_rows, rtol=1e-14, atol=0), (n, group.kind)
+                assert np.allclose(bf, bf_rows, rtol=1e-14, atol=0), (n, group.kind)
+            result = mobs(binary_evaluation(n), metric="worst_correctness", group=group)
+            assert [o.error_ratio for o in result.outcomes] == [1.0] * 4, (n, group.kind)
+            assert result.outcomes[0].worst_input == 0
+
+
+def _ramp_rows(result, group):
+    """Both sides' rows of each outcome of an exact be result, as mobs
+    scores them."""
+    profile = importlib.import_module("inexact.mobs")._ramp_profile(result.metric)
+    identity = IdentityGroup(result.n)
+    return [(profile(energy_rows(o.cv_energies), identity)[0],
+             profile(energy_rows(o.bf_energies), group)[0]) for o in result.outcomes]
+
+
+def test_be_prices_exactly_to_twenty_bits_without_a_table(monkeypatch):
+    # from n = 16 on the price peaks at budget n(n+1)/2, on a row with
+    # alternating low bits and zero high bits; past 20 bits mobs refuses
+    mobs_module = importlib.import_module("inexact.mobs")
+    for name in ("truth_table", "ErrorAnalysis", "coordinate_descent"):
+        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    for n, want in ((16, 24.39979056200752), (18, 43.01089446506435), (20, 76.89275860124846)):
+        result = mobs(binary_evaluation(n))
+        assert result.mobs == pytest.approx(want, rel=1e-12), n
+        worst = max(result.outcomes, key=lambda o: o.error_ratio)
+        assert worst.budget == n * (n + 1) / 2
+        assert worst.worst_input in (341, 1365), n
+    with pytest.raises(ResourceLimitError):
+        mobs(binary_evaluation(21))
+    # a flat row is the only one a ramp profile reads under a group
+    profile = mobs_module._ramp_profile("expected_magnitude")
+    with pytest.raises(ValueError, match="flat energy rows"):
+        profile(energy_rows(water_fill(np.arange(4), 10.0)), FullSymmetricGroup(4))
 
 
 def test_no_descent_beats_the_ramp_on_be():
@@ -869,8 +944,8 @@ def test_mobs_plays_the_water_fill_on_a_linear_table_without_a_search(monkeypatc
             # scored under one law, the water fill is no worse than the
             # uniform split
             assert result.mobs >= 1.0 - 1e-12, problem.name
-    # a custom table equal to be's is priced as be, through the ramp kernel
-    # at n = 12
+    # a custom table equal to be's is priced as be, through the product-law
+    # ramp rows at n = 12
     custom = mobs(custom_problem(np.arange(4096)), [39.0], "expected_magnitude").to_json()
     be = mobs(binary_evaluation(12), [39.0]).to_json()
     assert (custom.pop("problem"), custom.pop("kind")) == ("custom", "custom")
@@ -1188,6 +1263,55 @@ def test_sampled_mobs_plays_a_custom_linear_tables_water_fill():
     cv = per_input_error(table, fill, IdentityGroup(12), decoder, 0, "absolute")
     assert bf == pytest.approx(7.5, rel=1e-12)
     assert cv == pytest.approx(6.7348, abs=5e-5)
+
+
+def test_sampled_mobs_plays_the_ramp_tables_closed_forms():
+    # be and the custom table 0..4095 have a lone output read right or
+    # wrong under worst_correctness, so the clairvoyant side plays the
+    # uniform split, as exact mode's champion does (it played the water-
+    # filled ramp and priced 0.7365, below 1); under expected_magnitude it
+    # keeps the ramp, the bytes analytic_allocation gives be
+    for problem in (binary_evaluation(12), custom_problem(np.arange(4096))):
+        result = mobs(problem, [39.0], "worst_correctness", mode="monte_carlo",
+                      samples=2_000, rng=0)
+        outcome = result.outcomes[0]
+        assert outcome.cv_energies.entries.tolist() == [3.25] * 12
+        assert outcome.bf_energies.entries.tolist() == [3.25] * 12
+        # one law on both sides: every probe's ratio is noise about 1
+        assert 0.9 < result.mobs < 1.1
+        result = mobs(problem, [39.0], "expected_magnitude", mode="monte_carlo",
+                      samples=200, rng=0)
+        want = analytic_allocation(binary_evaluation(12), 39.0).entries
+        assert result.outcomes[0].cv_energies.entries.tobytes() == want.tobytes()
+
+
+def test_exact_mobs_builds_no_generator(monkeypatch):
+    # exact mode draws nothing, so it seeds no generator from OS entropy
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "as_rng", _refusing("as_rng"))
+    for problem in (binary_evaluation(6), or_problem(4), comparison_problem(2)):
+        assert mobs(problem).mode == "exact"
+    with pytest.raises(AssertionError, match="as_rng ran"):
+        mobs(or_problem(4), [4.0], mode="monte_carlo", samples=10)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324, 1e300, math.inf]),
+                          st.sampled_from([0.0, -0.0, 1.0, 3.0, 5e-324, 1e-300, math.inf])),
+                min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_outcome_ratios_are_the_scalar_rule_entry_for_entry(pairs):
+    # the array division keeps _ratio's rules (0/0 reads 1, x/0 inf, IEEE
+    # division otherwise) and the first row of the largest ratio
+    mobs_module = importlib.import_module("inexact.mobs")
+    bf, cv = (np.array(side) for side in zip(*pairs))
+    ev = energy_vector([1.0])
+    outcome = mobs_module._outcome(1.0, ev, ev, cv, bf, True, range(len(pairs)))
+    ratios = [mobs_module._ratio(b, c) for b, c in pairs]
+    worst = int(np.argmax(np.array(ratios)))
+    assert outcome.worst_input == worst
+    quality = mobs_module._ratio(float(np.max(bf)), float(np.max(cv)))
+    assert np.array([outcome.error_ratio, outcome.quality_ratio]).tobytes() == \
+        np.array([ratios[worst], quality]).tobytes()
 
 
 def test_sampled_mobs_builds_each_clairvoyant_table_once(monkeypatch):
