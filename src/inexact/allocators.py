@@ -83,9 +83,8 @@ def _scaled(base: EnergyVector, budget: float) -> EnergyVector:
 def analytic_allocation(problem: BooleanProblem, budget: float) -> EnergyVector:
     """Kind-appropriate closed-form allocation at the given budget.
 
-    Used as a search seed and as sampled mobs' clairvoyant side.  Exact
-    mobs needs no seed where the truth table has a closed form (be's ramp
-    among them), keyed on the table, not the kind (see mobs.champion).
+    mobs.champion seeds its descent with it and, in sampled mode, plays it
+    wherever no closed form applies.
     """
     kind, n = problem.kind, problem.n
     if kind == "be":

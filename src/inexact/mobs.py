@@ -12,10 +12,11 @@ does better once the adversary shuffles it.  It fails for some many-valued
 tables that depend on the ones count alone (which descend), where the
 shuffled objective is lower off the uniform split (the strict xfail
 tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
-The clairvoyant side plays champion's rule: a closed form where one gives
-the optimum, else a coordinate descent from the uniform vector and the
-kind's analytic allocation, so the ratio never sits below 1 (up to descent
-tolerance and rounding).
+The clairvoyant side plays champion's rule in every mode: a closed form
+where one gives the optimum, keyed on table facts a built-in kind gives
+with no table; else, exact, a coordinate descent from the uniform vector
+and the kind's analytic allocation, so the ratio never sits below 1 (up to
+descent tolerance and rounding), and, sampled, that allocation alone.
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
@@ -27,19 +28,16 @@ call), and one entry for the pair-weighted metrics (the worst position of
 their closed form, vectorized over the rows, averaged over the group's
 rewirings of each row).  Every search scores through error_objective, the
 worst entry of each row.  Exact mobs compares both champions' profiles
-entry for entry; sampled mode estimates them on probe rows instead, its
-clairvoyant side playing the kind's analytic allocation, or the water fill
-of a custom linear table under expected_magnitude, with no descent.
+entry for entry; sampled mode estimates them on probe rows instead.
 
 The ramp table (outputs(i) = i: be, or a custom table of 0 .. 2**n - 1)
-takes a shorter road under both per-input metrics.  Its champions are
-closed forms (the water-filled ramp, the uniform split), the clairvoyant
-side reads the identity group and the blindfolded uniform split is fixed
-by every permutation, so both sides play product laws, whose rows
+takes a shorter road under both per-input metrics in exact mode.  Its
+champions are closed forms (the water-filled ramp, the uniform split), the
+clairvoyant side reads the identity group and the blindfolded uniform split
+is fixed by every permutation, so both sides play product laws, whose rows
 decoders.product_ramp_profile gives from the flip vector alone.  Exact mobs
 there builds no truth table, ErrorAnalysis, loss matrix or group law, and
-prices up to decoders.RAMP_BITS_LIMIT bits; sampled mode plays the same
-closed forms.
+prices up to decoders.RAMP_BITS_LIMIT bits.
 
 Metrics:
 
@@ -68,8 +66,8 @@ import numpy as np
 from .bits import ResourceLimitError, as_rng, popcount_table
 from .noise import EnergyVector, energy_rows, energy_vector, flip_probability
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
-from .problems import (BooleanProblem, binary_evaluation, comparison_problem, or_problem,
-                       sorting_problem, truth_table, unary_evaluation)
+from .problems import (BooleanProblem, TruthTable, binary_evaluation, comparison_problem,
+                       or_problem, sorting_problem, truth_table, unary_evaluation)
 from .decoders import (
     ErrorAnalysis,
     _check_scale,
@@ -248,6 +246,14 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) ->
     return total
 
 
+def _analysis(problem: BooleanProblem, metric: str) -> ErrorAnalysis:
+    """The per-input metric's ErrorAnalysis of the identity decoder."""
+    # ErrorAnalysis' own guard, before a table too wide to analyse is built
+    _check_scale(problem.n, "exact error analysis")
+    table = truth_table(problem)
+    return ErrorAnalysis(table, identity_decoder(table), _PER_INPUT_LOSS[metric])
+
+
 def _profile_function(problem: BooleanProblem, metric: str):
     """(energy rows, group) -> error profile of the metric, one row of
     entries per row of the (K, n) stack.
@@ -258,11 +264,7 @@ def _profile_function(problem: BooleanProblem, metric: str):
     the group's rewirings of the energies.
     """
     if metric in _PER_INPUT_LOSS:
-        # ErrorAnalysis' own guard, before a table too wide to analyse is built
-        _check_scale(problem.n, "exact error analysis")
-        table = truth_table(problem)
-        loss = _PER_INPUT_LOSS[metric]
-        return ErrorAnalysis(table, identity_decoder(table), loss).profile
+        return _analysis(problem, metric).profile
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
             raise ValueError("comparison_weighted needs a comparison problem")
@@ -467,9 +469,33 @@ def _linear_levels(table):
     return np.log2(w) if (w > 0).all() and all(steps) else None
 
 
-def champion(problem: BooleanProblem, metric: str, profile):
-    """Exact mobs' clairvoyant rule, budget -> (EnergyVector, converged),
-    given the metric's _profile_function; the first that applies:
+def _table_facts(problem: BooleanProblem):
+    """(_has_lone_output, whether the outputs are all 0/1, _linear_levels),
+    off a custom table's stored column, else off the kind, with no table:
+    or, ue, be and sorting give 0 at the all-zero row alone, tribes has a
+    lone output as AND or OR only, comparison at k = 1 only (1 and -1); be,
+    one-number sorts and one-bit tables have w_j = 2**j, ue w_j = 1."""
+    n, kind, params = problem.n, problem.kind, problem.params
+    if kind == "custom":
+        table = TruthTable(n, params["outputs"])
+        outputs = table.outputs
+        return (_has_lone_output(table), np.array_equal(outputs & 1, outputs),
+                _linear_levels(table))
+    lone = (kind in ("or", "ue", "be", "sorting")
+            or (kind == "tribes" and params["tribe_count"] in (1, n))
+            or (kind == "comparison" and params["k"] == 1))
+    levels = None
+    if kind == "be" or n == 1 or (kind == "sorting" and params["count"] == 1):
+        levels = np.arange(n, dtype=np.float64)
+    elif kind == "ue":
+        levels = np.zeros(n)
+    return lone, kind in ("or", "tribes") or n == 1, levels
+
+
+def champion(problem: BooleanProblem, metric: str, objective=None):
+    """mobs' clairvoyant rule in every mode, budget -> (EnergyVector,
+    converged); the first that applies (the closed forms read _table_facts,
+    so a built-in kind builds no table):
 
     * a table with a lone output (a value exactly one input row gives: or,
       ue, be, sorting) read right or wrong (worst_correctness, or
@@ -487,34 +513,22 @@ def champion(problem: BooleanProblem, metric: str, profile):
       strictly convex and least exactly at e_j = max(0, log2 w_j + c).
     * comparison under comparison_weighted: equalized_comparison, optimal
       by numerical evidence (tests/test_mobs.py), not by proof.
-    * otherwise a coordinate descent on the identity-group objective from
-      the uniform split and analytic_allocation.
-
-    A per-input closed form or a descent prices only through the kept loss
-    matrix (the xor kernel's rows carry transform noise); elsewhere this
-    raises ResourceLimitError.  mobs gives the ramp table these closed
-    forms itself, at any size up to 20 bits, with no table
-    (_ramp_champion).
+    * otherwise a coordinate descent on objective (the identity-group
+      objective) from the uniform split and analytic_allocation; with no
+      objective (sampled mode, where each evaluation would be an exact
+      enumeration), analytic_allocation itself.
     """
     n = problem.n
-    analysis = getattr(profile, "__self__", None)  # the per-input metrics' ErrorAnalysis
-    kernel = "matrix" if analysis is None else analysis.kernel
-    if analysis is not None and kernel == "matrix":
-        outputs = analysis.table.outputs
-        right_or_wrong = metric == "worst_correctness" or np.array_equal(outputs & 1, outputs)
-        if right_or_wrong and _has_lone_output(analysis.table):
+    if metric in _PER_INPUT_LOSS:
+        lone, zero_one, levels = _table_facts(problem)
+        if lone and (metric == "worst_correctness" or zero_one):
             return lambda budget: (uniform_allocation(budget, n), True)
-        levels = _linear_levels(analysis.table)
         if levels is not None:  # expected_magnitude, since linear tables have a lone output
             return lambda budget: (water_fill(levels, budget), True)
     if problem.kind == "comparison" and metric == "comparison_weighted":
         return lambda budget: (equalized_comparison(problem.params["k"], budget), True)
-    if kernel != "matrix":
-        raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only "
-                                 f"through a kept loss matrix, not the {kernel} kernel")
-    objective = error_objective(problem, metric, IdentityGroup(n), profile=profile)
-    if analysis is not None and _counts_only(analysis.table):
-        objective = _rearrangements_scored_once(objective)
+    if objective is None:
+        return lambda budget: (analytic_allocation(problem, budget), True)
 
     def descend(budget):
         cv = coordinate_descent(objective, budget, n, [uniform_allocation(budget, n),
@@ -531,18 +545,6 @@ def _has_ramp_table(problem: BooleanProblem) -> bool:
     if problem.kind == "custom":
         return np.array_equal(problem.params["outputs"], np.arange(1 << problem.n))
     return problem.kind == "be"
-
-
-def _ramp_champion(n: int, metric: str):
-    """champion's closed form on the ramp table, without the table: the
-    ramp has a lone output, so worst_correctness takes the uniform split,
-    and it is linear with w_j = 2**j, so expected_magnitude takes
-    water_fill(0 .. n-1) (at n = 1, where the table is 0/1, both read the
-    whole budget)."""
-    if metric == "worst_correctness":
-        return lambda budget: (uniform_allocation(budget, n), True)
-    levels = np.arange(n, dtype=np.float64)
-    return lambda budget: (water_fill(levels, budget), True)
 
 
 def _ramp_profile(metric: str):
@@ -566,13 +568,10 @@ def _ramp_profile(metric: str):
 
 def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, group,
                      samples, rng) -> BudgetOutcome:
-    """One budget's sampled outcome on the probe rows.  Sampled mode skips
-    the descent (each objective evaluation would be an exact enumeration),
-    so the clairvoyant side plays cv_energies, a closed form (see mobs).
-    Each side makes one monte_carlo_error call over all the probes, which
-    decode one shared stream of patterns: the clairvoyant side's first,
-    then the blindfolded side's, from the same generator after the probe
-    draw."""
+    """One budget's sampled outcome on the probe rows.  Each side makes one
+    monte_carlo_error call over all the probes, which decode one shared
+    stream of patterns: the clairvoyant side's first, then the blindfolded
+    side's, from the same generator after the probe draw."""
     loss = _PER_INPUT_LOSS[metric]
     identity = IdentityGroup(problem.n)
     decoder = identity_decoder(table)
@@ -601,11 +600,11 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
 
     Per-input metrics take the worst input-row ratio (the first row of the
     largest ratio); pair-weighted metrics compare the scalar aggregates.
-    Exact mode enumerates, the clairvoyant side playing champion's rule; on
-    the ramp table it plays the same closed forms and scores both sides
-    through decoders.product_ramp_profile, with no truth table (see the
-    module docstring).  Sampled mode estimates per-input metrics only, on
-    probe rows with standard errors; only it reads rng.
+    The clairvoyant side plays champion's rule.  Exact mode enumerates; on
+    the ramp table it scores both sides through
+    decoders.product_ramp_profile, with no truth table (see the module
+    docstring).  Sampled mode estimates per-input metrics only, on probe
+    rows with standard errors; only it reads rng.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -627,26 +626,27 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
 
     identity = IdentityGroup(problem.n)
+    objective = None
     if sampled:
         rng = as_rng(rng)  # exact mode draws nothing
         table = truth_table(problem)
-    if per_input and _has_ramp_table(problem):
-        rule, profile = _ramp_champion(problem.n, metric), _ramp_profile(metric)
-    elif sampled:
-        # the clairvoyant side plays analytic_allocation, under
-        # expected_magnitude already champion's closed form for ue and or;
-        # a custom linear table plays its water fill, as in champion
-        levels = None
-        if problem.kind == "custom" and metric == "expected_magnitude":
-            levels = _linear_levels(table)
-
-        def rule(budget):
-            if levels is None:
-                return analytic_allocation(problem, budget), True
-            return water_fill(levels, budget), True
+    elif per_input and _has_ramp_table(problem):
+        profile = _ramp_profile(metric)  # champion gives the ramp closed forms
+    elif per_input:
+        analysis = _analysis(problem, metric)
+        # the xor kernel's rows carry transform noise, too coarse for a
+        # descent or a closed form's price
+        if analysis.kernel != "matrix":
+            raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only through "
+                                     f"a kept loss matrix, not the {analysis.kernel} kernel")
+        profile = analysis.profile
+        objective = error_objective(problem, metric, identity, profile=profile)
+        if _counts_only(analysis.table):
+            objective = _rearrangements_scored_once(objective)
     else:
         profile = _profile_function(problem, metric)
-        rule = champion(problem, metric, profile)
+        objective = error_objective(problem, metric, identity, profile=profile)
+    rule = champion(problem, metric, objective)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:

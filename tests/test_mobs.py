@@ -43,10 +43,10 @@ from conftest import brute_descent, brute_pair_wrong, one_row_at_a_time
 
 
 def _rule(problem, metric=None):
-    """champion's rule for the problem under the metric (its default if None)."""
+    """champion's rule for the problem under the metric (its default if
+    None), descending, where it descends, on the identity-group objective."""
     metric = metric or default_metric(problem)
-    profile = importlib.import_module("inexact.mobs")._profile_function(problem, metric)
-    return champion(problem, metric, profile)
+    return champion(problem, metric, error_objective(problem, metric, IdentityGroup(problem.n)))
 
 
 def test_default_metric_and_grid():
@@ -1283,6 +1283,82 @@ def test_sampled_mobs_plays_the_ramp_tables_closed_forms():
                       samples=200, rng=0)
         want = analytic_allocation(binary_evaluation(12), 39.0).entries
         assert result.outcomes[0].cv_energies.entries.tobytes() == want.tobytes()
+
+
+def _built_ins():
+    """Every built-in kind at its edges: or, ue and be at n = 1-10, tribes
+    at every divisor (AND and OR among them), comparison at k = 1-5, and
+    sorting with one number, with one-bit numbers and in a few other
+    shapes."""
+    problems = [build_problem(kind, n) for kind in ("or", "ue", "be") for n in range(1, 11)]
+    problems += [tribes_problem(n, t) for n in range(1, 11) for t in range(1, n + 1)
+                 if n % t == 0]
+    problems += [comparison_problem(k) for k in range(1, 6)]
+    problems += [sorting_problem(1, width) for width in range(1, 11)]
+    problems += [sorting_problem(count, 1) for count in range(2, 11)]
+    return problems + [sorting_problem(c, w) for c, w in ((2, 2), (2, 3), (3, 2), (2, 4))]
+
+
+def test_table_facts_of_every_built_in_are_the_column_facts():
+    # a built-in kind's facts are read off the kind with no table; they must
+    # be the facts its truth table's column gives
+    mobs_module = importlib.import_module("inexact.mobs")
+    for problem in _built_ins():
+        table = truth_table(problem)
+        lone, zero_one, levels = mobs_module._table_facts(problem)
+        column = mobs_module._linear_levels(table)
+        where = (problem.name, problem.n)
+        assert lone == mobs_module._has_lone_output(table), where
+        assert zero_one == np.array_equal(table.outputs & 1, table.outputs), where
+        assert (levels is None) == (column is None), where
+        if column is not None:
+            assert levels.tobytes() == column.tobytes(), where
+
+
+def test_sampled_mobs_plays_the_exact_champion_wherever_it_is_a_closed_form(monkeypatch):
+    # one rule serves both modes: wherever exact mobs plays a closed form
+    # (no descent), sampled mobs plays its bytes; sorting under
+    # worst_correctness has a lone output (only the all-zero input sorts
+    # to 0), so both play the uniform split, not the per-position ladder
+    mobs_module = importlib.import_module("inexact.mobs")
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
+    problems = [p for p in _built_ins() if p.n <= 8]
+    for n in range(1, 9):
+        rng = np.random.default_rng(n)
+        problems += [custom_problem(rng.integers(-2, 3, size=1 << n)) for _ in range(2)]
+        problems += _lone_output_tables(n, n)[3:] + [p for p, _ in _linear_tables(n, n)[2:]]
+    played = set()
+    for problem in problems:
+        budgets = [float(problem.n), problem.n * (problem.n + 1) / 2.0]
+        for metric in ("worst_correctness", "expected_magnitude"):
+            try:
+                exact = mobs(problem, budgets, metric)
+            except AssertionError as refused:  # a descent, which sampled mode does not run
+                assert "the descent ran" in str(refused)
+                continue
+            sampled = mobs(problem, budgets, metric, mode="monte_carlo", samples=20, rng=0)
+            for want, got in zip(exact.outcomes, sampled.outcomes):
+                assert got.cv_energies.entries.tobytes() == want.cv_energies.entries.tobytes(), \
+                    (problem.name, problem.n, metric, want.budget)
+            played.add((problem.kind, metric))
+    assert {("sorting", "worst_correctness"), ("custom", "expected_magnitude")} <= played
+    result = mobs(sorting_problem(4, 4), [40.0], "worst_correctness", mode="monte_carlo",
+                  samples=2_000, rng=0)
+    assert result.outcomes[0].cv_energies.entries.tolist() == [2.5] * 16
+
+
+def test_sampled_mobs_reads_no_column_facts_of_a_built_in(monkeypatch):
+    # or and ue have their facts off the kind; at n = 20 reading the column
+    # would cost more than the whole sampled call
+    mobs_module = importlib.import_module("inexact.mobs")
+    decoders = importlib.import_module("inexact.decoders")
+    for name in ("_has_lone_output", "_linear_levels", "_classes"):
+        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    monkeypatch.setattr(decoders, "_classes", _refusing("_classes"))
+    for problem in (or_problem(20), unary_evaluation(20)):
+        for metric in ("worst_correctness", "expected_magnitude"):
+            result = mobs(problem, [20.0], metric, mode="monte_carlo", samples=50, rng=0)
+            assert result.outcomes[0].cv_energies.entries.tolist() == [1.0] * 20
 
 
 def test_exact_mobs_builds_no_generator(monkeypatch):
