@@ -33,9 +33,10 @@ the signs s_j = 1 - 2 bit_j(i) below it:
     |(i XOR d) - i| = 2**t + s_t * sum_{j<t} s_j d_j 2**j,
 
 so err(i) needs only the law's mass on each top bit and its first moments
-d_j below it.  Under a product law those are closed form, and
-product_ramp_profile builds every row from the flip vector alone, by
-doubling over the bits: no table, no 2**n law.  An ErrorAnalysis binds
+d_j below it.  Those are closed form in the flip vector under every group
+(a product law, S_n's flip-count law, or a generated group's mean over its
+elements), and ramp_profile builds every row from them by doubling over
+the bits: no table, no 2**n law.  An ErrorAnalysis binds
 (truth table, decoder, loss) and picks one of four kernels once, shown by
 its ``kernel`` attribute:
 
@@ -48,8 +49,8 @@ its ``kernel`` attribute:
             and their C x 2**n arrays fit one block: or, tribes, comparison,
             ue, few-valued custom problems and sorting with narrow words at
             n >= 12.
-* ramp   -- the top-flipped-bit moments, O(n 2**n) under any group's
-            law, for the identity map read against the identity table
+* ramp   -- ramp_profile, O(2**n) from the group's top-flipped-bit
+            moments, for the identity map read against the identity table
             (be under the identity decoder) at n >= 12.
 * blocks -- L rebuilt on every call, one cache-sized tile of rows at a
             time, each tile's errors one matrix-vector product, for the
@@ -81,12 +82,13 @@ import numpy as np
 
 from .bits import ResourceLimitError, as_rng
 from .noise import EnergyVector, energy_rows, flip_probability
-from .adversary import IdentityGroup, PermutationGroup, average_pattern_probabilities
+from .adversary import (IdentityGroup, PermutationGroup, _binomials, _mismatch_count_weights,
+                        average_pattern_probabilities)
 from .problems import BooleanProblem, TruthTable, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
 MC_BITS_LIMIT = 20       # Monte Carlo decodes via packed row lookup
-RAMP_BITS_LIMIT = 20     # 2**n rows of a product-law ramp profile
+RAMP_BITS_LIMIT = 20     # 2**n rows of a ramp profile
 MC_REPORT_WORK_LIMIT = 1 << 28  # rows x samples cap for full sampled reports
 LOSS_KINDS = ("exact", "absolute")
 
@@ -297,11 +299,11 @@ class ErrorAnalysis:
     table, else "xor" where the decoder's classes make the transforms
     cheaper, else "blocks".  It keeps the energy-independent arrays its
     kernel needs: L whole (built on the first profile) for "matrix", the
-    decoder's class indicators and their loss weights for "xor", the
-    2**n x n bit table and its +-1 signs for "ramp" under the absolute
-    loss.  "blocks" rebuilds L on every call in cache-sized tiles of rows
-    through buffers it reuses from tile to tile; each tile's errors come
-    from one gemv, bit for bit the sums whole row blocks gave.
+    decoder's class indicators and their loss weights for "xor".  "ramp"
+    is ramp_profile, which reads the group's top-flipped-bit moments and
+    no 2**n law.  "blocks" rebuilds L on every call in cache-sized tiles
+    of rows through buffers it reuses from tile to tile; each tile's
+    errors come from one gemv, bit for bit the sums whole row blocks gave.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
@@ -312,15 +314,13 @@ class ErrorAnalysis:
         if decoder.n != n:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
-        self._matrix = self._indicators = self._weights = self._bits = self._signs = None
+        self._loss = loss
+        self._matrix = self._indicators = self._weights = None
         if 1 << (2 * n) <= _CHUNK_ENTRIES:
             self._kernel = "matrix"
             return
         if _is_ramp(decoder, self.table):
             self._kernel = "ramp"
-            if loss == "absolute":
-                self._bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-                self._signs = 1.0 - 2.0 * self._bits
             return
         classes = _classes(decoder.decode_map)[0][:, None]
         if _xor_is_cheaper(classes.size, n):
@@ -341,31 +341,6 @@ class ErrorAnalysis:
         for lo, hi, decoded in _dense_tiles(self.decoder.decode_map, columns):
             yield lo, hi, decoded, truth[lo:hi]
 
-    def _ramp_row(self, avg: np.ndarray) -> np.ndarray:
-        """Per-input errors of one pattern law under the ramp kernel.  Under
-        the exact loss every flip costs 1, so each row reads the mass on
-        d != 0.  Under the absolute loss, with top[t] the mass on patterns
-        whose top flipped bit is t and below[t, j] = 2**j times their mass
-        with bit j flipped too (j < t),
-
-            err(i) = sum_t top[t] 2**t + s_t(i) sum_{j<t} s_j(i) below[t, j].
-        """
-        if self._signs is None:
-            return np.full(avg.size, avg[1:].sum())
-        n = self.table.n
-        scale = np.exp2(np.arange(n))
-        top = np.empty(n)
-        below = np.zeros((n, n))
-        for t in range(n):
-            # the patterns whose top flipped bit is t: d in [2**t, 2**(t+1))
-            block = avg[1 << t:2 << t]
-            top[t] = block.sum()
-            below[t, :t] = block @ self._bits[:1 << t, :t]
-        below *= scale
-        quad = self._signs @ below.T
-        quad *= self._signs
-        return top @ scale + quad @ np.ones(n)
-
     def profile(self, energies, group: PermutationGroup) -> np.ndarray:
         """Per-input errors of an EnergyVector, or one row of them for each
         row of a (K, n) stack of energy rows, bit for bit the profile of that
@@ -375,6 +350,8 @@ class ErrorAnalysis:
         stack."""
         rows = energy_rows(energies)
         _check_width(rows.shape[1], self.table.n)
+        if self._kernel == "ramp":
+            return ramp_profile(energies, group, self._loss)
         avg = average_pattern_probabilities(group, rows)
         size = 1 << self.table.n
         if self._kernel == "matrix":
@@ -390,10 +367,6 @@ class ErrorAnalysis:
                 err = (self._weights * _xor_convolve(row, self._indicators)).sum(axis=0)
                 # a sum of nonnegative terms; clip the transform's rounding below 0
                 np.maximum(err, 0.0, out=out[r])
-        elif self._kernel == "ramp":
-            out = np.empty_like(avg)
-            for r, row in enumerate(avg):
-                out[r] = self._ramp_row(row)
         else:
             weights = np.empty((_tile_rows(size), size))
             out = np.empty_like(avg)
@@ -404,55 +377,95 @@ class ErrorAnalysis:
         return out[0] if isinstance(energies, EnergyVector) else out
 
 
-def product_ramp_profile(q, loss: str = "exact") -> np.ndarray:
+def _ramp_moments(q: np.ndarray, group: PermutationGroup):
+    """(top, cond) of the group-averaged pattern law for the flip vector q:
+    top[t] = P{top flipped bit = t} and cond[t, j] = P{bit j flips | top
+    flipped bit = t} for j < t, from q in closed form, with no 2**n law.
+    cond is None for a product law (the identity group, or a flat q, which
+    every permutation fixes), where it reads q_j."""
+    n = q.size
+    if group.kind == "identity" or q.min() == q.max():
+        return q * np.append(np.cumprod((1.0 - q)[::-1])[::-1][1:], 1.0), None
+    if group.kind == "symmetric":
+        # a k-flip pattern, of mass a[k] / C(n, k), has its top bit at t in
+        # C(t, k - 1) placements and sets a given lower bit in C(t - 1, k - 2)
+        binom = _binomials(n)
+        mass = _mismatch_count_weights(q) / binom[n]
+        top = binom[:n, :n] @ mass[1:]
+        joint = np.zeros((n, 1))
+        joint[1:, 0] = binom[:n - 1, :n - 1] @ mass[2:]
+    else:
+        # each element's product moments, summed pairwise along the element axis
+        rewired = np.ascontiguousarray(q[group.elements()].T)
+        tops = rewired.copy()
+        tops[:-1] *= np.cumprod(1.0 - rewired[:0:-1], axis=0)[::-1]
+        top = tops.sum(axis=1) / rewired.shape[1]
+        joint = np.zeros((n, n))
+        for t in range(1, n):
+            joint[t, :t] = (rewired[:t] * tops[t]).sum(axis=1) / rewired.shape[1]
+    cond = np.zeros((n, n))
+    np.divide(joint, top[:, None], out=cond, where=top[:, None] > 0.0)
+    return top, cond
+
+
+def ramp_profile(energies, group: PermutationGroup, loss: str = "exact") -> np.ndarray:
     """Exact per-input errors of the ramp table (the identity map read
-    against the identity table: be under the identity decoder) under the
-    product law with flip vector q, every row at once, from q alone: no
-    table, no 2**n law and no bit table, O(2**n) time.
+    against the identity table: be under the identity decoder) under any
+    group, for an EnergyVector or each row of a (K, n) stack of energy
+    rows, every input row at once, in O(2**n) time past the moments: no
+    table, no 2**n law and no bit table.
 
-    Under the exact loss every flip costs 1, so every row reads
-    P{d != 0} = 1 - prod_j (1 - q_j), taken through log1p and expm1 so
-    that tiny q keep their digits.  Under the absolute loss the top flipped
-    bit t has probability P_t = q_t prod_{k>t} (1 - q_k), the bits below it
-    flip independently, and with s_j = 1 - 2 bit_j(i) (see the module
-    docstring)
+    Under the exact loss every row reads P{d != 0} = 1 - prod_j (1 - q_j)
+    under every group (a permutation never changes whether no bit flips),
+    through log1p and expm1 so that tiny q keep their digits.  Under the
+    absolute loss, with top and cond from _ramp_moments and s_j = 1 - 2
+    bit_j(i) (see the module docstring),
 
-        err(i) = sum_t P_t (2**t + s_t A_t(i)),  A_t(i) = sum_{j<t} s_j 2**j q_j,
+        err(i) = sum_t top[t] (2**t + s_t A_t(i)),  A_t(i) = sum_{j<t} s_j 2**j cond[t, j].
 
-    that is c + sum_t s_t P_t A_t(i) with c = sum_t P_t 2**t.  Each term is
-    positive (|A_t| < 2**t), and rows are built by doubling over the bits:
-    rows [2**t, 2**(t+1)) are rows [0, 2**t) with s_t = -1.  Rows i and
-    2**n - 1 - i get the same float, since A_t flips sign with s.
+    Each term is positive (|A_t| < 2**t), and rows are built by doubling
+    over the bits: rows [2**t, 2**(t+1)) are rows [0, 2**t) with s_t = -1.
+    A product law keeps A_t's partial sums from bit to bit; otherwise A_t
+    is rebuilt for each t.  Rows i and 2**n - 1 - i get the same float,
+    since A_t flips sign with s.
     """
     _loss_kernel(loss)  # refuses an unknown loss
-    q = np.asarray(q, dtype=np.float64)
-    n = q.size
-    if q.ndim != 1 or n < 1:
-        raise ValueError("the flip vector must be one-dimensional and nonempty")
+    rows = energy_rows(energies)
+    n = rows.shape[1]
+    group.check_width(n)
     if n > RAMP_BITS_LIMIT:
         raise ResourceLimitError(f"ramp profiles support n <= {RAMP_BITS_LIMIT}, got n={n}")
-    if loss == "exact":
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, a certain flip
-            return np.full(1 << n, -np.expm1(np.log1p(-q).sum()))
-    top = q * np.append(np.cumprod((1.0 - q)[::-1])[::-1][1:], 1.0)
-    err = np.zeros(1 << n)
-    partial = np.zeros(1 << n)  # A_t of each row built so far
-    low = np.empty(1 << (n - 1))
-    h = 1
-    for t in range(n):
-        scale = float(1 << t)
-        high = err[h:2 * h]  # s_t = -1 on these rows
-        np.subtract(scale, partial[:h], out=high)
-        high *= top[t]
-        high += err[:h]
-        np.add(scale, partial[:h], out=low[:h])
-        low[:h] *= top[t]
-        err[:h] += low[:h]
-        step = scale * q[t]
-        np.subtract(partial[:h], step, out=partial[h:2 * h])
-        partial[:h] += step
-        h *= 2
-    return err
+    out = np.zeros((rows.shape[0], 1 << n))
+    for err, q in zip(out, flip_probability(rows)):
+        if loss == "exact":
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf, a certain flip
+                err[:] = -np.expm1(np.log1p(-q).sum())
+            continue
+        top, cond = _ramp_moments(q, group)
+        partial = np.zeros(1 << n)  # A_t of each row built so far
+        low = np.empty(1 << (n - 1))
+        h = 1
+        for t in range(n):
+            if cond is not None:  # A_t afresh, bit j by bit j
+                partial[0] = 0.0
+                for j in range(t):
+                    step = (1 << j) * cond[t, j]
+                    np.subtract(partial[:1 << j], step, out=partial[1 << j:2 << j])
+                    partial[:1 << j] += step
+            scale = float(1 << t)
+            high = err[h:2 * h]  # s_t = -1 on these rows
+            np.subtract(scale, partial[:h], out=high)
+            high *= top[t]
+            high += err[:h]
+            np.add(scale, partial[:h], out=low[:h])
+            low[:h] *= top[t]
+            err[:h] += low[:h]
+            if cond is None:  # A_{t+1} from A_t
+                step = scale * q[t]
+                np.subtract(partial[:h], step, out=partial[h:2 * h])
+                partial[:h] += step
+            h *= 2
+    return out[0] if isinstance(energies, EnergyVector) else out
 
 
 def error_profile(problem, energies: EnergyVector, group: PermutationGroup,

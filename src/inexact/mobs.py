@@ -32,12 +32,11 @@ entry for entry; sampled mode estimates them on probe rows instead.
 
 The ramp table (outputs(i) = i: be, or a custom table of 0 .. 2**n - 1)
 takes a shorter road under both per-input metrics in exact mode.  Its
-champions are closed forms (the water-filled ramp, the uniform split), the
-clairvoyant side reads the identity group and the blindfolded uniform split
-is fixed by every permutation, so both sides play product laws, whose rows
-decoders.product_ramp_profile gives from the flip vector alone.  Exact mobs
-there builds no truth table, ErrorAnalysis, loss matrix or group law, and
-prices up to decoders.RAMP_BITS_LIMIT bits.
+champions are closed forms (the water-filled ramp, the uniform split), and
+decoders.ramp_profile gives both sides' rows from the flip vector's
+top-flipped-bit moments under any group.  Exact mobs there builds no truth
+table, ErrorAnalysis, loss matrix or group law, and prices up to
+decoders.RAMP_BITS_LIMIT bits.
 
 Metrics:
 
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng, popcount_table
-from .noise import EnergyVector, energy_rows, energy_vector, flip_probability
+from .noise import EnergyVector, energy_rows, energy_vector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, TruthTable, binary_evaluation, comparison_problem,
                        or_problem, sorting_problem, truth_table, unary_evaluation)
@@ -74,7 +73,7 @@ from .decoders import (
     _classes,
     identity_decoder,
     monte_carlo_error,
-    product_ramp_profile,
+    ramp_profile,
 )
 from .allocators import analytic_allocation, coordinate_descent, uniform_allocation, water_fill
 
@@ -547,25 +546,6 @@ def _has_ramp_table(problem: BooleanProblem) -> bool:
     return problem.kind == "be"
 
 
-def _ramp_profile(metric: str):
-    """The per-input metric's profile function on the ramp table, for the
-    two laws exact mobs reads: any energies under the identity group, and
-    a flat row (the uniform split) under any group, which every permutation
-    fixes.  Both are the product law of the row's flip vector, so each row
-    takes decoders.product_ramp_profile: no truth table, 2**n law or loss
-    matrix.  A row that is not flat under another group is refused."""
-    loss = _PER_INPUT_LOSS[metric]
-
-    def profile(rows, group):
-        rows = energy_rows(rows)
-        group.check_width(rows.shape[1])
-        if not isinstance(group, IdentityGroup) and np.ptp(rows, axis=1).any():
-            raise ValueError("a ramp profile under a group reads flat energy rows only")
-        return np.stack([product_ramp_profile(flip_probability(row), loss) for row in rows])
-
-    return profile
-
-
 def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, group,
                      samples, rng) -> BudgetOutcome:
     """One budget's sampled outcome on the probe rows.  Each side makes one
@@ -601,10 +581,10 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     Per-input metrics take the worst input-row ratio (the first row of the
     largest ratio); pair-weighted metrics compare the scalar aggregates.
     The clairvoyant side plays champion's rule.  Exact mode enumerates; on
-    the ramp table it scores both sides through
-    decoders.product_ramp_profile, with no truth table (see the module
-    docstring).  Sampled mode estimates per-input metrics only, on probe
-    rows with standard errors; only it reads rng.
+    the ramp table it scores both sides through decoders.ramp_profile,
+    with no truth table (see the module docstring).  Sampled mode
+    estimates per-input metrics only, on probe rows with standard errors;
+    only it reads rng.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -631,7 +611,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         rng = as_rng(rng)  # exact mode draws nothing
         table = truth_table(problem)
     elif per_input and _has_ramp_table(problem):
-        profile = _ramp_profile(metric)  # champion gives the ramp closed forms
+        loss = _PER_INPUT_LOSS[metric]  # champion gives the ramp closed forms
+        profile = lambda rows, g: ramp_profile(rows, g, loss)
     elif per_input:
         analysis = _analysis(problem, metric)
         # the xor kernel's rows carry transform noise, too coarse for a

@@ -335,10 +335,16 @@ def test_seeded_symmetric_streams_are_pinned(capsys, stream):
 # XOR-convolution kernels).  These two and the CSV be-absolute digest were
 # re-recorded when explicit --mode exact stopped recording the samples and
 # seed it does not read: the bytes from "result" on (CSV rows) are the same.
+# Both be-absolute digests were re-recorded when the ramp rows came to be
+# built from the product law's closed-form moments in place of the 2**n
+# law's: rows 894 and 3201 read 1285.3771110750001 and now read
+# 1285.377111075, the double nearest the exact sum at those flip
+# probabilities, 1285.37711107499991..., one ulp below the old float, so
+# they print 1285.37711107 where they printed 1285.37711108.
 PINNED_REPORTS = {
     "be-absolute":
         (("--problem", "be", "--loss", "absolute"),
-         "464b0378b3a2d9a74b7aa753eee35bf117a470f92b739cfedf0acbb2f5f2f8a1"),
+         "6048b1551e7a94bc6c5416f9d71bd7412ba36d56e91bfcb9bd2d1a3e29aa6996"),
     "or-map-symmetric":
         (("--problem", "or", "--group", "symmetric", "--decoder", "map"),
          "240b20eb64615e839c1f59950b01f7e14bdcbee1fb4cc507e7f9e0d278a97e38"),
@@ -368,7 +374,7 @@ PINNED_CSV_REPORTS = {
         (("--problem", "be", "--n", "12", "--energies",
           "0.4,2.9,1.3,0.0,5.2,3.3,0.9,4.1,2.2,1.7,6.0,0.6", "--loss", "absolute",
           "--mode", "exact"),
-         "dfbad092d08a7a15253821f7b7408659c4b60b9bf4161106034f5f032f64fb31"),
+         "469b03e425db028b490e375f743c265346ff77735f48a944cb5d85e4f78d7eeb"),
     "or-sampled-symmetric":
         (("--problem", "or", "--n", "8", "--energies", "0.3,1.1,0.0,2.5,1.7,3.2,0.8,4.0",
           "--group", "symmetric", "--mode", "monte_carlo", "--samples", "3000",
@@ -993,6 +999,21 @@ def test_auto_mode_prices_be_exactly_up_to_twenty_bits(capsys):
     assert code == 3 and out == "" and "resource limit" in err
 
 
+def test_auto_mode_reports_be_exactly_under_a_group_past_the_law_guard(capsys):
+    # S_8's exact law over 2**12 patterns is over the generated group's
+    # guard, and a full sampled report over the Monte Carlo report cap, but
+    # be's ramp rows read the group's top-bit moments and no law, so the
+    # auto report runs exact
+    code, out, err = run(capsys, "simulate", "--problem", "be", "--n", "12", "--loss",
+                         "absolute", "--allocation", "analytic", "--budget", "39",
+                         "--group", "generated", "--generators", S8_ON_12_BITS,
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    comments, header, lines = csv_body(out)
+    assert '"mode":"exact"' in comments[2]
+    assert len(lines) == 4096
+
+
 @pytest.mark.parametrize("n", ["11", "12"])
 def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
     # an n = 12 auto report exited 3 on the Monte Carlo report cap, and an
@@ -1020,8 +1041,8 @@ def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
 def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, argv):
     # S_8's exact average over 2**12 patterns is over the generated group's
     # guard, so the exact attempt refuses, with no descent, and sampling
-    # runs (be no longer reads the group's law: its blindfolded uniform
-    # split is fixed by every permutation)
+    # runs (be reads no group law: its rows come from the group's top-bit
+    # moments)
     mobs_module = importlib.import_module("inexact.mobs")
 
     def refusing(*args, **kwargs):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from inexact.decoders import (
     map_decoder,
     monte_carlo_error,
     per_input_error,
-    product_ramp_profile,
+    ramp_profile,
 )
 from inexact.noise import energy_vector, flip_probability
 from inexact.problems import (
@@ -522,15 +523,15 @@ def test_ramp_profiles_match_the_dense_blocks():
 
 
 def _ramp_energies(n, rng):
-    """Energy vectors for the product-law ramp rows: random ones, all zero
-    (every bit flips), very large ones (only single flips keep any mass)
-    and a mix of zero and very large entries."""
+    """Energy vectors for the ramp rows: random ones, all zero (every bit
+    flips), very large ones (only single flips keep any mass) and a mix of
+    zero and very large entries."""
     mixed = np.where(np.arange(n) % 2 == 0, 0.0, 1000.0)
     return [rng.random(n) * 4.0, rng.dirichlet(np.ones(n)) * n * (n + 1) / 4.0,
             np.zeros(n), np.full(n, 60.0), np.full(n, 1000.0), mixed]
 
 
-def test_product_ramp_rows_match_brute_definition():
+def test_ramp_rows_match_brute_definition():
     # every row of the ramp table under the identity group's product law,
     # from the flip vector alone, against the definition's sum over patterns
     rng = np.random.default_rng(40)
@@ -540,38 +541,109 @@ def test_product_ramp_rows_match_brute_definition():
         for entries in _ramp_energies(n, rng):
             ev = energy_vector(entries)
             for loss in ("exact", "absolute"):
-                got = product_ramp_profile(flip_probability(ev), loss)
+                got = ramp_profile(ev, IdentityGroup(n), loss)
                 want = [brute_error(table, ev, IdentityGroup(n), dec, i, loss)
                         for i in range(1 << n)]
                 assert np.allclose(got, want, rtol=1e-14, atol=0), (n, entries, loss)
 
 
-def test_product_ramp_rows_match_the_analysis_kernels():
-    # against ErrorAnalysis of be under the identity group: the kept loss
-    # matrix at n <= 11, the top-flipped-bit moments of the 2**n law at
-    # n = 12 to 14; rows i and 2**n - 1 - i come out as the same float
+def test_ramp_rows_match_the_matrix_kernel_under_every_group():
+    # against ErrorAnalysis' kept loss matrix of be (n <= 11) under the
+    # identity, full symmetric and a cyclic group, extreme energies
+    # included; rows i and 2**n - 1 - i come out as the same float
     rng = np.random.default_rng(41)
-    for n in range(1, 15):
+    for n in range(1, 12):
         table = truth_table(binary_evaluation(n))
         dec = identity_decoder(table)
-        energies = _ramp_energies(n, rng)
+        energies = np.array(_ramp_energies(n, rng))
         for loss in ("exact", "absolute"):
             analysis = ErrorAnalysis(table, dec, loss)
-            assert analysis.kernel == ("matrix" if n <= 11 else "ramp")
-            wants = analysis.profile(np.array(energies), IdentityGroup(n))
-            for entries, want in zip(energies, wants):
-                got = product_ramp_profile(flip_probability(energy_vector(entries)), loss)
-                assert np.allclose(got, want, rtol=1e-14, atol=0), (n, entries, loss)
-                assert np.array_equal(got, got[::-1]), (n, entries, loss)
+            assert analysis.kernel == "matrix"
+            for group in _groups(n):
+                got = ramp_profile(energies, group, loss)
+                want = analysis.profile(energies, group)
+                for entries, row, want_row in zip(energies, got, want):
+                    where = (n, group.kind, loss, entries)
+                    assert np.allclose(row, want_row, rtol=1e-14, atol=0), where
+                    assert np.array_equal(row, row[::-1]), where
 
 
-def test_product_ramp_rows_guards():
+def test_ramp_rows_read_no_pattern_law_up_to_twenty_bits(monkeypatch):
+    # at n = 12 to 20 every group's rows come from its top-bit moments:
+    # with the 2**n law refused everywhere, the exact loss reads
+    # 1 - prod_j (1 - q_j), and the mean of the absolute rows is
+    # sum_t 2**t P{top flipped bit = t} (the signed sums average out),
+    # where P{top bit <= t} is the mass with no flip above t: a product
+    # over those bits, its mean over a cyclic group's rotations, and under
+    # S_n sum_k a[k] C(t + 1, k) / C(n, k); rows i and 2**n - 1 - i come
+    # out as the same float
+    def refusing(*args, **kwargs):
+        raise AssertionError("a 2**n pattern law was computed")
+
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", refusing)
+    monkeypatch.setattr(adversary, "_flip_patterns", refusing)
+    for cls in (IdentityGroup, FullSymmetricGroup, GeneratedGroup):
+        monkeypatch.setattr(cls, "law", refusing)
+    rng = np.random.default_rng(42)
+    for n in range(12, 21):
+        ev = energy_vector(rng.random(n) * 3.0)
+        q = flip_probability(ev)
+        stay = [math.prod(1.0 - q[k] for k in range(t + 1, n)) for t in range(n)]
+        rotations = [np.roll(q, -r) for r in range(n)]
+        counts = adversary._mismatch_count_weights(q)
+        below = {  # P{no bit above t flips}
+            "identity": stay,
+            "generated": [math.fsum(math.prod(1.0 - v[k] for k in range(t + 1, n))
+                                    for v in rotations) / n for t in range(n)],
+            "symmetric": [math.fsum(counts[k] * math.comb(t + 1, k) / math.comb(n, k)
+                                    for k in range(t + 2)) for t in range(n)],
+        }
+        for group in _groups(n):
+            assert ramp_profile(ev, group, "exact")[0] == pytest.approx(
+                1.0 - math.prod(1.0 - q), rel=1e-14)
+            rows = ramp_profile(ev, group, "absolute")
+            # P{top bit = t}; no bit flips with mass prod_j (1 - q_j) under every group
+            top = np.diff([math.prod(1.0 - q)] + below[group.kind])
+            assert np.array_equal(rows, rows[::-1]), (n, group.kind)
+            assert rows.min() > 0.0
+            assert math.fsum(rows) / rows.size == pytest.approx(
+                float(top @ np.exp2(np.arange(n))), rel=1e-12), (n, group.kind)
+
+
+def test_flat_ramp_rows_are_the_identity_groups_under_every_group():
+    # every permutation fixes a flat row (mobs' blindfolded uniform split),
+    # so every group scores it through the product law, byte for byte
+    for n in range(1, 21):
+        flat = np.array([np.full(n, b / n) for b in (n, n * (n + 1) / 4, n * (n + 1))])
+        want = ramp_profile(flat, IdentityGroup(n), "absolute")
+        for group in _groups(n)[1:]:
+            assert np.array_equal(ramp_profile(flat, group, "absolute"), want), (n, group.kind)
+
+
+def test_ramp_rows_of_a_generated_group_are_the_mean_of_its_elements():
+    # S_6 acting on the low 6 of 12 bits: each row is the math.fsum mean of
+    # the product-law rows of the 720 rewired energy vectors
+    n = 12
+    group = GeneratedGroup(n, [(1, 0) + tuple(range(2, n)),
+                               (1, 2, 3, 4, 5, 0) + tuple(range(6, n))])
+    assert group.order() == 720
+    ev = energy_vector(np.random.default_rng(43).random(n) * 4.0)
+    rows = ramp_profile(ev.entries[group.elements()], IdentityGroup(n), "absolute")
+    want = [math.fsum(column) / group.order() for column in rows.T]
+    got = ramp_profile(ev, group, "absolute")
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_ramp_rows_guards():
     with pytest.raises(ValueError, match="unknown loss"):
-        product_ramp_profile(np.full(3, 0.5), "squared")
+        ramp_profile(energy_vector(np.ones(3)), IdentityGroup(3), "squared")
     with pytest.raises(ValueError, match="nonempty"):
-        product_ramp_profile(np.zeros(0))
+        ramp_profile(np.zeros((1, 0)), IdentityGroup(1))
+    with pytest.raises(ValueError, match="group acts on"):
+        ramp_profile(energy_vector(np.ones(3)), IdentityGroup(4))
+    n = decoders.RAMP_BITS_LIMIT + 1
     with pytest.raises(ResourceLimitError):
-        product_ramp_profile(np.full(decoders.RAMP_BITS_LIMIT + 1, 0.5), "absolute")
+        ramp_profile(energy_vector(np.ones(n)), IdentityGroup(n), "absolute")
 
 
 def test_identity_decoder_shares_the_read_only_table_column():

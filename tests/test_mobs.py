@@ -13,7 +13,7 @@ from inexact.allocators import analytic_allocation, coordinate_descent, grid_sea
     sorting_allocation, ue_variance, uniform_allocation, water_fill
 from inexact.bits import ResourceLimitError, popcount_table
 from inexact.decoders import ErrorAnalysis, error_profile, identity_decoder, map_decoder, \
-    per_input_error
+    per_input_error, ramp_profile
 from inexact.mobs import (
     aggregate_error,
     champion,
@@ -757,8 +757,8 @@ def test_mobs_be_first_exact_price_above_11_bits():
 def _analysis_route(n, group, analysis):
     """Per budget of be's default grid: (clairvoyant rows, blindfolded rows)
     as ErrorAnalysis of the truth table scores them (the kept loss matrix
-    at n <= 11, the 2**n law's top-bit moments above), the clairvoyant side
-    playing the water-filled ramp under the identity group."""
+    at n <= 11, ramp_profile above), the clairvoyant side playing the
+    water-filled ramp under the identity group."""
     return [(analysis.profile(water_fill(np.arange(n), budget), IdentityGroup(n)),
              analysis.profile(uniform_allocation(budget, n), group))
             for budget in default_budget_grid(n)]
@@ -801,12 +801,11 @@ def test_ramp_prices_match_the_analysis_route_without_a_table(monkeypatch):
 
 
 def _ramp_rows(result, group):
-    """Both sides' rows of each outcome of an exact be result, as mobs
-    scores them."""
-    profile = importlib.import_module("inexact.mobs")._ramp_profile(result.metric)
+    """Both sides' rows of each outcome of an exact be result under
+    expected_magnitude, as mobs scores them."""
     identity = IdentityGroup(result.n)
-    return [(profile(energy_rows(o.cv_energies), identity)[0],
-             profile(energy_rows(o.bf_energies), group)[0]) for o in result.outcomes]
+    return [(ramp_profile(o.cv_energies, identity, "absolute"),
+             ramp_profile(o.bf_energies, group, "absolute")) for o in result.outcomes]
 
 
 def test_be_prices_exactly_to_twenty_bits_without_a_table(monkeypatch):
@@ -823,10 +822,13 @@ def test_be_prices_exactly_to_twenty_bits_without_a_table(monkeypatch):
         assert worst.worst_input in (341, 1365), n
     with pytest.raises(ResourceLimitError):
         mobs(binary_evaluation(21))
-    # a flat row is the only one a ramp profile reads under a group
-    profile = mobs_module._ramp_profile("expected_magnitude")
-    with pytest.raises(ValueError, match="flat energy rows"):
-        profile(energy_rows(water_fill(np.arange(4), 10.0)), FullSymmetricGroup(4))
+    # rows that are not flat score under a group as the kept loss matrix does
+    table = truth_table(binary_evaluation(4))
+    analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
+    rows = energy_rows(water_fill(np.arange(4), 10.0))
+    for group in _groups(4)[1:]:
+        assert np.allclose(ramp_profile(rows, group, "absolute"), analysis.profile(rows, group),
+                           rtol=1e-14, atol=0), group.kind
 
 
 def test_no_descent_beats_the_ramp_on_be():
