@@ -487,13 +487,16 @@ def _check_width(width: int, n: int) -> None:
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
     """Exact error of one input row (noise and adversary draw averaged): one
-    2**n law and one 2**n gather, guarded by the decoder, table and group."""
+    2**n law and one 2**n gather, guarded by the decoder, table and group;
+    on the ramp, the row of ramp_profile, with no law."""
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     _check_row(i, table.n)
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
     _check_width(energies.n, table.n)
+    if _is_ramp(decoder, table):
+        return float(ramp_profile(energies, group, loss)[i])
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]

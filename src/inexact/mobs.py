@@ -17,6 +17,8 @@ where one gives the optimum, keyed on table facts a built-in kind gives
 with no table; else, exact, a coordinate descent from the uniform vector
 and the kind's analytic allocation, so the ratio never sits below 1 (up to
 descent tolerance and rounding), and, sampled, that allocation alone.
+Where it returns the uniform split, which every permutation fixes, both
+sides read one law: mobs scores it once, and every ratio is exactly 1.
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
@@ -27,16 +29,17 @@ so a stack of K candidate moves costs K matrix-vector products behind one
 call), and one entry for the pair-weighted metrics (the worst position of
 their closed form, vectorized over the rows, averaged over the group's
 rewirings of each row).  Every search scores through error_objective, the
-worst entry of each row.  Exact mobs compares both champions' profiles
-entry for entry; sampled mode estimates them on probe rows instead.
+worst entry of each row (an exact per-input descent once per class of
+twin rows: _twins_scored_once).  Exact mobs compares both champions'
+profiles entry for entry; sampled mode estimates them on probe rows.
 
-The ramp table (outputs(i) = i: be, or a custom table of 0 .. 2**n - 1)
-takes a shorter road under both per-input metrics in exact mode.  Its
-champions are closed forms (the water-filled ramp, the uniform split), and
-decoders.ramp_profile gives both sides' rows from the flip vector's
-top-flipped-bit moments under any group.  Exact mobs there builds no truth
-table, ErrorAnalysis, loss matrix or group law, and prices up to
-decoders.RAMP_BITS_LIMIT bits.
+The ramp table (outputs(i) = f(0) + i, where the identity decoder cancels
+f(0): be, one-number sorts, one-bit tables, custom tables) takes a shorter
+road under both per-input metrics in exact mode.  Its champions are closed
+forms (the water-filled ramp, the uniform split), and decoders.ramp_profile
+gives both sides' rows from the flip vector's top-flipped-bit moments
+under any group.  Exact mobs there builds no truth table, ErrorAnalysis,
+loss matrix or group law, and prices up to decoders.RAMP_BITS_LIMIT bits.
 
 Metrics:
 
@@ -62,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import ResourceLimitError, as_rng, popcount_table
+from .bits import ResourceLimitError, as_rng
 from .noise import EnergyVector, energy_rows, energy_vector
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, TruthTable, binary_evaluation, comparison_problem,
@@ -430,26 +433,39 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
                          std_errors)
 
 
-def _counts_only(table) -> bool:
-    """Whether the truth table's output depends on the ones count alone."""
-    return bool(np.all(table.outputs == table.outputs[(1 << popcount_table(table.n)) - 1]))
+def _twin_classes(table) -> list[list[int]]:
+    """The table's bits in classes of twins, bits whose swap leaves it
+    unchanged.  Twinship is an equivalence ((i k) = (i j)(j k)(i j)), so
+    each bit is tested against the first bit of each class before it."""
+    idx, classes = np.arange(1 << table.n), []
+    for j in range(table.n):
+        for c in classes:  # swapping bits c[0] and j moves the rows where they differ
+            swapped = idx ^ ((idx >> c[0] ^ idx >> j) & 1) * (1 << c[0] | 1 << j)
+            if np.array_equal(table.outputs[swapped], table.outputs):
+                c.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes
 
 
-def _rearrangements_scored_once(objective):
-    """objective, but a stack whose rows are all rearrangements of its first
-    row is scored by that row alone, its value repeated: for the
-    identity-group objective of a table that depends on the ones count
-    alone and descends (parity, majority, many-valued ones-count tables),
-    which no permutation of the energies changes.  The descent's stack of
-    moves from the uniform split is such a stack, its rows equal up to
-    rounding far below IMPROVEMENT_EPS, so the walk takes the same moves,
-    counts the same evaluations and prints the same bytes."""
+def _twins_scored_once(objective, table):
+    """objective, the table's identity-group objective, but stack rows equal
+    once sorted within each twin class (found on the first call) are scored
+    by the first of them: a swap of twins permutes the profile's rows, so
+    such rows agree up to rounding, far below IMPROVEMENT_EPS, and the walk
+    takes the same moves and prints the same bytes."""
+    classes = None
+
     def score(rows):
-        if len(rows) > 1:
-            ordered = np.sort(rows, axis=1)
-            if (ordered == ordered[0]).all():
-                return np.repeat(objective(rows[:1]), len(rows))
-        return objective(rows)
+        nonlocal classes
+        if classes is None:
+            classes = _twin_classes(table)
+        if len(rows) == 1 or len(classes) == table.n:  # no twins
+            return objective(rows)
+        keys = np.hstack([np.sort(rows[:, c], axis=1) for c in classes])
+        _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        return objective(rows[first])[back.reshape(-1)]
 
     return score
 
@@ -537,34 +553,6 @@ def champion(problem: BooleanProblem, metric: str, objective=None):
     return descend
 
 
-def _has_ramp_table(problem: BooleanProblem) -> bool:
-    """Whether the problem's table is the ramp, outputs(i) = i, read off
-    the problem without building the table: be, or a custom table whose
-    stored column is 0 .. 2**n - 1."""
-    if problem.kind == "custom":
-        return np.array_equal(problem.params["outputs"], np.arange(1 << problem.n))
-    return problem.kind == "be"
-
-
-def _sampled_outcome(problem, table, budget, cv_energies, bf_energies, metric, group,
-                     samples, rng) -> BudgetOutcome:
-    """One budget's sampled outcome on the probe rows.  Each side makes one
-    monte_carlo_error call over all the probes, which decode one shared
-    stream of patterns: the clairvoyant side's first, then the blindfolded
-    side's, from the same generator after the probe draw."""
-    loss = _PER_INPUT_LOSS[metric]
-    identity = IdentityGroup(problem.n)
-    decoder = identity_decoder(table)
-    probes = _probe_inputs(problem, rng)
-    cv_est, cv_se = monte_carlo_error(table, cv_energies, identity, decoder, probes, loss,
-                                      samples, rng)
-    bf_est, bf_se = monte_carlo_error(table, bf_energies, group, decoder, probes, loss,
-                                      samples, rng)
-    std = {"cv": dict(zip(map(str, probes), cv_se.tolist())),
-           "bf": dict(zip(map(str, probes), bf_se.tolist())), "probes": probes}
-    return _outcome(budget, cv_energies, bf_energies, cv_est, bf_est, True, probes, std)
-
-
 def _probe_inputs(problem: BooleanProblem, rng) -> list[int]:
     """Sampled-mode input rows: the two sign-extreme rows plus random ones."""
     size = 1 << problem.n
@@ -608,10 +596,14 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     identity = IdentityGroup(problem.n)
     objective = None
     if sampled:
+        # each side's probes decode one shared pattern stream, cv's draws first
         rng = as_rng(rng)  # exact mode draws nothing
         table = truth_table(problem)
-    elif per_input and _has_ramp_table(problem):
-        loss = _PER_INPUT_LOSS[metric]  # champion gives the ramp closed forms
+        decoder, loss = identity_decoder(table), _PER_INPUT_LOSS[metric]
+        score = lambda energies, g, probes: monte_carlo_error(table, energies, g, decoder, probes,
+                                                               loss, samples, rng)
+    elif per_input and np.array_equal(_table_facts(problem)[2], np.arange(problem.n)):
+        loss = _PER_INPUT_LOSS[metric]  # the ramp's levels; champion gives its closed forms
         profile = lambda rows, g: ramp_profile(rows, g, loss)
     elif per_input:
         analysis = _analysis(problem, metric)
@@ -621,25 +613,29 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
             raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only through "
                                      f"a kept loss matrix, not the {analysis.kernel} kernel")
         profile = analysis.profile
-        objective = error_objective(problem, metric, identity, profile=profile)
-        if _counts_only(analysis.table):
-            objective = _rearrangements_scored_once(objective)
+        objective = _twins_scored_once(error_objective(problem, metric, identity, profile=profile),
+                                       analysis.table)
     else:
         profile = _profile_function(problem, metric)
         objective = error_objective(problem, metric, identity, profile=profile)
+    if not sampled:
+        score = lambda energies, g, probes: (profile(energy_rows(energies), g)[0], None)
     rule = champion(problem, metric, objective)
     rows = range(1 << problem.n) if per_input else None
     outcomes = []
     for budget in budget_grid:
         bf_energies = uniform_allocation(budget, problem.n)
         cv_energies, converged = rule(budget)
-        if sampled:
-            outcomes.append(_sampled_outcome(problem, table, budget, cv_energies, bf_energies,
-                                             metric, group, samples, rng))
-            continue
-        outcomes.append(_outcome(budget, cv_energies, bf_energies,
-                                 profile(energy_rows(cv_energies), identity)[0],
-                                 profile(energy_rows(bf_energies), group)[0], converged, rows))
+        probes = _probe_inputs(problem, rng) if sampled else rows
+        cv = score(cv_energies, identity, probes)
+        # a flat vector, which every permutation fixes: both sides read one law
+        bf = cv if np.array_equal(cv_energies.entries, bf_energies.entries) else \
+            score(bf_energies, group, probes)
+        std = {"cv": dict(zip(map(str, probes), cv[1].tolist())),
+               "bf": dict(zip(map(str, probes), bf[1].tolist())),
+               "probes": probes} if sampled else None
+        outcomes.append(_outcome(budget, cv_energies, bf_energies, cv[0], bf[0], converged,
+                                 probes, std))
     return MobsResult(problem.name, problem.kind, problem.n, metric, group.kind,
                       mode, outcomes, samples if sampled else None)
 

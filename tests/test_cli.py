@@ -606,7 +606,10 @@ def test_mobs_rejects_a_budget_that_is_not_finite(capsys, budget):
 # digest was re-recorded when each side came to draw one pattern stream per
 # budget shared by all its probe rows: the price still reads inf (the last
 # budget's clairvoyant probes see no error), and the finite error ratios
-# moved from 1.4, 3, 2 to 1.375, 2.66666666667, 1.21212121212.
+# moved from 1.4, 3, 2 to 1.375, 2.66666666667, 1.21212121212.  It was
+# re-recorded again when both sides came to read one estimate where they
+# play one vector (or's champion is the uniform split, which every
+# permutation fixes): every ratio reads 1 at row 0, and the price 1.0.
 PINNED_PRICES = {
     "be-6":
         (("--problem", "be", "--n", "6"),
@@ -622,7 +625,7 @@ PINNED_PRICES = {
         (("--problem", "or", "--n", "6", "--group", "generated",
           "--generators", "1,2,3,4,5,0", "--mode", "monte_carlo", "--samples", "2000",
           "--seed", "2"),
-         "48201149b2d859e16bada438aca3b5e88ff3e2923ec0d8758675d8fcb7d1cc8e"),
+         "40c9e9715dde7b59b392b89e4a9c5dd2c848e7c39d5eb765eeca96ba5c7a5ba3"),
 }
 
 
@@ -636,35 +639,37 @@ def test_price_outputs_are_pinned(capsys, price):
 
 # sha256 of JSON mobs outputs for or and ue at n = 10 and 11 under both
 # per-input metrics, recorded on the descent that scored every row of every
-# stack (up to about 15 s a run on a 2-vCPU VM).  Both tables depend on the
-# ones count alone, so the descent now scores a stack of rearrangements of
-# one row by that row, and each run takes under a second; the bytes must not
-# move.
+# stack (up to about 15 s a run on a 2-vCPU VM); both now take the uniform
+# split in closed form.  All eight were re-recorded when both sides came to
+# read one profile where they play one vector, the uniform split, which
+# every permutation fixes: the prices read 1.0 where seven read
+# 1.0000000000000002 or 1.0000000000000004 (the S_n count law's sums against
+# the identity law's), and every worst_input 0.
 PINNED_SYMMETRIC_PRICES = {
     "or-10-worst-correctness":
         (("--problem", "or", "--n", "10", "--metric", "worst_correctness"),
-         "af5c92ae3e2cd778c7fb90f014eafd2da13f10d56eeceb484bf1c85a29c9380a"),
+         "4f33094683171d5eec75b575b900cc5e17f224300775d0c6f212a595296af991"),
     "or-10-expected-magnitude":
         (("--problem", "or", "--n", "10", "--metric", "expected_magnitude"),
-         "483d684adaafd98df767ee96aec31c31f06eb02c42f9ab7e26a880dd033edc66"),
+         "b548018e47284f44a1d998926e9affb5bbf2bfaf96560a4d981b715446b9e897"),
     "or-11-worst-correctness":
         (("--problem", "or", "--n", "11", "--metric", "worst_correctness"),
-         "9bff960b65ff0775b15c19cb844d2b607a1b70b49624fb4883ba757fe9593cea"),
+         "55f0ce75ce40cd578dd44a14f11654f3e2ecc37a178482a9633ab1b721fdc478"),
     "or-11-expected-magnitude":
         (("--problem", "or", "--n", "11", "--metric", "expected_magnitude"),
-         "899c58afe452a0fcad05cc28c7ad602a01b8bb075d422ef623b2797c1d88f373"),
+         "6b3c192cc9d92db230f19d65a8f2c6d7e00a467f4c2b5e0d5b5ed56ab55702dd"),
     "ue-10-worst-correctness":
         (("--problem", "ue", "--n", "10", "--metric", "worst_correctness"),
-         "11c279e958207fa25a5a81c740a97616398b87152899771350a6b17cb82e0fb0"),
+         "cd2915f77691fc6f35c9f501458dd4508d937897d5bca38fab39046bf808ac22"),
     "ue-10-expected-magnitude":
         (("--problem", "ue", "--n", "10", "--metric", "expected_magnitude"),
-         "04f2499c40b7e6fb345482c0205aea8716b2c430f28adb93454b056fa99665e6"),
+         "4025523521962fb028f2421d9abd2260743b7fc98b0a5fc5e36d44e11e55ce93"),
     "ue-11-worst-correctness":
         (("--problem", "ue", "--n", "11", "--metric", "worst_correctness"),
-         "e2ecd947305853ea5e467d20e85c1499a34934bab0e7a2f222264f95bc5b6587"),
+         "6db6098f3ba9c02456774f59d3c777349fa17c47cfbb6b2f4d06f8494ba96e9d"),
     "ue-11-expected-magnitude":
         (("--problem", "ue", "--n", "11", "--metric", "expected_magnitude"),
-         "0edb928622331031a3f6ca8a5116e682ac93c56ee4adb68b4888cc840e84a5b4"),
+         "30f9890168c88ae4cf7a234935f3bb66382bedb19d576f92a2acc7f306c23840"),
 }
 
 
@@ -1012,6 +1017,16 @@ def test_auto_mode_reports_be_exactly_under_a_group_past_the_law_guard(capsys):
     comments, header, lines = csv_body(out)
     assert '"mode":"exact"' in comments[2]
     assert len(lines) == 4096
+    # a single row reads ramp_profile too, so it runs exact and prints the
+    # report's row (it sampled 90.2567 +- 1.0227 off the 2**12 law's guard)
+    code, one, err = run(capsys, "simulate", "--problem", "be", "--n", "12", "--loss",
+                         "absolute", "--allocation", "analytic", "--budget", "39",
+                         "--group", "generated", "--generators", S8_ON_12_BITS,
+                         "--input", "001101111110", "--format", "csv")
+    assert (code, err) == (0, "")
+    comments, header, row = csv_body(one)
+    assert '"mode":"exact"' in comments[2]
+    assert row == [lines[894]] == ["894,90.6863867935"]
 
 
 @pytest.mark.parametrize("n", ["11", "12"])

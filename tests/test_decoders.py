@@ -796,6 +796,40 @@ def test_per_input_error_is_the_brute_row_past_the_analysis_guard():
         assert per_input_error(table, ev, g, dec, row, loss) == pytest.approx(want, rel=1e-12)
 
 
+def test_per_input_error_reads_a_ramp_row_from_ramp_profile(monkeypatch):
+    # be under the identity decoder: the row is ramp_profile's, bit for bit,
+    # and builds no 2**n law, so S_8 on 12 bits (over the exact guard) reads
+    # exactly; elsewhere it is the law's row to rounding
+    rng = np.random.default_rng(42)
+    cases = []
+    for n in (3, 6, 9, 12):
+        groups = (IdentityGroup(n), FullSymmetricGroup(n),
+                  GeneratedGroup(n, [[1, 0, *range(2, n)], [*range(1, min(n, 8)), 0,
+                                                             *range(min(n, 8), n)]]))
+        table = truth_table(binary_evaluation(n))
+        ev = energy_vector(rng.dirichlet(np.ones(n)) * n)
+        rows = rng.integers(1 << n, size=4).tolist()
+        cases += [(table, ev, group, rows) for group in groups]
+    laws = {}
+    for table, ev, group, rows in cases:
+        if table.n < 12:
+            laws[id(group)] = [per_input_error(table, ev, group, identity_decoder(table), row,
+                                               loss) for row in rows
+                               for loss in ("exact", "absolute")]
+    table, ev, s8, rows = cases[-1]
+    with pytest.raises(ResourceLimitError, match="exact guard"):
+        decoders.average_pattern_probabilities(s8, ev)
+    monkeypatch.setattr(decoders, "average_pattern_probabilities", None)
+    for table, ev, group, rows in cases:
+        got = [per_input_error(table, ev, group, identity_decoder(table), row, loss)
+               for row in rows for loss in ("exact", "absolute")]
+        want = [ramp_profile(ev, group, loss)[row] for row in rows
+                for loss in ("exact", "absolute")]
+        assert got == want, (table.n, group.kind)
+        if id(group) in laws:
+            assert np.allclose(got, laws[id(group)], rtol=1e-13, atol=0), (table.n, group.kind)
+
+
 @pytest.mark.parametrize("n", [16, 20])
 @pytest.mark.parametrize("kind", ["symmetric", "rotation"])
 def test_per_input_error_past_the_analysis_guard_matches_monte_carlo(n, kind):

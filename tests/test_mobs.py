@@ -493,7 +493,7 @@ def _unwrapped(monkeypatch):
     """Make mobs descend on the plain objective, every row of every stack
     scored: the reference walk."""
     mobs_module = importlib.import_module("inexact.mobs")
-    monkeypatch.setattr(mobs_module, "_rearrangements_scored_once", lambda objective: objective)
+    monkeypatch.setattr(mobs_module, "_twins_scored_once", lambda objective, table: objective)
 
 
 def _rows_per_profile_call(monkeypatch) -> list:
@@ -526,30 +526,104 @@ def _ones_count_tables(n):
             "majority": custom_problem((2 * pc > n).astype(np.int64))}
 
 
+def _planted_twins(seed: int, n: int, values: int = 2):
+    """A seeded custom table of the ones counts within each class of a random
+    partition of the n bits, so the bits of a class are twins (classes may
+    merge where the drawn values allow)."""
+    rng = np.random.default_rng(seed)
+    label = rng.integers(0, max(1, n // 2), size=n)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    counts = np.stack([bits[:, label == c].sum(axis=1) for c in range(label.max() + 1)], 1)
+    key = counts @ ((n + 1) ** np.arange(counts.shape[1]))
+    return custom_problem(rng.integers(0, values, size=key.max() + 1)[key])
+
+
+def _brute_twins(problem) -> set:
+    """The pairs (i, j) of bits whose swap leaves the table unchanged."""
+    outputs, idx = truth_table(problem).outputs, np.arange(1 << problem.n)
+    twins = set()
+    for i, j in itertools.product(range(problem.n), repeat=2):
+        bit_i, bit_j = (idx >> i) & 1, (idx >> j) & 1
+        swapped = idx & ~((1 << i) | (1 << j)) | (bit_i << j) | (bit_j << i)
+        if np.array_equal(outputs[swapped], outputs):
+            twins.add((i, j))
+    return twins
+
+
+def test_twin_classes_are_the_brute_force_swaps():
+    mobs_module = importlib.import_module("inexact.mobs")
+    rng = np.random.default_rng(43)
+    problems = [custom_problem(rng.integers(0, values, size=1 << n))
+                for n in range(1, 7) for values in (2, 3) for _ in range(4)]
+    problems += [_planted_twins(seed, n, values) for seed in range(6) for n in range(2, 7)
+                 for values in (2, 5)]
+    problems += [tribes_problem(6, 2), tribes_problem(6, 3), or_problem(5),
+                 unary_evaluation(4), binary_evaluation(4), comparison_problem(3),
+                 custom_problem((np.arange(64) % 3 == 0).astype(int))]
+    sizes = set()
+    for problem in problems:
+        classes = mobs_module._twin_classes(truth_table(problem))
+        assert sorted(itertools.chain(*classes)) == list(range(problem.n))
+        label = {j: c for c, members in enumerate(classes) for j in members}
+        same = {(i, j) for i in range(problem.n) for j in range(problem.n)
+                if label[i] == label[j]}
+        assert same == _brute_twins(problem), classes
+        sizes.update(len(c) for c in classes)
+    assert {1, 2, 3} <= sizes  # the cases include classes of several sizes
+
+
+@pytest.mark.parametrize("metric", ["worst_correctness", "expected_magnitude"])
+def test_the_objective_is_invariant_under_twin_permutations(metric):
+    # a swap of twins is an automorphism of the table, so it permutes the
+    # identity-group profile's rows and keeps their worst
+    mobs_module = importlib.import_module("inexact.mobs")
+    rng = np.random.default_rng(7)
+    problems = [tribes_problem(6, 2), tribes_problem(6, 3), _ones_count_tables(5)["parity"],
+                custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)])]
+    problems += [_planted_twins(seed, n, 5) for seed in range(4) for n in (4, 5, 6)]
+    for problem in problems:
+        classes = mobs_module._twin_classes(truth_table(problem))
+        objective = error_objective(problem, metric)
+        rows = rng.uniform(0.0, 3.0, size=(6, problem.n))
+        moved = rows.copy()
+        for row in moved:
+            for c in classes:
+                row[c] = row[rng.permutation(c)]
+        assert not np.array_equal(moved, rows) or all(len(c) == 1 for c in classes)
+        np.testing.assert_allclose(objective(moved), objective(rows), rtol=1e-12, atol=0)
+
+
+def _twin_tables(tables: str):
+    if tables == "many_valued":
+        # its descent under expected_magnitude leaves the uniform split;
+        # under worst_correctness its lone output takes the closed form
+        return [custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)])]
+    if tables == "tribes":
+        return [tribes_problem(n, t) for n, t in ((4, 2), (6, 2), (6, 3), (8, 2))]
+    if tables == "planted":
+        return [_planted_twins(seed, n) for seed, n in ((1, 5), (2, 6), (3, 6), (4, 7))]
+    return [_ones_count_tables(n)[tables] for n in range(3, 10)]
+
+
 @pytest.mark.parametrize("metric, tables", [
     (metric, tables) for metric in ("worst_correctness", "expected_magnitude")
-    for tables in ("parity", "majority", "many_valued")
+    for tables in ("parity", "majority", "many_valued", "tribes", "planted")
     if metric == "expected_magnitude" or tables != "many_valued"])
 @pytest.mark.parametrize("group", [FullSymmetricGroup, IdentityGroup])
 def test_scoring_a_rearranged_stack_once_leaves_the_price_unchanged(monkeypatch, group,
                                                                     metric, tables):
-    # these tables depend on the ones count alone, so the clairvoyant
-    # descent scores a stack of rearrangements of one row by that row; the
-    # price must be the one the descent that scores every row finds, byte
-    # for byte
+    # these tables have twin bits, so the clairvoyant descent scores each
+    # class of twin rows of a stack by its first row; the price must be the
+    # one the descent that scores every row finds, byte for byte
     mobs_module = importlib.import_module("inexact.mobs")
-    if tables == "many_valued":
-        # its descent under expected_magnitude leaves the uniform split;
-        # under worst_correctness its lone output takes the closed form
-        problems = [custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)])]
-    else:
-        problems = [_ones_count_tables(n)[tables] for n in range(3, 10)]
+    problems = _twin_tables(tables)
     wrapped = []
-    real = mobs_module._rearrangements_scored_once
-    monkeypatch.setattr(mobs_module, "_rearrangements_scored_once",
-                        lambda objective: wrapped.append(1) or real(objective))
+    real = mobs_module._twins_scored_once
+    monkeypatch.setattr(mobs_module, "_twins_scored_once",
+                        lambda objective, table: wrapped.append(1) or real(objective, table))
     for problem in problems:
         n = problem.n
+        assert any(len(c) > 1 for c in mobs_module._twin_classes(truth_table(problem)))
         got = json.dumps(mobs(problem, metric=metric, group=group(n)).to_json())
         with monkeypatch.context() as patch:
             _unwrapped(patch)
@@ -563,55 +637,105 @@ def test_a_count_symmetric_table_is_scored_one_row_per_call(monkeypatch):
     # from the uniform split, parity 8's descent under expected_magnitude
     # rejects every move of all 21 step sizes at each of the 4 default
     # budgets: 56 rows a call unwrapped, one wrapped (4 * (1 + 21 * 56) =
-    # 4,708 objective rows, plus one profile per side and budget)
+    # 4,708 objective rows, plus one profile per budget, which both sides
+    # read since both play the uniform split)
     parity = custom_problem(popcount_table(8) % 2)
     price, calls = _price_and_rows(parity, "expected_magnitude")
     _unwrapped(monkeypatch)
     full_price, full_calls = _price_and_rows(parity, "expected_magnitude")
     assert price == full_price
-    assert sum(full_calls) == 4_708 + 8
+    assert sum(full_calls) == 4_708 + 4
     assert calls == [1] * len(full_calls)
 
 
-def test_rearranged_stacks_are_scored_once_only_for_count_symmetric_tables(monkeypatch):
+@pytest.mark.parametrize("n, tribes, rows, full_rows", [
+    (8, 2, 340, 4_708), (9, 3, 760, 6_052), (10, 2, 340, None), (10, 5, 2_104, None)])
+def test_tribes_descents_score_one_row_per_class_of_twin_rows(monkeypatch, n, tribes, rows,
+                                                               full_rows):
+    # at the default budgets these descents never leave the uniform split;
+    # they hand the objective one row per class of twin rows of each stack
+    # (the walk that scores every row hands it 7,564 at n = 10, too slow
+    # to run here), plus one profile per budget that both sides read
+    price, calls = _price_and_rows(tribes_problem(n, tribes))
+    assert sum(calls) == rows + 4
+    assert json.loads(price)["mobs"] == 1.0
+    if full_rows is not None:
+        _unwrapped(monkeypatch)
+        full_price, full_calls = _price_and_rows(tribes_problem(n, tribes))
+        assert price == full_price
+        assert sum(full_calls) == full_rows + 4
+
+
+def test_twin_rows_are_scored_once_only_where_the_table_has_twins(monkeypatch):
     mobs_module = importlib.import_module("inexact.mobs")
     pc = popcount_table(6)
-    # parity and majority, and a many-valued count table whose descent
-    # leaves the uniform split at budget 4, so later stacks mix rows
-    symmetric = [(custom_problem(pc % 2), None), (custom_problem((pc > 3).astype(int)), None),
-                 (custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)]),
-                  "expected_magnitude")]
-    asymmetric = [(binary_evaluation(6), "worst_correctness"), (tribes_problem(6, 2), None),
-                  (comparison_problem(3), "worst_correctness"),
-                  (custom_problem((np.arange(64) % 3 == 0).astype(int)), None)]
-    for problem, _ in symmetric + [(or_problem(5), None), (unary_evaluation(5), None)]:
-        assert mobs_module._counts_only(truth_table(problem)), problem.params
-    for problem, _ in asymmetric:
-        assert not mobs_module._counts_only(truth_table(problem)), problem.name
-    shortcut = [_price_and_rows(problem, metric) for problem, metric in symmetric + asymmetric]
+    # parity and majority, a many-valued count table whose descent leaves
+    # the uniform split at budget 4, so later stacks mix rows, tribes, and
+    # i mod 3 == 0, whose even and odd bits are twins (2**j mod 3 is 1, 2)
+    twins = [(custom_problem(pc % 2), None), (custom_problem((pc > 3).astype(int)), None),
+             (custom_problem(np.array([0, 5, 2, 2, 1])[popcount_table(4)]),
+              "expected_magnitude"),
+             (tribes_problem(6, 2), None),
+             (custom_problem((np.arange(64) % 3 == 0).astype(int)), None)]
+    rng = np.random.default_rng(2)
+    lone = [(comparison_problem(3), "worst_correctness"),
+            (custom_problem(rng.integers(0, 2, size=64)), None)]
+    for problem, _ in twins + [(or_problem(5), None), (unary_evaluation(5), None)]:
+        assert max(map(len, mobs_module._twin_classes(truth_table(problem)))) > 1, problem.name
+    for problem, _ in lone:
+        assert len(mobs_module._twin_classes(truth_table(problem))) == problem.n, problem.name
+    shortcut = [_price_and_rows(problem, metric) for problem, metric in twins + lone]
     _unwrapped(monkeypatch)
-    full = [_price_and_rows(problem, metric) for problem, metric in symmetric + asymmetric]
-    # the count-symmetric tables take the shortcut and price byte for byte
-    # the same
-    for (price, calls), (full_price, full_calls) in zip(shortcut, full[:len(symmetric)]):
+    full = [_price_and_rows(problem, metric) for problem, metric in twins + lone]
+    # the tables with twins take the shortcut and price byte for byte the same
+    for (price, calls), (full_price, full_calls) in zip(shortcut, full[:len(twins)]):
         assert price == full_price
         assert len(calls) == len(full_calls) and sum(calls) < sum(full_calls)
     moved = json.loads(full[2][0])["per_budget"][0]["cv_energies"]  # the many-valued table
     assert np.ptp(moved) > 0.1
     # the others hand the objective exactly the rows the unwrapped descent
     # hands it
-    assert shortcut[len(symmetric):] == full[len(symmetric):]
+    assert shortcut[len(twins):] == full[len(twins):]
 
 
-def test_only_a_stack_of_rearrangements_is_scored_once():
+def test_only_rows_equal_up_to_twins_are_scored_once():
     mobs_module = importlib.import_module("inexact.mobs")
+    problem = tribes_problem(4, 2)  # twin classes {0, 1} and {2, 3}
+    plain = error_objective(problem, "worst_correctness")
     scored = []
-    objective = mobs_module._rearrangements_scored_once(
-        _counting(error_objective(or_problem(3), "worst_correctness"), scored))
-    rows = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
-    assert np.array_equal(objective(rows), np.repeat(objective(rows[:1]), 3))
-    assert objective(np.vstack([rows, [[1.0, 1.0, 1.0]]])).shape == (4,)
-    assert scored == [1, 1, 4]
+    objective = mobs_module._twins_scored_once(_counting(plain, scored),
+                                               truth_table(problem))
+    rows = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 3.0, 4.0], [1.0, 2.0, 4.0, 3.0],
+                     [3.0, 4.0, 1.0, 2.0], [2.0, 1.0, 4.0, 3.0], [4.0, 3.0, 2.0, 1.0]])
+    # rows 0, 1, 2 and 4 are one class, rows 3 and 5 (tribes swapped) another
+    assert np.array_equal(objective(rows), plain(rows[[0, 0, 0, 3, 0, 3]]))
+    assert scored == [2]
+    assert objective(rows[1:2]).tolist() == plain(rows[1:2]).tolist()
+    assert scored == [2, 1]
+    # a table with no twins hands every row on
+    be = binary_evaluation(4)
+    objective = mobs_module._twins_scored_once(
+        _counting(error_objective(be, "worst_correctness"), scored), truth_table(be))
+    objective(rows)
+    assert scored == [2, 1, 6]
+
+
+def test_twin_classes_are_found_once_and_only_for_a_descent(monkeypatch):
+    # the closed-form champions never score a stack, so they never pay for
+    # the scan; a descent finds the classes once, with or without twins
+    mobs_module = importlib.import_module("inexact.mobs")
+    scans = []
+    real = mobs_module._twin_classes
+    monkeypatch.setattr(mobs_module, "_twin_classes",
+                        lambda table: scans.append(table.n) or real(table))
+    for problem in (or_problem(6), unary_evaluation(6), binary_evaluation(6),
+                    custom_problem(np.arange(16) + 3)):
+        for metric in ("worst_correctness", "expected_magnitude"):
+            mobs(problem, metric=metric)
+    assert scans == []
+    mobs(tribes_problem(6, 2))
+    mobs(comparison_problem(2), metric="worst_correctness")
+    assert scans == [6, 4]
 
 
 def test_uniform_split_is_the_blindfolded_champion():
@@ -1453,12 +1577,72 @@ def test_exact_mobs_refuses_a_descent_without_the_loss_matrix(monkeypatch):
 
 def test_exact_mobs_scores_the_blindfolded_side_before_any_descent(monkeypatch):
     # S_8 on 11 bits is over the generated group's exact guard; the refusal
-    # comes from its law, not after a descent
+    # comes from its law, not after a descent.  The linear table of weights
+    # 1 .. 11 takes its water fill, which is not flat, so the blindfolded
+    # side reads the group's law; or's champion is the uniform split, which
+    # every permutation fixes, so both sides read one profile under the
+    # identity group and or prices exactly 1
     mobs_module = importlib.import_module("inexact.mobs")
     monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
     s8 = GeneratedGroup(11, [[1, 0, *range(2, 11)], [*range(1, 8), 0, 8, 9, 10]])
+    bits = (np.arange(1 << 11)[:, None] >> np.arange(11)) & 1
+    linear = custom_problem(bits @ np.arange(1, 12))
     with pytest.raises(ResourceLimitError, match="exact guard"):
-        mobs(or_problem(11), [11.0], group=s8)
+        mobs(linear, [11.0], "expected_magnitude", group=s8)
+    assert mobs(or_problem(11), [11.0], group=s8).csv_row() == "or,11,1,exact"
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_a_flat_champion_is_scored_once_for_both_sides(monkeypatch, mode):
+    # where champion returns the blindfolded uniform split, which every
+    # permutation fixes, both sides read one law: one profile (exact) or one
+    # estimate (sampled) stands for both, so every ratio is exactly 1, first
+    # reached at row 0
+    mobs_module = importlib.import_module("inexact.mobs")
+    estimates = []
+    real = mobs_module.monte_carlo_error
+    monkeypatch.setattr(mobs_module, "monte_carlo_error",
+                        lambda *args: estimates.append(1) or real(*args))
+    problems = [or_problem(5), unary_evaluation(5), tribes_problem(6, 2), tribes_problem(6, 3),
+                _ones_count_tables(5)["parity"]]
+    for problem, group, metric in itertools.product(
+            problems, ("identity", "symmetric", "generated"),
+            ("worst_correctness", "expected_magnitude")):
+        group = dict(zip(("identity", "symmetric", "generated"), _groups(problem.n)))[group]
+        estimates.clear()
+        result = mobs(problem, metric=metric, group=group, mode=mode, samples=300, rng=4)
+        where = (problem.name, group.kind, metric)
+        for o in result.outcomes:
+            assert np.array_equal(o.cv_energies.entries, o.bf_energies.entries), where
+            assert (o.error_ratio, o.quality_ratio, o.worst_input) == (1.0, 1.0, 0), where
+            assert o.cv_value == o.bf_value, where
+            if mode == "monte_carlo":
+                assert o.std_errors["bf"] == o.std_errors["cv"], where
+        assert len(estimates) == (4 if mode == "monte_carlo" else 0), where
+    # S_9's law is over the exact guard, but the blindfolded side never reads it
+    s9 = GeneratedGroup(10, [[1, 0, *range(2, 10)], [*range(1, 9), 0, 9]])
+    with pytest.raises(ResourceLimitError, match="exact guard"):
+        average_pattern_probabilities(s9, uniform_allocation(10.0, 10))
+    assert mobs(or_problem(10), group=s9, mode=mode, samples=300, rng=4).mobs == 1.0
+
+
+def test_one_number_sorts_and_offset_ramps_take_the_ramp_route(monkeypatch):
+    # their linear levels are 0 .. n - 1, the ramp's, and under the identity
+    # decoder the offset f(0) cancels, so they price as be does, with no
+    # truth table, analysis or descent
+    mobs_module = importlib.import_module("inexact.mobs")
+    want = {(n, metric): mobs(binary_evaluation(n), metric=metric).to_json()["per_budget"]
+            for n in (1, 3, 6) for metric in ("worst_correctness", "expected_magnitude")}
+    for name in ("truth_table", "ErrorAnalysis", "coordinate_descent"):
+        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    for (n, metric), per_budget in want.items():
+        for problem in (sorting_problem(1, n), custom_problem(np.arange(1 << n) + 5),
+                        or_problem(1), tribes_problem(1, 1), unary_evaluation(1)):
+            if problem.n == n:
+                got = mobs(problem, metric=metric).to_json()["per_budget"]
+                assert got == per_budget, (problem.name, n, metric)
+    result = mobs(sorting_problem(1, 16), metric="expected_magnitude")
+    assert result.csv_row() == "sorting1x16,16,24.399790562,exact"
 
 
 @pytest.mark.parametrize("problem", [comparison_problem(2), sorting_problem(2, 2)],
