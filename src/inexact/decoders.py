@@ -25,10 +25,10 @@ the decoded value v turns the same sum into XOR convolutions,
     err(i) = sum_v loss(v, f(i)) * (avg_pattern_prob (*) 1[decode = v])(i),
 
 one per output class, and the fast Walsh-Hadamard transform computes each
-in O(n 2**n).  Where the decoder reads the identity map against the
-identity table, so each flip costs |(i XOR d) - i| (be under the identity
-decoder), the cost depends on d only through its top flipped bit t and
-the signs s_j = 1 - 2 bit_j(i) below it:
+in O(n 2**n).  Where the identity decoder reads a ramp table,
+f(i) = f(0) + i, each flip costs |(i XOR d) - i| (the offset cancels; be
+under the identity decoder), which depends on d only through its top
+flipped bit t and the signs s_j = 1 - 2 bit_j(i) below it:
 
     |(i XOR d) - i| = 2**t + s_t * sum_{j<t} s_j d_j 2**j,
 
@@ -36,10 +36,13 @@ so err(i) needs only the law's mass on each top bit and its first moments
 d_j below it.  Those are closed form in the flip vector under every group
 (a product law, S_n's flip-count law, or a generated group's mean over its
 elements), and ramp_profile builds every row from them by doubling over
-the bits: no table, no 2**n law.  An ErrorAnalysis binds
-(truth table, decoder, loss) and picks one of four kernels once, shown by
-its ``kernel`` attribute:
+the bits: no table, no 2**n law.  An ErrorAnalysis binds (truth table,
+decoder, loss) and picks one of four kernels once, the first that
+applies, shown by its ``kernel`` attribute; all but the ramp refuse past
+DECODE_BITS_LIMIT bits:
 
+* ramp   -- ramp_profile, O(2**n) from the group's top-flipped-bit
+            moments, for the identity decoder on a ramp table at every n.
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
             many energy vectors builds it once.
@@ -49,9 +52,6 @@ its ``kernel`` attribute:
             and their C x 2**n arrays fit one block: or, tribes, comparison,
             ue, few-valued custom problems and sorting with narrow words at
             n >= 12.
-* ramp   -- ramp_profile, O(2**n) from the group's top-flipped-bit
-            moments, for the identity map read against the identity table
-            (be under the identity decoder) at n >= 12.
 * blocks -- L rebuilt on every call, one cache-sized tile of rows at a
             time, each tile's errors one matrix-vector product, for the
             other many-valued decoders (wide-word sorting, many-valued
@@ -150,10 +150,10 @@ def _xor_is_cheaper(classes: int, n: int) -> bool:
 
 
 def _is_ramp(decoder: Decoder, table: TruthTable) -> bool:
-    """Kernel rule: the decoder returns the observed row and the table the
-    input row, so a flip's cost is the distance it moves the row index."""
-    ramp = np.arange(table.outputs.size)
-    return np.array_equal(decoder.decode_map, ramp) and np.array_equal(table.outputs, ramp)
+    """Kernel rule: the identity decoder on outputs f(0) + i, whose offset
+    cancels, so a flip's cost is the distance it moves the row index."""
+    outputs = table.outputs
+    return np.array_equal(decoder.decode_map, outputs) and bool((np.diff(outputs) == 1).all())
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -293,34 +293,32 @@ class ErrorAnalysis:
     """Exact per-input errors of one (truth table, decoder, loss) under any
     energies and group: L @ average_pattern_probabilities(group, energies).
 
-    The kernel ("matrix", "xor", "ramp" or "blocks", see the module
-    docstring) is picked once, here: "matrix" where L fits one block
-    (n <= 11), else "ramp" for the identity map read against the identity
-    table, else "xor" where the decoder's classes make the transforms
-    cheaper, else "blocks".  It keeps the energy-independent arrays its
-    kernel needs: L whole (built on the first profile) for "matrix", the
-    decoder's class indicators and their loss weights for "xor".  "ramp"
-    is ramp_profile, which reads the group's top-flipped-bit moments and
-    no 2**n law.  "blocks" rebuilds L on every call in cache-sized tiles
-    of rows through buffers it reuses from tile to tile; each tile's
-    errors come from one gemv, bit for bit the sums whole row blocks gave.
+    The kernel ("ramp", "matrix", "xor" or "blocks") is picked once, here,
+    by the module docstring's rules; the DECODE_BITS_LIMIT guard refuses all
+    but "ramp", which reads top-bit moments under its own RAMP_BITS_LIMIT.  It
+    keeps the energy-independent arrays its kernel needs: L whole (built on
+    the first profile) for "matrix", the decoder's class indicators and
+    their loss weights for "xor".  "blocks" rebuilds L on every call in
+    cache-sized tiles of rows through buffers it reuses from tile to tile;
+    each tile's errors come from one gemv, bit for bit the sums whole row
+    blocks gave.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
         self._loss_fn = _loss_kernel(loss)
         self.table = _as_table(problem)
         n = self.table.n
-        _check_scale(n, "exact error analysis")
         if decoder.n != n:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
         self._loss = loss
         self._matrix = self._indicators = self._weights = None
-        if 1 << (2 * n) <= _CHUNK_ENTRIES:
-            self._kernel = "matrix"
-            return
         if _is_ramp(decoder, self.table):
             self._kernel = "ramp"
+            return
+        _check_scale(n, "exact error analysis")
+        if 1 << (2 * n) <= _CHUNK_ENTRIES:
+            self._kernel = "matrix"
             return
         classes = _classes(decoder.decode_map)[0][:, None]
         if _xor_is_cheaper(classes.size, n):
@@ -409,8 +407,8 @@ def _ramp_moments(q: np.ndarray, group: PermutationGroup):
 
 
 def ramp_profile(energies, group: PermutationGroup, loss: str = "exact") -> np.ndarray:
-    """Exact per-input errors of the ramp table (the identity map read
-    against the identity table: be under the identity decoder) under any
+    """Exact per-input errors of a ramp table f(i) = f(0) + i read through
+    its identity decoder (be, or an offset of it) under any
     group, for an EnergyVector or each row of a (K, n) stack of energy
     rows, every input row at once, in O(2**n) time past the moments: no
     table, no 2**n law and no bit table.

@@ -328,12 +328,6 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 # ---------------------------------------------------------------------------
 # the symmetry-price ratio
 
-def _ratio(bf: float, cv: float) -> float:
-    if cv == 0.0:
-        return 1.0 if bf == 0.0 else float("inf")
-    return bf / cv
-
-
 @dataclass(frozen=True)
 class BudgetOutcome:
     """Champions and ratios at one energy budget."""
@@ -418,17 +412,16 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
     """One budget's outcome from both sides' profiles, entry for entry:
     the worst entry ratio and the ratio of the worst entries.  rows names
     the input row of each entry; None for a pair-weighted aggregate."""
-    bf_rows = np.asarray(bf_rows, dtype=np.float64)
-    cv_rows = np.asarray(cv_rows, dtype=np.float64)
-    # _ratio entry for entry: IEEE division, then 0/0 reads 1 and x/0 inf
-    with np.errstate(all="ignore"):
-        ratios = bf_rows / cv_rows
-    zero = cv_rows == 0.0
-    ratios[zero] = np.where(bf_rows[zero] == 0.0, 1.0, np.inf)
-    worst = int(np.argmax(ratios))  # the first maximum
     cv_value, bf_value = float(np.max(cv_rows)), float(np.max(bf_rows))
+    # each entry's ratio, then the worst entries': IEEE division, then 0/0 reads 1 and x/0 inf
+    bf, cv = np.append(bf_rows, bf_value), np.append(cv_rows, cv_value)
+    with np.errstate(all="ignore"):
+        ratios = bf / cv
+    zero = cv == 0.0
+    ratios[zero] = np.where(bf[zero] == 0.0, 1.0, np.inf)
+    worst = int(np.argmax(ratios[:-1]))  # the first maximum
     return BudgetOutcome(budget, cv_energies, bf_energies, cv_value, bf_value,
-                         float(ratios[worst]), _ratio(bf_value, cv_value),
+                         float(ratios[worst]), float(ratios[-1]),
                          None if rows is None else int(rows[worst]), converged,
                          std_errors)
 

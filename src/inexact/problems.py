@@ -13,7 +13,7 @@ families:
 * ``sorting``     -- `count` numbers of `width` bits each; returns the sorted
                      sequence packed into one integer, least element in the
                      lowest width-bit field.
-* ``custom``      -- explicit output column of length 2**n.
+* ``custom``      -- explicit output column of length 2**n in [-2**62, 2**62).
 
 Truth tables index rows by the packed input (bit 0 least significant); the
 CSV form writes columns b_{n-1},...,b_0,output and round-trips bit exactly.
@@ -40,6 +40,7 @@ from .bits import (
 
 TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
 CUSTOM_BITS_LIMIT = 14   # explicit output arrays
+OUTPUT_BOUND = 1 << 62   # so that any two outputs differ within int64
 
 # each kind and the parameters it reads besides n
 _KIND_PARAMS = {"or": (), "ue": (), "be": (), "tribes": ("tribe_count",), "comparison": ("k",),
@@ -119,8 +120,16 @@ def sorting_problem(count: int, width: int) -> BooleanProblem:
                           {"count": int(count), "width": int(width)})
 
 
+def _bounded(outputs) -> np.ndarray:
+    """Custom outputs as int64, refused outside [-OUTPUT_BOUND, OUTPUT_BOUND)."""
+    values = np.asarray(outputs, dtype=object)  # Python ints, which do not wrap
+    if ((values < -OUTPUT_BOUND) | (values >= OUTPUT_BOUND)).any():
+        raise ValueError("custom outputs must lie in [-2**62, 2**62)")
+    return values.astype(np.int64)
+
+
 def custom_problem(outputs: Sequence[int]) -> BooleanProblem:
-    outputs = np.asarray(outputs, dtype=np.int64)
+    outputs = _bounded(outputs)
     if outputs.ndim != 1 or outputs.size < 2 or (outputs.size & (outputs.size - 1)) != 0:
         raise ValueError("custom outputs must have length 2**n with n >= 1")
     n = int(outputs.size).bit_length() - 1
@@ -249,10 +258,10 @@ def table_from_csv(path) -> TruthTable:
     body = rows[1:]
     if len(body) != (1 << n):
         raise ValueError(f"expected {1 << n} rows, got {len(body)}")
-    outputs = np.empty(1 << n, dtype=np.int64)
+    outputs = []
     for i, row in enumerate(body):
         bits = np.array([int(c) for c in row[:-1]], dtype=np.uint8)[::-1]
         if bits_to_index(bits) != i:
             raise ValueError(f"row {i} bit pattern {row[:-1]} out of order")
-        outputs[i] = int(row[-1])
-    return TruthTable(n, outputs)
+        outputs.append(int(row[-1]))
+    return TruthTable(n, _bounded(outputs))

@@ -19,7 +19,8 @@ from inexact.decoders import (ErrorReport, error_profile, error_report, identity
                               map_decoder)
 from inexact.mobs import table2_rows
 from inexact.noise import energy_vector
-from inexact.problems import binary_evaluation, or_problem, table_to_csv, truth_table
+from inexact.problems import (TruthTable, binary_evaluation, or_problem, table_to_csv,
+                              truth_table)
 
 
 def run(capsys, *argv):
@@ -964,21 +965,57 @@ def test_mobs_json_has_budget_outcomes(capsys):
 
 
 def test_exact_mode_resource_guard_exits_3(capsys):
-    code, _, err = run(capsys, "simulate", "--problem", "be", "--n", "16",
+    # ue's kernels cost 4**n, so an exact report refuses past 14 bits
+    code, _, err = run(capsys, "simulate", "--problem", "ue", "--n", "16",
                        "--allocation", "uniform", "--budget", "16",
                        "--mode", "exact")
     assert code == 3 and "resource limit" in err
 
 
 def test_auto_monte_carlo_report_guard_exits_3(capsys):
-    # without --mode, n=16 auto-picks monte carlo; the full sweep must refuse
-    # up front instead of launching 2**16 rows x 1e5 samples
-    code, _, err = run(capsys, "simulate", "--problem", "be", "--n", "16",
+    # without --mode, ue at n=16 falls back to monte carlo; the full sweep
+    # must refuse up front instead of launching 2**16 rows x 1e5 samples
+    code, _, err = run(capsys, "simulate", "--problem", "ue", "--n", "16",
                        "--allocation", "uniform", "--budget", "16")
     assert code == 3 and "resource limit" in err
 
 
 S8_ON_12_BITS = "1,0,2,3,4,5,6,7,8,9,10,11;1,2,3,4,5,6,7,0,8,9,10,11"
+
+
+def test_offset_ramp_reports_exactly_as_the_ramp(capsys, tmp_path):
+    # the identity decoder cancels a ramp's offset, so the table 5 .. 4100
+    # takes the ramp kernel: under S_8 on the low 8 bits its report runs
+    # exact (its law is over the generated group's guard and a sampled
+    # report over the cap), its rows are those of 0 .. 4095, and one row
+    # read alone is the report's row
+    reports = []
+    for offset in (5, 0):
+        path = tmp_path / f"ramp{offset}.csv"
+        table_to_csv(TruthTable(12, np.arange(1 << 12) + offset), path)
+        argv = ("simulate", "--problem", "custom", "--table", str(path), "--loss", "absolute",
+                "--allocation", "uniform", "--budget", "39", "--group", "generated",
+                "--generators", S8_ON_12_BITS, "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        comments, header, lines = csv_body(out)
+        assert code == 0 and '"mode":"exact"' in comments[2]
+        reports.append(lines)
+        code, out, _ = run(capsys, *argv, "--input", "001101111110")
+        assert code == 0 and csv_body(out)[2] == [lines[894]]
+    assert reports[0] == reports[1] and len(reports[0]) == 1 << 12
+
+
+def test_custom_outputs_past_the_int64_bound_exit_2(capsys, tmp_path):
+    # every difference of two outputs must fit in int64, so a table holding
+    # 2**64 is refused as malformed input, not as a traceback
+    path = tmp_path / "big.csv"
+    path.write_text("b_0,output\n0,0\n1,18446744073709551616\n")
+    code, _, err = run(capsys, "mobs", "--problem", "custom", "--table", str(path))
+    assert code == 2 and "2**62" in err
+    path.write_text(f"b_0,output\n0,{2**63 - 1}\n1,{-2**63}\n")
+    code, _, err = run(capsys, "simulate", "--problem", "custom", "--table", str(path),
+                       "--loss", "absolute", "--energies", "1")
+    assert code == 2 and "2**62" in err
 
 
 def test_auto_mode_prices_be_exactly_up_to_twenty_bits(capsys):

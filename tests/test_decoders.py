@@ -29,6 +29,7 @@ from inexact.decoders import (
 )
 from inexact.noise import energy_vector, flip_probability
 from inexact.problems import (
+    TruthTable,
     binary_evaluation,
     comparison_problem,
     custom_problem,
@@ -416,15 +417,22 @@ def test_error_analysis_picks_its_kernel():
                     unary_evaluation(12)):
         assert kernel(problem) == "xor", problem.name
     assert kernel(unary_evaluation(12), "absolute") == "xor"
-    # the identity map read against the identity table: be, or a custom
-    # table equal to the ramp, under either loss
-    assert kernel(binary_evaluation(11), "absolute") == "matrix"
-    for loss in ("exact", "absolute"):
-        assert kernel(binary_evaluation(12), loss) == "ramp"
-        assert kernel(custom_problem(np.arange(1 << 12)), loss) == "ramp"
-    table = truth_table(binary_evaluation(12))
-    shifted = Decoder(np.roll(table.outputs, 1))
-    assert ErrorAnalysis(table, shifted, "absolute").kernel == "blocks"
+    # the identity decoder on a ramp table f(0) + i: be, a custom ramp or
+    # an offset one, under either loss, at every n, the 4**n guard's too
+    for n in range(1, 21):
+        offset = TruthTable(n, np.arange(1 << n) + 5)
+        for table in (truth_table(binary_evaluation(n)), offset):
+            for loss in ("exact", "absolute"):
+                assert kernel(table, loss) == "ramp", (n, table.outputs[0], loss)
+    assert kernel(custom_problem(np.arange(1 << 12) - 7)) == "ramp"
+    # a shifted decoder is not the identity decoder: the matrix, then
+    # blocks, and past the 14-bit guard (the 20-bit offset ramp) a refusal
+    for n, want in ((8, "matrix"), (12, "blocks")):
+        table = truth_table(binary_evaluation(n))
+        shifted = Decoder(np.roll(table.outputs, 1))
+        assert ErrorAnalysis(table, shifted, "absolute").kernel == want
+    with pytest.raises(ResourceLimitError):
+        ErrorAnalysis(offset, Decoder(np.roll(offset.outputs, 1)), "absolute")
     # many values that are not the ramp: sorting 2x6 has 2,080; 400 classes
     # fit one block at n = 12 but cost 400 * 12 > 2**12 transforms
     assert kernel(sorting_problem(2, 6), "absolute") == "blocks"
@@ -547,7 +555,7 @@ def test_ramp_rows_match_brute_definition():
                 assert np.allclose(got, want, rtol=1e-14, atol=0), (n, entries, loss)
 
 
-def test_ramp_rows_match_the_matrix_kernel_under_every_group():
+def test_ramp_rows_match_the_matrix_kernel_under_every_group(monkeypatch):
     # against ErrorAnalysis' kept loss matrix of be (n <= 11) under the
     # identity, full symmetric and a cyclic group, extreme energies
     # included; rows i and 2**n - 1 - i come out as the same float
@@ -557,7 +565,9 @@ def test_ramp_rows_match_the_matrix_kernel_under_every_group():
         dec = identity_decoder(table)
         energies = np.array(_ramp_energies(n, rng))
         for loss in ("exact", "absolute"):
-            analysis = ErrorAnalysis(table, dec, loss)
+            with monkeypatch.context() as patch:  # the kept loss matrix, as a reference
+                patch.setattr(decoders, "_is_ramp", lambda decoder, table: False)
+                analysis = ErrorAnalysis(table, dec, loss)
             assert analysis.kernel == "matrix"
             for group in _groups(n):
                 got = ramp_profile(energies, group, loss)
@@ -794,6 +804,25 @@ def test_per_input_error_is_the_brute_row_past_the_analysis_guard():
         dec, g = identity_decoder(table), IdentityGroup(16)
         want = brute_error(table, ev, g, dec, row, loss)
         assert per_input_error(table, ev, g, dec, row, loss) == pytest.approx(want, rel=1e-12)
+
+
+def test_be_reports_run_exact_past_the_analysis_guard():
+    # the ramp kernel has its own limit, so a be report at n = 16 is exact
+    # under every group: ramp_profile's rows, and the brute rows where checked
+    n = 16
+    rng = np.random.default_rng(45)
+    table = truth_table(binary_evaluation(n))
+    dec = identity_decoder(table)
+    ev = energy_vector(rng.dirichlet(np.ones(n)) * 40.0)
+    for loss in ("exact", "absolute"):
+        for group in _groups(n):
+            report = error_report(table, ev, group, dec, loss)
+            assert report.mode == "exact"
+            assert np.array_equal(report.per_input, ramp_profile(ev, group, loss)), group.kind
+            if group.kind == "identity":
+                row = int(rng.integers(1 << n))
+                want = brute_error(table, ev, group, dec, row, loss)
+                assert report.per_input[row] == pytest.approx(want, rel=1e-12), (loss, row)
 
 
 def test_per_input_error_reads_a_ramp_row_from_ramp_profile(monkeypatch):

@@ -359,8 +359,8 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     # a search scores a stack of candidate moves in one call: each row must
     # get exactly the profile, pattern law and objective value it gets
     # alone, under every group, every metric and every ErrorAnalysis kernel
-    # (xor, blocks and ramp forced at small n, as the tile tests force
-    # blocks; ramp on be, the one table here it fits)
+    # (the ramp refused outside its own pass, on be, the one table here it
+    # fits; xor and blocks forced at small n, as the tile tests force blocks)
     mobs_module = importlib.import_module("inexact.mobs")
     decoders = importlib.import_module("inexact.decoders")
     rng = np.random.default_rng(2026)
@@ -371,12 +371,12 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
                       for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
     is_ramp = decoders._is_ramp
     for kernel in ("matrix", "xor", "blocks", "ramp"):
+        monkeypatch.setattr(decoders, "_is_ramp",
+                            is_ramp if kernel == "ramp" else lambda decoder, table: False)
         if kernel != "matrix":
             monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)  # L never kept whole
             monkeypatch.setattr(decoders, "_xor_is_cheaper",
                                 lambda classes, n, xor=kernel == "xor": xor)
-            monkeypatch.setattr(decoders, "_is_ramp",
-                                is_ramp if kernel == "ramp" else lambda decoder, table: False)
         cases = [(p, metric) for p in per_input if kernel != "ramp" or p.kind == "be"
                  for metric in ("worst_correctness", "expected_magnitude")]
         if kernel == "matrix":
@@ -1502,16 +1502,22 @@ def test_exact_mobs_builds_no_generator(monkeypatch):
                 min_size=1, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_outcome_ratios_are_the_scalar_rule_entry_for_entry(pairs):
-    # the array division keeps _ratio's rules (0/0 reads 1, x/0 inf, IEEE
-    # division otherwise) and the first row of the largest ratio
+    # the array division keeps the scalar rule (0/0 reads 1, x/0 inf, IEEE
+    # division otherwise) for every entry and for the worst entries, and
+    # picks the first row of the largest ratio
+    def ratio(b, c):
+        if c == 0.0:
+            return 1.0 if b == 0.0 else math.inf
+        return b / c
+
     mobs_module = importlib.import_module("inexact.mobs")
     bf, cv = (np.array(side) for side in zip(*pairs))
     ev = energy_vector([1.0])
     outcome = mobs_module._outcome(1.0, ev, ev, cv, bf, True, range(len(pairs)))
-    ratios = [mobs_module._ratio(b, c) for b, c in pairs]
+    ratios = [ratio(b, c) for b, c in pairs]
     worst = int(np.argmax(np.array(ratios)))
     assert outcome.worst_input == worst
-    quality = mobs_module._ratio(float(np.max(bf)), float(np.max(cv)))
+    quality = ratio(float(np.max(bf)), float(np.max(cv)))
     assert np.array([outcome.error_ratio, outcome.quality_ratio]).tobytes() == \
         np.array([ratios[worst], quality]).tobytes()
 

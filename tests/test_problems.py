@@ -197,6 +197,24 @@ def test_custom_rejects_bad_lengths_and_scale():
         custom_problem(np.zeros(1 << 15, dtype=np.int64))
 
 
+def test_custom_outputs_stay_where_every_difference_fits_int64(tmp_path):
+    # outputs in [-2**62, 2**62) differ by less than 2**63; sorting packs at
+    # most 62 bits, so the built-in outputs stay inside too
+    edge = [-(1 << 62), (1 << 62) - 1]
+    assert custom_problem(edge).params["outputs"].tolist() == edge
+    path = tmp_path / "table.csv"
+    for outputs in ([1 << 62, 0], [0, -(1 << 62) - 1], [(1 << 63) - 1, -(1 << 63)],
+                    [0, 1 << 64], np.array([0, 1 << 62])):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            custom_problem(outputs)
+        path.write_text("b_0,output\n" + "".join(f"{i},{v}\n" for i, v in enumerate(outputs)))
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            table_from_csv(path)
+    path.write_text("b_0,output\n" + "".join(f"{i},{v}\n" for i, v in enumerate(edge)))
+    assert table_from_csv(path).outputs.tolist() == edge
+    assert evaluate(sorting_problem(2, 31), [1] * 62) == (1 << 62) - 1
+
+
 def test_truth_table_scale_guard():
     with pytest.raises(ResourceLimitError):
         truth_table(binary_evaluation(21))
