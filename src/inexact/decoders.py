@@ -41,8 +41,9 @@ decoder, loss) and picks one of four kernels once, the first that
 applies, shown by its ``kernel`` attribute; all but the ramp refuse past
 DECODE_BITS_LIMIT bits:
 
-* ramp   -- ramp_profile, O(2**n) from the group's top-flipped-bit
-            moments, for the identity decoder on a ramp table at every n.
+* ramp   -- ramp_profile, O(2**n) per energy row from the group's
+            top-flipped-bit moments, for the identity decoder on a ramp
+            table from n = 10 up (below, a kept L's gemv per row is cheaper).
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
             many energy vectors builds it once.
@@ -100,6 +101,7 @@ _CHUNK_ENTRIES = 1 << 22  # floats per vectorized block
 _TILE_ENTRIES = 1 << 16
 _TILE_MIN_ROWS = 16
 _XOR_MIN_BITS = 8         # below this a dense gather beats the transforms' fixed cost
+_RAMP_MIN_BITS = 10       # below this a kept loss matrix beats the ramp's per-bit calls
 _TIE_REL_TOL = 1e-12      # MAP scores this close to a row's top score tie
 _MC_BATCH = 1 << 16       # Monte Carlo draws per batch; seeded streams depend on it
 
@@ -313,7 +315,7 @@ class ErrorAnalysis:
         self.decoder = decoder
         self._loss = loss
         self._matrix = self._indicators = self._weights = None
-        if _is_ramp(decoder, self.table):
+        if n >= _RAMP_MIN_BITS and _is_ramp(decoder, self.table):
             self._kernel = "ramp"
             return
         _check_scale(n, "exact error analysis")

@@ -250,7 +250,7 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) ->
 
 def _analysis(problem: BooleanProblem, metric: str) -> ErrorAnalysis:
     """The per-input metric's ErrorAnalysis of the identity decoder."""
-    # ErrorAnalysis' own guard, before a table too wide to analyse is built
+    # stricter than ErrorAnalysis' ramp: a search holds (K, 2**n) profiles
     _check_scale(problem.n, "exact error analysis")
     table = truth_table(problem)
     return ErrorAnalysis(table, identity_decoder(table), _PER_INPUT_LOSS[metric])
@@ -327,6 +327,12 @@ def sorting_mobs_bound(count: int, width: int) -> float:
 
 # ---------------------------------------------------------------------------
 # the symmetry-price ratio
+
+def _ratio(bf, cv):
+    """bf / cv entry for entry, IEEE division, except that 0/0 reads 1 and x/0 inf."""
+    with np.errstate(all="ignore"):
+        return np.where(cv == 0.0, np.where(bf == 0.0, 1.0, np.inf), np.divide(bf, cv))
+
 
 @dataclass(frozen=True)
 class BudgetOutcome:
@@ -412,16 +418,13 @@ def _outcome(budget, cv_energies, bf_energies, cv_rows, bf_rows, converged,
     """One budget's outcome from both sides' profiles, entry for entry:
     the worst entry ratio and the ratio of the worst entries.  rows names
     the input row of each entry; None for a pair-weighted aggregate."""
+    bf_rows = np.asarray(bf_rows, dtype=np.float64)
+    cv_rows = np.asarray(cv_rows, dtype=np.float64)
+    ratios = _ratio(bf_rows, cv_rows)
+    worst = int(np.argmax(ratios))  # the first maximum
     cv_value, bf_value = float(np.max(cv_rows)), float(np.max(bf_rows))
-    # each entry's ratio, then the worst entries': IEEE division, then 0/0 reads 1 and x/0 inf
-    bf, cv = np.append(bf_rows, bf_value), np.append(cv_rows, cv_value)
-    with np.errstate(all="ignore"):
-        ratios = bf / cv
-    zero = cv == 0.0
-    ratios[zero] = np.where(bf[zero] == 0.0, 1.0, np.inf)
-    worst = int(np.argmax(ratios[:-1]))  # the first maximum
     return BudgetOutcome(budget, cv_energies, bf_energies, cv_value, bf_value,
-                         float(ratios[worst]), float(ratios[-1]),
+                         float(ratios[worst]), float(_ratio(bf_value, cv_value)),
                          None if rows is None else int(rows[worst]), converged,
                          std_errors)
 

@@ -69,7 +69,10 @@ class TruthTable:
     outputs: np.ndarray
 
     def __post_init__(self):
-        outputs = np.asarray(self.outputs, dtype=np.int64)
+        outputs = np.asarray(self.outputs)  # checked before any cast could wrap
+        if outputs.size and not -OUTPUT_BOUND <= outputs.min() <= outputs.max() < OUTPUT_BOUND:
+            raise ValueError("outputs must lie in [-2**62, 2**62)")
+        outputs = outputs.astype(np.int64, copy=False)
         if outputs.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} outputs, got {outputs.shape}")
         object.__setattr__(self, "outputs", outputs)
@@ -120,22 +123,14 @@ def sorting_problem(count: int, width: int) -> BooleanProblem:
                           {"count": int(count), "width": int(width)})
 
 
-def _bounded(outputs) -> np.ndarray:
-    """Custom outputs as int64, refused outside [-OUTPUT_BOUND, OUTPUT_BOUND)."""
-    values = np.asarray(outputs, dtype=object)  # Python ints, which do not wrap
-    if ((values < -OUTPUT_BOUND) | (values >= OUTPUT_BOUND)).any():
-        raise ValueError("custom outputs must lie in [-2**62, 2**62)")
-    return values.astype(np.int64)
-
-
 def custom_problem(outputs: Sequence[int]) -> BooleanProblem:
-    outputs = _bounded(outputs)
-    if outputs.ndim != 1 or outputs.size < 2 or (outputs.size & (outputs.size - 1)) != 0:
+    shape = np.shape(outputs)
+    if len(shape) != 1 or shape[0] < 2 or (shape[0] & (shape[0] - 1)) != 0:
         raise ValueError("custom outputs must have length 2**n with n >= 1")
-    n = int(outputs.size).bit_length() - 1
+    n = int(shape[0]).bit_length() - 1
     if n > CUSTOM_BITS_LIMIT:
         raise ResourceLimitError(f"custom tables support n <= {CUSTOM_BITS_LIMIT}, got n={n}")
-    column = outputs.copy()
+    column = TruthTable(n, outputs).outputs.copy()
     column.setflags(write=False)
     return BooleanProblem("custom", "custom", n, {"outputs": column})
 
@@ -264,4 +259,4 @@ def table_from_csv(path) -> TruthTable:
         if bits_to_index(bits) != i:
             raise ValueError(f"row {i} bit pattern {row[:-1]} out of order")
         outputs.append(int(row[-1]))
-    return TruthTable(n, _bounded(outputs))
+    return TruthTable(n, outputs)

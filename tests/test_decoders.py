@@ -418,12 +418,15 @@ def test_error_analysis_picks_its_kernel():
         assert kernel(problem) == "xor", problem.name
     assert kernel(unary_evaluation(12), "absolute") == "xor"
     # the identity decoder on a ramp table f(0) + i: be, a custom ramp or
-    # an offset one, under either loss, at every n, the 4**n guard's too
+    # an offset one, under either loss, from n = 10 up, past the 4**n guard
+    # too; below, where a stack costs one gemv a row, the kept matrix
+    assert decoders._RAMP_MIN_BITS == 10
     for n in range(1, 21):
         offset = TruthTable(n, np.arange(1 << n) + 5)
         for table in (truth_table(binary_evaluation(n)), offset):
             for loss in ("exact", "absolute"):
-                assert kernel(table, loss) == "ramp", (n, table.outputs[0], loss)
+                want = "ramp" if n >= 10 else "matrix"
+                assert kernel(table, loss) == want, (n, table.outputs[0], loss)
     assert kernel(custom_problem(np.arange(1 << 12) - 7)) == "ramp"
     # a shifted decoder is not the identity decoder: the matrix, then
     # blocks, and past the 14-bit guard (the 20-bit offset ramp) a refusal
@@ -491,11 +494,11 @@ def test_few_output_profiles_match_the_dense_blocks():
 
 
 def test_ramp_profiles_match_brute_definition(monkeypatch):
-    # forced at small n (L never kept whole), the top-flipped-bit moments
+    # forced at small n (below its 10 bits), the top-flipped-bit moments
     # must give the definition's sum under every group and both losses:
     # every row at n <= 5, the extreme rows and a few others at n = 8,
     # where S_8's 40,320 elements put the brute sum out of reach
-    monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)
+    monkeypatch.setattr(decoders, "_RAMP_MIN_BITS", 1)
     rng = np.random.default_rng(23)
     for n in (3, 5, 8):
         table = truth_table(binary_evaluation(n))

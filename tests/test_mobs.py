@@ -359,8 +359,9 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     # a search scores a stack of candidate moves in one call: each row must
     # get exactly the profile, pattern law and objective value it gets
     # alone, under every group, every metric and every ErrorAnalysis kernel
-    # (the ramp refused outside its own pass, on be, the one table here it
-    # fits; xor and blocks forced at small n, as the tile tests force blocks)
+    # (the ramp refused outside its own pass and forced below its 10 bits, on
+    # be, the one table here it fits; xor and blocks forced at small n, as
+    # the tile tests force blocks)
     mobs_module = importlib.import_module("inexact.mobs")
     decoders = importlib.import_module("inexact.decoders")
     rng = np.random.default_rng(2026)
@@ -370,6 +371,7 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     pair_weighted += [(sorting_problem(count, width), "sorting_weighted")
                       for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
     is_ramp = decoders._is_ramp
+    monkeypatch.setattr(decoders, "_RAMP_MIN_BITS", 1)
     for kernel in ("matrix", "xor", "blocks", "ramp"):
         monkeypatch.setattr(decoders, "_is_ramp",
                             is_ramp if kernel == "ramp" else lambda decoder, table: False)

@@ -11,6 +11,7 @@ from inexact.bits import (
     popcount_table,
 )
 from inexact.problems import (
+    TruthTable,
     binary_evaluation,
     build_problem,
     comparison_problem,
@@ -199,12 +200,18 @@ def test_custom_rejects_bad_lengths_and_scale():
 
 def test_custom_outputs_stay_where_every_difference_fits_int64(tmp_path):
     # outputs in [-2**62, 2**62) differ by less than 2**63; sorting packs at
-    # most 62 bits, so the built-in outputs stay inside too
+    # most 62 bits, so the built-in outputs stay inside too; every truth
+    # table checks its bound before a cast to int64 could wrap, so a table
+    # built directly, a custom problem and a CSV table are refused alike
     edge = [-(1 << 62), (1 << 62) - 1]
     assert custom_problem(edge).params["outputs"].tolist() == edge
+    assert TruthTable(1, np.array(edge)).outputs.tolist() == edge
     path = tmp_path / "table.csv"
     for outputs in ([1 << 62, 0], [0, -(1 << 62) - 1], [(1 << 63) - 1, -(1 << 63)],
-                    [0, 1 << 64], np.array([0, 1 << 62])):
+                    [0, 1 << 64], np.array([0, 1 << 62]),
+                    np.array([0, (1 << 64) - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            TruthTable(1, outputs)
         with pytest.raises(ValueError, match="2\\*\\*62"):
             custom_problem(outputs)
         path.write_text("b_0,output\n" + "".join(f"{i},{v}\n" for i, v in enumerate(outputs)))
