@@ -159,11 +159,18 @@ def _digits(values, in_json: bool) -> list[str]:
     and their texts hold no exponent, so a text without "." is whole.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
-    # np.unique with these returns leaves numpy.ma unloaded, unlike a bare one
-    _, first, inverse = np.unique(x.view(np.int64), return_index=True, return_inverse=True)
-    repeated = len(first) < len(x)
+    # equal keys are equal bytes, so the sorted keys stand for their values:
+    # one sort (no stable argsort) and a neighbour compare, as
+    # decoders._classes finds classes, then each key's place among them
+    keys = x.view(np.int64)
+    ranked = np.sort(keys)
+    first = np.ones(x.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    repeated = not first.all()
     if repeated:
-        x = x[first]
+        distinct = ranked[first]
+        inverse = np.searchsorted(distinct, keys)
+        x = distinct.view(np.float64)
     xs = x.tolist()
     texts = ("%.12g " * len(xs) % tuple(xs)).split()
     magnitude = np.abs(x)

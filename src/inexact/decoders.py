@@ -36,14 +36,29 @@ so err(i) needs only the law's mass on each top bit and its first moments
 d_j below it.  Those are closed form in the flip vector under every group
 (a product law, S_n's flip-count law, or a generated group's mean over its
 elements), and ramp_profile builds every row from them by doubling over
-the bits: no table, no 2**n law.  An ErrorAnalysis binds (truth table,
-decoder, loss) and picks one of four kernels once, the first that
-applies, shown by its ``kernel`` attribute; all but the ramp refuse past
-DECODE_BITS_LIMIT bits:
+the bits: no table, no 2**n law.  Where the table takes two values and
+one of them, the lone value, comes from row r alone (or, tribes as AND or
+OR, be at one bit), and the decoder reads the other value at every
+observation but at most one, s, the law itself is the profile: row
+i != r errs exactly when its observation lands on s,
+
+    err(i) = w law[i XOR s],   w = loss(lone, other),
+
+and row r errs w times the mass off the pattern r XOR s (the closed form
+1 - prod_j (1 - q_j) where s = r); a decoder that never reads the lone
+value errs w at r and 0 elsewhere.  An ErrorAnalysis binds (truth table,
+decoder, loss) and picks one of five kernels once, the first that
+applies, shown by its ``kernel`` attribute; ramp and law refuse past 20
+bits, the others past DECODE_BITS_LIMIT:
 
 * ramp   -- ramp_profile, O(2**n) per energy row from the group's
             top-flipped-bit moments, for the identity decoder on a ramp
             table from n = 10 up (below, a kept L's gemv per row is cheaper).
+* law    -- one gather of the group's pattern law per energy row, and
+            the closed form (or a sum of nonnegative terms) at row r, for
+            a lone-output table read by a decoder under the rule above:
+            its identity decoder (s = r), and its MAP decoders (s = r, no
+            s, or s != r where bits flip with certainty).
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
             many energy vectors builds it once.
@@ -60,13 +75,15 @@ DECODE_BITS_LIMIT bits:
 
 The MAP decoder's scores are XOR convolutions too, and it picks between
 them and dense row tiles by the same rule; having no matrix to keep, it
-takes the transform from n = 8 up.  Every dense pass gathers
-decode(r XOR d), or the pattern vector at r XOR d, through _dense_tiles:
-index and gathered buffers of about 2**16 entries, allocated once per call
-and refilled in place, so a pass costs its arithmetic and not page faults
-on fresh temporaries.  error_profile is a one-shot ErrorAnalysis.
-Losses: "exact" counts any wrong output, "absolute" weighs it by
-|decoded - truth|.
+takes the transform from n = 8 up.  On a lone-output table it needs
+neither: the lone value scores law[o XOR r] at observation o and the
+other value the rest, 1 - law[o XOR r], in O(2**n) up to 20 bits.  Every
+dense pass gathers decode(r XOR d), or the pattern vector at r XOR d,
+through _dense_tiles: index and gathered buffers of about 2**16 entries,
+allocated once per call and refilled in place, so a pass costs its
+arithmetic and not page faults on fresh temporaries.  error_profile is a
+one-shot ErrorAnalysis.  Losses: "exact" counts any wrong output,
+"absolute" weighs it by |decoded - truth|.
 
 The same fact makes sampling cheap across rows: monte_carlo_error draws
 each batch of flip patterns once and decodes every requested row from
@@ -158,6 +175,77 @@ def _is_ramp(decoder: Decoder, table: TruthTable) -> bool:
     return np.array_equal(decoder.decode_map, outputs) and bool((np.diff(outputs) == 1).all())
 
 
+def _lone_output(values: np.ndarray):
+    """(r, lone, other) where values take exactly two values and lone comes
+    from row r alone (at one bit, where both do, the smaller), else None:
+    O(2**n) from the min, max and counts, with no sort."""
+    lo, hi = values.min(), values.max()
+    if lo == hi:
+        return None
+    n_lo = np.count_nonzero(values == lo)
+    if n_lo not in (1, values.size - 1) or n_lo + np.count_nonzero(values == hi) != values.size:
+        return None
+    lone, other = (lo, hi) if n_lo == 1 else (hi, lo)
+    return int(np.argmax(values == lone)), lone, other
+
+
+def _law_rule(decoder: Decoder, table: TruthTable, loss_fn):
+    """Kernel rule: (r, s, w) where the table has a lone output, row r's,
+    and the decoder reads the other value everywhere but at most at the
+    observation s (None where it never reads the lone value); w is the loss
+    of reading one value for the other.  None where the rule fails."""
+    found = _lone_output(table.outputs)
+    if found is None:
+        return None
+    r, lone, other = found
+    decoded = decoder.decode_map
+    reads_lone = np.count_nonzero(decoded == lone)
+    if reads_lone + np.count_nonzero(decoded == other) != decoded.size:
+        return None
+    if reads_lone > 1:
+        if decoded.size != 2:
+            return None
+        # one bit: both values are lone, and this decoder never reads the other
+        r, lone, other, reads_lone = 1 - r, other, lone, 0
+    s = int(np.argmax(decoded == lone)) if reads_lone else None
+    return r, s, float(loss_fn(lone, other))
+
+
+def _any_flip(q: np.ndarray) -> np.ndarray:
+    """P{d != 0} = 1 - prod_j (1 - q_j) of each flip vector in the (K, n)
+    stack q, the same under every group (a permutation never changes
+    whether no bit flips), through log1p and expm1 so that tiny q keep
+    their digits; each row's sum is its own, bit for bit as alone."""
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, a certain flip
+        logs = np.log1p(-q)
+    return -np.expm1([row.sum() for row in logs])
+
+
+def _law_profile(rule, rows: np.ndarray, group: PermutationGroup) -> np.ndarray:
+    """The law kernel's (K, 2**n) rows for a (K, n) stack of energy rows,
+    each bit for bit its own: row i != r errs w law[i ^ s], row r w times
+    the mass off the pattern r ^ s, summed as nonnegative terms (the closed
+    form _any_flip where s = r); a decoder with no s errs w at r alone."""
+    r, s, w = rule
+    size = 1 << rows.shape[1]
+    if s is None:
+        group.check_width(rows.shape[1])
+        out = np.zeros((rows.shape[0], size))
+        out[:, r] = w
+        return out
+    law = average_pattern_probabilities(group, rows)
+    if s == r:
+        lone = _any_flip(flip_probability(rows))
+    else:
+        k = r ^ s
+        lone = [row[:k].sum() + row[k + 1:].sum() for row in law]
+    # one gather of the law, in place where s = 0
+    out = law if s == 0 else law[:, np.arange(size, dtype=np.int64) ^ s]
+    out[:, r] = lone
+    out *= w
+    return out
+
+
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of each row of a (C-contiguous
     float64), in place."""
@@ -247,20 +335,35 @@ def map_decoder(problem, energies: EnergyVector,
     group's draw: the posterior mass times 2**n, a power of two, so the
     ranking is the posterior's.  That is the XOR convolution of the pattern
     probabilities with the indicator of v's rows, computed by transform for
-    few output values at n >= 8 and by dense row tiles otherwise.  Values
-    scoring within a relative 1e-12 of the top tie, and ties break toward
-    the smaller output value.
+    few output values at n >= 8 and by dense row tiles otherwise; on a
+    table whose lone value comes from row r alone, law[o XOR r] and
+    1 - law[o XOR r] for the other, in O(2**n) up to MC_BITS_LIMIT bits.
+    Values scoring within a relative 1e-12 of the top tie, and ties break
+    toward the smaller output value.
     """
     table = _as_table(problem)
     n = table.n
-    _check_scale(n, "map decoding")
+    found = _lone_output(table.outputs) if n <= MC_BITS_LIMIT else None
+    if found is None:
+        _check_scale(n, "map decoding")
     _check_width(energies.n, n)
     if group is None:
         group = IdentityGroup(n)
     avg = average_pattern_probabilities(group, energies)
+    size = 1 << n
+    if found is not None:
+        # the lone value scores its one row's likelihood, the other the rest
+        r, lone, other = found
+        values = np.array([lone, other])
+        p = avg[np.arange(size, dtype=np.int64) ^ r]
+        # a view of two stacked columns: the row-wise reductions run about
+        # 4x faster over it than over a (2**n, 2) C-order array
+        scores = np.stack((p, 1.0 - p)).T
+        if lone > other:
+            values, scores = values[::-1], scores[:, ::-1]
+        return Decoder(values[_first_near_top(scores)])
 
     classes, order, starts = _classes(table.outputs)
-    size = 1 << n
     if _xor_is_cheaper(classes.size, n):
         columns = table.outputs == classes[:, None]
         return Decoder(classes[_first_near_top(_xor_convolve(avg, columns).T)])
@@ -295,15 +398,17 @@ class ErrorAnalysis:
     """Exact per-input errors of one (truth table, decoder, loss) under any
     energies and group: L @ average_pattern_probabilities(group, energies).
 
-    The kernel ("ramp", "matrix", "xor" or "blocks") is picked once, here,
-    by the module docstring's rules; the DECODE_BITS_LIMIT guard refuses all
-    but "ramp", which reads top-bit moments under its own RAMP_BITS_LIMIT.  It
-    keeps the energy-independent arrays its kernel needs: L whole (built on
-    the first profile) for "matrix", the decoder's class indicators and
-    their loss weights for "xor".  "blocks" rebuilds L on every call in
-    cache-sized tiles of rows through buffers it reuses from tile to tile;
-    each tile's errors come from one gemv, bit for bit the sums whole row
-    blocks gave.
+    The kernel ("ramp", "law", "matrix", "xor" or "blocks") is picked once,
+    here, by the module docstring's rules; the DECODE_BITS_LIMIT guard
+    refuses all but "ramp", which reads top-bit moments under its own
+    RAMP_BITS_LIMIT, and "law", which reads the group's 2**n law (under the
+    group's own guard) up to the MC_BITS_LIMIT of a decode map.  It keeps
+    the energy-independent arrays its kernel needs: the rule's (r, s, w)
+    for "law", L whole (built on the first profile) for "matrix", the
+    decoder's class indicators and their loss weights for "xor".  "blocks"
+    rebuilds L on every call in cache-sized tiles of rows through buffers
+    it reuses from tile to tile; each tile's errors come from one gemv, bit
+    for bit the sums whole row blocks gave.
     """
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
@@ -314,10 +419,15 @@ class ErrorAnalysis:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
         self._loss = loss
-        self._matrix = self._indicators = self._weights = None
+        self._matrix = self._indicators = self._weights = self._rule = None
         if n >= _RAMP_MIN_BITS and _is_ramp(decoder, self.table):
             self._kernel = "ramp"
             return
+        if n <= MC_BITS_LIMIT:
+            self._rule = _law_rule(decoder, self.table, self._loss_fn)
+            if self._rule is not None:
+                self._kernel = "law"
+                return
         _check_scale(n, "exact error analysis")
         if 1 << (2 * n) <= _CHUNK_ENTRIES:
             self._kernel = "matrix"
@@ -345,13 +455,16 @@ class ErrorAnalysis:
         """Per-input errors of an EnergyVector, or one row of them for each
         row of a (K, n) stack of energy rows, bit for bit the profile of that
         row alone: "matrix" runs one gemv per row (np.matmul over the stack;
-        a single gemm would round differently), "xor", "ramp" and "blocks"
-        score the rows one by one, "blocks" each tile once for the whole
-        stack."""
+        a single gemm would round differently), "law" one gather of the
+        stack's laws, "xor", "ramp" and "blocks" score the rows one by one,
+        "blocks" each tile once for the whole stack."""
         rows = energy_rows(energies)
         _check_width(rows.shape[1], self.table.n)
         if self._kernel == "ramp":
             return ramp_profile(energies, group, self._loss)
+        if self._kernel == "law":
+            out = _law_profile(self._rule, rows, group)
+            return out[0] if isinstance(energies, EnergyVector) else out
         avg = average_pattern_probabilities(group, rows)
         size = 1 << self.table.n
         if self._kernel == "matrix":
@@ -436,11 +549,11 @@ def ramp_profile(energies, group: PermutationGroup, loss: str = "exact") -> np.n
     if n > RAMP_BITS_LIMIT:
         raise ResourceLimitError(f"ramp profiles support n <= {RAMP_BITS_LIMIT}, got n={n}")
     out = np.zeros((rows.shape[0], 1 << n))
-    for err, q in zip(out, flip_probability(rows)):
-        if loss == "exact":
-            with np.errstate(divide="ignore"):  # log1p(-1) = -inf, a certain flip
-                err[:] = -np.expm1(np.log1p(-q).sum())
-            continue
+    qs = flip_probability(rows)
+    if loss == "exact":
+        out[:] = _any_flip(qs)[:, None]
+        return out[0] if isinstance(energies, EnergyVector) else out
+    for err, q in zip(out, qs):
         top, cond = _ramp_moments(q, group)
         partial = np.zeros(1 << n)  # A_t of each row built so far
         low = np.empty(1 << (n - 1))
@@ -488,7 +601,8 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
     """Exact error of one input row (noise and adversary draw averaged): one
     2**n law and one 2**n gather, guarded by the decoder, table and group;
-    on the ramp, the row of ramp_profile, with no law."""
+    on the ramp, the row of ramp_profile, with no law, and where the law
+    kernel's rule holds, that kernel's row."""
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     _check_row(i, table.n)
@@ -497,6 +611,9 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     _check_width(energies.n, table.n)
     if _is_ramp(decoder, table):
         return float(ramp_profile(energies, group, loss)[i])
+    rule = _law_rule(decoder, table, loss_fn)
+    if rule is not None:
+        return float(_law_profile(rule, energy_rows(energies), group)[0, i])
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]

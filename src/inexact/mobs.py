@@ -250,7 +250,7 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) ->
 
 def _analysis(problem: BooleanProblem, metric: str) -> ErrorAnalysis:
     """The per-input metric's ErrorAnalysis of the identity decoder."""
-    # stricter than ErrorAnalysis' ramp: a search holds (K, 2**n) profiles
+    # stricter than ErrorAnalysis' ramp and law: a search holds (K, 2**n) profiles
     _check_scale(problem.n, "exact error analysis")
     table = truth_table(problem)
     return ErrorAnalysis(table, identity_decoder(table), _PER_INPUT_LOSS[metric])
@@ -604,10 +604,11 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
     elif per_input:
         analysis = _analysis(problem, metric)
         # the xor kernel's rows carry transform noise, too coarse for a
-        # descent or a closed form's price
-        if analysis.kernel != "matrix":
+        # descent or a closed form's price; the law kernel's rows are exact
+        if analysis.kernel not in ("matrix", "law"):
             raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only through "
-                                     f"a kept loss matrix, not the {analysis.kernel} kernel")
+                                     f"a kept loss matrix or the pattern law, not the "
+                                     f"{analysis.kernel} kernel")
         profile = analysis.profile
         objective = _twins_scored_once(error_objective(problem, metric, identity, profile=profile),
                                        analysis.table)

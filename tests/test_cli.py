@@ -1156,9 +1156,31 @@ def test_only_a_sampled_run_builds_a_generator(capsys, monkeypatch, argv, sample
 
 
 def test_exact_mobs_without_the_loss_matrix_exits_3(capsys):
-    code, out, err = run(capsys, "mobs", "--problem", "or", "--n", "12", "--mode", "exact")
+    code, out, err = run(capsys, "mobs", "--problem", "ue", "--n", "12", "--mode", "exact")
     assert code == 3 and out == ""
     assert "kept loss matrix" in err
+
+
+def test_or_reports_and_prices_exactly_through_the_pattern_law(capsys):
+    # or's lone output takes the law kernel: exact rows up to 20 bits, one
+    # row read alone prints the report's row, and exact mobs prices it
+    # where it sampled or refused past 11 bits
+    argv = ("simulate", "--problem", "or", "--n", "12", "--allocation", "uniform",
+            "--budget", "78", "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    lines = csv_body(out)[2]
+    assert code == 0 and lines[3966] == "3966,2.65094202937e-20"
+    for bits, i in (("111101111110", 3966), ("000000000000", 0)):
+        code, one, _ = run(capsys, *argv, "--input", bits)
+        assert code == 0 and csv_body(one)[2] == [lines[i]]
+    code, out, err = run(capsys, "simulate", "--problem", "or", "--n", "20", "--allocation",
+                         "uniform", "--budget", "40", "--format", "csv")
+    comments, _, lines = csv_body(out)
+    assert (code, err) == (0, "") and '"mode":"exact"' in comments[2]
+    assert len(lines) == 1 << 20
+    for n in ("12", "14"):
+        code, out, _ = run(capsys, "mobs", "--problem", "or", "--n", n, "--format", "csv")
+        assert code == 0 and csv_body(out)[2] == [f"or,{n},1,exact"]
 
 
 def test_sampled_pair_weighted_mobs_exits_2(capsys):

@@ -198,10 +198,10 @@ def test_dense_map_decode_maps_are_pinned(problem, group, budget, digest):
 
 def test_exact_analysis_leaves_numpy_ma_unloaded():
     # np.unique imports numpy.ma (about 13 ms) on numpy 2.x; the decoders
-    # find output classes without it.  A fresh process runs an exact n = 12
-    # few-output report and MAP decodes through both of its kernels, and
-    # numpy.ma must be loaded after them only if importing numpy loaded it
-    # (numpy 1.x does)
+    # find output classes without it.  A fresh process runs exact n = 12
+    # few-output reports (or's law kernel, tribes2's transform) and MAP
+    # decodes through all three of its paths, and numpy.ma must be loaded
+    # after them only if importing numpy loaded it (numpy 1.x does)
     code = """if True:
         import sys
         import numpy
@@ -209,11 +209,12 @@ def test_exact_analysis_leaves_numpy_ma_unloaded():
         from inexact.adversary import FullSymmetricGroup
         from inexact.allocators import uniform_allocation
         from inexact.decoders import error_report, identity_decoder, map_decoder
-        from inexact.problems import or_problem
-        p, e, g = or_problem(12), uniform_allocation(39.0, 12), FullSymmetricGroup(12)
-        error_report(p, e, g, identity_decoder(p))
-        map_decoder(p, e, g)
-        map_decoder(or_problem(6), uniform_allocation(6.0, 6))
+        from inexact.problems import or_problem, tribes_problem
+        e, g = uniform_allocation(39.0, 12), FullSymmetricGroup(12)
+        for p in (or_problem(12), tribes_problem(12, 2)):
+            error_report(p, e, g, identity_decoder(p))
+            map_decoder(p, e, g)
+        map_decoder(tribes_problem(6, 2), uniform_allocation(6.0, 6))
         print("numpy.ma" in sys.modules)
     """
     env = {**os.environ, "PYTHONPATH": str(Path(decoders.__file__).parents[1])}
@@ -224,10 +225,10 @@ def test_exact_analysis_leaves_numpy_ma_unloaded():
 
 def test_cli_reports_leave_numpy_ma_unloaded(tmp_path):
     # the CLI formats a report's numbers once per distinct value, found by
-    # np.unique with index and inverse returns, which leaves numpy.ma
-    # unloaded where a bare np.unique loads it.  A fresh process writes a
-    # full n = 12 report (MAP under S_12, two distinct values) in JSON and
-    # in CSV through cli.main
+    # a sort and a neighbour compare, with no np.unique, which loads
+    # numpy.ma on numpy 2.x.  A fresh process writes a full n = 12 report
+    # (MAP under S_12, two distinct values) in JSON and in CSV through
+    # cli.main
     code = """if True:
         import sys
         import numpy
@@ -248,8 +249,9 @@ def test_cli_reports_leave_numpy_ma_unloaded(tmp_path):
 
 
 def test_map_decoder_guard():
+    # or's lone output decodes in O(2**n) up to the 20-bit decode limit
     with pytest.raises(ResourceLimitError):
-        map_decoder(or_problem(15), energy_vector(np.ones(15)))
+        map_decoder(unary_evaluation(15), energy_vector(np.ones(15)))
 
 
 def test_or2_error_profile_by_hand():
@@ -410,22 +412,22 @@ def test_error_analysis_picks_its_kernel():
     def kernel(problem, loss="exact"):
         return ErrorAnalysis(problem, identity_decoder(problem), loss).kernel
 
-    assert kernel(or_problem(8)) == "matrix"
+    assert kernel(tribes_problem(8, 2)) == "matrix"
     # the MAP decoder, with no matrix to keep, takes the transform from n = 8
     assert not decoders._xor_is_cheaper(2, 7) and decoders._xor_is_cheaper(2, 8)
-    for problem in (or_problem(12), tribes_problem(12, 2), comparison_problem(6),
-                    unary_evaluation(12)):
+    for problem in (tribes_problem(12, 2), comparison_problem(6), unary_evaluation(12)):
         assert kernel(problem) == "xor", problem.name
     assert kernel(unary_evaluation(12), "absolute") == "xor"
     # the identity decoder on a ramp table f(0) + i: be, a custom ramp or
     # an offset one, under either loss, from n = 10 up, past the 4**n guard
-    # too; below, where a stack costs one gemv a row, the kept matrix
+    # too; below, where a stack costs one gemv a row, the kept matrix (at
+    # n = 1, where both outputs are lone, the law)
     assert decoders._RAMP_MIN_BITS == 10
     for n in range(1, 21):
         offset = TruthTable(n, np.arange(1 << n) + 5)
         for table in (truth_table(binary_evaluation(n)), offset):
             for loss in ("exact", "absolute"):
-                want = "ramp" if n >= 10 else "matrix"
+                want = "ramp" if n >= 10 else "law" if n == 1 else "matrix"
                 assert kernel(table, loss) == want, (n, table.outputs[0], loss)
     assert kernel(custom_problem(np.arange(1 << 12) - 7)) == "ramp"
     # a shifted decoder is not the identity decoder: the matrix, then
@@ -442,6 +444,177 @@ def test_error_analysis_picks_its_kernel():
     assert kernel(custom_problem(np.arange(1 << 12) % 400)) == "blocks"
     with pytest.raises(AttributeError):
         ErrorAnalysis(or_problem(2), identity_decoder(or_problem(2))).kernel = "xor"
+
+
+def _lone_tables(n):
+    """Two-valued tables with a lone output: or (0 at row 0) and the {3, 8}
+    table with 3 at row 5 mod 2**n."""
+    idx = np.arange(1 << n)
+    return truth_table(or_problem(n)), TruthTable(n, np.where(idx == 5 % idx.size, 3, 8))
+
+
+def test_lone_output_tables_take_the_law_kernel():
+    def kernel(table, decoder=None, loss="exact"):
+        return ErrorAnalysis(table, decoder or identity_decoder(table), loss).kernel
+
+    for n in range(1, 21):
+        assert kernel(truth_table(or_problem(n))) == "law", n
+    # tribes as AND and as OR, be at one bit, a 0/1 and a {3, 8} custom table
+    for problem in (tribes_problem(6, 1), tribes_problem(6, 6), binary_evaluation(1)):
+        assert kernel(truth_table(problem)) == "law", problem.name
+    for n in (3, 12):
+        zero_one = truth_table(custom_problem((np.arange(1 << n) != 6).astype(np.int64)))
+        for table in (zero_one, _lone_tables(n)[1]):
+            for loss in ("exact", "absolute"):
+                assert kernel(table, loss=loss) == "law", (n, loss)
+    # or's MAP decoders: clean reads keep s = r, certain flips move the lone
+    # read to s = 63, and reads mostly flipped never give the lone value
+    table = truth_table(or_problem(6))
+    for energy, reads in ((8.0, [0]), (0.0, [63]), (0.5, [])):
+        dec = map_decoder(table, energy_vector(np.full(6, energy)), FullSymmetricGroup(6))
+        assert np.flatnonzero(dec.decode_map == 0).tolist() == reads
+        assert kernel(table, dec) == "law", energy
+    # two lone reads, or a value the table never gives, break the rule
+    idx = np.arange(64)
+    assert kernel(table, Decoder((idx >= 2).astype(np.int64))) == "matrix"
+    assert kernel(table, Decoder(np.where(idx == 0, 2, 1))) == "matrix"
+    for problem in (unary_evaluation(12), tribes_problem(12, 2), comparison_problem(6)):
+        assert kernel(truth_table(problem)) == "xor", problem.name
+    assert kernel(truth_table(tribes_problem(8, 2))) == "matrix"
+
+
+def _law_decoders(table, ev, group):
+    """Decoders under the law kernel's rule: the identity (s = r), MAP, a
+    lone read away from r (s = r ^ (2**n - 1)) and the constant other value
+    (no s); at one bit, where both values are lone, either constant."""
+    r = int(np.argmin(table.outputs))  # the lone value is the smaller here
+    lone, other = table.outputs.min(), table.outputs.max()
+    idx = np.arange(1 << table.n)
+    decs = [identity_decoder(table), map_decoder(table, ev, group),
+            Decoder(np.full(idx.size, other))]
+    if table.n > 1:
+        return decs + [Decoder(np.where(idx == r ^ (idx.size - 1), lone, other))]
+    return decs + [Decoder(np.full(idx.size, lone))]
+
+
+def test_law_rows_match_brute_definition():
+    # every row against the definition's sum over group elements and
+    # patterns, under the identity, full symmetric and a cyclic group, with
+    # zero-energy bits (certain flips), under both losses; a stack of
+    # energy rows scores each bit for bit as it scores alone
+    rng = np.random.default_rng(46)
+    for n in (1, 2, 3, 4):
+        stack = np.array([rng.random(n) * 4.0, np.zeros(n),
+                          np.where(np.arange(n) % 2 == 0, 0.0, rng.random(n) * 3.0)])
+        for table in _lone_tables(n):
+            for group in _groups(n):
+                for dec in _law_decoders(table, energy_vector(stack[0]), group):
+                    for loss in ("exact", "absolute"):
+                        analysis = ErrorAnalysis(table, dec, loss)
+                        assert analysis.kernel == "law", (n, dec.decode_map)
+                        stacked = analysis.profile(stack, group)
+                        for entries, got in zip(stack, stacked):
+                            ev = energy_vector(entries)
+                            assert np.array_equal(got, analysis.profile(ev, group))
+                            want = [brute_error(table, ev, group, dec, i, loss)
+                                    for i in range(1 << n)]
+                            assert np.allclose(got, want, rtol=1e-13, atol=0), \
+                                (n, group.kind, loss, entries, dec.decode_map)
+
+
+def test_law_rows_match_a_dense_per_row_sum():
+    # at n = 8 every row, at n = 10 the lone rows and random ones, against
+    # a correctly rounded sum of the group's law times each pattern's loss,
+    # under the three groups
+    rng = np.random.default_rng(47)
+    for n in (8, 10):
+        idx = np.arange(1 << n, dtype=np.int64)
+        rows = idx if n == 8 else sorted({0, 5, idx.size - 6, *rng.integers(idx.size, size=32)})
+        entries = rng.random(n) * 4.0
+        entries[::3] = 0.0
+        ev = energy_vector(entries)
+        for table in _lone_tables(n):
+            for group in _groups(n):
+                law = decoders.average_pattern_probabilities(group, ev)
+                for dec in _law_decoders(table, ev, group):
+                    for loss in ("exact", "absolute"):
+                        analysis = ErrorAnalysis(table, dec, loss)
+                        assert analysis.kernel == "law"
+                        got = analysis.profile(ev, group)
+                        weigh = decoders._loss_kernel(loss)
+                        for i in rows:
+                            losses = weigh(dec.decode_map[i ^ idx], table.outputs[i])
+                            want = math.fsum(losses * law)
+                            assert got[i] == pytest.approx(want, rel=1e-13, abs=0), (n, i)
+
+
+def test_or_rows_at_twelve_and_fourteen_bits_are_accurate():
+    # or's rows came from the transform at n >= 12, and its rounding (about
+    # 1e-19 here) swamped rows far below it: or 12 at budget 78 printed
+    # row 3966 as 2.17e-19 where it is 2.65e-20.  Each row of the law kernel
+    # is within 1e-13 relative of a correctly rounded dense sum over the
+    # patterns, the smallest rows included, under the three groups
+    rng = np.random.default_rng(48)
+    for n in (12, 14):
+        table = truth_table(or_problem(n))
+        dec = identity_decoder(table)
+        analysis = ErrorAnalysis(table, dec)
+        assert analysis.kernel == "law"
+        idx = np.arange(1 << n, dtype=np.int64)
+        entries = np.full(n, 6.5)
+        entries[1::4] = rng.random(len(entries[1::4])) * 13.0
+        for group in _groups(n):
+            for ev in (energy_vector(np.full(n, 6.5)), energy_vector(entries)):
+                law = decoders.average_pattern_probabilities(group, ev)
+                got = analysis.profile(ev, group)
+                rows = {0, 3966, idx.size - 1, *np.argsort(got)[:16].tolist(),
+                        *rng.integers(idx.size, size=16).tolist()}
+                for i in sorted(rows):
+                    want = math.fsum((dec.decode_map[i ^ idx] != table.outputs[i]) * law)
+                    assert got[i] == pytest.approx(want, rel=1e-13, abs=0), (n, group.kind, i)
+    table = truth_table(or_problem(12))
+    got = error_profile(table, energy_vector(np.full(12, 6.5)), IdentityGroup(12),
+                        identity_decoder(table))
+    assert f"{got[3966]:.12g}" == "2.65094202937e-20"
+
+
+def test_lone_output_map_decodes_as_the_dense_tiles(monkeypatch):
+    # the O(2**n) MAP path scores the lone value law[o ^ r] and the other
+    # 1 - law[o ^ r]; its maps are the dense row tiles' from n = 2 to 14,
+    # certain flips included (where the lone read moves off r)
+    rng = np.random.default_rng(49)
+    cases = []
+    for n in range(2, 15):
+        tables = _lone_tables(n) if n <= 10 else _lone_tables(n)[n % 2:][:1]
+        for table in tables:
+            groups = _groups(n) if n <= 10 else _groups(n)[n % 3:][:1]
+            for group in groups:
+                energies = [rng.dirichlet(np.ones(n)) * n * (n + 1) / 4.0]
+                if n <= 10:
+                    energies += [np.zeros(n), np.where(np.arange(n) < n // 2, 0.0, 9.0)]
+                for entries in energies:
+                    ev = energy_vector(entries)
+                    cases.append((table, ev, group, map_decoder(table, ev, group).decode_map))
+    monkeypatch.setattr(decoders, "_lone_output", lambda values: None)
+    monkeypatch.setattr(decoders, "_xor_is_cheaper", lambda classes, n: False)
+    for table, ev, group, got in cases:
+        assert np.array_equal(got, map_decoder(table, ev, group).decode_map), \
+            (table.n, group.kind, ev.entries)
+
+
+def test_one_row_reads_the_report_row():
+    # per_input_error reads its row from the law kernel, so a row read
+    # alone is the report's row to the bit, row r's closed form included
+    rng = np.random.default_rng(50)
+    for n in (3, 12):
+        for table in _lone_tables(n):
+            for group in _groups(n):
+                ev = energy_vector(rng.random(n) * 6.0)
+                for dec in _law_decoders(table, ev, group):
+                    for loss in ("exact", "absolute"):
+                        report = error_profile(table, ev, group, dec, loss)
+                        for i in {0, 5 % (1 << n), (1 << n) - 1, int(rng.integers(1 << n))}:
+                            assert per_input_error(table, ev, group, dec, i, loss) == report[i]
 
 
 def _dense_profiles(table, decoder, settings, losses):
@@ -463,7 +636,8 @@ def _dense_profiles(table, decoder, settings, losses):
 
 def test_few_output_profiles_match_the_dense_blocks():
     # n = 12 is the smallest size where the xor kernel replaces row blocks;
-    # or covers the MAP decoder under every group, ue both losses
+    # or, whose lone output takes the law kernel, covers the MAP decoder
+    # under every group, ue both losses
     rng = np.random.default_rng(12)
     settings = [(g, energy_vector(rng.dirichlet(np.ones(12)) * 39.0)) for g in _groups(12)]
     or_table, ue_table = truth_table(or_problem(12)), truth_table(unary_evaluation(12))
@@ -478,7 +652,7 @@ def test_few_output_profiles_match_the_dense_blocks():
         dense = _dense_profiles(table, dec, where, losses)
         for loss in losses:
             analysis = ErrorAnalysis(table, dec, loss)
-            assert analysis.kernel == "xor"
+            assert analysis.kernel == ("law" if table is or_table else "xor")
             for (g, ev), want in zip(where, dense[loss]):
                 got = analysis.profile(ev, g)
                 assert np.allclose(got, want, rtol=0, atol=1e-13), (g.kind, strategy, loss)
@@ -489,8 +663,10 @@ def test_few_output_profiles_match_the_dense_blocks():
     # errors far below the transform's rounding (about 1e-17 here) read 0,
     # never negative
     quiet = energy_vector(10.0 + 0.5 * np.arange(12))
-    profile = ErrorAnalysis(or_table, identity_decoder(or_table)).profile(quiet, IdentityGroup(12))
-    assert profile.min() == 0.0
+    tribes = truth_table(tribes_problem(12, 2))
+    analysis = ErrorAnalysis(tribes, identity_decoder(tribes))
+    assert analysis.kernel == "xor"
+    assert analysis.profile(quiet, IdentityGroup(12)).min() == 0.0
 
 
 def test_ramp_profiles_match_brute_definition(monkeypatch):
@@ -559,7 +735,8 @@ def test_ramp_rows_match_brute_definition():
 
 
 def test_ramp_rows_match_the_matrix_kernel_under_every_group(monkeypatch):
-    # against ErrorAnalysis' kept loss matrix of be (n <= 11) under the
+    # against ErrorAnalysis' kept loss matrix of be (n <= 11; the law
+    # kernel refused at n = 1, where be has a lone output) under the
     # identity, full symmetric and a cyclic group, extreme energies
     # included; rows i and 2**n - 1 - i come out as the same float
     rng = np.random.default_rng(41)
@@ -570,6 +747,7 @@ def test_ramp_rows_match_the_matrix_kernel_under_every_group(monkeypatch):
         for loss in ("exact", "absolute"):
             with monkeypatch.context() as patch:  # the kept loss matrix, as a reference
                 patch.setattr(decoders, "_is_ramp", lambda decoder, table: False)
+                patch.setattr(decoders, "_law_rule", lambda decoder, table, loss_fn: None)
                 analysis = ErrorAnalysis(table, dec, loss)
             assert analysis.kernel == "matrix"
             for group in _groups(n):
@@ -770,7 +948,7 @@ def test_uniform_energies_erase_the_group():
 
 
 def test_error_profile_guard_and_shape_checks():
-    big = or_problem(15)
+    big = unary_evaluation(15)
     with pytest.raises(ResourceLimitError):
         error_profile(big, energy_vector(np.ones(15)), IdentityGroup(15),
                       identity_decoder(big))

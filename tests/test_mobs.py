@@ -360,8 +360,9 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     # get exactly the profile, pattern law and objective value it gets
     # alone, under every group, every metric and every ErrorAnalysis kernel
     # (the ramp refused outside its own pass and forced below its 10 bits, on
-    # be, the one table here it fits; xor and blocks forced at small n, as
-    # the tile tests force blocks)
+    # be, the one table here it fits; the law refused outside its own pass,
+    # on or, the one here with a lone output in a two-valued table; xor and
+    # blocks forced at small n, as the tile tests force blocks)
     mobs_module = importlib.import_module("inexact.mobs")
     decoders = importlib.import_module("inexact.decoders")
     rng = np.random.default_rng(2026)
@@ -370,16 +371,19 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     pair_weighted = [(comparison_problem(k), "comparison_weighted") for k in (2, 3, 4)]
     pair_weighted += [(sorting_problem(count, width), "sorting_weighted")
                       for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
-    is_ramp = decoders._is_ramp
+    is_ramp, law_rule = decoders._is_ramp, decoders._law_rule
     monkeypatch.setattr(decoders, "_RAMP_MIN_BITS", 1)
-    for kernel in ("matrix", "xor", "blocks", "ramp"):
+    for kernel in ("matrix", "xor", "blocks", "ramp", "law"):
         monkeypatch.setattr(decoders, "_is_ramp",
                             is_ramp if kernel == "ramp" else lambda decoder, table: False)
+        monkeypatch.setattr(decoders, "_law_rule",
+                            law_rule if kernel == "law" else lambda decoder, table, fn: None)
         if kernel != "matrix":
             monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)  # L never kept whole
             monkeypatch.setattr(decoders, "_xor_is_cheaper",
                                 lambda classes, n, xor=kernel == "xor": xor)
-        cases = [(p, metric) for p in per_input if kernel != "ramp" or p.kind == "be"
+        fits = {"ramp": "be", "law": "or"}
+        cases = [(p, metric) for p in per_input if fits.get(kernel, p.kind) == p.kind
                  for metric in ("worst_correctness", "expected_magnitude")]
         if kernel == "matrix":
             cases += pair_weighted
@@ -1570,17 +1574,21 @@ def test_exact_mobs_refuses_a_descent_without_the_loss_matrix(monkeypatch):
     # transform's rows carry rounding noise, too coarse for a descent or a
     # closed form's price; mobs refuses up front, before any profile or
     # descent.  be under worst_correctness needs no descent (every output
-    # is lone) and the ramp kernel scores it exactly, so it prices 1.
+    # is lone) and the ramp kernel scores it exactly, so it prices 1, and
+    # so does or, whose exact rows come from the law kernel.
     mobs_module = importlib.import_module("inexact.mobs")
     monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
     with monkeypatch.context() as patch:
         patch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
-        for problem in (or_problem(12), unary_evaluation(12), tribes_problem(12, 2)):
+        for problem in (unary_evaluation(12), tribes_problem(12, 2)):
             with pytest.raises(ResourceLimitError, match="kept loss matrix"):
                 mobs(problem, mode="exact")
-    result = mobs(binary_evaluation(12), [39.0], "worst_correctness")
-    assert result.mode == "exact" and result.converged
-    assert result.csv_row() == "be,12,1,exact"
+    for problem, metric in ((binary_evaluation(12), "worst_correctness"),
+                            (or_problem(12), "worst_correctness"),
+                            (or_problem(14), "expected_magnitude")):
+        result = mobs(problem, [39.0], metric)
+        assert result.mode == "exact" and result.converged
+        assert result.csv_row() == f"{problem.name},{problem.n},1,exact"
 
 
 def test_exact_mobs_scores_the_blindfolded_side_before_any_descent(monkeypatch):
