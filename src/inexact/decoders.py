@@ -47,18 +47,18 @@ i != r errs exactly when its observation lands on s,
 and row r errs w times the mass off the pattern r XOR s (the closed form
 1 - prod_j (1 - q_j) where s = r); a decoder that never reads the lone
 value errs w at r and 0 elsewhere.  An ErrorAnalysis binds (truth table,
-decoder, loss) and picks one of five kernels once, the first that
-applies, shown by its ``kernel`` attribute; ramp and law refuse past 20
-bits, the others past DECODE_BITS_LIMIT:
+decoder, loss) and picks one of five kernels once, at every n, the first
+that applies, shown by its ``kernel`` attribute; law and ramp refuse past
+20 bits, the others past DECODE_BITS_LIMIT, checked there alone:
 
-* ramp   -- ramp_profile, O(2**n) per energy row from the group's
-            top-flipped-bit moments, for the identity decoder on a ramp
-            table from n = 10 up (below, a kept L's gemv per row is cheaper).
 * law    -- one gather of the group's pattern law per energy row, and
             the closed form (or a sum of nonnegative terms) at row r, for
             a lone-output table read by a decoder under the rule above:
             its identity decoder (s = r), and its MAP decoders (s = r, no
             s, or s != r where bits flip with certainty).
+* ramp   -- ramp_profile, O(2**n) per energy row from the group's
+            top-flipped-bit moments, for the identity decoder on a ramp
+            table (searches score its worst row in closed form instead).
 * matrix -- L whole, built tile by tile on the first call and kept, when
             4**n fits one vectorized block (n <= 11); a search that scores
             many energy vectors builds it once.
@@ -118,7 +118,6 @@ _CHUNK_ENTRIES = 1 << 22  # floats per vectorized block
 _TILE_ENTRIES = 1 << 16
 _TILE_MIN_ROWS = 16
 _XOR_MIN_BITS = 8         # below this a dense gather beats the transforms' fixed cost
-_RAMP_MIN_BITS = 10       # below this a kept loss matrix beats the ramp's per-bit calls
 _TIE_REL_TOL = 1e-12      # MAP scores this close to a row's top score tie
 _MC_BATCH = 1 << 16       # Monte Carlo draws per batch; seeded streams depend on it
 
@@ -398,18 +397,15 @@ class ErrorAnalysis:
     """Exact per-input errors of one (truth table, decoder, loss) under any
     energies and group: L @ average_pattern_probabilities(group, energies).
 
-    The kernel ("ramp", "law", "matrix", "xor" or "blocks") is picked once,
-    here, by the module docstring's rules; the DECODE_BITS_LIMIT guard
-    refuses all but "ramp", which reads top-bit moments under its own
-    RAMP_BITS_LIMIT, and "law", which reads the group's 2**n law (under the
-    group's own guard) up to the MC_BITS_LIMIT of a decode map.  It keeps
+    The kernel ("law", "ramp", "matrix", "xor" or "blocks") is picked once,
+    here, in that order, by the module docstring's rules; DECODE_BITS_LIMIT
+    refuses all but "law" (a 2**n law under the group's own guard, to the
+    MC_BITS_LIMIT of a decode map) and "ramp" (RAMP_BITS_LIMIT).  It keeps
     the energy-independent arrays its kernel needs: the rule's (r, s, w)
     for "law", L whole (built on the first profile) for "matrix", the
     decoder's class indicators and their loss weights for "xor".  "blocks"
-    rebuilds L on every call in cache-sized tiles of rows through buffers
-    it reuses from tile to tile; each tile's errors come from one gemv, bit
-    for bit the sums whole row blocks gave.
-    """
+    rebuilds L on every call in cache-sized tiles of rows, each tile's
+    errors one gemv, bit for bit the sums whole row blocks gave."""
 
     def __init__(self, problem, decoder: Decoder, loss: str = "exact"):
         self._loss_fn = _loss_kernel(loss)
@@ -419,15 +415,11 @@ class ErrorAnalysis:
             raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
         self.decoder = decoder
         self._loss = loss
-        self._matrix = self._indicators = self._weights = self._rule = None
-        if n >= _RAMP_MIN_BITS and _is_ramp(decoder, self.table):
-            self._kernel = "ramp"
+        self._matrix = self._indicators = self._weights = None
+        self._rule = _law_rule(decoder, self.table, self._loss_fn) if n <= MC_BITS_LIMIT else None
+        if self._rule is not None or _is_ramp(decoder, self.table):
+            self._kernel = "ramp" if self._rule is None else "law"
             return
-        if n <= MC_BITS_LIMIT:
-            self._rule = _law_rule(decoder, self.table, self._loss_fn)
-            if self._rule is not None:
-                self._kernel = "law"
-                return
         _check_scale(n, "exact error analysis")
         if 1 << (2 * n) <= _CHUNK_ENTRIES:
             self._kernel = "matrix"
@@ -523,10 +515,9 @@ def _ramp_moments(q: np.ndarray, group: PermutationGroup):
 
 def ramp_profile(energies, group: PermutationGroup, loss: str = "exact") -> np.ndarray:
     """Exact per-input errors of a ramp table f(i) = f(0) + i read through
-    its identity decoder (be, or an offset of it) under any
-    group, for an EnergyVector or each row of a (K, n) stack of energy
-    rows, every input row at once, in O(2**n) time past the moments: no
-    table, no 2**n law and no bit table.
+    its identity decoder (be, or an offset of it) under any group, for an
+    EnergyVector or each row of a (K, n) stack of energy rows, every row at
+    once, in O(2**n) past the moments: no table, 2**n law or bit table.
 
     Under the exact loss every row reads P{d != 0} = 1 - prod_j (1 - q_j)
     under every group (a permutation never changes whether no bit flips),
@@ -599,21 +590,20 @@ def _check_width(width: int, n: int) -> None:
 
 def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
                     decoder: Decoder, i: int, loss: str = "exact") -> float:
-    """Exact error of one input row (noise and adversary draw averaged): one
-    2**n law and one 2**n gather, guarded by the decoder, table and group;
-    on the ramp, the row of ramp_profile, with no law, and where the law
-    kernel's rule holds, that kernel's row."""
+    """Exact error of one input row (noise and adversary draw averaged), the
+    report's row bit for bit: the law kernel's, then ramp_profile's, in
+    ErrorAnalysis' order, else one 2**n law and one 2**n gather."""
     loss_fn = _loss_kernel(loss)
     table = _as_table(problem)
     _check_row(i, table.n)
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
     _check_width(energies.n, table.n)
-    if _is_ramp(decoder, table):
-        return float(ramp_profile(energies, group, loss)[i])
-    rule = _law_rule(decoder, table, loss_fn)
+    rule = _law_rule(decoder, table, loss_fn) if table.n <= MC_BITS_LIMIT else None
     if rule is not None:
         return float(_law_profile(rule, energy_rows(energies), group)[0, i])
+    if _is_ramp(decoder, table):
+        return float(ramp_profile(energies, group, loss)[i])
     avg = average_pattern_probabilities(group, energies)
     idx = np.arange(1 << table.n, dtype=np.int64)
     decoded = decoder.decode_map[np.int64(i) ^ idx]

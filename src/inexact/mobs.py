@@ -2,44 +2,34 @@
 
 The headline number for a problem is the worst ratio, over energy budgets
 and inputs, of the best blindfolded error to the best clairvoyant error.
-The blindfolded side always plays the uniform allocation.  For a table
-champion prices by a per-input proof, that proof makes it the blindfolded
-optimum too: under S_n each bit flips with marginal mean(q), q = 2**-e, so
-a lone-output table read right or wrong errs 1 - prod_j (1 - q_j) on its
-worst row and a linear table sum_j w_j * mean(q), both least at the uniform
-split.  Elsewhere it is an assumption, not a fact: that no other vector
-does better once the adversary shuffles it.  It fails for some many-valued
-tables that depend on the ones count alone (which descend), where the
-shuffled objective is lower off the uniform split (the strict xfail
+The blindfolded side always plays the uniform allocation.  Where _proof
+applies, it is the blindfolded optimum too: under S_n each bit flips with
+marginal mean(q), q = 2**-e, and both proven worst rows are least at the
+uniform split.  Elsewhere it is an assumption: that no other vector does
+better once the adversary shuffles it.  It fails for some many-valued
+tables of the ones count alone (which descend), where the shuffled
+objective is lower off the uniform split (the strict xfail
 tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
-The clairvoyant side plays champion's rule in every mode: a closed form
-where one gives the optimum, keyed on table facts a built-in kind gives
-with no table; else, exact, a coordinate descent from the uniform vector
-and the kind's analytic allocation, so the ratio never sits below 1 (up to
-descent tolerance and rounding), and, sampled, that allocation alone.
-Where it returns the uniform split, which every permutation fixes, both
-sides read one law: mobs scores it once, and every ratio is exactly 1.
+The clairvoyant side plays champion's rule in every mode: _proof's closed
+form, read off table facts a built-in kind gives with no table; else,
+exact, a coordinate descent from the uniform vector and the kind's
+analytic allocation, so the ratio never sits below 1 (up to descent
+tolerance and rounding), and, sampled, that allocation alone.  Where it
+returns the uniform split, which every permutation fixes, both sides read
+one law: mobs scores it once (exact, _proof's worst row where it applies,
+so or and ue price at any n), and every ratio is 1.
 
 Each metric is one profile function, (energy rows, group) -> errors, which
 scores a (K, n) stack of energy rows at once, each row bit for bit as it
-would score alone: one entry per input row for the per-input metrics (one
-decoders.ErrorAnalysis of the truth table read through the identity
-decoder, whose loss matrix depends on neither the energies nor the group,
-so a stack of K candidate moves costs K matrix-vector products behind one
-call), and one entry for the pair-weighted metrics (the worst position of
-their closed form, vectorized over the rows, averaged over the group's
-rewirings of each row).  Every search scores through error_objective, the
-worst entry of each row (an exact per-input descent once per class of
-twin rows: _twins_scored_once).  Exact mobs compares both champions'
-profiles entry for entry; sampled mode estimates them on probe rows.
-
-The ramp table (outputs(i) = f(0) + i, where the identity decoder cancels
-f(0): be, one-number sorts, one-bit tables, custom tables) takes a shorter
-road under both per-input metrics in exact mode.  Its champions are closed
-forms (the water-filled ramp, the uniform split), and decoders.ramp_profile
-gives both sides' rows from the flip vector's top-flipped-bit moments
-under any group.  Exact mobs there builds no truth table, ErrorAnalysis,
-loss matrix or group law, and prices up to decoders.RAMP_BITS_LIMIT bits.
+would score alone: a per-input metric one entry where _proof gives its
+worst row, with no truth table, else every input row through one
+decoders.ErrorAnalysis of the identity decoder (its loss matrix depends on
+neither the energies nor the group: K moves cost K matrix-vector
+products); a pair-weighted metric the worst position of its closed form,
+averaged over the group's rewirings of each row.  Every search scores
+through error_objective, the worst entry of each row (a per-input descent
+once per class of twin rows: _twins_scored_once).  Exact mobs compares
+both champions' profiles entry for entry; sampled mode on probe rows.
 
 Metrics:
 
@@ -60,23 +50,26 @@ decision comes from the most significant position that reads nonzero.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import ResourceLimitError, as_rng
-from .noise import EnergyVector, energy_rows, energy_vector
+from .noise import EnergyVector, energy_rows, energy_vector, flip_probability
 from .adversary import FullSymmetricGroup, IdentityGroup, PermutationGroup
 from .problems import (BooleanProblem, TruthTable, binary_evaluation, comparison_problem,
                        or_problem, sorting_problem, truth_table, unary_evaluation)
 from .decoders import (
     ErrorAnalysis,
-    _check_scale,
+    _any_flip,
+    _check_width,
     _classes,
+    _lone_output,
     identity_decoder,
     monte_carlo_error,
-    ramp_profile,
 )
 from .allocators import analytic_allocation, coordinate_descent, uniform_allocation, water_fill
 
@@ -86,6 +79,7 @@ METRIC_KINDS = ("worst_correctness", "expected_magnitude",
 # per-input metrics score each input row under a decoder loss; the other
 # metrics are pair-weighted aggregates
 _PER_INPUT_LOSS = {"worst_correctness": "exact", "expected_magnitude": "absolute"}
+_Proof = namedtuple("_Proof", "champion worst_row")  # what _proof returns
 
 
 def default_metric(problem: BooleanProblem) -> str:
@@ -250,22 +244,16 @@ def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) ->
 
 def _analysis(problem: BooleanProblem, metric: str) -> ErrorAnalysis:
     """The per-input metric's ErrorAnalysis of the identity decoder."""
-    # stricter than ErrorAnalysis' ramp and law: a search holds (K, 2**n) profiles
-    _check_scale(problem.n, "exact error analysis")
     table = truth_table(problem)
     return ErrorAnalysis(table, identity_decoder(table), _PER_INPUT_LOSS[metric])
 
 
 def _profile_function(problem: BooleanProblem, metric: str):
-    """(energy rows, group) -> error profile of the metric, one row of
-    entries per row of the (K, n) stack.
-
-    A per-input metric profiles every input row through one ErrorAnalysis
-    of the truth table under the identity decoder.  A pair-weighted metric
-    profiles as one entry: the worst entry of its closed form averaged over
-    the group's rewirings of the energies.
-    """
-    if metric in _PER_INPUT_LOSS:
+    """(energy rows, group) -> the metric's profile of each row of the (K, n)
+    stack: _proof's worst row alone, a pair-weighted metric's worst position
+    averaged over the group's rewirings, else one ErrorAnalysis' rows."""
+    proof = _proof(problem, metric)
+    if proof is None and metric in _PER_INPUT_LOSS:
         return _analysis(problem, metric).profile
     if metric == "comparison_weighted":
         if problem.kind != "comparison":
@@ -275,12 +263,15 @@ def _profile_function(problem: BooleanProblem, metric: str):
         if problem.kind != "sorting":
             raise ValueError("sorting_weighted needs a sorting problem")
         direct = lambda rows: _sorting_weighted_error_direct(problem, rows)
-    else:
+    elif proof is None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
 
     def profile(rows, group):
         rows = energy_rows(rows)
         group.check_width(rows.shape[1])
+        if proof is not None:
+            _check_width(rows.shape[1], problem.n)
+            return proof.worst_row(rows, group)[:, None]
         averaged = group.average(direct, rows)
         return averaged.reshape(rows.shape[0], -1).max(axis=1, keepdims=True)
 
@@ -481,17 +472,18 @@ def _linear_levels(table):
 
 
 def _table_facts(problem: BooleanProblem):
-    """(_has_lone_output, whether the outputs are all 0/1, _linear_levels),
-    off a custom table's stored column, else off the kind, with no table:
-    or, ue, be and sorting give 0 at the all-zero row alone, tribes has a
-    lone output as AND or OR only, comparison at k = 1 only (1 and -1); be,
-    one-number sorts and one-bit tables have w_j = 2**j, ue w_j = 1."""
+    """(_has_lone_output, |lone - other| of a two-valued table with a lone
+    output (decoders._lone_output) else None, _linear_levels), off a custom
+    table's column, else off the kind, with no table: or, ue, be and sorting
+    give 0 at the all-zero row alone, tribes has a lone output as AND or OR
+    only, comparison at k = 1 only (1 and -1), or, tribes and one-bit tables
+    are 0/1; be, one-number sorts and one-bit tables have w_j = 2**j, ue 1."""
     n, kind, params = problem.n, problem.kind, problem.params
     if kind == "custom":
         table = TruthTable(n, params["outputs"])
-        outputs = table.outputs
-        return (_has_lone_output(table), np.array_equal(outputs & 1, outputs),
-                _linear_levels(table))
+        found = _lone_output(table.outputs)
+        return (_has_lone_output(table), None if found is None else
+                float(abs(int(found[1]) - int(found[2]))), _linear_levels(table))
     lone = (kind in ("or", "ue", "be", "sorting")
             or (kind == "tribes" and params["tribe_count"] in (1, n))
             or (kind == "comparison" and params["k"] == 1))
@@ -500,42 +492,56 @@ def _table_facts(problem: BooleanProblem):
         levels = np.arange(n, dtype=np.float64)
     elif kind == "ue":
         levels = np.zeros(n)
-    return lone, kind in ("or", "tribes") or n == 1, levels
+    return lone, 1.0 if lone and (kind in ("or", "tribes") or n == 1) else None, levels
+
+
+def _proof(problem: BooleanProblem, metric: str):
+    """champion's two proofs as code, off _table_facts, for a per-input
+    metric (else None): _Proof(champion, budget -> (EnergyVector, True);
+    worst_row, ((K, n) energy rows, group) -> each row's worst-row error,
+    bit for bit as the row alone), under every group:
+
+    * a linear table, f(i) = f(0) + sum_j w_j bit_j(i), every w_j > 0 (be:
+      2**j, ue: 1), under expected_magnitude, checked first (a one-bit table
+      errs w q, as its ramp row does): |f(i ^ d) - f(i)| = |sum_j w_j s_j
+      d_j| <= sum_j w_j d_j (s_j = 1 - 2 bit_j(i)), so row 0 is the worst
+      and errs sum_j w_j m_j, m = group.marginal(q); under the identity
+      group sum_j w_j 2**-e_j, least exactly at water_fill(log2 w).
+    * a lone output (or, ue, be, sorting) read right or wrong: under
+      worst_correctness, or expected_magnitude on a two-valued table (w its
+      spread, else 1), row i errs w P{f(i ^ d) != f(i)} <= w P{d != 0} =
+      w (1 - prod_j (1 - q_j)) (decoders._any_flip), equal at the lone row;
+      sum_j log(1 - 2**-e_j) is strictly concave and symmetric, so the
+      uniform split is least.  Every table the law kernel reads through the
+      identity decoder is here, so no search profiles one."""
+    if metric not in _PER_INPUT_LOSS:
+        return None
+    lone, spread, levels = _table_facts(problem)
+    if levels is not None and metric == "expected_magnitude":
+        weights = np.exp2(levels)
+        return _Proof(lambda budget: (water_fill(levels, budget), True),
+                      lambda rows, group: np.array([(weights * group.marginal(q)).sum()
+                                                    for q in flip_probability(rows)]))
+    if (lone and metric == "worst_correctness") or spread is not None:
+        w = 1.0 if metric == "worst_correctness" else spread
+        return _Proof(lambda budget: (uniform_allocation(budget, problem.n), True),
+                      lambda rows, group: w * _any_flip(flip_probability(rows)))
+    return None
 
 
 def champion(problem: BooleanProblem, metric: str, objective=None):
     """mobs' clairvoyant rule in every mode, budget -> (EnergyVector,
-    converged); the first that applies (the closed forms read _table_facts,
-    so a built-in kind builds no table):
-
-    * a table with a lone output (a value exactly one input row gives: or,
-      ue, be, sorting) read right or wrong (worst_correctness, or
-      expected_magnitude on 0/1 outputs, where |a - b| = 1[a != b]): the
-      uniform split, by proof.  Under any pattern law row i errs with
-      probability P{f(i ^ d) != f(i)} <= P{d != 0} = 1 - prod_j (1 - 2**-e_j),
-      with equality at the lone output's row, and sum_j log(1 - 2**-e_j) is
-      strictly concave and symmetric, so the uniform split maximizes it.
-    * a linear table, f(i) = f(0) + sum_j w_j bit_j(i) with every w_j > 0
-      (be: w_j = 2**j; ue: w_j = 1), under expected_magnitude:
-      water_fill(log2 w), by proof.  |f(i ^ d) - f(i)| = |sum_j w_j s_j d_j|
-      <= sum_j w_j d_j (s_j = 1 - 2 bit_j(i)), equal at row 0, so under any
-      pattern law row 0 is the worst row and errs sum_j w_j m_j, m_j bit j's
-      marginal flip probability: under the identity group sum_j w_j 2**-e_j,
-      strictly convex and least exactly at e_j = max(0, log2 w_j + c).
-    * comparison under comparison_weighted: equalized_comparison, optimal
-      by numerical evidence (tests/test_mobs.py), not by proof.
-    * otherwise a coordinate descent on objective (the identity-group
-      objective) from the uniform split and analytic_allocation; with no
-      objective (sampled mode, where each evaluation would be an exact
-      enumeration), analytic_allocation itself.
-    """
+    converged); the first that applies: _proof's closed form (the uniform
+    split, the water fill), by proof; for comparison under
+    comparison_weighted, equalized_comparison, optimal by numerical
+    evidence (tests/test_mobs.py), not by proof; else a coordinate descent
+    on objective (the identity-group objective) from the uniform split and
+    analytic_allocation, or with no objective (sampled mode, where each
+    evaluation would be an exact enumeration) analytic_allocation itself."""
     n = problem.n
-    if metric in _PER_INPUT_LOSS:
-        lone, zero_one, levels = _table_facts(problem)
-        if lone and (metric == "worst_correctness" or zero_one):
-            return lambda budget: (uniform_allocation(budget, n), True)
-        if levels is not None:  # expected_magnitude, since linear tables have a lone output
-            return lambda budget: (water_fill(levels, budget), True)
+    proof = _proof(problem, metric)
+    if proof is not None:
+        return proof.champion
     if problem.kind == "comparison" and metric == "comparison_weighted":
         return lambda budget: (equalized_comparison(problem.params["k"], budget), True)
     if objective is None:
@@ -564,11 +570,10 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
 
     Per-input metrics take the worst input-row ratio (the first row of the
     largest ratio); pair-weighted metrics compare the scalar aggregates.
-    The clairvoyant side plays champion's rule.  Exact mode enumerates; on
-    the ramp table it scores both sides through decoders.ramp_profile,
-    with no truth table (see the module docstring).  Sampled mode
-    estimates per-input metrics only, on probe rows with standard errors;
-    only it reads rng.
+    The clairvoyant side plays champion's rule.  Exact mode enumerates
+    through one ErrorAnalysis with exact rows, built where a side needs
+    rows (not at a flat proven champion: _proof's worst row).  Sampled
+    mode estimates per-input metrics only, on probe rows; only it reads rng.
     """
     if metric is None:
         metric = default_metric(problem)
@@ -576,6 +581,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
     if group is None:
         group = FullSymmetricGroup(problem.n)
+    group.check_width(problem.n)  # a flat champion's sides never meet the group
     if budget_grid is None:
         budget_grid = default_budget_grid(problem.n)
     budget_grid = [float(b) for b in budget_grid]
@@ -590,7 +596,7 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         raise ValueError(f"sampled mobs estimates per-input metrics only, not {metric}")
 
     identity = IdentityGroup(problem.n)
-    objective = None
+    objective = proof = None
     if sampled:
         # each side's probes decode one shared pattern stream, cv's draws first
         rng = as_rng(rng)  # exact mode draws nothing
@@ -598,24 +604,24 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         decoder, loss = identity_decoder(table), _PER_INPUT_LOSS[metric]
         score = lambda energies, g, probes: monte_carlo_error(table, energies, g, decoder, probes,
                                                                loss, samples, rng)
-    elif per_input and np.array_equal(_table_facts(problem)[2], np.arange(problem.n)):
-        loss = _PER_INPUT_LOSS[metric]  # the ramp's levels; champion gives its closed forms
-        profile = lambda rows, g: ramp_profile(rows, g, loss)
-    elif per_input:
-        analysis = _analysis(problem, metric)
-        # the xor kernel's rows carry transform noise, too coarse for a
-        # descent or a closed form's price; the law kernel's rows are exact
-        if analysis.kernel not in ("matrix", "law"):
-            raise ResourceLimitError(f"exact mobs prices {metric} on {problem.name} only through "
-                                     f"a kept loss matrix or the pattern law, not the "
-                                     f"{analysis.kernel} kernel")
-        profile = analysis.profile
-        objective = _twins_scored_once(error_objective(problem, metric, identity, profile=profile),
-                                       analysis.table)
+    elif per_input:  # the analysis built where a side needs rows
+        proof = _proof(problem, metric)
+
+        @functools.cache
+        def analysis():  # xor's rows carry transform noise, too coarse to price
+            built = _analysis(problem, metric)
+            if built.kernel not in ("matrix", "law", "ramp"):
+                raise ResourceLimitError(f"exact mobs reads a kept loss matrix, the law or the "
+                                         f"ramp, not the {built.kernel} kernel ({problem.name})")
+            return built
+        score = lambda energies, g, probes: (analysis().profile(energies, g), None)
+        if proof is None:  # champion descends on it
+            objective = _twins_scored_once(error_objective(problem, metric, identity,
+                                                           profile=analysis().profile),
+                                           analysis().table)
     else:
         profile = _profile_function(problem, metric)
         objective = error_objective(problem, metric, identity, profile=profile)
-    if not sampled:
         score = lambda energies, g, probes: (profile(energy_rows(energies), g)[0], None)
     rule = champion(problem, metric, objective)
     rows = range(1 << problem.n) if per_input else None
@@ -624,10 +630,14 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
         bf_energies = uniform_allocation(budget, problem.n)
         cv_energies, converged = rule(budget)
         probes = _probe_inputs(problem, rng) if sampled else rows
-        cv = score(cv_energies, identity, probes)
         # a flat vector, which every permutation fixes: both sides read one law
-        bf = cv if np.array_equal(cv_energies.entries, bf_energies.entries) else \
-            score(bf_energies, group, probes)
+        flat = np.array_equal(cv_energies.entries, bf_energies.entries)
+        if flat and proof is not None:  # and its worst row closed form: every ratio 1, row 0
+            probes = [0]
+            cv = bf = (proof.worst_row(energy_rows(cv_energies), identity), None)
+        else:
+            cv = score(cv_energies, identity, probes)
+            bf = cv if flat else score(bf_energies, group, probes)
         std = {"cv": dict(zip(map(str, probes), cv[1].tolist())),
                "bf": dict(zip(map(str, probes), bf[1].tolist())),
                "probes": probes} if sampled else None

@@ -527,6 +527,23 @@ def test_allocate_grid_lands_on_the_corner(capsys):
     assert body["result"]["converged"] is True
 
 
+@pytest.mark.parametrize("kind", ["be", "or", "ue"])
+def test_allocate_runs_past_the_decode_limit(capsys, kind):
+    # the worst row of a linear or lone-output table is closed form, so a
+    # search on it builds no 2**n profile and runs at 20 bits, where it
+    # exited 3; be's descent ends on the water fill of the bit positions
+    code, out, err = run(capsys, "allocate", "--problem", kind, "--n", "20", "--metric",
+                         "expected_magnitude", "--budget", "105", "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["converged"] is True
+    if kind == "be":
+        assert result["energies"] == [0.0] * 6 + [float(e) for e in range(1, 15)]
+        assert result["objective_value"] == 511.0
+    else:
+        assert result["energies"] == [5.25] * 20
+
+
 def test_allocate_requires_budget(capsys):
     code, _, err = run(capsys, "allocate", "--problem", "ue", "--n", "2")
     assert code == 2 and "budget" in err
@@ -1021,7 +1038,8 @@ def test_custom_outputs_past_the_int64_bound_exit_2(capsys, tmp_path):
 def test_auto_mode_prices_be_exactly_up_to_twenty_bits(capsys):
     # be's clairvoyant champion is closed form under both per-input metrics
     # (the ramp, and the uniform split, every output being lone), and both
-    # sides' rows come from product laws with no truth table, so without
+    # sides' rows come from product laws through the ramp kernel (at the
+    # uniform split, the worst row's closed form), so without
     # --mode its price is exact through n = 20, under the S_8 group on 12
     # bits too (whose exact law is over the generated group's guard); at
     # n = 21 the exact attempt and Monte Carlo both refuse
@@ -1085,16 +1103,17 @@ def test_auto_mode_reports_exactly_where_the_exact_path_runs(capsys, n):
     assert {key for key in auto if auto[key] != exact[key]} == {"samples", "seed"}
 
 
-@pytest.mark.parametrize("argv", [
-    ("mobs", "--problem", "ue", "--n", "12", "--budgets", "39"),
-    ("simulate", "--problem", "ue", "--n", "12", "--allocation", "uniform", "--budget", "12",
-     "--input", "000000000111"),
+@pytest.mark.parametrize("argv, mode", [
+    (("mobs", "--problem", "ue", "--n", "12", "--budgets", "39"), "exact"),
+    (("simulate", "--problem", "ue", "--n", "12", "--allocation", "uniform", "--budget", "12",
+      "--input", "000000000111"), "monte_carlo"),
 ], ids=["mobs-ue-12", "simulate-ue-12-input"])
-def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, argv):
+def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, argv, mode):
     # S_8's exact average over 2**12 patterns is over the generated group's
-    # guard, so the exact attempt refuses, with no descent, and sampling
-    # runs (be reads no group law: its rows come from the group's top-bit
-    # moments)
+    # guard, so the exact row refuses, with no descent, and sampling runs
+    # (be reads no group law: its rows come from the group's top-bit
+    # moments).  ue's price reads no group law either: both sides play the
+    # uniform split, whose worst row is closed form, so it runs exact
     mobs_module = importlib.import_module("inexact.mobs")
 
     def refusing(*args, **kwargs):
@@ -1105,13 +1124,14 @@ def test_auto_mode_samples_where_the_group_guard_refuses(capsys, monkeypatch, ar
                        "--samples", "200", "--format", "csv")
     assert code == 0
     comments, _, lines = csv_body(out)
-    assert '"mode":"monte_carlo"' in comments[2]
+    assert f'"mode":"{mode}"' in comments[2]
     if argv[0] == "mobs":
-        assert lines[0].endswith(",monte_carlo")
+        assert lines == ["ue,12,1,exact"]
 
 
-def test_auto_mobs_that_falls_back_builds_one_truth_table(capsys, monkeypatch):
-    # the exact attempt refuses past the decode limit before building a table
+def test_auto_mobs_that_falls_back_builds_one_truth_table_per_attempt(capsys, monkeypatch):
+    # the exact attempt builds its table, then ErrorAnalysis refuses past
+    # the decode limit, and the sampled run builds its own
     mobs_module = importlib.import_module("inexact.mobs")
     built = []
     real = mobs_module.truth_table
@@ -1121,16 +1141,16 @@ def test_auto_mobs_that_falls_back_builds_one_truth_table(capsys, monkeypatch):
         return real(problem)
 
     monkeypatch.setattr(mobs_module, "truth_table", counting)
-    code, out, _ = run(capsys, "mobs", "--problem", "ue", "--n", "20", "--budgets", "105",
+    code, out, _ = run(capsys, "mobs", "--problem", "tribes", "--n", "16", "--budgets", "68",
                        "--samples", "100", "--format", "csv")
     assert code == 0 and csv_body(out)[2][0].endswith(",monte_carlo")
-    assert built == ["ue"]
+    assert built == ["tribes2", "tribes2"]
 
 
 @pytest.mark.parametrize("argv, sampled", [
     (("mobs", "--problem", "be", "--n", "6"), False),
     (("mobs", "--problem", "or", "--n", "4", "--mode", "exact"), False),
-    (("mobs", "--problem", "ue", "--n", "20", "--budgets", "105", "--samples", "100"), True),
+    (("mobs", "--problem", "tribes", "--n", "16", "--budgets", "68", "--samples", "100"), True),
     (("mobs", "--problem", "or", "--n", "6", "--mode", "monte_carlo", "--samples", "100"), True),
     (("simulate", "--problem", "or", "--n", "6", "--allocation", "uniform", "--budget", "6"),
      False),
@@ -1156,7 +1176,7 @@ def test_only_a_sampled_run_builds_a_generator(capsys, monkeypatch, argv, sample
 
 
 def test_exact_mobs_without_the_loss_matrix_exits_3(capsys):
-    code, out, err = run(capsys, "mobs", "--problem", "ue", "--n", "12", "--mode", "exact")
+    code, out, err = run(capsys, "mobs", "--problem", "tribes", "--n", "12", "--mode", "exact")
     assert code == 3 and out == ""
     assert "kept loss matrix" in err
 

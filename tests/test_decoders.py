@@ -419,15 +419,13 @@ def test_error_analysis_picks_its_kernel():
         assert kernel(problem) == "xor", problem.name
     assert kernel(unary_evaluation(12), "absolute") == "xor"
     # the identity decoder on a ramp table f(0) + i: be, a custom ramp or
-    # an offset one, under either loss, from n = 10 up, past the 4**n guard
-    # too; below, where a stack costs one gemv a row, the kept matrix (at
-    # n = 1, where both outputs are lone, the law)
-    assert decoders._RAMP_MIN_BITS == 10
+    # an offset one, under either loss, at every n, past the 4**n guard
+    # too (at n = 1, where both outputs are lone, the law, tried first)
     for n in range(1, 21):
         offset = TruthTable(n, np.arange(1 << n) + 5)
         for table in (truth_table(binary_evaluation(n)), offset):
             for loss in ("exact", "absolute"):
-                want = "ramp" if n >= 10 else "law" if n == 1 else "matrix"
+                want = "law" if n == 1 else "ramp"
                 assert kernel(table, loss) == want, (n, table.outputs[0], loss)
     assert kernel(custom_problem(np.arange(1 << 12) - 7)) == "ramp"
     # a shifted decoder is not the identity decoder: the matrix, then
@@ -617,6 +615,29 @@ def test_one_row_reads_the_report_row():
                             assert per_input_error(table, ev, group, dec, i, loss) == report[i]
 
 
+def test_one_row_reads_the_report_row_on_ramps_and_or():
+    # per_input_error tries the law kernel, then the ramp, as ErrorAnalysis
+    # does, so each row read alone is the report's row to the bit: be, an
+    # offset ramp and or under their identity decoders, at every n and
+    # every energy split (even where a kept loss matrix rounded be's rows
+    # under the exact loss to 0.9999999999999999)
+    rng = np.random.default_rng(48)
+    for n in range(1, 10):
+        tables = (truth_table(binary_evaluation(n)), TruthTable(n, np.arange(1 << n) - 3),
+                  truth_table(or_problem(n)))
+        rows = sorted({0, (1 << n) - 1, *rng.integers(1 << n, size=6).tolist()})
+        for table in tables:
+            dec = identity_decoder(table)
+            for group in _groups(n):
+                for entries in (rng.dirichlet(np.ones(n)) * n * (n + 1) / 4.0, np.zeros(n)):
+                    ev = energy_vector(entries)
+                    for loss in ("exact", "absolute"):
+                        report = error_profile(table, ev, group, dec, loss)
+                        for i in rows:
+                            got = per_input_error(table, ev, group, dec, i, loss)
+                            assert got == report[i], (n, table.outputs[0], group.kind, loss, i)
+
+
 def _dense_profiles(table, decoder, settings, losses):
     """loss -> the row-block kernel's profile under each (group, energies)."""
     avgs = np.stack([decoders.average_pattern_probabilities(g, ev) for g, ev in settings],
@@ -669,12 +690,11 @@ def test_few_output_profiles_match_the_dense_blocks():
     assert analysis.profile(quiet, IdentityGroup(12)).min() == 0.0
 
 
-def test_ramp_profiles_match_brute_definition(monkeypatch):
-    # forced at small n (below its 10 bits), the top-flipped-bit moments
-    # must give the definition's sum under every group and both losses:
-    # every row at n <= 5, the extreme rows and a few others at n = 8,
-    # where S_8's 40,320 elements put the brute sum out of reach
-    monkeypatch.setattr(decoders, "_RAMP_MIN_BITS", 1)
+def test_ramp_profiles_match_brute_definition():
+    # the top-flipped-bit moments must give the definition's sum under
+    # every group and both losses: every row at n <= 5, the extreme rows
+    # and a few others at n = 8, where S_8's 40,320 elements put the brute
+    # sum out of reach
     rng = np.random.default_rng(23)
     for n in (3, 5, 8):
         table = truth_table(binary_evaluation(n))

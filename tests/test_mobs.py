@@ -12,8 +12,8 @@ from inexact.adversary import SYMMETRIC_ENUM_LIMIT, FullSymmetricGroup, Generate
 from inexact.allocators import analytic_allocation, coordinate_descent, grid_search, \
     sorting_allocation, ue_variance, uniform_allocation, water_fill
 from inexact.bits import ResourceLimitError, popcount_table
-from inexact.decoders import ErrorAnalysis, error_profile, identity_decoder, map_decoder, \
-    per_input_error, ramp_profile
+from inexact.decoders import ErrorAnalysis, _lone_output, error_profile, identity_decoder, \
+    map_decoder, per_input_error, ramp_profile
 from inexact.mobs import (
     aggregate_error,
     champion,
@@ -28,6 +28,7 @@ from inexact.mobs import (
 )
 from inexact.noise import energy_rows, energy_vector
 from inexact.problems import (
+    BooleanProblem,
     binary_evaluation,
     build_problem,
     comparison_problem,
@@ -205,6 +206,15 @@ def test_aggregate_error_validation():
                             "comparison_weighted")
 
 
+def test_mobs_refuses_a_group_of_another_width():
+    # at a flat champion both sides read one law and never score under the
+    # group, so mobs checks its width up front (or 4 priced 1 under S_5)
+    for problem in (or_problem(4), binary_evaluation(4), tribes_problem(4, 2)):
+        for mode in ("exact", "monte_carlo"):
+            with pytest.raises(ValueError, match="group acts on 5 bits, energies have 4"):
+                mobs(problem, group=FullSymmetricGroup(5), mode=mode, samples=100, rng=0)
+
+
 def test_quality_examples():
     # quality is the reciprocal of the aggregate error
     n = 4
@@ -355,24 +365,66 @@ def _groups(n):
             GeneratedGroup(n, [tuple(range(1, n)) + (0,)]))
 
 
+def _closed_form_matches(closed, profile, rows, group, where):
+    """The closed-form profile scores one entry per row, bit for bit as the
+    row alone, the stacked kernel profile's worst entry within 1e-14."""
+    stacked = closed(rows, group)
+    assert stacked.shape == (len(rows), 1), where
+    for r, row in enumerate(rows):
+        assert np.array_equal(stacked[r], closed(rows[r:r + 1], group)[0]), (*where, r)
+        assert np.array_equal(stacked[r], closed(energy_vector(row), group)[0]), (*where, r)
+    assert np.allclose(stacked[:, 0], profile.max(axis=1), rtol=1e-14, atol=0), where
+
+
+def _spread_lone_tables(n):
+    """Custom two-valued tables of n bits with a lone output off 0/1: 0
+    at row 0 and 2 elsewhere, 3 at the last row and 4 elsewhere.  Built as
+    custom_problem builds them, but named apart, and also past its
+    CUSTOM_BITS_LIMIT of 14 bits, where the law kernel would read them were
+    the limit raised."""
+    rows = np.arange(1 << n)
+    columns = [np.where(rows == 0, 0, 2), np.where(rows == rows[-1], 3, 4)]
+    for column in columns:
+        column.setflags(write=False)
+    return [BooleanProblem(name, "custom", n, {"outputs": column})
+            for name, column in zip(("lone0of2", "lone3of4"), columns)]
+
+
 def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
     # a search scores a stack of candidate moves in one call: each row must
     # get exactly the profile, pattern law and objective value it gets
     # alone, under every group, every metric and every ErrorAnalysis kernel
-    # (the ramp refused outside its own pass and forced below its 10 bits, on
-    # be, the one table here it fits; the law refused outside its own pass,
-    # on or, the one here with a lone output in a two-valued table; xor and
-    # blocks forced at small n, as the tile tests force blocks)
+    # (the ramp refused outside its own pass, on be, the one table here it
+    # fits; the law refused outside its own pass, on or and tribes as AND,
+    # the ones here with a lone output in a two-valued table; xor and
+    # blocks forced at small n, as the tile tests force blocks).  Where
+    # _proof gives the worst row in closed form (or, ue, be, tribes as AND
+    # and two-valued lone tables off 0/1 under both per-input metrics; the
+    # spread w scales the any-flip row), the search's profile is that one
+    # entry, bit for bit as each row alone and within 1e-14 of every
+    # kernel's worst entry, zero-energy bits included, at n <= 11
     mobs_module = importlib.import_module("inexact.mobs")
     decoders = importlib.import_module("inexact.decoders")
     rng = np.random.default_rng(2026)
     per_input = [build_problem(kind, n) for n in range(3, 9)
                  for kind in ("or", "ue", "be", "tribes") if kind != "tribes" or n % 2 == 0]
+    per_input += [tribes_problem(n, 1) for n in (3, 6)]
     pair_weighted = [(comparison_problem(k), "comparison_weighted") for k in (2, 3, 4)]
     pair_weighted += [(sorting_problem(count, width), "sorting_weighted")
                       for count, width in ((2, 2), (2, 3), (4, 2), (2, 4))]
+    proven = 0
+    for n in (1, 2, 9, 10, 11):  # each table's own kernel
+        for problem in (or_problem(n), unary_evaluation(n), binary_evaluation(n),
+                        tribes_problem(n, 1), *_spread_lone_tables(n)):
+            rows = _energy_stack(rng, n)
+            for metric in ("worst_correctness", "expected_magnitude"):
+                closed = mobs_module._profile_function(problem, metric)
+                analysis = mobs_module._analysis(problem, metric)
+                for group in _groups(n):
+                    _closed_form_matches(closed, analysis.profile(rows, group), rows, group,
+                                         (problem.name, n, metric, analysis.kernel, group.kind))
+                    proven += 1
     is_ramp, law_rule = decoders._is_ramp, decoders._law_rule
-    monkeypatch.setattr(decoders, "_RAMP_MIN_BITS", 1)
     for kernel in ("matrix", "xor", "blocks", "ramp", "law"):
         monkeypatch.setattr(decoders, "_is_ramp",
                             is_ramp if kernel == "ramp" else lambda decoder, table: False)
@@ -382,16 +434,20 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
             monkeypatch.setattr(decoders, "_CHUNK_ENTRIES", 0)  # L never kept whole
             monkeypatch.setattr(decoders, "_xor_is_cheaper",
                                 lambda classes, n, xor=kernel == "xor": xor)
-        fits = {"ramp": "be", "law": "or"}
-        cases = [(p, metric) for p in per_input if fits.get(kernel, p.kind) == p.kind
+        fits = {"ramp": ("be",), "law": ("or", "tribes1")}
+        cases = [(p, metric) for p in per_input if p.name in fits.get(kernel, (p.name,))
                  for metric in ("worst_correctness", "expected_magnitude")]
         if kernel == "matrix":
             cases += pair_weighted
         for problem, metric in cases:
             n = problem.n
-            profile = mobs_module._profile_function(problem, metric)
-            if metric in ("worst_correctness", "expected_magnitude"):
+            per_row = metric in ("worst_correctness", "expected_magnitude")
+            if per_row:
+                profile = mobs_module._analysis(problem, metric).profile
                 assert profile.__self__.kernel == kernel, (problem.name, kernel)
+                proof = mobs_module._proof(problem, metric)
+            else:
+                profile = mobs_module._profile_function(problem, metric)
             rows = _energy_stack(rng, n)
             for group in _groups(n):
                 stacked = profile(rows, group)
@@ -405,9 +461,15 @@ def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
                     assert values[r] == stacked[r].max(), where
                     law = average_pattern_probabilities(group, energy_vector(row))
                     assert np.array_equal(laws[r], law), where
-                    if metric in ("worst_correctness", "expected_magnitude"):
+                    if per_row:
                         vector = profile(energy_vector(row), group)
                         assert np.array_equal(stacked[r], vector), where
+                if per_row and proof is not None:
+                    closed = mobs_module._profile_function(problem, metric)
+                    _closed_form_matches(closed, stacked, rows, group,
+                                         (problem.name, metric, kernel, group.kind))
+                    proven += 1
+    assert proven > 200
 
 
 def test_row_objectives_check_every_stack():
@@ -886,29 +948,33 @@ def test_mobs_be_first_exact_price_above_11_bits():
 
 def _analysis_route(n, group, analysis):
     """Per budget of be's default grid: (clairvoyant rows, blindfolded rows)
-    as ErrorAnalysis of the truth table scores them (the kept loss matrix
-    at n <= 11, ramp_profile above), the clairvoyant side playing the
-    water-filled ramp under the identity group."""
+    as analysis scores them, the clairvoyant side playing the water-filled
+    ramp under the identity group."""
     return [(analysis.profile(water_fill(np.arange(n), budget), IdentityGroup(n)),
              analysis.profile(uniform_allocation(budget, n), group))
             for budget in default_budget_grid(n)]
 
 
-def test_ramp_prices_match_the_analysis_route_without_a_table(monkeypatch):
-    # exact mobs on be builds no truth table, ErrorAnalysis or loss matrix,
-    # and reads no group law, yet gives the analysis route's price, worst
-    # input and both sides' rows there within 1e-14 relative, under every
-    # group kind; under worst_correctness both sides play one product law,
-    # so every ratio is exactly 1
+def test_ramp_prices_match_the_matrix_route(monkeypatch):
+    # exact mobs on be takes the ramp kernel, which reads no loss matrix
+    # and no group law, yet gives the kept loss matrix's price, worst input
+    # and both sides' rows within 1e-14 relative (the matrix forced at
+    # n <= 11, where it fits; above, the ramp route itself), under every
+    # group kind, with no descent; under worst_correctness both sides play
+    # one product law, so every ratio is exactly 1
     mobs_module = importlib.import_module("inexact.mobs")
+    decoders = importlib.import_module("inexact.decoders")
     sizes = range(2, 15)
     routes = {}
     for n in sizes:
         table = truth_table(binary_evaluation(n))
-        analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
+        with monkeypatch.context() as patch:
+            if n <= 11:
+                patch.setattr(decoders, "_is_ramp", lambda decoder, table: False)
+            analysis = ErrorAnalysis(table, identity_decoder(table), "absolute")
+        assert analysis.kernel == ("matrix" if n <= 11 else "ramp"), n
         routes[n] = [_analysis_route(n, group, analysis) for group in _groups(n)]
-    for name in ("truth_table", "ErrorAnalysis", "identity_decoder", "coordinate_descent"):
-        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("coordinate_descent"))
     for n in sizes:
         for group, route in zip(_groups(n), routes[n]):
             result = mobs(binary_evaluation(n), group=group)
@@ -938,12 +1004,11 @@ def _ramp_rows(result, group):
              ramp_profile(o.bf_energies, group, "absolute")) for o in result.outcomes]
 
 
-def test_be_prices_exactly_to_twenty_bits_without_a_table(monkeypatch):
+def test_be_prices_exactly_to_twenty_bits(monkeypatch):
     # from n = 16 on the price peaks at budget n(n+1)/2, on a row with
     # alternating low bits and zero high bits; past 20 bits mobs refuses
     mobs_module = importlib.import_module("inexact.mobs")
-    for name in ("truth_table", "ErrorAnalysis", "coordinate_descent"):
-        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("coordinate_descent"))
     for n, want in ((16, 24.39979056200752), (18, 43.01089446506435), (20, 76.89275860124846)):
         result = mobs(binary_evaluation(n))
         assert result.mobs == pytest.approx(want, rel=1e-12), n
@@ -1118,41 +1183,53 @@ def _lone_output_tables(n, seed):
     return tables
 
 
+def _lone_cases(n, seed):
+    """(problem, metric, the objective over every input row, not _proof's
+    closed form) for each table whose champion is the uniform split by
+    proof: lone-output tables under worst_correctness and two-valued lone
+    tables off 0/1 under expected_magnitude."""
+    mobs_module = importlib.import_module("inexact.mobs")
+    cases = [(p, "worst_correctness") for p in _lone_output_tables(n, seed)]
+    cases += [(p, "expected_magnitude") for p in _spread_lone_tables(n)]
+    return [(p, metric, error_objective(p, metric, profile=mobs_module._analysis(p, metric).profile))
+            for p, metric in cases]
+
+
 def test_no_grid_point_beats_the_uniform_split_on_a_lone_output_table():
-    # the uniform split is the worst_correctness champion by proof (see
-    # mobs.champion); a lattice over the whole budget simplex checks it
+    # the uniform split is the champion by proof (see mobs._proof); a
+    # lattice over the whole budget simplex checks it on every row
     for n, ticks in ((2, 400), (3, 90), (4, 36)):
-        for problem in _lone_output_tables(n, seed=n):
-            objective = error_objective(problem, "worst_correctness")
+        for problem, metric, objective in _lone_cases(n, seed=n):
             for budget in default_budget_grid(n):
                 value = objective(uniform_allocation(budget, n).entries[None])[0]
                 found = grid_search(objective, budget, n, budget / ticks)
                 assert found.objective_value >= value * (1 - 1e-12), \
-                    (problem.name, n, budget, found.energies.entries)
+                    (problem.name, metric, n, budget, found.energies.entries)
 
 
 def test_no_descent_beats_the_uniform_split_on_a_lone_output_table():
     rng = np.random.default_rng(36)
     for n in (5, 6):
-        for problem in _lone_output_tables(n, seed=n):
-            objective = error_objective(problem, "worst_correctness")
+        for problem, metric, objective in _lone_cases(n, seed=n):
             for budget in default_budget_grid(n):
                 value = objective(uniform_allocation(budget, n).entries[None])[0]
                 for _ in range(6):
                     seed = energy_vector(budget * rng.dirichlet(np.ones(n)))
                     found = coordinate_descent(objective, budget, n, [seed])
                     assert found.objective_value >= value * (1 - 1e-12), \
-                        (problem.name, n, budget, seed.entries, found.objective_value)
+                        (problem.name, metric, n, budget, seed.entries, found.objective_value)
 
 
 def test_mobs_plays_the_uniform_split_on_a_lone_output_table_without_a_search(monkeypatch):
     mobs_module = importlib.import_module("inexact.mobs")
     monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
-    cases = [(problem, group) for n in range(2, 9) for problem in _lone_output_tables(n, n)
+    cases = [(problem, metric, group) for n in range(2, 9)
+             for problem, metric in [(p, "worst_correctness") for p in _lone_output_tables(n, n)]
+             + [(p, "expected_magnitude") for p in _spread_lone_tables(n)]
              for group in (FullSymmetricGroup(n), IdentityGroup(n))]
-    for problem, group in cases:
+    for problem, metric, group in cases:
         assert mobs_module._has_lone_output(truth_table(problem)), problem.name
-        result = mobs(problem, metric="worst_correctness", group=group)
+        result = mobs(problem, metric=metric, group=group)
         assert result.converged
         for outcome in result.outcomes:
             want = uniform_allocation(outcome.budget, problem.n).entries
@@ -1437,11 +1514,12 @@ def test_table_facts_of_every_built_in_are_the_column_facts():
     mobs_module = importlib.import_module("inexact.mobs")
     for problem in _built_ins():
         table = truth_table(problem)
-        lone, zero_one, levels = mobs_module._table_facts(problem)
+        lone, spread, levels = mobs_module._table_facts(problem)
         column = mobs_module._linear_levels(table)
+        found = _lone_output(table.outputs)
         where = (problem.name, problem.n)
         assert lone == mobs_module._has_lone_output(table), where
-        assert zero_one == np.array_equal(table.outputs & 1, table.outputs), where
+        assert spread == (None if found is None else abs(found[1] - found[2])), where
         assert (levels is None) == (column is None), where
         if column is not None:
             assert levels.tobytes() == column.tobytes(), where
@@ -1558,9 +1636,87 @@ def test_mobs_builds_one_truth_table_per_call(monkeypatch):
     sampled = mobs(unary_evaluation(18), mode="monte_carlo", samples=500, rng=3)
     assert len(sampled.outcomes) == 4
     assert built == ["ue"]
-    built.clear()
-    mobs(or_problem(4))
-    assert built == ["or"]
+    # or and ue play a flat proven champion, whose worst row needs no table
+    for problem, want in ((or_problem(4), []), (unary_evaluation(4), []),
+                          (tribes_problem(4, 2), ["tribes2"])):
+        built.clear()
+        mobs(problem)
+        assert built == want, problem.name
+
+
+# the guard table past the 14-bit decode limit: the built-ins whose search
+# objective scores one closed-form entry per row, by metric, at each n;
+# every other built-in refuses
+_CLOSED_FORM_OBJECTIVES = {
+    "worst_correctness": {
+        15: {"or", "ue", "be", "tribes1", "tribes15", "sorting1x15", "sorting3x5", "sorting5x3"},
+        16: {"or", "ue", "be", "tribes1", "tribes16", "sorting1x16", "sorting2x8", "sorting4x4",
+             "sorting8x2"},
+        20: {"or", "ue", "be", "tribes1", "tribes20", "sorting1x20", "sorting2x10", "sorting4x5"},
+    },
+    "expected_magnitude": {
+        15: {"or", "ue", "be", "tribes1", "tribes15", "sorting1x15"},
+        16: {"or", "ue", "be", "tribes1", "tribes16", "sorting1x16"},
+        20: {"or", "ue", "be", "tribes1", "tribes20", "sorting1x20"},
+    },
+}
+
+
+def test_search_objectives_past_the_decode_limit_are_closed_forms_or_refusals(monkeypatch):
+    # at n = 15, 16 and 20 error_objective either scores one closed-form
+    # entry per row, with no truth table, or raises ResourceLimitError; it
+    # never scores a (K, 2**n) profile.  A guard change shows here as a
+    # change of _CLOSED_FORM_OBJECTIVES
+    mobs_module = importlib.import_module("inexact.mobs")
+    real_table = mobs_module.truth_table
+    built = []
+    monkeypatch.setattr(mobs_module, "truth_table",
+                        lambda problem: built.append(problem.name) or real_table(problem))
+    monkeypatch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
+    shapes = {15: ((1, 15), (3, 5), (5, 3)), 16: ((1, 16), (2, 8), (4, 4), (8, 2)),
+              20: ((1, 20), (2, 10), (4, 5))}
+    for n, sorts in shapes.items():
+        problems = [or_problem(n), unary_evaluation(n), binary_evaluation(n)]
+        problems += [tribes_problem(n, t) for t in range(1, n + 1) if n % t == 0]
+        problems += [sorting_problem(count, width) for count, width in sorts]
+        problems += [comparison_problem(n // 2)] if n % 2 == 0 else []
+        problems += _spread_lone_tables(n)  # the law kernel's, read by their proof
+        rows = np.vstack([np.full(n, 2.0), np.arange(n, dtype=np.float64), np.zeros(n)])
+        for metric, closed in _CLOSED_FORM_OBJECTIVES.items():
+            found = set()
+            for problem in problems:
+                built.clear()
+                try:
+                    values = error_objective(problem, metric, FullSymmetricGroup(n))(rows)
+                except ResourceLimitError:
+                    assert built == [problem.name], (problem.name, metric)
+                    continue
+                assert built == [] and values.shape == (3,), (problem.name, metric)
+                profile = mobs_module._profile_function(problem, metric)
+                assert profile(rows, IdentityGroup(n)).shape == (3, 1)
+                found.add(problem.name)
+            assert found == closed[n] | {"lone0of2", "lone3of4"}, (n, metric)
+
+
+def test_or_and_ue_price_exactly_one_at_any_n(monkeypatch):
+    # both sides play the uniform split, proven optimal, whose worst row is
+    # closed form: exact mobs builds no truth table, profile or descent, so
+    # or and ue price exactly 1 at 12, 20 and 64 bits under every group
+    mobs_module = importlib.import_module("inexact.mobs")
+    for name in ("truth_table", "coordinate_descent"):
+        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    for n in (12, 20, 64):
+        groups = (IdentityGroup(n), FullSymmetricGroup(n),
+                  GeneratedGroup(n, [tuple(range(1, n)) + (0,)]))
+        for problem, metric, group in itertools.product(
+                (or_problem(n), unary_evaluation(n)),
+                ("worst_correctness", "expected_magnitude"), groups):
+            result = mobs(problem, metric=metric, group=group, mode="exact")
+            where = (problem.name, n, metric, group.kind)
+            assert result.csv_row() == f"{problem.name},{n},1,exact", where
+            for o in result.outcomes:
+                assert (o.error_ratio, o.quality_ratio, o.worst_input) == (1.0, 1.0, 0), where
+                assert o.cv_value == o.bf_value > 0.0, where
 
 
 def _refusing(what):
@@ -1573,22 +1729,25 @@ def test_exact_mobs_refuses_a_descent_without_the_loss_matrix(monkeypatch):
     # past 11 bits a per-input analysis keeps no loss matrix, and the xor
     # transform's rows carry rounding noise, too coarse for a descent or a
     # closed form's price; mobs refuses up front, before any profile or
-    # descent.  be under worst_correctness needs no descent (every output
-    # is lone) and the ramp kernel scores it exactly, so it prices 1, and
-    # so does or, whose exact rows come from the law kernel.
+    # descent.  be, or and ue play the uniform split under worst_correctness
+    # (a lone output) and or and ue under expected_magnitude too (a 0/1
+    # table, a linear one of equal weights), whose worst row is closed
+    # form, so they price exactly 1 with no profile.
     mobs_module = importlib.import_module("inexact.mobs")
     monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("the descent"))
     with monkeypatch.context() as patch:
         patch.setattr(ErrorAnalysis, "profile", _refusing("a profile"))
-        for problem in (unary_evaluation(12), tribes_problem(12, 2)):
+        for problem in (tribes_problem(12, 2), tribes_problem(12, 3)):
             with pytest.raises(ResourceLimitError, match="kept loss matrix"):
                 mobs(problem, mode="exact")
-    for problem, metric in ((binary_evaluation(12), "worst_correctness"),
-                            (or_problem(12), "worst_correctness"),
-                            (or_problem(14), "expected_magnitude")):
-        result = mobs(problem, [39.0], metric)
-        assert result.mode == "exact" and result.converged
-        assert result.csv_row() == f"{problem.name},{problem.n},1,exact"
+        for problem, metric in ((binary_evaluation(12), "worst_correctness"),
+                                (or_problem(12), "worst_correctness"),
+                                (or_problem(14), "expected_magnitude"),
+                                (unary_evaluation(12), "worst_correctness"),
+                                (unary_evaluation(12), "expected_magnitude")):
+            result = mobs(problem, [39.0], metric)
+            assert result.mode == "exact" and result.converged
+            assert result.csv_row() == f"{problem.name},{problem.n},1,exact"
 
 
 def test_exact_mobs_scores_the_blindfolded_side_before_any_descent(monkeypatch):
@@ -1644,13 +1803,12 @@ def test_a_flat_champion_is_scored_once_for_both_sides(monkeypatch, mode):
 
 def test_one_number_sorts_and_offset_ramps_take_the_ramp_route(monkeypatch):
     # their linear levels are 0 .. n - 1, the ramp's, and under the identity
-    # decoder the offset f(0) cancels, so they price as be does, with no
-    # truth table, analysis or descent
+    # decoder the offset f(0) cancels, so they price as be does, through
+    # the ramp kernel (the law at one bit, or closed form), with no descent
     mobs_module = importlib.import_module("inexact.mobs")
     want = {(n, metric): mobs(binary_evaluation(n), metric=metric).to_json()["per_budget"]
             for n in (1, 3, 6) for metric in ("worst_correctness", "expected_magnitude")}
-    for name in ("truth_table", "ErrorAnalysis", "coordinate_descent"):
-        monkeypatch.setattr(mobs_module, name, _refusing(name))
+    monkeypatch.setattr(mobs_module, "coordinate_descent", _refusing("coordinate_descent"))
     for (n, metric), per_budget in want.items():
         for problem in (sorting_problem(1, n), custom_problem(np.arange(1 << n) + 5),
                         or_problem(1), tribes_problem(1, 1), unary_evaluation(1)):
