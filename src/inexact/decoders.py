@@ -48,8 +48,8 @@ and row r errs w times the mass off the pattern r XOR s (the closed form
 1 - prod_j (1 - q_j) where s = r); a decoder that never reads the lone
 value errs w at r and 0 elsewhere.  An ErrorAnalysis binds (truth table,
 decoder, loss) and picks one of five kernels once, at every n, the first
-that applies, shown by its ``kernel`` attribute; law and ramp refuse past
-20 bits, the others past DECODE_BITS_LIMIT, checked there alone:
+that applies, shown by its ``kernel`` attribute; law and ramp run at every
+table size, the others refuse past DECODE_BITS_LIMIT, checked there alone:
 
 * law    -- one gather of the group's pattern law per energy row, and
             the closed form (or a sum of nonnegative terms) at row r, for
@@ -77,9 +77,9 @@ The MAP decoder's scores are XOR convolutions too, and it picks between
 them and dense row tiles by the same rule; having no matrix to keep, it
 takes the transform from n = 8 up.  On a lone-output table it needs
 neither: the lone value scores law[o XOR r] at observation o and the
-other value the rest, 1 - law[o XOR r], in O(2**n) up to 20 bits.  Every
-dense pass gathers decode(r XOR d), or the pattern vector at r XOR d,
-through _dense_tiles: index and gathered buffers of about 2**16 entries,
+other value the rest, 1 - law[o XOR r], in O(2**n) at every table size.
+Every dense pass gathers decode(r XOR d), or the pattern vector at r XOR
+d, through _dense_tiles: index and gathered buffers of about 2**16 entries,
 allocated once per call and refilled in place, so a pass costs its
 arithmetic and not page faults on fresh temporaries.  error_profile is a
 one-shot ErrorAnalysis.  Losses: "exact" counts any wrong output,
@@ -102,11 +102,9 @@ from .bits import ResourceLimitError, as_rng
 from .noise import EnergyVector, energy_rows, flip_probability
 from .adversary import (IdentityGroup, PermutationGroup, _binomials, _mismatch_count_weights,
                         average_pattern_probabilities)
-from .problems import BooleanProblem, TruthTable, truth_table
+from .problems import BooleanProblem, TruthTable, check_table_bits, truth_table
 
 DECODE_BITS_LIMIT = 14   # 2**n decode maps and error sums
-MC_BITS_LIMIT = 20       # Monte Carlo decodes via packed row lookup
-RAMP_BITS_LIMIT = 20     # 2**n rows of a ramp profile
 MC_REPORT_WORK_LIMIT = 1 << 28  # rows x samples cap for full sampled reports
 LOSS_KINDS = ("exact", "absolute")
 
@@ -319,10 +317,7 @@ def _classes(values: np.ndarray):
 
 def identity_decoder(problem) -> Decoder:
     """Read the bits as-is and apply the function."""
-    table = _as_table(problem)
-    if table.n > MC_BITS_LIMIT:
-        raise ResourceLimitError(f"decode maps support n <= {MC_BITS_LIMIT}, got n={table.n}")
-    return Decoder(table.outputs)
+    return Decoder(_as_table(problem).outputs)
 
 
 def map_decoder(problem, energies: EnergyVector,
@@ -336,13 +331,13 @@ def map_decoder(problem, energies: EnergyVector,
     probabilities with the indicator of v's rows, computed by transform for
     few output values at n >= 8 and by dense row tiles otherwise; on a
     table whose lone value comes from row r alone, law[o XOR r] and
-    1 - law[o XOR r] for the other, in O(2**n) up to MC_BITS_LIMIT bits.
+    1 - law[o XOR r] for the other, in O(2**n) at every table size.
     Values scoring within a relative 1e-12 of the top tie, and ties break
     toward the smaller output value.
     """
     table = _as_table(problem)
     n = table.n
-    found = _lone_output(table.outputs) if n <= MC_BITS_LIMIT else None
+    found = _lone_output(table.outputs)
     if found is None:
         _check_scale(n, "map decoding")
     _check_width(energies.n, n)
@@ -399,8 +394,8 @@ class ErrorAnalysis:
 
     The kernel ("law", "ramp", "matrix", "xor" or "blocks") is picked once,
     here, in that order, by the module docstring's rules; DECODE_BITS_LIMIT
-    refuses all but "law" (a 2**n law under the group's own guard, to the
-    MC_BITS_LIMIT of a decode map) and "ramp" (RAMP_BITS_LIMIT).  It keeps
+    refuses all but "law" (a 2**n law under the group's own guard) and
+    "ramp", which run at every size the truth table has.  It keeps
     the energy-independent arrays its kernel needs: the rule's (r, s, w)
     for "law", L whole (built on the first profile) for "matrix", the
     decoder's class indicators and their loss weights for "xor".  "blocks"
@@ -416,7 +411,7 @@ class ErrorAnalysis:
         self.decoder = decoder
         self._loss = loss
         self._matrix = self._indicators = self._weights = None
-        self._rule = _law_rule(decoder, self.table, self._loss_fn) if n <= MC_BITS_LIMIT else None
+        self._rule = _law_rule(decoder, self.table, self._loss_fn)
         if self._rule is not None or _is_ramp(decoder, self.table):
             self._kernel = "ramp" if self._rule is None else "law"
             return
@@ -537,8 +532,7 @@ def ramp_profile(energies, group: PermutationGroup, loss: str = "exact") -> np.n
     rows = energy_rows(energies)
     n = rows.shape[1]
     group.check_width(n)
-    if n > RAMP_BITS_LIMIT:
-        raise ResourceLimitError(f"ramp profiles support n <= {RAMP_BITS_LIMIT}, got n={n}")
+    check_table_bits(n)  # a table's rows, with no table
     out = np.zeros((rows.shape[0], 1 << n))
     qs = flip_probability(rows)
     if loss == "exact":
@@ -599,7 +593,7 @@ def per_input_error(problem, energies: EnergyVector, group: PermutationGroup,
     if decoder.n != table.n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {table.n}")
     _check_width(energies.n, table.n)
-    rule = _law_rule(decoder, table, loss_fn) if table.n <= MC_BITS_LIMIT else None
+    rule = _law_rule(decoder, table, loss_fn)
     if rule is not None:
         return float(_law_profile(rule, energy_rows(energies), group)[0, i])
     if _is_ramp(decoder, table):
@@ -646,8 +640,6 @@ def monte_carlo_error(problem, energies: EnergyVector, group: PermutationGroup,
         raise ValueError("rows must name at least one input row")
     for i in rows:
         _check_row(i, n)
-    if n > MC_BITS_LIMIT:
-        raise ResourceLimitError(f"Monte Carlo decoding supports n <= {MC_BITS_LIMIT}")
     if decoder.n != n:
         raise ValueError(f"decoder covers {decoder.n} bits, table has {n}")
     _check_width(energies.n, n)

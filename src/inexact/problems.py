@@ -13,7 +13,8 @@ families:
 * ``sorting``     -- `count` numbers of `width` bits each; returns the sorted
                      sequence packed into one integer, least element in the
                      lowest width-bit field.
-* ``custom``      -- explicit output column of length 2**n in [-2**62, 2**62).
+* ``custom``      -- explicit output column of length 2**n in [-2**62, 2**62),
+                     n <= TABLE_BITS_LIMIT, the bound of every truth table.
 
 Truth tables index rows by the packed input (bit 0 least significant); the
 CSV form writes columns b_{n-1},...,b_0,output and round-trips bit exactly.
@@ -38,8 +39,7 @@ from .bits import (
     popcount_table,
 )
 
-TABLE_BITS_LIMIT = 20    # full truth table enumeration guard
-CUSTOM_BITS_LIMIT = 14   # explicit output arrays
+TABLE_BITS_LIMIT = 20    # every 2**n table, checked before one is made
 OUTPUT_BOUND = 1 << 62   # so that any two outputs differ within int64
 
 # each kind and the parameters it reads besides n
@@ -69,6 +69,7 @@ class TruthTable:
     outputs: np.ndarray
 
     def __post_init__(self):
+        check_table_bits(self.n)
         outputs = np.asarray(self.outputs)  # checked before any cast could wrap
         if outputs.size and not -OUTPUT_BOUND <= outputs.min() <= outputs.max() < OUTPUT_BOUND:
             raise ValueError("outputs must lie in [-2**62, 2**62)")
@@ -76,6 +77,11 @@ class TruthTable:
         if outputs.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} outputs, got {outputs.shape}")
         object.__setattr__(self, "outputs", outputs)
+
+
+def check_table_bits(n: int) -> None:
+    if n > TABLE_BITS_LIMIT:
+        raise ResourceLimitError(f"truth tables support n <= {TABLE_BITS_LIMIT}, got n={n}")
 
 
 def _check_n(n) -> int:
@@ -128,8 +134,6 @@ def custom_problem(outputs: Sequence[int]) -> BooleanProblem:
     if len(shape) != 1 or shape[0] < 2 or (shape[0] & (shape[0] - 1)) != 0:
         raise ValueError("custom outputs must have length 2**n with n >= 1")
     n = int(shape[0]).bit_length() - 1
-    if n > CUSTOM_BITS_LIMIT:
-        raise ResourceLimitError(f"custom tables support n <= {CUSTOM_BITS_LIMIT}, got n={n}")
     column = TruthTable(n, outputs).outputs.copy()
     column.setflags(write=False)
     return BooleanProblem("custom", "custom", n, {"outputs": column})
@@ -216,8 +220,7 @@ def truth_table(problem: BooleanProblem) -> TruthTable:
     """Enumerate the full output column (guarded at n <= TABLE_BITS_LIMIT),
     one read-only 2**n array, which decoders.identity_decoder shares."""
     n = problem.n
-    if n > TABLE_BITS_LIMIT:
-        raise ResourceLimitError(f"truth tables support n <= {TABLE_BITS_LIMIT}, got n={n}")
+    check_table_bits(n)
     if problem.kind == "ue":  # the ones count of every row, by doubling
         column = popcount_table(n)
     else:
@@ -239,24 +242,29 @@ def table_to_csv(table: TruthTable, path) -> None:
 
 
 def table_from_csv(path) -> TruthTable:
-    """Read a truth table written by :func:`table_to_csv` (bit-exact)."""
+    """Read a truth table written by :func:`table_to_csv` (bit-exact): one int()
+    per cell, bits checked as one array, a header past the bound before any row."""
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    header = rows[0]
-    n = len(header) - 1
-    expected = [f"b_{j}" for j in range(n - 1, -1, -1)] + ["output"]
-    if header != expected or n < 1:
-        raise ValueError(f"bad truth table header {header!r}")
-    body = rows[1:]
-    if len(body) != (1 << n):
-        raise ValueError(f"expected {1 << n} rows, got {len(body)}")
-    outputs = []
-    for i, row in enumerate(body):
-        bits = np.array([int(c) for c in row[:-1]], dtype=np.uint8)[::-1]
-        if bits_to_index(bits) != i:
-            raise ValueError(f"row {i} bit pattern {row[:-1]} out of order")
-        outputs.append(int(row[-1]))
-    return TruthTable(n, outputs)
+        rows = (r for r in csv.reader(fh) if r and not r[0].startswith("#"))
+        header = next(rows, [])
+        n = len(header) - 1
+        expected = [f"b_{j}" for j in range(n - 1, -1, -1)] + ["output"]
+        if header != expected or n < 1:
+            raise ValueError(f"bad truth table header {header!r}" if header
+                             else f"{path} is empty")
+        check_table_bits(n)
+        cells = []
+        for row in rows:
+            if len(row) != n + 1:
+                raise ValueError(f"row {len(cells) // (n + 1)} has {len(row)} cells, not {n + 1}")
+            cells += map(int, row)
+    if len(cells) != (n + 1) << n:
+        raise ValueError(f"expected {1 << n} rows, got {len(cells) // (n + 1)}")
+    bits = np.array(cells).reshape(-1, n + 1)[:, :-1]  # int64 unless a cell is past it
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bit vector entries must be 0 or 1")
+    index = bits @ (1 << np.arange(n - 1, -1, -1))
+    for i in np.flatnonzero(index != np.arange(1 << n))[:1]:  # the first row out of order
+        raise ValueError(f"row {i} bit pattern {[str(b) for b in bits[i].tolist()]} out of order")
+    return TruthTable(n, cells[n::n + 1])

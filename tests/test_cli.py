@@ -1022,6 +1022,44 @@ def test_offset_ramp_reports_exactly_as_the_ramp(capsys, tmp_path):
     assert reports[0] == reports[1] and len(reports[0]) == 1 << 12
 
 
+def test_custom_tables_past_the_decode_limit_take_the_built_in_guards(capsys, tmp_path):
+    # a custom table has the 20-bit bound of every truth table, so at 16
+    # bits it runs what a built-in table of its shape runs: the offset ramp
+    # prices exactly as be (the water fill, through the ramp rows), the 0/2
+    # lone table at 1 by proof, and a many-valued table refuses its exact
+    # report past the 14-bit guard of the dense kernels, while one of its
+    # rows, one law and one gather, runs exact
+    rows = np.arange(1 << 16)
+    paths = {}
+    for name, outputs in (("ramp", rows + 5), ("lone", np.where(rows == 0, 0, 2)),
+                          ("mod400", rows % 400)):
+        paths[name] = tmp_path / f"{name}.csv"
+        table_to_csv(TruthTable(16, outputs), paths[name])
+    prices = []
+    for problem in (("--problem", "custom", "--table", str(paths["ramp"])),
+                    ("--problem", "be", "--n", "16")):
+        code, out, _ = run(capsys, "mobs", *problem, "--metric", "expected_magnitude",
+                           "--format", "json")
+        assert code == 0
+        prices.append({k: v for k, v in json.loads(out)["result"].items()
+                       if k not in ("problem", "kind")})
+    assert prices[0] == prices[1]
+    code, out, _ = run(capsys, "mobs", "--problem", "custom", "--table", str(paths["ramp"]),
+                       "--metric", "expected_magnitude", "--budgets", "40", "--format", "csv")
+    assert code == 0 and csv_body(out)[2] == ["custom,16,16.370564431,exact"]
+    code, out, _ = run(capsys, "mobs", "--problem", "custom", "--table", str(paths["lone"]),
+                       "--format", "csv")
+    assert code == 0 and csv_body(out)[2] == ["custom,16,1,exact"]
+    report = ("simulate", "--problem", "custom", "--table", str(paths["mod400"]),
+              "--allocation", "uniform", "--budget", "40", "--format", "csv")
+    code, out, err = run(capsys, *report, "--mode", "exact")
+    assert code == 3 and out == "" and "n <= 14" in err
+    code, out, err = run(capsys, *report, "--input", "0000000110010000")
+    comments, header, lines = csv_body(out)
+    assert (code, err) == (0, "") and '"mode":"exact"' in comments[2]
+    assert header == "row,p_err" and len(lines) == 1 and lines[0].startswith("400,")
+
+
 def test_custom_outputs_past_the_int64_bound_exit_2(capsys, tmp_path):
     # every difference of two outputs must fit in int64, so a table holding
     # 2**64 is refused as malformed input, not as a traceback
@@ -1033,6 +1071,20 @@ def test_custom_outputs_past_the_int64_bound_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", "--problem", "custom", "--table", str(path),
                        "--loss", "absolute", "--energies", "1")
     assert code == 2 and "2**62" in err
+
+
+def test_malformed_and_oversized_csv_tables_exit_2_and_3(capsys, tmp_path):
+    # a bit cell of -1 or 256 is malformed input like 2 (not a traceback
+    # from a narrow cast), and a header over 20 bits is a resource limit,
+    # refused before the rows are read
+    path = tmp_path / "table.csv"
+    for cell in (2, -1, 256):
+        path.write_text(f"b_1,b_0,output\n0,0,3\n0,1,4\n1,0,5\n1,{cell},6\n")
+        code, out, err = run(capsys, "mobs", "--problem", "custom", "--table", str(path))
+        assert (code, out) == (2, "") and "must be 0 or 1" in err, cell
+    path.write_text(",".join(f"b_{j}" for j in range(20, -1, -1)) + ",output\n")
+    code, out, err = run(capsys, "mobs", "--problem", "custom", "--table", str(path))
+    assert (code, out) == (3, "") and "n <= 20" in err
 
 
 def test_auto_mode_prices_be_exactly_up_to_twenty_bits(capsys):

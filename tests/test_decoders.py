@@ -29,6 +29,7 @@ from inexact.decoders import (
 )
 from inexact.noise import energy_vector, flip_probability
 from inexact.problems import (
+    TABLE_BITS_LIMIT,
     TruthTable,
     binary_evaluation,
     comparison_problem,
@@ -852,7 +853,7 @@ def test_ramp_rows_guards():
         ramp_profile(np.zeros((1, 0)), IdentityGroup(1))
     with pytest.raises(ValueError, match="group acts on"):
         ramp_profile(energy_vector(np.ones(3)), IdentityGroup(4))
-    n = decoders.RAMP_BITS_LIMIT + 1
+    n = TABLE_BITS_LIMIT + 1
     with pytest.raises(ResourceLimitError):
         ramp_profile(energy_vector(np.ones(n)), IdentityGroup(n), "absolute")
 

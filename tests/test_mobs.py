@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -28,7 +29,6 @@ from inexact.mobs import (
 )
 from inexact.noise import energy_rows, energy_vector
 from inexact.problems import (
-    BooleanProblem,
     binary_evaluation,
     build_problem,
     comparison_problem,
@@ -376,18 +376,17 @@ def _closed_form_matches(closed, profile, rows, group, where):
     assert np.allclose(stacked[:, 0], profile.max(axis=1), rtol=1e-14, atol=0), where
 
 
+def _named(name, outputs):
+    """custom_problem of the outputs, named apart from the other custom tables."""
+    return dataclasses.replace(custom_problem(outputs), name=name)
+
+
 def _spread_lone_tables(n):
     """Custom two-valued tables of n bits with a lone output off 0/1: 0
-    at row 0 and 2 elsewhere, 3 at the last row and 4 elsewhere.  Built as
-    custom_problem builds them, but named apart, and also past its
-    CUSTOM_BITS_LIMIT of 14 bits, where the law kernel would read them were
-    the limit raised."""
+    at row 0 and 2 elsewhere, 3 at the last row and 4 elsewhere."""
     rows = np.arange(1 << n)
-    columns = [np.where(rows == 0, 0, 2), np.where(rows == rows[-1], 3, 4)]
-    for column in columns:
-        column.setflags(write=False)
-    return [BooleanProblem(name, "custom", n, {"outputs": column})
-            for name, column in zip(("lone0of2", "lone3of4"), columns)]
+    return [_named("lone0of2", np.where(rows == 0, 0, 2)),
+            _named("lone3of4", np.where(rows == rows[-1], 3, 4))]
 
 
 def test_stacked_rows_score_bit_for_bit_as_each_row_alone(monkeypatch):
@@ -1646,7 +1645,9 @@ def test_mobs_builds_one_truth_table_per_call(monkeypatch):
 
 # the guard table past the 14-bit decode limit: the built-ins whose search
 # objective scores one closed-form entry per row, by metric, at each n;
-# every other built-in refuses
+# every other built-in refuses.  Of the custom tables beside them, the two
+# lone-output ones and the offset ramp are closed forms and the many-valued
+# one refuses, under both metrics
 _CLOSED_FORM_OBJECTIVES = {
     "worst_correctness": {
         15: {"or", "ue", "be", "tribes1", "tribes15", "sorting1x15", "sorting3x5", "sorting5x3"},
@@ -1666,7 +1667,8 @@ def test_search_objectives_past_the_decode_limit_are_closed_forms_or_refusals(mo
     # at n = 15, 16 and 20 error_objective either scores one closed-form
     # entry per row, with no truth table, or raises ResourceLimitError; it
     # never scores a (K, 2**n) profile.  A guard change shows here as a
-    # change of _CLOSED_FORM_OBJECTIVES
+    # change of _CLOSED_FORM_OBJECTIVES.  Custom tables reach 20 bits, as
+    # every truth table does, and take the same guards
     mobs_module = importlib.import_module("inexact.mobs")
     real_table = mobs_module.truth_table
     built = []
@@ -1681,6 +1683,8 @@ def test_search_objectives_past_the_decode_limit_are_closed_forms_or_refusals(mo
         problems += [sorting_problem(count, width) for count, width in sorts]
         problems += [comparison_problem(n // 2)] if n % 2 == 0 else []
         problems += _spread_lone_tables(n)  # the law kernel's, read by their proof
+        problems += [_named("offsetramp", np.arange(1 << n) + 5),  # the ramp kernel's
+                     _named("mod400", np.arange(1 << n) % 400)]  # the dense kernels'
         rows = np.vstack([np.full(n, 2.0), np.arange(n, dtype=np.float64), np.zeros(n)])
         for metric, closed in _CLOSED_FORM_OBJECTIVES.items():
             found = set()
@@ -1695,7 +1699,7 @@ def test_search_objectives_past_the_decode_limit_are_closed_forms_or_refusals(mo
                 profile = mobs_module._profile_function(problem, metric)
                 assert profile(rows, IdentityGroup(n)).shape == (3, 1)
                 found.add(problem.name)
-            assert found == closed[n] | {"lone0of2", "lone3of4"}, (n, metric)
+            assert found == closed[n] | {"lone0of2", "lone3of4", "offsetramp"}, (n, metric)
 
 
 def test_or_and_ue_price_exactly_one_at_any_n(monkeypatch):

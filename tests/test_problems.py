@@ -11,6 +11,7 @@ from inexact.bits import (
     popcount_table,
 )
 from inexact.problems import (
+    TABLE_BITS_LIMIT,
     TruthTable,
     binary_evaluation,
     build_problem,
@@ -192,10 +193,11 @@ def test_custom_problem_round_trip():
 
 
 def test_custom_rejects_bad_lengths_and_scale():
+    # a custom table has the one bound of every truth table
     with pytest.raises(ValueError):
         custom_problem([1, 2, 3])
     with pytest.raises(ResourceLimitError):
-        custom_problem(np.zeros(1 << 15, dtype=np.int64))
+        custom_problem(np.zeros(1 << (TABLE_BITS_LIMIT + 1), dtype=np.int64))
 
 
 def test_custom_outputs_stay_where_every_difference_fits_int64(tmp_path):
@@ -244,6 +246,36 @@ def test_csv_header_and_row_order(tmp_path):
     assert lines[0] == "b_1,b_0,output"
     assert lines[1] == "0,0,0"
     assert lines[2] == "0,1,1"  # row 1 sets bit 0, written MSB first
+
+
+def test_csv_reader_refuses_a_header_past_the_table_bound_before_its_rows(tmp_path):
+    # the header gives the width, so a table over TABLE_BITS_LIMIT bits is
+    # refused before any row is read (this one's row would not parse)
+    n = TABLE_BITS_LIMIT + 1
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(f"b_{j}" for j in range(n - 1, -1, -1)) + ",output\nnot,a,row\n")
+    with pytest.raises(ResourceLimitError, match=f"n <= {TABLE_BITS_LIMIT}"):
+        table_from_csv(path)
+
+
+def test_csv_reader_refuses_malformed_rows(tmp_path):
+    # each cell takes one int() and the bit cells are checked as one array:
+    # a bit cell other than 0 or 1 (past int64 too), a row out of order, a
+    # row of the wrong width and a missing row are refused as malformed input
+    rows = ["0,0,3", "0,1,4", "1,0,5", "1,1,6"]
+    path = tmp_path / "table.csv"
+    cases = [(rows[:3] + [f"1,{cell},6"], "entries must be 0 or 1")
+             for cell in (2, -1, 256, 1 << 63, 1 << 70)]
+    cases += [([rows[0], rows[2], rows[1], rows[3]],
+               r"row 1 bit pattern \['1', '0'\] out of order"),
+              (rows[:3] + ["1,1"], "row 3 has 2 cells, not 3"),
+              (rows[:3], "expected 4 rows, got 3")]
+    for body, message in cases:
+        path.write_text("b_1,b_0,output\n" + "\n".join(body) + "\n")
+        with pytest.raises(ValueError, match=message):
+            table_from_csv(path)
+    path.write_text("b_1,b_0,output\n" + "\n".join(rows) + "\n")
+    assert table_from_csv(path).outputs.tolist() == [3, 4, 5, 6]
 
 
 def test_csv_reader_skips_comment_lines(tmp_path):
