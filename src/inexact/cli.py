@@ -12,6 +12,17 @@ under certain values of another (--resolution only under --method grid, say).
 Such a setting given elsewhere, from a flag or a config file, exits 2 rather
 than go unread, and its default is filled, so recorded, only where it is read.
 
+_FLAGS declares each subcommand's flags once: text, key, type, choices and
+help.  Three readers use it.  build_parser builds the argparse parser from
+it, once per process.  _merge_config reads and checks config file values by
+it.  _read_plain reads a plain command line, CMD --flag value ..., whose
+flags are exact flags of CMD and whose values do not start with "-", into
+the Namespace argparse would give, without building argparse (the build and
+parse cost more than a small command's own work).  Every other argv goes to
+argparse and only there: help, --version, abbreviated flags, --flag=value,
+values that start with "-", odd token counts, and values the flag's type or
+choices refuse.  So help, usage and error texts are argparse's alone.
+
 Exit codes: 0 success, 2 usage or invalid config, 3 resource limit,
 4 numerical non-convergence.
 """
@@ -27,6 +38,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,9 +122,18 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _canonical(tree) -> str:
+    """The text a config's sha256 is taken over: its jsonable tree, keys
+    sorted, compact."""
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(jsonable(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(_canonical(jsonable(config)))
 
 
 def _write(text: str, output: str | None) -> None:
@@ -242,10 +263,11 @@ def emit_json(result, config: dict, output: str | None) -> None:
     if isinstance(result, ErrorReport):
         rows = _report_rows(result)
         result = dataclasses.replace(result, per_input=result.per_input[:0]).to_json()
+    tree = jsonable(config)
     envelope = {
         "version": __version__,
-        "config": jsonable(config),
-        "config_sha256": config_hash(config),
+        "config": tree,
+        "config_sha256": _sha256(_canonical(tree)),
         "result": jsonable(result),
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
@@ -258,11 +280,9 @@ def emit_json(result, config: dict, output: str | None) -> None:
 
 
 def emit_csv(header: str, lines: list[str], config: dict, output: str | None) -> None:
-    preamble = [
-        f"# version={__version__}",
-        f"# config_sha256={config_hash(config)}",
-        f"# config={json.dumps(jsonable(config), sort_keys=True, separators=(',', ':'))}",
-    ]
+    text = _canonical(jsonable(config))
+    preamble = [f"# version={__version__}", f"# config_sha256={_sha256(text)}",
+                f"# config={text}"]
     _write("\n".join(preamble + [header] + lines) + "\n", output)
 
 
@@ -294,9 +314,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        commands = next(a for a in build_parser()._actions if a.dest == "command")
         read = {int: _whole, float: _real}
-        for flag in commands.choices[args.command]._actions:
+        for flag in _FLAGS[args.command][1].values():
             value = file_cfg.get(flag.dest)
             if value is None:
                 continue
@@ -550,85 +569,118 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags, and the two readers of a command line
 
-def _add_common(sub, formats, *names):
-    """The flag groups sub shares with other subcommands, then --config,
-    --format (one of formats) and --output, which every subcommand takes."""
-    if "problem" in names:
-        sub.add_argument("--problem", choices=PROBLEM_KINDS)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--tribe-count", type=int, dest="tribe_count")
-        sub.add_argument("--k", type=int)
-        sub.add_argument("--count", type=int)
-        sub.add_argument("--width", type=int)
-        sub.add_argument("--table")
-    if "energies" in names:
-        sub.add_argument("--energies")
-        sub.add_argument("--allocation", choices=["uniform", "analytic"])
-        sub.add_argument("--budget", type=float)
-    if "group" in names:
-        sub.add_argument("--group", choices=GROUP_KINDS)
-        sub.add_argument("--generators")
-    if "sampling" in names:
-        sub.add_argument("--mode", choices=["exact", "monte_carlo"])
-        sub.add_argument("--samples", type=int)
-        sub.add_argument("--seed", type=int)
-    sub.add_argument("--config")
-    sub.add_argument("--format", choices=formats)
-    sub.add_argument("--output")
+class _Flag(NamedTuple):
+    """How a flag's value is read, by argparse, a config file and _read_plain
+    alike: its key, its type (int or float; None keeps the text), the values
+    it may take (None for any) and its help."""
+
+    dest: str
+    type: type | None
+    choices: tuple | None
+    help: str | None
+
+
+def _flag(text: str, type=None, choices=None, help=None) -> tuple[str, _Flag]:
+    """(text, _Flag) for a subcommand's flag dict; the key is argparse's dest
+    for the text."""
+    return text, _Flag(text[2:].replace("-", "_"), type, choices, help)
+
+
+_PROBLEM_FLAGS = (_flag("--problem", choices=PROBLEM_KINDS), _flag("--n", int),
+                  _flag("--tribe-count", int), _flag("--k", int), _flag("--count", int),
+                  _flag("--width", int), _flag("--table"))
+_ENERGY_FLAGS = (_flag("--energies"), _flag("--allocation", choices=("uniform", "analytic")),
+                 _flag("--budget", float))
+_GROUP_FLAGS = (_flag("--group", choices=GROUP_KINDS), _flag("--generators"))
+_SAMPLING_FLAGS = (_flag("--mode", choices=("exact", "monte_carlo")), _flag("--samples", int),
+                   _flag("--seed", int))
+
+
+def _output_flags(*formats) -> tuple:
+    """--config, --format (one of formats) and --output, which every
+    subcommand takes after the groups it shares."""
+    return _flag("--config"), _flag("--format", choices=formats), _flag("--output")
+
+
+# subcommand -> (its help, {flag text: _Flag} in the order help lists them)
+_FLAGS = {
+    "eval": ("apply a problem to one input", dict([
+        *_PROBLEM_FLAGS, *_output_flags("plain", "json"),
+        _flag("--bits", help="input bits, most significant first")])),
+    "simulate": ("per-input error report", dict([
+        *_PROBLEM_FLAGS, *_ENERGY_FLAGS, *_GROUP_FLAGS, *_SAMPLING_FLAGS,
+        *_output_flags("csv", "json"), _flag("--decoder", choices=("identity", "map")),
+        _flag("--loss", choices=("exact", "absolute")),
+        _flag("--input", help="restrict to one input row (bits, MSB first)")])),
+    "allocate": ("search for an energy allocation", dict([
+        *_PROBLEM_FLAGS, *_GROUP_FLAGS, *_output_flags("csv", "json"),
+        _flag("--metric", choices=("ue_variance", *METRIC_KINDS)), _flag("--budget", float),
+        _flag("--method", choices=("coordinate_descent", "grid")),
+        _flag("--resolution", float)])),
+    "mobs": ("blindfolded-vs-clairvoyant price", dict([
+        *_PROBLEM_FLAGS, *_GROUP_FLAGS, *_SAMPLING_FLAGS, *_output_flags("csv", "json"),
+        _flag("--metric", choices=METRIC_KINDS),
+        _flag("--budgets", help="comma-separated energy budgets")])),
+    "curve": ("supply-voltage correctness curve", dict([
+        *_output_flags("csv", "json"), _flag("--sigma", float), _flag("--vdd", float),
+        _flag("--vdd-min", float), _flag("--vdd-max", float), _flag("--steps", int)])),
+    "table2": ("summary sweep over problem families", dict([
+        *_output_flags("csv", "json"), _flag("--sizes", help="comma-separated n values"),
+        _flag("--comparison-widths"),
+        _flag("--sorting-shapes", help="semicolon-separated countxwidth shapes")])),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every later call."""
+    """The CLI's argparse parser, built from _FLAGS on first use and shared by
+    every later call."""
     parser = argparse.ArgumentParser(
         prog="inexact",
         description="Energy/error tradeoff experiments for noisy Boolean evaluation")
     parser.add_argument("--version", action="version", version=f"inexact {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("eval", help="apply a problem to one input")
-    _add_common(p, ["plain", "json"], "problem")
-    p.add_argument("--bits", help="input bits, most significant first")
-
-    p = commands.add_parser("simulate", help="per-input error report")
-    _add_common(p, ["csv", "json"], "problem", "energies", "group", "sampling")
-    p.add_argument("--decoder", choices=["identity", "map"])
-    p.add_argument("--loss", choices=["exact", "absolute"])
-    p.add_argument("--input", help="restrict to one input row (bits, MSB first)")
-
-    p = commands.add_parser("allocate", help="search for an energy allocation")
-    _add_common(p, ["csv", "json"], "problem", "group")
-    p.add_argument("--metric", choices=["ue_variance", *METRIC_KINDS])
-    p.add_argument("--budget", type=float)
-    p.add_argument("--method", choices=["coordinate_descent", "grid"])
-    p.add_argument("--resolution", type=float)
-
-    p = commands.add_parser("mobs", help="blindfolded-vs-clairvoyant price")
-    _add_common(p, ["csv", "json"], "problem", "group", "sampling")
-    p.add_argument("--metric", choices=list(METRIC_KINDS))
-    p.add_argument("--budgets", help="comma-separated energy budgets")
-
-    p = commands.add_parser("curve", help="supply-voltage correctness curve")
-    _add_common(p, ["csv", "json"])
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--vdd", type=float)
-    p.add_argument("--vdd-min", type=float, dest="vdd_min")
-    p.add_argument("--vdd-max", type=float, dest="vdd_max")
-    p.add_argument("--steps", type=int)
-
-    p = commands.add_parser("table2", help="summary sweep over problem families")
-    _add_common(p, ["csv", "json"])
-    p.add_argument("--sizes", help="comma-separated n values")
-    p.add_argument("--comparison-widths", dest="comparison_widths")
-    p.add_argument("--sorting-shapes", dest="sorting_shapes",
-                   help="semicolon-separated countxwidth shapes")
+    for command, (summary, flags) in _FLAGS.items():
+        sub = commands.add_parser(command, help=summary)
+        for text, flag in flags.items():
+            sub.add_argument(text, dest=flag.dest, type=flag.type, choices=flag.choices,
+                             help=flag.help)
     return parser
 
 
+def _read_plain(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse gives a plain command line, CMD --flag value ...:
+    a known command, then pairs of an exact flag of it and one value that
+    does not start with "-", which the flag's type reads and its choices
+    hold.  None for any other argv, which argparse reads.  As argparse's,
+    the Namespace holds the command, then every key of the command in
+    declaration order, None unless given; a repeated flag keeps its last."""
+    if not argv or len(argv) % 2 == 0 or argv[0] not in _FLAGS:
+        return None
+    flags = _FLAGS[argv[0]][1]
+    values = dict.fromkeys(flag.dest for flag in flags.values())
+    for text, value in zip(argv[1::2], argv[2::2]):
+        flag = flags.get(text)
+        if flag is None or value.startswith("-"):
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except ValueError:
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:  # help, --version, abbreviations, --flag=value, errors
+        args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         cfg["command"] = args.command

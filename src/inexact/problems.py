@@ -23,6 +23,7 @@ CSV form writes columns b_{n-1},...,b_0,output and round-trips bit exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -241,9 +242,27 @@ def table_to_csv(table: TruthTable, path) -> None:
             writer.writerow([int(b) for b in bits[::-1]] + [int(table.outputs[i])])
 
 
+_CSV_BLOCK_ROWS = 1 << 12  # rows table_from_csv reads into one int64 block
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64_cells(cells: list) -> np.ndarray:
+    """The cells as int64, each past int64 clamped to its end: a clamped
+    bit cell is still not 0 or 1, and a clamped output still past the
+    output bound, so each is refused as it would be unclamped."""
+    try:
+        return np.array(cells, dtype=np.int64)
+    except OverflowError:
+        return np.array([min(max(c, _INT64.min), _INT64.max) for c in cells], dtype=np.int64)
+
+
 def table_from_csv(path) -> TruthTable:
     """Read a truth table written by :func:`table_to_csv` (bit-exact): one int()
-    per cell, bits checked as one array, a header past the bound before any row."""
+    per cell, a header past the bound before any row, and the rows a block
+    at a time into the preallocated output column, each block's bits
+    checked as one array.  The refusals keep their order: a row's width as
+    it is read, then the row count, a bit cell other than 0 or 1, the first
+    row out of order and last the output range."""
     path = Path(path)
     with path.open(newline="") as fh:
         rows = (r for r in csv.reader(fh) if r and not r[0].startswith("#"))
@@ -254,17 +273,33 @@ def table_from_csv(path) -> TruthTable:
             raise ValueError(f"bad truth table header {header!r}" if header
                              else f"{path} is empty")
         check_table_bits(n)
-        cells = []
-        for row in rows:
-            if len(row) != n + 1:
-                raise ValueError(f"row {len(cells) // (n + 1)} has {len(row)} cells, not {n + 1}")
-            cells += map(int, row)
-    if len(cells) != (n + 1) << n:
-        raise ValueError(f"expected {1 << n} rows, got {len(cells) // (n + 1)}")
-    bits = np.array(cells).reshape(-1, n + 1)[:, :-1]  # int64 unless a cell is past it
-    if not ((bits == 0) | (bits == 1)).all():
+        outputs = np.empty(1 << n, dtype=np.int64)
+        weights = 1 << np.arange(n - 1, -1, -1)
+        count, loose, disorder = 0, False, None
+        for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), []):
+            cells = []
+            for row in block:
+                if len(row) != n + 1:
+                    raise ValueError(f"row {count + len(cells) // (n + 1)} has {len(row)} "
+                                     f"cells, not {n + 1}")
+                cells += map(int, row)
+            start, count = count, count + len(block)
+            if count > outputs.size:  # refused by its count once every row is read
+                continue
+            values = _int64_cells(cells).reshape(-1, n + 1)
+            bits = values[:, :-1]
+            outputs[start:count] = values[:, -1]
+            loose = loose or not ((bits == 0) | (bits == 1)).all()
+            if disorder is None:
+                wrong = np.flatnonzero(bits @ weights != np.arange(start, count))[:1]
+                if wrong.size:
+                    disorder = start + int(wrong[0]), bits[wrong[0]].tolist()
+    if count != outputs.size:
+        raise ValueError(f"expected {outputs.size} rows, got {count}")
+    if loose:
         raise ValueError("bit vector entries must be 0 or 1")
-    index = bits @ (1 << np.arange(n - 1, -1, -1))
-    for i in np.flatnonzero(index != np.arange(1 << n))[:1]:  # the first row out of order
-        raise ValueError(f"row {i} bit pattern {[str(b) for b in bits[i].tolist()]} out of order")
-    return TruthTable(n, cells[n::n + 1])
+    if disorder is not None:
+        i, pattern = disorder
+        raise ValueError(f"row {i} bit pattern {[str(b) for b in pattern]} out of order")
+    return TruthTable(n, outputs)
+

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import shlex
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from inexact import __version__
 from inexact.adversary import FullSymmetricGroup, IdentityGroup
-from inexact.cli import (_COMMANDS, _csv_numbers, _csv_rows, _json_number, _json_numbers,
-                         build_parser, config_hash, emit_json, fmt, jsonable, main)
+from inexact.cli import (_COMMANDS, _FLAGS, _csv_numbers, _csv_rows, _json_number, _json_numbers,
+                         _read_plain, build_parser, config_hash, emit_json, fmt, jsonable,
+                         main)
 from inexact.decoders import (ErrorReport, error_profile, error_report, identity_decoder,
                               map_decoder)
 from inexact.mobs import table2_rows
@@ -586,11 +590,93 @@ def test_subcommand_help_renders(capsys, command):
     assert capsys.readouterr().out.startswith(f"usage: inexact {command}")
 
 
-def test_main_calls_share_one_parser(capsys):
+def test_main_calls_share_one_parser(capsys, tmp_path):
+    # a plain call, a config file's too, is read from the flag declaration
+    # and builds no argparse parser; the first call argparse must read (an
+    # abbreviation) builds it, and later ones share it
+    (tmp_path / "run.json").write_text('{"n": 3}')
     build_parser.cache_clear()
     for _ in range(2):
         assert run(capsys, "eval", *CONFIG_RUNS["eval"])[0] == 0
-    assert build_parser.cache_info().misses == 1
+        assert run(capsys, "mobs", "--problem", "or", "--budgets", "2",
+                   "--config", str(tmp_path / "run.json"))[0] == 0
+    assert build_parser.cache_info().misses == 0
+    for _ in range(2):
+        assert run(capsys, "mobs", "--prob", "or", "--n", "2", "--budgets", "2")[0] == 0
+    assert (build_parser.cache_info().misses, build_parser.cache_info().hits) == (1, 1)
+
+
+def _main_outcome(argv, output):
+    """(exit code, stdout, stderr, --output file text) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    written = output.read_text() if output.exists() else None
+    output.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+# the values a drawn flag without choices may take, by its type: ones the
+# type reads and ones it refuses
+_DRAWN_VALUES = {int: ["0", "1", "2", "x", "2.5", " 2"], float: ["0", "2.5", "nan", "inf", "x"],
+                 None: ["1,2", "01", "1,0", "2x1", "", "x"]}
+
+
+@st.composite
+def _command_lines(draw, files):
+    """Command lines over the declared flags: half of them plain (a known
+    command, a run of CONFIG_RUNS, then flags each with a value), the rest
+    mixing in unknown commands, abbreviations, --flag=value, help, odd
+    token counts and values that start with "-"."""
+    plain = draw(st.booleans())
+    command = draw(st.sampled_from(list(_FLAGS) if plain else
+                                   [*_FLAGS, "nope", "mob", "-h", "--version"]))
+    flags = _FLAGS.get(command, _FLAGS["mobs"])[1]
+    argv = [command, *CONFIG_RUNS[command]] if plain else [command]
+    for _ in range(draw(st.integers(0, 3 if plain else 5))):
+        text = draw(st.sampled_from(sorted(flags)))
+        flag = flags[text]
+        values = [*(flag.choices or _DRAWN_VALUES[flag.type]), "bogus"]
+        if not plain:
+            values += ["-1", "-x"]
+        value = draw(st.sampled_from(files.get(flag.dest) or values))  # no stray files
+        form = "pair" if plain else draw(st.sampled_from(
+            ["pair", "pair", "prefix", "equals", "flag", "value", "-h", "--version", "--bogus"]))
+        argv += {"pair": [text, value], "prefix": [text[:-1], value],
+                 "equals": [f"{text}={value}"], "flag": [text],
+                 "value": [value]}.get(form, [form])
+    return argv
+
+
+@pytest.fixture(scope="module")
+def drawn_files(tmp_path_factory):
+    """Files the drawn --table, --config and --output values name."""
+    root = tmp_path_factory.mktemp("drawn")
+    table_to_csv(truth_table(or_problem(2)), root / "or2.csv")
+    (root / "run.json").write_text('{"n": 2, "problem": "ue"}')
+    return {"table": [str(root / "or2.csv")],
+            "config": [str(root / "run.json"), str(root / "absent.json")],
+            "output": [str(root / "out.txt")]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plain_reader_is_argparse(drawn_files, data):
+    # wherever the direct reader answers, it answers as argparse, key order
+    # included; everywhere main exits, prints and writes as it does with
+    # argparse reading every command line
+    argv = data.draw(_command_lines(drawn_files))
+    plain = _read_plain(argv)
+    if plain is not None:
+        parsed = build_parser().parse_args(argv)
+        assert repr(list(vars(plain).items())) == repr(list(vars(parsed).items()))  # nan too
+    output = Path(drawn_files["output"][0])
+    outcome = _main_outcome(argv, output)
+    with mock.patch("inexact.cli._read_plain", return_value=None):
+        assert _main_outcome(argv, output) == outcome
 
 
 def test_mobs_csv_row(capsys):
@@ -756,6 +842,23 @@ def test_removed_config_keys_exit_2(capsys, tmp_path, command, key, value):
     code, out, err = run(capsys, command, *CONFIG_RUNS[command], "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == f"error: unknown config keys: [{key!r}]\n"
+
+
+@pytest.mark.parametrize("command, key, value, choices", [
+    ("mobs", "problem", "zz", ["or", "ue", "be", "tribes", "comparison", "sorting", "custom"]),
+    ("eval", "format", "csv", ["plain", "json"]),
+    ("curve", "format", "plain", ["csv", "json"]),
+    ("allocate", "metric", "x", ["ue_variance", "worst_correctness", "expected_magnitude",
+                                 "comparison_weighted", "sorting_weighted"]),
+    ("simulate", "mode", "fast", ["exact", "monte_carlo"]),
+])
+def test_config_file_values_outside_their_flag_choices_exit_2(capsys, tmp_path, command, key,
+                                                              value, choices):
+    # a file value is held to the choices its subcommand's flag declares
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(capsys, command, "--config", str(cfg)) == \
+        (2, "", f"error: config key {key!r} must be one of {choices}, got {value!r}\n")
 
 
 def test_energies_config_file_prints_the_energies_flag_rows(capsys, tmp_path):

@@ -278,6 +278,31 @@ def test_csv_reader_refuses_malformed_rows(tmp_path):
     assert table_from_csv(path).outputs.tolist() == [3, 4, 5, 6]
 
 
+def test_csv_reader_keeps_its_refusals_across_row_blocks(tmp_path):
+    # rows are read a block at a time: a 13-bit table spans two blocks, and
+    # a refusal keeps its row number and its order past the first block (a
+    # bit cell other than 0 or 1, in any block, before the first row out of
+    # order, the row count before both)
+    table = TruthTable(13, np.arange(1 << 13) % 5)
+    path = tmp_path / "wide.csv"
+    table_to_csv(table, path)
+    assert np.array_equal(table_from_csv(path).outputs, table.outputs)
+    lines = path.read_text().splitlines()
+    swapped = lines[:5002] + [lines[5003], lines[5002]] + lines[5004:]
+    cases = [(swapped, r"row 5001 bit pattern \['1', '0', '0', '1', '1', '1', '0', '0', "
+                       r"'0', '1', '0', '1', '0'\] out of order"),
+             (swapped[:-1] + ["1," * 13 + "7", "2," * 13 + "7"], "expected 8192 rows, got 8193"),
+             (swapped[:-1] + ["2," * 13 + "7"], "entries must be 0 or 1"),
+             (lines[:10] + ["2," * 13 + "7"] + lines[11:], "entries must be 0 or 1"),
+             (lines[:-1] + [f"{1 << 70}," * 13 + "7"], "entries must be 0 or 1"),
+             (lines[:-1] + ["1," * 13 + f"{1 << 70}"], "2\\*\\*62"),
+             (lines[:6000] + ["0,1"], "row 5999 has 2 cells, not 14")]
+    for body, message in cases:
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(ValueError, match=message):
+            table_from_csv(path)
+
+
 def test_csv_reader_skips_comment_lines(tmp_path):
     path = tmp_path / "annotated.csv"
     table_to_csv(truth_table(or_problem(2)), path)
