@@ -11,10 +11,13 @@ tables of the ones count alone (which descend), where the shuffled
 objective is lower off the uniform split (the strict xfail
 tests/test_mobs.py::test_a_many_valued_ones_count_table_prices_at_one).
 The clairvoyant side plays champion's rule in every mode: _proof's closed
-form, read off table facts a built-in kind gives with no table; else,
-exact, a coordinate descent from the uniform vector and the kind's
-analytic allocation, so the ratio never sits below 1 (up to descent
-tolerance and rounding), and, sampled, that allocation alone.  Where it
+form, read off table facts a built-in kind gives with no table;
+sorting_weighted's top_bit_split, by proof; comparison_weighted's
+equalizer; else, exact, a coordinate descent from the uniform vector and
+the kind's analytic allocation (tribes, comparison under a per-input
+metric, sorting under expected_magnitude, custom tables), so the ratio
+never sits below 1 (up to descent tolerance and rounding), and, sampled,
+that allocation alone.  Where it
 returns the uniform split, which every permutation fixes, both sides read
 one law: mobs scores it once (exact, _proof's worst row where it applies,
 so or and ue price at any n), and every ratio is 1.
@@ -216,12 +219,37 @@ def equalized_comparison(k: int, budget: float) -> EnergyVector:
     return energy_vector(half + half)
 
 
-def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
-    """Half the numbers at 2**(width-1), half at 0 (count must be even)."""
+def _check_even_count(count: int) -> None:
     if count < 2 or count % 2 != 0:
         raise ValueError("count must be even and >= 2")
+
+
+def expensive_pairs_instance(count: int, width: int) -> tuple[int, ...]:
+    """Half the numbers at 2**(width-1), half at 0 (count must be even)."""
+    _check_even_count(count)
     high = 1 << (width - 1)
     return tuple([high] * (count // 2) + [0] * (count // 2))
+
+
+def top_bit_split(count: int, width: int, budget: float) -> EnergyVector:
+    """Clairvoyant sorting_weighted champion at the budget, by proof:
+    budget / count on each number's top bit (index m * width + width - 1),
+    0 on every other bit.  O(count * width); no table, no search.
+
+    Let H be the count/2 = h high numbers of expensive_pairs_instance and
+    L the h low ones, t the top-bit energies.  Each of the h**2 unequal
+    pairs errs 2**-(t_a + t_b) with weight 2**(width-1), so the objective is
+    2**(width-1) * S_H * S_L, S_X = sum_{a in X} 2**-t_a.  2**-t is convex,
+    so by Jensen S_X >= h * 2**(-T_X / h), T_X the energy on X's top bits,
+    and the objective is at least 2**(width-1) * h**2 * 2**(-B / h), since
+    T_H + T_L <= B.  The even split over all top bits attains that bound.
+    Any split of B between H and L that is even within each half does too;
+    this one depends on no search path.
+    """
+    _check_even_count(count)
+    entries = np.zeros(count * width)
+    entries[width - 1::width] = budget / count
+    return energy_vector(entries)
 
 
 def _sorting_weighted_error_direct(problem: BooleanProblem, rows: np.ndarray) -> np.ndarray:
@@ -309,8 +337,7 @@ def aggregate_error(problem: BooleanProblem, energies: EnergyVector,
 def sorting_mobs_bound(count: int, width: int) -> float:
     """Expensive-pair wrong-order probability ratio 2**((width-1)/2) between
     uniform play (2**-((width+1)/2)) and per-position ladder play (2**-width)."""
-    if count < 2 or count % 2 != 0:
-        raise ValueError("count must be even and >= 2")
+    _check_even_count(count)
     if width < 1:
         raise ValueError("width must be >= 1")
     return 2.0 ** ((width - 1) / 2.0)
@@ -532,16 +559,22 @@ def _proof(problem: BooleanProblem, metric: str):
 def champion(problem: BooleanProblem, metric: str, objective=None):
     """mobs' clairvoyant rule in every mode, budget -> (EnergyVector,
     converged); the first that applies: _proof's closed form (the uniform
-    split, the water fill), by proof; for comparison under
-    comparison_weighted, equalized_comparison, optimal by numerical
-    evidence (tests/test_mobs.py), not by proof; else a coordinate descent
-    on objective (the identity-group objective) from the uniform split and
+    split, the water fill), by proof; for sorting under sorting_weighted,
+    top_bit_split, by proof; for comparison under comparison_weighted,
+    equalized_comparison, optimal by numerical evidence
+    (tests/test_mobs.py), not by proof; else a coordinate descent on
+    objective (the identity-group objective) from the uniform split and
     analytic_allocation, or with no objective (sampled mode, where each
-    evaluation would be an exact enumeration) analytic_allocation itself."""
+    evaluation would be an exact enumeration) analytic_allocation itself.
+    So only tribes, comparison under a per-input metric, sorting under
+    expected_magnitude and custom tables without a proof descend."""
     n = problem.n
     proof = _proof(problem, metric)
     if proof is not None:
         return proof.champion
+    if problem.kind == "sorting" and metric == "sorting_weighted":
+        count, width = problem.params["count"], problem.params["width"]
+        return lambda budget: (top_bit_split(count, width, budget), True)
     if problem.kind == "comparison" and metric == "comparison_weighted":
         return lambda budget: (equalized_comparison(problem.params["k"], budget), True)
     if objective is None:
@@ -619,9 +652,8 @@ def mobs(problem: BooleanProblem, budget_grid=None, metric: str | None = None,
             objective = _twins_scored_once(error_objective(problem, metric, identity,
                                                            profile=analysis().profile),
                                            analysis().table)
-    else:
+    else:  # a pair-weighted metric reads its own kind, whose champion is closed form
         profile = _profile_function(problem, metric)
-        objective = error_objective(problem, metric, identity, profile=profile)
         score = lambda energies, g, probes: (profile(energy_rows(energies), g)[0], None)
     rule = champion(problem, metric, objective)
     rows = range(1 << problem.n) if per_input else None

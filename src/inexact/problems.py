@@ -35,7 +35,6 @@ from .bits import (
     ResourceLimitError,
     as_bit_array,
     bits_to_index,
-    index_to_bits,
     popcount,
     popcount_table,
 )
@@ -230,20 +229,28 @@ def truth_table(problem: BooleanProblem) -> TruthTable:
     return TruthTable(n, column)
 
 
-def table_to_csv(table: TruthTable, path) -> None:
-    """Write the table as CSV with header b_{n-1},...,b_0,output."""
-    path = Path(path)
-    header = [f"b_{j}" for j in range(table.n - 1, -1, -1)] + ["output"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(1 << table.n):
-            bits = index_to_bits(i, table.n)
-            writer.writerow([int(b) for b in bits[::-1]] + [int(table.outputs[i])])
-
-
-_CSV_BLOCK_ROWS = 1 << 12  # rows table_from_csv reads into one int64 block
+_CSV_BLOCK_ROWS = 1 << 12  # rows table_to_csv writes and table_from_csv reads per block
 _INT64 = np.iinfo(np.int64)
+
+
+def table_to_csv(table: TruthTable, path) -> None:
+    """Write the table as CSV with header b_{n-1},...,b_0,output, the bytes
+    csv.writer writes ("\\r\\n" line ends), a block of rows at a time: each
+    row's bit cells "b,b,...," are one fixed-width byte string, set by
+    numpy shifts."""
+    path = Path(path)
+    n = table.n
+    header = [f"b_{j}" for j in range(n - 1, -1, -1)] + ["output"]
+    shifts = np.arange(n - 1, -1, -1)
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, 1 << n, _CSV_BLOCK_ROWS):
+            outputs = table.outputs[start:start + _CSV_BLOCK_ROWS]
+            idx = np.arange(start, start + outputs.size)
+            cells = np.full((outputs.size, 2 * n), ord(","), dtype=np.uint8)
+            cells[:, 0::2] = (idx[:, None] >> shifts & 1) + ord("0")
+            bits = cells.view(f"S{2 * n}").ravel().tolist()
+            fh.write(b"".join(b"%s%d\r\n" % row for row in zip(bits, outputs.tolist())))
 
 
 def _int64_cells(cells: list) -> np.ndarray:

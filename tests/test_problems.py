@@ -1,3 +1,6 @@
+import csv
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +249,33 @@ def test_csv_header_and_row_order(tmp_path):
     assert lines[0] == "b_1,b_0,output"
     assert lines[1] == "0,0,0"
     assert lines[2] == "0,1,1"  # row 1 sets bit 0, written MSB first
+
+
+def _csv_writer_bytes(table, path) -> bytes:
+    # one csv.writer row per input, the writer table_to_csv's blocks replaced
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"b_{j}" for j in range(table.n - 1, -1, -1)] + ["output"])
+        for i in range(1 << table.n):
+            bits = index_to_bits(i, table.n)
+            writer.writerow([int(b) for b in bits[::-1]] + [int(table.outputs[i])])
+    return path.read_bytes()
+
+
+def test_csv_writer_blocks_write_csv_writers_bytes(tmp_path, monkeypatch):
+    # small blocks, so that n = 12 spans many of them and a partial last one
+    problems_module = importlib.import_module("inexact.problems")
+    monkeypatch.setattr(problems_module, "_CSV_BLOCK_ROWS", 300)
+    rng = np.random.default_rng(112)
+    for n in range(1, 13):
+        outputs = rng.integers(-(1 << 62), 1 << 62, size=1 << n)
+        outputs[:2] = -(1 << 62), (1 << 62) - 1
+        outputs[rng.random(1 << n) < 0.25] = rng.integers(-9, 10)
+        table = TruthTable(n, outputs)
+        path = tmp_path / f"t{n}.csv"
+        table_to_csv(table, path)
+        assert path.read_bytes() == _csv_writer_bytes(table, tmp_path / f"ref{n}.csv"), n
+        assert np.array_equal(table_from_csv(path).outputs, table.outputs), n
 
 
 def test_csv_reader_refuses_a_header_past_the_table_bound_before_its_rows(tmp_path):
